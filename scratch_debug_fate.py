@@ -4,10 +4,11 @@ from planarham.compactify import (_integrate_fate, _seed_fate,
                                   compactification_for_map,
                                   infinite_singularities)
 from planarham.corpus import builtin
+from planarham.expr import compile_polys
 
 cf = compactification_for_map(builtin("example2"))
 s = [z for z in infinite_singularities(cf) if z.theta > 1.0][0]
-field = cf.chart(s.chart)
+field = compile_polys(*cf.chart(s.chart))
 r = 0.05
 for side in (1.0, -1.0):
     for k in range(16):

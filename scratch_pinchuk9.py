@@ -18,7 +18,7 @@ flow = _Flow(huge, h_level)
 section = _Section(Z2, start)
 
 rtol, atol = 1e-6, 1e-9
-x, y = flow.project(*start)
+x, y, _ = flow.project(*start)
 fx, fy = flow.rhs(x, y)
 speed = math.hypot(fx, fy)
 h = min(0.01, 0.1 * (1.0 + section.scale) / (1.0 + speed))
@@ -42,7 +42,7 @@ for attempt in range(3_000_000):
         run += 1
         h *= step_factor(enorm)
         continue
-    xp, yp = flow.project(x5, y5)
+    xp, yp, _ = flow.project(x5, y5)
     raw_new = flow.image_angle(xp, yp)
     dtheta = _wrap_pi(raw_new - raw_prev)
     if abs(dtheta) > MAX_DTHETA:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import ndimage
@@ -32,6 +33,9 @@ from .trace import (
 
 _EVAL_ERRORS = (ValueError, ZeroDivisionError, OverflowError,
                 DomainError, OverflowEvent)
+
+# the result of jacobian_sign_change over a fixed box, computed on demand
+SignScan = Callable[[], tuple[tuple[float, float], tuple[float, float]] | None]
 
 # bracket width below which a level is "budget", i.e. all good up to h_max
 BUDGET = math.inf
@@ -403,7 +407,8 @@ class GlobalVerdict:
 
 
 def global_center_verdict(pmap: PlanarMap, estimate: EllEstimate,
-                          box: Box | None = None) -> GlobalVerdict:
+                          box: Box | None = None,
+                          sign_change: SignScan | None = None) -> GlobalVerdict:
     """Center globality from the certificate record.
 
     A failed certificate at a level that still has points of the
@@ -411,9 +416,13 @@ def global_center_verdict(pmap: PlanarMap, estimate: EllEstimate,
     not-global.  All levels good up to h_max is "global" qualified
     up-to-budget.  A sign change of det Df anywhere in the box voids
     the standing hypothesis and demotes everything to inconclusive.
+    ``sign_change`` gives the result of :func:`jacobian_sign_change`
+    over that box when a caller shares one scan between centers; by
+    default the box is scanned here.
     """
     box = box if box is not None else pmap.working_box()
-    flip = jacobian_sign_change(pmap, box)
+    flip = (sign_change() if sign_change is not None
+            else jacobian_sign_change(pmap, box))
     if flip is not None:
         pos, neg = flip
         return GlobalVerdict("inconclusive", (
@@ -548,8 +557,12 @@ def build_annulus_report(pmap: PlanarMap, center: CenterRecord,
                          rng_seed: int = 42, spotcheck_n: int = 2000,
                          budget: AngleBudget | None = None,
                          rtol: float = RTOL, atol: float = ATOL,
+                         sign_change: SignScan | None = None,
                          ) -> AnnulusReport:
-    """Full annulus pipeline for one center."""
+    """Full annulus pipeline for one center.
+
+    ``sign_change`` is passed on to :func:`global_center_verdict`.
+    """
     est = estimate_ell(pmap, center, h_max=h_max, tol=tol, budget=budget,
                        rtol=rtol, atol=atol)
     shape = image_shape(est)
@@ -558,7 +571,7 @@ def build_annulus_report(pmap: PlanarMap, center: CenterRecord,
                                budget=budget)
     spot = injectivity_spotcheck(pmap, sampler, n=max(spotcheck_n, 100),
                                  rng_seed=rng_seed)
-    verdict = global_center_verdict(pmap, est, box=box)
+    verdict = global_center_verdict(pmap, est, box=box, sign_change=sign_change)
     return AnnulusReport(
         center=center,
         ell_lo=est.ell_lo,

@@ -20,11 +20,13 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Sequence
 
 import jsonschema
 
+from . import annulus
 from .annulus import (AnnulusBelowResolution, AnnulusReport,
                       DownwardClosureError, build_annulus_report)
 from .centers import CenterRecord, search_zeros
@@ -32,8 +34,9 @@ from .compactify import (SCAN_N, EquatorDegenerate, classify_sectors,
                          compactification_for_map, conti_verdict,
                          infinite_singularities)
 from .corpus import ExtendedGateError, builtin
-from .expr import DomainError, ParseError, print_expr
-from .field import Box, MapSpecError, OverflowEvent, PlanarMap, load_map_spec
+from .expr import DomainError, ParseError, Poly2, print_expr
+from .field import (Box, MapSpecError, OverflowEvent, PlanarMap,
+                    effective_hamiltonian_poly, load_map_spec)
 from .render import DiscRefusal, disc_portrait_for_map, plane_portrait, scene_to_svg
 from .trace import AngleBudget, LevelUnreachable
 
@@ -111,6 +114,36 @@ def load_map(source: str, enable_extended: bool = False) -> PlanarMap:
         raise InputError(f"cannot read map file {source!r}: {exc}") from exc
     except (MapSpecError, ParseError) as exc:
         raise InputError(str(exc)) from exc
+
+
+class _MapFacts:
+    """Map-level facts that several stages of one run use.
+
+    Each is computed at most once, on first use.  An instance lives for
+    one subcommand run, so no fact is kept across runs or maps.
+    """
+
+    def __init__(self, pmap: PlanarMap, cfg: RunConfig):
+        self.pmap = pmap
+        # the window every center's verdict scans, as
+        # global_center_verdict defaults it
+        self.box = cfg.box if cfg.box is not None else pmap.working_box()
+        # load_map_spec refuses a declared H that fails validation
+        self._declared_checked = not cfg.map_source.startswith("builtin:")
+
+    @cached_property
+    def hamiltonian(self) -> Poly2 | None:
+        """The polynomial H (a declared one validated), or None."""
+        declared = self.pmap.declared_hamiltonian
+        if self._declared_checked and declared is not None:
+            return declared
+        return effective_hamiltonian_poly(self.pmap)
+
+    @cached_property
+    def sign_change(self):
+        """jacobian_sign_change over the window all centers share."""
+        # looked up on the module so that patching it there reaches this call
+        return annulus.jacobian_sign_change(self.pmap, self.box)
 
 
 def _parse_box(text: str) -> Box:
@@ -394,16 +427,22 @@ def _loc_text(rec: CenterRecord) -> str:
     return f"({rec.location[0]:.6g}, {rec.location[1]:.6g})"
 
 
-def _analyze_center(pmap: PlanarMap, rec: CenterRecord, cfg: RunConfig,
+def _annulus_report(facts: _MapFacts, rec: CenterRecord,
+                    cfg: RunConfig) -> AnnulusReport:
+    return build_annulus_report(
+        facts.pmap, rec, h_max=cfg.h_max, tol=cfg.tol,
+        grid_n=cfg.grid_n if cfg.grid_n is not None else 200,
+        box=cfg.box, rng_seed=cfg.rng_seed, budget=cfg.budget(),
+        sign_change=lambda: facts.sign_change)
+
+
+def _analyze_center(facts: _MapFacts, rec: CenterRecord, cfg: RunConfig,
                     warnings: list[str],
                     ) -> tuple[dict, AnnulusReport | None, bool]:
     """One center's block; returns (block, report or None, inconclusive)."""
     block = _center_core(rec)
     try:
-        rep = build_annulus_report(
-            pmap, rec, h_max=cfg.h_max, tol=cfg.tol,
-            grid_n=cfg.grid_n if cfg.grid_n is not None else 200,
-            box=cfg.box, rng_seed=cfg.rng_seed, budget=cfg.budget())
+        rep = _annulus_report(facts, rec, cfg)
     except AnnulusBelowResolution as exc:
         warnings.append(f"center {_loc_text(rec)}: {exc}")
         block.update(status="below-resolution", ell=None, image_shape=None,
@@ -437,11 +476,18 @@ def _analyze_center(pmap: PlanarMap, rec: CenterRecord, cfg: RunConfig,
     return block, rep, inconclusive
 
 
-def _compactification_block(pmap: PlanarMap, reports: list[AnnulusReport],
+def _compactification(facts: _MapFacts):
+    hpoly = facts.hamiltonian
+    if hpoly is None:
+        return None
+    return compactification_for_map(facts.pmap, hpoly)
+
+
+def _compactification_block(facts: _MapFacts, reports: list[AnnulusReport],
                             warnings: list[str],
                             ) -> tuple[dict | str, int, int, bool]:
     """Returns (block, scan_work, fate_work, inconclusive)."""
-    cf = compactification_for_map(pmap)
+    cf = _compactification(facts)
     if cf is None:
         return "not-applicable", 0, 0, False
     warnings.extend(cf.warnings)
@@ -453,7 +499,7 @@ def _compactification_block(pmap: PlanarMap, reports: list[AnnulusReport],
     sings = [classify_sectors(cf, s) for s in found]
     fate_work = sum(len(s.evidence) for s in sings)
     if reports:
-        verdict = conti_verdict(pmap, reports, sings)
+        verdict = conti_verdict(facts.pmap, reports, sings, facts.hamiltonian)
         warnings.extend(f"conti: {note}" for note in verdict.notes)
         conti_type = verdict.conti_type
         routes_agree = verdict.routes_agree
@@ -497,10 +543,25 @@ def _orbit_points(reports: list[AnnulusReport]) -> int:
                for c in rep.certificates)
 
 
+@cache
+def _validator(kind: str):
+    """The validator of one report kind, built on first use.
+
+    The schemas are constants; the test suite checks them against their
+    metaschema, so that check is not repeated for every report.
+    """
+    schema = SCHEMAS[kind]
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
 def _write_json(doc: dict, path: str) -> None:
     """Validate against the published schema, then write; bug guard."""
     try:
-        jsonschema.validate(doc, SCHEMAS[doc["kind"]])
+        # the error jsonschema.validate would raise
+        error = jsonschema.exceptions.best_match(
+            _validator(doc["kind"]).iter_errors(doc))
+        if error is not None:
+            raise error
         text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     except (jsonschema.ValidationError, ValueError) as exc:
         raise SchemaFailure(f"report failed schema validation: {exc}") from exc
@@ -538,12 +599,13 @@ def _cmd_centers(cfg: RunConfig) -> int:
 
 def _assemble_report(pmap: PlanarMap, cfg: RunConfig, subcommand: str,
                      with_compactification: bool) -> tuple[dict, bool]:
+    facts = _MapFacts(pmap, cfg)
     records, stats, warnings = _search(pmap, cfg)
     blocks: list[dict] = []
     reports: list[AnnulusReport] = []
     inconclusive = False
     for rec in records:
-        block, rep, flag = _analyze_center(pmap, rec, cfg, warnings)
+        block, rep, flag = _analyze_center(facts, rec, cfg, warnings)
         blocks.append(block)
         if rep is not None:
             reports.append(rep)
@@ -559,7 +621,7 @@ def _assemble_report(pmap: PlanarMap, cfg: RunConfig, subcommand: str,
     }
     if with_compactification:
         cblock, scan_work, fate_work, cflag = _compactification_block(
-            pmap, reports, warnings)
+            facts, reports, warnings)
         doc["compactification"] = cblock
         doc["timings"] = _timings(center_seeds=stats.n_seeds,
                                   orbit_points=_orbit_points(reports),
@@ -603,16 +665,14 @@ def _cmd_global_check(cfg: RunConfig) -> int:
 
 def _cmd_portrait(cfg: RunConfig) -> int:
     pmap = load_map(cfg.map_source, cfg.enable_extended)
+    facts = _MapFacts(pmap, cfg)
     records, _, warnings = _search(pmap, cfg)
     kept: list[CenterRecord] = []
     reports: list[AnnulusReport] = []
     inconclusive = False
     for rec in records:
         try:
-            rep = build_annulus_report(
-                pmap, rec, h_max=cfg.h_max, tol=cfg.tol,
-                grid_n=cfg.grid_n if cfg.grid_n is not None else 200,
-                box=cfg.box, rng_seed=cfg.rng_seed, budget=cfg.budget())
+            rep = _annulus_report(facts, rec, cfg)
         except (AnnulusBelowResolution, LevelUnreachable,
                 DownwardClosureError, OverflowEvent, DomainError) as exc:
             warnings.append(f"center {_loc_text(rec)}: {exc}")
@@ -642,7 +702,7 @@ def _cmd_portrait(cfg: RunConfig) -> int:
 
 def _cmd_disc(cfg: RunConfig) -> int:
     pmap = load_map(cfg.map_source, cfg.enable_extended)
-    cf = compactification_for_map(pmap)
+    cf = _compactification(_MapFacts(pmap, cfg))
     sings = []
     if cf is not None:
         try:

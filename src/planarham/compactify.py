@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from scipy.optimize import brentq
 
-from .expr import Poly2
+from .expr import Poly2, compile_polys
 from .field import PlanarMap, effective_hamiltonian_poly
 from .rk import dp5_step, error_norm, step_factor
 
@@ -37,6 +38,10 @@ CONVERGE_PIN = 1e-7
 CONVERGE_PIN_AT_BUDGET = 1e-5
 NONDEGENERATE_FRACTION = 0.05
 SWEEP_FRACTION = 0.75
+
+
+# a chart field (u', v') compiled to (u, v) -> (u', v')
+ChartField = Callable[[float, float], tuple[float, float]]
 
 
 class EquatorDegenerate(Exception):
@@ -128,19 +133,23 @@ def _g_funcs(cf: CompactifiedField):
     g = cf.equator_poly
     gx, gy = g.dx(), g.dy()
     gxx, gxy, gyy = gx.dx(), gx.dy(), gy.dy()
+    g0_at = compile_polys(g)
+    g1_at = compile_polys(gx, gy)
+    g2_at = compile_polys(gxx, gxy, gyy, gx, gy)
 
     def G(t: float) -> float:
-        return g.eval(math.cos(t), math.sin(t))
+        return g0_at(math.cos(t), math.sin(t))[0]
 
     def G1(t: float) -> float:
         c, s = math.cos(t), math.sin(t)
-        return -s * gx.eval(c, s) + c * gy.eval(c, s)
+        vx, vy = g1_at(c, s)
+        return -s * vx + c * vy
 
     def G2(t: float) -> float:
         c, s = math.cos(t), math.sin(t)
-        return (s * s * gxx.eval(c, s) - 2 * s * c * gxy.eval(c, s)
-                + c * c * gyy.eval(c, s) - c * gx.eval(c, s)
-                - s * gy.eval(c, s))
+        vxx, vxy, vyy, vx, vy = g2_at(c, s)
+        return (s * s * vxx - 2 * s * c * vxy + c * c * vyy
+                - c * vx - s * vy)
 
     return G, G1, G2
 
@@ -213,20 +222,20 @@ def infinite_singularities(cf: CompactifiedField,
     return out
 
 
-def _integrate_fate(field: tuple[Poly2, Poly2], seed: tuple[float, float],
+def _integrate_fate(field: ChartField, seed: tuple[float, float],
                     u0: float, r: float, direction: float,
                     max_steps: int) -> tuple[str, float]:
     """One time direction: ("exit", elevation) | ("converge"|"stall"|"overflow", 0).
 
+    ``field`` is the chart field compiled by :func:`compile_polys`.
     Convergence is only declared at a strict pin: orbits in a
     hyperbolic sector fly past the singular point and must be allowed
     to leave again, so a loose distance threshold would mistake the
     passage for a separatrix.
     """
-    fu, fv = field
-
     def rhs(x: float, y: float) -> tuple[float, float]:
-        return direction * fu.eval(x, y), direction * fv.eval(x, y)
+        fu, fv = field(x, y)
+        return direction * fu, direction * fv
 
     x, y = seed
     dist = math.hypot(x - u0, y)
@@ -267,7 +276,7 @@ def _integrate_fate(field: tuple[Poly2, Poly2], seed: tuple[float, float],
     return "stall", 0.0
 
 
-def _seed_fate(field: tuple[Poly2, Poly2], seed: tuple[float, float],
+def _seed_fate(field: ChartField, seed: tuple[float, float],
                u0: float, r: float, max_steps: int) -> str:
     outcomes = [_integrate_fate(field, seed, u0, r, direction, max_steps)
                 for direction in (1.0, -1.0)]
@@ -301,7 +310,7 @@ def classify_sectors(cf: CompactifiedField, sing: InfinitySingularity,
         raise ValueError("fan_n must be at least 16")
     if not 0.0 < r <= 0.1:
         raise ValueError("r must lie in (0, 0.1]")
-    field = cf.chart(sing.chart)
+    field = compile_polys(*cf.chart(sing.chart))
     fates: list[str] = []
     for side in (1.0, -1.0):
         for k in range(fan_n):
@@ -344,17 +353,21 @@ class ContiVerdict:
     notes: tuple[str, ...]
 
 
-def conti_verdict(pmap: PlanarMap, annulus_reports,
-                  singularities) -> ContiVerdict:
+def conti_verdict(pmap: PlanarMap, annulus_reports, singularities,
+                  hpoly: Poly2 | None = None) -> ContiVerdict:
     """Type A/B from the singularity route, cross-checked with annuli.
 
     The deciding criterion is (d): no infinite singular points, or all
     of them formed by two degenerate hyperbolic sectors.  The annulus
     route (global center <=> type A) must agree; an observed
     disagreement is flagged, not resolved.  Non-polynomial H makes the
-    whole classification inapplicable.
+    whole classification inapplicable.  ``hpoly`` is the map's
+    polynomial H when the caller already has it; by default it is
+    looked up (and a declared one validated) here.
     """
-    if effective_hamiltonian_poly(pmap) is None:
+    if hpoly is None:
+        hpoly = effective_hamiltonian_poly(pmap)
+    if hpoly is None:
         return ContiVerdict(
             conti_type="not-applicable",
             criteria=(CriterionEntry(
@@ -427,9 +440,15 @@ def conti_verdict(pmap: PlanarMap, annulus_reports,
                         routes_agree=routes_agree, notes=tuple(notes))
 
 
-def compactification_for_map(pmap: PlanarMap) -> CompactifiedField | None:
-    """Build the compactification from the map's polynomial Hamiltonian."""
-    hpoly = effective_hamiltonian_poly(pmap)
+def compactification_for_map(pmap: PlanarMap, hpoly: Poly2 | None = None,
+                             ) -> CompactifiedField | None:
+    """Build the compactification from the map's polynomial Hamiltonian.
+
+    ``hpoly`` is that Hamiltonian when the caller already has it; by
+    default it is looked up (and a declared one validated) here.
+    """
+    if hpoly is None:
+        hpoly = effective_hamiltonian_poly(pmap)
     if hpoly is None:
         return None
     return build_compactification(hpoly)

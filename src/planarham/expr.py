@@ -10,10 +10,16 @@ Three evaluation paths exist on purpose:
 
 * :func:`eval_jet` -- reference tree walk, raises :class:`DomainError`
   naming the offending subexpression,
-* :func:`compile_jet_pair` -- generated straight-line code for the hot
-  integration loops (falls back to the tree walk to diagnose failures),
+* generated straight-line code for the hot loops, in two modes of one
+  code generator: :func:`compile_jet_pair` gives values and first
+  partials of a map (falls back to the tree walk to diagnose failures),
+  :func:`compile_polys` gives values only, for the polynomial fields of
+  the compactification, the disc flow and the declared-H check,
 * :func:`eval_grid` -- vectorised numpy walk for grids, ``nan`` where the
   evaluation leaves the real domain.
+
+:meth:`Poly2.eval` remains for numpy arrays and as the reference that
+:func:`compile_polys` matches float for float.
 
 All nodes are frozen dataclasses, so structural equality and hashing are
 free and compiled callables can be cached per tree.
@@ -398,13 +404,16 @@ def eval_value(e: Expr, x: float, y: float) -> float:
 # ===== Compiled jets ===== #
 
 
-def _codegen(exprs: tuple[Expr, ...]) -> str:
+def _codegen(exprs: tuple[Expr, ...], values_only: bool = False) -> str:
     """Straight-line source computing (value, dx, dy) for each tree.
 
     Shared subtrees are emitted once (structural memoisation), and
     derivative terms that are identically zero or one fold away at the
     string level, which keeps the generated code close to what one would
     write by hand.
+
+    With ``values_only`` the variables carry zero derivatives, so every
+    derivative line folds away and the function returns the values only.
     """
     lines: list[str] = []
     memo: dict[Expr, tuple[str, str, str]] = {}
@@ -456,7 +465,10 @@ def _codegen(exprs: tuple[Expr, ...]) -> str:
         if isinstance(node, Constant):
             out = (repr(float(node.value)), "0.0", "0.0")
         elif isinstance(node, Variable):
-            out = ("x", "1.0", "0.0") if node.name == "x" else ("y", "0.0", "1.0")
+            if values_only:
+                out = (node.name, "0.0", "0.0")
+            else:
+                out = ("x", "1.0", "0.0") if node.name == "x" else ("y", "0.0", "1.0")
         elif isinstance(node, Unary):
             v, dx, dy = rec(node.child)
             if node.op == "neg":
@@ -527,9 +539,19 @@ def _codegen(exprs: tuple[Expr, ...]) -> str:
         return out
 
     results = [rec(e) for e in exprs]
-    ret = ", ".join(", ".join(triple) for triple in results)
-    header = "def _jet(x, y):\n"
+    if values_only:
+        # trailing comma: a tuple even for a single tree
+        ret = ", ".join(v for v, _, _ in results) + ","
+    else:
+        ret = ", ".join(", ".join(triple) for triple in results)
+    header = "def _generated(x, y):\n"
     return header + "\n".join(lines) + f"\n    return {ret}\n"
+
+
+def _compile_source(src: str):
+    namespace = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
+    exec(compile(src, "<planarham-codegen>", "exec"), namespace)
+    return namespace["_generated"]
 
 
 @lru_cache(maxsize=256)
@@ -540,10 +562,7 @@ def compile_jet_pair(f1: Expr, f2: Expr):
     (``ValueError``/``ZeroDivisionError``/``OverflowError``); callers that
     need a located :class:`DomainError` should re-run :func:`eval_jet`.
     """
-    src = _codegen((f1, f2))
-    namespace = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
-    exec(compile(src, "<planarham-jet>", "exec"), namespace)
-    return namespace["_jet"]
+    return _compile_source(_codegen((f1, f2)))
 
 
 def located_domain_error(f1: Expr, f2: Expr, point: tuple[float, float]) -> DomainError:
@@ -706,15 +725,20 @@ class Poly2:
         return node if node is not None else Constant(0.0)
 
 
-def compile_poly_pair(p: Poly2, q: Poly2):
-    """Compiled ``(x, y) -> (p(x,y), q(x,y))`` for polynomial planar fields."""
-    jet = compile_jet_pair(p.to_expr(), q.to_expr())
+def compile_polys(*polys: Poly2):
+    """Compiled ``(x, y) -> (p1(x, y), ..., pn(x, y))``, values only.
 
-    def pair(x: float, y: float) -> tuple[float, float]:
-        v1, _, _, v2, _, _ = jet(x, y)
-        return v1, v2
-
-    return pair
+    The generated code does the float operations of :meth:`Poly2.eval`
+    in the same order: terms in canonical order summed left to right,
+    each ``c * x**i * y**j`` with ``x**1`` and ``x**0`` folded exactly
+    and each power computed once.  So the values are equal, except
+    that an all-zero sum may differ in its sign (eval starts from
+    ``0.0``), and ``**`` raises ``OverflowError`` in both.  Nothing is
+    cached: compile where the polynomials are used and keep the
+    function for the run.
+    """
+    return _compile_source(_codegen(tuple(p.to_expr() for p in polys),
+                                    values_only=True))
 
 
 def to_poly(e: Expr) -> Poly2 | None:

@@ -20,6 +20,7 @@ from .expr import (
     OVERFLOW_LIMIT,
     Poly2,
     compile_jet_pair,
+    compile_polys,
     located_domain_error,
     parse_expr,
     to_poly,
@@ -223,7 +224,7 @@ def validate_hamiltonian(pmap: PlanarMap, grid_n: int = 50) -> HamiltonianValida
     if pmap.declared_hamiltonian is None:
         raise ValueError("no declared Hamiltonian to validate")
     box = pmap.working_box().intersect(Box(-3.0, 3.0, -3.0, 3.0))
-    poly = pmap.declared_hamiltonian
+    h_at = compile_polys(pmap.declared_hamiltonian)
     worst_res = -1.0
     worst_pt = (math.nan, math.nan)
     skipped = 0
@@ -238,7 +239,7 @@ def validate_hamiltonian(pmap: PlanarMap, grid_n: int = 50) -> HamiltonianValida
                 skipped += 1
                 continue
             checked += 1
-            res = abs(poly.eval(x, y) - s.hamiltonian) / (1.0 + abs(s.hamiltonian))
+            res = abs(h_at(x, y)[0] - s.hamiltonian) / (1.0 + abs(s.hamiltonian))
             if res > worst_res:
                 worst_res = res
                 worst_pt = (x, y)

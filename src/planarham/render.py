@@ -17,7 +17,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .compactify import CompactifiedField
-from .expr import compile_poly_pair, eval_grid
+from .expr import compile_polys, eval_grid
 from .field import Box, PlanarMap
 from .rk import dp5_step, error_norm, step_factor
 from .trace import AngleBudget, LevelUnreachable, integrate_orbit, level_start_point
@@ -393,7 +393,7 @@ def _flow_polyline(pair, start: tuple[float, float], direction: float,
 
 def disc_portrait(cf: CompactifiedField, singularities) -> Scene:
     """Poincare-disc portrait: equator, singularity glyphs, flow fan."""
-    pair = compile_poly_pair(cf.p, cf.q)
+    pair = compile_polys(cf.p, cf.q)
     layers: list[Layer] = [CircleLayer((0.0, 0.0), 1.0, role="equator")]
 
     for k in range(_FAN_ANGLES):

@@ -100,6 +100,11 @@ class LevelUnreachable(RuntimeError):
     """No start point on the requested level along any fan ray."""
 
 
+class StiffUnderflow(ArithmeticError):
+    """The error norm drove the step below STEP_UNDERFLOW before the
+    requested time was covered."""
+
+
 def _center_point(center) -> tuple[float, float]:
     """Accept either a bare point or a record carrying .location."""
     loc = getattr(center, "location", center)
@@ -128,32 +133,52 @@ class _Flow:
             raise located_jet_failure(self.pmap, (x, y), exc) from None
         return (-(v1 * dy1 + v2 * dy2), v1 * dx1 + v2 * dx2)
 
-    def project(self, x: float, y: float) -> tuple[float, float]:
-        """Newton step(s) along grad H back onto {H = h_level}."""
+    def project(self, x: float, y: float):
+        """Newton step(s) along grad H back onto {H = h_level}.
+
+        Returns ``(x, y, jet)`` with the jet of f at the returned point,
+        which :func:`_jet_rhs` and :func:`_jet_angle` read without a new
+        evaluation.  The jet is evaluated again only when all ten
+        iterations are used, since the last one moves the point.
+        """
         tol = PROJECT_TOL * (1.0 + abs(self.h_level))
         for _ in range(10):
             try:
-                v1, dx1, dy1, v2, dx2, dy2 = self.jet(x, y)
+                jet = self.jet(x, y)
             except JET_ERRORS as exc:
                 raise located_jet_failure(self.pmap, (x, y), exc) from None
+            v1, dx1, dy1, v2, dx2, dy2 = jet
             r = 0.5 * (v1 * v1 + v2 * v2) - self.h_level
             if abs(r) <= tol:
-                break
+                return x, y, jet
             gx = v1 * dx1 + v2 * dx2
             gy = v1 * dy1 + v2 * dy2
             g2 = gx * gx + gy * gy
             if g2 < 1e-300:
-                break
+                return x, y, jet
             x -= r * gx / g2
             y -= r * gy / g2
-        return x, y
+        try:
+            return x, y, self.jet(x, y)
+        except JET_ERRORS as exc:
+            raise located_jet_failure(self.pmap, (x, y), exc) from None
 
     def image_angle(self, x: float, y: float) -> float:
         try:
-            v1, _, _, v2, _, _ = self.jet(x, y)
+            return _jet_angle(self.jet(x, y))
         except JET_ERRORS as exc:
             raise located_jet_failure(self.pmap, (x, y), exc) from None
-        return math.atan2(v2, v1)
+
+
+def _jet_rhs(jet) -> tuple[float, float]:
+    """The Hamiltonian field from a jet of f, as :meth:`_Flow.rhs` gives it."""
+    v1, dx1, dy1, v2, dx2, dy2 = jet
+    return (-(v1 * dy1 + v2 * dy2), v1 * dx1 + v2 * dx2)
+
+
+def _jet_angle(jet) -> float:
+    """The image angle atan2(f2, f1) from a jet of f."""
+    return math.atan2(jet[3], jet[0])
 
 
 def _wrap_pi(a: float) -> float:
@@ -170,14 +195,17 @@ def _flow_dt(flow: _Flow, x: float, y: float, dt: float,
 
     Evaluation errors in a trial step are handled as in
     :func:`integrate_orbit`: the step is retried smaller, and the located
-    error is re-raised once that drives it below STEP_UNDERFLOW.
+    error is re-raised once that drives it below STEP_UNDERFLOW.  When
+    the error norm drives it there, or the step budget runs out first,
+    :class:`StiffUnderflow` is raised: the point reached so far is not
+    the flow over dt.
     """
     remaining = dt
     h = min(h_init, dt) if dt > 0 else dt
     fx, fy = flow.rhs(x, y)
     for _ in range(10_000):
         if remaining <= 0:
-            break
+            return x, y
         h = min(h, remaining)
         try:
             x5, y5, ex, ey, _, _ = dp5_step(flow.rhs, x, y, fx, fy, h)
@@ -185,8 +213,7 @@ def _flow_dt(flow: _Flow, x: float, y: float, dt: float,
             if not math.isfinite(enorm):
                 enorm = math.inf
             if enorm <= 1.0:
-                xp, yp = flow.project(x5, y5)
-                fxp, fyp = flow.rhs(xp, yp)
+                xp, yp, jet = flow.project(x5, y5)
         except _EVAL_ERRORS:
             h *= 0.2
             if h < STEP_UNDERFLOW:
@@ -198,9 +225,13 @@ def _flow_dt(flow: _Flow, x: float, y: float, dt: float,
                 break
             continue
         remaining -= h
-        x, y, fx, fy = xp, yp, fxp, fyp
+        x, y = xp, yp
+        fx, fy = _jet_rhs(jet)
         h *= step_factor(enorm)
-    return x, y
+    if remaining <= 0:
+        return x, y
+    raise StiffUnderflow(f"flow stopped at {(x, y)} with {remaining:.3g} "
+                         f"of dt = {dt:.3g} left")
 
 
 class _Section:
@@ -270,7 +301,11 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
     point where evaluation broke down.  Evaluation errors while locating
     the return crossing end the orbit the same way.  Underflow forced by
     the error norm or by the dtheta/dphi caps is stiffness instead, and
-    gives ``BudgetExhausted(stiff=True)``.
+    gives ``BudgetExhausted(stiff=True)``, also when it happens while
+    locating the return crossing.
+
+    Each accepted point is evaluated once after its projection: the image
+    angle and the next step's first stage come from that jet.
     """
     s0 = sample(pmap, start)
     if math.hypot(*s0.f_value) == 0.0:
@@ -283,12 +318,12 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
 
     theta = math.atan2(s0.f_value[1], s0.f_value[0])
     try:
-        x, y = flow.project(*start)
-        fx, fy = flow.rhs(x, y)
+        x, y, jet = flow.project(*start)
     except _EVAL_ERRORS as err:
         # the start itself evaluated cleanly in sample() above
         return OrbitTrace(h_level, (start,), (0.0,), (theta,),
                           DomainFailure(start, str(err)))
+    fx, fy = _jet_rhs(jet)
     raw_prev = theta
     t = 0.0
     points = [(x, y)]
@@ -313,8 +348,8 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
             if not math.isfinite(enorm):
                 enorm = math.inf
             if enorm <= 1.0:
-                xp, yp = flow.project(x5, y5)
-                raw_new = flow.image_angle(xp, yp)
+                xp, yp, jet = flow.project(x5, y5)
+                raw_new = _jet_angle(jet)
         except _EVAL_ERRORS as err:
             # one stage overshooting the domain edge is not yet a failure,
             # so retry smaller.  Underflow here means the orbit itself ran
@@ -358,6 +393,8 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
                 hit = _refine_return(flow, section, p_prev, t, h, rtol, atol)
             except _EVAL_ERRORS as err:
                 return domain_failure(err)
+            except StiffUnderflow:
+                return finish(BudgetExhausted(stiff=True))
             if hit is not None:
                 t_hit, p_hit = hit
                 if math.hypot(p_hit[0] - start[0], p_hit[1] - start[1]) <= return_tol:
@@ -375,10 +412,7 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
             section.advance_phi(p_new)
         x, y = p_new
         t = t_new
-        try:
-            fx, fy = flow.rhs(x, y)
-        except _EVAL_ERRORS as err:
-            return domain_failure(err)
+        fx, fy = _jet_rhs(jet)
         points.append(p_new)
         times.append(t_new)
         thetas.append(theta)
@@ -399,7 +433,8 @@ def _refine_return(flow: _Flow, section: _Section, p0: tuple[float, float],
 
     Solves g(flow(p0, dt)) = 0 for dt by bracketing on the real flow (not
     an interpolant), so the crossing time inherits the integrator's
-    accuracy.
+    accuracy.  :class:`StiffUnderflow` from the flow propagates, so no
+    partial flow reaches the root finder.
     """
     g0 = section.g(p0)
 
@@ -474,7 +509,7 @@ def level_start_point(pmap: PlanarMap, center: tuple[float, float], h: float,
         if not found:
             continue
         r_star = brentq(h_minus, r_lo, r_hi, args=(ux, uy), xtol=1e-15, maxiter=200)
-        p = flow.project(cx + r_star * ux, cy + r_star * uy)
+        p = flow.project(cx + r_star * ux, cy + r_star * uy)[:2]
         if box.contains(p):
             return p
     raise LevelUnreachable(f"no start point on level h={h} around {center}")

@@ -7,9 +7,12 @@ import xml.etree.ElementTree as ET
 import jsonschema
 import pytest
 
+import planarham.annulus as annulus_mod
 import planarham.cli as cli
+import planarham.field as field_mod
 from planarham.cli import (InputError, RunConfig, SCHEMAS, _parse_box,
                            _parse_levels, load_map, run_subcommand)
+from planarham.field import Box
 
 TWO_PI = 2.0 * math.pi
 
@@ -210,6 +213,54 @@ def test_inconclusive_exits_3_with_report(tmp_path):
     assert all(c["global"] == "inconclusive" for c in doc["centers"])
     assert any("jacobian-sign-change" in w for w in doc["warnings"])
     assert any("below resolution" in w for w in doc["warnings"])
+
+
+def test_schemas_pass_their_metaschema():
+    # reports are validated without this check, so it lives here
+    for schema in SCHEMAS.values():
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_report_scans_jacobian_sign_once(tmp_path, monkeypatch):
+    calls = []
+    real = annulus_mod.jacobian_sign_change
+
+    def counting(pmap, box=None, grid_n=40):
+        calls.append(box)
+        return real(pmap, box, grid_n)
+
+    monkeypatch.setattr(annulus_mod, "jacobian_sign_change", counting)
+    out = tmp_path / "r.json"
+    run("report", "--map", "builtin:example3", "--box=-2,2,-2,9",
+        "--out", str(out))
+    doc = read_json(out)
+    assert len(doc["centers"]) == 2
+    assert all(c["status"] == "ok" for c in doc["centers"])
+    assert calls == [Box(-2.0, 2.0, -2.0, 9.0)]
+
+
+def test_declared_hamiltonian_validated_once(tmp_path, monkeypatch):
+    calls = []
+    real = field_mod.validate_hamiltonian
+
+    def counting(pmap, grid_n=50):
+        calls.append(pmap.name)
+        return real(pmap, grid_n)
+
+    monkeypatch.setattr(field_mod, "validate_hamiltonian", counting)
+    spec = tmp_path / "round.map"
+    spec.write_text('name = "round"\nf1 = "x"\nf2 = "y"\n'
+                    'hamiltonian = "0.5*x^2 + 0.5*y^2"\n', encoding="utf-8")
+    # a spec file's declared H is validated when it is loaded, and then
+    # trusted by the compactification and the Conti verdict
+    assert run("report", "--map", str(spec), "--out",
+               str(tmp_path / "r.json")) == 0
+    assert calls == ["round"]
+    # a builtin's declared H is validated once, on first use
+    calls.clear()
+    assert run("disc", "--map", "builtin:example2", "--out",
+               str(tmp_path / "d.svg")) == 0
+    assert calls == ["example2"]
 
 
 def test_schema_guard_exits_4(tmp_path, monkeypatch, capsys):

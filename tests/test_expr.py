@@ -15,7 +15,10 @@ from planarham.expr import (
     Poly2,
     Unary,
     Variable,
+    _codegen,
+    _compile_source,
     compile_jet_pair,
+    compile_polys,
     eval_grid,
     eval_jet,
     eval_value,
@@ -219,10 +222,63 @@ def test_compiled_matches_reference(f1, f2, p):
         got = jet(*p)
     except (ValueError, ZeroDivisionError, OverflowError):
         assume(False)
+    # the value-only mode does the jet's value lines and nothing else
+    values = _compile_source(_codegen((f1, f2), values_only=True))(*p)
+    for v, jv in zip(values, (got[0], got[3])):
+        assert v == jv or (math.isnan(v) and math.isnan(jv))
     want = (j1.value, j1.dx, j1.dy, j2.value, j2.dx, j2.dy)
     for g, w in zip(got, want):
         assume(math.isfinite(w) and abs(w) < 1e100)
         assert abs(g - w) <= 1e-9 * (1.0 + abs(w))
+
+
+# ---- compiled polynomials agree with Poly2.eval float for float ----
+
+_coeffs = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    st.sampled_from([1.0, -1.0, 0.5, 1e-300, 1e300]))
+_polys = st.dictionaries(
+    st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(lambda ij: sum(ij) <= 8),
+    _coeffs, max_size=12).map(Poly2.from_dict)
+_poly_points = st.tuples(
+    st.floats(min_value=-50, max_value=50, allow_nan=False),
+    st.floats(min_value=-50, max_value=50, allow_nan=False))
+
+
+def _same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@given(_polys, _polys, _poly_points)
+@_lenient
+def test_compiled_polys_equal_eval(p, q, point):
+    got = compile_polys(p, q)(*point)
+    want = (p.eval(*point), q.eval(*point))
+    # == lets an all-zero sum differ in its sign only (eval starts from +0.0)
+    for g, w in zip(got, want):
+        assert _same_float(g, w)
+
+
+@given(_polys)
+@_lenient
+def test_compiled_polys_overflow_like_eval(p):
+    big = (1e200, -1e200)
+    try:
+        want = p.eval(*big)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            compile_polys(p)(*big)
+    else:
+        (got,) = compile_polys(p)(*big)
+        assert _same_float(got, want)
+
+
+def test_compiled_polys_shapes():
+    p = to_poly(parse_expr("x^2*y - 3*x + 1"))
+    assert compile_polys(p)(2.0, 5.0) == (15.0,)
+    assert compile_polys(Poly2.zero(), p)(1.0, 1.0) == (0.0, -1.0)
+    with pytest.raises(OverflowError):
+        compile_polys(p)(1e200, 1.0)
 
 
 # ---- finite-difference oracle on the corpus expressions ----

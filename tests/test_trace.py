@@ -229,6 +229,61 @@ def test_flow_dt_reraises_located_domain_error():
         trace_mod._flow_dt(flow, 1e-3, 0.9995, 0.01, 1e-9, 1e-12, 0.01)
 
 
+def test_flow_dt_signals_stiff_underflow(identity_map):
+    # the error norm can never be met: the step underflows at once, and
+    # the start point must not come back as the flow over dt
+    flow = trace_mod._Flow(identity_map, 0.5)
+    with pytest.raises(trace_mod.StiffUnderflow):
+        trace_mod._flow_dt(flow, 1.0, 0.0, 0.5, rtol=0.0, atol=1e-300, h_init=0.01)
+
+
+def test_stiff_return_refinement_ends_orbit_stiff(identity_map, monkeypatch):
+    real_flow_dt = trace_mod._flow_dt
+
+    def stiff_flow_dt(flow, x, y, dt, rtol, atol, h_init):
+        return real_flow_dt(flow, x, y, dt, 0.0, 1e-300, h_init)
+
+    monkeypatch.setattr(trace_mod, "_flow_dt", stiff_flow_dt)
+    trace = integrate_orbit(identity_map, (1.0, 0.0), center=(0.0, 0.0))
+    assert trace.outcome == BudgetExhausted(stiff=True)
+    # it ended at the first return, not by running out of winding
+    assert trace.thetas[-1] - trace.thetas[0] < 1.5 * TWO_PI
+
+
+def test_project_returns_jet_at_returned_point(example3):
+    flow = trace_mod._Flow(example3, 0.125)
+    x, y, jet = flow.project(0.5, 0.3)
+    assert jet == flow.jet(x, y)
+    assert abs(sample(example3, (x, y)).hamiltonian - 0.125) <= 1e-12
+
+
+def test_accepted_point_evaluated_once(example1, monkeypatch):
+    # projection, image angle and the next step's first stage share one
+    # evaluation.  The last DP5 stage and the first projection iteration
+    # still meet at one point, so two calls in a row there are expected,
+    # but never three
+    points = []
+    real_flow = trace_mod._Flow
+
+    class RecordingFlow(real_flow):
+        def __init__(self, pmap, h_level):
+            super().__init__(pmap, h_level)
+            jet = self.jet
+
+            def recording(x, y):
+                points.append((x, y))
+                return jet(x, y)
+
+            self.jet = recording
+
+    monkeypatch.setattr(trace_mod, "_Flow", RecordingFlow)
+    # no center, so no return refinement: only accepted and rejected steps
+    trace = integrate_orbit(example1, (0.5, 0.0), budget=AngleBudget(max_winding=1))
+    assert trace.outcome == BudgetExhausted(stiff=False)
+    assert len(points) > 100
+    assert all(not a == b == c for a, b, c in zip(points, points[1:], points[2:]))
+
+
 def test_domain_error_in_return_refinement_ends_orbit(identity_map, monkeypatch):
     def off_domain(flow, section, p0, t0, h_step, rtol, atol):
         raise DomainError("sqrt of a negative value", parse_expr("sqrt(x)"), p0)
