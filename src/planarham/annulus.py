@@ -19,7 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from .centers import CenterRecord
-from .expr import DomainError, compile_jet_pair, eval_grid
+from .expr import DomainError, eval_grid
 from .field import Box, OverflowEvent, PlanarMap, jacobian_sign_change
 from .trace import (
     ATOL,
@@ -153,7 +153,7 @@ def default_h_max(pmap: PlanarMap, box: Box | None = None,
     boundary minimum is tiny or enormous.
     """
     box = box if box is not None else pmap.working_box()
-    jet = compile_jet_pair(pmap.f1, pmap.f2)
+    jet = pmap.jet
     best = math.inf
     n = samples_per_side
     for k in range(n + 1):
@@ -270,7 +270,7 @@ class RegionSampler:
     def __init__(self, pmap: PlanarMap, box: Box, grid_n: int,
                  ell_lo: float, component: np.ndarray,
                  center_cell: tuple[int, int]):
-        self._jet = compile_jet_pair(pmap.f1, pmap.f2)
+        self._jet = pmap.jet
         self.box = box
         self.grid_n = grid_n
         self.ell_lo = ell_lo
@@ -508,7 +508,7 @@ def injectivity_spotcheck(pmap: PlanarMap, sampler: RegionSampler,
     if len(pts) < n:
         pts.extend(sampler.sample_inside(n - len(pts), seed=rng_seed))
 
-    jet = compile_jet_pair(pmap.f1, pmap.f2)
+    jet = pmap.jet
     buckets: dict[tuple[int, int], list[int]] = {}
     images: list[tuple[float, float]] = []
     collisions: list[Collision] = []

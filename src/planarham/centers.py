@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import compile_jet_pair
 from .field import (
     Box,
     DEGENERATE_TOL,
@@ -101,7 +100,7 @@ def search_zeros(pmap: PlanarMap, box: Box | None = None, grid_n: int = 32,
     if grid_n < 8:
         raise ValueError("grid_n must be at least 8")
     box = box if box is not None else pmap.working_box()
-    jet = compile_jet_pair(pmap.f1, pmap.f2)
+    jet = pmap.jet
 
     candidates: list[tuple[float, float, float]] = []
     n_singular = n_diverged = 0
@@ -195,7 +194,7 @@ def isochronous_hint(pmap: PlanarMap, samples: int = 64, seed: int = 42) -> bool
     if samples < 16:
         raise ValueError("need at least 16 samples")
     box = pmap.working_box()
-    jet = compile_jet_pair(pmap.f1, pmap.f2)
+    jet = pmap.jet
     rng = np.random.default_rng(seed)
     dets = []
     for _ in range(samples):

@@ -21,7 +21,7 @@ from scipy.optimize import brentq
 
 from .expr import Poly2, compile_polys
 from .field import PlanarMap, effective_hamiltonian_poly
-from .rk import dp5_step, error_norm, step_factor
+from .rk import dp5_step, poly_kernel, step_factor
 
 SCAN_N = 2048
 ROOT_RESIDUAL = 1e-9
@@ -222,39 +222,37 @@ def infinite_singularities(cf: CompactifiedField,
     return out
 
 
-def _integrate_fate(field: ChartField, seed: tuple[float, float],
+def _integrate_fate(field: ChartField, kernel, seed: tuple[float, float],
                     u0: float, r: float, direction: float,
                     max_steps: int) -> tuple[str, float]:
     """One time direction: ("exit", elevation) | ("converge"|"stall"|"overflow", 0).
 
-    ``field`` is the chart field compiled by :func:`compile_polys`.
+    ``field`` is the chart field compiled by :func:`compile_polys` and
+    ``kernel`` its DP5 step from :func:`planarham.rk.poly_kernel`.
     Convergence is only declared at a strict pin: orbits in a
     hyperbolic sector fly past the singular point and must be allowed
     to leave again, so a loose distance threshold would mistake the
     passage for a separatrix.
     """
-    def rhs(x: float, y: float) -> tuple[float, float]:
-        fu, fv = field(x, y)
-        return direction * fu, direction * fv
-
     x, y = seed
     dist = math.hypot(x - u0, y)
     try:
-        f1x, f1y = rhs(x, y)
+        fu, fv = field(x, y)
     except (OverflowError, ValueError):
         return "overflow", 0.0
+    f1x, f1y = direction * fu, direction * fv
     # steps are sized by displacement, not time: near a degenerate
     # singular point the chart field is polynomially flat and time steps
     # must grow without bound for anything to move
     h = 0.01 * r / max(math.hypot(f1x, f1y), 1e-300)
     for _ in range(max_steps):
         try:
-            x5, y5, ex, ey, k7x, k7y = dp5_step(rhs, x, y, f1x, f1y, h)
+            x5, y5, enorm, k7x, k7y = dp5_step(kernel, x, y, f1x, f1y, h,
+                                               1e-6, 1e-12, direction)
         except (OverflowError, ValueError, ZeroDivisionError):
             return "overflow", 0.0
         if not (math.isfinite(x5) and math.isfinite(y5)):
             return "overflow", 0.0
-        enorm = error_norm(ex, ey, x, y, x5, y5, rtol=1e-6, atol=1e-12)
         jump = math.hypot(x5 - x, y5 - y)
         if enorm > 1.0 or jump > 0.2 * r:
             h *= 0.5 if jump > 0.2 * r else step_factor(enorm)
@@ -276,9 +274,9 @@ def _integrate_fate(field: ChartField, seed: tuple[float, float],
     return "stall", 0.0
 
 
-def _seed_fate(field: ChartField, seed: tuple[float, float],
+def _seed_fate(field: ChartField, kernel, seed: tuple[float, float],
                u0: float, r: float, max_steps: int) -> str:
-    outcomes = [_integrate_fate(field, seed, u0, r, direction, max_steps)
+    outcomes = [_integrate_fate(field, kernel, seed, u0, r, direction, max_steps)
                 for direction in (1.0, -1.0)]
     kinds = [k for k, _ in outcomes]
     if "converge" in kinds:
@@ -310,13 +308,15 @@ def classify_sectors(cf: CompactifiedField, sing: InfinitySingularity,
         raise ValueError("fan_n must be at least 16")
     if not 0.0 < r <= 0.1:
         raise ValueError("r must lie in (0, 0.1]")
-    field = compile_polys(*cf.chart(sing.chart))
+    chart = cf.chart(sing.chart)
+    field = compile_polys(*chart)
+    kernel = poly_kernel(*chart)
     fates: list[str] = []
     for side in (1.0, -1.0):
         for k in range(fan_n):
             ang = math.radians(10.0 + 160.0 * k / (fan_n - 1))
             seed = (sing.u + r * math.cos(ang), side * r * math.sin(ang))
-            fates.append(_seed_fate(field, seed, sing.u, r, max_steps))
+            fates.append(_seed_fate(field, kernel, seed, sing.u, r, max_steps))
 
     n_conv = fates.count("converge")
     n_sweep = fates.count("sweep")

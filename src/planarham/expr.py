@@ -14,7 +14,9 @@ Three evaluation paths exist on purpose:
   code generator: :func:`compile_jet_pair` gives values and first
   partials of a map (falls back to the tree walk to diagnose failures),
   :func:`compile_polys` gives values only, for the polynomial fields of
-  the compactification, the disc flow and the declared-H check,
+  the compactification, the disc flow and the declared-H check.  The
+  generator emits a body over any input names (:func:`_emit`), which
+  :mod:`planarham.rk` inlines at each stage of its DP5 kernels,
 * :func:`eval_grid` -- vectorised numpy walk for grids, ``nan`` where the
   evaluation leaves the real domain.
 
@@ -228,7 +230,11 @@ class _Parser:
     def atom(self) -> Expr:
         kind, val, pos = self.advance()
         if kind == "num":
-            return Constant(float(val))
+            value = float(val)
+            if not math.isfinite(value):
+                # generated code could not name the constant either
+                raise ParseError(f"numeric literal {val!r} is not a finite float", pos)
+            return Constant(value)
         if kind == "ident":
             if val in ("x", "y"):
                 return Variable(val)
@@ -404,25 +410,37 @@ def eval_value(e: Expr, x: float, y: float) -> float:
 # ===== Compiled jets ===== #
 
 
-def _codegen(exprs: tuple[Expr, ...], values_only: bool = False) -> str:
-    """Straight-line source computing (value, dx, dy) for each tree.
+def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
+          inputs: tuple[str, str] = ("x", "y")
+          ) -> tuple[list[str], list[tuple[str, str, str]]]:
+    """Straight-line statements computing (value, dx, dy) of each tree.
 
-    Shared subtrees are emitted once (structural memoisation), and
-    derivative terms that are identically zero or one fold away at the
+    The statements read the variables from the names ``inputs`` and
+    assign temporaries ``t0, t1, ...``, each once.  Returns
+    the unindented statements and, per tree, the three operands (a name
+    or a float literal) that hold its value and partials.
+
+    Shared subtrees are emitted once (structural memoisation), and so is
+    each distinct right-hand side (value numbering: every name is
+    assigned once, so equal text means equal operands and equal bits).
+    Derivative terms that are identically zero or one fold away at the
     string level, which keeps the generated code close to what one would
     write by hand.
 
     With ``values_only`` the variables carry zero derivatives, so every
-    derivative line folds away and the function returns the values only.
+    derivative line folds away.
     """
     lines: list[str] = []
     memo: dict[Expr, tuple[str, str, str]] = {}
-    counter = [0]
+    numbered: dict[str, str] = {}
+    x_name, y_name = inputs
 
     def tmp(rhs: str) -> str:
-        name = f"t{counter[0]}"
-        counter[0] += 1
-        lines.append(f"    {name} = {rhs}")
+        name = numbered.get(rhs)
+        if name is None:
+            name = f"t{len(numbered)}"
+            numbered[rhs] = name
+            lines.append(f"{name} = {rhs}")
         return name
 
     def add_s(a: str, b: str) -> str:
@@ -465,10 +483,11 @@ def _codegen(exprs: tuple[Expr, ...], values_only: bool = False) -> str:
         if isinstance(node, Constant):
             out = (repr(float(node.value)), "0.0", "0.0")
         elif isinstance(node, Variable):
+            name = x_name if node.name == "x" else y_name
             if values_only:
-                out = (node.name, "0.0", "0.0")
+                out = (name, "0.0", "0.0")
             else:
-                out = ("x", "1.0", "0.0") if node.name == "x" else ("y", "0.0", "1.0")
+                out = (name, "1.0", "0.0") if node.name == "x" else (name, "0.0", "1.0")
         elif isinstance(node, Unary):
             v, dx, dy = rec(node.child)
             if node.op == "neg":
@@ -538,18 +557,27 @@ def _codegen(exprs: tuple[Expr, ...], values_only: bool = False) -> str:
         memo[node] = out
         return out
 
-    results = [rec(e) for e in exprs]
+    return lines, [rec(e) for e in exprs]
+
+
+def _codegen(exprs: tuple[Expr, ...], values_only: bool = False) -> str:
+    """Source of ``_generated(x, y)`` returning (value, dx, dy) of each
+    tree in turn, or with ``values_only`` the tuple of values."""
+    lines, results = _emit(exprs, values_only)
     if values_only:
         # trailing comma: a tuple even for a single tree
         ret = ", ".join(v for v, _, _ in results) + ","
     else:
         ret = ", ".join(", ".join(triple) for triple in results)
-    header = "def _generated(x, y):\n"
-    return header + "\n".join(lines) + f"\n    return {ret}\n"
+    body = "".join(f"    {line}\n" for line in lines)
+    return f"def _generated(x, y):\n{body}    return {ret}\n"
 
 
-def _compile_source(src: str):
-    namespace = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
+def _compile_source(src: str, **names):
+    """The function ``_generated`` defined by ``src``, which sees the
+    math functions of the expression language and ``names``."""
+    namespace = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt,
+                 **names}
     exec(compile(src, "<planarham-codegen>", "exec"), namespace)
     return namespace["_generated"]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .expr import (
@@ -25,6 +26,7 @@ from .expr import (
     parse_expr,
     to_poly,
 )
+from . import rk
 
 ZERO_TOL = 1e-10
 DEGENERATE_TOL = 1e-8
@@ -91,6 +93,23 @@ class PlanarMap:
     declared_hamiltonian: Poly2 | None = None
     name: str = ""
 
+    @cached_property
+    def jet(self):
+        """The compiled jet of f, as :func:`~planarham.expr.compile_jet_pair`
+        gives it; computed once per map, so callers skip the cache key."""
+        return compile_jet_pair(self.f1, self.f2)
+
+    @cached_property
+    def orbit_kernel(self):
+        """The DP5 step of the Hamiltonian field (:func:`planarham.rk.orbit_kernel`),
+        raising located errors; compiled on first use."""
+        f1, f2 = self.f1, self.f2   # the kernel must not hold the map itself
+
+        def locate(x: float, y: float, exc: BaseException):
+            return located_jet_failure(f1, f2, (x, y), exc)
+
+        return rk.orbit_kernel(f1, f2, JET_ERRORS, locate)
+
     def working_box(self) -> Box:
         return self.domain if self.domain is not None else PLANE_BOX
 
@@ -111,16 +130,17 @@ class OverflowEvent(ArithmeticError):
 JET_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
-def located_jet_failure(pmap: PlanarMap, p: tuple[float, float],
+def located_jet_failure(f1: Expr, f2: Expr, p: tuple[float, float],
                         exc: BaseException) -> DomainError | OverflowEvent:
-    """The located error for a raw failure of the compiled jet at ``p``.
+    """The located error for a raw failure of the compiled jet of
+    (f1, f2) at ``p``.
 
     Overflow becomes an :class:`OverflowEvent`; anything else is
     re-evaluated slowly to name the offending subexpression.
     """
     if isinstance(exc, OverflowError):
         return OverflowEvent(p, math.inf)
-    return located_domain_error(pmap.f1, pmap.f2, p)
+    return located_domain_error(f1, f2, p)
 
 
 @dataclass(frozen=True)
@@ -146,12 +166,11 @@ def sample(pmap: PlanarMap, p: tuple[float, float]) -> FieldSample:
     subexpression) when evaluation leaves the real domain, and
     :class:`OverflowEvent` when any magnitude passes 1e150.
     """
-    jet = compile_jet_pair(pmap.f1, pmap.f2)
     x, y = p
     try:
-        v1, dx1, dy1, v2, dx2, dy2 = jet(x, y)
+        v1, dx1, dy1, v2, dx2, dy2 = pmap.jet(x, y)
     except JET_ERRORS as exc:
-        raise located_jet_failure(pmap, p, exc) from None
+        raise located_jet_failure(pmap.f1, pmap.f2, p, exc) from None
     worst = max(abs(v1), abs(dx1), abs(dy1), abs(v2), abs(dx2), abs(dy2))
     if not math.isfinite(worst) or worst > OVERFLOW_LIMIT:
         raise OverflowEvent(p, worst)

@@ -19,7 +19,7 @@ import numpy as np
 from .compactify import CompactifiedField
 from .expr import compile_polys, eval_grid
 from .field import Box, PlanarMap
-from .rk import dp5_step, error_norm, step_factor
+from .rk import dp5_step, poly_kernel, step_factor
 from .trace import AngleBudget, LevelUnreachable, integrate_orbit, level_start_point
 
 # fixed five-color palette keyed by layer role
@@ -348,31 +348,32 @@ _FAN_ANGLES = 8
 _ESCAPE_RADIUS = 60.0
 
 
-def _flow_polyline(pair, start: tuple[float, float], direction: float,
+def _flow_polyline(pair, kernel, start: tuple[float, float], direction: float,
                    max_steps: int = 400) -> list[tuple[float, float]]:
-    """Integrate the plane field one way, collecting points until escape."""
-    def rhs(x: float, y: float) -> tuple[float, float]:
-        fx, fy = pair(x, y)
-        return direction * fx, direction * fy
+    """Integrate the plane field one way, collecting points until escape.
 
+    ``pair`` is the field compiled by :func:`compile_polys` and ``kernel``
+    its DP5 step from :func:`planarham.rk.poly_kernel`.
+    """
     x, y = start
     out: list[tuple[float, float]] = []
     try:
-        f1x, f1y = rhs(x, y)
+        fx, fy = pair(x, y)
     except (OverflowError, ValueError, ZeroDivisionError):
         return out
+    f1x, f1y = direction * fx, direction * fy
     speed = math.hypot(f1x, f1y)
     if speed == 0.0:
         return out
     h = 0.05 / speed
     for _ in range(max_steps):
         try:
-            x5, y5, ex, ey, k7x, k7y = dp5_step(rhs, x, y, f1x, f1y, h)
+            x5, y5, enorm, k7x, k7y = dp5_step(kernel, x, y, f1x, f1y, h,
+                                               1e-6, 1e-9, direction)
         except (OverflowError, ValueError, ZeroDivisionError):
             break
         if not (math.isfinite(x5) and math.isfinite(y5)):
             break
-        enorm = error_norm(ex, ey, x, y, x5, y5, rtol=1e-6, atol=1e-9)
         jump = math.hypot(x5 - x, y5 - y)
         cap = 0.05 * (1.0 + math.hypot(x, y))
         if enorm > 1.0 or jump > cap:
@@ -394,14 +395,15 @@ def _flow_polyline(pair, start: tuple[float, float], direction: float,
 def disc_portrait(cf: CompactifiedField, singularities) -> Scene:
     """Poincare-disc portrait: equator, singularity glyphs, flow fan."""
     pair = compile_polys(cf.p, cf.q)
+    kernel = poly_kernel(cf.p, cf.q)
     layers: list[Layer] = [CircleLayer((0.0, 0.0), 1.0, role="equator")]
 
     for k in range(_FAN_ANGLES):
         ang = 2.0 * math.pi * k / _FAN_ANGLES + 0.2
         for radius in _FAN_RADII:
             start = (radius * math.cos(ang), radius * math.sin(ang))
-            back = _flow_polyline(pair, start, -1.0)
-            fore = _flow_polyline(pair, start, 1.0)
+            back = _flow_polyline(pair, kernel, start, -1.0)
+            fore = _flow_polyline(pair, kernel, start, 1.0)
             pts = [*reversed(back), start, *fore]
             proj = tuple(project_to_disc(p) for p in pts)
             if len(proj) >= 2:

@@ -10,6 +10,15 @@ strictly increasing and closure bookkeeping can budget on it.
 Step acceptance caps the per-step advance of theta (keeps the unwrap
 unambiguous and the image-circle coverage dense) and of the domain
 angle around the center (so a step can never jump the return section).
+
+Each trial step is one call of the map's generated orbit kernel
+(:attr:`PlanarMap.orbit_kernel`, see :mod:`planarham.rk`) through
+:func:`~planarham.rk.dp5_step`, which stays the one per-step call so
+that steps can be counted here.  The kernel evaluates all stages inline,
+raises located errors at the failing stage point, and returns the jet
+of f at the step's end, which the projection takes as its first
+iterate: an accepted point costs no jet evaluation unless the
+projection moves it.
 """
 
 from __future__ import annotations
@@ -19,9 +28,9 @@ from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
-from .expr import DomainError, compile_jet_pair
+from .expr import DomainError
 from .field import JET_ERRORS, OverflowEvent, PlanarMap, located_jet_failure, sample
-from .rk import dp5_step, error_norm, step_factor
+from .rk import dp5_step, step_factor
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -32,6 +41,7 @@ MAX_DPHI = 0.35
 PROJECT_TOL = 1e-13
 STEP_UNDERFLOW = 1e-14
 RETURN_TOL = 1e-7
+TWO_PI = 2 * math.pi
 
 # every evaluation path below raises its failures located (see _Flow)
 _EVAL_ERRORS = (DomainError, OverflowEvent)
@@ -112,30 +122,33 @@ def _center_point(center) -> tuple[float, float]:
 
 
 class _Flow:
-    """Compiled field of one map pinned to one energy level.
+    """One map's compiled jet and orbit kernel, pinned to one energy level.
 
     Evaluation failures surface as :class:`DomainError` or
     :class:`OverflowEvent` located at the point that was evaluated, which
-    for a DP5 stage is the stage point rather than the step's base point.
-    Each method wraps the jet call itself: these run for every stage, and
-    a try block costs next to nothing where a helper call does not.
+    for a DP5 stage is the stage point rather than the step's base point
+    (the kernel raises them itself).
     """
 
     def __init__(self, pmap: PlanarMap, h_level: float):
         self.pmap = pmap
-        self.jet = compile_jet_pair(pmap.f1, pmap.f2)
+        self.jet = pmap.jet
+        self.kernel = pmap.orbit_kernel
         self.h_level = h_level
 
-    def rhs(self, x: float, y: float) -> tuple[float, float]:
+    def jet_at(self, x: float, y: float):
+        """The jet of f at (x, y), failures located."""
         try:
-            v1, dx1, dy1, v2, dx2, dy2 = self.jet(x, y)
+            return self.jet(x, y)
         except JET_ERRORS as exc:
-            raise located_jet_failure(self.pmap, (x, y), exc) from None
-        return (-(v1 * dy1 + v2 * dy2), v1 * dx1 + v2 * dx2)
+            raise located_jet_failure(self.pmap.f1, self.pmap.f2, (x, y), exc) from None
 
-    def project(self, x: float, y: float):
+    def project(self, x: float, y: float, jet=None):
         """Newton step(s) along grad H back onto {H = h_level}.
 
+        ``jet``, when given, is the jet of f at (x, y), as the kernel
+        returns it with a step's end point; the first iteration uses it
+        instead of evaluating the jet there again.
         Returns ``(x, y, jet)`` with the jet of f at the returned point,
         which :func:`_jet_rhs` and :func:`_jet_angle` read without a new
         evaluation.  The jet is evaluated again only when all ten
@@ -143,10 +156,8 @@ class _Flow:
         """
         tol = PROJECT_TOL * (1.0 + abs(self.h_level))
         for _ in range(10):
-            try:
-                jet = self.jet(x, y)
-            except JET_ERRORS as exc:
-                raise located_jet_failure(self.pmap, (x, y), exc) from None
+            if jet is None:
+                jet = self.jet_at(x, y)
             v1, dx1, dy1, v2, dx2, dy2 = jet
             r = 0.5 * (v1 * v1 + v2 * v2) - self.h_level
             if abs(r) <= tol:
@@ -158,20 +169,15 @@ class _Flow:
                 return x, y, jet
             x -= r * gx / g2
             y -= r * gy / g2
-        try:
-            return x, y, self.jet(x, y)
-        except JET_ERRORS as exc:
-            raise located_jet_failure(self.pmap, (x, y), exc) from None
+            jet = None
+        return x, y, self.jet_at(x, y)
 
     def image_angle(self, x: float, y: float) -> float:
-        try:
-            return _jet_angle(self.jet(x, y))
-        except JET_ERRORS as exc:
-            raise located_jet_failure(self.pmap, (x, y), exc) from None
+        return _jet_angle(self.jet_at(x, y))
 
 
 def _jet_rhs(jet) -> tuple[float, float]:
-    """The Hamiltonian field from a jet of f, as :meth:`_Flow.rhs` gives it."""
+    """The Hamiltonian field (-H_y, H_x) from a jet of f."""
     v1, dx1, dy1, v2, dx2, dy2 = jet
     return (-(v1 * dy1 + v2 * dy2), v1 * dx1 + v2 * dx2)
 
@@ -183,9 +189,9 @@ def _jet_angle(jet) -> float:
 
 def _wrap_pi(a: float) -> float:
     while a > math.pi:
-        a -= 2 * math.pi
+        a -= TWO_PI
     while a < -math.pi:
-        a += 2 * math.pi
+        a += TWO_PI
     return a
 
 
@@ -200,20 +206,20 @@ def _flow_dt(flow: _Flow, x: float, y: float, dt: float,
     :class:`StiffUnderflow` is raised: the point reached so far is not
     the flow over dt.
     """
+    kernel = flow.kernel
     remaining = dt
     h = min(h_init, dt) if dt > 0 else dt
-    fx, fy = flow.rhs(x, y)
+    fx, fy = _jet_rhs(flow.jet_at(x, y))
     for _ in range(10_000):
         if remaining <= 0:
             return x, y
         h = min(h, remaining)
         try:
-            x5, y5, ex, ey, _, _ = dp5_step(flow.rhs, x, y, fx, fy, h)
-            enorm = error_norm(ex, ey, x, y, x5, y5, rtol, atol)
+            x5, y5, enorm, _, _, jet = dp5_step(kernel, x, y, fx, fy, h, rtol, atol)
             if not math.isfinite(enorm):
                 enorm = math.inf
             if enorm <= 1.0:
-                xp, yp, jet = flow.project(x5, y5)
+                xp, yp, jet = flow.project(x5, y5, jet)
         except _EVAL_ERRORS:
             h *= 0.2
             if h < STEP_UNDERFLOW:
@@ -257,26 +263,24 @@ class _Section:
     def on_ray_side(self, p: tuple[float, float]) -> bool:
         return self.ux * (p[0] - self.cx) + self.uy * (p[1] - self.cy) > 0.0
 
-    def advance_phi(self, p: tuple[float, float]) -> float:
-        """Track the domain angle around the center; arms the section
-        once the orbit has moved 0.5 rad away from the start ray."""
-        phi = math.atan2(p[1] - self.cy, p[0] - self.cx)
-        dphi = _wrap_pi(phi - self.phi_prev)
+    def advance_phi(self, phi: float, dphi: float) -> None:
+        """Move on to domain angle ``phi``, ``dphi`` (wrapped) past the
+        last one; arms the section once the orbit has moved 0.5 rad away
+        from the start ray."""
         self.phi_prev = phi
         self.phi_acc += dphi
         if abs(self.phi_acc) > 0.5:
             self.armed = True
-        return dphi
 
-    def crossing(self, p_prev: tuple[float, float], p_new: tuple[float, float]) -> bool:
-        """True when the segment crosses the ray in the start orientation."""
-        g_new = self.g(p_new)
+    def crossing(self, p_prev: tuple[float, float], g_prev: float,
+                 p_new: tuple[float, float], g_new: float) -> bool:
+        """True when the segment crosses the ray in the start orientation;
+        ``g_prev`` and ``g_new`` are the offsets :meth:`g` of its ends."""
         if self.sign_ref == 0.0 and g_new != 0.0:
             self.sign_ref = math.copysign(1.0, g_new)
             return False
         if not self.armed:
             return False
-        g_prev = self.g(p_prev)
         if not (g_prev * self.sign_ref < 0.0 and g_new * self.sign_ref >= 0.0):
             return False
         return self.on_ray_side(p_prev) and self.on_ray_side(p_new)
@@ -330,6 +334,12 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
     times = [0.0]
     thetas = [theta]
     theta0 = theta
+    max_theta = budget.max_winding * 2 * math.pi
+    kernel = flow.kernel
+    xmin, xmax, ymin, ymax = box.xmin, box.xmax, box.ymin, box.ymax
+    if section is not None:
+        cx, cy, ux, uy = section.cx, section.cy, section.ux, section.uy
+        g_prev = section.g((x, y))
 
     speed = math.hypot(fx, fy)
     scale = 1.0 + (section.scale if section is not None else 0.0)
@@ -341,15 +351,15 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
     def domain_failure(err: ArithmeticError) -> OrbitTrace:
         return finish(DomainFailure(points[-1], str(err)))
 
+    # the loop inlines _jet_angle, _wrap_pi, _Section.g and Box.exit_side's test
     for _ in range(budget.max_steps):
         try:
-            x5, y5, ex, ey, _, _ = dp5_step(flow.rhs, x, y, fx, fy, h)
-            enorm = error_norm(ex, ey, x, y, x5, y5, rtol, atol)
+            x5, y5, enorm, _, _, jet = dp5_step(kernel, x, y, fx, fy, h, rtol, atol)
             if not math.isfinite(enorm):
                 enorm = math.inf
             if enorm <= 1.0:
-                xp, yp, jet = flow.project(x5, y5)
-                raw_new = _jet_angle(jet)
+                xp, yp, jet = flow.project(x5, y5, jet)
+                raw_new = math.atan2(jet[3], jet[0])
         except _EVAL_ERRORS as err:
             # one stage overshooting the domain edge is not yet a failure,
             # so retry smaller.  Underflow here means the orbit itself ran
@@ -365,17 +375,27 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
                 return finish(BudgetExhausted(stiff=True))
             continue
 
-        dtheta = _wrap_pi(raw_new - raw_prev)
+        dtheta = raw_new - raw_prev
+        while dtheta > math.pi:
+            dtheta -= TWO_PI
+        while dtheta < -math.pi:
+            dtheta += TWO_PI
         if abs(dtheta) > max_dtheta:
             h *= max(0.2, 0.8 * max_dtheta / abs(dtheta))
             if h < STEP_UNDERFLOW:
                 return finish(BudgetExhausted(stiff=True))
             continue
         if section is not None:
-            dphi_probe = _wrap_pi(math.atan2(yp - section.cy, xp - section.cx)
-                                  - section.phi_prev)
-            if abs(dphi_probe) > MAX_DPHI:
-                h *= max(0.2, 0.8 * MAX_DPHI / abs(dphi_probe))
+            # one atan2 per accepted point: the probe's angle is the one
+            # the section advances to
+            phi = math.atan2(yp - cy, xp - cx)
+            dphi = phi - section.phi_prev
+            while dphi > math.pi:
+                dphi -= TWO_PI
+            while dphi < -math.pi:
+                dphi += TWO_PI
+            if abs(dphi) > MAX_DPHI:
+                h *= max(0.2, 0.8 * MAX_DPHI / abs(dphi))
                 if h < STEP_UNDERFLOW:
                     return finish(BudgetExhausted(stiff=True))
                 continue
@@ -385,42 +405,42 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
                 (xp, yp), "image angle regressed; det Df <= 0 along the orbit?"))
 
         t_new = t + h
-        p_prev = (x, y)
         p_new = (xp, yp)
 
-        if section is not None and section.crossing(p_prev, p_new):
-            try:
-                hit = _refine_return(flow, section, p_prev, t, h, rtol, atol)
-            except _EVAL_ERRORS as err:
-                return domain_failure(err)
-            except StiffUnderflow:
-                return finish(BudgetExhausted(stiff=True))
-            if hit is not None:
-                t_hit, p_hit = hit
-                if math.hypot(p_hit[0] - start[0], p_hit[1] - start[1]) <= return_tol:
-                    raw_hit = flow.image_angle(*p_hit)
-                    theta_hit = theta + _wrap_pi(raw_hit - raw_prev)
-                    winding = round((theta_hit - theta0) / (2 * math.pi))
-                    points.append(p_hit)
-                    times.append(t_hit)
-                    thetas.append(theta_hit)
-                    return finish(Closed(period=t_hit, winding=winding))
+        if section is not None:
+            g_new = ux * (yp - cy) - uy * (xp - cx)
+            if section.crossing((x, y), g_prev, p_new, g_new):
+                try:
+                    hit = _refine_return(flow, section, (x, y), t, h, rtol, atol)
+                except _EVAL_ERRORS as err:
+                    return domain_failure(err)
+                except StiffUnderflow:
+                    return finish(BudgetExhausted(stiff=True))
+                if hit is not None:
+                    t_hit, p_hit = hit
+                    if math.hypot(p_hit[0] - start[0], p_hit[1] - start[1]) <= return_tol:
+                        raw_hit = flow.image_angle(*p_hit)
+                        theta_hit = theta + _wrap_pi(raw_hit - raw_prev)
+                        winding = round((theta_hit - theta0) / (2 * math.pi))
+                        points.append(p_hit)
+                        times.append(t_hit)
+                        thetas.append(theta_hit)
+                        return finish(Closed(period=t_hit, winding=winding))
+            section.advance_phi(phi, dphi)
+            g_prev = g_new
 
         theta += dtheta
         raw_prev = raw_new
-        if section is not None:
-            section.advance_phi(p_new)
-        x, y = p_new
+        x, y = xp, yp
         t = t_new
         fx, fy = _jet_rhs(jet)
         points.append(p_new)
         times.append(t_new)
         thetas.append(theta)
 
-        side = box.exit_side(p_new)
-        if side is not None:
-            return finish(Escaped(side=side, time=t_new))
-        if theta - theta0 > budget.max_winding * 2 * math.pi:
+        if xp < xmin or xp > xmax or yp < ymin or yp > ymax:
+            return finish(Escaped(side=box.exit_side(p_new), time=t_new))
+        if theta - theta0 > max_theta:
             return finish(BudgetExhausted(stiff=False))
         h *= step_factor(enorm)
 
@@ -540,7 +560,7 @@ def winding_certificate(pmap: PlanarMap, center: tuple[float, float], h: float,
 def _invariants_hold(pmap: PlanarMap, trace: OrbitTrace) -> bool:
     """Energy stays pinned and theta is monotone over the stored points."""
     tol = 1e-8 * (1.0 + abs(trace.h))
-    jet = compile_jet_pair(pmap.f1, pmap.f2)
+    jet = pmap.jet
     for (x, y) in trace.points[:: max(1, len(trace.points) // 256)]:
         v1, _, _, v2, _, _ = jet(x, y)
         if abs(0.5 * (v1 * v1 + v2 * v2) - trace.h) > tol:

@@ -310,6 +310,15 @@ def test_map_file_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_finite_literal_exits_2(tmp_path, capsys):
+    spec = tmp_path / "huge.map"
+    spec.write_text('f1 = "1e999*x"\nf2 = "y"\n', encoding="utf-8")
+    assert run("centers", "--map", str(spec)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "'1e999' is not a finite float" in err
+
+
 # --- figures ----------------------------------------------------------------
 
 def test_portrait_svg(tmp_path):

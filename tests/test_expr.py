@@ -116,6 +116,8 @@ def test_parse_negative_literal_folds():
     ("foo(x)", 0),            # unknown identifier, position points at it
     ("x $ y", 2),
     ("sin x", None),
+    ("1e999*x", 0),           # a literal must be a finite float
+    ("x + 2e400", 4),
 ])
 def test_parse_errors_carry_position(bad, pos_check):
     with pytest.raises(ParseError) as exc:
@@ -230,6 +232,18 @@ def test_compiled_matches_reference(f1, f2, p):
     for g, w in zip(got, want):
         assume(math.isfinite(w) and abs(w) < 1e100)
         assert abs(g - w) <= 1e-9 * (1.0 + abs(w))
+
+
+def test_codegen_emits_each_right_hand_side_once():
+    f1 = parse_expr("exp(x)*cos(y) - 1")
+    f2 = parse_expr("exp(x)*sin(y)")
+    src = _codegen((f1, f2))
+    assert src.count("sin(") == 1 and src.count("cos(") == 1
+    assert src.count("exp(") == 1
+    jet = compile_jet_pair(f1, f2)
+    for p in [(0.3, -1.2), (-2.0, 5.0), (1.5, 0.0)]:
+        j1, j2 = eval_jet(f1, p), eval_jet(f2, p)
+        assert jet(*p) == (j1.value, j1.dx, j1.dy, j2.value, j2.dx, j2.dy)
 
 
 # ---- compiled polynomials agree with Poly2.eval float for float ----

@@ -259,29 +259,37 @@ def test_project_returns_jet_at_returned_point(example3):
 
 def test_accepted_point_evaluated_once(example1, monkeypatch):
     # projection, image angle and the next step's first stage share one
-    # evaluation.  The last DP5 stage and the first projection iteration
-    # still meet at one point, so two calls in a row there are expected,
-    # but never three
+    # evaluation, and the kernel hands its last stage's jet to the
+    # projection: no point is evaluated twice in a row, and the end
+    # point of a step never by a separate jet call
     points = []
+    step_ends = set()
     real_flow = trace_mod._Flow
 
     class RecordingFlow(real_flow):
         def __init__(self, pmap, h_level):
             super().__init__(pmap, h_level)
-            jet = self.jet
+            jet, kernel = self.jet, self.kernel
 
             def recording(x, y):
                 points.append((x, y))
                 return jet(x, y)
 
+            def recording_kernel(*args):
+                out = kernel(*args)
+                step_ends.add(out[:2])
+                return out
+
             self.jet = recording
+            self.kernel = recording_kernel
 
     monkeypatch.setattr(trace_mod, "_Flow", RecordingFlow)
     # no center, so no return refinement: only accepted and rejected steps
     trace = integrate_orbit(example1, (0.5, 0.0), budget=AngleBudget(max_winding=1))
     assert trace.outcome == BudgetExhausted(stiff=False)
-    assert len(points) > 100
-    assert all(not a == b == c for a, b, c in zip(points, points[1:], points[2:]))
+    assert len(step_ends) > 100
+    assert all(a != b for a, b in zip(points, points[1:]))
+    assert not step_ends.intersection(points)
 
 
 def test_domain_error_in_return_refinement_ends_orbit(identity_map, monkeypatch):
