@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy import ndimage
@@ -33,9 +32,6 @@ from .trace import (
 
 _EVAL_ERRORS = (ValueError, ZeroDivisionError, OverflowError,
                 DomainError, OverflowEvent)
-
-# the result of jacobian_sign_change over a fixed box, computed on demand
-SignScan = Callable[[], tuple[tuple[float, float], tuple[float, float]] | None]
 
 # bracket width below which a level is "budget", i.e. all good up to h_max
 BUDGET = math.inf
@@ -143,8 +139,7 @@ class EllEstimate:
         return min(bad) if bad else None
 
 
-def default_h_max(pmap: PlanarMap, box: Box | None = None,
-                  samples_per_side: int = 512) -> float:
+def default_h_max(pmap: PlanarMap) -> float:
     """Least Hamiltonian value on the working-box boundary, clipped to [1, 1e6].
 
     Below the true boundary minimum every level set is trapped inside
@@ -152,10 +147,10 @@ def default_h_max(pmap: PlanarMap, box: Box | None = None,
     informative.  The clip keeps the bisection range sane when the
     boundary minimum is tiny or enormous.
     """
-    box = box if box is not None else pmap.working_box()
+    box = pmap.working_box()
     jet = pmap.jet
     best = math.inf
-    n = samples_per_side
+    n = 512
     for k in range(n + 1):
         t = k / n
         edge_pts = (
@@ -192,7 +187,7 @@ def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None,
     if tol <= 0:
         raise ValueError("tol must be positive")
     if h_max is None:
-        h_max = default_h_max(pmap)
+        h_max = pmap.fact("default-h-max", lambda: default_h_max(pmap))
     if h_max <= 0:
         raise ValueError("h_max must be positive")
     budget = budget if budget is not None else AngleBudget()
@@ -283,10 +278,6 @@ class RegionSampler:
     def mask(self) -> np.ndarray:
         return self._component.copy()
 
-    @property
-    def cell_size(self) -> tuple[float, float]:
-        return (self._dx, self._dy)
-
     def cell_of(self, p: tuple[float, float]) -> tuple[int, int]:
         i = int((p[0] - self.box.xmin) / self._dx)
         j = int((p[1] - self.box.ymin) / self._dy)
@@ -368,14 +359,7 @@ def region(pmap: PlanarMap, center, ell_lo: float, grid_n: int = 200,
     if not box.contains((cx, cy)):
         raise ValueError("center lies outside the region box")
 
-    xs = box.xmin + (np.arange(grid_n) + 0.5) * (box.xmax - box.xmin) / grid_n
-    ys = box.ymin + (np.arange(grid_n) + 0.5) * (box.ymax - box.ymin) / grid_n
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    with np.errstate(all="ignore"):
-        f1 = eval_grid(pmap.f1, gx, gy)
-        f2 = eval_grid(pmap.f2, gx, gy)
-        ham = 0.5 * (f1 * f1 + f2 * f2)
-        mask = ham < ell_lo          # NaN compares false
+    mask = _h_grid(pmap, box, grid_n) < ell_lo      # NaN compares false
 
     labels, _ = ndimage.label(mask)
     ci = min(int((cx - box.xmin) / (box.xmax - box.xmin) * grid_n), grid_n - 1)
@@ -407,8 +391,7 @@ class GlobalVerdict:
 
 
 def global_center_verdict(pmap: PlanarMap, estimate: EllEstimate,
-                          box: Box | None = None,
-                          sign_change: SignScan | None = None) -> GlobalVerdict:
+                          box: Box | None = None) -> GlobalVerdict:
     """Center globality from the certificate record.
 
     A failed certificate at a level that still has points of the
@@ -416,13 +399,11 @@ def global_center_verdict(pmap: PlanarMap, estimate: EllEstimate,
     not-global.  All levels good up to h_max is "global" qualified
     up-to-budget.  A sign change of det Df anywhere in the box voids
     the standing hypothesis and demotes everything to inconclusive.
-    ``sign_change`` gives the result of :func:`jacobian_sign_change`
-    over that box when a caller shares one scan between centers; by
-    default the box is scanned here.
+    The box is scanned once per map, for all its centers.
     """
     box = box if box is not None else pmap.working_box()
-    flip = (sign_change() if sign_change is not None
-            else jacobian_sign_change(pmap, box))
+    flip = pmap.fact(("sign-change", box),
+                     lambda: jacobian_sign_change(pmap, box))
     if flip is not None:
         pos, neg = flip
         return GlobalVerdict("inconclusive", (
@@ -444,14 +425,26 @@ def global_center_verdict(pmap: PlanarMap, estimate: EllEstimate,
 
 def _levels_above(pmap: PlanarMap, box: Box, ell_lo: float,
                   grid_n: int = 64) -> bool:
-    xs = box.xmin + (np.arange(grid_n) + 0.5) * (box.xmax - box.xmin) / grid_n
-    ys = box.ymin + (np.arange(grid_n) + 0.5) * (box.ymax - box.ymin) / grid_n
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    with np.errstate(all="ignore"):
-        f1 = eval_grid(pmap.f1, gx, gy)
-        f2 = eval_grid(pmap.f2, gx, gy)
-        ham = 0.5 * (f1 * f1 + f2 * f2)
+    ham = _h_grid(pmap, box, grid_n)
     return bool(np.any(np.isfinite(ham) & (ham > ell_lo)))
+
+
+def _h_grid(pmap: PlanarMap, box: Box, grid_n: int) -> np.ndarray:
+    """H at the centres of the grid_n x grid_n cells of box, ``nan``
+    where f is undefined; read-only, computed once per map, box and
+    grid_n."""
+    def compute() -> np.ndarray:
+        xs = box.xmin + (np.arange(grid_n) + 0.5) * (box.xmax - box.xmin) / grid_n
+        ys = box.ymin + (np.arange(grid_n) + 0.5) * (box.ymax - box.ymin) / grid_n
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        with np.errstate(all="ignore"):
+            f1 = eval_grid(pmap.f1, gx, gy)
+            f2 = eval_grid(pmap.f2, gx, gy)
+            ham = 0.5 * (f1 * f1 + f2 * f2)
+        ham.flags.writeable = False
+        return ham
+
+    return pmap.fact(("h-grid", box, grid_n), compute)
 
 
 @dataclass(frozen=True)
@@ -557,12 +550,8 @@ def build_annulus_report(pmap: PlanarMap, center: CenterRecord,
                          rng_seed: int = 42, spotcheck_n: int = 2000,
                          budget: AngleBudget | None = None,
                          rtol: float = RTOL, atol: float = ATOL,
-                         sign_change: SignScan | None = None,
                          ) -> AnnulusReport:
-    """Full annulus pipeline for one center.
-
-    ``sign_change`` is passed on to :func:`global_center_verdict`.
-    """
+    """Full annulus pipeline for one center."""
     est = estimate_ell(pmap, center, h_max=h_max, tol=tol, budget=budget,
                        rtol=rtol, atol=atol)
     shape = image_shape(est)
@@ -571,7 +560,7 @@ def build_annulus_report(pmap: PlanarMap, center: CenterRecord,
                                budget=budget)
     spot = injectivity_spotcheck(pmap, sampler, n=max(spotcheck_n, 100),
                                  rng_seed=rng_seed)
-    verdict = global_center_verdict(pmap, est, box=box, sign_change=sign_change)
+    verdict = global_center_verdict(pmap, est, box=box)
     return AnnulusReport(
         center=center,
         ell_lo=est.ell_lo,

@@ -20,13 +20,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
 import jsonschema
 
-from . import annulus
 from .annulus import (AnnulusBelowResolution, AnnulusReport,
                       DownwardClosureError, build_annulus_report)
 from .centers import CenterRecord, search_zeros
@@ -34,9 +33,8 @@ from .compactify import (SCAN_N, EquatorDegenerate, classify_sectors,
                          compactification_for_map, conti_verdict,
                          infinite_singularities)
 from .corpus import ExtendedGateError, builtin
-from .expr import DomainError, ParseError, Poly2, print_expr
-from .field import (Box, MapSpecError, OverflowEvent, PlanarMap,
-                    effective_hamiltonian_poly, load_map_spec)
+from .expr import DomainError, ParseError, print_expr
+from .field import Box, MapSpecError, OverflowEvent, PlanarMap, load_map_spec
 from .render import DiscRefusal, disc_portrait_for_map, plane_portrait, scene_to_svg
 from .trace import AngleBudget, LevelUnreachable
 
@@ -114,36 +112,6 @@ def load_map(source: str, enable_extended: bool = False) -> PlanarMap:
         raise InputError(f"cannot read map file {source!r}: {exc}") from exc
     except (MapSpecError, ParseError) as exc:
         raise InputError(str(exc)) from exc
-
-
-class _MapFacts:
-    """Map-level facts that several stages of one run use.
-
-    Each is computed at most once, on first use.  An instance lives for
-    one subcommand run, so no fact is kept across runs or maps.
-    """
-
-    def __init__(self, pmap: PlanarMap, cfg: RunConfig):
-        self.pmap = pmap
-        # the window every center's verdict scans, as
-        # global_center_verdict defaults it
-        self.box = cfg.box if cfg.box is not None else pmap.working_box()
-        # load_map_spec refuses a declared H that fails validation
-        self._declared_checked = not cfg.map_source.startswith("builtin:")
-
-    @cached_property
-    def hamiltonian(self) -> Poly2 | None:
-        """The polynomial H (a declared one validated), or None."""
-        declared = self.pmap.declared_hamiltonian
-        if self._declared_checked and declared is not None:
-            return declared
-        return effective_hamiltonian_poly(self.pmap)
-
-    @cached_property
-    def sign_change(self):
-        """jacobian_sign_change over the window all centers share."""
-        # looked up on the module so that patching it there reaches this call
-        return annulus.jacobian_sign_change(self.pmap, self.box)
 
 
 def _parse_box(text: str) -> Box:
@@ -427,33 +395,32 @@ def _loc_text(rec: CenterRecord) -> str:
     return f"({rec.location[0]:.6g}, {rec.location[1]:.6g})"
 
 
-def _annulus_report(facts: _MapFacts, rec: CenterRecord,
+# how one center's annulus analysis can fail without failing the run
+_CENTER_FAILURES = (AnnulusBelowResolution, LevelUnreachable,
+                    DownwardClosureError, OverflowEvent, DomainError)
+
+
+def _annulus_report(pmap: PlanarMap, rec: CenterRecord,
                     cfg: RunConfig) -> AnnulusReport:
     return build_annulus_report(
-        facts.pmap, rec, h_max=cfg.h_max, tol=cfg.tol,
+        pmap, rec, h_max=cfg.h_max, tol=cfg.tol,
         grid_n=cfg.grid_n if cfg.grid_n is not None else 200,
-        box=cfg.box, rng_seed=cfg.rng_seed, budget=cfg.budget(),
-        sign_change=lambda: facts.sign_change)
+        box=cfg.box, rng_seed=cfg.rng_seed, budget=cfg.budget())
 
 
-def _analyze_center(facts: _MapFacts, rec: CenterRecord, cfg: RunConfig,
+def _analyze_center(pmap: PlanarMap, rec: CenterRecord, cfg: RunConfig,
                     warnings: list[str],
                     ) -> tuple[dict, AnnulusReport | None, bool]:
     """One center's block; returns (block, report or None, inconclusive)."""
     block = _center_core(rec)
     try:
-        rep = _annulus_report(facts, rec, cfg)
-    except AnnulusBelowResolution as exc:
-        warnings.append(f"center {_loc_text(rec)}: {exc}")
-        block.update(status="below-resolution", ell=None, image_shape=None,
-                     certificates=[], note=str(exc))
-        block["global"] = "inconclusive"
-        return block, None, True
-    except (LevelUnreachable, DownwardClosureError, OverflowEvent,
-            DomainError) as exc:
-        warnings.append(f"center {_loc_text(rec)}: analysis failed: {exc}")
-        block.update(status="failed", ell=None, image_shape=None,
-                     certificates=[], note=str(exc))
+        rep = _annulus_report(pmap, rec, cfg)
+    except _CENTER_FAILURES as exc:
+        below = isinstance(exc, AnnulusBelowResolution)
+        text = str(exc) if below else f"analysis failed: {exc}"
+        warnings.append(f"center {_loc_text(rec)}: {text}")
+        block.update(status="below-resolution" if below else "failed",
+                     ell=None, image_shape=None, certificates=[], note=str(exc))
         block["global"] = "inconclusive"
         return block, None, True
 
@@ -476,18 +443,11 @@ def _analyze_center(facts: _MapFacts, rec: CenterRecord, cfg: RunConfig,
     return block, rep, inconclusive
 
 
-def _compactification(facts: _MapFacts):
-    hpoly = facts.hamiltonian
-    if hpoly is None:
-        return None
-    return compactification_for_map(facts.pmap, hpoly)
-
-
-def _compactification_block(facts: _MapFacts, reports: list[AnnulusReport],
+def _compactification_block(pmap: PlanarMap, reports: list[AnnulusReport],
                             warnings: list[str],
                             ) -> tuple[dict | str, int, int, bool]:
     """Returns (block, scan_work, fate_work, inconclusive)."""
-    cf = _compactification(facts)
+    cf = compactification_for_map(pmap)
     if cf is None:
         return "not-applicable", 0, 0, False
     warnings.extend(cf.warnings)
@@ -499,7 +459,7 @@ def _compactification_block(facts: _MapFacts, reports: list[AnnulusReport],
     sings = [classify_sectors(cf, s) for s in found]
     fate_work = sum(len(s.evidence) for s in sings)
     if reports:
-        verdict = conti_verdict(facts.pmap, reports, sings, facts.hamiltonian)
+        verdict = conti_verdict(pmap, reports, sings)
         warnings.extend(f"conti: {note}" for note in verdict.notes)
         conti_type = verdict.conti_type
         routes_agree = verdict.routes_agree
@@ -599,34 +559,31 @@ def _cmd_centers(cfg: RunConfig) -> int:
 
 def _assemble_report(pmap: PlanarMap, cfg: RunConfig, subcommand: str,
                      with_compactification: bool) -> tuple[dict, bool]:
-    facts = _MapFacts(pmap, cfg)
     records, stats, warnings = _search(pmap, cfg)
     blocks: list[dict] = []
     reports: list[AnnulusReport] = []
     inconclusive = False
     for rec in records:
-        block, rep, flag = _analyze_center(facts, rec, cfg, warnings)
+        block, rep, flag = _analyze_center(pmap, rec, cfg, warnings)
         blocks.append(block)
         if rep is not None:
             reports.append(rep)
         inconclusive = inconclusive or flag
+    timings = _timings(center_seeds=stats.n_seeds,
+                       orbit_points=_orbit_points(reports))
     doc = {
         "kind": "report" if with_compactification else "annulus",
         "config": _config_echo(cfg, subcommand),
         "map": _map_echo(pmap),
         "centers": blocks,
         "warnings": warnings,
-        "timings": _timings(center_seeds=stats.n_seeds,
-                            orbit_points=_orbit_points(reports)),
+        "timings": timings,
     }
     if with_compactification:
         cblock, scan_work, fate_work, cflag = _compactification_block(
-            facts, reports, warnings)
+            pmap, reports, warnings)
         doc["compactification"] = cblock
-        doc["timings"] = _timings(center_seeds=stats.n_seeds,
-                                  orbit_points=_orbit_points(reports),
-                                  equator_scan=scan_work,
-                                  fate_runs=fate_work)
+        timings.update(equator_scan=scan_work, fate_runs=fate_work)
         inconclusive = inconclusive or cflag
     return doc, inconclusive
 
@@ -665,16 +622,14 @@ def _cmd_global_check(cfg: RunConfig) -> int:
 
 def _cmd_portrait(cfg: RunConfig) -> int:
     pmap = load_map(cfg.map_source, cfg.enable_extended)
-    facts = _MapFacts(pmap, cfg)
     records, _, warnings = _search(pmap, cfg)
     kept: list[CenterRecord] = []
     reports: list[AnnulusReport] = []
     inconclusive = False
     for rec in records:
         try:
-            rep = _annulus_report(facts, rec, cfg)
-        except (AnnulusBelowResolution, LevelUnreachable,
-                DownwardClosureError, OverflowEvent, DomainError) as exc:
+            rep = _annulus_report(pmap, rec, cfg)
+        except _CENTER_FAILURES as exc:
             warnings.append(f"center {_loc_text(rec)}: {exc}")
             inconclusive = True
             continue
@@ -702,7 +657,7 @@ def _cmd_portrait(cfg: RunConfig) -> int:
 
 def _cmd_disc(cfg: RunConfig) -> int:
     pmap = load_map(cfg.map_source, cfg.enable_extended)
-    cf = _compactification(_MapFacts(pmap, cfg))
+    cf = compactification_for_map(pmap)
     sings = []
     if cf is not None:
         try:

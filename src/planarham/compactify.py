@@ -353,21 +353,16 @@ class ContiVerdict:
     notes: tuple[str, ...]
 
 
-def conti_verdict(pmap: PlanarMap, annulus_reports, singularities,
-                  hpoly: Poly2 | None = None) -> ContiVerdict:
+def conti_verdict(pmap: PlanarMap, annulus_reports, singularities) -> ContiVerdict:
     """Type A/B from the singularity route, cross-checked with annuli.
 
     The deciding criterion is (d): no infinite singular points, or all
     of them formed by two degenerate hyperbolic sectors.  The annulus
     route (global center <=> type A) must agree; an observed
     disagreement is flagged, not resolved.  Non-polynomial H makes the
-    whole classification inapplicable.  ``hpoly`` is the map's
-    polynomial H when the caller already has it; by default it is
-    looked up (and a declared one validated) here.
+    whole classification inapplicable.
     """
-    if hpoly is None:
-        hpoly = effective_hamiltonian_poly(pmap)
-    if hpoly is None:
+    if effective_hamiltonian_poly(pmap) is None:
         return ContiVerdict(
             conti_type="not-applicable",
             criteria=(CriterionEntry(
@@ -440,15 +435,10 @@ def conti_verdict(pmap: PlanarMap, annulus_reports, singularities,
                         routes_agree=routes_agree, notes=tuple(notes))
 
 
-def compactification_for_map(pmap: PlanarMap, hpoly: Poly2 | None = None,
-                             ) -> CompactifiedField | None:
-    """Build the compactification from the map's polynomial Hamiltonian.
-
-    ``hpoly`` is that Hamiltonian when the caller already has it; by
-    default it is looked up (and a declared one validated) here.
-    """
-    if hpoly is None:
-        hpoly = effective_hamiltonian_poly(pmap)
+def compactification_for_map(pmap: PlanarMap) -> CompactifiedField | None:
+    """Build the compactification from the map's polynomial Hamiltonian,
+    or None when H is not polynomial."""
+    hpoly = effective_hamiltonian_poly(pmap)
     if hpoly is None:
         return None
     return build_compactification(hpoly)

@@ -23,8 +23,9 @@ Three evaluation paths exist on purpose:
 :meth:`Poly2.eval` remains for numpy arrays and as the reference that
 :func:`compile_polys` matches float for float.
 
-All nodes are frozen dataclasses, so structural equality and hashing are
-free and compiled callables can be cached per tree.
+All nodes are frozen dataclasses with structural equality.  Their hash
+recurses through the whole tree, so it is paid once per compile (the
+cache of :func:`compile_jet_pair`), never per node inside one.
 """
 
 from __future__ import annotations
@@ -403,10 +404,6 @@ def eval_jet(e: Expr, point: tuple[float, float]) -> Jet1:
     return Jet1(v, dx, dy)
 
 
-def eval_value(e: Expr, x: float, y: float) -> float:
-    return eval_jet(e, (x, y)).value
-
-
 # ===== Compiled jets ===== #
 
 
@@ -420,9 +417,11 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
     the unindented statements and, per tree, the three operands (a name
     or a float literal) that hold its value and partials.
 
-    Shared subtrees are emitted once (structural memoisation), and so is
-    each distinct right-hand side (value numbering: every name is
-    assigned once, so equal text means equal operands and equal bits).
+    A node object reached twice is emitted once (memoised by identity,
+    without hashing the tree), and so is each distinct right-hand side
+    (value numbering: every name is assigned once, so equal text means
+    equal operands and equal bits), which also merges equal subtrees
+    that are distinct objects.
     Derivative terms that are identically zero or one fold away at the
     string level, which keeps the generated code close to what one would
     write by hand.
@@ -431,7 +430,7 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
     derivative line folds away.
     """
     lines: list[str] = []
-    memo: dict[Expr, tuple[str, str, str]] = {}
+    memo: dict[int, tuple[str, str, str]] = {}       # id(node) -> operands
     numbered: dict[str, str] = {}
     x_name, y_name = inputs
 
@@ -477,7 +476,7 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
         return tmp(f"{a}/{b}")
 
     def rec(node: Expr) -> tuple[str, str, str]:
-        hit = memo.get(node)
+        hit = memo.get(id(node))
         if hit is not None:
             return hit
         if isinstance(node, Constant):
@@ -554,7 +553,7 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
                     raise TypeError(node.op)
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        memo[node] = out
+        memo[id(node)] = out
         return out
 
     return lines, [rec(e) for e in exprs]

@@ -110,6 +110,22 @@ class PlanarMap:
 
         return rk.orbit_kernel(f1, f2, JET_ERRORS, locate)
 
+    @cached_property
+    def _facts(self) -> dict:
+        return {}
+
+    def fact(self, key, compute):
+        """The map-level fact named ``key``: ``compute()`` on first use,
+        then the stored value.
+
+        A map object lives for one run, so a fact never outlives the map
+        it describes.  A ``compute`` that raises stores nothing.
+        """
+        facts = self._facts
+        if key not in facts:
+            facts[key] = compute()
+        return facts[key]
+
     def working_box(self) -> Box:
         return self.domain if self.domain is not None else PLANE_BOX
 
@@ -275,20 +291,28 @@ def validate_hamiltonian(pmap: PlanarMap, grid_n: int = 50) -> HamiltonianValida
     )
 
 
+def _declared_validation(pmap: PlanarMap) -> HamiltonianValidation:
+    """:func:`validate_hamiltonian` of the map, run once per map."""
+    return pmap.fact("declared-validation", lambda: validate_hamiltonian(pmap))
+
+
 def effective_hamiltonian_poly(pmap: PlanarMap) -> Poly2 | None:
-    """Polynomial form of H when one exists, else None.
+    """Polynomial form of H when one exists, else None; once per map.
 
     Prefers a validated declared Hamiltonian; otherwise builds
     (f1^2 + f2^2)/2 when both components are structurally polynomial.
     """
-    if pmap.declared_hamiltonian is not None:
-        if validate_hamiltonian(pmap).ok:
-            return pmap.declared_hamiltonian
-    p1 = to_poly(pmap.f1)
-    p2 = to_poly(pmap.f2)
-    if p1 is None or p2 is None:
-        return None
-    return (p1 * p1 + p2 * p2).scale(0.5)
+    def compute() -> Poly2 | None:
+        declared = pmap.declared_hamiltonian
+        if declared is not None and _declared_validation(pmap).ok:
+            return declared
+        p1 = to_poly(pmap.f1)
+        p2 = to_poly(pmap.f2)
+        if p1 is None or p2 is None:
+            return None
+        return (p1 * p1 + p2 * p2).scale(0.5)
+
+    return pmap.fact("hamiltonian", compute)
 
 
 def jacobian_sign_change(pmap: PlanarMap, box: Box | None = None,
@@ -384,15 +408,9 @@ def load_map_spec(path: str | Path) -> PlanarMap:
         name=fields.get("name", path.stem),
     )
     if declared is not None:
-        result = validate_hamiltonian(pmap)
+        result = _declared_validation(pmap)
         if not result.ok:
             raise MapSpecError(
                 f"{path.name}: declared hamiltonian mismatch, residual "
                 f"{result.worst_residual:.3g} at {result.worst_point}")
     return pmap
-
-
-def eigenvalue_pair_residual(lin: Linearization) -> float:
-    """How far the eigenvalues are from an exact conjugate pure-imaginary pair."""
-    l1, l2 = lin.eigenvalues
-    return max(abs(l1 + l2), abs(l1.real), abs(l2.real))

@@ -3,6 +3,7 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import jsonschema
 import pytest
@@ -222,6 +223,7 @@ def test_schemas_pass_their_metaschema():
 
 
 def test_report_scans_jacobian_sign_once(tmp_path, monkeypatch):
+    # map-level facts are computed once per run, not once per center
     calls = []
     real = annulus_mod.jacobian_sign_change
 
@@ -229,7 +231,19 @@ def test_report_scans_jacobian_sign_once(tmp_path, monkeypatch):
         calls.append(box)
         return real(pmap, box, grid_n)
 
+    counts = Counter()
+
+    def counted(name):
+        real = getattr(annulus_mod, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(annulus_mod, name, wrapper)
+
     monkeypatch.setattr(annulus_mod, "jacobian_sign_change", counting)
+    counted("default_h_max")
+    counted("eval_grid")
     out = tmp_path / "r.json"
     run("report", "--map", "builtin:example3", "--box=-2,2,-2,9",
         "--out", str(out))
@@ -237,6 +251,8 @@ def test_report_scans_jacobian_sign_once(tmp_path, monkeypatch):
     assert len(doc["centers"]) == 2
     assert all(c["status"] == "ok" for c in doc["centers"])
     assert calls == [Box(-2.0, 2.0, -2.0, 9.0)]
+    # one H grid for the region and one for the verdict, f1 and f2 each
+    assert counts == {"default_h_max": 1, "eval_grid": 4}
 
 
 def test_declared_hamiltonian_validated_once(tmp_path, monkeypatch):

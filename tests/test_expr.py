@@ -21,7 +21,6 @@ from planarham.expr import (
     compile_polys,
     eval_grid,
     eval_jet,
-    eval_value,
     parse_expr,
     powi,
     print_expr,
@@ -30,6 +29,10 @@ from planarham.expr import (
 
 X = Variable("x")
 Y = Variable("y")
+
+
+def eval_value(e, x, y):
+    return eval_jet(e, (x, y)).value
 
 
 # ---- strategies ----
@@ -244,6 +247,20 @@ def test_codegen_emits_each_right_hand_side_once():
     for p in [(0.3, -1.2), (-2.0, 5.0), (1.5, 0.0)]:
         j1, j2 = eval_jet(f1, p), eval_jet(f2, p)
         assert jet(*p) == (j1.value, j1.dx, j1.dy, j2.value, j2.dx, j2.dy)
+
+
+def test_codegen_never_hashes_a_node(example3, monkeypatch):
+    # the frozen dataclasses hash recursively, so a memo keyed by the
+    # nodes themselves costs a walk of the subtree per lookup
+    pair = (example3.f1, example3.f2)
+    want = _codegen(pair), _codegen(pair, values_only=True)
+
+    def unhashable(self):
+        raise AssertionError(f"hashed {self!r}")
+
+    for cls in (Constant, Variable, Unary, Binary):
+        monkeypatch.setattr(cls, "__hash__", unhashable)
+    assert (_codegen(pair), _codegen(pair, values_only=True)) == want
 
 
 # ---- compiled polynomials agree with Poly2.eval float for float ----

@@ -6,7 +6,9 @@
     diff old.txt new.txt
 
 Runs every invocation of the three ``perfbench`` workloads for the given
-seeds and rounds, then ``report`` and ``disc`` on every builtin map that
+seeds and rounds, then the runs of ``BUILTIN_RUNS`` (``report``, ``disc``,
+``annulus``, ``portrait``, and ``report`` and ``global-check`` with a
+window, grid or level ceiling of their own) on every builtin map that
 needs no extended gate, all in one process through
 ``planarham.cli.run_subcommand``.  Each line is the invocation's label
 and a SHA-256 over its output file, exit code, stdout and stderr, with
@@ -29,6 +31,15 @@ import tempfile
 from pathlib import Path
 
 BUILTINS = ("example1", "example2", "example3", "identity", "control_noninjective")
+# (subcommand, output extension, flags...) run on every builtin
+BUILTIN_RUNS = (
+    ("report", "json"),
+    ("disc", "svg"),
+    ("annulus", "json"),
+    ("portrait", "svg"),
+    ("report", "json", "--box=-3,3,-2,9", "--grid", "64"),
+    ("global-check", "json", "--h-max", "0.3", "--box=-4,4,-4,4"),
+)
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
@@ -79,11 +90,12 @@ def main(argv: list[str]) -> int:
                         print(f"{workload} seed={seed} round={index} #{i} {inv.label} "
                               f"rc={rc} {hexd}", flush=True)
         for name in BUILTINS:
-            for sub, ext in (("report", "json"), ("disc", "svg")):
+            for sub, ext, *flags in BUILTIN_RUNS:
                 out = workdir / f"out.{ext}"
-                argv_ = [sub, "--map", f"builtin:{name}", "--out", str(out)]
+                argv_ = [sub, "--map", f"builtin:{name}", *flags, "--out", str(out)]
                 rc, hexd = digest(run_subcommand, argv_, out, workdir)
-                print(f"builtin {sub}:{name} rc={rc} {hexd}", flush=True)
+                label = " ".join([f"{sub}:{name}", *flags])
+                print(f"builtin {label} rc={rc} {hexd}", flush=True)
     return 0
 
 
