@@ -5,8 +5,8 @@ when the traced orbit closes with winding one and the invariant checks
 hold (an injectivity certificate for f restricted to that orbit).
 Nesting of orbits makes GOOD downward-closed in h, so a bisection
 brackets the supremum ell of certified levels.  Everything downstream
-(region mask, image shape, globality verdict) is phrased in terms of
-that bracket.
+(region mask, image shape, globality verdict, traced rim) reads the
+:class:`EllEstimate`, whose rim is its GOOD probe's orbit at ell_lo.
 """
 
 from __future__ import annotations
@@ -20,21 +20,15 @@ from scipy import ndimage
 from .centers import CenterRecord
 from .expr import DomainError, eval_grid
 from .field import Box, OverflowEvent, PlanarMap, jacobian_sign_change
-from .trace import (
-    ATOL,
-    AngleBudget,
-    LevelUnreachable,
-    RTOL,
-    WindingCertificate,
-    level_start_point,
-    winding_certificate,
-)
+from .trace import (AngleBudget, LevelUnreachable, WindingCertificate,
+                    center_point, winding_certificate)
 
 _EVAL_ERRORS = (ValueError, ZeroDivisionError, OverflowError,
                 DomainError, OverflowEvent)
 
 # bracket width below which a level is "budget", i.e. all good up to h_max
 BUDGET = math.inf
+SPOTCHECK_N = 2000          # spot-check sample points per center report
 
 GOOD = "good"
 BAD = "bad"
@@ -47,10 +41,14 @@ class AnnulusBelowResolution(Exception):
     def __init__(self, center, h: float, probe: "Probe"):
         super().__init__(
             f"annulus below resolution: level h={h:.3g} around "
-            f"{_location(center)} already fails ({probe.reason})")
+            f"{center_point(center)} already fails ({probe.reason})")
         self.center = center
         self.h = h
         self.probe = probe
+
+
+class RegionTooCoarse(ValueError):
+    """The region grid is too coarse to put the center's cell below ell_lo."""
 
 
 class DownwardClosureError(RuntimeError):
@@ -64,11 +62,6 @@ class DownwardClosureError(RuntimeError):
         super().__init__("\n".join(lines))
         self.failing = failing
         self.probes = probes
-
-
-def _location(center) -> tuple[float, float]:
-    loc = getattr(center, "location", center)
-    return (float(loc[0]), float(loc[1]))
 
 
 @dataclass(frozen=True)
@@ -138,6 +131,12 @@ class EllEstimate:
         bad = [p.h for p in self.probes if p.status == BAD]
         return min(bad) if bad else None
 
+    @property
+    def rim(self) -> tuple[tuple[float, float], ...]:
+        """The orbit of the GOOD probe at ell_lo; ``()`` in the budget case."""
+        return next((p.certificate.trace.points for p in self.probes
+                     if p.h == self.ell_lo and p.status == GOOD), ())
+
 
 def default_h_max(pmap: PlanarMap) -> float:
     """Least Hamiltonian value on the working-box boundary, clipped to [1, 1e6].
@@ -172,9 +171,8 @@ def default_h_max(pmap: PlanarMap) -> float:
     return min(max(best, 1.0), 1e6)
 
 
-def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None,
-                 tol: float = 1e-6, budget: AngleBudget | None = None,
-                 rtol: float = RTOL, atol: float = ATOL) -> EllEstimate:
+def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None, tol: float = 1e-6,
+                 budget: AngleBudget | None = None) -> EllEstimate:
     """Bracket ell = sup of certified levels by bisection over (0, h_max].
 
     Returns (ell_lo, ell_hi) with ell_hi - ell_lo <= tol, or ell_hi =
@@ -191,13 +189,12 @@ def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None,
     if h_max <= 0:
         raise ValueError("h_max must be positive")
     budget = budget if budget is not None else AngleBudget()
-    cpt = _location(center)
+    cpt = center_point(center)
     probes: list[Probe] = []
 
     def probe(h: float) -> Probe:
         try:
-            winding = winding_certificate(pmap, cpt, h, budget=budget,
-                                          rtol=rtol, atol=atol)
+            winding = winding_certificate(pmap, cpt, h, budget=budget)
         except LevelUnreachable:
             p = Probe(h, INCONCLUSIVE, "level-unreachable", None)
         else:
@@ -263,14 +260,12 @@ class RegionSampler:
     """
 
     def __init__(self, pmap: PlanarMap, box: Box, grid_n: int,
-                 ell_lo: float, component: np.ndarray,
-                 center_cell: tuple[int, int]):
+                 ell_lo: float, component: np.ndarray):
         self._jet = pmap.jet
         self.box = box
         self.grid_n = grid_n
         self.ell_lo = ell_lo
         self._component = component
-        self.center_cell = center_cell
         self._dx = (box.xmax - box.xmin) / grid_n
         self._dy = (box.ymax - box.ymin) / grid_n
 
@@ -342,20 +337,15 @@ class RegionSampler:
 
 
 def region(pmap: PlanarMap, center, ell_lo: float, grid_n: int = 200,
-           box: Box | None = None, trace_boundary: bool = True,
-           budget: AngleBudget | None = None,
-           ) -> tuple[RegionSampler, tuple[tuple[float, float], ...]]:
-    """Flood-fill the {H < ell_lo} component of the center; trace its rim.
-
-    The boundary polyline is the orbit traced at h = ell_lo (it need
-    not close when the level runs out of the box).  Raises ValueError
-    when the grid is too coarse to put the center cell strictly below
-    the level.
+           box: Box | None = None) -> RegionSampler:
+    """Flood-fill the {H < ell_lo} component of the center (its rim is
+    :attr:`EllEstimate.rim`).  Raises :class:`RegionTooCoarse` when the
+    grid is too coarse to put the center cell strictly below the level.
     """
     if ell_lo <= 0:
         raise ValueError("ell_lo must be positive")
     box = box if box is not None else pmap.working_box()
-    cx, cy = _location(center)
+    cx, cy = center_point(center)
     if not box.contains((cx, cy)):
         raise ValueError("center lies outside the region box")
 
@@ -365,23 +355,10 @@ def region(pmap: PlanarMap, center, ell_lo: float, grid_n: int = 200,
     ci = min(int((cx - box.xmin) / (box.xmax - box.xmin) * grid_n), grid_n - 1)
     cj = min(int((cy - box.ymin) / (box.ymax - box.ymin) * grid_n), grid_n - 1)
     if not mask[ci, cj]:
-        raise ValueError(
+        raise RegionTooCoarse(
             f"grid too coarse: the cell holding {(cx, cy)} is not strictly "
             f"below ell_lo={ell_lo:.6g}")
-    component = labels == labels[ci, cj]
-    sampler = RegionSampler(pmap, box, grid_n, ell_lo, component, (ci, cj))
-
-    polyline: tuple[tuple[float, float], ...] = ()
-    if trace_boundary:
-        try:
-            start = level_start_point(pmap, (cx, cy), ell_lo)
-        except LevelUnreachable:
-            polyline = ()
-        else:
-            cert = winding_certificate(pmap, (cx, cy), ell_lo,
-                                       budget=budget or AngleBudget())
-            polyline = cert.trace.points
-    return sampler, polyline
+    return RegionSampler(pmap, box, grid_n, ell_lo, labels == labels[ci, cj])
 
 
 @dataclass(frozen=True)
@@ -423,9 +400,8 @@ def global_center_verdict(pmap: PlanarMap, estimate: EllEstimate,
     return GlobalVerdict("inconclusive", ("no evidence above ell_lo",))
 
 
-def _levels_above(pmap: PlanarMap, box: Box, ell_lo: float,
-                  grid_n: int = 64) -> bool:
-    ham = _h_grid(pmap, box, grid_n)
+def _levels_above(pmap: PlanarMap, box: Box, ell_lo: float) -> bool:
+    ham = _h_grid(pmap, box, 64)
     return bool(np.any(np.isfinite(ham) & (ham > ell_lo)))
 
 
@@ -533,42 +509,25 @@ def injectivity_spotcheck(pmap: PlanarMap, sampler: RegionSampler,
 
 @dataclass(frozen=True)
 class AnnulusReport:
-    center: CenterRecord
-    ell_lo: float
-    ell_hi: float
-    certificates: tuple[WindingCertificate, ...]
+    estimate: EllEstimate
     image: ImageShape
     boundary_polyline: tuple[tuple[float, float], ...]
     verdict: GlobalVerdict
-    spotcheck: SpotcheckReport | None
-    estimate: EllEstimate
+    spotcheck: SpotcheckReport
 
 
 def build_annulus_report(pmap: PlanarMap, center: CenterRecord,
                          h_max: float | None = None, tol: float = 1e-6,
                          grid_n: int = 200, box: Box | None = None,
-                         rng_seed: int = 42, spotcheck_n: int = 2000,
-                         budget: AngleBudget | None = None,
-                         rtol: float = RTOL, atol: float = ATOL,
+                         rng_seed: int = 42, budget: AngleBudget | None = None
                          ) -> AnnulusReport:
-    """Full annulus pipeline for one center."""
-    est = estimate_ell(pmap, center, h_max=h_max, tol=tol, budget=budget,
-                       rtol=rtol, atol=atol)
+    """Full annulus pipeline for one center; the boundary polyline is the
+    estimate's rim when the image is a disc, else empty."""
+    est = estimate_ell(pmap, center, h_max=h_max, tol=tol, budget=budget)
     shape = image_shape(est)
-    sampler, polyline = region(pmap, center, est.ell_lo, grid_n=grid_n,
-                               box=box, trace_boundary=shape.kind == "disc",
-                               budget=budget)
-    spot = injectivity_spotcheck(pmap, sampler, n=max(spotcheck_n, 100),
-                                 rng_seed=rng_seed)
-    verdict = global_center_verdict(pmap, est, box=box)
+    sampler = region(pmap, center, est.ell_lo, grid_n=grid_n, box=box)
+    spot = injectivity_spotcheck(pmap, sampler, n=SPOTCHECK_N, rng_seed=rng_seed)
     return AnnulusReport(
-        center=center,
-        ell_lo=est.ell_lo,
-        ell_hi=est.ell_hi,
-        certificates=est.certificates,
-        image=shape,
-        boundary_polyline=polyline,
-        verdict=verdict,
-        spotcheck=spot,
-        estimate=est,
-    )
+        estimate=est, image=shape,
+        boundary_polyline=est.rim if shape.kind == "disc" else (),
+        verdict=global_center_verdict(pmap, est, box=box), spotcheck=spot)

@@ -22,6 +22,9 @@ from .field import (
 )
 
 MAX_NEWTON_ITERS = 50
+# random det Df samples behind isochronous_hint, and their seed
+ISO_SAMPLES = 64
+ISO_SEED = 42
 
 
 @dataclass(frozen=True)
@@ -185,19 +188,17 @@ def find_zeros(pmap: PlanarMap, box: Box | None = None,
     return records
 
 
-def isochronous_hint(pmap: PlanarMap, samples: int = 64, seed: int = 42) -> bool:
+def isochronous_hint(pmap: PlanarMap) -> bool:
     """True when det Df looks numerically constant over random samples.
 
     A constant non-zero Jacobian determinant makes every center of the
     field isochronous with period 2*pi/|det|.
     """
-    if samples < 16:
-        raise ValueError("need at least 16 samples")
     box = pmap.working_box()
     jet = pmap.jet
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ISO_SEED)
     dets = []
-    for _ in range(samples):
+    for _ in range(ISO_SAMPLES):
         for _retry in range(10):
             x = rng.uniform(box.xmin, box.xmax)
             y = rng.uniform(box.ymin, box.ymax)

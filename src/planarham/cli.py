@@ -26,8 +26,10 @@ from typing import Sequence
 
 import jsonschema
 
+from . import annulus
 from .annulus import (AnnulusBelowResolution, AnnulusReport,
-                      DownwardClosureError, build_annulus_report)
+                      DownwardClosureError, RegionTooCoarse,
+                      build_annulus_report, image_shape)
 from .centers import CenterRecord, search_zeros
 from .compactify import (SCAN_N, EquatorDegenerate, classify_sectors,
                          compactification_for_map, conti_verdict,
@@ -396,16 +398,8 @@ def _loc_text(rec: CenterRecord) -> str:
 
 
 # how one center's annulus analysis can fail without failing the run
-_CENTER_FAILURES = (AnnulusBelowResolution, LevelUnreachable,
+_CENTER_FAILURES = (AnnulusBelowResolution, LevelUnreachable, RegionTooCoarse,
                     DownwardClosureError, OverflowEvent, DomainError)
-
-
-def _annulus_report(pmap: PlanarMap, rec: CenterRecord,
-                    cfg: RunConfig) -> AnnulusReport:
-    return build_annulus_report(
-        pmap, rec, h_max=cfg.h_max, tol=cfg.tol,
-        grid_n=cfg.grid_n if cfg.grid_n is not None else 200,
-        box=cfg.box, rng_seed=cfg.rng_seed, budget=cfg.budget())
 
 
 def _analyze_center(pmap: PlanarMap, rec: CenterRecord, cfg: RunConfig,
@@ -414,7 +408,10 @@ def _analyze_center(pmap: PlanarMap, rec: CenterRecord, cfg: RunConfig,
     """One center's block; returns (block, report or None, inconclusive)."""
     block = _center_core(rec)
     try:
-        rep = _annulus_report(pmap, rec, cfg)
+        rep = build_annulus_report(
+            pmap, rec, h_max=cfg.h_max, tol=cfg.tol,
+            grid_n=cfg.grid_n if cfg.grid_n is not None else 200,
+            box=cfg.box, rng_seed=cfg.rng_seed, budget=cfg.budget())
     except _CENTER_FAILURES as exc:
         below = isinstance(exc, AnnulusBelowResolution)
         text = str(exc) if below else f"analysis failed: {exc}"
@@ -424,15 +421,16 @@ def _analyze_center(pmap: PlanarMap, rec: CenterRecord, cfg: RunConfig,
         block["global"] = "inconclusive"
         return block, None, True
 
-    ell_hi = "budget" if math.isinf(rep.ell_hi) else rep.ell_hi
+    est = rep.estimate
+    ell_hi = "budget" if est.budget_exceeded else est.ell_hi
     image: dict = {"kind": rep.image.kind}
     if rep.image.radius is not None:
         image["radius"] = rep.image.radius
-    block.update(status="ok", ell={"lo": rep.ell_lo, "hi": ell_hi},
+    block.update(status="ok", ell={"lo": est.ell_lo, "hi": ell_hi},
                  image_shape=image,
-                 certificates=[_certificate_block(c) for c in rep.certificates])
+                 certificates=[_certificate_block(c) for c in est.certificates])
     block["global"] = rep.verdict.verdict
-    if rep.spotcheck is not None and not rep.spotcheck.clean:
+    if not rep.spotcheck.clean:
         warnings.append(
             f"center {_loc_text(rec)}: injectivity spot check found "
             f"{len(rep.spotcheck.collisions)} collision(s)")
@@ -496,11 +494,6 @@ def _timings(**counts: int) -> dict:
     out: dict = {"unit": "work-items"}
     out.update(counts)
     return out
-
-
-def _orbit_points(reports: list[AnnulusReport]) -> int:
-    return sum(len(c.trace.points) for rep in reports
-               for c in rep.certificates)
 
 
 @cache
@@ -569,8 +562,8 @@ def _assemble_report(pmap: PlanarMap, cfg: RunConfig, subcommand: str,
         if rep is not None:
             reports.append(rep)
         inconclusive = inconclusive or flag
-    timings = _timings(center_seeds=stats.n_seeds,
-                       orbit_points=_orbit_points(reports))
+    timings = _timings(center_seeds=stats.n_seeds, orbit_points=sum(
+        len(c.trace.points) for rep in reports for c in rep.estimate.certificates))
     doc = {
         "kind": "report" if with_compactification else "annulus",
         "config": _config_echo(cfg, subcommand),
@@ -621,30 +614,35 @@ def _cmd_global_check(cfg: RunConfig) -> int:
 
 
 def _cmd_portrait(cfg: RunConfig) -> int:
+    """Level sets with each disc-image center's rim dashed; per center it
+    runs only the ell estimate, which carries the rim."""
     pmap = load_map(cfg.map_source, cfg.enable_extended)
     records, _, warnings = _search(pmap, cfg)
     kept: list[CenterRecord] = []
-    reports: list[AnnulusReport] = []
+    estimates: list[annulus.EllEstimate] = []
     inconclusive = False
     for rec in records:
         try:
-            rep = _annulus_report(pmap, rec, cfg)
+            # looked up on the module, where a tracer may wrap it
+            est = annulus.estimate_ell(pmap, rec, h_max=cfg.h_max, tol=cfg.tol,
+                                       budget=cfg.budget())
         except _CENTER_FAILURES as exc:
             warnings.append(f"center {_loc_text(rec)}: {exc}")
             inconclusive = True
             continue
         kept.append(rec)
-        reports.append(rep)
+        estimates.append(est)
     if cfg.levels is not None:
         levels: tuple[float, ...] = cfg.levels
-    elif reports:
-        base = min(rep.ell_lo for rep in reports)
+    elif estimates:
+        base = min(est.ell_lo for est in estimates)
         levels = tuple(f * base for f in (0.25, 0.5, 0.75))
     else:
         levels = ()
         inconclusive = True
+    rims = [est.rim for est in estimates if image_shape(est).kind == "disc"]
     scene = plane_portrait(
-        pmap, kept, reports, list(levels), box=cfg.box,
+        pmap, kept, rims, list(levels), box=cfg.box,
         grid_n=cfg.grid_n if cfg.grid_n is not None else 160,
         budget=cfg.budget())
     out = cfg.out_svg or _default_out(pmap, "portrait", "svg")

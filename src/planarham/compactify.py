@@ -29,6 +29,7 @@ MULTIPLE_ROOT_TOL = 1e-6
 
 FAN_N = 16
 FAN_R = 0.05
+FATE_MAX_STEPS = 4000
 # seed fate thresholds, calibrated on the worked examples.  The
 # converge pins must sit far below any flyover's closest approach: an
 # orbit in a hyperbolic sector can pass within ~1e-3 of the singular
@@ -51,7 +52,6 @@ class EquatorDegenerate(Exception):
 @dataclass(frozen=True)
 class CompactifiedField:
     degree: int
-    hpoly: Poly2
     p: Poly2
     q: Poly2
     u1: tuple[Poly2, Poly2]       # (u', v') in chart U1
@@ -124,7 +124,7 @@ def build_compactification(hpoly: Poly2) -> CompactifiedField:
     qd = Poly2.from_dict({(i, j): c for c, i, j in q.terms if i + j == d})
     # g(c, s) = c * Q_d(c, s) - s * P_d(c, s)
     g = u * qd - v * pd
-    return CompactifiedField(degree=d, hpoly=hpoly, p=p, q=q,
+    return CompactifiedField(degree=d, p=p, q=q,
                              u1=u1, u2=u2, v1=v1, v2=v2,
                              equator_poly=g, warnings=tuple(warnings))
 
@@ -223,8 +223,7 @@ def infinite_singularities(cf: CompactifiedField,
 
 
 def _integrate_fate(field: ChartField, kernel, seed: tuple[float, float],
-                    u0: float, r: float, direction: float,
-                    max_steps: int) -> tuple[str, float]:
+                    u0: float, r: float, direction: float) -> tuple[str, float]:
     """One time direction: ("exit", elevation) | ("converge"|"stall"|"overflow", 0).
 
     ``field`` is the chart field compiled by :func:`compile_polys` and
@@ -245,7 +244,7 @@ def _integrate_fate(field: ChartField, kernel, seed: tuple[float, float],
     # singular point the chart field is polynomially flat and time steps
     # must grow without bound for anything to move
     h = 0.01 * r / max(math.hypot(f1x, f1y), 1e-300)
-    for _ in range(max_steps):
+    for _ in range(FATE_MAX_STEPS):
         try:
             x5, y5, enorm, k7x, k7y = dp5_step(kernel, x, y, f1x, f1y, h,
                                                1e-6, 1e-12, direction)
@@ -274,9 +273,8 @@ def _integrate_fate(field: ChartField, kernel, seed: tuple[float, float],
     return "stall", 0.0
 
 
-def _seed_fate(field: ChartField, kernel, seed: tuple[float, float],
-               u0: float, r: float, max_steps: int) -> str:
-    outcomes = [_integrate_fate(field, kernel, seed, u0, r, direction, max_steps)
+def _seed_fate(field: ChartField, kernel, seed: tuple[float, float], u0: float, r: float) -> str:
+    outcomes = [_integrate_fate(field, kernel, seed, u0, r, direction)
                 for direction in (1.0, -1.0)]
     kinds = [k for k, _ in outcomes]
     if "converge" in kinds:
@@ -291,9 +289,7 @@ def _seed_fate(field: ChartField, kernel, seed: tuple[float, float],
     return "stall"
 
 
-def classify_sectors(cf: CompactifiedField, sing: InfinitySingularity,
-                     fan_n: int = FAN_N, r: float = FAN_R,
-                     max_steps: int = 4000) -> InfinitySingularity:
+def classify_sectors(cf: CompactifiedField, sing: InfinitySingularity) -> InfinitySingularity:
     """Heuristic sector taxonomy from the fates of a fan of seeds.
 
     Seeds on half-circles above and below the equator integrate both
@@ -304,19 +300,15 @@ def classify_sectors(cf: CompactifiedField, sing: InfinitySingularity,
     look like.  Confidence is the fraction of conclusive seeds backing
     the verdict.
     """
-    if fan_n < 16:
-        raise ValueError("fan_n must be at least 16")
-    if not 0.0 < r <= 0.1:
-        raise ValueError("r must lie in (0, 0.1]")
     chart = cf.chart(sing.chart)
     field = compile_polys(*chart)
     kernel = poly_kernel(*chart)
     fates: list[str] = []
     for side in (1.0, -1.0):
-        for k in range(fan_n):
-            ang = math.radians(10.0 + 160.0 * k / (fan_n - 1))
-            seed = (sing.u + r * math.cos(ang), side * r * math.sin(ang))
-            fates.append(_seed_fate(field, kernel, seed, sing.u, r, max_steps))
+        for k in range(FAN_N):
+            ang = math.radians(10.0 + 160.0 * k / (FAN_N - 1))
+            seed = (sing.u + FAN_R * math.cos(ang), side * FAN_R * math.sin(ang))
+            fates.append(_seed_fate(field, kernel, seed, sing.u, FAN_R))
 
     n_conv = fates.count("converge")
     n_sweep = fates.count("sweep")

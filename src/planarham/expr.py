@@ -37,9 +37,6 @@ from functools import lru_cache
 
 import numpy as np
 
-UNARY_OPS = ("neg", "exp", "sin", "cos", "sqrt")
-BINARY_OPS = ("add", "sub", "mul", "div", "powi")
-
 OVERFLOW_LIMIT = 1e150
 
 
@@ -402,6 +399,30 @@ def eval_jet(e: Expr, point: tuple[float, float]) -> Jet1:
 
     v, dx, dy = rec(e)
     return Jet1(v, dx, dy)
+
+
+def nonfinite_constant(e: Expr) -> Expr | None:
+    """The innermost subexpression free of x and y that does not evaluate
+    to a finite number (``1e200*1e200``), or None.  It has one value at
+    every point, so one evaluation decides it."""
+    free: list[Expr] = []       # innermost first; varies() visits every kid
+
+    def varies(node: Expr) -> bool:
+        kids = ((node.child,) if isinstance(node, Unary) else
+                (node.left, node.right) if isinstance(node, Binary) else ())
+        if any([varies(k) for k in kids]) or isinstance(node, Variable):
+            return True
+        free.append(node)
+        return False
+
+    varies(e)
+    for node in free:
+        try:
+            if not math.isfinite(eval_jet(node, (0.0, 0.0)).value):
+                return node
+        except (DomainError, OverflowError):
+            return node
+    return None
 
 
 # ===== Compiled jets ===== #

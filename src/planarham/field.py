@@ -23,13 +23,18 @@ from .expr import (
     compile_jet_pair,
     compile_polys,
     located_domain_error,
+    nonfinite_constant,
     parse_expr,
+    print_expr,
     to_poly,
 )
 from . import rk
 
 ZERO_TOL = 1e-10
 DEGENERATE_TOL = 1e-8
+# grid sides of the declared-H check and of the det Df sign scan
+VALIDATE_N = 50
+SIGN_SCAN_N = 40
 
 
 @dataclass(frozen=True)
@@ -49,9 +54,6 @@ class Box:
 
     def diameter(self) -> float:
         return math.hypot(self.xmax - self.xmin, self.ymax - self.ymin)
-
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.xmin + self.xmax), 0.5 * (self.ymin + self.ymax))
 
     def exit_side(self, p: tuple[float, float]) -> str | None:
         """Name of the first violated side, None if p is inside."""
@@ -249,7 +251,7 @@ class ValidationInconclusive(RuntimeError):
     """Too many grid points left the expression domain to decide."""
 
 
-def validate_hamiltonian(pmap: PlanarMap, grid_n: int = 50) -> HamiltonianValidation:
+def validate_hamiltonian(pmap: PlanarMap) -> HamiltonianValidation:
     """Check the declared polynomial against (f1^2+f2^2)/2 on a grid.
 
     The grid covers domain intersected with [-3,3]^2; a point passes when
@@ -264,10 +266,10 @@ def validate_hamiltonian(pmap: PlanarMap, grid_n: int = 50) -> HamiltonianValida
     worst_pt = (math.nan, math.nan)
     skipped = 0
     checked = 0
-    for i in range(grid_n):
-        x = box.xmin + (box.xmax - box.xmin) * i / (grid_n - 1)
-        for j in range(grid_n):
-            y = box.ymin + (box.ymax - box.ymin) * j / (grid_n - 1)
+    for i in range(VALIDATE_N):
+        x = box.xmin + (box.xmax - box.xmin) * i / (VALIDATE_N - 1)
+        for j in range(VALIDATE_N):
+            y = box.ymin + (box.ymax - box.ymin) * j / (VALIDATE_N - 1)
             try:
                 s = sample(pmap, (x, y))
             except (DomainError, OverflowEvent):
@@ -278,7 +280,7 @@ def validate_hamiltonian(pmap: PlanarMap, grid_n: int = 50) -> HamiltonianValida
             if res > worst_res:
                 worst_res = res
                 worst_pt = (x, y)
-    total = grid_n * grid_n
+    total = VALIDATE_N * VALIDATE_N
     if skipped > 0.2 * total:
         raise ValidationInconclusive(
             f"{skipped}/{total} grid points skipped on domain errors")
@@ -316,7 +318,7 @@ def effective_hamiltonian_poly(pmap: PlanarMap) -> Poly2 | None:
 
 
 def jacobian_sign_change(pmap: PlanarMap, box: Box | None = None,
-                         grid_n: int = 40) -> tuple[tuple[float, float], tuple[float, float]] | None:
+                         ) -> tuple[tuple[float, float], tuple[float, float]] | None:
     """Hypothesis check for det Df != 0: look for a sign change.
 
     Samples det Df on a deterministic grid (offset half a cell so
@@ -326,10 +328,10 @@ def jacobian_sign_change(pmap: PlanarMap, box: Box | None = None,
     """
     box = box if box is not None else pmap.working_box()
     pos = neg = None
-    for i in range(grid_n):
-        x = box.xmin + (box.xmax - box.xmin) * (i + 0.5) / grid_n
-        for j in range(grid_n):
-            y = box.ymin + (box.ymax - box.ymin) * (j + 0.5) / grid_n
+    for i in range(SIGN_SCAN_N):
+        x = box.xmin + (box.xmax - box.xmin) * (i + 0.5) / SIGN_SCAN_N
+        for j in range(SIGN_SCAN_N):
+            y = box.ymin + (box.ymax - box.ymin) * (j + 0.5) / SIGN_SCAN_N
             try:
                 d = sample(pmap, (x, y)).det
             except (DomainError, OverflowEvent):
@@ -373,7 +375,8 @@ def load_map_spec(path: str | Path) -> PlanarMap:
     Recognised keys: name, f1, f2 (required), domain ("plane" or
     "box(xmin, xmax, ymin, ymax)"), hamiltonian (expression that must be
     structurally polynomial and match (f1^2+f2^2)/2 numerically).
-    Lines starting with # and blank lines are ignored.
+    Every subexpression free of x and y must evaluate to a finite
+    number.  Lines starting with # and blank lines are ignored.
     """
     path = Path(path)
     fields: dict[str, str] = {}
@@ -394,15 +397,19 @@ def load_map_spec(path: str | Path) -> PlanarMap:
         if required not in fields:
             raise MapSpecError(f"{path.name}: missing required key {required!r}")
     domain = _parse_domain(fields.get("domain", "plane"))
+    exprs = {key: parse_expr(fields[key]) for key in ("hamiltonian", "f1", "f2") if key in fields}
+    for key, e in exprs.items():
+        if (bad := nonfinite_constant(e)) is not None:
+            raise MapSpecError(f"{path.name}: {key}: '{print_expr(bad)}' "
+                               "does not evaluate to a finite number")
     declared = None
-    if "hamiltonian" in fields:
-        hpoly = to_poly(parse_expr(fields["hamiltonian"]))
-        if hpoly is None:
+    if "hamiltonian" in exprs:
+        declared = to_poly(exprs["hamiltonian"])
+        if declared is None:
             raise MapSpecError(f"{path.name}: declared hamiltonian is not a polynomial expression")
-        declared = hpoly
     pmap = PlanarMap(
-        f1=parse_expr(fields["f1"]),
-        f2=parse_expr(fields["f2"]),
+        f1=exprs["f1"],
+        f2=exprs["f2"],
         domain=domain,
         declared_hamiltonian=declared,
         name=fields.get("name", path.stem),

@@ -20,7 +20,8 @@ from .compactify import CompactifiedField
 from .expr import compile_polys, eval_grid
 from .field import Box, PlanarMap
 from .rk import dp5_step, poly_kernel, step_factor
-from .trace import AngleBudget, LevelUnreachable, integrate_orbit, level_start_point
+from .trace import (AngleBudget, LevelUnreachable, center_point, integrate_orbit,
+                    level_start_point)
 
 # fixed five-color palette keyed by layer role
 _C_FLOW = "#2a6f97"
@@ -260,23 +261,22 @@ def _near_fraction(candidate, anchor: np.ndarray, tol: float) -> float:
     return float((dist < tol).mean())
 
 
-def plane_portrait(pmap: PlanarMap, centers, reports, levels,
+def plane_portrait(pmap: PlanarMap, centers, rims, levels,
                    box: Box | None = None, grid_n: int = 160,
                    budget: AngleBudget | None = None) -> Scene:
-    """Level sets of H over the box, annulus boundaries dashed.
+    """Level sets of H over the box, annulus rims dashed.
 
     Each level is traced from each center when reachable; closed orbits
     are kept as smooth polylines.  A marching-squares pass supplies the
     remaining components, dropping pieces already covered by a traced
-    orbit (sampled proximity within one grid cell).
+    orbit (sampled proximity within one grid cell).  Each of ``rims``
+    (:attr:`planarham.annulus.EllEstimate.rim`) is drawn dashed.
     """
     levels = [float(h) for h in levels]
     if levels != sorted(levels):
         raise ValueError("levels must be sorted ascending")
-    if box is None:
-        box = pmap.working_box()
-    if budget is None:
-        budget = AngleBudget()
+    box = box if box is not None else pmap.working_box()
+    budget = budget if budget is not None else AngleBudget()
     cell = max(box.xmax - box.xmin, box.ymax - box.ymin) / grid_n
 
     xs = np.linspace(box.xmin, box.xmax, grid_n + 1)
@@ -293,8 +293,7 @@ def plane_portrait(pmap: PlanarMap, centers, reports, levels,
     for level in levels:
         traced: list[tuple[tuple[float, float], ...]] = []
         for center in centers:
-            loc = getattr(center, "location", center)
-            loc = (float(loc[0]), float(loc[1]))
+            loc = center_point(center)
             try:
                 start = level_start_point(pmap, loc, level)
             except (LevelUnreachable, ValueError):
@@ -318,14 +317,12 @@ def plane_portrait(pmap: PlanarMap, centers, reports, levels,
     if not drew_any:
         warnings.append("no requested level intersects the box")
 
-    for report in reports:
-        boundary = getattr(report, "boundary_polyline", ())
-        for run in _clip_runs(boundary, box):
+    for rim in rims:
+        for run in _clip_runs(rim, box):
             layers.append(Polyline(run, role="boundary", dashed=True,
-                                   closed=len(run) == len(boundary)))
+                                   closed=len(run) == len(rim)))
     for center in centers:
-        loc = getattr(center, "location", center)
-        loc = (float(loc[0]), float(loc[1]))
+        loc = center_point(center)
         if box.contains(loc):
             layers.append(PointMarker(loc, role="center"))
 
@@ -346,10 +343,11 @@ def project_to_disc(p: tuple[float, float]) -> tuple[float, float]:
 _FAN_RADII = (0.7, 2.0)
 _FAN_ANGLES = 8
 _ESCAPE_RADIUS = 60.0
+_FLOW_MAX_STEPS = 400
 
 
-def _flow_polyline(pair, kernel, start: tuple[float, float], direction: float,
-                   max_steps: int = 400) -> list[tuple[float, float]]:
+def _flow_polyline(pair, kernel, start: tuple[float, float],
+                   direction: float) -> list[tuple[float, float]]:
     """Integrate the plane field one way, collecting points until escape.
 
     ``pair`` is the field compiled by :func:`compile_polys` and ``kernel``
@@ -366,7 +364,7 @@ def _flow_polyline(pair, kernel, start: tuple[float, float], direction: float,
     if speed == 0.0:
         return out
     h = 0.05 / speed
-    for _ in range(max_steps):
+    for _ in range(_FLOW_MAX_STEPS):
         try:
             x5, y5, enorm, k7x, k7y = dp5_step(kernel, x, y, f1x, f1y, h,
                                                1e-6, 1e-9, direction)

@@ -41,6 +41,7 @@ MAX_DPHI = 0.35
 PROJECT_TOL = 1e-13
 STEP_UNDERFLOW = 1e-14
 RETURN_TOL = 1e-7
+START_FAN_N = 8             # rays level_start_point tries around a center
 TWO_PI = 2 * math.pi
 
 # every evaluation path below raises its failures located (see _Flow)
@@ -115,7 +116,7 @@ class StiffUnderflow(ArithmeticError):
     requested time was covered."""
 
 
-def _center_point(center) -> tuple[float, float]:
+def center_point(center) -> tuple[float, float]:
     """Accept either a bare point or a record carrying .location."""
     loc = getattr(center, "location", center)
     return (float(loc[0]), float(loc[1]))
@@ -478,8 +479,8 @@ def _refine_return(flow: _Flow, section: _Section, p0: tuple[float, float],
     return t0 + dt_star, p_hit
 
 
-def level_start_point(pmap: PlanarMap, center: tuple[float, float], h: float,
-                      fan_n: int = 8) -> tuple[float, float]:
+def level_start_point(pmap: PlanarMap, center: tuple[float, float],
+                      h: float) -> tuple[float, float]:
     """A point with H = h on a ray from the center (+x first, then a fan).
 
     Marches outward until H - h changes sign, solves on the bracketing
@@ -490,14 +491,14 @@ def level_start_point(pmap: PlanarMap, center: tuple[float, float], h: float,
     if h <= 0:
         raise ValueError("level must be positive")
     box = pmap.working_box()
-    cx, cy = _center_point(center)
+    cx, cy = center_point(center)
     flow = _Flow(pmap, h)
 
     def h_minus(r: float, ux: float, uy: float) -> float:
         return sample(pmap, (cx + r * ux, cy + r * uy)).hamiltonian - h
 
-    for k in range(fan_n):
-        ang = 2 * math.pi * k / fan_n
+    for k in range(START_FAN_N):
+        ang = 2 * math.pi * k / START_FAN_N
         ux, uy = math.cos(ang), math.sin(ang)
         # max radius still inside the box along this ray
         r_cap = math.inf
@@ -544,7 +545,7 @@ def winding_certificate(pmap: PlanarMap, center: tuple[float, float], h: float,
     image winds once around the origin circle with all trace invariants
     holding.
     """
-    cpt = _center_point(center)
+    cpt = center_point(center)
     start = level_start_point(pmap, cpt, h)  # may raise LevelUnreachable
     trace = integrate_orbit(pmap, start, budget=budget, center=cpt,
                             rtol=rtol, atol=atol)

@@ -94,8 +94,7 @@ def test_criterion_2_example1_region(example1):
     with criterion(2, "example1 region formula", 10.0):
         est = estimate_ell(example1, (0.0, 0.0), h_max=1.0, tol=1e-6)
         box = Box(-3.0, 3.0, -3.0, 3.0)
-        sampler, _ = region(example1, (0.0, 0.0), est.ell_lo,
-                            grid_n=200, box=box)
+        sampler = region(example1, (0.0, 0.0), est.ell_lo, grid_n=200, box=box)
 
         def predicate(x, y):
             ex = math.exp(x)
@@ -117,8 +116,7 @@ def test_criterion_3_example3_centers(example3):
             assert abs(est.ell_lo - 0.5) <= 1e-5
             assert abs(est.ell_hi - 0.5) <= 1e-5
             rbox = Box(-3.0, 3.0, k * TWO_PI - 3.0, k * TWO_PI + 3.0)
-            sampler, _ = region(example3, rec, est.ell_lo,
-                                grid_n=200, box=rbox)
+            sampler = region(example3, rec, est.ell_lo, grid_n=200, box=rbox)
 
             def predicate(x, y, k=k):
                 return (math.exp(x) < 2.0 * math.cos(y)
@@ -253,8 +251,7 @@ def test_criterion_8_oracle_equivalence(example1, example3):
                 cert = winding_certificate(pmap, (0.0, 0.0), h)
                 assert cert.closed
                 orbit = cert.trace.points
-                sampler, _ = region(pmap, (0.0, 0.0), h, grid_n=grid_n,
-                                    box=box, trace_boundary=False)
+                sampler = region(pmap, (0.0, 0.0), h, grid_n=grid_n, box=box)
                 mask = sampler.mask
                 interior = np.zeros_like(mask)
                 interior[1:-1, 1:-1] = (mask[1:-1, 1:-1]

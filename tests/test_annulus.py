@@ -9,6 +9,7 @@ from planarham.annulus import (
     AnnulusBelowResolution,
     EllEstimate,
     Probe,
+    RegionTooCoarse,
     build_annulus_report,
     classify_certificate,
     default_h_max,
@@ -31,9 +32,8 @@ def ex1_estimate(example1):
 
 @pytest.fixture(scope="module")
 def ex1_region(example1, ex1_estimate):
-    sampler, poly = region(example1, (0.0, 0.0), ex1_estimate.ell_lo,
-                           grid_n=200, box=Box(-3, 3, -3, 3))
-    return sampler, poly
+    return region(example1, (0.0, 0.0), ex1_estimate.ell_lo,
+                  grid_n=200, box=Box(-3, 3, -3, 3))
 
 
 # h_max default
@@ -58,6 +58,15 @@ def test_example1_ell_bracket(ex1_estimate):
     assert abs(est.ell_hi - 0.5) <= 1e-5
     assert not est.budget_exceeded
     assert not est.has_inconclusive
+
+
+def test_rim_is_the_certified_orbit_at_ell_lo(ex1_estimate):
+    (probe,) = [p for p in ex1_estimate.probes if p.h == ex1_estimate.ell_lo]
+    assert probe.status == "good"
+    assert ex1_estimate.rim == probe.certificate.trace.points
+    x0, y0 = ex1_estimate.rim[0]
+    x1, y1 = ex1_estimate.rim[-1]
+    assert math.hypot(x1 - x0, y1 - y0) <= 1e-6
 
 
 def test_certified_levels_below_ell_lo(ex1_estimate):
@@ -88,6 +97,7 @@ def test_identity_budget(identity_map):
     assert est.ell_lo == 50.0
     assert est.budget_exceeded
     assert all(p.status == "good" for p in est.probes)
+    assert est.rim == ()
 
 
 def test_below_resolution(example1):
@@ -149,13 +159,14 @@ def test_image_shape_unknown_on_inconclusive():
 
 
 def test_region_identity_disc(identity_map):
-    sampler, poly = region(identity_map, (0.0, 0.0), 0.5, grid_n=200,
-                           box=Box(-3, 3, -3, 3))
+    sampler = region(identity_map, (0.0, 0.0), 0.5, grid_n=200,
+                     box=Box(-3, 3, -3, 3))
     assert sampler.classify((0.0, 0.0)) == "inside"
     assert sampler.classify((0.7, 0.0)) == "inside"
     assert sampler.classify((1.5, 0.0)) == "outside"
     assert sampler.classify((5.0, 5.0)) == "outside"
-    # traced rim is the unit circle
+    # the orbit at the level is the unit circle
+    poly = winding_certificate(identity_map, (0.0, 0.0), 0.5).trace.points
     assert len(poly) > 50
     radii = [math.hypot(x, y) for (x, y) in poly]
     assert max(abs(r - 1.0) for r in radii) <= 1e-6
@@ -186,7 +197,7 @@ def region_agreement(sampler, predicate, box, n=200):
 
 
 def test_region_example1_against_predicate(ex1_region):
-    sampler, _ = ex1_region
+    sampler = ex1_region
 
     def predicate(x, y):
         return y * y < math.exp(x) * (2.0 - math.exp(x))
@@ -200,8 +211,7 @@ def test_region_example1_against_predicate(ex1_region):
 def test_region_example3_second_center(example3):
     est = estimate_ell(example3, (0.0, TWO_PI), h_max=1.0, tol=1e-6)
     box = Box(-3, 3, TWO_PI - 3, TWO_PI + 3)
-    sampler, _ = region(example3, (0.0, TWO_PI), est.ell_lo, grid_n=200,
-                        box=box)
+    sampler = region(example3, (0.0, TWO_PI), est.ell_lo, grid_n=200, box=box)
 
     def predicate(x, y):
         return (math.exp(x) < 2.0 * math.cos(y)
@@ -215,14 +225,14 @@ def test_region_example3_second_center(example3):
 def test_region_components_are_separate(example3):
     # the mask at h < 1/2 has one oval per center; flood fill must pick
     # the component of the requested center only
-    sampler, _ = region(example3, (0.0, TWO_PI), 0.499, grid_n=300,
-                        box=Box(-8, 8, -8, 8), trace_boundary=False)
+    sampler = region(example3, (0.0, TWO_PI), 0.499, grid_n=300,
+                     box=Box(-8, 8, -8, 8))
     assert sampler.classify((0.0, TWO_PI)) == "inside"
     assert sampler.classify((0.0, 0.0)) == "outside"
 
 
 def test_region_too_coarse(identity_map):
-    with pytest.raises(ValueError, match="too coarse"):
+    with pytest.raises(RegionTooCoarse, match="too coarse"):
         region(identity_map, (0.0, 0.0), 1e-9, grid_n=8, box=Box(-3, 3, -3, 3))
 
 
@@ -234,7 +244,7 @@ def test_region_validates_inputs(identity_map):
 
 
 def test_sample_inside_deterministic(ex1_region):
-    sampler, _ = ex1_region
+    sampler = ex1_region
     a = sampler.sample_inside(50, seed=7)
     b = sampler.sample_inside(50, seed=7)
     assert a == b
@@ -251,7 +261,8 @@ def test_mask_boundary_matches_orbit(name, center, request):
     box = Box(-3, 3, -3, 3)
     for frac in (0.25, 0.5, 0.75):
         h = frac * 0.5
-        sampler, poly = region(pmap, center, h, grid_n=200, box=box)
+        sampler = region(pmap, center, h, grid_n=200, box=box)
+        poly = winding_certificate(pmap, center, h).trace.points
         assert poly, h
         mask = sampler.mask
         rim = _mask_rim(mask)
@@ -311,23 +322,22 @@ def test_inconclusive_probes_demote(example1):
 
 
 def test_spotcheck_clean_on_example1(example1, ex1_region):
-    sampler, _ = ex1_region
-    report = injectivity_spotcheck(example1, sampler, n=10_000)
+    report = injectivity_spotcheck(example1, ex1_region, n=10_000)
     assert report.clean
     assert report.n_sampled == 10_000
 
 
 def test_spotcheck_clean_on_example3(example3):
-    sampler, _ = region(example3, (0.0, 0.0), 0.4999, grid_n=200,
-                        box=Box(-3, 3, -3, 3), trace_boundary=False)
+    sampler = region(example3, (0.0, 0.0), 0.4999, grid_n=200,
+                     box=Box(-3, 3, -3, 3))
     report = injectivity_spotcheck(example3, sampler, n=10_000)
     assert report.clean
 
 
 def test_spotcheck_catches_even_map(noninjective_map):
     # (x^2, y) region straddling x = 0: mirror points share an image
-    sampler, _ = region(noninjective_map, (0.0, 0.0), 2.0, grid_n=100,
-                        box=Box(-2, 2, -2, 2), trace_boundary=False)
+    sampler = region(noninjective_map, (0.0, 0.0), 2.0, grid_n=100,
+                     box=Box(-2, 2, -2, 2))
     report = injectivity_spotcheck(noninjective_map, sampler, n=10_000)
     assert not report.clean
     c = report.collisions[0]
@@ -337,9 +347,8 @@ def test_spotcheck_catches_even_map(noninjective_map):
 
 
 def test_spotcheck_sample_floor(example1, ex1_region):
-    sampler, _ = ex1_region
     with pytest.raises(ValueError):
-        injectivity_spotcheck(example1, sampler, n=50)
+        injectivity_spotcheck(example1, ex1_region, n=50)
 
 
 # orchestrated report
@@ -351,12 +360,12 @@ def test_build_annulus_report_example1(example1):
     center = find_zeros(example1, Box(-4, 4, -4, 4), grid_n=16)[0]
     report = build_annulus_report(example1, center, h_max=1.0, tol=1e-6,
                                   grid_n=200, box=Box(-3, 3, -3, 3))
-    assert report.ell_lo == report.estimate.ell_lo
-    assert abs(report.ell_lo - 0.5) <= 1e-5
+    assert abs(report.estimate.ell_lo - 0.5) <= 1e-5
     assert report.image.kind == "disc"
     assert report.verdict.verdict == "not-global"
-    assert report.certificates
+    assert report.estimate.certificates
     assert report.spotcheck.clean
+    assert report.boundary_polyline == report.estimate.rim
     x0, y0 = report.boundary_polyline[0]
     x1, y1 = report.boundary_polyline[-1]
     assert math.hypot(x1 - x0, y1 - y0) <= 1e-6

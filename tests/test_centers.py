@@ -122,11 +122,6 @@ def test_isochronous_hint_truth_table(example1, example2, example3, identity_map
     assert not isochronous_hint(example3)
 
 
-def test_isochronous_hint_sample_floor(identity_map):
-    with pytest.raises(ValueError):
-        isochronous_hint(identity_map, samples=8)
-
-
 # degenerate zeros are excluded from the center list
 
 

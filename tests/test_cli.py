@@ -216,6 +216,19 @@ def test_inconclusive_exits_3_with_report(tmp_path):
     assert any("below resolution" in w for w in doc["warnings"])
 
 
+def test_coarse_region_grid_fails_the_center(tmp_path):
+    # an 8x8 region grid cannot put example1's center cell below ell
+    out = tmp_path / "r.json"
+    assert run("report", "--map", "builtin:example1", "--grid", "8",
+               "--out", str(out)) == 3
+    doc = read_json(out)
+    (center,) = doc["centers"]
+    assert center["status"] == "failed"
+    assert center["global"] == "inconclusive"
+    assert any(w.startswith("center (") and "grid too coarse" in w
+               for w in doc["warnings"])
+
+
 def test_schemas_pass_their_metaschema():
     # reports are validated without this check, so it lives here
     for schema in SCHEMAS.values():
@@ -227,9 +240,9 @@ def test_report_scans_jacobian_sign_once(tmp_path, monkeypatch):
     calls = []
     real = annulus_mod.jacobian_sign_change
 
-    def counting(pmap, box=None, grid_n=40):
+    def counting(pmap, box=None):
         calls.append(box)
-        return real(pmap, box, grid_n)
+        return real(pmap, box)
 
     counts = Counter()
 
@@ -255,13 +268,45 @@ def test_report_scans_jacobian_sign_once(tmp_path, monkeypatch):
     assert counts == {"default_h_max": 1, "eval_grid": 4}
 
 
+def test_report_traces_each_level_once(tmp_path, monkeypatch):
+    # the rim is the estimate's own certified orbit, not a second trace
+    calls = Counter()
+    real = annulus_mod.winding_certificate
+
+    def counting(pmap, center, h, **kwargs):
+        calls[(center, h)] += 1
+        return real(pmap, center, h, **kwargs)
+
+    monkeypatch.setattr(annulus_mod, "winding_certificate", counting)
+    out = tmp_path / "r.json"
+    assert run("report", "--map", "builtin:example1", "--out", str(out)) == 0
+    (center,) = read_json(out)["centers"]
+    assert center["image_shape"]["kind"] == "disc"
+    assert calls and max(calls.values()) == 1
+
+
+def test_portrait_builds_no_region_spotcheck_or_verdict(tmp_path, monkeypatch):
+    argv = ("portrait", "--map", "builtin:example1", "--out")
+    plain, patched = tmp_path / "plain.svg", tmp_path / "patched.svg"
+    assert run(*argv, str(plain)) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("portrait needs only the ell estimate")
+
+    for name in ("region", "injectivity_spotcheck", "global_center_verdict"):
+        monkeypatch.setattr(annulus_mod, name, refuse)
+    assert run(*argv, str(patched)) == 0
+    assert 'class="boundary"' in plain.read_text(encoding="utf-8")
+    assert patched.read_bytes() == plain.read_bytes()
+
+
 def test_declared_hamiltonian_validated_once(tmp_path, monkeypatch):
     calls = []
     real = field_mod.validate_hamiltonian
 
-    def counting(pmap, grid_n=50):
+    def counting(pmap):
         calls.append(pmap.name)
-        return real(pmap, grid_n)
+        return real(pmap)
 
     monkeypatch.setattr(field_mod, "validate_hamiltonian", counting)
     spec = tmp_path / "round.map"
@@ -333,6 +378,16 @@ def test_non_finite_literal_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "'1e999' is not a finite float" in err
+    # finite literals whose product overflows are as infinite
+    for f1 in ("1e200*1e200*x", "1e200*1e200*exp(x) - 1"):
+        spec.write_text(f'f1 = "{f1}"\nf2 = "y"\n', encoding="utf-8")
+        for sub in ("centers", "report", "disc"):
+            assert run(sub, "--map", str(spec),
+                       "--out", str(tmp_path / "o")) == 2, (f1, sub)
+            err = capsys.readouterr().err
+            assert err.startswith("error:"), (f1, sub, err)
+            assert "f1:" in err and "not evaluate to a finite number" in err
+            assert not (tmp_path / "o").exists()
 
 
 # --- figures ----------------------------------------------------------------

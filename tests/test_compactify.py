@@ -253,15 +253,6 @@ def test_classify_deterministic(cf2):
     assert a == b
 
 
-def test_classify_input_validation(cf2, sings2):
-    with pytest.raises(ValueError):
-        classify_sectors(cf2, sings2[0], fan_n=8)
-    with pytest.raises(ValueError):
-        classify_sectors(cf2, sings2[0], r=0.2)
-    with pytest.raises(ValueError):
-        classify_sectors(cf2, sings2[0], r=0.0)
-
-
 # ===== Conti verdict ===== #
 
 

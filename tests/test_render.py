@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from planarham.annulus import build_annulus_report
+from planarham.annulus import estimate_ell
 from planarham.centers import find_zeros
 from planarham.compactify import (classify_sectors, compactification_for_map,
                                   infinite_singularities)
@@ -21,9 +21,8 @@ from planarham.render import (CircleLayer, DiscRefusal, PointMarker, Polyline,
 def ex1_scene(example1):
     box = Box(-3, 3, -3, 3)
     centers = find_zeros(example1, box, grid_n=24)
-    report = build_annulus_report(example1, centers[0], h_max=1.0,
-                                  tol=1e-6, box=box)
-    return plane_portrait(example1, centers, [report],
+    est = estimate_ell(example1, centers[0], h_max=1.0, tol=1e-6)
+    return plane_portrait(example1, centers, [est.rim],
                           [0.1, 0.3, 0.5, 0.8], box=box)
 
 

@@ -7,8 +7,9 @@
 
 Runs every invocation of the three ``perfbench`` workloads for the given
 seeds and rounds, then the runs of ``BUILTIN_RUNS`` (``report``, ``disc``,
-``annulus``, ``portrait``, and ``report`` and ``global-check`` with a
-window, grid or level ceiling of their own) on every builtin map that
+``annulus``, ``portrait``, and ``report``, ``global-check`` and
+``portrait`` with a window, grid, level ceiling, angle budget or
+tolerance of their own) on every builtin map that
 needs no extended gate, all in one process through
 ``planarham.cli.run_subcommand``.  Each line is the invocation's label
 and a SHA-256 over its output file, exit code, stdout and stderr, with
@@ -39,6 +40,8 @@ BUILTIN_RUNS = (
     ("portrait", "svg"),
     ("report", "json", "--box=-3,3,-2,9", "--grid", "64"),
     ("global-check", "json", "--h-max", "0.3", "--box=-4,4,-4,4"),
+    ("portrait", "svg", "--box=-3,3,-2,9", "--grid", "64"),
+    ("report", "json", "--max-winding", "2", "--tol", "1e-4"),
 )
 
 
