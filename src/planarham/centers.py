@@ -18,7 +18,6 @@ from .field import (
     DEGENERATE_TOL,
     PlanarMap,
     ZERO_TOL,
-    linearization_at,
 )
 
 MAX_NEWTON_ITERS = 50
@@ -95,8 +94,10 @@ def search_zeros(pmap: PlanarMap, box: Box | None = None, grid_n: int = 32,
     """Multistart Newton over a seed grid; returns records and statistics.
 
     Converged points are deduplicated at radius 1e-6 * diam(box) keeping
-    the representative with the smallest residual, classified through
-    the trace-zero linearization, and sorted lexicographically.  Zeros
+    the representative with the smallest residual, given the eigenvalues
+    +-i|det Df| of the trace-zero linearization (see
+    :func:`~planarham.field.linearization_at`), and sorted
+    lexicographically.  Zeros
     with |det Df| below the degeneracy threshold are excluded from the
     center list and surface only in the stats.
     """
@@ -141,11 +142,10 @@ def search_zeros(pmap: PlanarMap, box: Box | None = None, grid_n: int = 32,
         if abs(det) <= DEGENERATE_TOL:
             degenerate.append((x, y))
             continue
-        lin = linearization_at(pmap, (x, y))
         records.append(CenterRecord(
             location=(x, y),
             det_df=det,
-            eigenvalues=lin.eigenvalues,
+            eigenvalues=(complex(0.0, abs(det)), complex(0.0, -abs(det))),
             isochronous_hint=iso,
             residual=res,
         ))

@@ -376,7 +376,8 @@ def load_map_spec(path: str | Path) -> PlanarMap:
     "box(xmin, xmax, ymin, ymax)"), hamiltonian (expression that must be
     structurally polynomial and match (f1^2+f2^2)/2 numerically).
     Every subexpression free of x and y must evaluate to a finite
-    number.  Lines starting with # and blank lines are ignored.
+    number, and so must every coefficient of a polynomial f1, f2 or H.
+    Lines starting with # and blank lines are ignored.
     """
     path = Path(path)
     fields: dict[str, str] = {}
@@ -402,11 +403,12 @@ def load_map_spec(path: str | Path) -> PlanarMap:
         if (bad := nonfinite_constant(e)) is not None:
             raise MapSpecError(f"{path.name}: {key}: '{print_expr(bad)}' "
                                "does not evaluate to a finite number")
-    declared = None
-    if "hamiltonian" in exprs:
-        declared = to_poly(exprs["hamiltonian"])
-        if declared is None:
-            raise MapSpecError(f"{path.name}: declared hamiltonian is not a polynomial expression")
+    polys = {key: to_poly(e) for key, e in exprs.items()}
+    declared = polys.get("hamiltonian")
+    if "hamiltonian" in exprs and declared is None:
+        raise MapSpecError(f"{path.name}: declared hamiltonian is not a polynomial expression")
+    for key, poly in polys.items():
+        _require_finite_coefficients(path, key, poly)
     pmap = PlanarMap(
         f1=exprs["f1"],
         f2=exprs["f2"],
@@ -420,4 +422,14 @@ def load_map_spec(path: str | Path) -> PlanarMap:
             raise MapSpecError(
                 f"{path.name}: declared hamiltonian mismatch, residual "
                 f"{result.worst_residual:.3g} at {result.worst_point}")
+    _require_finite_coefficients(path, "H = (f1^2 + f2^2)/2",
+                                 effective_hamiltonian_poly(pmap))
     return pmap
+
+
+def _require_finite_coefficients(path: Path, key: str, poly: Poly2 | None) -> None:
+    """Reject a polynomial whose folded coefficients overflowed."""
+    for c, i, j in poly.terms if poly is not None else ():
+        if not math.isfinite(c):
+            raise MapSpecError(f"{path.name}: {key}: the coefficient of x^{i}*y^{j} "
+                               f"is {c}, not a finite number")

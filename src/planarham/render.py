@@ -152,44 +152,44 @@ def marching_squares(hgrid: np.ndarray, xs: np.ndarray, ys: np.ndarray,
                      level: float) -> list[tuple[tuple[float, float], ...]]:
     """Contour polylines of hgrid == level, segments chained by endpoint.
 
-    ``hgrid[i, j]`` is the value at ``(xs[i], ys[j])``.  Cells with a
-    non-finite corner are skipped.
+    ``hgrid[i, j]`` is the value at ``(xs[i], ys[j])``.  One numpy pass
+    finds the crossed cells with four finite corners; their segments come
+    in row-major (i, then j) order, which fixes the chains and SVG bytes.
     """
-    nx, ny = hgrid.shape
     # a corner exactly on the level would put crossings at grid nodes and
     # break segment chaining; nudge such values by an invisible amount
     eps = 1e-12 * max(1.0, abs(level))
-    hgrid = np.where(hgrid == level, level + eps, hgrid)
-    xs = [float(v) for v in xs]
-    ys = [float(v) for v in ys]
+    h = np.where(hgrid == level, level + eps, hgrid)
+    xs, ys = [float(v) for v in xs], [float(v) for v in ys]
     quantum = 1e-9 * max(xs[-1] - xs[0], ys[-1] - ys[0], 1.0)
+    up = (h > level).view(np.uint8)
+    ok = np.isfinite(h)
+    cases = (up[:-1, :-1] | up[1:, :-1] << 1 | up[1:, 1:] << 2
+             | up[:-1, 1:] << 3)
+    active = ((cases != 0) & (cases != 15) & ok[:-1, :-1] & ok[1:, :-1]
+              & ok[1:, 1:] & ok[:-1, 1:])
     segments: list[tuple[tuple[float, float], tuple[float, float]]] = []
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            vals = (float(hgrid[i, j]), float(hgrid[i + 1, j]),
-                    float(hgrid[i + 1, j + 1]), float(hgrid[i, j + 1]))
-            if not all(math.isfinite(v) for v in vals):
-                continue
-            case = sum(1 << k for k, v in enumerate(vals) if v > level)
-            if case in (0, 15):
-                continue
-            x0, y0, x1, y1 = xs[i], ys[j], xs[i + 1], ys[j + 1]
-            if case in (5, 10):
-                center_above = sum(vals) > 4.0 * level
-                if (case == 5) == center_above:
-                    pairs = ((3, 0), (1, 2))
-                else:
-                    pairs = ((0, 1), (2, 3))
+    for (i, j), case in zip(np.argwhere(active).tolist(),
+                            cases[active].tolist()):
+        vals = (float(h[i, j]), float(h[i + 1, j]),
+                float(h[i + 1, j + 1]), float(h[i, j + 1]))
+        x0, y0, x1, y1 = xs[i], ys[j], xs[i + 1], ys[j + 1]
+        if case in (5, 10):
+            center_above = sum(vals) > 4.0 * level
+            if (case == 5) == center_above:
+                pairs = ((3, 0), (1, 2))
             else:
-                pairs = _MS_TABLE[case]
-            for ea, eb in pairs:
-                pa = _edge_point(ea, x0, y0, x1, y1, vals, level)
-                pb = _edge_point(eb, x0, y0, x1, y1, vals, level)
-                # degenerate stubs appear when the contour grazes a grid
-                # node; they are shorter than the endpoint quantum and
-                # would survive as isolated two-point chains
-                if math.hypot(pb[0] - pa[0], pb[1] - pa[1]) > quantum:
-                    segments.append((pa, pb))
+                pairs = ((0, 1), (2, 3))
+        else:
+            pairs = _MS_TABLE[case]
+        for ea, eb in pairs:
+            pa = _edge_point(ea, x0, y0, x1, y1, vals, level)
+            pb = _edge_point(eb, x0, y0, x1, y1, vals, level)
+            # degenerate stubs appear when the contour grazes a grid
+            # node; they are shorter than the endpoint quantum and
+            # would survive as isolated two-point chains
+            if math.hypot(pb[0] - pa[0], pb[1] - pa[1]) > quantum:
+                segments.append((pa, pb))
     return _chain_segments(segments, quantum)
 
 

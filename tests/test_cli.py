@@ -390,6 +390,37 @@ def test_non_finite_literal_exits_2(tmp_path, capsys):
             assert not (tmp_path / "o").exists()
 
 
+def test_overflowing_coefficient_exits_2(tmp_path, capsys):
+    # the overflow folds across a variable: f1's own coefficient, or H's
+    spec = tmp_path / "huge.map"
+    for f1, field in (("1e200*x*1e200", "f1:"),
+                      ("1e200*x", "H = (f1^2 + f2^2)/2:")):
+        spec.write_text(f'f1 = "{f1}"\nf2 = "y"\n', encoding="utf-8")
+        for sub in ("centers", "report", "disc"):
+            assert run(sub, "--map", str(spec),
+                       "--out", str(tmp_path / "o")) == 2, (f1, sub)
+            err = capsys.readouterr().err
+            assert err.startswith("error:"), (f1, sub, err)
+            assert field in err and "not a finite number" in err, (f1, sub)
+            assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_center_fails_as_that_center(tmp_path):
+    # finite coefficients, but Df at the zero passes the overflow guard
+    spec = tmp_path / "steep.map"
+    spec.write_text('f1 = "1e152*x"\nf2 = "y"\n', encoding="utf-8")
+    out = tmp_path / "c.json"
+    assert run("centers", "--map", str(spec), "--out", str(out)) == 0
+    (center,) = read_json(out)["centers"]
+    assert center["det_df"] == 1e152 and center["eigen_omega"] == 1e152
+    assert run("report", "--map", str(spec), "--out", str(out)) == 3
+    doc = read_json(out)
+    (center,) = doc["centers"]
+    assert center["status"] == "below-resolution"
+    assert center["global"] == "inconclusive"
+    assert any(w.startswith("center (0, 0):") for w in doc["warnings"])
+
+
 # --- figures ----------------------------------------------------------------
 
 def test_portrait_svg(tmp_path):

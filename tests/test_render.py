@@ -5,6 +5,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planarham.annulus import estimate_ell
 from planarham.centers import find_zeros
@@ -15,6 +17,7 @@ from planarham.render import (CircleLayer, DiscRefusal, PointMarker, Polyline,
                               ROLE_COLOR, Scene, TextLabel, disc_portrait,
                               disc_portrait_for_map, marching_squares,
                               plane_portrait, project_to_disc, scene_to_svg)
+from planarham.render import _MS_TABLE, _chain_segments, _edge_point
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +73,82 @@ def test_marching_squares_empty_when_level_missed():
     ys = np.linspace(-1.0, 1.0, 11)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     assert marching_squares(0.5 * (gx ** 2 + gy ** 2), xs, ys, 10.0) == []
+
+
+def reference_marching_squares(hgrid, xs, ys, level):
+    """The all-cells scan: every cell in i-then-j order, one at a time."""
+    nx, ny = hgrid.shape
+    eps = 1e-12 * max(1.0, abs(level))
+    hgrid = np.where(hgrid == level, level + eps, hgrid)
+    xs = [float(v) for v in xs]
+    ys = [float(v) for v in ys]
+    quantum = 1e-9 * max(xs[-1] - xs[0], ys[-1] - ys[0], 1.0)
+    segments = []
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            vals = (float(hgrid[i, j]), float(hgrid[i + 1, j]),
+                    float(hgrid[i + 1, j + 1]), float(hgrid[i, j + 1]))
+            if not all(math.isfinite(v) for v in vals):
+                continue
+            case = sum(1 << k for k, v in enumerate(vals) if v > level)
+            if case in (0, 15):
+                continue
+            x0, y0, x1, y1 = xs[i], ys[j], xs[i + 1], ys[j + 1]
+            if case in (5, 10):
+                center_above = sum(vals) > 4.0 * level
+                if (case == 5) == center_above:
+                    pairs = ((3, 0), (1, 2))
+                else:
+                    pairs = ((0, 1), (2, 3))
+            else:
+                pairs = _MS_TABLE[case]
+            for ea, eb in pairs:
+                pa = _edge_point(ea, x0, y0, x1, y1, vals, level)
+                pb = _edge_point(eb, x0, y0, x1, y1, vals, level)
+                if math.hypot(pb[0] - pa[0], pb[1] - pa[1]) > quantum:
+                    segments.append((pa, pb))
+    return _chain_segments(segments, quantum)
+
+
+def _nodes(draw, n):
+    start = draw(st.floats(-5.0, 5.0))
+    steps = draw(st.lists(st.floats(0.01, 2.0), min_size=n - 1,
+                          max_size=n - 1))
+    return np.cumsum([start, *steps])
+
+
+@st.composite
+def contour_grids(draw):
+    """Non-uniform grids with smooth, non-finite, on-level and saddle cells."""
+    nx, ny = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    xs, ys = _nodes(draw, nx), _nodes(draw, ny)
+    level = draw(st.floats(-2.0, 2.0))
+    a, b, c, k = draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3,
+                                st.floats(0.0, 4.0)))
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    h = a * gx * gx + b * gx * gy + c * gy * gy + np.sin(k * gx) * np.cos(gy)
+    specials = st.sampled_from([math.nan, math.inf, -math.inf, level])
+    for _ in range(draw(st.integers(0, 12))):
+        h[draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))] = (
+            draw(specials))
+    if draw(st.booleans()):
+        # alternating corners: every cell is case 5 or 10, and hi > lo or
+        # hi < lo decides which way its saddle resolves
+        i0, j0 = draw(st.integers(0, nx - 2)), draw(st.integers(0, ny - 2))
+        size = draw(st.integers(2, 8))
+        hi, lo = draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0))
+        for i in range(i0, min(nx, i0 + size)):
+            for j in range(j0, min(ny, j0 + size)):
+                h[i, j] = level + hi if (i + j) % 2 else level - lo
+    return h, xs, ys, level
+
+
+@settings(max_examples=300, deadline=None)
+@given(contour_grids())
+def test_marching_squares_matches_all_cells_scan(grid):
+    h, xs, ys, level = grid
+    assert (marching_squares(h, xs, ys, level)
+            == reference_marching_squares(h, xs, ys, level))
 
 
 # ===== plane portraits ===== #

@@ -8,8 +8,8 @@
 Runs every invocation of the three ``perfbench`` workloads for the given
 seeds and rounds, then the runs of ``BUILTIN_RUNS`` (``report``, ``disc``,
 ``annulus``, ``portrait``, and ``report``, ``global-check`` and
-``portrait`` with a window, grid, level ceiling, angle budget or
-tolerance of their own) on every builtin map that
+``portrait`` with a window, grid, level list, level ceiling, angle
+budget or tolerance of their own) on every builtin map that
 needs no extended gate, all in one process through
 ``planarham.cli.run_subcommand``.  Each line is the invocation's label
 and a SHA-256 over its output file, exit code, stdout and stderr, with
@@ -42,6 +42,7 @@ BUILTIN_RUNS = (
     ("global-check", "json", "--h-max", "0.3", "--box=-4,4,-4,4"),
     ("portrait", "svg", "--box=-3,3,-2,9", "--grid", "64"),
     ("report", "json", "--max-winding", "2", "--tol", "1e-4"),
+    ("portrait", "svg", "--grid", "400", "--levels=0.05,0.5,2"),
 )
 
 
