@@ -192,7 +192,9 @@ def isochronous_hint(pmap: PlanarMap) -> bool:
     """True when det Df looks numerically constant over random samples.
 
     A constant non-zero Jacobian determinant makes every center of the
-    field isochronous with period 2*pi/|det|.
+    field isochronous with period 2*pi/|det|.  A sample that finds no
+    finite det Df in ten draws is left out; with fewer than two left
+    there is nothing to compare, and the hint is False.
     """
     box = pmap.working_box()
     jet = pmap.jet
@@ -210,8 +212,7 @@ def isochronous_hint(pmap: PlanarMap) -> bool:
             if math.isfinite(det):
                 dets.append(det)
                 break
-        else:
-            raise RuntimeError(
-                "could not sample det Df: 10 consecutive domain errors")
+    if len(dets) < 2:
+        return False
     mean = sum(dets) / len(dets)
     return max(dets) - min(dets) <= 1e-8 * (1.0 + abs(mean))

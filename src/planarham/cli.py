@@ -462,9 +462,10 @@ def _compactification_block(pmap: PlanarMap, reports: list[AnnulusReport],
         conti_type = verdict.conti_type
         routes_agree = verdict.routes_agree
     else:
+        # no annulus route to compare the disc route with
         warnings.append("conti: skipped, no analyzed center")
         conti_type = "not-applicable"
-        routes_agree = False
+        routes_agree = True
     block = {
         "degree": cf.degree,
         "infinite_singularities": [
@@ -486,7 +487,8 @@ def _search(pmap: PlanarMap, cfg: RunConfig):
         for x, y in stats.degenerate_points
     ]
     if not records:
-        warnings.append("no nondegenerate zeros of f in the search box")
+        warnings.append("the zero search found no nondegenerate zero of f "
+                        "in the search box")
     return records, stats, warnings
 
 
@@ -555,7 +557,7 @@ def _assemble_report(pmap: PlanarMap, cfg: RunConfig, subcommand: str,
     records, stats, warnings = _search(pmap, cfg)
     blocks: list[dict] = []
     reports: list[AnnulusReport] = []
-    inconclusive = False
+    inconclusive = not records      # a report that analyzed nothing
     for rec in records:
         block, rep, flag = _analyze_center(pmap, rec, cfg, warnings)
         blocks.append(block)

@@ -112,8 +112,7 @@ class LevelUnreachable(RuntimeError):
 
 
 class StiffUnderflow(ArithmeticError):
-    """The error norm drove the step below STEP_UNDERFLOW before the
-    requested time was covered."""
+    """The error norm rejected a sub-step of the return refinement."""
 
 
 def center_point(center) -> tuple[float, float]:
@@ -173,9 +172,6 @@ class _Flow:
             jet = None
         return x, y, self.jet_at(x, y)
 
-    def image_angle(self, x: float, y: float) -> float:
-        return _jet_angle(self.jet_at(x, y))
-
 
 def _jet_rhs(jet) -> tuple[float, float]:
     """The Hamiltonian field (-H_y, H_x) from a jet of f."""
@@ -194,51 +190,6 @@ def _wrap_pi(a: float) -> float:
     while a < -math.pi:
         a += TWO_PI
     return a
-
-
-def _flow_dt(flow: _Flow, x: float, y: float, dt: float,
-             rtol: float, atol: float, h_init: float) -> tuple[float, float]:
-    """Integrate exactly dt forward with error control and projection.
-
-    Evaluation errors in a trial step are handled as in
-    :func:`integrate_orbit`: the step is retried smaller, and the located
-    error is re-raised once that drives it below STEP_UNDERFLOW.  When
-    the error norm drives it there, or the step budget runs out first,
-    :class:`StiffUnderflow` is raised: the point reached so far is not
-    the flow over dt.
-    """
-    kernel = flow.kernel
-    remaining = dt
-    h = min(h_init, dt) if dt > 0 else dt
-    fx, fy = _jet_rhs(flow.jet_at(x, y))
-    for _ in range(10_000):
-        if remaining <= 0:
-            return x, y
-        h = min(h, remaining)
-        try:
-            x5, y5, enorm, _, _, jet = dp5_step(kernel, x, y, fx, fy, h, rtol, atol)
-            if not math.isfinite(enorm):
-                enorm = math.inf
-            if enorm <= 1.0:
-                xp, yp, jet = flow.project(x5, y5, jet)
-        except _EVAL_ERRORS:
-            h *= 0.2
-            if h < STEP_UNDERFLOW:
-                raise
-            continue
-        if enorm > 1.0:
-            h *= step_factor(enorm)
-            if h < STEP_UNDERFLOW:
-                break
-            continue
-        remaining -= h
-        x, y = xp, yp
-        fx, fy = _jet_rhs(jet)
-        h *= step_factor(enorm)
-    if remaining <= 0:
-        return x, y
-    raise StiffUnderflow(f"flow stopped at {(x, y)} with {remaining:.3g} "
-                         f"of dt = {dt:.3g} left")
 
 
 class _Section:
@@ -289,25 +240,26 @@ class _Section:
 
 def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
                     budget: AngleBudget = AngleBudget(),
-                    center: tuple[float, float] | None = None,
+                    *, center: tuple[float, float],
                     rtol: float = RTOL, atol: float = ATOL,
                     max_dtheta: float = MAX_DTHETA) -> OrbitTrace:
     """Trace the orbit through ``start`` on its own level of H.
 
-    Stops at closure (section return within RETURN_TOL of the start, only
-    when a center is given), escape from the working box, a domain error,
-    or the angle budget.
+    Stops at closure (a return to the section through ``center`` and
+    ``start`` within RETURN_TOL of the start), escape from the working
+    box, a domain error, or the angle budget.
 
     A trial step whose evaluation fails (a DP5 stage, the projection or
     the image angle left the map's domain) is retried with a fifth of the
     step.  When that drives the step below STEP_UNDERFLOW the orbit has
     run off the domain: the outcome is :class:`DomainFailure` at the last
     accepted point, whose message names the failing subexpression and the
-    point where evaluation broke down.  Evaluation errors while locating
-    the return crossing end the orbit the same way.  Underflow forced by
-    the error norm or by the dtheta/dphi caps is stiffness instead, and
-    gives ``BudgetExhausted(stiff=True)``, also when it happens while
-    locating the return crossing.
+    point where evaluation broke down.  Underflow forced by the error norm
+    or by the dtheta/dphi caps is stiffness instead, and gives
+    ``BudgetExhausted(stiff=True)``.  Locating the return crossing takes
+    sub-steps of the accepted step (see :func:`_refine_return`); one that
+    fails to evaluate ends the orbit as a :class:`DomainFailure` at the
+    last accepted point, one that is rejected as stiff.
 
     Each accepted point is evaluated once after its projection: the image
     angle and the next step's first stage come from that jet.
@@ -318,8 +270,9 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
     h_level = s0.hamiltonian
     flow = _Flow(pmap, h_level)
     box = pmap.working_box()
-    section = _Section(center, start) if center is not None else None
-    return_tol = RETURN_TOL * (1.0 + (section.scale if section else 0.0))
+    section = _Section(center, start)
+    scale = 1.0 + section.scale
+    return_tol = RETURN_TOL * scale
 
     theta = math.atan2(s0.f_value[1], s0.f_value[0])
     try:
@@ -338,12 +291,10 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
     max_theta = budget.max_winding * 2 * math.pi
     kernel = flow.kernel
     xmin, xmax, ymin, ymax = box.xmin, box.xmax, box.ymin, box.ymax
-    if section is not None:
-        cx, cy, ux, uy = section.cx, section.cy, section.ux, section.uy
-        g_prev = section.g((x, y))
+    cx, cy, ux, uy = section.cx, section.cy, section.ux, section.uy
+    g_prev = section.g((x, y))
 
     speed = math.hypot(fx, fy)
-    scale = 1.0 + (section.scale if section is not None else 0.0)
     h = min(0.01, 0.1 * scale / (1.0 + speed))
 
     def finish(outcome: Outcome) -> OrbitTrace:
@@ -386,20 +337,19 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
             if h < STEP_UNDERFLOW:
                 return finish(BudgetExhausted(stiff=True))
             continue
-        if section is not None:
-            # one atan2 per accepted point: the probe's angle is the one
-            # the section advances to
-            phi = math.atan2(yp - cy, xp - cx)
-            dphi = phi - section.phi_prev
-            while dphi > math.pi:
-                dphi -= TWO_PI
-            while dphi < -math.pi:
-                dphi += TWO_PI
-            if abs(dphi) > MAX_DPHI:
-                h *= max(0.2, 0.8 * MAX_DPHI / abs(dphi))
-                if h < STEP_UNDERFLOW:
-                    return finish(BudgetExhausted(stiff=True))
-                continue
+        # one atan2 per accepted point: the probe's angle is the one the
+        # section advances to
+        phi = math.atan2(yp - cy, xp - cx)
+        dphi = phi - section.phi_prev
+        while dphi > math.pi:
+            dphi -= TWO_PI
+        while dphi < -math.pi:
+            dphi += TWO_PI
+        if abs(dphi) > MAX_DPHI:
+            h *= max(0.2, 0.8 * MAX_DPHI / abs(dphi))
+            if h < STEP_UNDERFLOW:
+                return finish(BudgetExhausted(stiff=True))
+            continue
 
         if dtheta < 0.0:
             return finish(DomainFailure(
@@ -407,28 +357,24 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
 
         t_new = t + h
         p_new = (xp, yp)
-
-        if section is not None:
-            g_new = ux * (yp - cy) - uy * (xp - cx)
-            if section.crossing((x, y), g_prev, p_new, g_new):
-                try:
-                    hit = _refine_return(flow, section, (x, y), t, h, rtol, atol)
-                except _EVAL_ERRORS as err:
-                    return domain_failure(err)
-                except StiffUnderflow:
-                    return finish(BudgetExhausted(stiff=True))
-                if hit is not None:
-                    t_hit, p_hit = hit
-                    if math.hypot(p_hit[0] - start[0], p_hit[1] - start[1]) <= return_tol:
-                        raw_hit = flow.image_angle(*p_hit)
-                        theta_hit = theta + _wrap_pi(raw_hit - raw_prev)
-                        winding = round((theta_hit - theta0) / (2 * math.pi))
-                        points.append(p_hit)
-                        times.append(t_hit)
-                        thetas.append(theta_hit)
-                        return finish(Closed(period=t_hit, winding=winding))
-            section.advance_phi(phi, dphi)
-            g_prev = g_new
+        g_new = ux * (yp - cy) - uy * (xp - cx)
+        if section.crossing((x, y), g_prev, p_new, g_new):
+            try:
+                dt, xh, yh, jet_hit = _refine_return(flow, section, (x, y), (fx, fy), h,
+                                                     (xp, yp, jet), rtol, atol)
+            except _EVAL_ERRORS as err:
+                return domain_failure(err)
+            except StiffUnderflow:
+                return finish(BudgetExhausted(stiff=True))
+            if math.hypot(xh - start[0], yh - start[1]) <= return_tol:
+                theta_hit = theta + _wrap_pi(_jet_angle(jet_hit) - raw_prev)
+                points.append((xh, yh))
+                times.append(t + dt)
+                thetas.append(theta_hit)
+                return finish(Closed(period=t + dt,
+                                     winding=round((theta_hit - theta0) / TWO_PI)))
+        section.advance_phi(phi, dphi)
+        g_prev = g_new
 
         theta += dtheta
         raw_prev = raw_new
@@ -449,34 +395,36 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
 
 
 def _refine_return(flow: _Flow, section: _Section, p0: tuple[float, float],
-                   t0: float, h_step: float, rtol: float, atol: float):
-    """Locate the section crossing inside the step [t0, t0 + h_step].
+                   k1: tuple[float, float], h_step: float, end, rtol: float, atol: float):
+    """Locate the section crossing inside the accepted step from ``p0``.
 
-    Solves g(flow(p0, dt)) = 0 for dt by bracketing on the real flow (not
-    an interpolant), so the crossing time inherits the integrator's
-    accuracy.  :class:`StiffUnderflow` from the flow propagates, so no
-    partial flow reaches the root finder.
+    Solves g(p(dt)) = 0 for dt in (0, h_step] by bracketing on the real
+    flow: each trial p(dt) is one DP5 sub-step of the accepted step, from
+    its base point ``p0`` with its first stage ``k1`` and the orbit's
+    tolerances, projected back onto the level.  The bracket's ends are
+    ``p0`` and ``end = (x, y, jet)``, the step's projected end point with
+    the jet of f there, so neither is integrated again.  A sub-step whose
+    error norm fails raises :class:`StiffUnderflow`, so no unaccepted
+    point reaches the root finder; evaluation errors come through
+    located.  Returns ``(dt, x, y, jet)`` at the crossing.
     """
     g0 = section.g(p0)
+    subs = {h_step: end}
 
     def g_of_dt(dt: float) -> float:
         if dt <= 0.0:
             return g0
-        px, py = _flow_dt(flow, p0[0], p0[1], dt, rtol, atol, h_step)
-        return section.g((px, py))
+        if dt not in subs:
+            x5, y5, enorm, _, _, jet = dp5_step(flow.kernel, *p0, *k1, dt, rtol, atol)
+            if not enorm <= 1.0:
+                raise StiffUnderflow(f"sub-step of {dt:.3g} from {p0} rejected")
+            subs[dt] = flow.project(x5, y5, jet)
+        return section.g(subs[dt])
 
-    g1 = g_of_dt(h_step)
-    if g0 == 0.0 or g0 * g1 > 0.0:
-        return None
-    if g1 == 0.0:
-        dt_star = h_step
-    else:
-        try:
-            dt_star = brentq(g_of_dt, 0.0, h_step, xtol=1e-14, maxiter=200)
-        except ValueError:
-            return None
-    p_hit = _flow_dt(flow, p0[0], p0[1], dt_star, rtol, atol, h_step)
-    return t0 + dt_star, p_hit
+    dt = h_step
+    if section.g(end) != 0.0:
+        dt = brentq(g_of_dt, 0.0, h_step, xtol=1e-14, maxiter=200)
+    return (dt, *subs[dt])
 
 
 def level_start_point(pmap: PlanarMap, center: tuple[float, float],

@@ -10,7 +10,8 @@ from planarham.centers import (
     isochronous_hint,
     search_zeros,
 )
-from planarham.field import Box, ZERO_TOL
+from planarham.expr import parse_expr
+from planarham.field import Box, PlanarMap, ZERO_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -120,6 +121,14 @@ def test_isochronous_hint_truth_table(example1, example2, example3, identity_map
     assert isochronous_hint(example2)
     assert not isochronous_hint(example1)
     assert not isochronous_hint(example3)
+
+
+@pytest.mark.parametrize("f1", [
+    "1e200*sin(x)*1e200",       # det Df = 1e400 cos(x) overflows everywhere
+    "sqrt(x - 19.95) - 0.01",   # one random sample lands in x >= 19.95
+])
+def test_isochronous_hint_false_below_two_finite_samples(f1):
+    assert not isochronous_hint(PlanarMap(f1=parse_expr(f1), f2=parse_expr("y")))
 
 
 # degenerate zeros are excluded from the center list

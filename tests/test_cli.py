@@ -421,6 +421,41 @@ def test_overflowing_center_fails_as_that_center(tmp_path):
     assert any(w.startswith("center (0, 0):") for w in doc["warnings"])
 
 
+def test_report_without_a_center_is_inconclusive(tmp_path):
+    # f = (x^2, y): the only zero is degenerate, so no center is analyzed
+    out = tmp_path / "r.json"
+    for sub in ("report", "annulus", "global-check"):
+        assert run(sub, "--map", "builtin:control_noninjective",
+                   "--out", str(out)) == 3, sub
+        doc = read_json(out)
+        assert doc["centers"] == []
+        assert ("the zero search found no nondegenerate zero of f in the search box"
+                in doc["warnings"]), sub
+        if sub != "annulus":
+            # no annulus route was compared with the disc route
+            assert doc["compactification"]["routes_agree"] is True
+
+
+@pytest.mark.parametrize("f1", ["1e200*sin(x)*1e200", "1e200*exp(x)*1e200 - 1",
+                                "sqrt(x - 19) - 0.5"])
+def test_isochronous_hint_skips_unevaluable_samples(tmp_path, f1):
+    # det Df overflows or leaves the domain at every (or almost every)
+    # random sample; the hint uses what evaluates and the run goes on
+    spec = tmp_path / "m.map"
+    spec.write_text(f'f1 = "{f1}"\nf2 = "y"\n', encoding="utf-8")
+    out = tmp_path / "c.json"
+    assert run("centers", "--map", str(spec), "--out", str(out)) == 0
+    centers = read_json(out)["centers"]
+    if f1.startswith("sqrt"):
+        (center,) = centers
+        assert center["location"] == [19.25, 0.0]
+        assert center["isochronous_hint"] is False
+    for sub, ext in (("report", "json"), ("portrait", "svg")):
+        out = tmp_path / f"o.{ext}"
+        assert run(sub, "--map", str(spec), "--out", str(out)) in (0, 3), (f1, sub)
+        assert out.exists()
+
+
 # --- figures ----------------------------------------------------------------
 
 def test_portrait_svg(tmp_path):

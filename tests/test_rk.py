@@ -139,7 +139,7 @@ def test_failing_stage_is_located_at_the_stage_point():
 
 def test_domain_failure_names_the_stage_point():
     pmap = PlanarMap(f1=parse_expr("sqrt(x)"), f2=parse_expr("y"), name="halfplane")
-    trace = integrate_orbit(pmap, (1.0, 0.0))
+    trace = integrate_orbit(pmap, (1.0, 0.0), center=(0.0, 0.0))
     assert isinstance(trace.outcome, trace_mod.DomainFailure)
     # the last trial step failed at one of its stage points, x < 0
     at = trace.outcome.message.rsplit(" at ", 1)[1]

@@ -186,8 +186,11 @@ def test_level_unreachable(identity_map):
 
 # ---- outcomes ----
 
-def test_budget_without_section(identity_map):
-    trace = integrate_orbit(identity_map, (1.0, 0.0))  # no center given
+def test_budget_when_return_never_matches(identity_map, monkeypatch):
+    # no return lands within a zero tolerance of the start, so the orbit
+    # winds until the angle budget runs out
+    monkeypatch.setattr(trace_mod, "RETURN_TOL", 0.0)
+    trace = integrate_orbit(identity_map, (1.0, 0.0), center=(0.0, 0.0))
     assert isinstance(trace.outcome, BudgetExhausted)
     assert not trace.outcome.stiff
     assert trace.thetas[-1] - trace.thetas[0] > 3 * TWO_PI
@@ -206,7 +209,7 @@ def test_domain_failure_outcome():
     # H = (x + y^2)/2: the orbit follows x = 1 - y^2 and leaves x >= 0 at
     # (0, 1), t = 2; the step underflows on evaluation errors there
     pmap = PlanarMap(f1=parse_expr("sqrt(x)"), f2=parse_expr("y"), name="halfplane")
-    trace = integrate_orbit(pmap, (1.0, 0.0))
+    trace = integrate_orbit(pmap, (1.0, 0.0), center=(0.0, 0.0))
     assert isinstance(trace.outcome, DomainFailure)
     assert trace.outcome.point == trace.points[-1]
     assert math.dist(trace.outcome.point, (0.0, 1.0)) < 1e-6
@@ -222,28 +225,55 @@ def test_underflow_without_evaluation_error_is_stiff(identity_map, kwargs):
     assert trace.outcome == BudgetExhausted(stiff=True)
 
 
-def test_flow_dt_reraises_located_domain_error():
+def _bracket_refinement(pmap, p0, h_step, rtol=1e-9, atol=1e-12, end_step=None):
+    """Refine a return over the step [0, h_step] from p0.  The bracket's
+    end is the accepted step of ``end_step`` (default ``h_step``), and
+    the section is the horizontal line halfway to it."""
+    flow = trace_mod._Flow(pmap, sample(pmap, p0).hamiltonian)
+    x, y, jet = flow.project(*p0)
+    k1 = trace_mod._jet_rhs(jet)
+    x5, y5, enorm, _, _, jet5 = pmap.orbit_kernel(x, y, *k1, end_step or h_step,
+                                                  1e-9, 1e-12)
+    assert enorm <= 1.0
+    end = flow.project(x5, y5, jet5)
+    mid = 0.5 * (y + end[1])
+    section = trace_mod._Section((x - 1.0, mid), (x, mid))
+    assert section.g((x, y)) * section.g(end) < 0.0
+    return trace_mod._refine_return(flow, section, (x, y), k1, h_step, end, rtol, atol)
+
+
+def test_refinement_substep_crosses_inside_the_step(identity_map):
+    dt, x, y, jet = _bracket_refinement(identity_map, (1.0, 0.0), 0.01)
+    # the unit circle from (1, 0) meets y = sin(0.01)/2 at this time
+    assert abs(dt - math.asin(0.5 * math.sin(0.01))) <= 1e-10
+    assert abs(math.hypot(x, y) - 1.0) <= 1e-12
+    assert jet == identity_map.jet(x, y)
+
+
+def test_refinement_substep_reraises_located_domain_error():
+    # H = (x + y^2)/2, whose orbit leaves x >= 0 at t ~ 1e-3 from here:
+    # the bracket claims a step of 0.01, so the first trial sub-step has
+    # stage points at x < 0, where sqrt(x) fails
     pmap = PlanarMap(f1=parse_expr("sqrt(x)"), f2=parse_expr("y"), name="halfplane")
-    flow = trace_mod._Flow(pmap, 0.5)
+    p0 = (1e-3, math.sqrt(1.0 - 1e-3))
     with pytest.raises(DomainError, match=r"sqrt of a negative value in 'sqrt\(x\)'"):
-        trace_mod._flow_dt(flow, 1e-3, 0.9995, 0.01, 1e-9, 1e-12, 0.01)
+        _bracket_refinement(pmap, p0, 0.01, end_step=5e-4)
 
 
-def test_flow_dt_signals_stiff_underflow(identity_map):
-    # the error norm can never be met: the step underflows at once, and
-    # the start point must not come back as the flow over dt
-    flow = trace_mod._Flow(identity_map, 0.5)
+def test_refinement_substep_signals_stiff_underflow(identity_map):
+    # the error norm can never be met: the first sub-step is rejected,
+    # and its unaccepted end must not come back as the flow over dt
     with pytest.raises(trace_mod.StiffUnderflow):
-        trace_mod._flow_dt(flow, 1.0, 0.0, 0.5, rtol=0.0, atol=1e-300, h_init=0.01)
+        _bracket_refinement(identity_map, (1.0, 0.0), 0.01, rtol=0.0, atol=1e-300)
 
 
 def test_stiff_return_refinement_ends_orbit_stiff(identity_map, monkeypatch):
-    real_flow_dt = trace_mod._flow_dt
+    real_refine = trace_mod._refine_return
 
-    def stiff_flow_dt(flow, x, y, dt, rtol, atol, h_init):
-        return real_flow_dt(flow, x, y, dt, 0.0, 1e-300, h_init)
+    def stiff_refine(flow, section, p0, k1, h_step, end, rtol, atol):
+        return real_refine(flow, section, p0, k1, h_step, end, 0.0, 1e-300)
 
-    monkeypatch.setattr(trace_mod, "_flow_dt", stiff_flow_dt)
+    monkeypatch.setattr(trace_mod, "_refine_return", stiff_refine)
     trace = integrate_orbit(identity_map, (1.0, 0.0), center=(0.0, 0.0))
     assert trace.outcome == BudgetExhausted(stiff=True)
     # it ended at the first return, not by running out of winding
@@ -284,16 +314,64 @@ def test_accepted_point_evaluated_once(example1, monkeypatch):
             self.kernel = recording_kernel
 
     monkeypatch.setattr(trace_mod, "_Flow", RecordingFlow)
-    # no center, so no return refinement: only accepted and rejected steps
-    trace = integrate_orbit(example1, (0.5, 0.0), budget=AngleBudget(max_winding=1))
-    assert trace.outcome == BudgetExhausted(stiff=False)
+    # accepted and rejected steps, then the return refinement's sub-steps
+    trace = integrate_orbit(example1, (0.5, 0.0), budget=AngleBudget(max_winding=1),
+                            center=(0.0, 0.0))
+    assert isinstance(trace.outcome, Closed)
     assert len(step_ends) > 100
     assert all(a != b for a, b in zip(points, points[1:]))
     assert not step_ends.intersection(points)
 
 
+def test_refinement_does_not_repeat_the_accepted_step(example3, monkeypatch):
+    # brentq's bracket ends are the accepted step's own ends: no sub-step
+    # re-integrates the step (p0, h), and the first stage at p0 is the
+    # loop's, so the jet is never evaluated at p0 while refining
+    refining, bases = [], []
+    kernel_calls, jet_calls = [], []
+    real_flow, real_refine = trace_mod._Flow, trace_mod._refine_return
+
+    class RecordingFlow(real_flow):
+        def __init__(self, pmap, h_level):
+            super().__init__(pmap, h_level)
+            jet, kernel = self.jet, self.kernel
+
+            def recording(x, y):
+                if refining:
+                    jet_calls.append((x, y))
+                return jet(x, y)
+
+            def recording_kernel(x, y, k1x, k1y, h, *args):
+                if refining:
+                    kernel_calls.append((refining[-1], (x, y), h))
+                return kernel(x, y, k1x, k1y, h, *args)
+
+            self.jet = recording
+            self.kernel = recording_kernel
+
+    def recording_refine(*args):
+        p0, h_step = args[2], args[4]
+        refining.append((p0, h_step))
+        bases.append(p0)
+        try:
+            return real_refine(*args)
+        finally:
+            refining.pop()
+
+    monkeypatch.setattr(trace_mod, "_Flow", RecordingFlow)
+    monkeypatch.setattr(trace_mod, "_refine_return", recording_refine)
+    trace = integrate_orbit(example3, (0.5, 0.0), budget=AngleBudget(max_winding=2),
+                            center=(0.0, 0.0))
+    assert isinstance(trace.outcome, Closed)
+    assert kernel_calls
+    for (p0, h_step), base, h in kernel_calls:
+        assert base == p0
+        assert 0.0 < h < h_step
+    assert not set(bases).intersection(jet_calls)
+
+
 def test_domain_error_in_return_refinement_ends_orbit(identity_map, monkeypatch):
-    def off_domain(flow, section, p0, t0, h_step, rtol, atol):
+    def off_domain(flow, section, p0, *args):
         raise DomainError("sqrt of a negative value", parse_expr("sqrt(x)"), p0)
 
     monkeypatch.setattr(trace_mod, "_refine_return", off_domain)
@@ -305,7 +383,7 @@ def test_domain_error_in_return_refinement_ends_orbit(identity_map, monkeypatch)
 
 def test_start_at_zero_rejected(identity_map):
     with pytest.raises(ValueError, match="zero"):
-        integrate_orbit(identity_map, (0.0, 0.0))
+        integrate_orbit(identity_map, (0.0, 0.0), center=(0.0, 0.0))
 
 
 def test_budget_dataclass_defaults():

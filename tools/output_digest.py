@@ -6,11 +6,11 @@
     diff old.txt new.txt
 
 Runs every invocation of the three ``perfbench`` workloads for the given
-seeds and rounds, then the runs of ``BUILTIN_RUNS`` (``report``, ``disc``,
-``annulus``, ``portrait``, and ``report``, ``global-check`` and
-``portrait`` with a window, grid, level list, level ceiling, angle
-budget or tolerance of their own) on every builtin map that
-needs no extended gate, all in one process through
+seeds and rounds, then the runs of ``BUILTIN_RUNS`` (``report``,
+``centers``, ``disc``, ``annulus``, ``portrait``, and ``report``,
+``global-check`` and ``portrait`` with a window, grid, level list, level
+ceiling, angle budget or tolerance of their own) on every builtin map
+that needs no extended gate, all in one process through
 ``planarham.cli.run_subcommand``.  Each line is the invocation's label
 and a SHA-256 over its output file, exit code, stdout and stderr, with
 the work directory's path replaced by a fixed marker.  Two checkouts
@@ -35,6 +35,7 @@ BUILTINS = ("example1", "example2", "example3", "identity", "control_noninjectiv
 # (subcommand, output extension, flags...) run on every builtin
 BUILTIN_RUNS = (
     ("report", "json"),
+    ("centers", "json"),
     ("disc", "svg"),
     ("annulus", "json"),
     ("portrait", "svg"),
