@@ -18,13 +18,10 @@ import numpy as np
 from scipy import ndimage
 
 from .centers import CenterRecord
-from .expr import DomainError, eval_grid
-from .field import Box, OverflowEvent, PlanarMap, jacobian_sign_change
+from .expr import eval_grid
+from .field import JET_ERRORS, Box, PlanarMap, jacobian_sign_change
 from .trace import (AngleBudget, LevelUnreachable, WindingCertificate,
                     center_point, winding_certificate)
-
-_EVAL_ERRORS = (ValueError, ZeroDivisionError, OverflowError,
-                DomainError, OverflowEvent)
 
 # bracket width below which a level is "budget", i.e. all good up to h_max
 BUDGET = math.inf
@@ -161,7 +158,7 @@ def default_h_max(pmap: PlanarMap) -> float:
         for (x, y) in edge_pts:
             try:
                 v1, _, _, v2, _, _ = jet(x, y)
-            except _EVAL_ERRORS:
+            except JET_ERRORS:
                 continue
             h = 0.5 * (v1 * v1 + v2 * v2)
             if math.isfinite(h) and h < best:
@@ -287,14 +284,6 @@ class RegionSampler:
         return (float(xs.min()), float(xs.max()),
                 float(ys.min()), float(ys.max()))
 
-    def _hamiltonian(self, p: tuple[float, float]) -> float:
-        try:
-            v1, _, _, v2, _, _ = self._jet(p[0], p[1])
-        except _EVAL_ERRORS:
-            return math.inf
-        h = 0.5 * (v1 * v1 + v2 * v2)
-        return h if math.isfinite(h) else math.inf
-
     def _touches_component(self, i: int, j: int) -> bool:
         n = self.grid_n
         for di in (-1, 0, 1):
@@ -306,33 +295,46 @@ class RegionSampler:
 
     def classify(self, p: tuple[float, float]) -> str:
         """One of "inside", "outside", "boundary" (= within mask resolution)."""
+        return self._classify(p)[0]
+
+    def _classify(self, p: tuple[float, float]) -> tuple[str, tuple[float, float]]:
+        """:meth:`classify` with the image f(p) that placed an inside point."""
         if not self.box.contains(p):
-            return "outside"
+            return "outside", (math.nan, math.nan)
         i, j = self.cell_of(p)
-        below = self._hamiltonian(p) < self.ell_lo
+        try:
+            v1, _, _, v2, _, _ = self._jet(p[0], p[1])
+        except JET_ERRORS:
+            v1 = v2 = math.nan
+        below = 0.5 * (v1 * v1 + v2 * v2) < self.ell_lo     # false on inf and nan
         if self._component[i, j]:
-            return "inside" if below else "boundary"
+            return ("inside" if below else "boundary"), (v1, v2)
         if below and self._touches_component(i, j):
-            return "boundary"
-        return "outside"
+            return "boundary", (v1, v2)
+        return "outside", (v1, v2)
 
     def sample_inside(self, n: int, seed: int = 42) -> list[tuple[float, float]]:
         """n points classified inside, by rejection over component cells."""
+        return [p for p, _ in self._sample_inside(n, seed)]
+
+    def _sample_inside(self, n: int, seed: int) -> list:
+        """:meth:`sample_inside` as (point, image) pairs."""
         rng = np.random.default_rng(seed)
         cells = np.argwhere(self._component)
         if len(cells) == 0:
             raise RuntimeError("empty region component")
-        out: list[tuple[float, float]] = []
+        out = []
         attempts = 0
         while len(out) < n:
             attempts += 1
             if attempts > 200 * n:
                 raise RuntimeError("rejection sampling stalled; region too thin")
             i, j = cells[rng.integers(len(cells))]
-            x = self.box.xmin + (i + rng.random()) * self._dx
-            y = self.box.ymin + (j + rng.random()) * self._dy
-            if self.classify((x, y)) == "inside":
-                out.append((x, y))
+            p = (self.box.xmin + (i + rng.random()) * self._dx,
+                 self.box.ymin + (j + rng.random()) * self._dy)
+            label, image = self._classify(p)
+            if label == "inside":
+                out.append((p, image))
         return out
 
 
@@ -457,46 +459,39 @@ def injectivity_spotcheck(pmap: PlanarMap, sampler: RegionSampler,
     up with rejection samples to reach n.  Images are bucketed on a
     1e-4 hash grid; points in the same or adjacent buckets collide when
     the images agree to 1e-6 while the points are at least 1e-3 apart.
-    An empty report means "no collision found", not "injective".
+    An empty report means "no collision found", not "injective".  Each
+    image is the evaluation of f that placed its point inside the region.
     """
     if n < 100:
         raise ValueError("need at least 100 sample points")
     bx0, bx1, by0, by1 = sampler.component_bbox()
     m = math.isqrt(n - 1) + 1
-    pts: list[tuple[float, float]] = []
+    inside: list[tuple[tuple[float, float], tuple[float, float]]] = []  # (point, image)
     for j in range(m):
         y = by0 + (by1 - by0) * (j + 0.5) / m
         for i in range(m):
             x = bx0 + (bx1 - bx0) * (i + 0.5) / m
-            if sampler.classify((x, y)) == "inside":
-                pts.append((x, y))
-            if len(pts) == n:
+            label, image = sampler._classify((x, y))
+            if label == "inside":
+                inside.append(((x, y), image))
+            if len(inside) == n:
                 break
-        if len(pts) == n:
+        if len(inside) == n:
             break
-    if len(pts) < n:
-        pts.extend(sampler.sample_inside(n - len(pts), seed=rng_seed))
+    if len(inside) < n:
+        inside.extend(sampler._sample_inside(n - len(inside), seed=rng_seed))
 
-    jet = pmap.jet
     buckets: dict[tuple[int, int], list[int]] = {}
-    images: list[tuple[float, float]] = []
     collisions: list[Collision] = []
     truncated = False
-    for idx, (x, y) in enumerate(pts):
-        try:
-            v1, _, _, v2, _, _ = jet(x, y)
-        except _EVAL_ERRORS:
-            images.append((math.nan, math.nan))
-            continue
-        images.append((v1, v2))
+    for idx, ((x, y), (v1, v2)) in enumerate(inside):
         key = (math.floor(v1 / _HASH_CELL), math.floor(v2 / _HASH_CELL))
         if not truncated:
             for di in (-1, 0, 1):
                 for dj in (-1, 0, 1):
                     for other in buckets.get((key[0] + di, key[1] + dj), ()):
-                        ou, ov = images[other]
+                        (ox, oy), (ou, ov) = inside[other]
                         d_img = math.hypot(v1 - ou, v2 - ov)
-                        ox, oy = pts[other]
                         if (d_img <= _IMAGE_TOL
                                 and math.hypot(x - ox, y - oy) >= _POINT_SEP):
                             collisions.append(
@@ -504,7 +499,7 @@ def injectivity_spotcheck(pmap: PlanarMap, sampler: RegionSampler,
                             if len(collisions) >= _MAX_COLLISIONS:
                                 truncated = True
         buckets.setdefault(key, []).append(idx)
-    return SpotcheckReport(len(pts), tuple(collisions), truncated)
+    return SpotcheckReport(len(inside), tuple(collisions), truncated)
 
 
 @dataclass(frozen=True)

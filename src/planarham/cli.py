@@ -64,8 +64,9 @@ class RunConfig:
     """One run's knobs; everything downstream reads only this.
 
     ``grid_n=None`` keeps each stage's own default (search 32, region
-    200, portrait 160).  ``rng_seed`` covers every randomized sample in
-    the pipeline, so a fixed config pins the whole run.
+    200, portrait 160).  ``rng_seed`` seeds the randomized samples of
+    the spot check; ``centers.isochronous_hint`` draws from its own fixed
+    ``ISO_SEED``, so a fixed config still pins the whole run.
     """
 
     map_source: str
@@ -81,12 +82,12 @@ class RunConfig:
     levels: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.tol > 0:            # also rejects nan
-            raise InputError("tol must be positive")
+        if not 0 < self.tol < math.inf:     # also rejects nan
+            raise InputError("tol must be finite and positive")
         if self.grid_n is not None and self.grid_n < 8:
             raise InputError("grid must be at least 8")
-        if self.h_max is not None and not self.h_max > 0:
-            raise InputError("h-max must be positive")
+        if self.h_max is not None and not 0 < self.h_max < math.inf:
+            raise InputError("h-max must be finite and positive")
         if self.max_winding < 1:
             raise InputError("max-winding must be at least 1")
         if self.levels is not None:
@@ -121,12 +122,9 @@ def _parse_box(text: str) -> Box:
     if len(parts) != 4:
         raise InputError("box must be xmin,xmax,ymin,ymax")
     try:
-        xmin, xmax, ymin, ymax = (float(p) for p in parts)
+        return Box(*(float(p) for p in parts))
     except ValueError as exc:
         raise InputError(f"bad box {text!r}: {exc}") from exc
-    if not (xmin < xmax and ymin < ymax):
-        raise InputError("box must have xmin < xmax and ymin < ymax")
-    return Box(xmin, xmax, ymin, ymax)
 
 
 def _parse_levels(text: str) -> tuple[float, ...]:
@@ -719,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-winding", type=int, default=3, dest="max_winding",
                        help="angle budget for orbit tracing, in turns")
         p.add_argument("--seed", type=int, default=42, dest="rng_seed",
-                       help="seed for all randomized sampling")
+                       help="seed for the spot check's random samples")
         p.add_argument("--out", default=None,
                        help="output path (JSON report, or SVG for the "
                             "portrait and disc subcommands)")

@@ -47,6 +47,8 @@ class Box:
     def __post_init__(self):
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise ValueError(f"empty box: {self}")
+        if not (math.isfinite(self.xmax - self.xmin) and math.isfinite(self.ymax - self.ymin)):
+            raise ValueError(f"box needs finite corners, width and height: {self}")
 
     def contains(self, p: tuple[float, float]) -> bool:
         x, y = p
@@ -254,13 +256,16 @@ class ValidationInconclusive(RuntimeError):
 def validate_hamiltonian(pmap: PlanarMap) -> HamiltonianValidation:
     """Check the declared polynomial against (f1^2+f2^2)/2 on a grid.
 
-    The grid covers domain intersected with [-3,3]^2; a point passes when
-    the residual is within 1e-8*(1+|H|).  Domain errors skip the point;
-    more than 20% skipped raises :class:`ValidationInconclusive`.
+    The grid covers domain intersected with [-3,3]^2, or the domain itself
+    when the two do not overlap; a point passes when the residual is
+    within 1e-8*(1+|H|).  Domain errors skip the point; more than 20%
+    skipped raises :class:`ValidationInconclusive`.
     """
     if pmap.declared_hamiltonian is None:
         raise ValueError("no declared Hamiltonian to validate")
-    box = pmap.working_box().intersect(Box(-3.0, 3.0, -3.0, 3.0))
+    box = pmap.working_box()
+    if box.xmin < 3.0 and box.xmax > -3.0 and box.ymin < 3.0 and box.ymax > -3.0:
+        box = box.intersect(Box(-3.0, 3.0, -3.0, 3.0))
     h_at = compile_polys(pmap.declared_hamiltonian)
     worst_res = -1.0
     worst_pt = (math.nan, math.nan)
@@ -366,7 +371,10 @@ def _parse_domain(text: str) -> Box | None:
     m = _BOX_RE.match(text)
     if m is None:
         raise MapSpecError(f'domain must be "plane" or "box(xmin, xmax, ymin, ymax)", got {text!r}')
-    return Box(*(float(g) for g in m.groups()))
+    try:
+        return Box(*(float(g) for g in m.groups()))
+    except ValueError as exc:
+        raise MapSpecError(f"domain: {exc}") from None
 
 
 def load_map_spec(path: str | Path) -> PlanarMap:

@@ -7,9 +7,10 @@ an orbit the image f(orbit) moves on the circle of radius sqrt(2h) with
 angular speed det Df, so the continuous lift theta of atan2(f2, f1) is
 strictly increasing and closure bookkeeping can budget on it.
 
-Step acceptance caps the per-step advance of theta (keeps the unwrap
-unambiguous and the image-circle coverage dense) and of the domain
-angle around the center (so a step can never jump the return section).
+Step acceptance caps the per-step advance of theta, which keeps the
+unwrap unambiguous and the image-circle coverage dense.  theta grows by
+exactly 2*pi*k from the start to a return of winding k, so returns are
+looked for only at whole turns of theta.
 
 Each trial step is one call of the map's generated orbit kernel
 (:attr:`PlanarMap.orbit_kernel`, see :mod:`planarham.rk`) through
@@ -37,7 +38,6 @@ ATOL = 1e-12
 # 0.085 rad per step keeps image-angle gaps far below the 5-degree
 # coverage requirement while letting an orbit close in ~75 steps
 MAX_DTHETA = 0.085
-MAX_DPHI = 0.35
 PROJECT_TOL = 1e-13
 STEP_UNDERFLOW = 1e-14
 RETURN_TOL = 1e-7
@@ -192,52 +192,6 @@ def _wrap_pi(a: float) -> float:
     return a
 
 
-class _Section:
-    """Return section: the ray from the center through the start point."""
-
-    def __init__(self, center: tuple[float, float], start: tuple[float, float]):
-        self.cx, self.cy = center
-        dx = start[0] - self.cx
-        dy = start[1] - self.cy
-        norm = math.hypot(dx, dy)
-        self.ux = dx / norm
-        self.uy = dy / norm
-        self.scale = norm
-        self.sign_ref = 0.0  # sign of g just after leaving the start
-        self.armed = False
-        self.phi_acc = 0.0
-        self.phi_prev = math.atan2(dy, dx)
-
-    def g(self, p: tuple[float, float]) -> float:
-        """Signed cross-track offset from the section line."""
-        return self.ux * (p[1] - self.cy) - self.uy * (p[0] - self.cx)
-
-    def on_ray_side(self, p: tuple[float, float]) -> bool:
-        return self.ux * (p[0] - self.cx) + self.uy * (p[1] - self.cy) > 0.0
-
-    def advance_phi(self, phi: float, dphi: float) -> None:
-        """Move on to domain angle ``phi``, ``dphi`` (wrapped) past the
-        last one; arms the section once the orbit has moved 0.5 rad away
-        from the start ray."""
-        self.phi_prev = phi
-        self.phi_acc += dphi
-        if abs(self.phi_acc) > 0.5:
-            self.armed = True
-
-    def crossing(self, p_prev: tuple[float, float], g_prev: float,
-                 p_new: tuple[float, float], g_new: float) -> bool:
-        """True when the segment crosses the ray in the start orientation;
-        ``g_prev`` and ``g_new`` are the offsets :meth:`g` of its ends."""
-        if self.sign_ref == 0.0 and g_new != 0.0:
-            self.sign_ref = math.copysign(1.0, g_new)
-            return False
-        if not self.armed:
-            return False
-        if not (g_prev * self.sign_ref < 0.0 and g_new * self.sign_ref >= 0.0):
-            return False
-        return self.on_ray_side(p_prev) and self.on_ray_side(p_new)
-
-
 def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
                     budget: AngleBudget = AngleBudget(),
                     *, center: tuple[float, float],
@@ -245,9 +199,12 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
                     max_dtheta: float = MAX_DTHETA) -> OrbitTrace:
     """Trace the orbit through ``start`` on its own level of H.
 
-    Stops at closure (a return to the section through ``center`` and
-    ``start`` within RETURN_TOL of the start), escape from the working
-    box, a domain error, or the angle budget.
+    Stops at closure, escape from the working box, a domain error, or
+    the angle budget.  A return of winding k lies in the accepted step
+    where theta - theta0 first reaches 2*pi*k.  When that step crosses
+    the line through ``center`` and ``start``, the crossing is refined
+    (:func:`_refine_return`); the orbit is :class:`Closed` when it lies
+    within RETURN_TOL * (1 + |start - center|) of the start.
 
     A trial step whose evaluation fails (a DP5 stage, the projection or
     the image angle left the map's domain) is retried with a fifth of the
@@ -255,11 +212,10 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
     run off the domain: the outcome is :class:`DomainFailure` at the last
     accepted point, whose message names the failing subexpression and the
     point where evaluation broke down.  Underflow forced by the error norm
-    or by the dtheta/dphi caps is stiffness instead, and gives
-    ``BudgetExhausted(stiff=True)``.  Locating the return crossing takes
-    sub-steps of the accepted step (see :func:`_refine_return`); one that
-    fails to evaluate ends the orbit as a :class:`DomainFailure` at the
-    last accepted point, one that is rejected as stiff.
+    or by the dtheta cap is stiffness instead, and gives
+    ``BudgetExhausted(stiff=True)``.  A refinement sub-step that fails to
+    evaluate ends the orbit as a :class:`DomainFailure` at the last
+    accepted point, one that is rejected as stiff.
 
     Each accepted point is evaluated once after its projection: the image
     angle and the next step's first stage come from that jet.
@@ -270,9 +226,14 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
     h_level = s0.hamiltonian
     flow = _Flow(pmap, h_level)
     box = pmap.working_box()
-    section = _Section(center, start)
-    scale = 1.0 + section.scale
+    cx, cy = center
+    norm = math.hypot(start[0] - cx, start[1] - cy)
+    ux, uy = (start[0] - cx) / norm, (start[1] - cy) / norm
+    scale = 1.0 + norm
     return_tol = RETURN_TOL * scale
+
+    def offset(p: tuple[float, float]) -> float:   # signed, from the center-start line
+        return ux * (p[1] - cy) - uy * (p[0] - cx)
 
     theta = math.atan2(s0.f_value[1], s0.f_value[0])
     try:
@@ -288,11 +249,11 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
     times = [0.0]
     thetas = [theta]
     theta0 = theta
+    turn = TWO_PI               # theta - theta0 at the next whole turn
     max_theta = budget.max_winding * 2 * math.pi
     kernel = flow.kernel
     xmin, xmax, ymin, ymax = box.xmin, box.xmax, box.ymin, box.ymax
-    cx, cy, ux, uy = section.cx, section.cy, section.ux, section.uy
-    g_prev = section.g((x, y))
+    g_prev = offset((x, y))
 
     speed = math.hypot(fx, fy)
     h = min(0.01, 0.1 * scale / (1.0 + speed))
@@ -303,7 +264,7 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
     def domain_failure(err: ArithmeticError) -> OrbitTrace:
         return finish(DomainFailure(points[-1], str(err)))
 
-    # the loop inlines _jet_angle, _wrap_pi, _Section.g and Box.exit_side's test
+    # the loop inlines _jet_angle, _wrap_pi, offset and Box.exit_side's test
     for _ in range(budget.max_steps):
         try:
             x5, y5, enorm, _, _, jet = dp5_step(kernel, x, y, fx, fy, h, rtol, atol)
@@ -316,7 +277,7 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
             # one stage overshooting the domain edge is not yet a failure,
             # so retry smaller.  Underflow here means the orbit itself ran
             # off the domain (DomainFailure at the last accepted point);
-            # underflow from the error norm or the caps below is stiffness
+            # underflow from the error norm or the cap below is stiffness
             h *= 0.2
             if h < STEP_UNDERFLOW:
                 return domain_failure(err)
@@ -337,20 +298,6 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
             if h < STEP_UNDERFLOW:
                 return finish(BudgetExhausted(stiff=True))
             continue
-        # one atan2 per accepted point: the probe's angle is the one the
-        # section advances to
-        phi = math.atan2(yp - cy, xp - cx)
-        dphi = phi - section.phi_prev
-        while dphi > math.pi:
-            dphi -= TWO_PI
-        while dphi < -math.pi:
-            dphi += TWO_PI
-        if abs(dphi) > MAX_DPHI:
-            h *= max(0.2, 0.8 * MAX_DPHI / abs(dphi))
-            if h < STEP_UNDERFLOW:
-                return finish(BudgetExhausted(stiff=True))
-            continue
-
         if dtheta < 0.0:
             return finish(DomainFailure(
                 (xp, yp), "image angle regressed; det Df <= 0 along the orbit?"))
@@ -358,25 +305,27 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
         t_new = t + h
         p_new = (xp, yp)
         g_new = ux * (yp - cy) - uy * (xp - cx)
-        if section.crossing((x, y), g_prev, p_new, g_new):
-            try:
-                dt, xh, yh, jet_hit = _refine_return(flow, section, (x, y), (fx, fy), h,
-                                                     (xp, yp, jet), rtol, atol)
-            except _EVAL_ERRORS as err:
-                return domain_failure(err)
-            except StiffUnderflow:
-                return finish(BudgetExhausted(stiff=True))
-            if math.hypot(xh - start[0], yh - start[1]) <= return_tol:
-                theta_hit = theta + _wrap_pi(_jet_angle(jet_hit) - raw_prev)
-                points.append((xh, yh))
-                times.append(t + dt)
-                thetas.append(theta_hit)
-                return finish(Closed(period=t + dt,
-                                     winding=round((theta_hit - theta0) / TWO_PI)))
-        section.advance_phi(phi, dphi)
+        theta_new = theta + dtheta
+        if theta_new - theta0 >= turn:
+            turn += TWO_PI
+            if g_prev < 0.0 <= g_new or g_new <= 0.0 < g_prev:     # crosses that line
+                try:
+                    dt, xh, yh, jet_hit = _refine_return(flow, offset, (x, y), (fx, fy), h,
+                                                         (xp, yp, jet), rtol, atol)
+                except _EVAL_ERRORS as err:
+                    return domain_failure(err)
+                except StiffUnderflow:
+                    return finish(BudgetExhausted(stiff=True))
+                if math.hypot(xh - start[0], yh - start[1]) <= return_tol:
+                    theta_hit = theta + _wrap_pi(_jet_angle(jet_hit) - raw_prev)
+                    points.append((xh, yh))
+                    times.append(t + dt)
+                    thetas.append(theta_hit)
+                    return finish(Closed(period=t + dt,
+                                         winding=round((theta_hit - theta0) / TWO_PI)))
         g_prev = g_new
 
-        theta += dtheta
+        theta = theta_new
         raw_prev = raw_new
         x, y = xp, yp
         t = t_new
@@ -394,21 +343,22 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
     return finish(BudgetExhausted(stiff=False))
 
 
-def _refine_return(flow: _Flow, section: _Section, p0: tuple[float, float],
+def _refine_return(flow: _Flow, offset, p0: tuple[float, float],
                    k1: tuple[float, float], h_step: float, end, rtol: float, atol: float):
-    """Locate the section crossing inside the accepted step from ``p0``.
+    """Locate the return crossing inside the accepted step from ``p0``.
 
-    Solves g(p(dt)) = 0 for dt in (0, h_step] by bracketing on the real
-    flow: each trial p(dt) is one DP5 sub-step of the accepted step, from
-    its base point ``p0`` with its first stage ``k1`` and the orbit's
-    tolerances, projected back onto the level.  The bracket's ends are
+    Solves offset(p(dt)) = 0 for dt in (0, h_step], ``offset`` being the
+    signed distance from the line through the center and the start, on
+    the real flow: each trial p(dt) is one DP5 sub-step of the accepted
+    step, from its base point ``p0`` with its first stage ``k1`` and the
+    orbit's tolerances, projected back onto the level.  The bracket's ends are
     ``p0`` and ``end = (x, y, jet)``, the step's projected end point with
     the jet of f there, so neither is integrated again.  A sub-step whose
     error norm fails raises :class:`StiffUnderflow`, so no unaccepted
     point reaches the root finder; evaluation errors come through
     located.  Returns ``(dt, x, y, jet)`` at the crossing.
     """
-    g0 = section.g(p0)
+    g0 = offset(p0)
     subs = {h_step: end}
 
     def g_of_dt(dt: float) -> float:
@@ -419,10 +369,10 @@ def _refine_return(flow: _Flow, section: _Section, p0: tuple[float, float],
             if not enorm <= 1.0:
                 raise StiffUnderflow(f"sub-step of {dt:.3g} from {p0} rejected")
             subs[dt] = flow.project(x5, y5, jet)
-        return section.g(subs[dt])
+        return offset(subs[dt])
 
     dt = h_step
-    if section.g(end) != 0.0:
+    if offset(end) != 0.0:
         dt = brentq(g_of_dt, 0.0, h_step, xtol=1e-14, maxiter=200)
     return (dt, *subs[dt])
 
@@ -489,9 +439,10 @@ def winding_certificate(pmap: PlanarMap, center: tuple[float, float], h: float,
                         rtol: float = RTOL, atol: float = ATOL) -> WindingCertificate:
     """Injectivity evidence for f restricted to the orbit at level h.
 
-    The certificate is positive exactly when the orbit closes and its
-    image winds once around the origin circle with all trace invariants
-    holding.
+    The certificate is positive exactly when the orbit closes, its image
+    winds once around the origin, the closed trace polygon winds once
+    around the center (the start may lie on another center's oval), and
+    the trace invariants hold.
     """
     cpt = center_point(center)
     start = level_start_point(pmap, cpt, h)  # may raise LevelUnreachable
@@ -500,10 +451,26 @@ def winding_certificate(pmap: PlanarMap, center: tuple[float, float], h: float,
     closed = isinstance(trace.outcome, Closed)
     winding = trace.outcome.winding if closed else 0
     period = trace.outcome.period if closed else None
-    injective = closed and winding == 1 and _invariants_hold(pmap, trace)
+    injective = (closed and winding == 1 and _winds_once(trace.points, cpt)
+                 and _invariants_hold(pmap, trace))
     return WindingCertificate(h=h, start=start, closed=closed,
                               injective_on_orbit=injective, winding=winding,
                               period=period, trace=trace)
+
+
+def _winds_once(points, center: tuple[float, float]) -> bool:
+    """Whether the closed polygon through ``points`` winds once round
+    ``center``, counterclockwise: the signed crossings of the half-line
+    from the center in +x, which is exact for any edge length."""
+    cx, cy = center
+    wn = 0
+    for (ax, ay), (bx, by) in zip(points, points[1:] + points[:1]):
+        side = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
+        if ay <= cy < by and side > 0.0:
+            wn += 1
+        elif by <= cy < ay and side < 0.0:
+            wn -= 1
+    return wn == 1
 
 
 def _invariants_hold(pmap: PlanarMap, trace: OrbitTrace) -> bool:

@@ -1,5 +1,6 @@
 """Annulus bracket, region oracle, image shape, globality, spotcheck."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -344,6 +345,25 @@ def test_spotcheck_catches_even_map(noninjective_map):
     assert c.image_distance <= 1e-6
     assert abs(c.p[0] + c.q[0]) <= 1e-9    # mirrored in x
     assert abs(c.p[1] - c.q[1]) <= 1e-9    # same y
+
+
+def test_spotcheck_evaluates_each_point_once(example1, ex1_estimate):
+    # a point's image is the evaluation that classified it inside
+    pmap = dataclasses.replace(example1)
+    calls = []
+    jet = example1.jet
+
+    def recording(x, y):
+        calls.append((x, y))
+        return jet(x, y)
+
+    pmap.__dict__["jet"] = recording        # the map's cached jet
+    sampler = region(pmap, (0.0, 0.0), ex1_estimate.ell_lo, grid_n=200,
+                     box=Box(-3, 3, -3, 3))
+    calls.clear()
+    report = injectivity_spotcheck(pmap, sampler, n=2000)
+    assert report.clean and report.n_sampled == 2000
+    assert len(set(calls)) == len(calls) >= 2000
 
 
 def test_spotcheck_sample_floor(example1, ex1_region):

@@ -183,6 +183,38 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert run("report", "--map", "builtin:example1", "--grid", "4") == 2
 
 
+@pytest.mark.parametrize("argv, field", [
+    (("report", "--box=-inf,inf,-1,1"), "box"),
+    (("report", "--box=-1e400,1e400,-1,1"), "box"),
+    (("report", "--h-max", "inf"), "h-max"),
+    (("report", "--h-max", "1e400"), "h-max"),
+    (("report", "--tol", "inf"), "tol"),
+    (("report", "--tol", "1e400"), "tol"),
+    (("portrait", "--box=-inf,inf,-1,1"), "box"),
+    # finite corners, but a width that overflows to inf
+    (("centers", "--box=-1e308,1e308,-1,1"), "box"),
+])
+def test_non_finite_flags_exit_2_without_output(tmp_path, capsys, argv, field):
+    out = tmp_path / "out"
+    assert run(argv[0], "--map", "builtin:identity", *argv[1:], "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("domain", [
+    "box(1, 0, 0, 1)", "box(-1e999, 1e999, -1, 1)", "box(-1e308, 1e308, -1, 1)",
+])
+def test_empty_or_non_finite_domain_exits_2(tmp_path, capsys, domain):
+    spec = tmp_path / "d.map"
+    spec.write_text(f'f1 = "x"\nf2 = "y"\ndomain = "{domain}"\n', encoding="utf-8")
+    out = tmp_path / "c.json"
+    assert run("centers", "--map", str(spec), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "domain" in err
+    assert not out.exists()
+
+
 def test_pinchuk_is_gated(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv(cli.EXTENDED_ENV, raising=False)
     assert run("centers", "--map", "builtin:pinchuk200") == 2
@@ -352,6 +384,19 @@ def test_map_file_with_declared_hamiltonian(tmp_path):
     assert doc["map"]["name"] == "ex2clone"
     assert doc["map"]["domain"] is None
     assert doc["map"]["declared_hamiltonian"] is not None
+
+
+def test_declared_hamiltonian_on_a_domain_away_from_the_origin(tmp_path):
+    # the domain does not meet [-3, 3]^2, so H is validated on the domain
+    spec = tmp_path / "far.map"
+    spec.write_text(
+        'f1 = "x - 15"\nf2 = "y - 15"\n'
+        'hamiltonian = "0.5*(x - 15)^2 + 0.5*(y - 15)^2"\n'
+        'domain = "box(10, 20, 10, 20)"\n',
+        encoding="utf-8")
+    out = tmp_path / "c.json"
+    assert run("centers", "--map", str(spec), "--out", str(out)) == 0
+    assert [c["location"] for c in read_json(out)["centers"]] == [[15.0, 15.0]]
 
 
 def test_map_file_errors_exit_2(tmp_path, capsys):

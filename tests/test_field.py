@@ -196,6 +196,16 @@ def test_validate_inconclusive_when_domain_mostly_bad():
         validate_hamiltonian(pmap)
 
 
+def test_validate_on_a_domain_away_from_the_origin():
+    # box(10, 20, 10, 20) misses [-3, 3]^2, so the grid covers the domain
+    declared = to_poly(parse_expr("0.5*(x - 15)^2 + 0.5*(y - 15)^2"))
+    pmap = PlanarMap(f1=parse_expr("x - 15"), f2=parse_expr("y - 15"),
+                     domain=Box(10.0, 20.0, 10.0, 20.0), declared_hamiltonian=declared)
+    result = validate_hamiltonian(pmap)
+    assert result.ok and result.n_skipped == 0
+    assert 10.0 <= result.worst_point[0] <= 20.0
+
+
 def test_effective_hamiltonian_poly(example1, example2, identity_map):
     assert effective_hamiltonian_poly(example2) == example2.declared_hamiltonian
     assert effective_hamiltonian_poly(example1) is None
@@ -226,6 +236,15 @@ def test_box_basics():
     assert b.diameter() == math.hypot(3, 7)
     with pytest.raises(ValueError):
         Box(1, 1, 0, 2)
+
+
+@pytest.mark.parametrize("corners", [
+    (-math.inf, math.inf, -1, 1), (-1, 1, 0, math.inf), (math.nan, 1, 0, 1),
+    (-1e308, 1e308, -1, 1),          # finite corners, infinite width
+])
+def test_box_must_be_finite(corners):
+    with pytest.raises(ValueError):
+        Box(*corners)
 
 
 def test_plane_box_window(example1):

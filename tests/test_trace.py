@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from planarham import trace as trace_mod
+from planarham.annulus import BAD, INCONCLUSIVE, classify_certificate
 from planarham.expr import DomainError, parse_expr
 from planarham.field import Box, PlanarMap, sample
 from planarham.trace import (
@@ -228,7 +229,7 @@ def test_underflow_without_evaluation_error_is_stiff(identity_map, kwargs):
 def _bracket_refinement(pmap, p0, h_step, rtol=1e-9, atol=1e-12, end_step=None):
     """Refine a return over the step [0, h_step] from p0.  The bracket's
     end is the accepted step of ``end_step`` (default ``h_step``), and
-    the section is the horizontal line halfway to it."""
+    the offset is taken from the horizontal line halfway to it."""
     flow = trace_mod._Flow(pmap, sample(pmap, p0).hamiltonian)
     x, y, jet = flow.project(*p0)
     k1 = trace_mod._jet_rhs(jet)
@@ -237,9 +238,12 @@ def _bracket_refinement(pmap, p0, h_step, rtol=1e-9, atol=1e-12, end_step=None):
     assert enorm <= 1.0
     end = flow.project(x5, y5, jet5)
     mid = 0.5 * (y + end[1])
-    section = trace_mod._Section((x - 1.0, mid), (x, mid))
-    assert section.g((x, y)) * section.g(end) < 0.0
-    return trace_mod._refine_return(flow, section, (x, y), k1, h_step, end, rtol, atol)
+
+    def offset(p):
+        return p[1] - mid
+
+    assert offset((x, y)) * offset(end) < 0.0
+    return trace_mod._refine_return(flow, offset, (x, y), k1, h_step, end, rtol, atol)
 
 
 def test_refinement_substep_crosses_inside_the_step(identity_map):
@@ -270,8 +274,8 @@ def test_refinement_substep_signals_stiff_underflow(identity_map):
 def test_stiff_return_refinement_ends_orbit_stiff(identity_map, monkeypatch):
     real_refine = trace_mod._refine_return
 
-    def stiff_refine(flow, section, p0, k1, h_step, end, rtol, atol):
-        return real_refine(flow, section, p0, k1, h_step, end, 0.0, 1e-300)
+    def stiff_refine(flow, offset, p0, k1, h_step, end, rtol, atol):
+        return real_refine(flow, offset, p0, k1, h_step, end, 0.0, 1e-300)
 
     monkeypatch.setattr(trace_mod, "_refine_return", stiff_refine)
     trace = integrate_orbit(identity_map, (1.0, 0.0), center=(0.0, 0.0))
@@ -371,7 +375,7 @@ def test_refinement_does_not_repeat_the_accepted_step(example3, monkeypatch):
 
 
 def test_domain_error_in_return_refinement_ends_orbit(identity_map, monkeypatch):
-    def off_domain(flow, section, p0, *args):
+    def off_domain(flow, offset, p0, *args):
         raise DomainError("sqrt of a negative value", parse_expr("sqrt(x)"), p0)
 
     monkeypatch.setattr(trace_mod, "_refine_return", off_domain)
@@ -379,6 +383,52 @@ def test_domain_error_in_return_refinement_ends_orbit(identity_map, monkeypatch)
     assert isinstance(trace.outcome, DomainFailure)
     assert trace.outcome.point == trace.points[-1]
     assert "sqrt(x)" in trace.outcome.message
+
+
+# ---- returns at whole turns of the image angle ----
+
+@pytest.fixture
+def square_map():
+    # f = z^2 - 1: centers at (+-1, 0), det Df = 4|z|^2 vanishes at the origin
+    return PlanarMap(f1=parse_expr("x^2 - y^2 - 1"), f2=parse_expr("2*x*y"), name="square")
+
+
+def test_winding_two_return(square_map):
+    # |z^2 - 1| = sqrt(2) is one oval round both centers, whose image winds
+    # twice; half-way round (theta up one turn) the orbit crosses the start
+    # line again at -start, which must not close it
+    cert = winding_certificate(square_map, (1.0, 0.0), 1.0)
+    assert isinstance(cert.trace.outcome, Closed) and cert.trace.outcome.winding == 2
+    assert classify_certificate(cert) == (BAD, "winding=2")
+
+
+def test_winding_two_return_past_a_one_turn_budget(square_map):
+    cert = winding_certificate(square_map, (1.0, 0.0), 1.0,
+                               budget=AngleBudget(max_winding=1))
+    assert cert.trace.outcome == BudgetExhausted(stiff=False)
+
+
+def test_closed_orbit_round_another_center_is_inconclusive(square_map):
+    # the start ray from (-1, 0) steps over the center's own oval and lands
+    # on the other center's, at (1.4135, 0): that orbit closes with winding
+    # one but does not go round (-1, 0), which proves nothing either way
+    cert = winding_certificate(square_map, (-1.0, 0.0), 0.498)
+    assert abs(cert.start[0] - math.sqrt(1.0 + math.sqrt(0.996))) <= 1e-9
+    assert cert.closed and cert.winding == 1
+    assert not cert.injective_on_orbit
+    assert classify_certificate(cert) == (INCONCLUSIVE, "invariant-violation")
+
+
+@pytest.mark.parametrize("h", [1e-4, 1e-2])
+def test_anisotropic_linear_map_closes(h):
+    # f = diag(1, 1/100) R(0.3) p: ellipses of aspect 100, where the domain
+    # angle turns fast at the ends of the long axis; period 2*pi/det = 200*pi
+    c, s = math.cos(0.3), math.sin(0.3)
+    pmap = PlanarMap(f1=parse_expr(f"{c!r}*x - {s!r}*y"),
+                     f2=parse_expr(f"({s!r}*x + {c!r}*y)/100"), name="anisotropic")
+    cert = winding_certificate(pmap, (0.0, 0.0), h)
+    assert cert.closed and cert.injective_on_orbit and cert.winding == 1
+    assert abs(cert.period - 200 * math.pi) <= 1e-8 * 200 * math.pi
 
 
 def test_start_at_zero_rejected(identity_map):

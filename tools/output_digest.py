@@ -44,6 +44,7 @@ BUILTIN_RUNS = (
     ("portrait", "svg", "--box=-3,3,-2,9", "--grid", "64"),
     ("report", "json", "--max-winding", "2", "--tol", "1e-4"),
     ("portrait", "svg", "--grid", "400", "--levels=0.05,0.5,2"),
+    ("report", "json", "--max-winding", "1"),
 )
 
 
