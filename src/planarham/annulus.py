@@ -3,10 +3,16 @@
 The annulus around a center is probed level by level: a level h is GOOD
 when the traced orbit closes with winding one and the invariant checks
 hold (an injectivity certificate for f restricted to that orbit).
-Nesting of orbits makes GOOD downward-closed in h, so a bisection
-brackets the supremum ell of certified levels.  Everything downstream
-(region mask, image shape, globality verdict, traced rim) reads the
-:class:`EllEstimate`, whose rim is its GOOD probe's orbit at ell_lo.
+Nesting of orbits makes GOOD downward-closed in h, so a bracket of one
+uncertified and one certified level holds the supremum ell of certified
+levels.  While det Df != 0, the only critical points of H are the zeros
+of f, so ell is where the center's sublevel component first reaches the
+window edge: :func:`predict_ell` reads that contact off the H grid, and
+two probes either side of it usually give the bracket; a bisection
+finds it otherwise.  Certificates decide every level.  Everything
+downstream (region mask, image shape, globality verdict, traced rim)
+reads the :class:`EllEstimate`, whose rim is its GOOD probe's orbit at
+ell_lo.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+from scipy.optimize import minimize_scalar
 
 from .centers import CenterRecord
 from .expr import eval_grid
@@ -30,6 +37,9 @@ SPOTCHECK_N = 2000          # spot-check sample points per center report
 GOOD = "good"
 BAD = "bad"
 INCONCLUSIVE = "inconclusive"
+
+# the verdict reason that voids the standing hypothesis det Df != 0
+SIGN_CHANGE = "jacobian-sign-change"
 
 
 class AnnulusBelowResolution(Exception):
@@ -95,6 +105,14 @@ def classify_certificate(cert: WindingCertificate) -> tuple[str, str]:
 
 
 @dataclass(frozen=True)
+class EllGuess:
+    """Predicted window contact: the level h at which the center's
+    sublevel component first reaches the working box's edge, at point."""
+    h: float
+    point: tuple[float, float]
+
+
+@dataclass(frozen=True)
 class EllEstimate:
     center: tuple[float, float]
     h_max: float
@@ -102,6 +120,7 @@ class EllEstimate:
     ell_lo: float
     ell_hi: float               # BUDGET (= inf) when all levels were good
     probes: tuple[Probe, ...]
+    guess: EllGuess | None = None   # None in the budget case or with no prediction
 
     @property
     def budget_exceeded(self) -> bool:
@@ -168,16 +187,107 @@ def default_h_max(pmap: PlanarMap) -> float:
     return min(max(best, 1.0), 1e6)
 
 
+PREDICT_GRID_N = 200    # the report's default region grid, whose H grid it shares
+_CONTACT_CELLS = 4      # edge cells searched on either side of the contact cell
+
+
+def predict_ell(pmap: PlanarMap, center) -> EllGuess | None:
+    """Predict the window-relative ell from the working box's H grid.
+
+    While det Df != 0 the only critical points of H are the zeros of f,
+    so the center's sublevel component grows without merging until it
+    reaches the box edge.  A bisection over the grid's sorted levels
+    finds the least one whose 4-connected component of the center's cell
+    holds a border cell; the guess is the bounded minimum of H along that
+    box edge within a few cells of the contact.  ``None`` when the
+    component reaches an undefined cell first, or never reaches the edge.
+    """
+    box = pmap.working_box()
+    cpt = center_point(center)
+    if not box.contains(cpt):
+        return None
+    n = PREDICT_GRID_N
+    ham = _h_grid(pmap, box, n)
+    ci, cj = _cell_index(box, n, cpt)
+    h0 = ham[ci, cj]
+    if math.isnan(h0):
+        return None
+    border = np.zeros(ham.shape, dtype=bool)
+    border[0] = border[-1] = border[:, 0] = border[:, -1] = True
+    near_undefined = ndimage.binary_dilation(np.isnan(ham))
+    stop = border | near_undefined
+    levels = ham[ham >= h0]                     # NaN compares false
+    levels.sort()
+
+    def component(k: int) -> np.ndarray:
+        labels, _ = ndimage.label(ham <= levels[k])
+        return labels == labels[ci, cj]
+
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (component(mid) & stop).any():
+            hi = mid
+        else:
+            lo = mid + 1
+    comp = component(lo)
+    if (comp & near_undefined).any() or not (comp & border).any():
+        return None
+
+    # the component's lowest border cell, and the box edges it lies on
+    cells = np.argwhere(comp & border)
+    i, j = (int(k) for k in cells[np.argmin(ham[cells[:, 0], cells[:, 1]])])
+    reach_x = _CONTACT_CELLS * (box.xmax - box.xmin) / n
+    reach_y = _CONTACT_CELLS * (box.ymax - box.ymin) / n
+    xc = box.xmin + (i + 0.5) * (box.xmax - box.xmin) / n
+    yc = box.ymin + (j + 0.5) * (box.ymax - box.ymin) / n
+    segments = []
+    if i in (0, n - 1):
+        x = box.xmin if i == 0 else box.xmax
+        segments.append(((x, max(box.ymin, yc - reach_y)),
+                         (x, min(box.ymax, yc + reach_y))))
+    if j in (0, n - 1):
+        y = box.ymin if j == 0 else box.ymax
+        segments.append(((max(box.xmin, xc - reach_x), y),
+                         (min(box.xmax, xc + reach_x), y)))
+
+    jet = pmap.jet
+    best = (math.inf, (math.nan, math.nan))
+    for (x0, y0), (x1, y1) in segments:
+        def h_at(s: float) -> float:
+            try:
+                v1, _, _, v2, _, _ = jet(x0 + s * (x1 - x0), y0 + s * (y1 - y0))
+            except JET_ERRORS:
+                return math.inf
+            h = 0.5 * (v1 * v1 + v2 * v2)
+            return math.inf if math.isnan(h) else h
+
+        res = minimize_scalar(h_at, bounds=(0.0, 1.0), method="bounded",
+                              options={"xatol": 1e-10})
+        for s in (float(res.x), 0.0, 1.0):
+            h = h_at(s)
+            if h < best[0]:
+                best = (h, (x0 + s * (x1 - x0), y0 + s * (y1 - y0)))
+    if not math.isfinite(best[0]):
+        return None
+    return EllGuess(*best)
+
+
 def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None, tol: float = 1e-6,
                  budget: AngleBudget | None = None) -> EllEstimate:
-    """Bracket ell = sup of certified levels by bisection over (0, h_max].
+    """Bracket ell = sup of certified levels over (0, h_max]: the
+    predicted bracket, else bisection.
 
     Returns (ell_lo, ell_hi) with ell_hi - ell_lo <= tol, or ell_hi =
-    inf ("budget") when the level just under h_max is already GOOD.  A
-    post-pass re-certifies 8 levels below ell_lo; a failure there
+    inf ("budget") when the level just under h_max is already GOOD.
+    Otherwise, after the smallest level is certified, the levels
+    0.45*tol above and below :func:`predict_ell`'s guess are probed; an
+    uncertified upper and a certified lower level are the bracket.  Any
+    other outcome bisects from the smallest level to just under h_max
+    exactly as without a guess, at the cost of one or two more probes.
+    A post-pass re-certifies 8 levels below ell_lo; a failure there
     contradicts orbit nesting and raises :class:`DownwardClosureError`.
-    Raises :class:`AnnulusBelowResolution` when the smallest probe
-    fails.
+    Raises :class:`AnnulusBelowResolution` when the smallest probe fails.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -217,6 +327,14 @@ def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None, tol: float
     if bottom.status != GOOD:
         raise AnnulusBelowResolution(center, h_first, bottom)
 
+    guess = predict_ell(pmap, cpt)
+    if guess is not None:
+        lo, hi = guess.h - 0.45 * tol, guess.h + 0.45 * tol
+        if (h_first < lo and hi < h_pre and probe(hi).status != GOOD
+                and probe(lo).status == GOOD):
+            post_pass(lo)
+            return EllEstimate(cpt, h_max, tol, lo, hi, tuple(probes), guess)
+
     lo, hi = h_first, h_pre
     for _ in range(200):
         if hi - lo <= tol:
@@ -227,7 +345,7 @@ def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None, tol: float
         else:
             hi = mid
     post_pass(lo)
-    return EllEstimate(cpt, h_max, tol, lo, hi, tuple(probes))
+    return EllEstimate(cpt, h_max, tol, lo, hi, tuple(probes), guess)
 
 
 @dataclass(frozen=True)
@@ -354,8 +472,7 @@ def region(pmap: PlanarMap, center, ell_lo: float, grid_n: int = 200,
     mask = _h_grid(pmap, box, grid_n) < ell_lo      # NaN compares false
 
     labels, _ = ndimage.label(mask)
-    ci = min(int((cx - box.xmin) / (box.xmax - box.xmin) * grid_n), grid_n - 1)
-    cj = min(int((cy - box.ymin) / (box.ymax - box.ymin) * grid_n), grid_n - 1)
+    ci, cj = _cell_index(box, grid_n, (cx, cy))
     if not mask[ci, cj]:
         raise RegionTooCoarse(
             f"grid too coarse: the cell holding {(cx, cy)} is not strictly "
@@ -386,7 +503,7 @@ def global_center_verdict(pmap: PlanarMap, estimate: EllEstimate,
     if flip is not None:
         pos, neg = flip
         return GlobalVerdict("inconclusive", (
-            "jacobian-sign-change",
+            SIGN_CHANGE,
             f"det Df > 0 at {pos} but < 0 at {neg}",
         ))
     if estimate.has_inconclusive:
@@ -405,6 +522,12 @@ def global_center_verdict(pmap: PlanarMap, estimate: EllEstimate,
 def _levels_above(pmap: PlanarMap, box: Box, ell_lo: float) -> bool:
     ham = _h_grid(pmap, box, 64)
     return bool(np.any(np.isfinite(ham) & (ham > ell_lo)))
+
+
+def _cell_index(box: Box, grid_n: int, p: tuple[float, float]) -> tuple[int, int]:
+    """The (i, j) grid cell of a point p inside box."""
+    return (min(int((p[0] - box.xmin) / (box.xmax - box.xmin) * grid_n), grid_n - 1),
+            min(int((p[1] - box.ymin) / (box.ymax - box.ymin) * grid_n), grid_n - 1))
 
 
 def _h_grid(pmap: PlanarMap, box: Box, grid_n: int) -> np.ndarray:

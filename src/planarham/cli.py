@@ -236,7 +236,8 @@ _COMPACTIFICATION = {
                         "additionalProperties": False,
                     },
                 },
-                "conti_type": {"enum": ["A", "B", "not-applicable"]},
+                "conti_type": {"enum": ["A", "B", "not-applicable",
+                                        "undetermined"]},
                 "routes_agree": {"type": "boolean"},
             },
             "required": ["degree", "infinite_singularities", "conti_type",
@@ -428,6 +429,14 @@ def _analyze_center(pmap: PlanarMap, rec: CenterRecord, cfg: RunConfig,
                  image_shape=image,
                  certificates=[_certificate_block(c) for c in est.certificates])
     block["global"] = rep.verdict.verdict
+    guess = est.guess
+    if guess is not None and est.ell_lo > guess.h + est.tol:
+        gx, gy = guess.point
+        warnings.append(
+            f"center {_loc_text(rec)}: certified bracket [{est.ell_lo:.9g}, "
+            f"{est.ell_hi:.9g}] lies above the predicted window contact "
+            f"h={guess.h:.9g} at ({gx:.6g}, {gy:.6g}); an orbit may leave "
+            f"the window between accepted steps")
     if not rep.spotcheck.clean:
         warnings.append(
             f"center {_loc_text(rec)}: injectivity spot check found "

@@ -19,6 +19,7 @@ from typing import Callable
 
 from scipy.optimize import brentq
 
+from .annulus import SIGN_CHANGE
 from .expr import Poly2, compile_polys
 from .field import PlanarMap, effective_hamiltonian_poly
 from .rk import dp5_step, poly_kernel, step_factor
@@ -339,7 +340,7 @@ class CriterionEntry:
 
 @dataclass(frozen=True)
 class ContiVerdict:
-    conti_type: str              # "A" | "B" | "not-applicable"
+    conti_type: str              # "A" | "B" | "not-applicable" | "undetermined"
     criteria: tuple[CriterionEntry, ...]
     routes_agree: bool
     notes: tuple[str, ...]
@@ -351,8 +352,10 @@ def conti_verdict(pmap: PlanarMap, annulus_reports, singularities) -> ContiVerdi
     The deciding criterion is (d): no infinite singular points, or all
     of them formed by two degenerate hyperbolic sectors.  The annulus
     route (global center <=> type A) must agree; an observed
-    disagreement is flagged, not resolved.  Non-polynomial H makes the
-    whole classification inapplicable.
+    disagreement is flagged, not resolved.  Non-polynomial H, or a sign
+    change of det Df that voided the annulus verdicts, makes the whole
+    classification inapplicable; with neither route decided the type is
+    "undetermined".
     """
     if effective_hamiltonian_poly(pmap) is None:
         return ContiVerdict(
@@ -365,6 +368,15 @@ def conti_verdict(pmap: PlanarMap, annulus_reports, singularities) -> ContiVerdi
                    "does not apply",))
     if not annulus_reports:
         raise ValueError("need at least one center's annulus report")
+    if any(SIGN_CHANGE in r.verdict.reasons for r in annulus_reports):
+        return ContiVerdict(
+            conti_type="not-applicable",
+            criteria=(CriterionEntry(
+                "hypothesis", "det Df does not change sign", "fails",
+                "annulus global_center_verdict"),),
+            routes_agree=True,
+            notes=("det Df changes sign; the type classification does not "
+                   "apply",))
 
     notes: list[str] = []
     verdicts = {r.verdict.verdict for r in annulus_reports}
@@ -398,8 +410,8 @@ def conti_verdict(pmap: PlanarMap, annulus_reports, singularities) -> ContiVerdi
         notes.append("type taken from the annulus route; sector "
                      "classification incomplete")
     else:
-        conti = "B"
-        notes.append("both routes undetermined; defaulting to B")
+        conti = "undetermined"
+        notes.append("both routes undetermined")
 
     routes_agree = True
     if d_type is not None and annulus_type is not None:

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+import planarham.annulus as annulus_mod
 from planarham.annulus import (
     AnnulusBelowResolution,
     EllEstimate,
+    EllGuess,
     Probe,
     RegionTooCoarse,
     build_annulus_report,
@@ -18,9 +20,11 @@ from planarham.annulus import (
     global_center_verdict,
     image_shape,
     injectivity_spotcheck,
+    predict_ell,
     region,
 )
-from planarham.field import Box
+from planarham.expr import parse_expr
+from planarham.field import Box, PlanarMap
 from planarham.trace import winding_certificate
 
 TWO_PI = 2.0 * math.pi
@@ -112,6 +116,98 @@ def test_estimate_ell_validates_inputs(example1):
         estimate_ell(example1, (0.0, 0.0), h_max=-1.0)
     with pytest.raises(ValueError):
         estimate_ell(example1, (0.0, 0.0), tol=0.0)
+
+
+# ell prediction and the predicted bracket
+
+
+def _affine_map(a, center):
+    """f = A (p - center), written out with its constant term."""
+    (a11, a12), (a21, a22) = a
+    cx, cy = center
+    c1, c2 = -(a11 * cx + a12 * cy), -(a21 * cx + a22 * cy)
+    return PlanarMap(f1=parse_expr(f"{a11!r}*x + {a12!r}*y + {c1!r}"),
+                     f2=parse_expr(f"{a21!r}*x + {a22!r}*y + {c2!r}"),
+                     name="affine")
+
+
+def _affine_window_min(a, center, half=20.0):
+    """Least H = |A (p - center)|^2 / 2 on the boundary of [-half, half]^2,
+    in closed form: on each edge H is a quadratic in the free coordinate."""
+    a = np.asarray(a, dtype=float)
+    c = -a @ np.asarray(center, dtype=float)
+    best = math.inf
+    for fixed_axis in (0, 1):
+        free = a[:, 1 - fixed_axis]
+        for side in (-half, half):
+            base = a[:, fixed_axis] * side + c
+            t = min(max(-(free @ base) / (free @ free), -half), half)
+            best = min(best, 0.5 * float(np.sum((base + t * free) ** 2)))
+    return best
+
+
+@pytest.mark.parametrize("a,center", [
+    (((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0)),
+    (((1.2, 0.3), (-0.2, 0.8)), (5.0, -3.0)),
+    (((0.6, -0.4), (0.4, 1.6)), (-6.0, 4.5)),
+    (((0.8, 0.6), (-0.12, 0.16)), (14.0, 15.0)),    # thin, tilted, near a corner
+])
+def test_predicted_ell_of_affine_maps(a, center):
+    guess = predict_ell(_affine_map(a, center), center)
+    truth = _affine_window_min(a, center)
+    assert guess.h == pytest.approx(truth, rel=1e-9)
+    x, y = guess.point
+    assert max(abs(x), abs(y)) == 20.0
+
+
+def test_predicted_ell_of_example3_edge_center(example3):
+    # the edge y = -20 cuts this annulus: ell = 1/2 sin^2 20, at e^x = cos 20
+    guess = predict_ell(example3, (0.0, -3.0 * TWO_PI))
+    assert guess.h == pytest.approx(0.5 * math.sin(20.0) ** 2, rel=1e-9)
+    assert guess.point[1] == -20.0
+    assert guess.point[0] == pytest.approx(math.log(math.cos(20.0)), abs=1e-3)
+
+
+def test_prediction_stops_at_an_undefined_cell():
+    # f is undefined for x < -5: the sublevel set reaches that first
+    pmap = PlanarMap(f1=parse_expr("sqrt(x + 5) - 2"), f2=parse_expr("y"),
+                     name="sqrt")
+    assert predict_ell(pmap, (-1.0, 0.0)) is None
+
+
+def test_example1_predicted_bracket(example1):
+    est = estimate_ell(example1, (0.0, 0.0), h_max=1.0, tol=1e-6)
+    assert len(est.probes) == 12
+    status = {p.h: p.status for p in est.probes}
+    assert status[est.ell_lo] == "good"
+    assert status[est.ell_hi] != "good"
+    window = 0.5 * (math.exp(-20.0) - 1.0) ** 2
+    assert est.ell_lo - est.tol <= window <= est.ell_hi + est.tol
+    assert est.ell_hi - est.ell_lo <= est.tol
+    assert est.guess.h == pytest.approx(window, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
+def test_inner_example3_centers_take_twelve_probes(example3, k):
+    # a pinned work count: top, bottom, the two predicted levels and the
+    # 8-level post-pass; losing the predicted bracket shows here
+    est = estimate_ell(example3, (0.0, k * TWO_PI), h_max=1.0, tol=1e-6)
+    assert len(est.probes) == 12
+    assert est.ell_lo - est.tol <= 0.5 * (1.0 - math.exp(-20.0)) ** 2 <= est.ell_hi
+
+
+@pytest.mark.parametrize("offset", [10.0, -10.0])
+def test_missed_prediction_falls_back_to_bisection(example1, monkeypatch, offset):
+    tol = 1e-6
+    true_guess = predict_ell(example1, (0.0, 0.0))
+    monkeypatch.setattr(annulus_mod, "predict_ell", lambda pmap, center: None)
+    plain = estimate_ell(example1, (0.0, 0.0), h_max=1.0, tol=tol)
+    off = EllGuess(true_guess.h + offset * tol, true_guess.point)
+    monkeypatch.setattr(annulus_mod, "predict_ell", lambda pmap, center: off)
+    missed = estimate_ell(example1, (0.0, 0.0), h_max=1.0, tol=tol)
+    assert (missed.ell_lo, missed.ell_hi) == (plain.ell_lo, plain.ell_hi)
+    assert len(plain.probes) < len(missed.probes) <= len(plain.probes) + 2
+    assert missed.guess == off and plain.guess is None
 
 
 @pytest.mark.parametrize("name,h_max", [

@@ -248,6 +248,52 @@ def test_inconclusive_exits_3_with_report(tmp_path):
     assert any("below resolution" in w for w in doc["warnings"])
 
 
+def test_conti_type_not_applicable_when_det_df_changes_sign(tmp_path):
+    # three zeros, so f is not injective and type A would be false
+    spec = tmp_path / "cubic.map"
+    spec.write_text('name = "cubic"\nf1 = "x^3 - x"\nf2 = "y"\n',
+                    encoding="utf-8")
+    out = tmp_path / "c.json"
+    assert run("report", "--map", str(spec), "--out", str(out)) == 3
+    doc = read_json(out)
+    assert all(c["global"] == "inconclusive" for c in doc["centers"])
+    compact = doc["compactification"]
+    assert compact["conti_type"] == "not-applicable"
+    assert compact["routes_agree"] is True
+
+
+def test_schema_admits_an_undetermined_conti_type(tmp_path):
+    out = tmp_path / "i.json"
+    run("report", "--map", "builtin:identity", "--out", str(out))
+    doc = read_json(out)
+    doc["compactification"]["conti_type"] = "undetermined"
+    jsonschema.validate(doc, SCHEMAS["report"])
+
+
+def test_bracket_above_the_predicted_contact_warns(tmp_path):
+    # example3's center (0, -6 pi): the edge y = -20 cuts its annulus at
+    # 1/2 sin^2 20, but an orbit that leaves the window between two
+    # accepted steps goes unseen, so levels above it are certified
+    out = tmp_path / "e3.json"
+    assert run("report", "--map", "builtin:example3", "--box=-2,2,-20,-17",
+               "--out", str(out)) == 0
+    doc = read_json(out)
+    (center,) = doc["centers"]
+    lo, hi = center["ell"]["lo"], center["ell"]["hi"]
+    assert lo > 0.5 * math.sin(20.0) ** 2 + 1e-6
+    (warning,) = [w for w in doc["warnings"] if "predicted" in w]
+    assert warning.startswith("center (")
+    assert "h=0.416734515 at (-0.896287, -20)" in warning
+    assert f"[{lo:.9g}, {hi:.9g}]" in warning
+    assert "between accepted steps" in warning
+
+
+def test_predicted_bracket_does_not_warn(tmp_path):
+    out = tmp_path / "e1.json"
+    assert run("report", "--map", "builtin:example1", "--out", str(out)) == 0
+    assert not any("predicted" in w for w in read_json(out)["warnings"])
+
+
 def test_coarse_region_grid_fails_the_center(tmp_path):
     # an 8x8 region grid cannot put example1's center cell below ell
     out = tmp_path / "r.json"
@@ -296,8 +342,9 @@ def test_report_scans_jacobian_sign_once(tmp_path, monkeypatch):
     assert len(doc["centers"]) == 2
     assert all(c["status"] == "ok" for c in doc["centers"])
     assert calls == [Box(-2.0, 2.0, -2.0, 9.0)]
-    # one H grid for the region and one for the verdict, f1 and f2 each
-    assert counts == {"default_h_max": 1, "eval_grid": 4}
+    # one H grid for the region, one for the verdict and one over the
+    # working window for the ell prediction, f1 and f2 each: once per map
+    assert counts == {"default_h_max": 1, "eval_grid": 6}
 
 
 def test_report_traces_each_level_once(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from planarham.annulus import GlobalVerdict
+from planarham.annulus import SIGN_CHANGE, GlobalVerdict
 from planarham.compactify import (CompactifiedField, EquatorDegenerate,
                                   build_compactification, classify_sectors,
                                   compactification_for_map, conti_verdict,
@@ -303,8 +303,20 @@ def test_conti_undetermined_falls_back(identity_map):
     assert any("incomplete" in n for n in v.notes)
     v2 = conti_verdict(identity_map, [report_with("inconclusive")],
                        [unclassified])
-    assert v2.conti_type == "B"
+    # no route decided: no type is stated
+    assert v2.conti_type == "undetermined"
     assert any("undetermined" in n for n in v2.notes)
+
+
+def test_conti_not_applicable_on_jacobian_sign_change(identity_map):
+    # a sign change of det Df voids the hypothesis of both routes, even
+    # when the singularity route alone would say type A
+    voided = SimpleNamespace(verdict=GlobalVerdict(
+        "inconclusive", (SIGN_CHANGE, "det Df > 0 at p but < 0 at q")))
+    v = conti_verdict(identity_map, [voided, report_with("global")], [])
+    assert v.conti_type == "not-applicable"
+    assert v.routes_agree
+    assert [c.outcome for c in v.criteria] == ["fails"]
 
 
 def test_conti_requires_reports(identity_map):

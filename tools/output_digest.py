@@ -19,6 +19,14 @@ whose programs write the same bytes print the same lines.
 ``--checkout`` picks the source tree whose ``src/`` and
 ``perfbench/workloads.py`` are imported (default: the one holding this
 script); neither is modified.
+
+``--work`` prints, in place of the digests, each JSON invocation's work:
+its number of certificates (probes that traced an orbit, summed over the
+centers) and its ``timings.orbit_points``, then the totals.  Two
+checkouts that do different amounts of work can be compared with it:
+
+    python3 tools/output_digest.py --work --checkout ../other-checkout > old.txt
+    python3 tools/output_digest.py --work > new.txt
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -54,6 +63,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
                    help="source tree to run (default: this script's)")
     p.add_argument("--seeds", type=int, nargs="+", default=[7, 11])
     p.add_argument("--rounds", type=int, nargs="+", default=[0, 1])
+    p.add_argument("--work", action="store_true",
+                   help="print certificate and orbit-point counts, not digests")
     return p.parse_args(argv)
 
 
@@ -73,6 +84,15 @@ def digest(run_subcommand, argv: list[str], out: Path, workdir: Path) -> tuple[i
     return rc, h.hexdigest()
 
 
+def work(out: Path) -> tuple[int, int] | None:
+    """(certificates, orbit points) of a JSON output; None without one."""
+    if not out.exists():
+        return None
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    certificates = sum(len(c.get("certificates", ())) for c in doc["centers"])
+    return certificates, doc["timings"].get("orbit_points", 0)
+
+
 def main(argv: list[str]) -> int:
     args = parse_args(argv)
     root = args.checkout.resolve()
@@ -80,6 +100,22 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [str(root / "perfbench"), str(root / "src")]
     from planarham.cli import run_subcommand
     from workloads import WORKLOADS, argv_for, round_invocations, write_maps
+
+    totals = [0, 0]
+
+    def run_one(label: str, argv_: list[str], out: Path, workdir: Path) -> None:
+        rc, hexd = digest(run_subcommand, argv_, out, workdir)
+        if not args.work:
+            print(f"{label} rc={rc} {hexd}", flush=True)
+        elif out.suffix == ".json":
+            counts = work(out)
+            if counts is None:
+                print(f"{label} rc={rc} <no output file>", flush=True)
+                return
+            totals[0] += counts[0]
+            totals[1] += counts[1]
+            print(f"{label} rc={rc} certificates={counts[0]} "
+                  f"orbit_points={counts[1]}", flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
@@ -91,17 +127,16 @@ def main(argv: list[str]) -> int:
                     for i, inv in enumerate(invs):
                         ext = "svg" if inv.subcommand in ("portrait", "disc") else "json"
                         out = workdir / f"out.{ext}"
-                        rc, hexd = digest(run_subcommand, argv_for(inv, workdir, out),
-                                          out, workdir)
-                        print(f"{workload} seed={seed} round={index} #{i} {inv.label} "
-                              f"rc={rc} {hexd}", flush=True)
+                        run_one(f"{workload} seed={seed} round={index} #{i} {inv.label}",
+                                argv_for(inv, workdir, out), out, workdir)
         for name in BUILTINS:
             for sub, ext, *flags in BUILTIN_RUNS:
                 out = workdir / f"out.{ext}"
                 argv_ = [sub, "--map", f"builtin:{name}", *flags, "--out", str(out)]
-                rc, hexd = digest(run_subcommand, argv_, out, workdir)
-                label = " ".join([f"{sub}:{name}", *flags])
-                print(f"builtin {label} rc={rc} {hexd}", flush=True)
+                run_one(" ".join(["builtin", f"{sub}:{name}", *flags]),
+                        argv_, out, workdir)
+    if args.work:
+        print(f"total certificates={totals[0]} orbit_points={totals[1]}")
     return 0
 
 
