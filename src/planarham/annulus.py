@@ -159,32 +159,60 @@ def default_h_max(pmap: PlanarMap) -> float:
 
     Below the true boundary minimum every level set is trapped inside
     the box; above it, escape through the boundary stops being
-    informative.  The clip keeps the bisection range sane when the
+    informative.  Each edge is sampled at 513 points and the least
+    sample refined by :func:`_edge_minimum` between its neighbours, so
+    the top probe just under h_max does not reach the edge through the
+    samples' spacing.  The clip keeps the bisection range sane when the
     boundary minimum is tiny or enormous.
     """
     box = pmap.working_box()
     jet = pmap.jet
-    best = math.inf
+    edges = (((box.xmin, box.ymin), (box.xmin, box.ymax)),
+             ((box.xmax, box.ymin), (box.xmax, box.ymax)),
+             ((box.xmin, box.ymin), (box.xmax, box.ymin)),
+             ((box.xmin, box.ymax), (box.xmax, box.ymax)))
+    best, best_at = math.inf, None
     n = 512
     for k in range(n + 1):
         t = k / n
-        edge_pts = (
-            (box.xmin, box.ymin + t * (box.ymax - box.ymin)),
-            (box.xmax, box.ymin + t * (box.ymax - box.ymin)),
-            (box.xmin + t * (box.xmax - box.xmin), box.ymin),
-            (box.xmin + t * (box.xmax - box.xmin), box.ymax),
-        )
-        for (x, y) in edge_pts:
+        for (x0, y0), (x1, y1) in edges:
             try:
-                v1, _, _, v2, _, _ = jet(x, y)
+                v1, _, _, v2, _, _ = jet(x0 + t * (x1 - x0), y0 + t * (y1 - y0))
             except JET_ERRORS:
                 continue
             h = 0.5 * (v1 * v1 + v2 * v2)
             if math.isfinite(h) and h < best:
-                best = h
+                best, best_at = h, (x0, y0, x1, y1, k)
+    if best_at is not None:
+        x0, y0, x1, y1, k = best_at
+        lo, hi = max(k - 1, 0) / n, min(k + 1, n) / n
+        best = min(best, _edge_minimum(jet, (x0 + lo * (x1 - x0), y0 + lo * (y1 - y0)),
+                                       (x0 + hi * (x1 - x0), y0 + hi * (y1 - y0)))[0])
     if not math.isfinite(best):
         raise ValueError("could not evaluate f anywhere on the box boundary")
     return min(max(best, 1.0), 1e6)
+
+
+def _edge_minimum(jet, a: tuple[float, float], b: tuple[float, float]):
+    """``(h, point)``: the least H on the segment from a to b found by a
+    bounded 1-D minimisation, or at either end; H is inf where f cannot
+    be evaluated."""
+    (x0, y0), (x1, y1) = a, b
+
+    def at(s: float) -> tuple[float, float]:
+        return (x0 + s * (x1 - x0), y0 + s * (y1 - y0))
+
+    def h_at(s: float) -> float:
+        try:
+            v1, _, _, v2, _, _ = jet(*at(s))
+        except JET_ERRORS:
+            return math.inf
+        h = 0.5 * (v1 * v1 + v2 * v2)
+        return math.inf if math.isnan(h) else h
+
+    res = minimize_scalar(h_at, bounds=(0.0, 1.0), method="bounded",
+                          options={"xatol": 1e-10})
+    return min(((h_at(s), at(s)) for s in (float(res.x), 0.0, 1.0)), key=lambda c: c[0])
 
 
 PREDICT_GRID_N = 200    # the report's default region grid, whose H grid it shares
@@ -251,23 +279,7 @@ def predict_ell(pmap: PlanarMap, center) -> EllGuess | None:
         segments.append(((max(box.xmin, xc - reach_x), y),
                          (min(box.xmax, xc + reach_x), y)))
 
-    jet = pmap.jet
-    best = (math.inf, (math.nan, math.nan))
-    for (x0, y0), (x1, y1) in segments:
-        def h_at(s: float) -> float:
-            try:
-                v1, _, _, v2, _, _ = jet(x0 + s * (x1 - x0), y0 + s * (y1 - y0))
-            except JET_ERRORS:
-                return math.inf
-            h = 0.5 * (v1 * v1 + v2 * v2)
-            return math.inf if math.isnan(h) else h
-
-        res = minimize_scalar(h_at, bounds=(0.0, 1.0), method="bounded",
-                              options={"xatol": 1e-10})
-        for s in (float(res.x), 0.0, 1.0):
-            h = h_at(s)
-            if h < best[0]:
-                best = (h, (x0 + s * (x1 - x0), y0 + s * (y1 - y0)))
+    best = min((_edge_minimum(pmap.jet, *seg) for seg in segments), key=lambda c: c[0])
     if not math.isfinite(best[0]):
         return None
     return EllGuess(*best)

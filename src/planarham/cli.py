@@ -435,8 +435,8 @@ def _analyze_center(pmap: PlanarMap, rec: CenterRecord, cfg: RunConfig,
         warnings.append(
             f"center {_loc_text(rec)}: certified bracket [{est.ell_lo:.9g}, "
             f"{est.ell_hi:.9g}] lies above the predicted window contact "
-            f"h={guess.h:.9g} at ({gx:.6g}, {gy:.6g}); an orbit may leave "
-            f"the window between accepted steps")
+            f"h={guess.h:.9g} at ({gx:.6g}, {gy:.6g}); the prediction or the "
+            f"orbits' window test is off")
     if not rep.spotcheck.clean:
         warnings.append(
             f"center {_loc_text(rec)}: injectivity spot check found "

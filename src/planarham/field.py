@@ -105,8 +105,9 @@ class PlanarMap:
 
     @cached_property
     def orbit_kernel(self):
-        """The DP5 step of the Hamiltonian field (:func:`planarham.rk.orbit_kernel`),
-        raising located errors; compiled on first use."""
+        """The DP5 step of the lift of the image circle, in the image angle
+        (:func:`planarham.rk.orbit_kernel`), raising located errors;
+        compiled on first use."""
         f1, f2 = self.f1, self.f2   # the kernel must not hold the map itself
 
         def locate(x: float, y: float, exc: BaseException):

@@ -1,7 +1,7 @@
-"""Embedded Dormand-Prince 5(4) step for planar autonomous systems.
+"""Embedded Dormand-Prince 5(4) step for small autonomous systems.
 
-Specialised to two scalar state variables (plain floats, no arrays):
-orbit tracing spends nearly all its time here and tuple-of-float
+Specialised to two or three scalar state variables (plain floats, no
+arrays): orbit tracing spends nearly all its time here and tuple-of-float
 arithmetic is several times faster than tiny numpy vectors.  The first
 stage reuses the last stage of the previous accepted step (FSAL).
 
@@ -14,9 +14,10 @@ than the arithmetic.  The stage and error expressions keep the operand
 order of the textbook loop, so every float operation, and with it every
 result bit, is what a stage-by-stage step computes.
 
-Two kernels exist: :func:`orbit_kernel` for the Hamiltonian field of a
-map (used by orbit tracing), and :func:`poly_kernel` for a polynomial
-field run in either time direction (the chart fields of the
+Two kernels exist: :func:`orbit_kernel` for the lift of a map's image
+circle, stepped in the image angle with the elapsed time as a third
+coordinate (used by orbit tracing), and :func:`poly_kernel` for a
+polynomial field run in either time direction (the chart fields of the
 compactification and the disc portrait).
 
 The drivers call each trial step through :func:`dp5_step`, not the
@@ -69,17 +70,21 @@ def _spell(template: str, c: str) -> str:
     return template.format(c=c, **_LITERALS)
 
 
-def _kernel_source(params: str, body: list[str], kx: str, ky: str,
+def _kernel_source(state: str, params: str, body: list[str], field: dict[str, str],
                    guard: bool, returns: str) -> str:
-    """Source of ``_generated(x, y, k1x, k1y, h, rtol, atol{params})``.
+    """Source of ``_generated(*state, *k1, h, rtol, atol{params})``.
 
-    ``body`` evaluates the field at the stage point ``(sx, sy)``; ``kx``
-    and ``ky`` are the field's components in terms of the body's
+    ``state`` names the coordinates, ``"xy"`` or ``"xyT"``; ``body``
+    evaluates the field at the stage point ``(sx, sy)``, so a third
+    coordinate is a quadrature whose rate does not depend on it.
+    ``field`` spells each coordinate's rate in terms of the body's
     operands.  With ``guard`` a failing body raises
     ``_locate(sx, sy, exc)`` for the raw error ``exc`` in ``_ERRORS``.
-    The function returns ``x5, y5, enorm, k7x, k7y`` and ``returns``.
+    The function returns the fifth-order state, the scaled RMS error
+    norm, the field there (k7) and ``returns``.
     """
-    out = [f"def _generated(x, y, k1x, k1y, h, rtol, atol{params}):"]
+    ks = ", ".join(f"k1{c}" for c in state)
+    out = [f"def _generated({', '.join(state)}, {ks}, h, rtol, atol{params}):"]
 
     def stage(k: int) -> None:
         if guard and body:
@@ -89,45 +94,56 @@ def _kernel_source(params: str, body: list[str], kx: str, ky: str,
             out.append("        raise _locate(sx, sy, exc) from None")
         else:
             out.extend(f"    {line}" for line in body)
-        out.append(f"    k{k}x = {kx}")
-        out.append(f"    k{k}y = {ky}")
+        out.extend(f"    k{k}{c} = {field[c]}" for c in state)
 
     for k, point in enumerate(_STAGE_POINTS, start=2):
         out.append(f"    sx = {_spell(point, 'x')}")
         out.append(f"    sy = {_spell(point, 'y')}")
         stage(k)
-    out.append(f"    x5 = {_spell(_FIFTH_ORDER, 'x')}")
-    out.append(f"    y5 = {_spell(_FIFTH_ORDER, 'y')}")
+    out.extend(f"    {c}5 = {_spell(_FIFTH_ORDER, c)}" for c in state)
     out.append("    sx = x5")
     out.append("    sy = y5")
     stage(7)
     # the scaled RMS error; `b if b > a else a` is max(a, b), NaNs included
-    for c in "xy":
+    for c in state:
         out.append(f"    e{c} = {_spell(_ERROR, c)}")
         out.append(f"    a{c} = abs({c})")
         out.append(f"    b{c} = abs({c}5)")
         out.append(f"    r{c} = e{c} / (atol + rtol * (b{c} if b{c} > a{c} else a{c}))")
-    out.append("    enorm = sqrt(0.5 * (rx * rx + ry * ry))")
-    out.append(f"    return x5, y5, enorm, k7x, k7y{returns}")
+    squares = " + ".join(f"r{c} * r{c}" for c in state)
+    out.append(f"    enorm = sqrt(({squares}) / {len(state)})")
+    fifth = ", ".join(f"{c}5" for c in state)
+    k7 = ", ".join(f"k7{c}" for c in state)
+    out.append(f"    return {fifth}, enorm, {k7}{returns}")
     return "\n".join(out) + "\n"
 
 
 def orbit_kernel(f1: Expr, f2: Expr, errors: tuple[type[BaseException], ...],
                  locate: Callable[[float, float, BaseException], BaseException]):
-    """The DP5 step of the Hamiltonian field (-H_y, H_x) of f = (f1, f2).
+    """The DP5 step, in the image angle theta, of the lift of f = (f1, f2).
 
-    ``kernel(x, y, k1x, k1y, h, rtol, atol)`` returns
-    ``(x5, y5, enorm, k7x, k7y, jet)``: the fifth-order point, the scaled
-    error norm (a step is acceptable when it is <= 1), the field there
-    and the jet ``(v1, dx1, dy1, v2, dx2, dy2)`` of f there.  A stage
-    whose evaluation raises one of ``errors`` raises
+    Along an orbit of the Hamiltonian field (-H_y, H_x) of
+    H = |f|^2 / 2, theta = arg f grows at rate det Df, so with theta as
+    the parameter the orbit and its elapsed time t solve
+    (x, y, t)' = (-H_y, H_x, 1) / det Df; the (x, y) part is
+    Df^-1 J f, the lift of the image circle.
+
+    ``kernel(x, y, t, k1x, k1y, k1t, h, rtol, atol)`` returns
+    ``(x5, y5, t5, enorm, k7x, k7y, k7t, jet)``: the fifth-order state,
+    the scaled error norm over all three coordinates (a step is
+    acceptable when it is <= 1), the field there and the jet
+    ``(v1, dx1, dy1, v2, dx2, dy2)`` of f there.  A stage whose
+    evaluation raises one of ``errors``, or meets det Df = 0, raises
     ``locate(sx, sy, exc)`` instead, at the stage point.
     """
     body, ((v1, dx1, dy1), (v2, dx2, dy2)) = _emit((f1, f2), inputs=("sx", "sy"))
     # operands are names or float literals, which bind tighter than `*`
-    src = _kernel_source("", body,
-                         kx=f"-({v1} * {dy1} + {v2} * {dy2})",
-                         ky=f"{v1} * {dx1} + {v2} * {dx2}",
+    body.append(f"idet = 1.0 / ({dx1} * {dy2} - {dx2} * {dy1})")
+    # the time is T in the source: the body's temporaries are t0, t1, ...
+    src = _kernel_source("xyT", "", body,
+                         {"x": f"-({v1} * {dy1} + {v2} * {dy2}) * idet",
+                          "y": f"({v1} * {dx1} + {v2} * {dx2}) * idet",
+                          "T": "idet"},
                          guard=True,
                          returns=f", ({v1}, {dx1}, {dy1}, {v2}, {dx2}, {dy2})")
     return _compile_source(src, _ERRORS=errors, _locate=locate)
@@ -144,20 +160,20 @@ def poly_kernel(p: Poly2, q: Poly2):
     """
     body, ((pv, _, _), (qv, _, _)) = _emit((p.to_expr(), q.to_expr()), values_only=True,
                                            inputs=("sx", "sy"))
-    src = _kernel_source(", direction", body, kx=f"direction * {pv}",
-                         ky=f"direction * {qv}", guard=False, returns="")
+    src = _kernel_source("xy", ", direction", body,
+                         {"x": f"direction * {pv}", "y": f"direction * {qv}"},
+                         guard=False, returns="")
     return _compile_source(src)
 
 
-def dp5_step(kernel, x: float, y: float, k1x: float, k1y: float, h: float, *args):
-    """One trial step from (x, y) with k1 = (k1x, k1y) already evaluated.
-
-    ``args`` are the rest of the kernel's parameters (the tolerances, and
-    a polynomial field's direction).  Returns what the kernel returns,
-    starting ``x5, y5, enorm, k7x, k7y``; k7 is the field at the new
-    point, valid as the next step's k1 only if the step is accepted.
+def dp5_step(kernel, *args):
+    """One trial step: ``kernel(*args)``, the state, then k1 (the field
+    there, already evaluated), the step and the rest of the kernel's
+    parameters.  Returns what the kernel returns; its k7 is the field at
+    the new point, valid as the next step's k1 only if the step is
+    accepted.
     """
-    return kernel(x, y, k1x, k1y, h, *args)
+    return kernel(*args)
 
 
 def step_factor(enorm: float) -> float:

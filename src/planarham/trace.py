@@ -1,33 +1,23 @@
-"""Orbit tracing on level sets of H with image-winding bookkeeping.
+"""Orbit tracing on level sets of H as the lift of the image circle.
 
-Orbits of the Hamiltonian field are integrated with an embedded RK5(4)
-pair; after every accepted step the point is projected back onto
-{H = h} along the gradient, which removes secular energy drift.  Along
-an orbit the image f(orbit) moves on the circle of radius sqrt(2h) with
-angular speed det Df, so the continuous lift theta of atan2(f2, f1) is
-strictly increasing and closure bookkeeping can budget on it.
-
-Step acceptance caps the per-step advance of theta, which keeps the
-unwrap unambiguous and the image-circle coverage dense.  theta grows by
-exactly 2*pi*k from the start to a return of winding k, so returns are
-looked for only at whole turns of theta.
+Along an orbit of the Hamiltonian field, f runs round the circle
+|w| = sqrt(2h) at angular speed det Df, so the orbit is the lift
+dp/dtheta = Df^-1 J f of that circle and closes exactly at a whole turn
+of theta.  Orbits are stepped in theta, each accepted point corrected
+by Newton steps onto f(p) = sqrt(2h) e^{i theta}; start points lift an
+image ray from the center.
 
 Each trial step is one call of the map's generated orbit kernel
-(:attr:`PlanarMap.orbit_kernel`, see :mod:`planarham.rk`) through
-:func:`~planarham.rk.dp5_step`, which stays the one per-step call so
-that steps can be counted here.  The kernel evaluates all stages inline,
-raises located errors at the failing stage point, and returns the jet
-of f at the step's end, which the projection takes as its first
-iterate: an accepted point costs no jet evaluation unless the
-projection moves it.
+(:func:`planarham.rk.orbit_kernel`) through :func:`~planarham.rk.dp5_step`,
+the one per-step call, so that steps can be counted here.  The kernel
+raises located errors at the failing stage point and returns the jet of
+f at the step's end, which the correction takes as its first iterate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
 
 from .expr import DomainError
 from .field import JET_ERRORS, OverflowEvent, PlanarMap, located_jet_failure, sample
@@ -38,14 +28,12 @@ ATOL = 1e-12
 # 0.085 rad per step keeps image-angle gaps far below the 5-degree
 # coverage requirement while letting an orbit close in ~75 steps
 MAX_DTHETA = 0.085
-PROJECT_TOL = 1e-13
+CORRECT_TOL = 1e-13
 STEP_UNDERFLOW = 1e-14
 RETURN_TOL = 1e-7
-START_FAN_N = 8             # rays level_start_point tries around a center
 TWO_PI = 2 * math.pi
 
-# every evaluation path below raises its failures located (see _Flow)
-_EVAL_ERRORS = (DomainError, OverflowEvent)
+_EVAL_ERRORS = (DomainError, OverflowEvent)     # located, as _jet_at raises them
 
 
 @dataclass(frozen=True)
@@ -108,11 +96,17 @@ class WindingCertificate:
 
 
 class LevelUnreachable(RuntimeError):
-    """No start point on the requested level along any fan ray."""
+    """The lift of the image ray from the center stalls below the level."""
 
 
-class StiffUnderflow(ArithmeticError):
-    """The error norm rejected a sub-step of the return refinement."""
+class LiftEscaped(LevelUnreachable):
+    """The lift of the image ray at angle ``theta`` left the working window
+    below the level, at ``point`` through ``side``: the center's sublevel
+    component reaches the window's edge."""
+
+    def __init__(self, point: tuple[float, float], side: str, theta: float):
+        super().__init__(f"the lift of the image ray leaves the window at {point}")
+        self.point, self.side, self.theta = point, side, theta
 
 
 def center_point(center) -> tuple[float, float]:
@@ -121,75 +115,69 @@ def center_point(center) -> tuple[float, float]:
     return (float(loc[0]), float(loc[1]))
 
 
-class _Flow:
-    """One map's compiled jet and orbit kernel, pinned to one energy level.
+def _jet_at(pmap: PlanarMap):
+    """The jet of f as a function of (x, y), failures located."""
+    jet, f1, f2 = pmap.jet, pmap.f1, pmap.f2
 
-    Evaluation failures surface as :class:`DomainError` or
-    :class:`OverflowEvent` located at the point that was evaluated, which
-    for a DP5 stage is the stage point rather than the step's base point
-    (the kernel raises them itself).
-    """
-
-    def __init__(self, pmap: PlanarMap, h_level: float):
-        self.pmap = pmap
-        self.jet = pmap.jet
-        self.kernel = pmap.orbit_kernel
-        self.h_level = h_level
-
-    def jet_at(self, x: float, y: float):
-        """The jet of f at (x, y), failures located."""
+    def jet_at(x: float, y: float):
         try:
-            return self.jet(x, y)
+            return jet(x, y)
         except JET_ERRORS as exc:
-            raise located_jet_failure(self.pmap.f1, self.pmap.f2, (x, y), exc) from None
+            raise located_jet_failure(f1, f2, (x, y), exc) from None
 
-    def project(self, x: float, y: float, jet=None):
-        """Newton step(s) along grad H back onto {H = h_level}.
-
-        ``jet``, when given, is the jet of f at (x, y), as the kernel
-        returns it with a step's end point; the first iteration uses it
-        instead of evaluating the jet there again.
-        Returns ``(x, y, jet)`` with the jet of f at the returned point,
-        which :func:`_jet_rhs` and :func:`_jet_angle` read without a new
-        evaluation.  The jet is evaluated again only when all ten
-        iterations are used, since the last one moves the point.
-        """
-        tol = PROJECT_TOL * (1.0 + abs(self.h_level))
-        for _ in range(10):
-            if jet is None:
-                jet = self.jet_at(x, y)
-            v1, dx1, dy1, v2, dx2, dy2 = jet
-            r = 0.5 * (v1 * v1 + v2 * v2) - self.h_level
-            if abs(r) <= tol:
-                return x, y, jet
-            gx = v1 * dx1 + v2 * dx2
-            gy = v1 * dy1 + v2 * dy2
-            g2 = gx * gx + gy * gy
-            if g2 < 1e-300:
-                return x, y, jet
-            x -= r * gx / g2
-            y -= r * gy / g2
-            jet = None
-        return x, y, self.jet_at(x, y)
+    return jet_at
 
 
-def _jet_rhs(jet) -> tuple[float, float]:
-    """The Hamiltonian field (-H_y, H_x) from a jet of f."""
+def _correct(jet_at, x: float, y: float, jet, w: tuple[float, float], tol: float):
+    """Newton steps from (x, y), whose jet of f is ``jet``, onto f(p) = w:
+    ``(x, y, jet, converged)`` with the jet at the returned point, once
+    both residuals are within ``tol`` or after ten iterations."""
+    for _ in range(10):
+        v1, dx1, dy1, v2, dx2, dy2 = jet
+        r1, r2 = v1 - w[0], v2 - w[1]
+        if abs(r1) <= tol and abs(r2) <= tol:
+            return x, y, jet, True
+        det = dx1 * dy2 - dx2 * dy1
+        if det == 0.0:
+            break
+        x -= (dy2 * r1 - dy1 * r2) / det
+        y -= (dx1 * r2 - dx2 * r1) / det
+        jet = jet_at(x, y)
+    return x, y, jet, False
+
+
+def _lift_field(jet) -> tuple[float, float, float] | None:
+    """(dx, dy, dt) / dtheta from a jet of f, as the kernel spells it;
+    None where det Df <= 0, where the lift would run back in time."""
     v1, dx1, dy1, v2, dx2, dy2 = jet
-    return (-(v1 * dy1 + v2 * dy2), v1 * dx1 + v2 * dx2)
+    det = dx1 * dy2 - dx2 * dy1
+    if not det > 0.0:
+        return None
+    idet = 1.0 / det
+    return -(v1 * dy1 + v2 * dy2) * idet, (v1 * dx1 + v2 * dx2) * idet, idet
 
 
-def _jet_angle(jet) -> float:
-    """The image angle atan2(f2, f1) from a jet of f."""
-    return math.atan2(jet[3], jet[0])
+def _hermite(a: float, b: float, ma: float, mb: float, s: float) -> float:
+    """The cubic Hermite interpolant on [0, 1] from a to b, end slopes ma, mb."""
+    d = b - a
+    return a + s * (ma + s * (3.0 * d - 2.0 * ma - mb + s * (ma + mb - 2.0 * d)))
 
 
-def _wrap_pi(a: float) -> float:
-    while a > math.pi:
-        a -= TWO_PI
-    while a < -math.pi:
-        a += TWO_PI
-    return a
+def _exits(a: float, b: float, ma: float, mb: float, lo: float, hi: float) -> list[float]:
+    """The s in (0, 1) where that interpolant has an extremum outside
+    [lo, hi].  None when its inner Bezier points a + ma/3 and b - mb/3
+    are inside, for it lies in the hull of those and its ends."""
+    if lo <= a + ma / 3.0 <= hi and lo <= b - mb / 3.0 <= hi:
+        return []
+    d = b - a
+    c2, c3 = 3.0 * d - 2.0 * ma - mb, ma + mb - 2.0 * d     # slope ma + 2 c2 s + 3 c3 s^2
+    disc = c2 * c2 - 3.0 * c3 * ma
+    if c3 != 0.0 and disc >= 0.0:
+        sq = math.sqrt(disc)
+        roots = ((-c2 - sq) / (3.0 * c3), (-c2 + sq) / (3.0 * c3))
+    else:
+        roots = (-ma / (2.0 * c2),) if c3 == 0.0 and c2 != 0.0 else ()
+    return [s for s in roots if 0.0 < s < 1.0 and not lo <= _hermite(a, b, ma, mb, s) <= hi]
 
 
 def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
@@ -199,239 +187,160 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
                     max_dtheta: float = MAX_DTHETA) -> OrbitTrace:
     """Trace the orbit through ``start`` on its own level of H.
 
-    Stops at closure, escape from the working box, a domain error, or
-    the angle budget.  A return of winding k lies in the accepted step
-    where theta - theta0 first reaches 2*pi*k.  When that step crosses
-    the line through ``center`` and ``start``, the crossing is refined
-    (:func:`_refine_return`); the orbit is :class:`Closed` when it lies
-    within RETURN_TOL * (1 + |start - center|) of the start.
+    Steps theta from its value theta0 at the start, by at most
+    ``max_dtheta``, landing a step on each whole turn theta0 + 2*pi*k:
+    the orbit is :class:`Closed` with winding k (and period t) when that
+    point lies within RETURN_TOL * (1 + |start - center|) of the start,
+    :class:`BudgetExhausted` when not by ``budget.max_winding`` turns.
+    It is :class:`Escaped` at an accepted point outside the working
+    window, or inside a step where a coordinate extremum of the step's
+    cubic Hermite interpolant (ends and theta-derivatives) lies outside
+    and stays outside once corrected onto the level.  A point with
+    det Df <= 0 ends it as a :class:`DomainFailure` there.
 
-    A trial step whose evaluation fails (a DP5 stage, the projection or
-    the image angle left the map's domain) is retried with a fifth of the
-    step.  When that drives the step below STEP_UNDERFLOW the orbit has
-    run off the domain: the outcome is :class:`DomainFailure` at the last
-    accepted point, whose message names the failing subexpression and the
-    point where evaluation broke down.  Underflow forced by the error norm
-    or by the dtheta cap is stiffness instead, and gives
-    ``BudgetExhausted(stiff=True)``.  A refinement sub-step that fails to
-    evaluate ends the orbit as a :class:`DomainFailure` at the last
-    accepted point, one that is rejected as stiff.
-
-    Each accepted point is evaluated once after its projection: the image
-    angle and the next step's first stage come from that jet.
+    A trial step whose evaluation fails is retried with a fifth of the
+    step; below STEP_UNDERFLOW the orbit has run off the domain, a
+    :class:`DomainFailure` at the last accepted point whose message
+    names the failing subexpression and point.  Underflow from the error
+    norm is ``BudgetExhausted(stiff=True)``.
     """
     s0 = sample(pmap, start)
-    if math.hypot(*s0.f_value) == 0.0:
+    radius = math.hypot(*s0.f_value)
+    if radius == 0.0:
         raise ValueError("start point is a zero of the map")
-    h_level = s0.hamiltonian
-    flow = _Flow(pmap, h_level)
-    box = pmap.working_box()
-    cx, cy = center
-    norm = math.hypot(start[0] - cx, start[1] - cy)
-    ux, uy = (start[0] - cx) / norm, (start[1] - cy) / norm
-    scale = 1.0 + norm
-    return_tol = RETURN_TOL * scale
-
-    def offset(p: tuple[float, float]) -> float:   # signed, from the center-start line
-        return ux * (p[1] - cy) - uy * (p[0] - cx)
-
-    theta = math.atan2(s0.f_value[1], s0.f_value[0])
-    try:
-        x, y, jet = flow.project(*start)
-    except _EVAL_ERRORS as err:
-        # the start itself evaluated cleanly in sample() above
-        return OrbitTrace(h_level, (start,), (0.0,), (theta,),
-                          DomainFailure(start, str(err)))
-    fx, fy = _jet_rhs(jet)
-    raw_prev = theta
-    t = 0.0
-    points = [(x, y)]
-    times = [0.0]
-    thetas = [theta]
-    theta0 = theta
-    turn = TWO_PI               # theta - theta0 at the next whole turn
-    max_theta = budget.max_winding * 2 * math.pi
-    kernel = flow.kernel
-    xmin, xmax, ymin, ymax = box.xmin, box.xmax, box.ymin, box.ymax
-    g_prev = offset((x, y))
-
-    speed = math.hypot(fx, fy)
-    h = min(0.01, 0.1 * scale / (1.0 + speed))
+    theta0 = math.atan2(s0.f_value[1], s0.f_value[0])
+    (dx1, dy1), (dx2, dy2) = s0.jacobian
+    rate = _lift_field((s0.f_value[0], dx1, dy1, s0.f_value[1], dx2, dy2))
+    points, times, thetas = [start], [0.0], [theta0]
 
     def finish(outcome: Outcome) -> OrbitTrace:
-        return OrbitTrace(h_level, tuple(points), tuple(times), tuple(thetas), outcome)
+        return OrbitTrace(s0.hamiltonian, tuple(points), tuple(times), tuple(thetas), outcome)
 
-    def domain_failure(err: ArithmeticError) -> OrbitTrace:
-        return finish(DomainFailure(points[-1], str(err)))
+    def on_level(theta: float) -> tuple[float, float]:     # f there: sqrt(2h) e^{i theta}
+        return (radius * math.cos(theta), radius * math.sin(theta))
 
-    # the loop inlines _jet_angle, _wrap_pi, offset and Box.exit_side's test
+    if rate is None:
+        return finish(DomainFailure(start, f"det Df <= 0 at the start {start}"))
+    kx, ky, kt = rate
+    jet_at = _jet_at(pmap)
+    kernel = pmap.orbit_kernel
+    box = pmap.working_box()
+    xmin, xmax, ymin, ymax = box.xmin, box.xmax, box.ymin, box.ymax
+    tol = CORRECT_TOL * (1.0 + radius)
+    return_tol = RETURN_TOL * (1.0 + math.dist(start, center))
+    x, y = start
+    t, phi, turn, h = 0.0, 0.0, 1, max_dtheta   # phi = theta - theta0; turn: the next to land
     for _ in range(budget.max_steps):
+        land = phi + h >= TWO_PI * turn
+        step = TWO_PI * turn - phi if land else h
+        phi_new = TWO_PI * turn if land else phi + step
         try:
-            x5, y5, enorm, _, _, jet = dp5_step(kernel, x, y, fx, fy, h, rtol, atol)
+            x5, y5, t5, enorm, _, _, _, jet = dp5_step(kernel, x, y, t, kx, ky, kt,
+                                                       step, rtol, atol)
             if not math.isfinite(enorm):
                 enorm = math.inf
             if enorm <= 1.0:
-                xp, yp, jet = flow.project(x5, y5, jet)
-                raw_new = math.atan2(jet[3], jet[0])
+                xn, yn, jet, _ = _correct(jet_at, x5, y5, jet, on_level(theta0 + phi_new), tol)
         except _EVAL_ERRORS as err:
             # one stage overshooting the domain edge is not yet a failure,
-            # so retry smaller.  Underflow here means the orbit itself ran
-            # off the domain (DomainFailure at the last accepted point);
-            # underflow from the error norm or the cap below is stiffness
-            h *= 0.2
+            # so retry smaller; underflow here means the orbit ran off it
+            h = 0.2 * step
             if h < STEP_UNDERFLOW:
-                return domain_failure(err)
+                return finish(DomainFailure(points[-1], str(err)))
             continue
         if enorm > 1.0:
-            h *= step_factor(enorm)
+            h = step * step_factor(enorm)
             if h < STEP_UNDERFLOW:
                 return finish(BudgetExhausted(stiff=True))
             continue
+        rate = _lift_field(jet)
+        if rate is None:
+            return finish(DomainFailure((xn, yn), f"det Df <= 0 on the orbit at {(xn, yn)}"))
 
-        dtheta = raw_new - raw_prev
-        while dtheta > math.pi:
-            dtheta -= TWO_PI
-        while dtheta < -math.pi:
-            dtheta += TWO_PI
-        if abs(dtheta) > max_dtheta:
-            h *= max(0.2, 0.8 * max_dtheta / abs(dtheta))
-            if h < STEP_UNDERFLOW:
-                return finish(BudgetExhausted(stiff=True))
-            continue
-        if dtheta < 0.0:
-            return finish(DomainFailure(
-                (xp, yp), "image angle regressed; det Df <= 0 along the orbit?"))
+        mx0, my0, mx1, my1 = step * kx, step * ky, step * rate[0], step * rate[1]
+        for s in sorted(_exits(x, xn, mx0, mx1, xmin, xmax) + _exits(y, yn, my0, my1, ymin, ymax)):
+            p = (_hermite(x, xn, mx0, mx1, s), _hermite(y, yn, my0, my1, s))
+            try:
+                p = _correct(jet_at, *p, jet_at(*p), on_level(theta0 + phi + s * step), tol)[:2]
+            except _EVAL_ERRORS as err:
+                return finish(DomainFailure(points[-1], str(err)))
+            if not box.contains(p):     # the orbit ends here, its time interpolated
+                (xn, yn), t5, phi_new = p, t + s * (t5 - t), phi + s * step
+                break
 
-        t_new = t + h
-        p_new = (xp, yp)
-        g_new = ux * (yp - cy) - uy * (xp - cx)
-        theta_new = theta + dtheta
-        if theta_new - theta0 >= turn:
-            turn += TWO_PI
-            if g_prev < 0.0 <= g_new or g_new <= 0.0 < g_prev:     # crosses that line
-                try:
-                    dt, xh, yh, jet_hit = _refine_return(flow, offset, (x, y), (fx, fy), h,
-                                                         (xp, yp, jet), rtol, atol)
-                except _EVAL_ERRORS as err:
-                    return domain_failure(err)
-                except StiffUnderflow:
-                    return finish(BudgetExhausted(stiff=True))
-                if math.hypot(xh - start[0], yh - start[1]) <= return_tol:
-                    theta_hit = theta + _wrap_pi(_jet_angle(jet_hit) - raw_prev)
-                    points.append((xh, yh))
-                    times.append(t + dt)
-                    thetas.append(theta_hit)
-                    return finish(Closed(period=t + dt,
-                                         winding=round((theta_hit - theta0) / TWO_PI)))
-        g_prev = g_new
-
-        theta = theta_new
-        raw_prev = raw_new
-        x, y = xp, yp
-        t = t_new
-        fx, fy = _jet_rhs(jet)
-        points.append(p_new)
-        times.append(t_new)
-        thetas.append(theta)
-
-        if xp < xmin or xp > xmax or yp < ymin or yp > ymax:
-            return finish(Escaped(side=box.exit_side(p_new), time=t_new))
-        if theta - theta0 > max_theta:
-            return finish(BudgetExhausted(stiff=False))
-        h *= step_factor(enorm)
-
+        x, y, t, phi = xn, yn, t5, phi_new
+        kx, ky, kt = rate
+        points.append((x, y))
+        times.append(t)
+        thetas.append(theta0 + phi)
+        if not (xmin <= x <= xmax and ymin <= y <= ymax):
+            return finish(Escaped(side=box.exit_side((x, y)), time=t))
+        if land:
+            if math.dist((x, y), start) <= return_tol:
+                return finish(Closed(period=t, winding=turn))
+            if turn >= budget.max_winding:
+                return finish(BudgetExhausted(stiff=False))
+            turn += 1
+        else:
+            h = min(max_dtheta, step * step_factor(enorm))
     return finish(BudgetExhausted(stiff=False))
-
-
-def _refine_return(flow: _Flow, offset, p0: tuple[float, float],
-                   k1: tuple[float, float], h_step: float, end, rtol: float, atol: float):
-    """Locate the return crossing inside the accepted step from ``p0``.
-
-    Solves offset(p(dt)) = 0 for dt in (0, h_step], ``offset`` being the
-    signed distance from the line through the center and the start, on
-    the real flow: each trial p(dt) is one DP5 sub-step of the accepted
-    step, from its base point ``p0`` with its first stage ``k1`` and the
-    orbit's tolerances, projected back onto the level.  The bracket's ends are
-    ``p0`` and ``end = (x, y, jet)``, the step's projected end point with
-    the jet of f there, so neither is integrated again.  A sub-step whose
-    error norm fails raises :class:`StiffUnderflow`, so no unaccepted
-    point reaches the root finder; evaluation errors come through
-    located.  Returns ``(dt, x, y, jet)`` at the crossing.
-    """
-    g0 = offset(p0)
-    subs = {h_step: end}
-
-    def g_of_dt(dt: float) -> float:
-        if dt <= 0.0:
-            return g0
-        if dt not in subs:
-            x5, y5, enorm, _, _, jet = dp5_step(flow.kernel, *p0, *k1, dt, rtol, atol)
-            if not enorm <= 1.0:
-                raise StiffUnderflow(f"sub-step of {dt:.3g} from {p0} rejected")
-            subs[dt] = flow.project(x5, y5, jet)
-        return offset(subs[dt])
-
-    dt = h_step
-    if offset(end) != 0.0:
-        dt = brentq(g_of_dt, 0.0, h_step, xtol=1e-14, maxiter=200)
-    return (dt, *subs[dt])
 
 
 def level_start_point(pmap: PlanarMap, center: tuple[float, float],
                       h: float) -> tuple[float, float]:
-    """A point with H = h on a ray from the center (+x first, then a fan).
+    """The point with H = h on the lift of an image ray from the center c.
 
-    Marches outward until H - h changes sign, solves on the bracketing
-    segment, then projects exactly onto the level.  Raises
-    :class:`LevelUnreachable` when no fan ray crosses the level inside
-    the working box.
+    The ray s -> s sqrt(2h) e^{i theta0}, theta0 = arg(Df(c) e_x), is
+    lifted from c by Newton continuation in |f| (tangent predictor, then
+    a correction onto the ray), which takes a step only when the
+    correction converges within a quarter of the predictor's length, so
+    the lift keeps to its branch, and halves it otherwise.  |f| grows
+    along the lift, so it stays in c's own component of {H < h}; it runs
+    along +x where Df(c) e_x keeps its direction, as for affine maps.
+    Raises :class:`LiftEscaped` when the lift leaves the working window
+    below the level, :class:`LevelUnreachable` when the step underflows.
     """
     if h <= 0:
         raise ValueError("level must be positive")
     box = pmap.working_box()
     cx, cy = center_point(center)
-    flow = _Flow(pmap, h)
-
-    def h_minus(r: float, ux: float, uy: float) -> float:
-        return sample(pmap, (cx + r * ux, cy + r * uy)).hamiltonian - h
-
-    for k in range(START_FAN_N):
-        ang = 2 * math.pi * k / START_FAN_N
-        ux, uy = math.cos(ang), math.sin(ang)
-        # max radius still inside the box along this ray
-        r_cap = math.inf
-        if ux > 0:
-            r_cap = min(r_cap, (box.xmax - cx) / ux)
-        elif ux < 0:
-            r_cap = min(r_cap, (box.xmin - cx) / ux)
-        if uy > 0:
-            r_cap = min(r_cap, (box.ymax - cy) / uy)
-        elif uy < 0:
-            r_cap = min(r_cap, (box.ymin - cy) / uy)
-        if not math.isfinite(r_cap) or r_cap <= 0:
-            continue
-        r_lo = 0.0
-        r_hi = min(1e-4 * r_cap, r_cap)
-        found = False
+    jet_at = _jet_at(pmap)
+    radius = math.sqrt(2.0 * h)
+    tol = CORRECT_TOL * (1.0 + radius)
+    try:
+        s0 = sample(pmap, (cx, cy))     # with the overflow guard
+    except _EVAL_ERRORS as err:
+        raise LevelUnreachable(f"no lift from {center}: {err}") from None
+    (dx1, dy1), (dx2, dy2) = s0.jacobian
+    jet = (s0.f_value[0], dx1, dy1, s0.f_value[1], dx2, dy2)
+    theta0 = math.atan2(dx2, dx1)               # the angle of Df(c) e_x
+    ux, uy = math.cos(theta0), math.sin(theta0)
+    x, y, rho, step = cx, cy, 0.0, radius
+    while rho < radius:
+        _, dx1, dy1, _, dx2, dy2 = jet
+        det = dx1 * dy2 - dx2 * dy1
+        if step < STEP_UNDERFLOW * radius or det == 0.0:
+            raise LevelUnreachable(f"the lift from {center} towards level h={h} "
+                                   f"stalls at {(x, y)}")
+        d = min(step, radius - rho)
+        run_x, run_y = d * (dy2 * ux - dy1 * uy) / det, d * (dx1 * uy - dx2 * ux) / det
+        px, py = x + run_x, y + run_y
+        rho_new = radius if d == radius - rho else rho + d
         try:
-            while r_hi <= r_cap:
-                if h_minus(r_hi, ux, uy) >= 0.0:
-                    found = True
-                    break
-                r_lo = r_hi
-                r_hi *= 1.5
-            if not found and r_lo < r_cap and h_minus(r_cap, ux, uy) >= 0.0:
-                r_hi = r_cap
-                found = True
+            xc, yc, jc, converged = _correct(jet_at, px, py, jet_at(px, py),
+                                             (rho_new * ux, rho_new * uy), tol)
         except _EVAL_ERRORS:
+            converged = False
+        moved = math.hypot(xc - px, yc - py) if converged else math.inf
+        if moved > 0.25 * math.hypot(run_x, run_y):
+            step = 0.5 * d
             continue
-        if not found:
-            continue
-        r_star = brentq(h_minus, r_lo, r_hi, args=(ux, uy), xtol=1e-15, maxiter=200)
-        p = flow.project(cx + r_star * ux, cy + r_star * uy)[:2]
-        if box.contains(p):
-            return p
-    raise LevelUnreachable(f"no start point on level h={h} around {center}")
+        x, y, jet, rho = xc, yc, jc, rho_new
+        if not box.contains((x, y)):
+            raise LiftEscaped((x, y), box.exit_side((x, y)), theta0)
+        if moved <= 0.05 * math.hypot(run_x, run_y):
+            step = 2.0 * d
+    return (x, y)
 
 
 def winding_certificate(pmap: PlanarMap, center: tuple[float, float], h: float,
@@ -439,13 +348,19 @@ def winding_certificate(pmap: PlanarMap, center: tuple[float, float], h: float,
                         rtol: float = RTOL, atol: float = ATOL) -> WindingCertificate:
     """Injectivity evidence for f restricted to the orbit at level h.
 
-    The certificate is positive exactly when the orbit closes, its image
+    The orbit starts on the lift of an image ray from the center
+    (:func:`level_start_point`); a lift that leaves the window first
+    gives an :class:`Escaped` trace of its exit point alone.  The
+    certificate is positive exactly when the orbit closes, its image
     winds once around the origin, the closed trace polygon winds once
-    around the center (the start may lie on another center's oval), and
-    the trace invariants hold.
+    around the center, and the trace invariants hold.
     """
     cpt = center_point(center)
-    start = level_start_point(pmap, cpt, h)  # may raise LevelUnreachable
+    try:
+        start = level_start_point(pmap, cpt, h)
+    except LiftEscaped as esc:
+        trace = OrbitTrace(h, (esc.point,), (0.0,), (esc.theta,), Escaped(esc.side, 0.0))
+        return WindingCertificate(h, esc.point, False, False, 0, None, trace)
     trace = integrate_orbit(pmap, start, budget=budget, center=cpt,
                             rtol=rtol, atol=atol)
     closed = isinstance(trace.outcome, Closed)
@@ -476,37 +391,9 @@ def _winds_once(points, center: tuple[float, float]) -> bool:
 def _invariants_hold(pmap: PlanarMap, trace: OrbitTrace) -> bool:
     """Energy stays pinned and theta is monotone over the stored points."""
     tol = 1e-8 * (1.0 + abs(trace.h))
-    jet = pmap.jet
     for (x, y) in trace.points[:: max(1, len(trace.points) // 256)]:
-        v1, _, _, v2, _, _ = jet(x, y)
+        v1, _, _, v2, _, _ = pmap.jet(x, y)
         if abs(0.5 * (v1 * v1 + v2 * v2) - trace.h) > tol:
             return False
-    for a, b in zip(trace.thetas, trace.thetas[1:]):
-        if b <= a:
-            return False
-    return True
+    return all(b > a for a, b in zip(trace.thetas, trace.thetas[1:]))
 
-
-def angular_speed_check(pmap: PlanarMap, trace: OrbitTrace) -> float:
-    """Max deviation of the measured image-angle speed from det Df.
-
-    A three-point nonuniform finite difference of theta(t) is compared
-    with det Df at each interior stored point; the deviation is
-    normalised by 1 + |det|.
-    """
-    if len(trace.points) < 10:
-        raise ValueError("trace too short for the angular-speed diagnostic")
-    worst = 0.0
-    for i in range(1, len(trace.points) - 1):
-        t0, t1, t2 = trace.times[i - 1], trace.times[i], trace.times[i + 1]
-        th0, th1, th2 = trace.thetas[i - 1], trace.thetas[i], trace.thetas[i + 1]
-        h1 = t1 - t0
-        h2 = t2 - t1
-        if h1 <= 0 or h2 <= 0:
-            continue
-        fd = (-h2 / (h1 * (h1 + h2)) * th0
-              + (h2 - h1) / (h1 * h2) * th1
-              + h1 / (h2 * (h1 + h2)) * th2)
-        det = sample(pmap, trace.points[i]).det
-        worst = max(worst, abs(fd - det) / (1.0 + abs(det)))
-    return worst

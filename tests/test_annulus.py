@@ -160,6 +160,22 @@ def test_predicted_ell_of_affine_maps(a, center):
     assert max(abs(x), abs(y)) == 20.0
 
 
+@pytest.mark.parametrize("a,center", [
+    (((1.3, 0.3), (-0.2, 0.8)), (4.0, -5.0)),
+    (((1.2, 0.3), (-0.2, 0.8)), (5.0, -3.0)),
+    (((0.6, -0.4), (0.4, 1.6)), (-6.0, 4.5)),
+])
+def test_default_h_max_is_the_boundary_minimum(a, center):
+    # the 513 samples per edge alone sit up to 2e-5 above it, and the top
+    # probe just under h_max would then reach the window edge
+    pmap = _affine_map(a, center)
+    truth = _affine_window_min(a, center)
+    assert truth > 1.0
+    assert default_h_max(pmap) == pytest.approx(truth, rel=1e-9)
+    est = estimate_ell(pmap, center)
+    assert est.budget_exceeded and len(est.probes) == 9
+
+
 def test_predicted_ell_of_example3_edge_center(example3):
     # the edge y = -20 cuts this annulus: ell = 1/2 sin^2 20, at e^x = cos 20
     guess = predict_ell(example3, (0.0, -3.0 * TWO_PI))

@@ -270,22 +270,39 @@ def test_schema_admits_an_undetermined_conti_type(tmp_path):
     jsonschema.validate(doc, SCHEMAS["report"])
 
 
-def test_bracket_above_the_predicted_contact_warns(tmp_path):
+def test_window_cut_bracket_holds_the_contact(tmp_path):
     # example3's center (0, -6 pi): the edge y = -20 cuts its annulus at
-    # 1/2 sin^2 20, but an orbit that leaves the window between two
-    # accepted steps goes unseen, so levels above it are certified
+    # 1/2 sin^2 20, where its orbits leave the window between two
+    # accepted steps; the window test on the step's interpolant sees it
+    out = tmp_path / "e3.json"
+    assert run("report", "--map", "builtin:example3", "--box=-2,2,-20,-17",
+               "--out", str(out)) == 0
+    doc = read_json(out)
+    (center,) = doc["centers"]
+    lo, hi, tol = center["ell"]["lo"], center["ell"]["hi"], doc["config"]["tol"]
+    assert lo - tol <= 0.5 * math.sin(20.0) ** 2 <= hi + tol
+    assert hi - lo <= tol
+    assert not any("predicted window contact" in w for w in doc["warnings"])
+
+
+def test_bracket_above_the_predicted_contact_warns(tmp_path, monkeypatch):
+    # a prediction below the certified bracket misses (both its probes
+    # are certified), the bisection brackets the contact, and the report
+    # says the two disagree
+    guess = annulus_mod.EllGuess(h=0.3, point=(-0.5, -20.0))
+    monkeypatch.setattr(annulus_mod, "predict_ell", lambda pmap, center: guess)
     out = tmp_path / "e3.json"
     assert run("report", "--map", "builtin:example3", "--box=-2,2,-20,-17",
                "--out", str(out)) == 0
     doc = read_json(out)
     (center,) = doc["centers"]
     lo, hi = center["ell"]["lo"], center["ell"]["hi"]
-    assert lo > 0.5 * math.sin(20.0) ** 2 + 1e-6
+    assert lo > 0.3 + doc["config"]["tol"]
     (warning,) = [w for w in doc["warnings"] if "predicted" in w]
     assert warning.startswith("center (")
-    assert "h=0.416734515 at (-0.896287, -20)" in warning
+    assert "h=0.3 at (-0.5, -20)" in warning
     assert f"[{lo:.9g}, {hi:.9g}]" in warning
-    assert "between accepted steps" in warning
+    assert warning.endswith("the prediction or the orbits' window test is off")
 
 
 def test_predicted_bracket_does_not_warn(tmp_path):

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from orbit_checks import angular_speed_check
 from planarham import trace as trace_mod
-from planarham.annulus import BAD, INCONCLUSIVE, classify_certificate
-from planarham.expr import DomainError, parse_expr
+from planarham.annulus import BAD, classify_certificate
+from planarham.expr import parse_expr
 from planarham.field import Box, PlanarMap, sample
 from planarham.trace import (
     AngleBudget,
@@ -16,7 +17,6 @@ from planarham.trace import (
     DomainFailure,
     Escaped,
     LevelUnreachable,
-    angular_speed_check,
     integrate_orbit,
     level_start_point,
     winding_certificate,
@@ -194,7 +194,8 @@ def test_budget_when_return_never_matches(identity_map, monkeypatch):
     trace = integrate_orbit(identity_map, (1.0, 0.0), center=(0.0, 0.0))
     assert isinstance(trace.outcome, BudgetExhausted)
     assert not trace.outcome.stiff
-    assert trace.thetas[-1] - trace.thetas[0] > 3 * TWO_PI
+    # it stopped at the last whole turn the budget allows
+    assert trace.thetas[-1] - trace.thetas[0] == pytest.approx(3 * TWO_PI, abs=1e-12)
 
 
 def test_escape_through_declared_box():
@@ -219,170 +220,89 @@ def test_domain_failure_outcome():
 
 @pytest.mark.parametrize("kwargs", [
     {"rtol": 0.0, "atol": 1e-300},   # error norm can never be met
-    {"max_dtheta": 1e-300},          # dtheta cap can never be met
+    {"rtol": 1e-300, "atol": 0.0},   # nor its relative part alone
 ])
 def test_underflow_without_evaluation_error_is_stiff(identity_map, kwargs):
     trace = integrate_orbit(identity_map, (1.0, 0.0), center=(0.0, 0.0), **kwargs)
     assert trace.outcome == BudgetExhausted(stiff=True)
 
 
-def _bracket_refinement(pmap, p0, h_step, rtol=1e-9, atol=1e-12, end_step=None):
-    """Refine a return over the step [0, h_step] from p0.  The bracket's
-    end is the accepted step of ``end_step`` (default ``h_step``), and
-    the offset is taken from the horizontal line halfway to it."""
-    flow = trace_mod._Flow(pmap, sample(pmap, p0).hamiltonian)
-    x, y, jet = flow.project(*p0)
-    k1 = trace_mod._jet_rhs(jet)
-    x5, y5, enorm, _, _, jet5 = pmap.orbit_kernel(x, y, *k1, end_step or h_step,
-                                                  1e-9, 1e-12)
-    assert enorm <= 1.0
-    end = flow.project(x5, y5, jet5)
-    mid = 0.5 * (y + end[1])
-
-    def offset(p):
-        return p[1] - mid
-
-    assert offset((x, y)) * offset(end) < 0.0
-    return trace_mod._refine_return(flow, offset, (x, y), k1, h_step, end, rtol, atol)
+def test_correct_returns_jet_at_returned_point(example3):
+    jet_at = trace_mod._jet_at(example3)
+    w = (0.5 * math.cos(0.3), 0.5 * math.sin(0.3))
+    x, y, jet, converged = trace_mod._correct(jet_at, 0.5, 0.3, jet_at(0.5, 0.3), w, 1e-13)
+    assert converged
+    assert jet == example3.jet(x, y)
+    assert abs(jet[0] - w[0]) <= 1e-13 and abs(jet[3] - w[1]) <= 1e-13
 
 
-def test_refinement_substep_crosses_inside_the_step(identity_map):
-    dt, x, y, jet = _bracket_refinement(identity_map, (1.0, 0.0), 0.01)
-    # the unit circle from (1, 0) meets y = sin(0.01)/2 at this time
-    assert abs(dt - math.asin(0.5 * math.sin(0.01))) <= 1e-10
-    assert abs(math.hypot(x, y) - 1.0) <= 1e-12
-    assert jet == identity_map.jet(x, y)
+def _recording_map(pmap, points, step_ends):
+    """A copy of ``pmap`` whose jet records each point it evaluates and
+    whose orbit kernel records each step's end."""
+    copy = PlanarMap(f1=pmap.f1, f2=pmap.f2, domain=pmap.domain, name=pmap.name)
+    jet, kernel = pmap.jet, pmap.orbit_kernel
+
+    def recording(x, y):
+        points.append((x, y))
+        return jet(x, y)
+
+    def recording_kernel(*args):
+        out = kernel(*args)
+        step_ends.add(out[:2])
+        return out
+
+    vars(copy).update(jet=recording, orbit_kernel=recording_kernel)
+    return copy
 
 
-def test_refinement_substep_reraises_located_domain_error():
-    # H = (x + y^2)/2, whose orbit leaves x >= 0 at t ~ 1e-3 from here:
-    # the bracket claims a step of 0.01, so the first trial sub-step has
-    # stage points at x < 0, where sqrt(x) fails
-    pmap = PlanarMap(f1=parse_expr("sqrt(x)"), f2=parse_expr("y"), name="halfplane")
-    p0 = (1e-3, math.sqrt(1.0 - 1e-3))
-    with pytest.raises(DomainError, match=r"sqrt of a negative value in 'sqrt\(x\)'"):
-        _bracket_refinement(pmap, p0, 0.01, end_step=5e-4)
-
-
-def test_refinement_substep_signals_stiff_underflow(identity_map):
-    # the error norm can never be met: the first sub-step is rejected,
-    # and its unaccepted end must not come back as the flow over dt
-    with pytest.raises(trace_mod.StiffUnderflow):
-        _bracket_refinement(identity_map, (1.0, 0.0), 0.01, rtol=0.0, atol=1e-300)
-
-
-def test_stiff_return_refinement_ends_orbit_stiff(identity_map, monkeypatch):
-    real_refine = trace_mod._refine_return
-
-    def stiff_refine(flow, offset, p0, k1, h_step, end, rtol, atol):
-        return real_refine(flow, offset, p0, k1, h_step, end, 0.0, 1e-300)
-
-    monkeypatch.setattr(trace_mod, "_refine_return", stiff_refine)
-    trace = integrate_orbit(identity_map, (1.0, 0.0), center=(0.0, 0.0))
-    assert trace.outcome == BudgetExhausted(stiff=True)
-    # it ended at the first return, not by running out of winding
-    assert trace.thetas[-1] - trace.thetas[0] < 1.5 * TWO_PI
-
-
-def test_project_returns_jet_at_returned_point(example3):
-    flow = trace_mod._Flow(example3, 0.125)
-    x, y, jet = flow.project(0.5, 0.3)
-    assert jet == flow.jet(x, y)
-    assert abs(sample(example3, (x, y)).hamiltonian - 0.125) <= 1e-12
-
-
-def test_accepted_point_evaluated_once(example1, monkeypatch):
-    # projection, image angle and the next step's first stage share one
+def test_accepted_point_evaluated_once(example1):
+    # correction, window test and the next step's first stage share one
     # evaluation, and the kernel hands its last stage's jet to the
-    # projection: no point is evaluated twice in a row, and the end
+    # correction: no point is evaluated twice in a row, and the end
     # point of a step never by a separate jet call
-    points = []
-    step_ends = set()
-    real_flow = trace_mod._Flow
-
-    class RecordingFlow(real_flow):
-        def __init__(self, pmap, h_level):
-            super().__init__(pmap, h_level)
-            jet, kernel = self.jet, self.kernel
-
-            def recording(x, y):
-                points.append((x, y))
-                return jet(x, y)
-
-            def recording_kernel(*args):
-                out = kernel(*args)
-                step_ends.add(out[:2])
-                return out
-
-            self.jet = recording
-            self.kernel = recording_kernel
-
-    monkeypatch.setattr(trace_mod, "_Flow", RecordingFlow)
-    # accepted and rejected steps, then the return refinement's sub-steps
-    trace = integrate_orbit(example1, (0.5, 0.0), budget=AngleBudget(max_winding=1),
+    points, step_ends = [], set()
+    pmap = _recording_map(example1, points, step_ends)
+    trace = integrate_orbit(pmap, (0.5, 0.0), budget=AngleBudget(max_winding=1),
                             center=(0.0, 0.0))
     assert isinstance(trace.outcome, Closed)
-    assert len(step_ends) > 100
+    assert len(step_ends) >= 74
     assert all(a != b for a, b in zip(points, points[1:]))
     assert not step_ends.intersection(points)
+    # at most one correction per accepted point
+    assert len(points) <= len(trace.points)
 
 
-def test_refinement_does_not_repeat_the_accepted_step(example3, monkeypatch):
-    # brentq's bracket ends are the accepted step's own ends: no sub-step
-    # re-integrates the step (p0, h), and the first stage at p0 is the
-    # loop's, so the jet is never evaluated at p0 while refining
-    refining, bases = [], []
-    kernel_calls, jet_calls = [], []
-    real_flow, real_refine = trace_mod._Flow, trace_mod._refine_return
+# ---- the window, tested between accepted points ----
 
-    class RecordingFlow(real_flow):
-        def __init__(self, pmap, h_level):
-            super().__init__(pmap, h_level)
-            jet, kernel = self.jet, self.kernel
-
-            def recording(x, y):
-                if refining:
-                    jet_calls.append((x, y))
-                return jet(x, y)
-
-            def recording_kernel(x, y, k1x, k1y, h, *args):
-                if refining:
-                    kernel_calls.append((refining[-1], (x, y), h))
-                return kernel(x, y, k1x, k1y, h, *args)
-
-            self.jet = recording
-            self.kernel = recording_kernel
-
-    def recording_refine(*args):
-        p0, h_step = args[2], args[4]
-        refining.append((p0, h_step))
-        bases.append(p0)
-        try:
-            return real_refine(*args)
-        finally:
-            refining.pop()
-
-    monkeypatch.setattr(trace_mod, "_Flow", RecordingFlow)
-    monkeypatch.setattr(trace_mod, "_refine_return", recording_refine)
-    trace = integrate_orbit(example3, (0.5, 0.0), budget=AngleBudget(max_winding=2),
-                            center=(0.0, 0.0))
-    assert isinstance(trace.outcome, Closed)
-    assert kernel_calls
-    for (p0, h_step), base, h in kernel_calls:
-        assert base == p0
-        assert 0.0 < h < h_step
-    assert not set(bases).intersection(jet_calls)
+def test_exit_between_accepted_points_is_seen(example3):
+    # the window edge y = -20 cuts the annulus of (0, -6 pi) at
+    # 1/2 sin^2 20; just above, the orbit pokes out of the window for a
+    # stretch far shorter than one step
+    contact = 0.5 * math.sin(20.0) ** 2
+    cert = winding_certificate(example3, (0.0, -6 * math.pi), contact + 1e-8)
+    assert isinstance(cert.trace.outcome, Escaped)
+    assert cert.trace.outcome.side == "ymin"
+    exit_point = cert.trace.points[-1]
+    assert exit_point[1] < -20.0
+    assert abs(sample(example3, exit_point).hamiltonian - (contact + 1e-8)) <= 1e-12
+    assert all(p[1] >= -20.0 for p in cert.trace.points[:-1])
 
 
-def test_domain_error_in_return_refinement_ends_orbit(identity_map, monkeypatch):
-    def off_domain(flow, offset, p0, *args):
-        raise DomainError("sqrt of a negative value", parse_expr("sqrt(x)"), p0)
+def test_level_just_below_a_tangency_stays_inside(example3, monkeypatch):
+    # just below the contact the step's interpolant crosses y = -20, but
+    # the point there, corrected onto the level, does not
+    interpolated = []
+    real = trace_mod._hermite
 
-    monkeypatch.setattr(trace_mod, "_refine_return", off_domain)
-    trace = integrate_orbit(identity_map, (1.0, 0.0), center=(0.0, 0.0))
-    assert isinstance(trace.outcome, DomainFailure)
-    assert trace.outcome.point == trace.points[-1]
-    assert "sqrt(x)" in trace.outcome.message
+    def recording(*args):
+        interpolated.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(trace_mod, "_hermite", recording)
+    contact = 0.5 * math.sin(20.0) ** 2
+    cert = winding_certificate(example3, (0.0, -6 * math.pi), contact - 1e-8)
+    assert interpolated
+    assert cert.injective_on_orbit
 
 
 # ---- returns at whole turns of the image angle ----
@@ -408,15 +328,42 @@ def test_winding_two_return_past_a_one_turn_budget(square_map):
     assert cert.trace.outcome == BudgetExhausted(stiff=False)
 
 
-def test_closed_orbit_round_another_center_is_inconclusive(square_map):
-    # the start ray from (-1, 0) steps over the center's own oval and lands
-    # on the other center's, at (1.4135, 0): that orbit closes with winding
-    # one but does not go round (-1, 0), which proves nothing either way
+def test_level_start_is_the_centers_own_crossing(square_map):
+    # the center's own oval at h = 0.498 crosses the x-axis at -0.0447,
+    # in a thin band next to the origin where det Df -> 0; the lift of
+    # the image ray stays in the center's sublevel component, so it does
+    # not step over that crossing onto the oval round (1, 0)
     cert = winding_certificate(square_map, (-1.0, 0.0), 0.498)
-    assert abs(cert.start[0] - math.sqrt(1.0 + math.sqrt(0.996))) <= 1e-9
+    assert cert.start[0] == pytest.approx(-math.sqrt(1.0 - math.sqrt(0.996)), abs=1e-9)
+    assert abs(cert.start[1]) <= 1e-12
     assert cert.closed and cert.winding == 1
-    assert not cert.injective_on_orbit
-    assert classify_certificate(cert) == (INCONCLUSIVE, "invariant-violation")
+    assert trace_mod._winds_once(cert.trace.points, (-1.0, 0.0))
+    assert cert.injective_on_orbit
+
+
+def test_lift_leaving_the_window_is_an_escape(identity_map):
+    # |f| = sqrt(1000) lies beyond the window's edge x = 20 on the +x ray:
+    # the center's sublevel component reaches the edge, which is BAD
+    with pytest.raises(trace_mod.LiftEscaped):
+        level_start_point(identity_map, (0.0, 0.0), 500.0)
+    cert = winding_certificate(identity_map, (0.0, 0.0), 500.0)
+    assert cert.trace.outcome.kind == "escaped" and not cert.closed
+    assert classify_certificate(cert) == (BAD, "escaped:xmax")
+
+
+def test_lift_stalling_at_a_fold_is_unreachable(square_map):
+    # from (-1, 0) the lift of the image ray meets det Df = 0 at the
+    # origin, where |f| = 1 < sqrt(1.2)
+    with pytest.raises(LevelUnreachable) as err:
+        level_start_point(square_map, (-1.0, 0.0), 0.6)
+    assert not isinstance(err.value, trace_mod.LiftEscaped)
+
+
+def test_winds_once_round_the_given_point_only():
+    square = [(2.0, -1.0), (2.0, 1.0), (0.0, 1.0), (0.0, -1.0)]   # round (1, 0)
+    assert trace_mod._winds_once(square, (1.0, 0.0))
+    assert not trace_mod._winds_once(square, (-1.0, 0.0))
+    assert not trace_mod._winds_once(square[::-1], (1.0, 0.0))
 
 
 @pytest.mark.parametrize("h", [1e-4, 1e-2])
