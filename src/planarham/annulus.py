@@ -12,17 +12,22 @@ two probes either side of it usually give the bracket; a bisection
 finds it otherwise.  Certificates decide every level.  Everything
 downstream (region mask, image shape, globality verdict, traced rim)
 reads the :class:`EllEstimate`, whose rim is its GOOD probe's orbit at
-ell_lo.
+ell_lo.  Inside that rim f is injective once det Df != 0, so the
+injectivity spot check over the region is a deterministic grid search
+whose collision rule scales with Df; it can only flag a map outside the
+hypothesis, such as an even one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 from scipy.optimize import minimize_scalar
+from scipy.spatial import cKDTree
 
 from .centers import CenterRecord
 from .expr import eval_grid
@@ -236,7 +241,7 @@ def predict_ell(pmap: PlanarMap, center) -> EllGuess | None:
         return None
     n = PREDICT_GRID_N
     ham = _h_grid(pmap, box, n)
-    ci, cj = _cell_index(box, n, cpt)
+    ci, cj = cell_index(box, n, *cpt)
     h0 = ham[ci, cj]
     if math.isnan(h0):
         return None
@@ -400,12 +405,6 @@ class RegionSampler:
     def mask(self) -> np.ndarray:
         return self._component.copy()
 
-    def cell_of(self, p: tuple[float, float]) -> tuple[int, int]:
-        i = int((p[0] - self.box.xmin) / self._dx)
-        j = int((p[1] - self.box.ymin) / self._dy)
-        return (min(max(i, 0), self.grid_n - 1),
-                min(max(j, 0), self.grid_n - 1))
-
     def component_bbox(self) -> tuple[float, float, float, float]:
         """(xmin, xmax, ymin, ymax) spanned by the component's cell centers."""
         idx = np.argwhere(self._component)
@@ -425,47 +424,19 @@ class RegionSampler:
 
     def classify(self, p: tuple[float, float]) -> str:
         """One of "inside", "outside", "boundary" (= within mask resolution)."""
-        return self._classify(p)[0]
-
-    def _classify(self, p: tuple[float, float]) -> tuple[str, tuple[float, float]]:
-        """:meth:`classify` with the image f(p) that placed an inside point."""
         if not self.box.contains(p):
-            return "outside", (math.nan, math.nan)
-        i, j = self.cell_of(p)
+            return "outside"
+        i, j = cell_index(self.box, self.grid_n, *p)
         try:
             v1, _, _, v2, _, _ = self._jet(p[0], p[1])
         except JET_ERRORS:
             v1 = v2 = math.nan
         below = 0.5 * (v1 * v1 + v2 * v2) < self.ell_lo     # false on inf and nan
         if self._component[i, j]:
-            return ("inside" if below else "boundary"), (v1, v2)
+            return "inside" if below else "boundary"
         if below and self._touches_component(i, j):
-            return "boundary", (v1, v2)
-        return "outside", (v1, v2)
-
-    def sample_inside(self, n: int, seed: int = 42) -> list[tuple[float, float]]:
-        """n points classified inside, by rejection over component cells."""
-        return [p for p, _ in self._sample_inside(n, seed)]
-
-    def _sample_inside(self, n: int, seed: int) -> list:
-        """:meth:`sample_inside` as (point, image) pairs."""
-        rng = np.random.default_rng(seed)
-        cells = np.argwhere(self._component)
-        if len(cells) == 0:
-            raise RuntimeError("empty region component")
-        out = []
-        attempts = 0
-        while len(out) < n:
-            attempts += 1
-            if attempts > 200 * n:
-                raise RuntimeError("rejection sampling stalled; region too thin")
-            i, j = cells[rng.integers(len(cells))]
-            p = (self.box.xmin + (i + rng.random()) * self._dx,
-                 self.box.ymin + (j + rng.random()) * self._dy)
-            label, image = self._classify(p)
-            if label == "inside":
-                out.append((p, image))
-        return out
+            return "boundary"
+        return "outside"
 
 
 def region(pmap: PlanarMap, center, ell_lo: float, grid_n: int = 200,
@@ -484,7 +455,7 @@ def region(pmap: PlanarMap, center, ell_lo: float, grid_n: int = 200,
     mask = _h_grid(pmap, box, grid_n) < ell_lo      # NaN compares false
 
     labels, _ = ndimage.label(mask)
-    ci, cj = _cell_index(box, grid_n, (cx, cy))
+    ci, cj = cell_index(box, grid_n, cx, cy)
     if not mask[ci, cj]:
         raise RegionTooCoarse(
             f"grid too coarse: the cell holding {(cx, cy)} is not strictly "
@@ -536,10 +507,13 @@ def _levels_above(pmap: PlanarMap, box: Box, ell_lo: float) -> bool:
     return bool(np.any(np.isfinite(ham) & (ham > ell_lo)))
 
 
-def _cell_index(box: Box, grid_n: int, p: tuple[float, float]) -> tuple[int, int]:
-    """The (i, j) grid cell of a point p inside box."""
-    return (min(int((p[0] - box.xmin) / (box.xmax - box.xmin) * grid_n), grid_n - 1),
-            min(int((p[1] - box.ymin) / (box.ymax - box.ymin) * grid_n), grid_n - 1))
+def cell_index(box: Box, grid_n: int, x, y):
+    """The (i, j) cells of the grid_n x grid_n grid of box that hold the
+    points (x, y), clamped to the grid at both ends; scalars or arrays."""
+    def index(v, lo, hi):
+        return np.clip(np.floor((v - lo) / (hi - lo) * grid_n), 0, grid_n - 1).astype(int)
+
+    return index(x, box.xmin, box.xmax), index(y, box.ymin, box.ymax)
 
 
 def _h_grid(pmap: PlanarMap, box: Box, grid_n: int) -> np.ndarray:
@@ -578,63 +552,64 @@ class SpotcheckReport:
         return not self.collisions
 
 
-_HASH_CELL = 1e-4
-_IMAGE_TOL = 1e-6
-_POINT_SEP = 1e-3
 _MAX_COLLISIONS = 50
 
 
 def injectivity_spotcheck(pmap: PlanarMap, sampler: RegionSampler,
-                          n: int = 10_000, rng_seed: int = 42,
-                          ) -> SpotcheckReport:
-    """Search the region for distinct points with nearly equal images.
+                          n: int = 10_000) -> SpotcheckReport:
+    """Search the region for grid points with nearly equal images.
 
-    Points come from a symmetric grid over the component's bounding box
-    (so mirror-image collisions of an even map are actually hit), topped
-    up with rejection samples to reach n.  Images are bucketed on a
-    1e-4 hash grid; points in the same or adjacent buckets collide when
-    the images agree to 1e-6 while the points are at least 1e-3 apart.
-    An empty report means "no collision found", not "injective".  Each
-    image is the evaluation of f that placed its point inside the region.
+    f is evaluated once, by :func:`eval_grid`, on a symmetric m x m grid
+    over the component's bounding box, so mirror-image collisions of an
+    even map are actually hit.  m starts at ceil(sqrt(n)) and grows with
+    the inside fraction just measured until n points are inside, but to
+    at most 4 times its start; ``n_sampled`` says how many were found.
+    A point is inside when its cell is in the component and its H is
+    below ell_lo; the first n in row-major order are kept.  Two of them
+    at least two grid steps apart collide when their images are closer
+    than half the smaller grid step times sigma, the smaller singular
+    value of Df at either point, read off ``np.gradient`` of the image
+    grid.  For an affine f that gradient is exact and |A(p - q)| >=
+    sigma |p - q|, so a nonsingular affine map never collides.  An empty
+    report means "no collision found", not "injective".
     """
     if n < 100:
         raise ValueError("need at least 100 sample points")
     bx0, bx1, by0, by1 = sampler.component_bbox()
-    m = math.isqrt(n - 1) + 1
-    inside: list[tuple[tuple[float, float], tuple[float, float]]] = []  # (point, image)
-    for j in range(m):
-        y = by0 + (by1 - by0) * (j + 0.5) / m
-        for i in range(m):
-            x = bx0 + (bx1 - bx0) * (i + 0.5) / m
-            label, image = sampler._classify((x, y))
-            if label == "inside":
-                inside.append(((x, y), image))
-            if len(inside) == n:
+    m0 = m = math.isqrt(n - 1) + 1
+    with np.errstate(all="ignore"):
+        while True:
+            xs = bx0 + (bx1 - bx0) * (np.arange(m) + 0.5) / m
+            ys = by0 + (by1 - by0) * (np.arange(m) + 0.5) / m
+            gx, gy = np.meshgrid(xs, ys)        # row j holds y = ys[j]
+            f1, f2 = eval_grid(pmap.f1, gx, gy), eval_grid(pmap.f2, gx, gy)
+            inside = (sampler.mask[cell_index(sampler.box, sampler.grid_n, gx, gy)]
+                      & (0.5 * (f1 * f1 + f2 * f2) < sampler.ell_lo))
+            count = int(inside.sum())
+            if count >= n or m == 4 * m0:
                 break
-        if len(inside) == n:
-            break
-    if len(inside) < n:
-        inside.extend(sampler._sample_inside(n - len(inside), seed=rng_seed))
-
-    buckets: dict[tuple[int, int], list[int]] = {}
-    collisions: list[Collision] = []
-    truncated = False
-    for idx, ((x, y), (v1, v2)) in enumerate(inside):
-        key = (math.floor(v1 / _HASH_CELL), math.floor(v2 / _HASH_CELL))
-        if not truncated:
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    for other in buckets.get((key[0] + di, key[1] + dj), ()):
-                        (ox, oy), (ou, ov) = inside[other]
-                        d_img = math.hypot(v1 - ou, v2 - ov)
-                        if (d_img <= _IMAGE_TOL
-                                and math.hypot(x - ox, y - oy) >= _POINT_SEP):
-                            collisions.append(
-                                Collision((x, y), (ox, oy), d_img))
-                            if len(collisions) >= _MAX_COLLISIONS:
-                                truncated = True
-        buckets.setdefault(key, []).append(idx)
-    return SpotcheckReport(len(inside), tuple(collisions), truncated)
+            m = min(4 * m0, math.ceil(m * math.sqrt(n / count)) + 1) if count else 4 * m0
+        hx, hy = (bx1 - bx0) / m, (by1 - by0) / m
+        # Df = [[a, b], [c, d]] and its smaller singular value
+        (a, b), (c, d) = (np.gradient(g, hy, hx)[::-1] for g in (f1, f2))
+        sigma = np.abs(a * d - b * c) / (0.5 * (np.hypot(a + d, b - c)
+                                                + np.hypot(a - d, b + c)))
+    j, i = (k[:n] for k in np.nonzero(inside))      # row-major: y outer, x inner
+    images = np.column_stack([f1[j, i], f2[j, i]])
+    reach = 0.5 * min(hx, hy) * sigma[j, i]
+    reach[~np.isfinite(reach)] = 0.0                # Df unknown: no collision
+    # a pair closer than the smaller reach is within each point's own
+    near = cKDTree(images).query_ball_point(images, reach, return_sorted=True)
+    p = np.repeat(np.arange(len(near)), [len(q) for q in near])
+    q = np.fromiter(itertools.chain.from_iterable(near), int, len(p))
+    dist = np.hypot(*(images[p] - images[q]).T)
+    hit = ((q < p) & (np.maximum(abs(i[p] - i[q]), abs(j[p] - j[q])) >= 2)
+           & (dist < np.minimum(reach[p], reach[q])))
+    p, q, dist = p[hit], q[hit], dist[hit]
+    collisions = tuple(Collision((float(xs[i[u]]), float(ys[j[u]])),
+                                 (float(xs[i[v]]), float(ys[j[v]])), float(dd))
+                       for u, v, dd in zip(p[:_MAX_COLLISIONS], q, dist))
+    return SpotcheckReport(len(i), collisions, len(p) > _MAX_COLLISIONS)
 
 
 @dataclass(frozen=True)
@@ -649,14 +624,13 @@ class AnnulusReport:
 def build_annulus_report(pmap: PlanarMap, center: CenterRecord,
                          h_max: float | None = None, tol: float = 1e-6,
                          grid_n: int = 200, box: Box | None = None,
-                         rng_seed: int = 42, budget: AngleBudget | None = None
-                         ) -> AnnulusReport:
+                         budget: AngleBudget | None = None) -> AnnulusReport:
     """Full annulus pipeline for one center; the boundary polyline is the
     estimate's rim when the image is a disc, else empty."""
     est = estimate_ell(pmap, center, h_max=h_max, tol=tol, budget=budget)
     shape = image_shape(est)
     sampler = region(pmap, center, est.ell_lo, grid_n=grid_n, box=box)
-    spot = injectivity_spotcheck(pmap, sampler, n=SPOTCHECK_N, rng_seed=rng_seed)
+    spot = injectivity_spotcheck(pmap, sampler, n=SPOTCHECK_N)
     return AnnulusReport(
         estimate=est, image=shape,
         boundary_polyline=est.rim if shape.kind == "disc" else (),

@@ -64,9 +64,9 @@ class RunConfig:
     """One run's knobs; everything downstream reads only this.
 
     ``grid_n=None`` keeps each stage's own default (search 32, region
-    200, portrait 160).  ``rng_seed`` seeds the randomized samples of
-    the spot check; ``centers.isochronous_hint`` draws from its own fixed
-    ``ISO_SEED``, so a fixed config still pins the whole run.
+    200, portrait 160).  The only random draw of a run is
+    ``centers.isochronous_hint``'s, from its fixed ``ISO_SEED``, so a
+    fixed config pins the whole run.
     """
 
     map_source: str
@@ -75,7 +75,6 @@ class RunConfig:
     h_max: float | None = None
     tol: float = 1e-6
     max_winding: int = 3
-    rng_seed: int = 42
     out_report: str | None = None
     out_svg: str | None = None
     enable_extended: bool = False
@@ -259,7 +258,6 @@ _CONFIG = {
         "h_max": {"type": ["number", "null"]},
         "tol": _NUM,
         "max_winding": {"type": "integer"},
-        "rng_seed": {"type": "integer"},
         "out_report": {"type": ["string", "null"]},
         "out_svg": {"type": ["string", "null"]},
         "enable_extended": {"type": "boolean"},
@@ -267,7 +265,7 @@ _CONFIG = {
                              {"type": "array", "items": _NUM}]},
     },
     "required": ["subcommand", "map", "box", "grid_n", "h_max", "tol",
-                 "max_winding", "rng_seed", "out_report", "out_svg",
+                 "max_winding", "out_report", "out_svg",
                  "enable_extended", "levels"],
     "additionalProperties": False,
 }
@@ -352,7 +350,6 @@ def _config_echo(cfg: RunConfig, subcommand: str) -> dict:
         "h_max": cfg.h_max,
         "tol": cfg.tol,
         "max_winding": cfg.max_winding,
-        "rng_seed": cfg.rng_seed,
         "out_report": cfg.out_report,
         "out_svg": cfg.out_svg,
         "enable_extended": cfg.enable_extended,
@@ -410,7 +407,7 @@ def _analyze_center(pmap: PlanarMap, rec: CenterRecord, cfg: RunConfig,
         rep = build_annulus_report(
             pmap, rec, h_max=cfg.h_max, tol=cfg.tol,
             grid_n=cfg.grid_n if cfg.grid_n is not None else 200,
-            box=cfg.box, rng_seed=cfg.rng_seed, budget=cfg.budget())
+            box=cfg.box, budget=cfg.budget())
     except _CENTER_FAILURES as exc:
         below = isinstance(exc, AnnulusBelowResolution)
         text = str(exc) if below else f"analysis failed: {exc}"
@@ -725,8 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bracket width for the ell bisection")
         p.add_argument("--max-winding", type=int, default=3, dest="max_winding",
                        help="angle budget for orbit tracing, in turns")
-        p.add_argument("--seed", type=int, default=42, dest="rng_seed",
-                       help="seed for the spot check's random samples")
         p.add_argument("--out", default=None,
                        help="output path (JSON report, or SVG for the "
                             "portrait and disc subcommands)")
@@ -778,7 +773,6 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
         h_max=ns.h_max,
         tol=ns.tol,
         max_winding=ns.max_winding,
-        rng_seed=ns.rng_seed,
         out_report=None if svg_command else ns.out,
         out_svg=ns.out if svg_command else None,
         enable_extended=ns.enable_extended or _env_extended(),

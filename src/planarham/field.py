@@ -426,7 +426,11 @@ def load_map_spec(path: str | Path) -> PlanarMap:
         name=fields.get("name", path.stem),
     )
     if declared is not None:
-        result = _declared_validation(pmap)
+        try:
+            result = _declared_validation(pmap)
+        except ValidationInconclusive as exc:
+            raise MapSpecError(f"{path.name}: declared hamiltonian cannot be "
+                               f"validated: {exc}") from None
         if not result.ok:
             raise MapSpecError(
                 f"{path.name}: declared hamiltonian mismatch, residual "

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import planarham.annulus as annulus_mod
 from planarham.annulus import (
@@ -14,6 +16,7 @@ from planarham.annulus import (
     Probe,
     RegionTooCoarse,
     build_annulus_report,
+    cell_index,
     classify_certificate,
     default_h_max,
     estimate_ell,
@@ -356,14 +359,6 @@ def test_region_validates_inputs(identity_map):
         region(identity_map, (10.0, 10.0), 0.5, box=Box(-3, 3, -3, 3))
 
 
-def test_sample_inside_deterministic(ex1_region):
-    sampler = ex1_region
-    a = sampler.sample_inside(50, seed=7)
-    b = sampler.sample_inside(50, seed=7)
-    assert a == b
-    assert all(sampler.classify(p) == "inside" for p in a)
-
-
 # flood fill versus traced orbit
 
 
@@ -380,7 +375,7 @@ def test_mask_boundary_matches_orbit(name, center, request):
         mask = sampler.mask
         rim = _mask_rim(mask)
         for (x, y) in poly:
-            i, j = sampler.cell_of((x, y))
+            i, j = cell_index(sampler.box, sampler.grid_n, x, y)
             assert rim[max(0, i - 1):i + 2, max(0, j - 1):j + 2].any(), \
                 (h, x, y)
 
@@ -459,23 +454,73 @@ def test_spotcheck_catches_even_map(noninjective_map):
     assert abs(c.p[1] - c.q[1]) <= 1e-9    # same y
 
 
-def test_spotcheck_evaluates_each_point_once(example1, ex1_estimate):
-    # a point's image is the evaluation that classified it inside
+def test_spotcheck_catches_fold_off_grid_symmetry():
+    # ((x - 0.37)^2, y) folds along x = 0.37; on this grid the component's
+    # cell centres are not symmetric about the fold, so no two sample
+    # points mirror each other exactly, yet images closer than the local
+    # grid scale of Df still give the fold away
+    pmap = PlanarMap(f1=parse_expr("(x - 0.37)^2"), f2=parse_expr("y"),
+                     domain=Box(-2, 2, -2, 2), name="fold")
+    sampler = region(pmap, (0.37, 0.0), 2.0, grid_n=100, box=Box(-2, 2, -2, 2))
+    report = injectivity_spotcheck(pmap, sampler, n=2000)
+    assert not report.clean
+    bx0, bx1, _, _ = sampler.component_bbox()
+    for c in report.collisions:
+        assert (c.p[0] - 0.37) * (c.q[0] - 0.37) < 0     # either side of the fold
+        # mirrored within one step of the first, 45 x 45, grid
+        assert abs(c.p[0] + c.q[0] - 0.74) <= (bx1 - bx0) / 45
+        assert c.p[1] == c.q[1]
+
+
+_angle = st.floats(0.0, 2.0 * math.pi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_angle, _angle, st.floats(-7.0, 0.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_spotcheck_clean_on_nonsingular_affine_maps(theta, phi, log_s, cx, cy):
+    # f = R(theta) diag(1, s) R(phi) (p - c): its grid gradient is exact,
+    # so images of points two steps apart stay sigma_min * 2 steps apart
+    def rot(a):
+        return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+
+    a = rot(theta) @ np.diag([1.0, 10.0 ** log_s]) @ rot(phi)
+    b = -a @ np.array([cx, cy])
+    f1, f2 = (f"{float(r[0])!r}*x + {float(r[1])!r}*y + {float(c)!r}"
+              for r, c in zip(a, b))
+    pmap = PlanarMap(f1=parse_expr(f1), f2=parse_expr(f2), name="affine")
+    report = injectivity_spotcheck(pmap, region(pmap, (cx, cy), 0.1), n=2000)
+    assert report.clean and report.n_sampled > 0
+
+
+def test_spotcheck_evaluates_each_point_once(example1, ex1_estimate, monkeypatch):
+    # f1 and f2 are evaluated together on each grid the check tries, by
+    # eval_grid only: no grid twice, and no scalar jet call at all
     pmap = dataclasses.replace(example1)
-    calls = []
+    jet_calls = []
     jet = example1.jet
 
-    def recording(x, y):
-        calls.append((x, y))
+    def recording_jet(x, y):
+        jet_calls.append((x, y))
         return jet(x, y)
 
-    pmap.__dict__["jet"] = recording        # the map's cached jet
+    pmap.__dict__["jet"] = recording_jet        # the map's cached jet
     sampler = region(pmap, (0.0, 0.0), ex1_estimate.ell_lo, grid_n=200,
                      box=Box(-3, 3, -3, 3))
-    calls.clear()
+    grids = []
+    real = annulus_mod.eval_grid
+
+    def recording_grid(e, xs, ys):
+        grids.append((e, xs.tobytes() + ys.tobytes()))
+        return real(e, xs, ys)
+
+    monkeypatch.setattr(annulus_mod, "eval_grid", recording_grid)
+    jet_calls.clear()
     report = injectivity_spotcheck(pmap, sampler, n=2000)
     assert report.clean and report.n_sampled == 2000
-    assert len(set(calls)) == len(calls) >= 2000
+    assert jet_calls == []
+    assert [e for e, _ in grids] == [pmap.f1, pmap.f2] * (len(grids) // 2)
+    assert len({g for _, g in grids}) == len(grids) // 2 >= 1
+    assert all(grids[k][1] == grids[k + 1][1] for k in range(0, len(grids), 2))
 
 
 def test_spotcheck_sample_floor(example1, ex1_region):

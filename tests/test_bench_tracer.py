@@ -45,6 +45,9 @@ def test_traced_runs_count_every_layer(tracer, tmp_path):
     assert counts["trace.certificates"] > 0
     assert counts["trace.orbit_points"] > 0
     assert counts["expr.jet_compiles"] + counts["expr.jet_calls"] > 0
+    # the report's stages are looked up through the modules' globals,
+    # where the tracer patches them
     assert {span[0] for span in tracer.spans} >= {
         "trace.certificate", "trace.start", "annulus.estimate_ell",
-        "render.portrait", "render.disc", "centers.search"}
+        "annulus.region", "annulus.spotcheck", "annulus.verdict",
+        "field.sign_scan", "render.portrait", "render.disc", "centers.search"}

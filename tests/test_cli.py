@@ -31,7 +31,7 @@ def read_json(path):
 
 def test_run_config_invariants():
     good = RunConfig(map_source="builtin:identity")
-    assert good.tol == 1e-6 and good.rng_seed == 42
+    assert good.tol == 1e-6
     with pytest.raises(InputError):
         RunConfig(map_source="m", tol=0.0)
     with pytest.raises(InputError):
@@ -352,6 +352,16 @@ def test_report_scans_jacobian_sign_once(tmp_path, monkeypatch):
     monkeypatch.setattr(annulus_mod, "jacobian_sign_change", counting)
     counted("default_h_max")
     counted("eval_grid")
+    # the spot check samples a grid of its own per center: leave it out
+    real_spotcheck = annulus_mod.injectivity_spotcheck
+
+    def spotcheck_uncounted(*args, **kwargs):
+        before = counts["eval_grid"]
+        report = real_spotcheck(*args, **kwargs)
+        counts["eval_grid"] = before
+        return report
+
+    monkeypatch.setattr(annulus_mod, "injectivity_spotcheck", spotcheck_uncounted)
     out = tmp_path / "r.json"
     run("report", "--map", "builtin:example3", "--box=-2,2,-2,9",
         "--out", str(out))
@@ -461,6 +471,29 @@ def test_declared_hamiltonian_on_a_domain_away_from_the_origin(tmp_path):
     out = tmp_path / "c.json"
     assert run("centers", "--map", str(spec), "--out", str(out)) == 0
     assert [c["location"] for c in read_json(out)["centers"]] == [[15.0, 15.0]]
+
+
+def test_unvalidatable_declared_hamiltonian_exits_2(tmp_path, capsys):
+    # sqrt(x - 10) is undefined on the whole validation grid [-3, 3]^2
+    spec = tmp_path / "far.map"
+    spec.write_text('f1 = "sqrt(x - 10)"\nf2 = "y"\n'
+                    'hamiltonian = "0.5*x - 5 + 0.5*y^2"\n', encoding="utf-8")
+    out = tmp_path / "c.json"
+    assert run("centers", "--map", str(spec), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "declared hamiltonian" in err and "2500/2500" in err
+    assert not out.exists()
+
+
+def test_example3_report_has_no_spot_check_collision(tmp_path):
+    # images of points near x = -12 are ~1e-6 apart because |Df| ~ e^x
+    # is; the collision rule scales with Df, so this is no collision
+    out = tmp_path / "e3.json"
+    assert run("report", "--map", "builtin:example3", "--out", str(out)) == 0
+    doc = read_json(out)
+    assert len(doc["centers"]) == 7
+    assert not any("injectivity spot check found" in w for w in doc["warnings"])
 
 
 def test_map_file_errors_exit_2(tmp_path, capsys):
