@@ -63,6 +63,11 @@ class RegionTooCoarse(ValueError):
     """The region grid is too coarse to put the center's cell below ell_lo."""
 
 
+class BoundaryUnevaluable(ValueError):
+    """f cannot be evaluated anywhere on the working-box boundary, so there
+    is no default h_max."""
+
+
 class DownwardClosureError(RuntimeError):
     """A level below a certified one failed: integrator fluke or worse."""
 
@@ -194,7 +199,7 @@ def default_h_max(pmap: PlanarMap) -> float:
         best = min(best, _edge_minimum(jet, (x0 + lo * (x1 - x0), y0 + lo * (y1 - y0)),
                                        (x0 + hi * (x1 - x0), y0 + hi * (y1 - y0)))[0])
     if not math.isfinite(best):
-        raise ValueError("could not evaluate f anywhere on the box boundary")
+        raise BoundaryUnevaluable("could not evaluate f anywhere on the box boundary")
     return min(max(best, 1.0), 1e6)
 
 

@@ -3,27 +3,30 @@
 Newton runs on f itself, not on the Hamiltonian field: their zeros
 coincide wherever det Df is nonzero, and f needs only first derivatives.
 Completeness is never guaranteed; the result is "found n zeros from an
-N x N grid of seeds".
+N x N grid of seeds".  :func:`fiber` solves f = w for a polynomial map by
+elimination instead; it needs sympy, so only the tests call it yet.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from .expr import Poly2, to_poly
 from .field import (
     Box,
     DEGENERATE_TOL,
+    JET_ERRORS,
     PlanarMap,
     ZERO_TOL,
 )
 
 MAX_NEWTON_ITERS = 50
-# random det Df samples behind isochronous_hint, and their seed
-ISO_SAMPLES = 64
-ISO_SEED = 42
+# det Df samples behind isochronous_hint: cell centres of an ISO_N x ISO_N grid
+ISO_N = 8
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,14 @@ def _newton(jet, x: float, y: float, box: Box) -> tuple[float, float, float] | s
     return best if best is not None else "diverged"
 
 
+def _cell_centres(box: Box, n: int):
+    """The centres of the n x n cells of ``box``, column by column."""
+    for i in range(n):
+        for j in range(n):
+            yield (box.xmin + (box.xmax - box.xmin) * (i + 0.5) / n,
+                   box.ymin + (box.ymax - box.ymin) * (j + 0.5) / n)
+
+
 def search_zeros(pmap: PlanarMap, box: Box | None = None, grid_n: int = 32,
                  ) -> tuple[list[CenterRecord], SearchStats]:
     """Multistart Newton over a seed grid; returns records and statistics.
@@ -108,23 +119,18 @@ def search_zeros(pmap: PlanarMap, box: Box | None = None, grid_n: int = 32,
 
     candidates: list[tuple[float, float, float]] = []
     n_singular = n_diverged = 0
-    wx = box.xmax - box.xmin
-    wy = box.ymax - box.ymin
-    for i in range(grid_n):
-        x0 = box.xmin + wx * (i + 0.5) / grid_n
-        for j in range(grid_n):
-            y0 = box.ymin + wy * (j + 0.5) / grid_n
-            hit = _newton(jet, x0, y0, box)
-            if hit == "singular":
-                n_singular += 1
-                continue
-            if isinstance(hit, str):
-                n_diverged += 1
-                continue
-            if not box.contains((hit[0], hit[1])):
-                n_diverged += 1  # converged, but to a zero outside the box
-                continue
-            candidates.append(hit)
+    for x0, y0 in _cell_centres(box, grid_n):
+        hit = _newton(jet, x0, y0, box)
+        if hit == "singular":
+            n_singular += 1
+            continue
+        if isinstance(hit, str):
+            n_diverged += 1
+            continue
+        if not box.contains((hit[0], hit[1])):
+            n_diverged += 1  # converged, but to a zero outside the box
+            continue
+        candidates.append(hit)
 
     dedup_r = 1e-6 * box.diameter()
     candidates.sort(key=lambda c: (c[2], c[0], c[1]))
@@ -189,30 +195,127 @@ def find_zeros(pmap: PlanarMap, box: Box | None = None,
 
 
 def isochronous_hint(pmap: PlanarMap) -> bool:
-    """True when det Df looks numerically constant over random samples.
+    """True when det Df looks numerically constant over the working box.
 
     A constant non-zero Jacobian determinant makes every center of the
-    field isochronous with period 2*pi/|det|.  A sample that finds no
-    finite det Df in ten draws is left out; with fewer than two left
-    there is nothing to compare, and the hint is False.
+    field isochronous with period 2*pi/|det|.  det Df is sampled at the
+    cell centres of an ISO_N x ISO_N grid on the box, skipping points
+    where it cannot be evaluated; with fewer than two samples left there
+    is nothing to compare, and the hint is False.
     """
-    box = pmap.working_box()
-    jet = pmap.jet
-    rng = np.random.default_rng(ISO_SEED)
     dets = []
-    for _ in range(ISO_SAMPLES):
-        for _retry in range(10):
-            x = rng.uniform(box.xmin, box.xmax)
-            y = rng.uniform(box.ymin, box.ymax)
-            try:
-                v1, dx1, dy1, v2, dx2, dy2 = jet(x, y)
-            except (ValueError, ZeroDivisionError, OverflowError):
-                continue
-            det = dx1 * dy2 - dx2 * dy1
-            if math.isfinite(det):
-                dets.append(det)
-                break
+    for x, y in _cell_centres(pmap.working_box(), ISO_N):
+        try:
+            v1, dx1, dy1, v2, dx2, dy2 = pmap.jet(x, y)
+        except JET_ERRORS:
+            continue
+        det = dx1 * dy2 - dx2 * dy1
+        if math.isfinite(det):
+            dets.append(det)
     if len(dets) < 2:
         return False
     mean = sum(dets) / len(dets)
     return max(dets) - min(dets) <= 1e-8 * (1.0 + abs(mean))
+
+
+def fiber_resultant(pmap: PlanarMap, w: tuple[float, float]) -> list[Fraction]:
+    """Ascending coefficients of R(x) = Res_y(f1 - w1, f2 - w2), exact up to a
+    nonzero factor: each component is scaled to integer coefficients, ten
+    times faster to eliminate over.  The x of every preimage of w is a real
+    zero of R (Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*,
+    ch. 3).  Needs sympy, which only this call imports."""
+    import sympy as sp
+
+    polys = to_poly(pmap.f1), to_poly(pmap.f2)
+    if None in polys:
+        raise ValueError(f"map {pmap.name!r} is not polynomial")
+    if not any(j for p in polys for _, _, j in p.terms):
+        raise ValueError(f"neither component of map {pmap.name!r} involves y")
+    p1, p2 = (sp.Poly.from_dict({(j, i): Fraction(c) for c, i, j in poly.terms},
+                                *sp.symbols("y x"), domain=sp.QQ)
+              .sub(Fraction(wk)).clear_denoms(convert=True)[1]
+              for poly, wk in zip(polys, w))
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(p1.resultant(p2).all_coeffs())]
+
+
+def _y_roots(poly: Poly2, x0: float, wk: float) -> list[float]:
+    """Real parts of the roots of poly(x0, y) = wk in double range, solved
+    at balanced scale."""
+    cs = [0.0] * (1 + max(j for _, _, j in poly.terms))
+    try:
+        for c, i, j in poly.terms:
+            cs[j] += c * x0**i
+        cs[0] -= wk
+        while cs and cs[-1] == 0.0:
+            cs.pop()
+        n = len(cs) - 1
+        lam = (abs(cs[0]) / abs(cs[n])) ** (1.0 / n) if n > 0 and cs[0] != 0.0 else 1.0
+        cs = [c * lam**k / (cs[n] * lam**n) for k, c in enumerate(cs)]
+    except OverflowError:
+        return []
+    if n < 1 or not all(math.isfinite(c) for c in cs):
+        return []
+    return [float(r.real) * lam for r in np.roots(cs[::-1]) if math.isfinite(r.real)]
+
+
+def _polish(pmap: PlanarMap, polys: tuple[Poly2, Poly2], x: float, y: float,
+            w1: float, w2: float) -> tuple[float, float] | None:
+    """Newton on f = w until the step settles (or det Df = 0 exactly); None
+    unless |f - w| passes a finite gate that scales with the largest
+    monomial, so deep preimages, evaluated through intermediates of 1e10
+    and more, pass while junk near the origin does not."""
+    try:
+        for _ in range(60):
+            v1, ax, ay, v2, bx, by = pmap.jet(x, y)
+            det = ax * by - ay * bx
+            if det == 0.0:
+                break
+            dx = ((v1 - w1) * by - (v2 - w2) * ay) / det
+            dy = ((v2 - w2) * ax - (v1 - w1) * bx) / det
+            x, y = x - dx, y - dy
+            if not (math.isfinite(x) and math.isfinite(y)):
+                return None
+            if math.hypot(dx, dy) <= 1e-13 * (1.0 + math.hypot(x, y)):
+                break
+        else:
+            return None
+        v1, _, _, v2, _, _ = pmap.jet(x, y)
+        scale = max(sum(abs(c) * abs(x)**i * abs(y)**j for c, i, j in p.terms)
+                    for p in polys)
+    except JET_ERRORS:
+        return None
+    tol = 1e-7 * (1.0 + math.hypot(w1, w2)) + 1e-11 * scale
+    return (x, y) if math.hypot(v1 - w1, v2 - w2) <= tol < math.inf else None
+
+
+def fiber(pmap: PlanarMap, w: tuple[float, float]) -> tuple[tuple[float, float], ...]:
+    """Every real preimage of ``w`` under a polynomial map, sorted and
+    deduplicated: the real zeros of :func:`fiber_resultant`, isolated
+    exactly, are the candidate x, the real roots in y of both components
+    there the candidate y, and :func:`_polish` keeps the pairs that settle
+    onto w.  A preimage too deep for double precision is missed.  Raises
+    ValueError where the resultant does, or vanishes identically (a curve
+    of preimages)."""
+    import sympy as sp
+
+    w1, w2 = float(w[0]), float(w[1])
+    if not (math.isfinite(w1) and math.isfinite(w2)):
+        raise ValueError("target must be finite")
+    coeffs = fiber_resultant(pmap, (w1, w2))
+    if not any(coeffs):
+        raise ValueError(f"the resultant of map {pmap.name!r} at {w} vanishes identically")
+    polys = to_poly(pmap.f1), to_poly(pmap.f2)
+    xs = [float((a + b) / 2) for (a, b), _ in
+          sp.Poly(coeffs[::-1], sp.Symbol("x")).intervals(eps=sp.Rational(1, 10**18))]
+    found = []
+    for x0 in xs:
+        for poly, wk in zip(polys, (w1, w2)):
+            for y0 in _y_roots(poly, x0, wk):
+                p = _polish(pmap, polys, x0, y0, w1, w2)
+                if p is not None:
+                    found.append(p)
+    uniq: list[tuple[float, float]] = []
+    for x, y in sorted(found):
+        if all(math.hypot(x - u, y - v) > 1e-6 * (1.0 + math.hypot(x, y)) for u, v in uniq):
+            uniq.append((x, y))
+    return tuple(uniq)

@@ -27,7 +27,7 @@ from typing import Sequence
 import jsonschema
 
 from . import annulus
-from .annulus import (AnnulusBelowResolution, AnnulusReport,
+from .annulus import (AnnulusBelowResolution, AnnulusReport, BoundaryUnevaluable,
                       DownwardClosureError, RegionTooCoarse,
                       build_annulus_report, image_shape)
 from .centers import CenterRecord, search_zeros
@@ -64,9 +64,8 @@ class RunConfig:
     """One run's knobs; everything downstream reads only this.
 
     ``grid_n=None`` keeps each stage's own default (search 32, region
-    200, portrait 160).  The only random draw of a run is
-    ``centers.isochronous_hint``'s, from its fixed ``ISO_SEED``, so a
-    fixed config pins the whole run.
+    200, portrait 160).  A run draws no random numbers, so a fixed
+    config pins the whole run.
     """
 
     map_source: str
@@ -395,7 +394,8 @@ def _loc_text(rec: CenterRecord) -> str:
 
 # how one center's annulus analysis can fail without failing the run
 _CENTER_FAILURES = (AnnulusBelowResolution, LevelUnreachable, RegionTooCoarse,
-                    DownwardClosureError, OverflowEvent, DomainError)
+                    BoundaryUnevaluable, DownwardClosureError, OverflowEvent,
+                    DomainError)
 
 
 def _analyze_center(pmap: PlanarMap, rec: CenterRecord, cfg: RunConfig,

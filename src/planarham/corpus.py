@@ -6,19 +6,17 @@ negative controls.  ``pinchuk200`` is the Pinchuk polynomial map (the
 standard counterexample to the real Jacobian conjecture: det Df > 0
 everywhere yet f is not injective) with its second component shifted by
 -200; it is gated behind an explicit opt-in because its analysis runs
-minutes, not seconds.
+minutes, not seconds.  Its known facts live here too: the zeros, the
+exceptional curve, and its fibers, which :func:`pinchuk_fiber` solves
+exactly with the generic :func:`~planarham.centers.fiber`.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from functools import lru_cache
 
-import numpy as np
-
-from .expr import (Binary, Constant, Expr, Unary, Variable, compile_jet_pair,
-                   parse_expr, powi, to_poly)
+from .centers import fiber, fiber_resultant
+from .expr import Binary, Constant, Expr, Unary, Variable, parse_expr, powi, to_poly
 from .field import Box, PlanarMap
 
 BUILTIN_NAMES = (
@@ -102,178 +100,24 @@ PINCHUK_ZEROS = (
 PINCHUK_SEARCH_BOX = Box(-2600.0, 20.0, -20.0, 5.0)
 
 
-# Eliminating y from the pair (p - u, q - v), with q unshifted, gives
-# x^54 * S(x; u, v) where S = sum_k A_k(u, v) x^k is a sextic in x.
-# Each tuple below lists the monomials (i, j, num, den) of
-# A_k = sum (num/den) u^i v^j.  Every denominator is a power of 4, so
-# the A_k evaluate exactly in rational arithmetic from float targets.
-# A_6 vanishes identically on the exceptional curve (pinchuk_curve):
-# there one root of S escapes to infinity and the fiber drops to a
-# single point.  A_0 = (197^2/16) (v - 50 u - 33/4) vanishes on the
-# image of the line x = 0, where p(0, y) = y and q(0, y) = 50 y + 33/4.
-_ELIMINANT = (
-    # A_0
-    ((1, 0, -970225, 8), (0, 1, 38809, 16), (0, 0, -1280697, 64)),
-    # A_1
-    ((3, 0, -1402425, 4), (2, 1, 56097, 8), (2, 0, -18835511, 32), (1, 1, 43431, 4), (1, 0, -47297, 16), (0, 1, -4213, 4), (0, 0, 70741, 2)),
-    # A_2
-    ((5, 0, 53578125, 32), (4, 1, -2143125, 64), (4, 0, 173190645, 256), (3, 1, -116865, 16), (3, 0, -318039591, 64), (2, 1, 817491, 8), (2, 0, -1952783, 4), (1, 1, -992335, 8), (1, 0, -551174, 1), (0, 2, 37233, 16), (0, 1, -665033, 64), (0, 0, -170352, 1)),
-    # A_3
-    ((7, 0, -21093750, 1), (6, 1, 421875, 1), (6, 0, -6247715625, 64), (5, 1, 15035625, 8), (5, 0, -3016295145, 16), (4, 1, 55135125, 16), (4, 0, -2097894393, 16), (3, 1, 7341495, 8), (3, 0, -673260005, 32), (2, 2, 44775, 2), (2, 1, -18962057, 16), (2, 0, -2925328, 1), (1, 2, 21948, 1), (1, 1, -660901, 8), (1, 0, -1265472, 1), (0, 2, -1149, 4), (0, 1, 88485, 2)),
-    # A_4
-    ((8, 0, 2109375, 1), (7, 0, 1500609375, 32), (6, 1, -2446875, 4), (6, 0, 32150737125, 128), (5, 1, -37742625, 8), (5, 0, 24542277615, 64), (4, 2, 16875, 1), (4, 1, -166055925, 32), (4, 0, 11473342335, 64), (3, 2, -4050, 1), (3, 1, 3228395, 2), (3, 0, 3428305, 1), (2, 2, -424125, 8), (2, 1, 16683977, 8), (2, 0, -5364736, 1), (1, 2, -43859, 4), (1, 1, -252988, 1), (0, 3, -195, 2), (0, 2, 36815, 4), (0, 1, -127088, 1)),
-    # A_5
-    ((9, 0, -12656250, 1), (8, 0, -14886534375, 64), (7, 1, 2531250, 1), (7, 0, -17272362375, 16), (6, 1, 216759375, 16), (6, 0, -68288813865, 32), (5, 1, 167712675, 8), (5, 0, -16299744127, 8), (4, 2, 336375, 4), (4, 1, 32099665, 8), (4, 0, -1880700675, 2), (3, 2, 257070, 1), (3, 1, -12766889, 1), (3, 0, -177398624, 1), (2, 3, 225, 1), (2, 2, 409513, 2), (2, 1, -8946428, 1), (1, 3, 990, 1), (1, 2, 40530, 1), (1, 1, -2119936, 1), (0, 3, 766, 1), (0, 2, 8872, 1)),
-    # A_6
-    ((10, 0, 31640625, 1), (9, 0, 2253234375, 8), (8, 0, 260233610625, 256), (7, 1, 1940625, 1), (7, 0, 30197600025, 16), (6, 1, 221358375, 16), (6, 0, 7518990319, 4), (5, 2, -11250, 1), (5, 1, 149700855, 4), (5, 0, 940363164, 1), (4, 2, -162525, 8), (4, 1, 47107884, 1), (4, 0, 184199184, 1), (3, 2, 90103, 1), (3, 1, 26952224, 1), (2, 3, -345, 1), (2, 2, 258060, 1), (2, 1, 5645952, 1), (1, 3, -924, 1), (1, 2, 192192, 1), (0, 4, 1, 1), (0, 3, -416, 1), (0, 2, 43264, 1)),
-)
-
-
 def _eliminant_coeffs(w1: float, w2: float) -> list[Fraction]:
-    """Exact sextic coefficients [A_0 .. A_6] at a target of the shifted map."""
-    u = Fraction(w1)
-    v = Fraction(w2) + 200
-    out = []
-    for mons in _ELIMINANT:
-        acc = Fraction(0)
-        for i, j, num, den in mons:
-            acc += Fraction(num, den) * u**i * v**j
-        out.append(acc)
-    return out
-
-
-@lru_cache(maxsize=1)
-def _pinchuk_tools():
-    """Compiled jet of the shifted map plus p's coefficient columns in y."""
-    p, q200 = _pinchuk_components()
-    jet = compile_jet_pair(p, q200)
-    pp = to_poly(p)
-    assert pp is not None
-    deg_x = max(i for _, i, _ in pp.terms)
-    cols = []
-    for k in range(5):
-        arr = np.zeros(deg_x + 1)
-        for c, i, j in pp.terms:
-            if j == k:
-                arr[deg_x - i] = c
-        cols.append(arr)
-    return jet, tuple(cols)
-
-
-def _resid_scale(x: float, y: float) -> float:
-    """Magnitude of the largest intermediate in the nested evaluation."""
-    t = x * y - 1.0
-    xi = x * t + 1.0
-    h = t * xi
-    f = xi * xi * (t * t + y)
-    terms = (abs(f), abs(h), t * t, abs(6.0 * t * h * (h + 1.0)),
-             abs(170.0 * f * h), 91.0 * h * h, abs(195.0 * f * h * h),
-             abs(69.0 * h**3), abs(75.0 * f * h**3), abs(18.75 * h**4))
-    return max(terms)
-
-
-def _quartic_y(x0: float, w1: float) -> list[float]:
-    """Real parts of the roots of p(x0, y) = w1, solved at balanced scale."""
-    _, cols = _pinchuk_tools()
-    cs = [float(np.polyval(cols[k], x0)) for k in range(5)]
-    cs[0] -= w1
-    c4, c0 = cs[4], cs[0]
-    if c4 == 0.0 or not all(math.isfinite(c) for c in cs):
-        return []
-    lam = (abs(c0) / abs(c4)) ** 0.25 if c0 != 0.0 else 1.0
-    scaled = [cs[k] * lam**k / (c4 * lam**4) for k in range(5)]
-    if not all(math.isfinite(c) for c in scaled):
-        return []
-    rr = np.roots(scaled[::-1])
-    return sorted({float(r.real) * lam for r in rr if math.isfinite(r.real)})
-
-
-def _newton2(x: float, y: float, w1: float, w2: float,
-             iters: int = 60) -> tuple[float, float] | None:
-    """Damped-free Newton polish; None unless the residual gate passes.
-
-    The gate is scale-aware: preimages of targets near the exceptional
-    curve run out the tail x*(x*y - 1) ~ -1 where the intermediates of
-    q reach 1e10 and beyond, so a fixed tolerance would reject genuine
-    deep roots while a relative one would admit junk near the origin.
-    """
-    jet, _ = _pinchuk_tools()
-    for _ in range(iters):
-        try:
-            v1, ax, ay, v2, bx, by = jet(x, y)
-        except (OverflowError, ArithmeticError):
-            return None
-        r1, r2 = v1 - w1, v2 - w2
-        det = ax * by - ay * bx
-        if det == 0.0 or not math.isfinite(det):
-            return None
-        dx = (r1 * by - r2 * ay) / det
-        dy = (r2 * ax - r1 * bx) / det
-        x, y = x - dx, y - dy
-        if not (math.isfinite(x) and math.isfinite(y)):
-            return None
-        if math.hypot(dx, dy) <= 1e-13 * (1.0 + math.hypot(x, y)):
-            break
-    else:
-        return None
-    try:
-        v1, _, _, v2, _, _ = jet(x, y)
-    except (OverflowError, ArithmeticError):
-        return None
-    res = math.hypot(v1 - w1, v2 - w2)
-    tol = 1e-7 * (1.0 + math.hypot(w1, w2)) + 1e-11 * _resid_scale(x, y)
-    if res <= tol:
-        return (x, y)
-    return None
+    """[A_0 .. A_6]: the :func:`~planarham.centers.fiber_resultant` of the
+    shifted map at (w1, w2) is x^54 * sum_k A_k x^k.  A_6 vanishes exactly
+    on the exceptional curve (:func:`pinchuk_curve`), where one preimage
+    escapes to infinity; A_0 on the image of the line x = 0, where
+    p(0, y) = y and q(0, y) = 50 y + 33/4."""
+    coeffs = fiber_resultant(_build("pinchuk200"), (w1, w2))[54:]
+    return coeffs + [Fraction(0)] * (7 - len(coeffs))
 
 
 def pinchuk_fiber(target: tuple[float, float]) -> tuple[tuple[float, float], ...]:
-    """All real preimages of ``target`` under the pinchuk200 map.
-
-    Grid-seeded root search is hopeless here (the basins of the two
-    zeros are slivers), so the fiber is solved in closed form instead:
-    the exact sextic from the eliminant pins the candidate
-    x-coordinates, the quartic p(x0, y) = w1 recovers the partner
-    y-values per column (the always-degenerate column x = 0 has
-    p(0, y) = y), and Newton with a residual gate keeps exactly the
-    candidates that evaluate back onto the target.
-
-    Trustworthy for |target| up to about 1500, which covers the disc
-    relevant to the annulus geometry plus the sampled exceptional
-    curve.  Far beyond that the second preimage of a generic target
-    sinks so deep along the tail (|y| > 1e14) that double precision
-    cannot settle it and the count may come up short.
-    """
-    w1, w2 = float(target[0]), float(target[1])
-    if not (math.isfinite(w1) and math.isfinite(w2)):
-        raise ValueError("target must be finite")
-    A = [float(a) for a in _eliminant_coeffs(w1, w2)]
-    scale = max(abs(c) for c in A)
-    if scale == 0.0:
-        return ()
-    coeffs = A[::-1]
-    # exact zeros strip honestly (curve targets); the relative strip
-    # guards float-degenerate leading coefficients
-    while coeffs and abs(coeffs[0]) <= 1e-13 * scale:
-        coeffs.pop(0)
-    cands = {0.0}
-    if len(coeffs) > 1:
-        for r in np.roots(coeffs):
-            if math.isfinite(float(r.real)):
-                cands.add(float(r.real))
-    found = []
-    for x0 in sorted(cands):
-        ys = [w1] if x0 == 0.0 else _quartic_y(x0, w1)
-        for y0 in ys:
-            got = _newton2(x0, y0, w1, w2)
-            if got is not None:
-                found.append(got)
-    uniq: list[tuple[float, float]] = []
-    for x, y in sorted(found):
-        if not any(math.hypot(x - u, y - v) <= 1e-6 * (1.0 + math.hypot(x, y))
-                   for u, v in uniq):
-            uniq.append((x, y))
-    return tuple(uniq)
+    """All real preimages of ``target`` under pinchuk200, by
+    :func:`~planarham.centers.fiber`: grid-seeded search is hopeless here,
+    the basins of the two zeros being slivers.  Trustworthy for |target|
+    up to about 1500 (the annulus disc plus the sampled exceptional
+    curve); far beyond, the second preimage of a generic target sinks so
+    deep along the tail (|y| > 1e14) that the count may come up short."""
+    return fiber(_build("pinchuk200"), target)
 
 
 def _build(name: str) -> PlanarMap:

@@ -2,10 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from planarham.centers import (
     CenterRecord,
+    fiber,
     find_zeros,
     isochronous_hint,
     search_zeros,
@@ -125,10 +129,56 @@ def test_isochronous_hint_truth_table(example1, example2, example3, identity_map
 
 @pytest.mark.parametrize("f1", [
     "1e200*sin(x)*1e200",       # det Df = 1e400 cos(x) overflows everywhere
-    "sqrt(x - 19.95) - 0.01",   # one random sample lands in x >= 19.95
+    "sqrt(x - 19.95) - 0.01",   # no cell centre lands in x >= 19.95
 ])
 def test_isochronous_hint_false_below_two_finite_samples(f1):
     assert not isochronous_hint(PlanarMap(f1=parse_expr(f1), f2=parse_expr("y")))
+
+
+# exact fibers of polynomial maps
+
+
+def _map(f1, f2):
+    return PlanarMap(f1=parse_expr(f1), f2=parse_expr(f2))
+
+
+_coef = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coef, _coef, _coef, _coef, _coef, _coef, _coef, _coef)
+def test_fiber_of_nonsingular_affine_map(a11, a12, a21, a22, c1, c2, w1, w2):
+    a = np.array([[a11, a12], [a21, a22]])
+    assume(abs(np.linalg.det(a)) >= 1e-2 * (1.0 + np.abs(a).max()) ** 2)
+    pmap = _map(f"{a11!r}*x + {a12!r}*y + {c1!r}", f"{a21!r}*x + {a22!r}*y + {c2!r}")
+    truth = np.linalg.solve(a, [w1 - c1, w2 - c2])
+    (got,) = fiber(pmap, (w1, w2))
+    assert math.hypot(got[0] - truth[0], got[1] - truth[1]) <= 1e-9, (got, truth)
+
+
+def test_fiber_of_fold_counts_two_one_none():
+    pmap = _map("x^2", "y")
+    assert_close_points(fiber(pmap, (4.0, 1.0)), [(-2.0, 1.0), (2.0, 1.0)], 1e-12)
+    assert_close_points(fiber(pmap, (0.0, 1.0)), [(0.0, 1.0)], 1e-12)   # det Df = 0
+    assert fiber(pmap, (-1.0, 1.0)) == ()
+
+
+def test_fiber_finds_the_zero_the_seed_grid_misses():
+    # on the default box no Newton seed lies in the basin |x| < 1/sqrt(5)
+    # of the zero at the origin
+    pmap = _map("x^3 - x", "y")
+    assert len(find_zeros(pmap)) == 2
+    assert_close_points(fiber(pmap, (0.0, 0.0)), [(-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)],
+                        1e-12)
+
+
+def test_fiber_refuses_what_elimination_cannot_solve(example1):
+    with pytest.raises(ValueError, match="not polynomial"):
+        fiber(example1, (0.0, 0.0))
+    with pytest.raises(ValueError, match="involves y"):
+        fiber(_map("x^2", "x"), (0.0, 0.0))
+    with pytest.raises(ValueError, match="vanishes identically"):
+        fiber(_map("x + y", "2*x + 2*y"), (0.0, 0.0))   # a line of zeros
 
 
 # degenerate zeros are excluded from the center list

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
 
@@ -324,6 +327,44 @@ def test_coarse_region_grid_fails_the_center(tmp_path):
                for w in doc["warnings"])
 
 
+def test_unevaluable_window_boundary_fails_the_center(tmp_path, capsys):
+    # f is undefined outside the disc of radius 10, so on the whole edge of
+    # the default window: there is no default h_max, and each center fails
+    spec = tmp_path / "m.map"
+    spec.write_text('f1 = "x*sqrt(100 - x^2 - y^2)/10"\n'
+                    'f2 = "y*sqrt(100 - x^2 - y^2)/10"\n', encoding="utf-8")
+    for sub, ext in (("report", "json"), ("annulus", "json"),
+                     ("global-check", "json"), ("portrait", "svg")):
+        out = tmp_path / f"{sub}.{ext}"
+        capsys.readouterr()
+        assert run(sub, "--map", str(spec), "--out", str(out)) == 3, sub
+        assert out.exists(), sub
+        if ext == "svg":
+            assert "center (0, 0): could not evaluate f" in capsys.readouterr().err
+            continue
+        (center,) = read_json(out)["centers"]
+        assert center["status"] == "failed", sub
+        assert any(w.startswith("center (0, 0)") and "box boundary" in w
+                   for w in read_json(out)["warnings"]), sub
+
+
+def test_program_does_not_import_sympy(tmp_path):
+    # fiber elimination imports sympy on demand; a run must not load it,
+    # which costs about a third more peak memory
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = tmp_path / "r.json"
+    code = ("import sys\n"
+            "import planarham.cli as cli\n"
+            f"rc = cli.run_subcommand(['report', '--map', 'builtin:identity', "
+            f"'--out', {str(out)!r}])\n"
+            "assert rc == 0, rc\n"
+            "assert 'sympy' not in sys.modules\n")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_schemas_pass_their_metaschema():
     # reports are validated without this check, so it lives here
     for schema in SCHEMAS.values():
@@ -582,7 +623,7 @@ def test_report_without_a_center_is_inconclusive(tmp_path):
                                 "sqrt(x - 19) - 0.5"])
 def test_isochronous_hint_skips_unevaluable_samples(tmp_path, f1):
     # det Df overflows or leaves the domain at every (or almost every)
-    # random sample; the hint uses what evaluates and the run goes on
+    # sampled point; the hint uses what evaluates and the run goes on
     spec = tmp_path / "m.map"
     spec.write_text(f'f1 = "{f1}"\nf2 = "y"\n', encoding="utf-8")
     out = tmp_path / "c.json"

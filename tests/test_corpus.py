@@ -32,8 +32,9 @@ def test_unknown_builtin_raises():
         corpus.builtin("nope")
 
 
-# Pinchuk fiber solver.  These stay fast (< 0.1 s together): the
-# eliminant work is a handful of rational evaluations per target.
+# Pinchuk fiber solver.  These take about 1 s together (0.4 s of it the
+# first import of sympy) on a 2-core x86-64 host: each target is one
+# exact resultant over the integers.
 
 
 def _pinchuk():
