@@ -7,28 +7,26 @@ Nesting of orbits makes GOOD downward-closed in h, so a bracket of one
 uncertified and one certified level holds the supremum ell of certified
 levels.  While det Df != 0, the only critical points of H are the zeros
 of f, so ell is where the center's sublevel component first reaches the
-window edge: :func:`predict_ell` reads that contact off the H grid, and
-two probes either side of it usually give the bracket; a bisection
-finds it otherwise.  Certificates decide every level.  Everything
-downstream (region mask, image shape, globality verdict, traced rim)
-reads the :class:`EllEstimate`, whose rim is its GOOD probe's orbit at
-ell_lo.  Inside that rim f is injective once det Df != 0, so the
-injectivity spot check over the region is a deterministic grid search
-whose collision rule scales with Df; it can only flag a map outside the
-hypothesis, such as an even one.
+window edge: :func:`predict_ell` reads that contact off the row runs
+of the H grid's sublevel components (:func:`_component_runs`, which
+also give the :func:`region` mask), and two probes either side of it
+usually give the bracket; a bisection finds it otherwise.  Certificates
+decide every level.  Everything downstream (region mask, image shape,
+globality verdict, traced rim) reads the :class:`EllEstimate`, whose
+rim is its GOOD probe's orbit at ell_lo.  Inside that rim f is
+injective once det Df != 0, so the injectivity spot check over the
+region is a deterministic grid search whose collision rule scales with
+Df; it can only flag a map outside the hypothesis, such as an even one.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.optimize import minimize_scalar
-from scipy.spatial import cKDTree
 
+from .brent import brent_minimum
 from .centers import CenterRecord
 from .expr import eval_grid
 from .field import JET_ERRORS, Box, PlanarMap, jacobian_sign_change
@@ -204,9 +202,9 @@ def default_h_max(pmap: PlanarMap) -> float:
 
 
 def _edge_minimum(jet, a: tuple[float, float], b: tuple[float, float]):
-    """``(h, point)``: the least H on the segment from a to b found by a
-    bounded 1-D minimisation, or at either end; H is inf where f cannot
-    be evaluated."""
+    """``(h, point)``: the least H on the segment from a to b found by
+    :func:`~planarham.brent.brent_minimum`, Brent's bounded minimiser,
+    or at either end; H is inf where f cannot be evaluated."""
     (x0, y0), (x1, y1) = a, b
 
     def at(s: float) -> tuple[float, float]:
@@ -220,9 +218,8 @@ def _edge_minimum(jet, a: tuple[float, float], b: tuple[float, float]):
         h = 0.5 * (v1 * v1 + v2 * v2)
         return math.inf if math.isnan(h) else h
 
-    res = minimize_scalar(h_at, bounds=(0.0, 1.0), method="bounded",
-                          options={"xatol": 1e-10})
-    return min(((h_at(s), at(s)) for s in (float(res.x), 0.0, 1.0)), key=lambda c: c[0])
+    best, _ = brent_minimum(h_at, 0.0, 1.0, xatol=1e-10)
+    return min(((h_at(s), at(s)) for s in (best, 0.0, 1.0)), key=lambda c: c[0])
 
 
 PREDICT_GRID_N = 200    # the report's default region grid, whose H grid it shares
@@ -236,9 +233,10 @@ def predict_ell(pmap: PlanarMap, center) -> EllGuess | None:
     so the center's sublevel component grows without merging until it
     reaches the box edge.  A bisection over the grid's sorted levels
     finds the least one whose 4-connected component of the center's cell
-    holds a border cell; the guess is the bounded minimum of H along that
-    box edge within a few cells of the contact.  ``None`` when the
-    component reaches an undefined cell first, or never reaches the edge.
+    holds a border cell, counted over its :func:`_component_runs`; the
+    guess is the bounded minimum of H along that box edge within a few
+    cells of the contact.  ``None`` when the component reaches an
+    undefined cell first, or never reaches the edge.
     """
     box = pmap.working_box()
     cpt = center_point(center)
@@ -250,25 +248,24 @@ def predict_ell(pmap: PlanarMap, center) -> EllGuess | None:
     h0 = ham[ci, cj]
     if math.isnan(h0):
         return None
-    border = np.zeros(ham.shape, dtype=bool)
-    border[0] = border[-1] = border[:, 0] = border[:, -1] = True
-    near_undefined = ndimage.binary_dilation(np.isnan(ham))
-    stop = border | near_undefined
+    border = ~np.pad(np.ones((n - 2, n - 2), dtype=bool), 1)
+    undefined = np.pad(np.isnan(ham), 1)        # with their 4-neighbours:
+    near_undefined = (undefined[1:-1, 1:-1] | undefined[:-2, 1:-1] | undefined[2:, 1:-1]
+                      | undefined[1:-1, :-2] | undefined[1:-1, 2:])
+    # padded at each row's front, the cell of run key k (see
+    # _component_runs) sits at k + 1: the count at k is of the keys below k
+    stops_before = np.cumsum(np.pad(border | near_undefined, ((0, 0), (1, 0))))
     levels = ham[ham >= h0]                     # NaN compares false
     levels.sort()
-
-    def component(k: int) -> np.ndarray:
-        labels, _ = ndimage.label(ham <= levels[k])
-        return labels == labels[ci, cj]
-
     lo, hi = 0, len(levels) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if (component(mid) & stop).any():
+        start, end = _component_runs(ham <= levels[mid], ci, cj)
+        if (stops_before[end] > stops_before[start]).any():
             hi = mid
         else:
             lo = mid + 1
-    comp = component(lo)
+    comp = _paint(ham.shape, *_component_runs(ham <= levels[lo], ci, cj))
     if (comp & near_undefined).any() or not (comp & border).any():
         return None
 
@@ -419,13 +416,7 @@ class RegionSampler:
                 float(ys.min()), float(ys.max()))
 
     def _touches_component(self, i: int, j: int) -> bool:
-        n = self.grid_n
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                ii, jj = i + di, j + dj
-                if 0 <= ii < n and 0 <= jj < n and self._component[ii, jj]:
-                    return True
-        return False
+        return bool(self._component[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2].any())
 
     def classify(self, p: tuple[float, float]) -> str:
         """One of "inside", "outside", "boundary" (= within mask resolution)."""
@@ -447,8 +438,9 @@ class RegionSampler:
 def region(pmap: PlanarMap, center, ell_lo: float, grid_n: int = 200,
            box: Box | None = None) -> RegionSampler:
     """Flood-fill the {H < ell_lo} component of the center (its rim is
-    :attr:`EllEstimate.rim`).  Raises :class:`RegionTooCoarse` when the
-    grid is too coarse to put the center cell strictly below the level.
+    :attr:`EllEstimate.rim`) by its :func:`_component_runs`.  Raises
+    :class:`RegionTooCoarse` when the grid is too coarse to put the
+    center cell strictly below the level.
     """
     if ell_lo <= 0:
         raise ValueError("ell_lo must be positive")
@@ -458,14 +450,47 @@ def region(pmap: PlanarMap, center, ell_lo: float, grid_n: int = 200,
         raise ValueError("center lies outside the region box")
 
     mask = _h_grid(pmap, box, grid_n) < ell_lo      # NaN compares false
-
-    labels, _ = ndimage.label(mask)
     ci, cj = cell_index(box, grid_n, cx, cy)
     if not mask[ci, cj]:
         raise RegionTooCoarse(
             f"grid too coarse: the cell holding {(cx, cy)} is not strictly "
             f"below ell_lo={ell_lo:.6g}")
-    return RegionSampler(pmap, box, grid_n, ell_lo, labels == labels[ci, cj])
+    component = _paint(mask.shape, *_component_runs(mask, ci, cj))
+    return RegionSampler(pmap, box, grid_n, ell_lo, component)
+
+
+def _component_runs(mask: np.ndarray, i, j) -> tuple[np.ndarray, np.ndarray]:
+    """``(start, end)``: the row runs ``start <= row * (m + 1) + column <
+    end`` of the 4-connected component of the set cell (i, j) in the
+    n x m boolean grid ``mask``.  Runs in neighbouring rows that share a
+    column are linked, and labelled by min-label propagation with
+    pointer jumping."""
+    w = mask.shape[1] + 1
+    edges = np.diff(mask, prepend=False, append=False, axis=1)
+    start, end = np.flatnonzero(edges).reshape(-1, 2).T
+    # runs of the next row that share a column with each run
+    first = np.searchsorted(end, start + w, side="right")
+    links = np.maximum(np.searchsorted(start, end + w) - first, 0)
+    a = np.repeat(np.arange(len(start)), links)
+    b = np.arange(len(a)) - np.repeat(np.cumsum(links) - links - first, links)
+    label, la, lb = np.arange(len(start)), a, b
+    while not np.array_equal(la, lb):
+        low = np.minimum(la, lb)
+        np.minimum.at(label, la, low)           # hook each root to the least
+        np.minimum.at(label, lb, low)
+        while not np.array_equal(label[label], label):
+            label = label[label]
+        la, lb = label[a], label[b]
+    seed = label[np.searchsorted(start, i * w + j, side="right") - 1]
+    return start[label == seed], end[label == seed]
+
+
+def _paint(shape: tuple[int, int], start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The boolean grid of ``shape`` whose set cells are the runs
+    ``(start, end)`` of :func:`_component_runs`."""
+    step = np.zeros((shape[0], shape[1] + 1), dtype=np.int8)
+    step.flat[start], step.flat[end] = 1, -1
+    return np.cumsum(step, axis=1)[:, :-1].astype(bool)
 
 
 @dataclass(frozen=True)
@@ -581,6 +606,7 @@ def injectivity_spotcheck(pmap: PlanarMap, sampler: RegionSampler,
     if n < 100:
         raise ValueError("need at least 100 sample points")
     bx0, bx1, by0, by1 = sampler.component_bbox()
+    mask = sampler.mask
     m0 = m = math.isqrt(n - 1) + 1
     with np.errstate(all="ignore"):
         while True:
@@ -588,7 +614,7 @@ def injectivity_spotcheck(pmap: PlanarMap, sampler: RegionSampler,
             ys = by0 + (by1 - by0) * (np.arange(m) + 0.5) / m
             gx, gy = np.meshgrid(xs, ys)        # row j holds y = ys[j]
             f1, f2 = eval_grid(pmap.f1, gx, gy), eval_grid(pmap.f2, gx, gy)
-            inside = (sampler.mask[cell_index(sampler.box, sampler.grid_n, gx, gy)]
+            inside = (mask[cell_index(sampler.box, sampler.grid_n, gx, gy)]
                       & (0.5 * (f1 * f1 + f2 * f2) < sampler.ell_lo))
             count = int(inside.sum())
             if count >= n or m == 4 * m0:
@@ -603,18 +629,35 @@ def injectivity_spotcheck(pmap: PlanarMap, sampler: RegionSampler,
     images = np.column_stack([f1[j, i], f2[j, i]])
     reach = 0.5 * min(hx, hy) * sigma[j, i]
     reach[~np.isfinite(reach)] = 0.0                # Df unknown: no collision
-    # a pair closer than the smaller reach is within each point's own
-    near = cKDTree(images).query_ball_point(images, reach, return_sorted=True)
-    p = np.repeat(np.arange(len(near)), [len(q) for q in near])
-    q = np.fromiter(itertools.chain.from_iterable(near), int, len(p))
-    dist = np.hypot(*(images[p] - images[q]).T)
-    hit = ((q < p) & (np.maximum(abs(i[p] - i[q]), abs(j[p] - j[q])) >= 2)
-           & (dist < np.minimum(reach[p], reach[q])))
-    p, q, dist = p[hit], q[hit], dist[hit]
+    p, q, dist = _colliding_pairs(images, reach, i, j)
     collisions = tuple(Collision((float(xs[i[u]]), float(ys[j[u]])),
                                  (float(xs[i[v]]), float(ys[j[v]])), float(dd))
                        for u, v, dd in zip(p[:_MAX_COLLISIONS], q, dist))
     return SpotcheckReport(len(i), collisions, len(p) > _MAX_COLLISIONS)
+
+
+def _colliding_pairs(images: np.ndarray, reach: np.ndarray, i: np.ndarray,
+                     j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(p, q, dist)``, ordered by p, then q: the pairs q < p of points
+    at least two grid steps apart whose images are closer than both
+    reaches.  Each pair is found once, from the point that sorts first
+    along the images' wider axis, within its reach along both axes."""
+    axis = int(np.ptp(images[:, 1]) > np.ptp(images[:, 0]))
+    order = np.argsort(images[:, axis], kind="stable")
+    u, v, r = images[order, axis], images[order, 1 - axis], reach[order]
+    after = np.arange(1, len(u) + 1)
+    count = np.maximum(np.searchsorted(u, u + r, side="right") - after, 0)
+    a = np.repeat(np.arange(len(u)), count)
+    b = np.arange(len(a)) - np.repeat(np.cumsum(count) - count - after, count)
+    near = abs(v[a] - v[b]) < r[a]              # as |v[a] - v[b]| <= dist
+    a, b = order[a[near]], order[b[near]]
+    p, q = np.maximum(a, b), np.minimum(a, b)
+    dist = np.hypot(*(images[p] - images[q]).T)
+    hit = ((np.maximum(abs(i[p] - i[q]), abs(j[p] - j[q])) >= 2)
+           & (dist < np.minimum(reach[p], reach[q])))
+    p, q, dist = p[hit], q[hit], dist[hit]
+    k = np.lexsort((q, p))
+    return p[k], q[k], dist[k]
 
 
 @dataclass(frozen=True)

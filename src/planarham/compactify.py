@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from scipy.optimize import brentq
-
 from .annulus import SIGN_CHANGE
+from .brent import brent_root
 from .expr import Poly2, compile_polys
 from .field import PlanarMap, effective_hamiltonian_poly
 from .rk import dp5_step, poly_kernel, step_factor
@@ -168,7 +167,8 @@ def infinite_singularities(cf: CompactifiedField,
 
     Odd-multiplicity roots show up as sign changes; even ones (the
     generic case for sum-of-squares Hamiltonians, where G >= 0) as
-    touching minima, located by a sign change of G'.  Raises
+    touching minima, located by a sign change of G'; :func:`brent_root`
+    polishes each bracket.  Raises
     :class:`EquatorDegenerate` when G vanishes identically.
     """
     G, G1, G2 = _g_funcs(cf)
@@ -202,13 +202,12 @@ def infinite_singularities(cf: CompactifiedField,
         if va == 0.0:
             push(a)
         elif va * vb < 0.0:
-            push(brentq(G, a, b, xtol=1e-15, maxiter=200))
+            push(brent_root(G, a, b, xtol=1e-15, maxiter=200))
         # touching minimum inside (a - step, b + step)
         if abs(va) <= 1e-3 * scale and va <= abs(val(k - 1)) and va <= abs(vb):
             lo, hi = a - step, a + step
             if G1(lo) < 0.0 < G1(hi):
-                t = brentq(G1, lo, hi, xtol=1e-15, maxiter=200)
-                push(t)
+                push(brent_root(G1, lo, hi, xtol=1e-15, maxiter=200))
 
     out = []
     for t in sorted(roots):

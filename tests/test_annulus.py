@@ -1,12 +1,15 @@
 """Annulus bracket, region oracle, image shape, globality, spotcheck."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
+from scipy.spatial import cKDTree
 
 import planarham.annulus as annulus_mod
 from planarham.annulus import (
@@ -194,6 +197,18 @@ def test_prediction_stops_at_an_undefined_cell():
     assert predict_ell(pmap, (-1.0, 0.0)) is None
 
 
+@pytest.mark.parametrize("f1,f2,center", [
+    ("sqrt(x + 5) - 2", "y", (-1.0, 0.0)),     # undefined to the left,
+    ("2 - sqrt(5 - x)", "y", (1.0, 0.0)),      # right,
+    ("x", "sqrt(y + 5) - 2", (0.0, -1.0)),     # below
+    ("x", "2 - sqrt(5 - y)", (0.0, 1.0)),      # and above the center
+])
+def test_prediction_stops_next_to_undefined_cells_on_each_side(f1, f2, center):
+    # the sublevel set meets the undefined half-plane across one cell side
+    pmap = PlanarMap(f1=parse_expr(f1), f2=parse_expr(f2), name="half-plane")
+    assert predict_ell(pmap, center) is None
+
+
 def test_example1_predicted_bracket(example1):
     est = estimate_ell(example1, (0.0, 0.0), h_max=1.0, tol=1e-6)
     assert len(est.probes) == 12
@@ -357,6 +372,47 @@ def test_region_validates_inputs(identity_map):
         region(identity_map, (0.0, 0.0), -0.5)
     with pytest.raises(ValueError):
         region(identity_map, (10.0, 10.0), 0.5, box=Box(-3, 3, -3, 3))
+
+
+def test_region_checks_the_center_cell_before_labelling(identity_map, monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("labelled a grid whose center cell is not below ell_lo")
+    monkeypatch.setattr(annulus_mod, "_component_runs", unexpected)
+    with pytest.raises(RegionTooCoarse):
+        region(identity_map, (0.0, 0.0), 1e-9, grid_n=8, box=Box(-3, 3, -3, 3))
+
+
+def _component_cases(n: int, m: int, rng):
+    """Random n x m masks at several densities, each with a full row, an
+    empty row, an isolated cell and runs against either edge; and for
+    each some set cells to start from."""
+    for density in (0.3, 0.55, 0.6, 0.8, 0.97):
+        mask = rng.random((n, m)) < density
+        mask[n // 3] = True                     # one run touching both edges
+        mask[n // 2] = False
+        mask[1:4, 1:4] = False
+        mask[2, 2] = True                       # a single cell
+        mask[n - 1, m - 3:] = (False, True, True)
+        mask[n - 2, :2] = (True, False)
+        cells = np.argwhere(mask)
+        picks = cells[rng.integers(len(cells), size=6)]
+        yield mask, [(2, 2), (n // 3, 0), (n - 1, m - 1), (n - 2, 0),
+                     *(tuple(c) for c in picks)]
+    yield np.ones((n, m), dtype=bool), [(0, 0), (n - 1, m - 1)]
+    lone = np.zeros((n, m), dtype=bool)
+    lone[n - 1, m - 1] = True
+    yield lone, [(n - 1, m - 1)]
+
+
+@pytest.mark.parametrize("n,m", [(64, 64), (200, 200), (400, 400), (64, 200)])
+def test_component_runs_match_scipy_labels(n, m):
+    rng = np.random.default_rng(n * m)
+    for mask, seeds in _component_cases(n, m, rng):
+        labels, _ = ndimage.label(mask)
+        for i, j in seeds:
+            runs = annulus_mod._component_runs(mask, i, j)
+            np.testing.assert_array_equal(annulus_mod._paint(mask.shape, *runs),
+                                          labels == labels[i, j])
 
 
 # flood fill versus traced orbit
@@ -526,6 +582,43 @@ def test_spotcheck_evaluates_each_point_once(example1, ex1_estimate, monkeypatch
 def test_spotcheck_sample_floor(example1, ex1_region):
     with pytest.raises(ValueError):
         injectivity_spotcheck(example1, ex1_region, n=50)
+
+
+def _kd_tree_pairs(images, reach, i, j):
+    """The collision search done with a k-d tree ball query per point."""
+    near = cKDTree(images).query_ball_point(images, reach, return_sorted=True)
+    p = np.repeat(np.arange(len(near)), [len(q) for q in near])
+    q = np.fromiter(itertools.chain.from_iterable(near), int, len(p))
+    dist = np.hypot(*(images[p] - images[q]).T)
+    hit = ((q < p) & (np.maximum(abs(i[p] - i[q]), abs(j[p] - j[q])) >= 2)
+           & (dist < np.minimum(reach[p], reach[q])))
+    return p[hit], q[hit], dist[hit]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_colliding_pairs_match_kd_tree_search(seed):
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(100, 2500))
+    images = rng.normal(size=(count, 2)) * rng.uniform(0.05, 3.0, size=2)
+    if seed % 3 == 0:
+        images = np.round(images, 1)            # tied coordinates
+    reach = rng.uniform(0.0, 0.3, count) * (rng.random(count) < 0.8)   # a fifth at 0
+    i, j = rng.integers(0, 50, count), rng.integers(0, 50, count)
+    ours = annulus_mod._colliding_pairs(images, reach, i, j)
+    theirs = _kd_tree_pairs(images, reach, i, j)
+    assert len(theirs[0]) > 0
+    for a, b in zip(ours, theirs):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_spotcheck_collisions_match_kd_tree_search(noninjective_map, monkeypatch):
+    # more than the 50 reported collisions, so the truncation is compared too
+    sampler = region(noninjective_map, (0.0, 0.0), 2.0, grid_n=100,
+                     box=Box(-2, 2, -2, 2))
+    ours = injectivity_spotcheck(noninjective_map, sampler, n=10_000)
+    monkeypatch.setattr(annulus_mod, "_colliding_pairs", _kd_tree_pairs)
+    assert ours.truncated
+    assert ours == injectivity_spotcheck(noninjective_map, sampler, n=10_000)
 
 
 # orchestrated report

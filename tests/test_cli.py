@@ -365,6 +365,30 @@ def test_program_does_not_import_sympy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_program_does_not_import_scipy(tmp_path):
+    # every call pays for its imports; scipy would more than double them
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    runs = [[]]
+    for sub, ext in (("report", "json"), ("global-check", "json"),
+                     ("portrait", "svg"), ("disc", "svg")):
+        # example2 has a polynomial H: its report scans the equator and
+        # classifies sectors, and runs the spot check
+        runs.append([sub, "--map", "builtin:example2", "--out", str(tmp_path / f"{sub}.{ext}")])
+    code = ("import sys\n"
+            "import planarham.cli as cli\n"
+            f"for argv in {runs!r}:\n"
+            "    if argv:\n"
+            "        cli.run_subcommand(argv)\n"
+            "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "    assert not loaded, (argv, loaded[:3])\n")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert all((tmp_path / name).exists() for name in
+               ("report.json", "global-check.json", "portrait.svg", "disc.svg"))
+
+
 def test_schemas_pass_their_metaschema():
     # reports are validated without this check, so it lives here
     for schema in SCHEMAS.values():
