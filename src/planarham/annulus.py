@@ -7,16 +7,19 @@ Nesting of orbits makes GOOD downward-closed in h, so a bracket of one
 uncertified and one certified level holds the supremum ell of certified
 levels.  While det Df != 0, the only critical points of H are the zeros
 of f, so ell is where the center's sublevel component first reaches the
-window edge: :func:`predict_ell` reads that contact off the row runs
-of the H grid's sublevel components (:func:`_component_runs`, which
-also give the :func:`region` mask), and two probes either side of it
-usually give the bracket; a bisection finds it otherwise.  Certificates
-decide every level.  Everything downstream (region mask, image shape,
-globality verdict, traced rim) reads the :class:`EllEstimate`, whose
-rim is its GOOD probe's orbit at ell_lo.  Inside that rim f is
-injective once det Df != 0, so the injectivity spot check over the
-region is a deterministic grid search whose collision rule scales with
-Df; it can only flag a map outside the hypothesis, such as an even one.
+window edge: at a local minimum of H along an edge, or a corner.  The
+map's :func:`edge_minima` list those once (their least, clipped, is
+:func:`default_h_max`); :func:`predict_ell` walks them least first and
+takes the first whose grid cell the center's sublevel component holds,
+labelled by its row runs (:func:`_component_runs`, which also give the
+:func:`region` mask).  Two probes either side of that guess usually give
+the bracket; a bisection finds it otherwise.  Certificates decide every
+level.  Everything downstream (region mask, image shape, globality
+verdict, traced rim) reads the :class:`EllEstimate`, whose rim is its
+GOOD probe's orbit at ell_lo.  Inside that rim f is injective once
+det Df != 0, so the injectivity spot check over the region is a
+deterministic grid search whose collision rule scales with Df; it can
+only flag a map outside the hypothesis, such as an even one.
 """
 
 from __future__ import annotations
@@ -114,8 +117,9 @@ def classify_certificate(cert: WindingCertificate) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class EllGuess:
-    """Predicted window contact: the level h at which the center's
-    sublevel component first reaches the working box's edge, at point."""
+    """A local minimum h of H along the working box's edge, at point; as
+    a prediction, where the center's sublevel component first reaches
+    that edge."""
     h: float
     point: tuple[float, float]
 
@@ -163,80 +167,91 @@ class EllEstimate:
 
 
 def default_h_max(pmap: PlanarMap) -> float:
-    """Least Hamiltonian value on the working-box boundary, clipped to [1, 1e6].
+    """The least of :func:`edge_minima`, the Hamiltonian's minimum on the
+    working-box boundary, clipped to [1, 1e6].
 
     Below the true boundary minimum every level set is trapped inside
     the box; above it, escape through the boundary stops being
-    informative.  Each edge is sampled at 513 points and the least
-    sample refined by :func:`_edge_minimum` between its neighbours, so
-    the top probe just under h_max does not reach the edge through the
-    samples' spacing.  The clip keeps the bisection range sane when the
-    boundary minimum is tiny or enormous.
+    informative.  The clip keeps the bisection range sane when the
+    boundary minimum is tiny or enormous.  Raises
+    :class:`BoundaryUnevaluable` when f is undefined all round the edge.
     """
-    box = pmap.working_box()
-    jet = pmap.jet
-    edges = (((box.xmin, box.ymin), (box.xmin, box.ymax)),
-             ((box.xmax, box.ymin), (box.xmax, box.ymax)),
-             ((box.xmin, box.ymin), (box.xmax, box.ymin)),
-             ((box.xmin, box.ymax), (box.xmax, box.ymax)))
-    best, best_at = math.inf, None
-    n = 512
-    for k in range(n + 1):
-        t = k / n
-        for (x0, y0), (x1, y1) in edges:
-            try:
-                v1, _, _, v2, _, _ = jet(x0 + t * (x1 - x0), y0 + t * (y1 - y0))
-            except JET_ERRORS:
-                continue
-            h = 0.5 * (v1 * v1 + v2 * v2)
-            if math.isfinite(h) and h < best:
-                best, best_at = h, (x0, y0, x1, y1, k)
-    if best_at is not None:
-        x0, y0, x1, y1, k = best_at
-        lo, hi = max(k - 1, 0) / n, min(k + 1, n) / n
-        best = min(best, _edge_minimum(jet, (x0 + lo * (x1 - x0), y0 + lo * (y1 - y0)),
-                                       (x0 + hi * (x1 - x0), y0 + hi * (y1 - y0)))[0])
-    if not math.isfinite(best):
+    minima = edge_minima(pmap)
+    if not minima:
         raise BoundaryUnevaluable("could not evaluate f anywhere on the box boundary")
-    return min(max(best, 1.0), 1e6)
+    return min(max(minima[0].h, 1.0), 1e6)
+
+
+def edge_minima(pmap: PlanarMap) -> tuple[EllGuess, ...]:
+    """Every local minimum of H along the working box's edges, least first.
+
+    Each edge is sampled at 513 points, H being inf where f is undefined.
+    A finite sample no greater than its neighbours, and below the one
+    before it so that a plateau counts once, is refined by
+    :func:`_edge_minimum` between those neighbours: a minimum narrower
+    than the samples' spacing is found too.  Corners are edge ends, so a
+    corner minimum is listed.  While det Df != 0 these are the only
+    levels at which a center's sublevel component can first meet the
+    edge (Goresky-MacPherson, *Stratified Morse Theory*, 1988).  Computed
+    once per map.
+    """
+    def compute() -> tuple[EllGuess, ...]:
+        box, n, found = pmap.working_box(), 512, []
+        for a, b in (((box.xmin, box.ymin), (box.xmin, box.ymax)),
+                     ((box.xmax, box.ymin), (box.xmax, box.ymax)),
+                     ((box.xmin, box.ymin), (box.xmax, box.ymin)),
+                     ((box.xmin, box.ymax), (box.xmax, box.ymax))):
+            h = [math.inf, *(_h_on(pmap.jet, a, b, k / n) for k in range(n + 1)), math.inf]
+            for k in range(n + 1):
+                if h[k + 1] < h[k] and h[k + 1] <= h[k + 2]:
+                    near = _edge_minimum(pmap.jet, _lerp(a, b, max(k - 1, 0) / n),
+                                         _lerp(a, b, min(k + 1, n) / n))
+                    found.append(min((h[k + 1], _lerp(a, b, k / n)), near, key=lambda c: c[0]))
+        return tuple(EllGuess(*c) for c in sorted(dict.fromkeys(found), key=lambda c: c[0]))
+
+    return pmap.fact("edge-minima", compute)
+
+
+def _lerp(a: tuple[float, float], b: tuple[float, float], s: float) -> tuple[float, float]:
+    return (a[0] + s * (b[0] - a[0]), a[1] + s * (b[1] - a[1]))
+
+
+def _h_on(jet, a: tuple[float, float], b: tuple[float, float], s: float) -> float:
+    """H at a + s (b - a), inf where f cannot be evaluated."""
+    try:
+        v1, _, _, v2, _, _ = jet(*_lerp(a, b, s))
+    except JET_ERRORS:
+        return math.inf
+    h = 0.5 * (v1 * v1 + v2 * v2)
+    return math.inf if math.isnan(h) else h
 
 
 def _edge_minimum(jet, a: tuple[float, float], b: tuple[float, float]):
     """``(h, point)``: the least H on the segment from a to b found by
     :func:`~planarham.brent.brent_minimum`, Brent's bounded minimiser,
-    or at either end; H is inf where f cannot be evaluated."""
-    (x0, y0), (x1, y1) = a, b
-
-    def at(s: float) -> tuple[float, float]:
-        return (x0 + s * (x1 - x0), y0 + s * (y1 - y0))
-
-    def h_at(s: float) -> float:
-        try:
-            v1, _, _, v2, _, _ = jet(*at(s))
-        except JET_ERRORS:
-            return math.inf
-        h = 0.5 * (v1 * v1 + v2 * v2)
-        return math.inf if math.isnan(h) else h
-
-    best, _ = brent_minimum(h_at, 0.0, 1.0, xatol=1e-10)
-    return min(((h_at(s), at(s)) for s in (best, 0.0, 1.0)), key=lambda c: c[0])
+    or at either end."""
+    best, _ = brent_minimum(lambda s: _h_on(jet, a, b, s), 0.0, 1.0, xatol=1e-10)
+    return min(((_h_on(jet, a, b, s), _lerp(a, b, s)) for s in (best, 0.0, 1.0)),
+               key=lambda c: c[0])
 
 
 PREDICT_GRID_N = 200    # the report's default region grid, whose H grid it shares
-_CONTACT_CELLS = 4      # edge cells searched on either side of the contact cell
 
 
 def predict_ell(pmap: PlanarMap, center) -> EllGuess | None:
-    """Predict the window-relative ell from the working box's H grid.
+    """Predict the window-relative ell: the least of :func:`edge_minima`
+    that the center's sublevel component reaches.
 
     While det Df != 0 the only critical points of H are the zeros of f,
     so the center's sublevel component grows without merging until it
-    reaches the box edge.  A bisection over the grid's sorted levels
-    finds the least one whose 4-connected component of the center's cell
-    holds a border cell, counted over its :func:`_component_runs`; the
-    guess is the bounded minimum of H along that box edge within a few
-    cells of the contact.  ``None`` when the component reaches an
-    undefined cell first, or never reaches the edge.
+    first meets the box edge, at one of the edge minima.  Those are
+    walked least first.  At each, the 4-connected component of the
+    center's cell in {H <= level} of the working box's H grid is labelled
+    by its :func:`_component_runs`, the level being the larger of the
+    candidate's h and the H of the grid cell holding its point; the
+    first candidate whose cell is in the component is the guess.
+    ``None`` when the component reaches a cell next to an undefined one
+    first, or no candidate's cell.
     """
     box = pmap.working_box()
     cpt = center_point(center)
@@ -248,48 +263,20 @@ def predict_ell(pmap: PlanarMap, center) -> EllGuess | None:
     h0 = ham[ci, cj]
     if math.isnan(h0):
         return None
-    border = ~np.pad(np.ones((n - 2, n - 2), dtype=bool), 1)
     undefined = np.pad(np.isnan(ham), 1)        # with their 4-neighbours:
     near_undefined = (undefined[1:-1, 1:-1] | undefined[:-2, 1:-1] | undefined[2:, 1:-1]
                       | undefined[1:-1, :-2] | undefined[1:-1, 2:])
-    # padded at each row's front, the cell of run key k (see
-    # _component_runs) sits at k + 1: the count at k is of the keys below k
-    stops_before = np.cumsum(np.pad(border | near_undefined, ((0, 0), (1, 0))))
-    levels = ham[ham >= h0]                     # NaN compares false
-    levels.sort()
-    lo, hi = 0, len(levels) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        start, end = _component_runs(ham <= levels[mid], ci, cj)
-        if (stops_before[end] > stops_before[start]).any():
-            hi = mid
-        else:
-            lo = mid + 1
-    comp = _paint(ham.shape, *_component_runs(ham <= levels[lo], ci, cj))
-    if (comp & near_undefined).any() or not (comp & border).any():
-        return None
-
-    # the component's lowest border cell, and the box edges it lies on
-    cells = np.argwhere(comp & border)
-    i, j = (int(k) for k in cells[np.argmin(ham[cells[:, 0], cells[:, 1]])])
-    reach_x = _CONTACT_CELLS * (box.xmax - box.xmin) / n
-    reach_y = _CONTACT_CELLS * (box.ymax - box.ymin) / n
-    xc = box.xmin + (i + 0.5) * (box.xmax - box.xmin) / n
-    yc = box.ymin + (j + 0.5) * (box.ymax - box.ymin) / n
-    segments = []
-    if i in (0, n - 1):
-        x = box.xmin if i == 0 else box.xmax
-        segments.append(((x, max(box.ymin, yc - reach_y)),
-                         (x, min(box.ymax, yc + reach_y))))
-    if j in (0, n - 1):
-        y = box.ymin if j == 0 else box.ymax
-        segments.append(((max(box.xmin, xc - reach_x), y),
-                         (min(box.xmax, xc + reach_x), y)))
-
-    best = min((_edge_minimum(pmap.jet, *seg) for seg in segments), key=lambda c: c[0])
-    if not math.isfinite(best[0]):
-        return None
-    return EllGuess(*best)
+    for guess in edge_minima(pmap):
+        i, j = cell_index(box, n, *guess.point)
+        level = max(guess.h, ham[i, j])         # guess.h where the cell is undefined
+        if level < h0:
+            continue
+        comp = _paint(ham.shape, *_component_runs(ham <= level, ci, cj))
+        if (comp & near_undefined).any():
+            return None
+        if comp[i, j]:
+            return guess
+    return None
 
 
 def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None, tol: float = 1e-6,
@@ -533,7 +520,9 @@ def global_center_verdict(pmap: PlanarMap, estimate: EllEstimate,
 
 
 def _levels_above(pmap: PlanarMap, box: Box, ell_lo: float) -> bool:
-    ham = _h_grid(pmap, box, 64)
+    """Whether H exceeds ell_lo somewhere on the box's H grid, the one
+    :func:`region` or :func:`predict_ell` has already evaluated."""
+    ham = _h_grid(pmap, box, PREDICT_GRID_N)
     return bool(np.any(np.isfinite(ham) & (ham > ell_lo)))
 
 
@@ -664,7 +653,6 @@ def _colliding_pairs(images: np.ndarray, reach: np.ndarray, i: np.ndarray,
 class AnnulusReport:
     estimate: EllEstimate
     image: ImageShape
-    boundary_polyline: tuple[tuple[float, float], ...]
     verdict: GlobalVerdict
     spotcheck: SpotcheckReport
 
@@ -673,13 +661,11 @@ def build_annulus_report(pmap: PlanarMap, center: CenterRecord,
                          h_max: float | None = None, tol: float = 1e-6,
                          grid_n: int = 200, box: Box | None = None,
                          budget: AngleBudget | None = None) -> AnnulusReport:
-    """Full annulus pipeline for one center; the boundary polyline is the
-    estimate's rim when the image is a disc, else empty."""
+    """Full annulus pipeline for one center: ell, image shape, region,
+    spot check and verdict."""
     est = estimate_ell(pmap, center, h_max=h_max, tol=tol, budget=budget)
     shape = image_shape(est)
     sampler = region(pmap, center, est.ell_lo, grid_n=grid_n, box=box)
     spot = injectivity_spotcheck(pmap, sampler, n=SPOTCHECK_N)
-    return AnnulusReport(
-        estimate=est, image=shape,
-        boundary_polyline=est.rim if shape.kind == "disc" else (),
-        verdict=global_center_verdict(pmap, est, box=box), spotcheck=spot)
+    return AnnulusReport(estimate=est, image=shape,
+                         verdict=global_center_verdict(pmap, est, box=box), spotcheck=spot)

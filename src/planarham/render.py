@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -490,8 +489,9 @@ def scene_to_svg(scene: Scene, width: int = 640) -> str:
                          f'r="{_fmt(marker_r)}" class="{layer.role}"/>')
         elif isinstance(layer, TextLabel):
             cx, cy = layer.at
+            text = layer.text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             parts.append(f'<text x="{_fmt(cx)}" y="{_fmt(-cy)}" '
                          f'text-anchor="middle" class="{layer.role}">'
-                         f"{escape(layer.text)}</text>")
+                         f"{text}</text>")
     parts.append("</svg>")
     return "\n".join(parts)

@@ -22,6 +22,7 @@ from planarham.annulus import (
     cell_index,
     classify_certificate,
     default_h_max,
+    edge_minima,
     estimate_ell,
     global_center_verdict,
     image_shape,
@@ -95,6 +96,17 @@ def test_example3_ell_both_centers(example3):
         assert est.ell_hi - est.ell_lo <= 1e-6
 
 
+def test_example2_ell_takes_twelve_probes(example2):
+    # the oval reaches x = +/-20 through a channel ~1e-5 wide that the H
+    # grid cannot resolve; the edge minimum at (20, -0.0024875) is ell
+    est = estimate_ell(example2, (0.0, 0.0), h_max=1.0)
+    assert len(est.probes) == 12
+    assert est.ell_lo <= 0.4987531172 <= est.ell_hi
+    assert est.guess.h == pytest.approx(0.4987531172, abs=1e-10)
+    assert abs(est.guess.point[0]) == 20.0
+    assert est.guess.point[1] == pytest.approx(-0.0024875, abs=1e-7)
+
+
 def test_example2_ell_truncated_by_box(example2):
     # the level oval's x-extent sqrt(2h/(1-2h)) hits the +/-20 working box
     # slightly before h = 1/2, so the bracket lands just under it
@@ -159,9 +171,13 @@ def _affine_window_min(a, center, half=20.0):
     (((0.8, 0.6), (-0.12, 0.16)), (14.0, 15.0)),    # thin, tilted, near a corner
 ])
 def test_predicted_ell_of_affine_maps(a, center):
-    guess = predict_ell(_affine_map(a, center), center)
+    pmap = _affine_map(a, center)
+    guess = predict_ell(pmap, center)
     truth = _affine_window_min(a, center)
     assert guess.h == pytest.approx(truth, rel=1e-9)
+    minima = edge_minima(pmap)
+    assert minima[0].h == pytest.approx(truth, rel=1e-9)
+    assert [m.h for m in minima] == sorted(m.h for m in minima)
     x, y = guess.point
     assert max(abs(x), abs(y)) == 20.0
 
@@ -180,6 +196,12 @@ def test_default_h_max_is_the_boundary_minimum(a, center):
     assert default_h_max(pmap) == pytest.approx(truth, rel=1e-9)
     est = estimate_ell(pmap, center)
     assert est.budget_exceeded and len(est.probes) == 9
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "identity_map"])
+def test_default_h_max_is_the_clipped_least_edge_minimum(name, request):
+    pmap = request.getfixturevalue(name)
+    assert default_h_max(pmap) == min(max(edge_minima(pmap)[0].h, 1.0), 1e6)
 
 
 def test_predicted_ell_of_example3_edge_center(example3):
@@ -635,7 +657,6 @@ def test_build_annulus_report_example1(example1):
     assert report.verdict.verdict == "not-global"
     assert report.estimate.certificates
     assert report.spotcheck.clean
-    assert report.boundary_polyline == report.estimate.rim
-    x0, y0 = report.boundary_polyline[0]
-    x1, y1 = report.boundary_polyline[-1]
+    x0, y0 = report.estimate.rim[0]
+    x1, y1 = report.estimate.rim[-1]
     assert math.hypot(x1 - x0, y1 - y0) <= 1e-6

@@ -434,9 +434,10 @@ def test_report_scans_jacobian_sign_once(tmp_path, monkeypatch):
     assert len(doc["centers"]) == 2
     assert all(c["status"] == "ok" for c in doc["centers"])
     assert calls == [Box(-2.0, 2.0, -2.0, 9.0)]
-    # one H grid for the region, one for the verdict and one over the
-    # working window for the ell prediction, f1 and f2 each: once per map
-    assert counts == {"default_h_max": 1, "eval_grid": 6}
+    # one H grid for the region, which the verdict reads too, and one
+    # over the working window for the ell prediction, f1 and f2 each:
+    # once per map
+    assert counts == {"default_h_max": 1, "eval_grid": 4}
 
 
 def test_report_traces_each_level_once(tmp_path, monkeypatch):

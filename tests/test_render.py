@@ -2,6 +2,7 @@
 
 import math
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -318,6 +319,14 @@ def test_svg_plane_scene(ex1_scene):
 def test_svg_disc_scene(ex2_disc_scene):
     svg = scene_to_svg(ex2_disc_scene)
     _assert_svg_in_bounds(svg)
+
+
+def test_svg_label_text_is_escaped():
+    scene = Scene(viewport=Box(-1.05, 1.05, -1.05, 1.05),
+                  layers=(TextLabel((0.0, 0.0), "a<&>b", role="label"),), disc=True)
+    svg = scene_to_svg(scene)
+    assert f">{escape('a<&>b')}</text>" in svg
+    assert ET.fromstring(svg).find("{http://www.w3.org/2000/svg}text").text == "a<&>b"
 
 
 def test_svg_deterministic(example1, identity_map):

@@ -22,8 +22,9 @@ script); neither is modified.
 
 ``--work`` prints, in place of the digests, each JSON invocation's work:
 its number of certificates (probes that traced an orbit, summed over the
-centers) and its ``timings.orbit_points``, then the totals.  Two
-checkouts that do different amounts of work can be compared with it:
+centers), each center's own count and its ``timings.orbit_points``, then
+the totals and the most certificates any one center took.  Two checkouts
+that do different amounts of work can be compared with it:
 
     python3 tools/output_digest.py --work --checkout ../other-checkout > old.txt
     python3 tools/output_digest.py --work > new.txt
@@ -84,13 +85,14 @@ def digest(run_subcommand, argv: list[str], out: Path, workdir: Path) -> tuple[i
     return rc, h.hexdigest()
 
 
-def work(out: Path) -> tuple[int, int] | None:
-    """(certificates, orbit points) of a JSON output; None without one."""
+def work(out: Path) -> tuple[list[int], int] | None:
+    """(certificates per center, orbit points) of a JSON output; None
+    without one."""
     if not out.exists():
         return None
     doc = json.loads(out.read_text(encoding="utf-8"))
-    certificates = sum(len(c.get("certificates", ())) for c in doc["centers"])
-    return certificates, doc["timings"].get("orbit_points", 0)
+    per_center = [len(c.get("certificates", ())) for c in doc["centers"]]
+    return per_center, doc["timings"].get("orbit_points", 0)
 
 
 def main(argv: list[str]) -> int:
@@ -101,7 +103,7 @@ def main(argv: list[str]) -> int:
     from planarham.cli import run_subcommand
     from workloads import WORKLOADS, argv_for, round_invocations, write_maps
 
-    totals = [0, 0]
+    totals = [0, 0, 0]      # certificates, orbit points, most per center
 
     def run_one(label: str, argv_: list[str], out: Path, workdir: Path) -> None:
         rc, hexd = digest(run_subcommand, argv_, out, workdir)
@@ -112,10 +114,13 @@ def main(argv: list[str]) -> int:
             if counts is None:
                 print(f"{label} rc={rc} <no output file>", flush=True)
                 return
-            totals[0] += counts[0]
-            totals[1] += counts[1]
-            print(f"{label} rc={rc} certificates={counts[0]} "
-                  f"orbit_points={counts[1]}", flush=True)
+            per_center, points = counts
+            totals[0] += sum(per_center)
+            totals[1] += points
+            totals[2] = max([totals[2], *per_center])
+            print(f"{label} rc={rc} certificates={sum(per_center)} "
+                  f"per_center={','.join(map(str, per_center)) or '-'} "
+                  f"orbit_points={points}", flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
@@ -136,7 +141,8 @@ def main(argv: list[str]) -> int:
                 run_one(" ".join(["builtin", f"{sub}:{name}", *flags]),
                         argv_, out, workdir)
     if args.work:
-        print(f"total certificates={totals[0]} orbit_points={totals[1]}")
+        print(f"total certificates={totals[0]} orbit_points={totals[1]} "
+              f"most_per_center={totals[2]}")
     return 0
 
 
