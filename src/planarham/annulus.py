@@ -185,11 +185,13 @@ def default_h_max(pmap: PlanarMap) -> float:
 def edge_minima(pmap: PlanarMap) -> tuple[EllGuess, ...]:
     """Every local minimum of H along the working box's edges, least first.
 
-    Each edge is sampled at 513 points, H being inf where f is undefined.
-    A finite sample no greater than its neighbours, and below the one
-    before it so that a plateau counts once, is refined by
+    Each edge is sampled at 513 points, the four edges by one
+    :func:`eval_grid` pass per component of f, H being inf where f is
+    undefined.  A finite sample no greater than its neighbours, and below
+    the one before it so that a plateau counts once, is refined by
     :func:`_edge_minimum` between those neighbours: a minimum narrower
-    than the samples' spacing is found too.  Corners are edge ends, so a
+    than the samples' spacing is found too.  A candidate's H is the
+    compiled jet's, as the refinement's is.  Corners are edge ends, so a
     corner minimum is listed.  While det Df != 0 these are the only
     levels at which a center's sublevel component can first meet the
     edge (Goresky-MacPherson, *Stratified Morse Theory*, 1988).  Computed
@@ -197,16 +199,25 @@ def edge_minima(pmap: PlanarMap) -> tuple[EllGuess, ...]:
     """
     def compute() -> tuple[EllGuess, ...]:
         box, n, found = pmap.working_box(), 512, []
-        for a, b in (((box.xmin, box.ymin), (box.xmin, box.ymax)),
-                     ((box.xmax, box.ymin), (box.xmax, box.ymax)),
-                     ((box.xmin, box.ymin), (box.xmax, box.ymin)),
-                     ((box.xmin, box.ymax), (box.xmax, box.ymax))):
-            h = [math.inf, *(_h_on(pmap.jet, a, b, k / n) for k in range(n + 1)), math.inf]
+        edges = (((box.xmin, box.ymin), (box.xmin, box.ymax)),
+                 ((box.xmax, box.ymin), (box.xmax, box.ymax)),
+                 ((box.xmin, box.ymin), (box.xmax, box.ymin)),
+                 ((box.xmin, box.ymax), (box.xmax, box.ymax)))
+        s = np.arange(n + 1) / n
+        xs, ys = (np.concatenate([a[i] + s * (b[i] - a[i]) for a, b in edges])
+                  for i in (0, 1))
+        with np.errstate(all="ignore"):
+            f1, f2 = eval_grid(pmap.f1, xs, ys), eval_grid(pmap.f2, xs, ys)
+            ham = 0.5 * (f1 * f1 + f2 * f2)
+        ham[np.isnan(ham)] = math.inf
+        for (a, b), row in zip(edges, ham.reshape(len(edges), n + 1)):
+            h = [math.inf, *row.tolist(), math.inf]
             for k in range(n + 1):
                 if h[k + 1] < h[k] and h[k + 1] <= h[k + 2]:
                     near = _edge_minimum(pmap.jet, _lerp(a, b, max(k - 1, 0) / n),
                                          _lerp(a, b, min(k + 1, n) / n))
-                    found.append(min((h[k + 1], _lerp(a, b, k / n)), near, key=lambda c: c[0]))
+                    here = (_h_on(pmap.jet, a, b, k / n), _lerp(a, b, k / n))
+                    found.append(min(here, near, key=lambda c: c[0]))
         return tuple(EllGuess(*c) for c in sorted(dict.fromkeys(found), key=lambda c: c[0]))
 
     return pmap.fact("edge-minima", compute)

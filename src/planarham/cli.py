@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -46,9 +45,6 @@ EXIT_INCONCLUSIVE = 3
 EXIT_SCHEMA = 4
 
 SUBCOMMANDS = ("centers", "annulus", "global-check", "portrait", "disc", "report")
-
-# env alternative to --enable-extended
-EXTENDED_ENV = "PLANARHAM_EXTENDED"
 
 
 class InputError(ValueError):
@@ -726,8 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output path (JSON report, or SVG for the "
                             "portrait and disc subcommands)")
         p.add_argument("--enable-extended", action="store_true",
-                       help="allow the long-running extended fixtures "
-                            f"(also: {EXTENDED_ENV}=1)")
+                       help="allow the long-running extended fixtures")
         if name == "portrait":
             p.add_argument("--levels", default=None, metavar="H1,H2,...",
                            help="energy levels to draw (default: fractions "
@@ -755,11 +750,6 @@ def _merge_value_flags(argv: list[str]) -> list[str]:
     return merged
 
 
-def _env_extended() -> bool:
-    return os.environ.get(EXTENDED_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on")
-
-
 def _config_from_args(ns: argparse.Namespace) -> RunConfig:
     box = _parse_box(ns.box) if ns.box is not None else None
     levels = None
@@ -775,7 +765,7 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
         max_winding=ns.max_winding,
         out_report=None if svg_command else ns.out,
         out_svg=ns.out if svg_command else None,
-        enable_extended=ns.enable_extended or _env_extended(),
+        enable_extended=ns.enable_extended,
         levels=levels,
     )
 

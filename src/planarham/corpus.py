@@ -1,4 +1,4 @@
-"""Built-in example maps.
+"""Built-in example maps, written as map-spec texts.
 
 The first three are the classic fixtures exercised throughout the test
 suite; ``identity`` and ``control_noninjective`` are trivial and
@@ -6,9 +6,11 @@ negative controls.  ``pinchuk200`` is the Pinchuk polynomial map (the
 standard counterexample to the real Jacobian conjecture: det Df > 0
 everywhere yet f is not injective) with its second component shifted by
 -200; it is gated behind an explicit opt-in because its analysis runs
-minutes, not seconds.  Its known facts live here too: the zeros, the
-exceptional curve, and its fibers, which :func:`pinchuk_fiber` solves
-exactly with the generic :func:`~planarham.centers.fiber`.
+minutes, not seconds.  Every builtin is built by
+:func:`~planarham.field.parse_map_spec`, so it passes the same load
+checks as a map file.  Pinchuk's known facts live here too: the zeros,
+the exceptional curve, and its fibers, which :func:`pinchuk_fiber`
+solves exactly with the generic :func:`~planarham.centers.fiber`.
 """
 
 from __future__ import annotations
@@ -16,68 +18,55 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .centers import fiber, fiber_resultant
-from .expr import Binary, Constant, Expr, Unary, Variable, parse_expr, powi, to_poly
-from .field import Box, PlanarMap
+from .field import Box, PlanarMap, parse_map_spec
 
-BUILTIN_NAMES = (
-    "example1",
-    "example2",
-    "example3",
-    "identity",
-    "control_noninjective",
-    "pinchuk200",
-)
+# Pinchuk's map (p, q) = (f + h, _Q) through its shared parts; the
+# compiled jet numbers equal subtrees once, so each is evaluated once:
+#   t = x*y - 1,  h = t*(x*t + 1),  f = (x*t + 1)^2 * (t^2 + y)
+_T = "(x*y - 1)"
+_H = f"({_T}*(x*{_T} + 1))"
+_F = f"((x*{_T} + 1)^2*({_T}^2 + y))"
+_Q = (f"-{_T}^2 - 6*{_T}*{_H}*({_H} + 1) - 170*{_F}*{_H} - 91*{_H}^2"
+      f" - 195*{_F}*{_H}^2 - 69*{_H}^3 - 75*{_F}*{_H}^3 - 18.75*{_H}^4")
+
+_SPECS = {
+    "example1": '''
+f1 = "exp(x) - 1"
+f2 = "y"
+''',
+    "example2": '''
+f1 = "x/sqrt(1 + x^2)"
+f2 = "(x^2 + (1 + x^2)^2*y)/sqrt(1 + x^2)"
+hamiltonian = "0.5*(1 + x^2)^3*y^2 + x^2*(1 + x^2)*y + 0.5*x^2"
+''',
+    "example3": '''
+f1 = "exp(x)*cos(y) - 1"
+f2 = "exp(x)*sin(y)"
+''',
+    "identity": '''
+f1 = "x"
+f2 = "y"
+''',
+    "control_noninjective": '''
+f1 = "x^2"
+f2 = "y"
+''',
+    "pinchuk200": f'''
+f1 = "{_F} + {_H}"
+f2 = "{_Q} - 200"
+# deep in -y so moderate orbits (whose tails hug x*(x*y - 1) = -1)
+# stay inside the working window instead of reading as escapes
+domain = "box(-2600, 20, -5e6, 20)"
+''',
+}
+
+BUILTIN_NAMES = tuple(_SPECS)
 
 EXTENDED_NAMES = ("pinchuk200",)
 
 
 class ExtendedGateError(ValueError):
     """Raised for extended fixtures unless explicitly enabled."""
-
-
-def _mul(*factors: Expr) -> Expr:
-    out = factors[0]
-    for e in factors[1:]:
-        out = Binary("mul", out, e)
-    return out
-
-
-def _pinchuk_components() -> tuple[Expr, Expr]:
-    """The Pinchuk map (p, q), second component shifted by -200.
-
-    Built as shared subtrees t, h, f so the compiled jet evaluates each
-    once:
-
-        t = x*y - 1
-        h = t*(x*t + 1)
-        f = (x*t + 1)^2 * (t^2 + y)
-        p = f + h
-        q = -t^2 - 6*t*h*(h+1) - 170*f*h - 91*h^2 - 195*f*h^2
-            - 69*h^3 - 75*f*h^3 - (75/4)*h^4
-    """
-    x, y = Variable("x"), Variable("y")
-    one = Constant(1.0)
-    t = Binary("sub", _mul(x, y), one)
-    xt1 = Binary("add", _mul(x, t), one)
-    h = _mul(t, xt1)
-    f = _mul(powi(xt1, 2), Binary("add", powi(t, 2), y))
-    p = Binary("add", f, h)
-
-    def c(v: float) -> Constant:
-        return Constant(float(v))
-
-    q: Expr = Unary("neg", powi(t, 2))
-    for term in (
-        _mul(c(6), t, h, Binary("add", h, one)),
-        _mul(c(170), f, h),
-        _mul(c(91), powi(h, 2)),
-        _mul(c(195), f, powi(h, 2)),
-        _mul(c(69), powi(h, 3)),
-        _mul(c(75), f, powi(h, 3)),
-        _mul(c(18.75), powi(h, 4)),
-    ):
-        q = Binary("sub", q, term)
-    return p, Binary("sub", q, c(200.0))
 
 
 # Exceptional image curve of the unshifted Pinchuk map, parametrized by s.
@@ -121,40 +110,7 @@ def pinchuk_fiber(target: tuple[float, float]) -> tuple[tuple[float, float], ...
 
 
 def _build(name: str) -> PlanarMap:
-    if name == "example1":
-        return PlanarMap(
-            f1=parse_expr("exp(x) - 1"),
-            f2=parse_expr("y"),
-            name="example1",
-        )
-    if name == "example2":
-        declared = to_poly(parse_expr(
-            "0.5*(1 + x^2)^3*y^2 + x^2*(1 + x^2)*y + 0.5*x^2"))
-        assert declared is not None
-        return PlanarMap(
-            f1=parse_expr("x/sqrt(1 + x^2)"),
-            f2=parse_expr("(x^2 + (1 + x^2)^2*y)/sqrt(1 + x^2)"),
-            declared_hamiltonian=declared,
-            name="example2",
-        )
-    if name == "example3":
-        return PlanarMap(
-            f1=parse_expr("exp(x)*cos(y) - 1"),
-            f2=parse_expr("exp(x)*sin(y)"),
-            name="example3",
-        )
-    if name == "identity":
-        return PlanarMap(f1=parse_expr("x"), f2=parse_expr("y"), name="identity")
-    if name == "control_noninjective":
-        return PlanarMap(f1=parse_expr("x^2"), f2=parse_expr("y"),
-                         name="control_noninjective")
-    if name == "pinchuk200":
-        p, q200 = _pinchuk_components()
-        # deep in -y so moderate orbits (whose tails hug x*(x*y - 1) = -1)
-        # stay inside the working window instead of reading as escapes
-        return PlanarMap(f1=p, f2=q200, domain=Box(-2600.0, 20.0, -5.0e6, 20.0),
-                         name="pinchuk200")
-    raise KeyError(name)
+    return parse_map_spec(_SPECS[name], f"builtin:{name}", name)
 
 
 def builtin(name: str, enable_extended: bool = False) -> PlanarMap:
@@ -167,5 +123,4 @@ def builtin(name: str, enable_extended: bool = False) -> PlanarMap:
 
 
 def builtin_corpus(enable_extended: bool = False) -> list[PlanarMap]:
-    names = [n for n in BUILTIN_NAMES if enable_extended or n not in EXTENDED_NAMES]
-    return [_build(n) for n in names]
+    return [_build(n) for n in BUILTIN_NAMES if enable_extended or n not in EXTENDED_NAMES]

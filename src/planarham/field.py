@@ -378,71 +378,78 @@ def _parse_domain(text: str) -> Box | None:
         raise MapSpecError(f"domain: {exc}") from None
 
 
-def load_map_spec(path: str | Path) -> PlanarMap:
-    """Read a map from a key = "value" file.
+def parse_map_spec(text: str, source: str, default_name: str) -> PlanarMap:
+    """Build a map, file or builtin, from key = "value" lines; ``source``
+    names the text in errors, ``default_name`` the map unless keyed.
 
     Recognised keys: name, f1, f2 (required), domain ("plane" or
     "box(xmin, xmax, ymin, ymax)"), hamiltonian (expression that must be
-    structurally polynomial and match (f1^2+f2^2)/2 numerically).
-    Every subexpression free of x and y must evaluate to a finite
+    structurally polynomial and match (f1^2+f2^2)/2 numerically, checked
+    here).  Every subexpression free of x and y must evaluate to a finite
     number, and so must every coefficient of a polynomial f1, f2 or H.
     Lines starting with # and blank lines are ignored.
     """
-    path = Path(path)
     fields: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         m = _LINE_RE.match(raw)
         if m is None:
-            raise MapSpecError(f"{path.name}:{lineno}: expected key = \"value\", got {raw!r}")
+            raise MapSpecError(f"{source}:{lineno}: expected key = \"value\", got {raw!r}")
         key, value = m.group(1), m.group(2)
         if key not in _KNOWN_KEYS:
-            raise MapSpecError(f"{path.name}:{lineno}: unknown key {key!r}")
+            raise MapSpecError(f"{source}:{lineno}: unknown key {key!r}")
         if key in fields:
-            raise MapSpecError(f"{path.name}:{lineno}: duplicate key {key!r}")
+            raise MapSpecError(f"{source}:{lineno}: duplicate key {key!r}")
         fields[key] = value
     for required in ("f1", "f2"):
         if required not in fields:
-            raise MapSpecError(f"{path.name}: missing required key {required!r}")
+            raise MapSpecError(f"{source}: missing required key {required!r}")
     domain = _parse_domain(fields.get("domain", "plane"))
     exprs = {key: parse_expr(fields[key]) for key in ("hamiltonian", "f1", "f2") if key in fields}
     for key, e in exprs.items():
         if (bad := nonfinite_constant(e)) is not None:
-            raise MapSpecError(f"{path.name}: {key}: '{print_expr(bad)}' "
+            raise MapSpecError(f"{source}: {key}: '{print_expr(bad)}' "
                                "does not evaluate to a finite number")
     polys = {key: to_poly(e) for key, e in exprs.items()}
     declared = polys.get("hamiltonian")
     if "hamiltonian" in exprs and declared is None:
-        raise MapSpecError(f"{path.name}: declared hamiltonian is not a polynomial expression")
+        raise MapSpecError(f"{source}: declared hamiltonian is not a polynomial expression")
     for key, poly in polys.items():
-        _require_finite_coefficients(path, key, poly)
+        _require_finite_coefficients(source, key, poly)
     pmap = PlanarMap(
         f1=exprs["f1"],
         f2=exprs["f2"],
         domain=domain,
         declared_hamiltonian=declared,
-        name=fields.get("name", path.stem),
+        name=fields.get("name", default_name),
     )
     if declared is not None:
         try:
             result = _declared_validation(pmap)
         except ValidationInconclusive as exc:
-            raise MapSpecError(f"{path.name}: declared hamiltonian cannot be "
+            raise MapSpecError(f"{source}: declared hamiltonian cannot be "
                                f"validated: {exc}") from None
         if not result.ok:
             raise MapSpecError(
-                f"{path.name}: declared hamiltonian mismatch, residual "
+                f"{source}: declared hamiltonian mismatch, residual "
                 f"{result.worst_residual:.3g} at {result.worst_point}")
-    _require_finite_coefficients(path, "H = (f1^2 + f2^2)/2",
+    _require_finite_coefficients(source, "H = (f1^2 + f2^2)/2",
                                  effective_hamiltonian_poly(pmap))
     return pmap
 
 
-def _require_finite_coefficients(path: Path, key: str, poly: Poly2 | None) -> None:
+def load_map_spec(path: str | Path) -> PlanarMap:
+    """:func:`parse_map_spec` of a UTF-8 map file; the map is named after
+    the file's stem unless the file names it."""
+    path = Path(path)
+    return parse_map_spec(path.read_text(encoding="utf-8"), path.name, path.stem)
+
+
+def _require_finite_coefficients(source: str, key: str, poly: Poly2 | None) -> None:
     """Reject a polynomial whose folded coefficients overflowed."""
     for c, i, j in poly.terms if poly is not None else ():
         if not math.isfinite(c):
-            raise MapSpecError(f"{path.name}: {key}: the coefficient of x^{i}*y^{j} "
+            raise MapSpecError(f"{source}: {key}: the coefficient of x^{i}*y^{j} "
                                f"is {c}, not a finite number")

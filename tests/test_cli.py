@@ -219,19 +219,19 @@ def test_empty_or_non_finite_domain_exits_2(tmp_path, capsys, domain):
 
 
 def test_pinchuk_is_gated(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(cli.EXTENDED_ENV, raising=False)
     assert run("centers", "--map", "builtin:pinchuk200") == 2
     assert "--enable-extended" in capsys.readouterr().err
     with pytest.raises(InputError):
         load_map("builtin:pinchuk200")
-    # flag form and env form both open the gate (tiny box keeps it cheap)
+    # the flag opens the gate (tiny box keeps it cheap); the environment
+    # does not
     out = tmp_path / "p.json"
     assert run("centers", "--map", "builtin:pinchuk200", "--grid", "8",
                "--box", "-1,1,-1,1", "--enable-extended",
                "--out", str(out)) == 0
-    monkeypatch.setenv(cli.EXTENDED_ENV, "1")
+    monkeypatch.setenv("PLANARHAM_EXTENDED", "1")
     assert run("centers", "--map", "builtin:pinchuk200", "--grid", "8",
-               "--box", "-1,1,-1,1", "--out", str(out)) == 0
+               "--box", "-1,1,-1,1", "--out", str(out)) == 2
 
 
 def test_inconclusive_exits_3_with_report(tmp_path):
@@ -434,10 +434,10 @@ def test_report_scans_jacobian_sign_once(tmp_path, monkeypatch):
     assert len(doc["centers"]) == 2
     assert all(c["status"] == "ok" for c in doc["centers"])
     assert calls == [Box(-2.0, 2.0, -2.0, 9.0)]
-    # one H grid for the region, which the verdict reads too, and one
-    # over the working window for the ell prediction, f1 and f2 each:
-    # once per map
-    assert counts == {"default_h_max": 1, "eval_grid": 4}
+    # one H grid for the region, which the verdict reads too, one over
+    # the working window for the ell prediction, and one along the
+    # window's edges for its edge minima, f1 and f2 each: once per map
+    assert counts == {"default_h_max": 1, "eval_grid": 6}
 
 
 def test_report_traces_each_level_once(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from planarham import corpus
+from planarham.cli import _map_echo
 from planarham.corpus import (
     PINCHUK_SEARCH_BOX,
     PINCHUK_ZEROS,
@@ -13,7 +14,7 @@ from planarham.corpus import (
     pinchuk_curve,
     pinchuk_fiber,
 )
-from planarham.field import sample
+from planarham.field import parse_map_spec, sample
 
 
 def test_builtin_names_all_build():
@@ -30,6 +31,33 @@ def test_default_corpus_excludes_extended():
 def test_unknown_builtin_raises():
     with pytest.raises(KeyError):
         corpus.builtin("nope")
+
+
+@pytest.mark.parametrize("name", corpus.BUILTIN_NAMES)
+def test_builtin_echo_reloads_as_spec(name):
+    # a report's map echo, written back as a map file, is the same map
+    pmap = corpus.builtin(name, enable_extended=True)
+    echo = _map_echo(pmap)
+    lines = [f'{key} = "{echo[key]}"' for key in ("name", "f1", "f2")]
+    if echo["domain"] is not None:
+        lines.append('domain = "box({})"'.format(", ".join(map(repr, echo["domain"]))))
+    if echo["declared_hamiltonian"] is not None:
+        lines.append(f'hamiltonian = "{echo["declared_hamiltonian"]}"')
+    assert parse_map_spec("\n".join(lines), "echo", "unnamed") == pmap
+
+
+def test_pinchuk_components_match_formula():
+    # p and q of Pinchuk's map from t, h and f, evaluated in plain Python
+    pmap = _pinchuk()
+    for x, y in ((0.3, -0.7), (1.5, 2.0), (-2.0, 0.5), (0.0, 3.0), (-1.25, -1.5)):
+        t = x * y - 1.0
+        h = t * (x * t + 1.0)
+        f = (x * t + 1.0) ** 2 * (t * t + y)
+        p = f + h
+        q = (-t * t - 6.0 * t * h * (h + 1.0) - 170.0 * f * h - 91.0 * h * h
+             - 195.0 * f * h * h - 69.0 * h**3 - 75.0 * f * h**3 - 75.0 / 4.0 * h**4)
+        for got, want in zip(sample(pmap, (x, y)).f_value, (p, q - 200.0)):
+            assert math.isclose(got, want, rel_tol=1e-12), ((x, y), got, want)
 
 
 # Pinchuk fiber solver.  These take about 1 s together (0.4 s of it the

@@ -10,10 +10,11 @@ seeds and rounds, then the runs of ``BUILTIN_RUNS`` (``report``,
 ``centers``, ``disc``, ``annulus``, ``portrait``, and ``report``,
 ``global-check`` and ``portrait`` with a window, grid, level list, level
 ceiling, angle budget or tolerance of their own) on every builtin map
-that needs no extended gate, all in one process through
-``planarham.cli.run_subcommand``.  Each line is the invocation's label
-and a SHA-256 over its output file, exit code, stdout and stderr, with
-the work directory's path replaced by a fixed marker.  Two checkouts
+that needs no extended gate, and the ``EXTENDED_RUNS`` on the gated
+ones, all in one process through ``planarham.cli.run_subcommand``.
+Each line is the invocation's label and a SHA-256 over its output file,
+exit code, stdout and stderr, with the work directory's path replaced
+by a fixed marker.  Two checkouts
 whose programs write the same bytes print the same lines.
 
 ``--checkout`` picks the source tree whose ``src/`` and
@@ -55,6 +56,11 @@ BUILTIN_RUNS = (
     ("report", "json", "--max-winding", "2", "--tol", "1e-4"),
     ("portrait", "svg", "--grid", "400", "--levels=0.05,0.5,2"),
     ("report", "json", "--max-winding", "1"),
+)
+# (builtin, subcommand, output extension, flags...): cheap runs on gated
+# builtins, so their echoed components are digested too
+EXTENDED_RUNS = (
+    ("pinchuk200", "centers", "json", "--enable-extended", "--grid", "8", "--box=-1,1,-1,1"),
 )
 
 
@@ -134,12 +140,12 @@ def main(argv: list[str]) -> int:
                         out = workdir / f"out.{ext}"
                         run_one(f"{workload} seed={seed} round={index} #{i} {inv.label}",
                                 argv_for(inv, workdir, out), out, workdir)
-        for name in BUILTINS:
-            for sub, ext, *flags in BUILTIN_RUNS:
-                out = workdir / f"out.{ext}"
-                argv_ = [sub, "--map", f"builtin:{name}", *flags, "--out", str(out)]
-                run_one(" ".join(["builtin", f"{sub}:{name}", *flags]),
-                        argv_, out, workdir)
+        runs = [(name, *run) for name in BUILTINS for run in BUILTIN_RUNS]
+        for name, sub, ext, *flags in runs + list(EXTENDED_RUNS):
+            out = workdir / f"out.{ext}"
+            argv_ = [sub, "--map", f"builtin:{name}", *flags, "--out", str(out)]
+            run_one(" ".join(["builtin", f"{sub}:{name}", *flags]),
+                    argv_, out, workdir)
     if args.work:
         print(f"total certificates={totals[0]} orbit_points={totals[1]} "
               f"most_per_center={totals[2]}")
