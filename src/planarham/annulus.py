@@ -14,12 +14,17 @@ takes the first whose grid cell the center's sublevel component holds,
 labelled by its row runs (:func:`_component_runs`, which also give the
 :func:`region` mask).  Two probes either side of that guess usually give
 the bracket; a bisection finds it otherwise.  Certificates decide every
-level.  Everything downstream (region mask, image shape, globality
-verdict, traced rim) reads the :class:`EllEstimate`, whose rim is its
-GOOD probe's orbit at ell_lo.  Inside that rim f is injective once
-det Df != 0, so the injectivity spot check over the region is a
-deterministic grid search whose collision rule scales with Df; it can
-only flag a map outside the hypothesis, such as an even one.
+probed level.  The levels below ell_lo close by the covering argument
+when :func:`~planarham.field.det_sign_proof` proves det Df's sign on the
+working box: f is then a homeomorphism of the disc inside the rim onto
+a round disc, so every lower level is a closed orbit.  Without that
+proof a post-pass re-certifies 8 of them.  Everything downstream (region
+mask, image shape, globality verdict, traced rim) reads the
+:class:`EllEstimate`, whose rim is its GOOD probe's orbit at ell_lo.
+Inside that rim f is injective once det Df != 0, so the injectivity
+spot check over the region is a deterministic grid search whose
+collision rule scales with Df; it can only flag a map outside the
+hypothesis, such as an even one.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 from .brent import brent_minimum
 from .centers import CenterRecord
 from .expr import eval_grid
-from .field import JET_ERRORS, Box, PlanarMap, jacobian_sign_change
+from .field import JET_ERRORS, Box, PlanarMap, det_sign_proof, jacobian_sign_change
 from .trace import (AngleBudget, LevelUnreachable, WindingCertificate,
                     center_point, winding_certificate)
 
@@ -46,6 +51,11 @@ INCONCLUSIVE = "inconclusive"
 
 # the verdict reason that voids the standing hypothesis det Df != 0
 SIGN_CHANGE = "jacobian-sign-change"
+
+# how an estimate knows that the levels below ell_lo close: det Df's
+# proved sign (the covering argument), or re-certified probes
+COVERING = "covering"
+PROBES = "probes"
 
 
 class AnnulusBelowResolution(Exception):
@@ -133,6 +143,7 @@ class EllEstimate:
     ell_hi: float               # BUDGET (= inf) when all levels were good
     probes: tuple[Probe, ...]
     guess: EllGuess | None = None   # None in the budget case or with no prediction
+    closure: str = PROBES           # COVERING or PROBES
 
     @property
     def budget_exceeded(self) -> bool:
@@ -302,9 +313,19 @@ def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None, tol: float
     uncertified upper and a certified lower level are the bracket.  Any
     other outcome bisects from the smallest level to just under h_max
     exactly as without a guess, at the cost of one or two more probes.
-    A post-pass re-certifies 8 levels below ell_lo; a failure there
-    contradicts orbit nesting and raises :class:`DownwardClosureError`.
-    Raises :class:`AnnulusBelowResolution` when the smallest probe fails.
+
+    Every level below ell_lo closes.  When :func:`det_sign_proof` proves
+    det Df's sign on the working box, that follows without a probe
+    (closure COVERING): the certified orbit at ell_lo stays inside the
+    convex box, so det Df != 0 on the closed disc D it bounds, and f maps
+    the inside of D properly onto the open disc of radius sqrt(2 ell_lo).
+    A proper local homeomorphism onto a simply connected disc is a
+    homeomorphism (Plastock, Trans. AMS 200, 1974), so each lower level
+    is the preimage of a circle: a closed orbit.  Otherwise (closure
+    PROBES) a post-pass re-certifies 8 levels below ell_lo; a failure
+    there contradicts orbit nesting and raises
+    :class:`DownwardClosureError`.  Raises
+    :class:`AnnulusBelowResolution` when the smallest probe fails.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -327,17 +348,22 @@ def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None, tol: float
         probes.append(p)
         return p
 
-    def post_pass(ell_lo: float) -> None:
+    def post_pass(ell_lo: float) -> str:
+        """COVERING when det Df's sign is proved; else PROBES, once 8
+        levels below ell_lo are re-certified."""
+        if det_sign_proof(pmap).sign:
+            return COVERING
         for k in range(1, 9):
             p = probe(ell_lo * k / 9.0)
             if p.status != GOOD:
                 raise DownwardClosureError(p, tuple(probes))
+        return PROBES
 
     h_pre = h_max * (1.0 - 1e-9)
     top = probe(h_pre)
     if top.status == GOOD:
-        post_pass(h_max)
-        return EllEstimate(cpt, h_max, tol, h_max, BUDGET, tuple(probes))
+        closure = post_pass(h_max)
+        return EllEstimate(cpt, h_max, tol, h_max, BUDGET, tuple(probes), closure=closure)
 
     h_first = min(tol, 0.5 * h_max)
     bottom = probe(h_first)
@@ -349,8 +375,8 @@ def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None, tol: float
         lo, hi = guess.h - 0.45 * tol, guess.h + 0.45 * tol
         if (h_first < lo and hi < h_pre and probe(hi).status != GOOD
                 and probe(lo).status == GOOD):
-            post_pass(lo)
-            return EllEstimate(cpt, h_max, tol, lo, hi, tuple(probes), guess)
+            closure = post_pass(lo)
+            return EllEstimate(cpt, h_max, tol, lo, hi, tuple(probes), guess, closure)
 
     lo, hi = h_first, h_pre
     for _ in range(200):
@@ -361,8 +387,8 @@ def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None, tol: float
             lo = mid
         else:
             hi = mid
-    post_pass(lo)
-    return EllEstimate(cpt, h_max, tol, lo, hi, tuple(probes), guess)
+    closure = post_pass(lo)
+    return EllEstimate(cpt, h_max, tol, lo, hi, tuple(probes), guess, closure)
 
 
 @dataclass(frozen=True)
@@ -506,11 +532,16 @@ def global_center_verdict(pmap: PlanarMap, estimate: EllEstimate,
     not-global.  All levels good up to h_max is "global" qualified
     up-to-budget.  A sign change of det Df anywhere in the box voids
     the standing hypothesis and demotes everything to inconclusive.
-    The box is scanned once per map, for all its centers.
+    When :func:`det_sign_proof` proved a sign on a box holding this one
+    there is none; otherwise the box is scanned once per map, for all
+    its centers.
     """
     box = box if box is not None else pmap.working_box()
-    flip = pmap.fact(("sign-change", box),
-                     lambda: jacobian_sign_change(pmap, box))
+    proof = det_sign_proof(pmap)
+    proved = proof.sign and all(proof.box.contains(p) for p in ((box.xmin, box.ymin),
+                                                                (box.xmax, box.ymax)))
+    flip = None if proved else pmap.fact(("sign-change", box),
+                                         lambda: jacobian_sign_change(pmap, box))
     if flip is not None:
         pos, neg = flip
         return GlobalVerdict("inconclusive", (

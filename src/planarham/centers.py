@@ -250,6 +250,8 @@ def _y_roots(poly: Poly2, x0: float, wk: float) -> list[float]:
             cs.pop()
         n = len(cs) - 1
         lam = (abs(cs[0]) / abs(cs[n])) ** (1.0 / n) if n > 0 and cs[0] != 0.0 else 1.0
+        if n > 0 and cs[n] * lam**n == 0.0:     # the scale underflowed: solve unscaled
+            lam = 1.0
         cs = [c * lam**k / (cs[n] * lam**n) for k, c in enumerate(cs)]
     except OverflowError:
         return []

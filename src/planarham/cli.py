@@ -35,7 +35,8 @@ from .compactify import (SCAN_N, EquatorDegenerate, classify_sectors,
                          infinite_singularities)
 from .corpus import ExtendedGateError, builtin
 from .expr import DomainError, ParseError, print_expr
-from .field import Box, MapSpecError, OverflowEvent, PlanarMap, load_map_spec
+from .field import (Box, MapSpecError, OverflowEvent, PlanarMap, det_sign_proof,
+                    load_map_spec)
 from .render import DiscRefusal, disc_portrait_for_map, plane_portrait, scene_to_svg
 from .trace import AngleBudget, LevelUnreachable
 
@@ -166,8 +167,9 @@ _ELL = {
             "properties": {
                 "lo": {"type": "number", "minimum": 0},
                 "hi": {"oneOf": [_NUM, {"const": "budget"}]},
+                "closure": {"enum": ["covering", "probes"]},
             },
-            "required": ["lo", "hi"],
+            "required": ["lo", "hi", "closure"],
             "additionalProperties": False,
         },
     ]
@@ -286,6 +288,7 @@ _TIMINGS = {
         "unit": {"const": "work-items"},
         "center_seeds": {"type": "integer", "minimum": 0},
         "orbit_points": {"type": "integer", "minimum": 0},
+        "sign_proof_boxes": {"type": "integer", "minimum": 0},
         "equator_scan": {"type": "integer", "minimum": 0},
         "fate_runs": {"type": "integer", "minimum": 0},
     },
@@ -418,7 +421,7 @@ def _analyze_center(pmap: PlanarMap, rec: CenterRecord, cfg: RunConfig,
     image: dict = {"kind": rep.image.kind}
     if rep.image.radius is not None:
         image["radius"] = rep.image.radius
-    block.update(status="ok", ell={"lo": est.ell_lo, "hi": ell_hi},
+    block.update(status="ok", ell={"lo": est.ell_lo, "hi": ell_hi, "closure": est.closure},
                  image_shape=image,
                  certificates=[_certificate_block(c) for c in est.certificates])
     block["global"] = rep.verdict.verdict
@@ -564,8 +567,11 @@ def _assemble_report(pmap: PlanarMap, cfg: RunConfig, subcommand: str,
         if rep is not None:
             reports.append(rep)
         inconclusive = inconclusive or flag
-    timings = _timings(center_seeds=stats.n_seeds, orbit_points=sum(
-        len(c.trace.points) for rep in reports for c in rep.estimate.certificates))
+    timings = _timings(
+        center_seeds=stats.n_seeds,
+        orbit_points=sum(len(c.trace.points)
+                         for rep in reports for c in rep.estimate.certificates),
+        sign_proof_boxes=det_sign_proof(pmap).boxes if records else 0)
     doc = {
         "kind": "report" if with_compactification else "annulus",
         "config": _config_echo(cfg, subcommand),

@@ -6,7 +6,7 @@ The expression language is deliberately small: constants, the variables
 integer exponent, so every expression is smooth wherever it is defined
 and the forward-mode jet rules below stay total.
 
-Three evaluation paths exist on purpose:
+Four evaluation paths exist on purpose:
 
 * :func:`eval_jet` -- reference tree walk, raises :class:`DomainError`
   naming the offending subexpression,
@@ -18,7 +18,9 @@ Three evaluation paths exist on purpose:
   generator emits a body over any input names (:func:`_emit`), which
   :mod:`planarham.rk` inlines at each stage of its DP5 kernels,
 * :func:`eval_grid` -- vectorised numpy walk for grids, ``nan`` where the
-  evaluation leaves the real domain.
+  evaluation leaves the real domain,
+* :func:`eval_interval_jet` -- the same walk over arrays of boxes, giving
+  outward-rounded enclosures of the value and both partials.
 
 :meth:`Poly2.eval` remains for numpy arrays and as the reference that
 :func:`compile_polys` matches float for float.
@@ -667,6 +669,169 @@ def eval_grid(e: Expr, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         out = rec(e)
     return np.asarray(out, dtype=float)
+
+
+# ===== interval jets over boxes ===== #
+
+# Bounds of numpy's exp and pow move outward by this many ULPs: they are
+# not correctly rounded (numpy dispatches SIMD kernels, AVX-512 ones on
+# hosts that have it).  sin and cos move by an absolute slack of as many
+# ULPs of 1, as their values lie in [-1, 1].
+_ULPS = 4
+_CIRCULAR_SLACK = _ULPS * 2.0 ** -52
+_CIRCULAR_REACH = 2.0 ** 20     # beyond this |argument| sin and cos give [-1, 1]
+
+Interval = tuple[np.ndarray, np.ndarray]
+
+
+def _outward(lo: np.ndarray, hi: np.ndarray, ulps: int = 1) -> Interval:
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    return lo, hi
+
+
+def _interval_add(a: Interval, b: Interval) -> Interval:
+    return _outward(a[0] + b[0], a[1] + b[1])
+
+
+def interval_sub(a: Interval, b: Interval) -> Interval:
+    """An enclosure of ``a - b`` for intervals ``(lo, hi)`` of arrays."""
+    return _outward(a[0] - b[1], a[1] - b[0])
+
+
+def interval_mul(a: Interval, b: Interval) -> Interval:
+    """An enclosure of ``a * b`` for intervals ``(lo, hi)`` of arrays;
+    ``nan`` where a bound is ``0 * inf``."""
+    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return _outward(np.minimum.reduce(p), np.maximum.reduce(p))
+
+
+def _interval_div(a: Interval, b: Interval) -> Interval:
+    """``a / b`` where b excludes 0; the caller marks the rest undefined."""
+    q = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
+    return _outward(np.minimum.reduce(q), np.maximum.reduce(q))
+
+
+def _interval_pow(a: Interval, n: int) -> Interval:
+    """``a ** n`` for an integer n >= 1."""
+    lo, hi = a[0] ** n, a[1] ** n
+    if n % 2:
+        return _outward(lo, hi, _ULPS)
+    low = np.where((a[0] <= 0) & (a[1] >= 0), 0.0, np.minimum(lo, hi))
+    low, high = _outward(low, np.maximum(lo, hi), _ULPS)
+    return np.maximum(low, 0.0), high
+
+
+def _crosses(a: Interval, phase: float) -> np.ndarray:
+    """Whether ``phase + 2 k pi`` lies in a, for some integer k; true
+    also a hair outside, where rounding could hide it."""
+    turns = 2.0 * math.pi
+    return (np.floor((a[1] - phase) / turns + 1e-9)
+            >= np.ceil((a[0] - phase) / turns - 1e-9))
+
+
+def _interval_circular(fn, a: Interval, peak: float) -> Interval:
+    """An enclosure of ``fn`` (``np.sin`` or ``np.cos``, whose maxima
+    lie at ``peak + 2 k pi`` and minima half a turn on) over a."""
+    at_lo, at_hi = fn(a[0]), fn(a[1])
+    lo = np.maximum(np.minimum(at_lo, at_hi) - _CIRCULAR_SLACK, -1.0)
+    hi = np.minimum(np.maximum(at_lo, at_hi) + _CIRCULAR_SLACK, 1.0)
+    # also on nan and inf bounds, which the caller marks undefined
+    whole = ~((np.abs(a[0]) <= _CIRCULAR_REACH) & (np.abs(a[1]) <= _CIRCULAR_REACH)
+              & (a[1] - a[0] < 2.0 * math.pi))
+    return (np.where(whole | _crosses(a, peak + math.pi), -1.0, lo),
+            np.where(whole | _crosses(a, peak), 1.0, hi))
+
+
+def eval_interval_jet(e: Expr, xlo, xhi, ylo, yhi
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Enclosures of the value and first partials of ``e`` over the boxes
+    ``[xlo, xhi] x [ylo, yhi]`` (arrays of one shape).
+
+    Returns ``(lo, hi, undefined)``: ``lo`` and ``hi`` stack the lower
+    and upper bounds of the value, d/dx and d/dy along a new first axis,
+    so that at every point of a box where ``e`` is defined, the
+    value and partials that :func:`eval_jet` computes lie in
+    ``[lo[k], hi[k]]``.  The forward-mode rules are those of
+    :func:`eval_jet`, each operation rounded outward.  ``undefined``
+    marks the boxes where sqrt or a divisor meets an interval containing
+    0, or some intermediate bound is not finite; their bounds mean
+    nothing.  (Moore-Kearfott-Cloud, *Introduction to Interval
+    Analysis*, SIAM 2009.)
+    """
+    xlo, xhi, ylo, yhi = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                               for v in (xlo, xhi, ylo, yhi)))
+    zero = np.zeros(xlo.shape)
+    one = np.ones(xlo.shape)
+    undefined = np.zeros(xlo.shape, dtype=bool)
+
+    def rec(node: Expr) -> tuple[Interval, Interval, Interval]:
+        nonlocal undefined
+        out = step(node)
+        for lo, hi in out:
+            undefined = undefined | ~np.isfinite(lo) | ~np.isfinite(hi)
+        return out
+
+    def step(node: Expr) -> tuple[Interval, Interval, Interval]:
+        nonlocal undefined
+        if isinstance(node, Constant):
+            c = np.full(xlo.shape, node.value)
+            return (c, c), (zero, zero), (zero, zero)
+        if isinstance(node, Variable):
+            if node.name == "x":
+                return (xlo, xhi), (one, one), (zero, zero)
+            return (ylo, yhi), (zero, zero), (one, one)
+        if isinstance(node, Unary):
+            v, dx, dy = rec(node.child)
+            if node.op == "neg":
+                return tuple((-hi, -lo) for lo, hi in (v, dx, dy))
+            if node.op == "exp":
+                lo, hi = _outward(np.exp(v[0]), np.exp(v[1]), _ULPS)
+                w = (np.maximum(lo, 0.0), hi)
+                return w, interval_mul(w, dx), interval_mul(w, dy)
+            if node.op in ("sin", "cos"):
+                s = _interval_circular(np.sin, v, 0.5 * math.pi)
+                c = _interval_circular(np.cos, v, 0.0)
+                if node.op == "sin":
+                    return s, interval_mul(c, dx), interval_mul(c, dy)
+                ms = (-s[1], -s[0])
+                return c, interval_mul(ms, dx), interval_mul(ms, dy)
+            if node.op == "sqrt":
+                undefined = undefined | ~(v[0] > 0)
+                w = _outward(np.sqrt(np.maximum(v[0], 0.0)), np.sqrt(np.maximum(v[1], 0.0)))
+                tw = (2.0 * w[0], 2.0 * w[1])          # exact
+                return w, _interval_div(dx, tw), _interval_div(dy, tw)
+        if isinstance(node, Binary):
+            if node.op == "powi":
+                n = powi_exponent(node)
+                v, dx, dy = rec(node.left)
+                if n == 0:
+                    return (one, one), (zero, zero), (zero, zero)
+                if n == 1:
+                    return v, dx, dy
+                g = _interval_pow(v, n - 1) if n > 2 else v
+                g = _outward(n * g[0], n * g[1])
+                return _interval_pow(v, n), interval_mul(g, dx), interval_mul(g, dy)
+            a, adx, ady = rec(node.left)
+            b, bdx, bdy = rec(node.right)
+            if node.op == "add":
+                return _interval_add(a, b), _interval_add(adx, bdx), _interval_add(ady, bdy)
+            if node.op == "sub":
+                return interval_sub(a, b), interval_sub(adx, bdx), interval_sub(ady, bdy)
+            if node.op == "mul":
+                return (interval_mul(a, b),
+                        _interval_add(interval_mul(a, bdx), interval_mul(b, adx)),
+                        _interval_add(interval_mul(a, bdy), interval_mul(b, ady)))
+            if node.op == "div":
+                undefined = undefined | ~((b[0] > 0) | (b[1] < 0))
+                w = _interval_div(a, b)
+                return (w, _interval_div(interval_sub(adx, interval_mul(w, bdx)), b),
+                        _interval_div(interval_sub(ady, interval_mul(w, bdy)), b))
+        raise TypeError(f"not an expression node: {node!r}")
+
+    with np.errstate(all="ignore"):
+        (vlo, vhi), (dxlo, dxhi), (dylo, dyhi) = rec(e)
+    return np.stack([vlo, dxlo, dylo]), np.stack([vhi, dxhi, dyhi]), undefined
 
 
 # ===== Polynomials ===== #

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from .expr import (
     DomainError,
     Expr,
@@ -22,6 +24,9 @@ from .expr import (
     Poly2,
     compile_jet_pair,
     compile_polys,
+    eval_interval_jet,
+    interval_mul,
+    interval_sub,
     located_domain_error,
     nonfinite_constant,
     parse_expr,
@@ -351,6 +356,76 @@ def jacobian_sign_change(pmap: PlanarMap, box: Box | None = None,
     return None
 
 
+# the det Df sign proof: a first split per side, then quartering of the
+# undecided boxes, at most this often and while a level keeps this many
+SIGN_PROOF_SPLIT = 8
+SIGN_PROOF_HALVINGS = 6
+SIGN_PROOF_MAX_BOXES = 4096
+
+
+@dataclass(frozen=True)
+class SignProof:
+    """What :func:`det_sign_proof` settled about det Df on ``box``.
+
+    ``sign`` is +1 or -1 when det Df provably has that sign at every
+    point of the box, else 0.  ``flip`` is (a point where det Df > 0, a
+    point where det Df < 0), each the centre of a box where that sign is
+    proved, when both signs occur.  Neither: undecided.  ``boxes``
+    counts the boxes evaluated, over all levels.
+    """
+    box: Box
+    sign: int
+    flip: tuple[tuple[float, float], tuple[float, float]] | None
+    boxes: int
+
+
+def det_sign_proof(pmap: PlanarMap) -> SignProof:
+    """Prove the sign of det Df on the working box, once per map.
+
+    det Df = d/dx f1 * d/dy f2 - d/dx f2 * d/dy f1 is enclosed by
+    :func:`~planarham.expr.eval_interval_jet` on a
+    :data:`SIGN_PROOF_SPLIT`-square split of the box.  A box whose
+    enclosure excludes 0 has a proved sign; the undecided ones (the
+    enclosure holds 0, or f is undefined somewhere in the box) are
+    quartered, at most :data:`SIGN_PROOF_HALVINGS` times and only while
+    the next level has at most :data:`SIGN_PROOF_MAX_BOXES` boxes.
+    Stops as soon as both signs are proved (a sign change) or no box is
+    undecided (a proved sign); otherwise at the cap, undecided.
+    """
+    def compute() -> SignProof:
+        box, n = pmap.working_box(), SIGN_PROOF_SPLIT
+        xs, ys = np.linspace(box.xmin, box.xmax, n + 1), np.linspace(box.ymin, box.ymax, n + 1)
+        i, j = (k.ravel() for k in np.indices((n, n)))
+        cells = np.stack([xs[i], xs[i + 1], ys[j], ys[j + 1]])    # rows xlo, xhi, ylo, yhi
+        witness: dict[int, tuple[float, float]] = {}
+        boxes = 0
+        for level in range(SIGN_PROOF_HALVINGS + 1):
+            boxes += cells.shape[1]
+            (lo1, hi1, bad1), (lo2, hi2, bad2) = (eval_interval_jet(f, *cells)
+                                                  for f in (pmap.f1, pmap.f2))
+            det_lo, det_hi = interval_sub(interval_mul((lo1[1], hi1[1]), (lo2[2], hi2[2])),
+                                          interval_mul((lo2[1], hi2[1]), (lo1[2], hi1[2])))
+            signs = np.select([bad1 | bad2, det_lo > 0, det_hi < 0], [0, 1, -1], 0)
+            for sign in (1, -1):
+                if sign not in witness and (signs == sign).any():
+                    xlo, xhi, ylo, yhi = cells[:, np.argmax(signs == sign)]
+                    witness[sign] = (float(0.5 * (xlo + xhi)), float(0.5 * (ylo + yhi)))
+            if len(witness) == 2:
+                return SignProof(box, 0, (witness[1], witness[-1]), boxes)
+            undecided = cells[:, signs == 0]
+            if undecided.shape[1] == 0:
+                return SignProof(box, next(iter(witness)), None, boxes)
+            if level == SIGN_PROOF_HALVINGS or 4 * undecided.shape[1] > SIGN_PROOF_MAX_BOXES:
+                break
+            xlo, xhi, ylo, yhi = undecided
+            xmid, ymid = 0.5 * (xlo + xhi), 0.5 * (ylo + yhi)      # shared: no gap
+            cells = np.concatenate([[xlo, xmid, ylo, ymid], [xmid, xhi, ylo, ymid],
+                                    [xlo, xmid, ymid, yhi], [xmid, xhi, ymid, yhi]], axis=1)
+        return SignProof(box, 0, None, boxes)
+
+    return pmap.fact("det-sign-proof", compute)
+
+
 # ===== Map-spec files ===== #
 
 
@@ -359,9 +434,8 @@ class MapSpecError(ValueError):
 
 
 _LINE_RE = re.compile(r'^\s*([A-Za-z_][A-Za-z_0-9]*)\s*=\s*"([^"]*)"\s*(?:#.*)?$')
-_BOX_RE = re.compile(
-    r"^box\(\s*(-?[\d.eE+]+)\s*,\s*(-?[\d.eE+]+)\s*,\s*(-?[\d.eE+]+)\s*,\s*(-?[\d.eE+]+)\s*\)$"
-)
+_NUMBER = r"\s*(-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*"
+_BOX_RE = re.compile(rf"^box\({_NUMBER},{_NUMBER},{_NUMBER},{_NUMBER}\)$")
 
 _KNOWN_KEYS = {"name", "f1", "f2", "domain", "hamiltonian"}
 

@@ -14,6 +14,7 @@ from scipy.spatial import cKDTree
 import planarham.annulus as annulus_mod
 from planarham.annulus import (
     AnnulusBelowResolution,
+    DownwardClosureError,
     EllEstimate,
     EllGuess,
     Probe,
@@ -31,8 +32,8 @@ from planarham.annulus import (
     region,
 )
 from planarham.expr import parse_expr
-from planarham.field import Box, PlanarMap
-from planarham.trace import winding_certificate
+from planarham.field import Box, PlanarMap, SignProof
+from planarham.trace import LevelUnreachable, winding_certificate
 
 TWO_PI = 2.0 * math.pi
 
@@ -99,8 +100,10 @@ def test_example3_ell_both_centers(example3):
 def test_example2_ell_takes_twelve_probes(example2):
     # the oval reaches x = +/-20 through a channel ~1e-5 wide that the H
     # grid cannot resolve; the edge minimum at (20, -0.0024875) is ell
+    # det Df = 1, but the interval enclosures cannot prove its sign, so
+    # the 8-level post-pass runs
     est = estimate_ell(example2, (0.0, 0.0), h_max=1.0)
-    assert len(est.probes) == 12
+    assert len(est.probes) == 12 and est.closure == "probes"
     assert est.ell_lo <= 0.4987531172 <= est.ell_hi
     assert est.guess.h == pytest.approx(0.4987531172, abs=1e-10)
     assert abs(est.guess.point[0]) == 20.0
@@ -195,7 +198,8 @@ def test_default_h_max_is_the_boundary_minimum(a, center):
     assert truth > 1.0
     assert default_h_max(pmap) == pytest.approx(truth, rel=1e-9)
     est = estimate_ell(pmap, center)
-    assert est.budget_exceeded and len(est.probes) == 9
+    # the top probe alone: det Df's proved sign closes every lower level
+    assert est.budget_exceeded and len(est.probes) == 1 and est.closure == "covering"
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", "identity_map"])
@@ -233,7 +237,7 @@ def test_prediction_stops_next_to_undefined_cells_on_each_side(f1, f2, center):
 
 def test_example1_predicted_bracket(example1):
     est = estimate_ell(example1, (0.0, 0.0), h_max=1.0, tol=1e-6)
-    assert len(est.probes) == 12
+    assert len(est.probes) == 4
     status = {p.h: p.status for p in est.probes}
     assert status[est.ell_lo] == "good"
     assert status[est.ell_hi] != "good"
@@ -244,11 +248,12 @@ def test_example1_predicted_bracket(example1):
 
 
 @pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
-def test_inner_example3_centers_take_twelve_probes(example3, k):
-    # a pinned work count: top, bottom, the two predicted levels and the
-    # 8-level post-pass; losing the predicted bracket shows here
+def test_inner_example3_centers_take_four_probes(example3, k):
+    # a pinned work count: top, bottom and the two predicted levels; det
+    # Df's proved sign replaces the post-pass, and losing the predicted
+    # bracket shows here
     est = estimate_ell(example3, (0.0, k * TWO_PI), h_max=1.0, tol=1e-6)
-    assert len(est.probes) == 12
+    assert len(est.probes) == 4 and est.closure == "covering"
     assert est.ell_lo - est.tol <= 0.5 * (1.0 - math.exp(-20.0)) ** 2 <= est.ell_hi
 
 
@@ -484,6 +489,53 @@ def test_global_verdicts(example1, identity_map, ex1_estimate):
     v2 = global_center_verdict(identity_map, est)
     assert v2.verdict == "global"
     assert "up-to-budget" in v2.reasons
+
+
+@pytest.mark.parametrize("name,patch_proof", [("example2", False), ("example1", True)])
+def test_failed_post_pass_level_raises_downward_closure(name, patch_proof, request,
+                                                        monkeypatch):
+    # without a proved sign of det Df (example2's cannot be proved;
+    # example1's is made undecided) the post-pass re-certifies 8 levels
+    # below ell_lo, and one that fails contradicts orbit nesting
+    pmap = dataclasses.replace(request.getfixturevalue(name))
+    if patch_proof:
+        monkeypatch.setattr(annulus_mod, "det_sign_proof",
+                            lambda pmap: SignProof(pmap.working_box(), 0, None, 0))
+    real = annulus_mod.winding_certificate
+    levels = []
+
+    def stalls_at_the_fifth_level(pmap, center, h, **kwargs):
+        levels.append(h)
+        if len(levels) == 5:    # after top, bottom and the predicted pair
+            raise LevelUnreachable("the lift stalls")
+        return real(pmap, center, h, **kwargs)
+
+    monkeypatch.setattr(annulus_mod, "winding_certificate", stalls_at_the_fifth_level)
+    with pytest.raises(DownwardClosureError) as info:
+        estimate_ell(pmap, (0.0, 0.0), h_max=1.0, tol=1e-6)
+    failing = info.value.failing
+    assert failing.h == levels[3] / 9.0 and failing.reason == "level-unreachable"
+    assert [p.h for p in info.value.probes] == levels
+
+
+def test_verdict_skips_the_sign_scan_inside_the_proved_box(example1, ex1_estimate,
+                                                          monkeypatch):
+    pmap = dataclasses.replace(example1)        # no facts yet
+    scanned = []
+    real = annulus_mod.jacobian_sign_change
+
+    def scan(pmap, box=None):
+        scanned.append(box)
+        return real(pmap, box)
+
+    monkeypatch.setattr(annulus_mod, "jacobian_sign_change", scan)
+    for box in (None, Box(-3, 3, -3, 3)):
+        assert global_center_verdict(pmap, ex1_estimate, box=box).verdict == "not-global"
+    assert scanned == []
+    # a box reaching past the working window, where nothing is proved
+    wide = Box(-21.0, 3.0, -3.0, 3.0)
+    assert global_center_verdict(pmap, ex1_estimate, box=wide).verdict == "not-global"
+    assert scanned == [wide]
 
 
 def test_jacobian_flip_demotes(noninjective_map):

@@ -34,7 +34,10 @@ def tracer():
 
 
 def test_traced_runs_count_every_layer(tracer, tmp_path):
+    # det Df's sign is proved for example1, but not for example2, whose
+    # verdict scans for a sign change
     for argv in (["report", "--map", "builtin:example1"],
+                 ["annulus", "--map", "builtin:example2"],
                  ["portrait", "--map", "builtin:identity", "--grid", "64"],
                  ["disc", "--map", "builtin:identity"]):
         out = tmp_path / f"{argv[0]}.out"

@@ -16,7 +16,7 @@ import planarham.cli as cli
 import planarham.field as field_mod
 from planarham.cli import (InputError, RunConfig, SCHEMAS, _parse_box,
                            _parse_levels, load_map, run_subcommand)
-from planarham.field import Box
+from planarham.field import Box, load_map_spec
 
 TWO_PI = 2.0 * math.pi
 
@@ -173,6 +173,34 @@ def test_timings_are_work_counters(tmp_path):
     assert timings["center_seeds"] > 0
     assert timings["orbit_points"] > 0
     assert all(isinstance(v, int) for k, v in timings.items() if k != "unit")
+
+
+@pytest.mark.parametrize("name,closure,certificates,boxes", [
+    ("example1", "covering", 4, 64),        # det Df = e^x, proved on the first split
+    ("example2", "probes", 12, 5440),       # not provable: the post-pass runs
+])
+def test_center_block_says_how_lower_levels_close(tmp_path, name, closure, certificates,
+                                                  boxes):
+    out = tmp_path / "a.json"
+    assert run("annulus", "--map", f"builtin:{name}", "--out", str(out)) == 0
+    doc = read_json(out)
+    (center,) = doc["centers"]
+    assert center["ell"]["closure"] == closure
+    assert len(center["certificates"]) == certificates
+    assert doc["timings"]["sign_proof_boxes"] == boxes
+
+
+def test_domain_with_a_negative_exponent_echoes_back_as_a_spec(tmp_path):
+    text = 'f1 = "x - 0.5"\nf2 = "y - 0.5"\ndomain = "box({})"\n'
+    spec = tmp_path / "tiny.map"
+    spec.write_text(text.format("1e-05, 1, 0, 1"), encoding="utf-8")
+    out = tmp_path / "c.json"
+    assert run("centers", "--map", str(spec), "--out", str(out)) == 0
+    domain = read_json(out)["map"]["domain"]
+    assert domain == [1e-05, 1.0, 0.0, 1.0]
+    echo = tmp_path / "echo.map"
+    echo.write_text(text.format(", ".join(map(repr, domain))), encoding="utf-8")
+    assert load_map_spec(echo).domain == load_map_spec(spec).domain == Box(*domain)
 
 
 # --- exit codes -------------------------------------------------------------
@@ -428,12 +456,14 @@ def test_report_scans_jacobian_sign_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(annulus_mod, "injectivity_spotcheck", spotcheck_uncounted)
     out = tmp_path / "r.json"
-    run("report", "--map", "builtin:example3", "--box=-2,2,-2,9",
+    # the box reaches past the working window x >= -20, where det Df's
+    # sign is proved, so the verdict scans it
+    run("report", "--map", "builtin:example3", "--box=-21,2,-2,9",
         "--out", str(out))
     doc = read_json(out)
     assert len(doc["centers"]) == 2
     assert all(c["status"] == "ok" for c in doc["centers"])
-    assert calls == [Box(-2.0, 2.0, -2.0, 9.0)]
+    assert calls == [Box(-21.0, 2.0, -2.0, 9.0)]
     # one H grid for the region, which the verdict reads too, one over
     # the working window for the ell prediction, and one along the
     # window's edges for its edge minima, f1 and f2 each: once per map

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from planarham.corpus import BUILTIN_NAMES, builtin
 from planarham.expr import (
     Binary,
     Constant,
@@ -20,12 +21,14 @@ from planarham.expr import (
     compile_jet_pair,
     compile_polys,
     eval_grid,
+    eval_interval_jet,
     eval_jet,
     parse_expr,
     powi,
     print_expr,
     to_poly,
 )
+from planarham.field import PLANE_BOX
 
 X = Variable("x")
 Y = Variable("y")
@@ -356,6 +359,88 @@ def test_eval_grid_nan_outside_domain():
     assert math.isnan(grid[0]) and grid[1] == 0.0 and grid[2] == 2.0
     grid = eval_grid(parse_expr("1/x"), np.array([0.0, 2.0]), np.zeros(2))
     assert math.isnan(grid[0]) and grid[1] == 0.5
+
+
+# ---- interval jets ----
+
+_OP_EXPRS = (
+    "exp(x - 0.5*y)", "sin(x*y)", "cos(x - y)", "sqrt(x^2 + y^2 + 0.25)", "sqrt(x + 10)",
+    "(x + y)/(x^2 + 1)", "y/(x - 1)", "(x - y)^4", "(x*y - 1)^3", "-(x*y) + -y^2",
+)
+_ENCLOSURE_CASES = (
+    [(text, parse_expr(text), PLANE_BOX) for text in _OP_EXPRS]
+    + [(f"{name}.{key}", getattr(pmap, key), pmap.working_box())
+       for name in BUILTIN_NAMES for pmap in [builtin(name, enable_extended=True)]
+       for key in ("f1", "f2")])
+
+
+@pytest.mark.parametrize("label,e,window", _ENCLOSURE_CASES,
+                         ids=[c[0] for c in _ENCLOSURE_CASES])
+def test_interval_jet_encloses_point_jets(label, e, window):
+    # random sub-boxes of the window, from a millionth of it to all of it;
+    # eval_jet at corners, centre and random points of each box
+    rng = np.random.default_rng(19)
+    x0, x1, y0, y1 = window.xmin, window.xmax, window.ymin, window.ymax
+    n = 40
+    cx, cy = rng.uniform(x0, x1, n), rng.uniform(y0, y1, n)
+    rx, ry = ((hi - lo) * 10.0 ** rng.uniform(-6, 0, n) for lo, hi in ((x0, x1), (y0, y1)))
+    xlo, xhi = np.maximum(cx - rx, x0), np.minimum(cx + rx, x1)
+    ylo, yhi = np.maximum(cy - ry, y0), np.minimum(cy + ry, y1)
+    lo, hi, undefined = eval_interval_jet(e, xlo, xhi, ylo, yhi)
+    assert lo.shape == hi.shape == (3, n) and undefined.shape == (n,)
+    checked = 0
+    for k in np.flatnonzero(~undefined):
+        s, t = rng.uniform(size=(2, 4))
+        xs = [xlo[k], xhi[k], xlo[k], xhi[k], 0.5 * (xlo[k] + xhi[k]),
+              *(xlo[k] + s * (xhi[k] - xlo[k]))]
+        ys = [ylo[k], ylo[k], yhi[k], yhi[k], 0.5 * (ylo[k] + yhi[k]),
+              *(ylo[k] + t * (yhi[k] - ylo[k]))]
+        for x, y in zip(xs, ys):
+            try:
+                jet = eval_jet(e, (float(x), float(y)))
+            except (DomainError, OverflowError):
+                continue
+            for i, v in enumerate((jet.value, jet.dx, jet.dy)):
+                assert lo[i, k] <= v <= hi[i, k], (label, k, (x, y), i, v, lo[i, k], hi[i, k])
+            checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("text,a,b,bound", [
+    ("sin(x)", 1.5, 1.6, 1.0),                      # pi/2
+    ("sin(x)", 4.7, 4.8, -1.0),                     # 3 pi/2
+    ("cos(x)", -0.1, 0.1, 1.0),                     # 0
+    ("cos(x)", 3.1, 3.2, -1.0),                     # pi
+    ("sin(x)", 2000.5 * math.pi - 1e-6, 2000.5 * math.pi + 1e-6, 1.0),
+    ("cos(x)", -3.0, 40.0, -1.0),                   # wider than a turn
+])
+def test_interval_circular_functions_reach_their_extrema(text, a, b, bound):
+    lo, hi, undefined = eval_interval_jet(parse_expr(text), a, b, 0.0, 0.0)
+    assert not undefined
+    assert (hi[0] if bound > 0 else lo[0]) == bound
+
+
+def test_interval_circular_functions_stay_tight_between_extrema():
+    lo, hi, _ = eval_interval_jet(parse_expr("sin(x)"), 0.1, 0.2, 0.0, 0.0)
+    assert math.sin(0.1) - 1e-15 <= lo[0] <= math.sin(0.1)
+    assert math.sin(0.2) <= hi[0] <= math.sin(0.2) + 1e-15
+
+
+@pytest.mark.parametrize("text,box,undefined", [
+    ("sqrt(x)", (-1.0, 1.0), True),
+    ("sqrt(x)", (0.0, 1.0), True),                  # the derivative blows up at 0
+    ("sqrt(x)", (0.25, 1.0), False),
+    ("1/x", (-1.0, 1.0), True),
+    ("1/x", (0.0, 1.0), True),
+    ("1/x", (1.0, 2.0), False),
+    ("y/x", (-2.0, -1.0), False),
+    ("exp(x)", (700.0, 800.0), True),               # overflows
+])
+def test_interval_jet_undefined_where_zero_or_overflow_meets_a_box(text, box, undefined):
+    lo, hi, bad = eval_interval_jet(parse_expr(text), *box, 1.0, 1.0)
+    assert bool(bad) is undefined
+    if not undefined:
+        assert np.all(lo <= hi) and np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
 
 
 # ---- polynomial extraction ----

@@ -11,7 +11,9 @@ from planarham.field import (
     OverflowEvent,
     PLANE_BOX,
     PlanarMap,
+    SIGN_PROOF_MAX_BOXES,
     ValidationInconclusive,
+    det_sign_proof,
     effective_hamiltonian_poly,
     jacobian_sign_change,
     linearization_at,
@@ -223,6 +225,36 @@ def test_jacobian_sign_change_witnesses(noninjective_map, example1, identity_map
     assert sample(noninjective_map, neg).det < 0
     assert jacobian_sign_change(example1, Box(-2, 2, -2, 2)) is None
     assert jacobian_sign_change(identity_map) is None
+
+
+@pytest.mark.parametrize("name", ["example1", "example3", "identity_map"])
+def test_det_sign_proof_proves_a_positive_sign(name, request):
+    pmap = request.getfixturevalue(name)
+    proof = det_sign_proof(pmap)
+    assert (proof.sign, proof.flip, proof.box) == (1, None, pmap.working_box())
+    assert proof is det_sign_proof(pmap)            # once per map
+
+
+def test_det_sign_proof_finds_the_sign_change_of_an_even_map(noninjective_map):
+    # f = (x^2, y): det Df = 2x
+    proof = det_sign_proof(noninjective_map)
+    assert proof.sign == 0
+    pos, neg = proof.flip
+    assert pos[0] > 0 > neg[0]
+    assert sample(noninjective_map, pos).det > 0 > sample(noninjective_map, neg).det
+
+
+def test_det_sign_proof_gives_up_at_the_cap(example2):
+    # det Df = 1, but the enclosures of its two terms overlap too widely
+    proof = det_sign_proof(example2)
+    assert (proof.sign, proof.flip) == (0, None)
+    assert SIGN_PROOF_MAX_BOXES < proof.boxes <= 2 * SIGN_PROOF_MAX_BOXES
+
+
+def test_det_sign_proof_undecided_where_f_is_undefined():
+    # no sign is proved on a box that reaches x < -5, where f is undefined
+    proof = det_sign_proof(PlanarMap(f1=parse_expr("sqrt(x + 5) - 2"), f2=parse_expr("y")))
+    assert (proof.sign, proof.flip) == (0, None)
 
 
 # ---- boxes ----

@@ -23,7 +23,9 @@ script); neither is modified.
 
 ``--work`` prints, in place of the digests, each JSON invocation's work:
 its number of certificates (probes that traced an orbit, summed over the
-centers), each center's own count and its ``timings.orbit_points``, then
+centers), each center's own count, each center's ``ell.closure`` (how the
+levels below ell_lo are known to close: ``covering`` or ``probes``; ``-``
+without an ell or a closure field) and its ``timings.orbit_points``, then
 the totals and the most certificates any one center took.  Two checkouts
 that do different amounts of work can be compared with it:
 
@@ -91,14 +93,15 @@ def digest(run_subcommand, argv: list[str], out: Path, workdir: Path) -> tuple[i
     return rc, h.hexdigest()
 
 
-def work(out: Path) -> tuple[list[int], int] | None:
-    """(certificates per center, orbit points) of a JSON output; None
-    without one."""
+def work(out: Path) -> tuple[list[int], list[str], int] | None:
+    """(certificates per center, closure per center, orbit points) of a
+    JSON output; None without one."""
     if not out.exists():
         return None
     doc = json.loads(out.read_text(encoding="utf-8"))
     per_center = [len(c.get("certificates", ())) for c in doc["centers"]]
-    return per_center, doc["timings"].get("orbit_points", 0)
+    closures = [(c.get("ell") or {}).get("closure", "-") for c in doc["centers"]]
+    return per_center, closures, doc["timings"].get("orbit_points", 0)
 
 
 def main(argv: list[str]) -> int:
@@ -120,12 +123,13 @@ def main(argv: list[str]) -> int:
             if counts is None:
                 print(f"{label} rc={rc} <no output file>", flush=True)
                 return
-            per_center, points = counts
+            per_center, closures, points = counts
             totals[0] += sum(per_center)
             totals[1] += points
             totals[2] = max([totals[2], *per_center])
             print(f"{label} rc={rc} certificates={sum(per_center)} "
                   f"per_center={','.join(map(str, per_center)) or '-'} "
+                  f"closure={','.join(closures) or '-'} "
                   f"orbit_points={points}", flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
