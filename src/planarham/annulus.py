@@ -14,17 +14,19 @@ takes the first whose grid cell the center's sublevel component holds,
 labelled by its row runs (:func:`_component_runs`, which also give the
 :func:`region` mask).  Two probes either side of that guess usually give
 the bracket; a bisection finds it otherwise.  Certificates decide every
-probed level.  The levels below ell_lo close by the covering argument
-when :func:`~planarham.field.det_sign_proof` proves det Df's sign on the
-working box: f is then a homeomorphism of the disc inside the rim onto
-a round disc, so every lower level is a closed orbit.  Without that
-proof a post-pass re-certifies 8 of them.  Everything downstream (region
-mask, image shape, globality verdict, traced rim) reads the
-:class:`EllEstimate`, whose rim is its GOOD probe's orbit at ell_lo.
-Inside that rim f is injective once det Df != 0, so the injectivity
-spot check over the region is a deterministic grid search whose
-collision rule scales with Df; it can only flag a map outside the
-hypothesis, such as an even one.
+probed level.  :func:`~planarham.field.jacobian_sign_change` is the one
+check of det Df != 0 on a box.  When it proves det Df's sign on the
+working box, the levels below ell_lo close by the covering argument: f
+is a homeomorphism of the disc inside the rim onto a round disc, so
+every lower level is a closed orbit.  Without that proof a post-pass
+re-certifies 8 of them.  A sign change on the verdict's box, proved or
+sampled from its undecided boxes, makes the verdict inconclusive.
+Everything downstream (region mask, image shape, globality verdict,
+traced rim) reads the :class:`EllEstimate`, whose rim is its GOOD
+probe's orbit at ell_lo.  Inside that rim f is injective once det Df !=
+0, so the injectivity spot check over the region is a deterministic
+grid search whose collision rule scales with Df; it can only flag a map
+outside the hypothesis, such as an even one.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 from .brent import brent_minimum
 from .centers import CenterRecord
 from .expr import eval_grid
-from .field import JET_ERRORS, Box, PlanarMap, det_sign_proof, jacobian_sign_change
+from .field import JET_ERRORS, Box, PlanarMap, jacobian_sign_change
 from .trace import (AngleBudget, LevelUnreachable, WindingCertificate,
                     center_point, winding_certificate)
 
@@ -257,7 +259,7 @@ def _edge_minimum(jet, a: tuple[float, float], b: tuple[float, float]):
                key=lambda c: c[0])
 
 
-PREDICT_GRID_N = 200    # the report's default region grid, whose H grid it shares
+REGION_GRID_N = 200     # the region's H grid, which predict_ell and the verdict share
 
 
 def predict_ell(pmap: PlanarMap, center) -> EllGuess | None:
@@ -279,7 +281,7 @@ def predict_ell(pmap: PlanarMap, center) -> EllGuess | None:
     cpt = center_point(center)
     if not box.contains(cpt):
         return None
-    n = PREDICT_GRID_N
+    n = REGION_GRID_N
     ham = _h_grid(pmap, box, n)
     ci, cj = cell_index(box, n, *cpt)
     h0 = ham[ci, cj]
@@ -314,11 +316,12 @@ def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None, tol: float
     other outcome bisects from the smallest level to just under h_max
     exactly as without a guess, at the cost of one or two more probes.
 
-    Every level below ell_lo closes.  When :func:`det_sign_proof` proves
-    det Df's sign on the working box, that follows without a probe
-    (closure COVERING): the certified orbit at ell_lo stays inside the
-    convex box, so det Df != 0 on the closed disc D it bounds, and f maps
-    the inside of D properly onto the open disc of radius sqrt(2 ell_lo).
+    Every level below ell_lo closes.  When the working box's
+    :func:`~planarham.field.jacobian_sign_change` proves det Df's sign,
+    that follows without a probe (closure COVERING): the certified orbit
+    at ell_lo stays inside the convex box, so det Df != 0 on the closed
+    disc D it bounds, and f maps the inside of D properly onto the open
+    disc of radius sqrt(2 ell_lo).
     A proper local homeomorphism onto a simply connected disc is a
     homeomorphism (Plastock, Trans. AMS 200, 1974), so each lower level
     is the preimage of a circle: a closed orbit.  Otherwise (closure
@@ -351,7 +354,7 @@ def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None, tol: float
     def post_pass(ell_lo: float) -> str:
         """COVERING when det Df's sign is proved; else PROBES, once 8
         levels below ell_lo are re-certified."""
-        if det_sign_proof(pmap).sign:
+        if jacobian_sign_change(pmap).sign:
             return COVERING
         for k in range(1, 9):
             p = probe(ell_lo * k / 9.0)
@@ -459,7 +462,7 @@ class RegionSampler:
         return "outside"
 
 
-def region(pmap: PlanarMap, center, ell_lo: float, grid_n: int = 200,
+def region(pmap: PlanarMap, center, ell_lo: float, grid_n: int = REGION_GRID_N,
            box: Box | None = None) -> RegionSampler:
     """Flood-fill the {H < ell_lo} component of the center (its rim is
     :attr:`EllEstimate.rim`) by its :func:`_component_runs`.  Raises
@@ -531,17 +534,13 @@ def global_center_verdict(pmap: PlanarMap, estimate: EllEstimate,
     working domain above it means the annulus boundary is interior:
     not-global.  All levels good up to h_max is "global" qualified
     up-to-budget.  A sign change of det Df anywhere in the box voids
-    the standing hypothesis and demotes everything to inconclusive.
-    When :func:`det_sign_proof` proved a sign on a box holding this one
-    there is none; otherwise the box is scanned once per map, for all
-    its centers.
+    the standing hypothesis and demotes everything to inconclusive: the
+    ``flip`` of the box's :func:`~planarham.field.jacobian_sign_change`,
+    proved or sampled from its undecided boxes, computed once per map
+    and box for all its centers.
     """
     box = box if box is not None else pmap.working_box()
-    proof = det_sign_proof(pmap)
-    proved = proof.sign and all(proof.box.contains(p) for p in ((box.xmin, box.ymin),
-                                                                (box.xmax, box.ymax)))
-    flip = None if proved else pmap.fact(("sign-change", box),
-                                         lambda: jacobian_sign_change(pmap, box))
+    flip = jacobian_sign_change(pmap, box).flip
     if flip is not None:
         pos, neg = flip
         return GlobalVerdict("inconclusive", (
@@ -564,7 +563,7 @@ def global_center_verdict(pmap: PlanarMap, estimate: EllEstimate,
 def _levels_above(pmap: PlanarMap, box: Box, ell_lo: float) -> bool:
     """Whether H exceeds ell_lo somewhere on the box's H grid, the one
     :func:`region` or :func:`predict_ell` has already evaluated."""
-    ham = _h_grid(pmap, box, PREDICT_GRID_N)
+    ham = _h_grid(pmap, box, REGION_GRID_N)
     return bool(np.any(np.isfinite(ham) & (ham > ell_lo)))
 
 
@@ -701,7 +700,7 @@ class AnnulusReport:
 
 def build_annulus_report(pmap: PlanarMap, center: CenterRecord,
                          h_max: float | None = None, tol: float = 1e-6,
-                         grid_n: int = 200, box: Box | None = None,
+                         grid_n: int = REGION_GRID_N, box: Box | None = None,
                          budget: AngleBudget | None = None) -> AnnulusReport:
     """Full annulus pipeline for one center: ell, image shape, region,
     spot check and verdict."""

@@ -25,6 +25,7 @@ from .field import (
 )
 
 MAX_NEWTON_ITERS = 50
+SEED_GRID_N = 32        # side of the Newton seed grid
 # det Df samples behind isochronous_hint: cell centres of an ISO_N x ISO_N grid
 ISO_N = 8
 
@@ -100,7 +101,7 @@ def _cell_centres(box: Box, n: int):
                    box.ymin + (box.ymax - box.ymin) * (j + 0.5) / n)
 
 
-def search_zeros(pmap: PlanarMap, box: Box | None = None, grid_n: int = 32,
+def search_zeros(pmap: PlanarMap, box: Box | None = None, grid_n: int = SEED_GRID_N,
                  ) -> tuple[list[CenterRecord], SearchStats]:
     """Multistart Newton over a seed grid; returns records and statistics.
 
@@ -189,7 +190,7 @@ def _sorted_by_location(records: list[CenterRecord], eps: float) -> list[CenterR
 
 
 def find_zeros(pmap: PlanarMap, box: Box | None = None,
-               grid_n: int = 32) -> list[CenterRecord]:
+               grid_n: int = SEED_GRID_N) -> list[CenterRecord]:
     records, _ = search_zeros(pmap, box, grid_n)
     return records
 

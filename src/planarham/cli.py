@@ -26,18 +26,19 @@ from typing import Sequence
 import jsonschema
 
 from . import annulus
-from .annulus import (AnnulusBelowResolution, AnnulusReport, BoundaryUnevaluable,
-                      DownwardClosureError, RegionTooCoarse,
+from .annulus import (REGION_GRID_N, AnnulusBelowResolution, AnnulusReport,
+                      BoundaryUnevaluable, DownwardClosureError, RegionTooCoarse,
                       build_annulus_report, image_shape)
-from .centers import CenterRecord, search_zeros
+from .centers import SEED_GRID_N, CenterRecord, search_zeros
 from .compactify import (SCAN_N, EquatorDegenerate, classify_sectors,
                          compactification_for_map, conti_verdict,
                          infinite_singularities)
 from .corpus import ExtendedGateError, builtin
 from .expr import DomainError, ParseError, print_expr
-from .field import (Box, MapSpecError, OverflowEvent, PlanarMap, det_sign_proof,
+from .field import (Box, MapSpecError, OverflowEvent, PlanarMap, jacobian_sign_change,
                     load_map_spec)
-from .render import DiscRefusal, disc_portrait_for_map, plane_portrait, scene_to_svg
+from .render import (PORTRAIT_GRID_N, DiscRefusal, disc_portrait_for_map, plane_portrait,
+                     scene_to_svg)
 from .trace import AngleBudget, LevelUnreachable
 
 EXIT_OK = 0
@@ -60,9 +61,9 @@ class SchemaFailure(RuntimeError):
 class RunConfig:
     """One run's knobs; everything downstream reads only this.
 
-    ``grid_n=None`` keeps each stage's own default (search 32, region
-    200, portrait 160).  A run draws no random numbers, so a fixed
-    config pins the whole run.
+    ``grid_n=None`` keeps each stage's own default (``SEED_GRID_N``,
+    ``REGION_GRID_N``, ``PORTRAIT_GRID_N``).  A run draws no random
+    numbers, so a fixed config pins the whole run.
     """
 
     map_source: str
@@ -405,7 +406,7 @@ def _analyze_center(pmap: PlanarMap, rec: CenterRecord, cfg: RunConfig,
     try:
         rep = build_annulus_report(
             pmap, rec, h_max=cfg.h_max, tol=cfg.tol,
-            grid_n=cfg.grid_n if cfg.grid_n is not None else 200,
+            grid_n=cfg.grid_n if cfg.grid_n is not None else REGION_GRID_N,
             box=cfg.box, budget=cfg.budget())
     except _CENTER_FAILURES as exc:
         below = isinstance(exc, AnnulusBelowResolution)
@@ -484,7 +485,7 @@ def _compactification_block(pmap: PlanarMap, reports: list[AnnulusReport],
 
 def _search(pmap: PlanarMap, cfg: RunConfig):
     records, stats = search_zeros(
-        pmap, cfg.box, cfg.grid_n if cfg.grid_n is not None else 32)
+        pmap, cfg.box, cfg.grid_n if cfg.grid_n is not None else SEED_GRID_N)
     warnings = [
         f"degenerate zero (det Df = 0) near ({x:.6g}, {y:.6g})"
         for x, y in stats.degenerate_points
@@ -571,7 +572,7 @@ def _assemble_report(pmap: PlanarMap, cfg: RunConfig, subcommand: str,
         center_seeds=stats.n_seeds,
         orbit_points=sum(len(c.trace.points)
                          for rep in reports for c in rep.estimate.certificates),
-        sign_proof_boxes=det_sign_proof(pmap).boxes if records else 0)
+        sign_proof_boxes=jacobian_sign_change(pmap).boxes if records else 0)
     doc = {
         "kind": "report" if with_compactification else "annulus",
         "config": _config_echo(cfg, subcommand),
@@ -651,7 +652,7 @@ def _cmd_portrait(cfg: RunConfig) -> int:
     rims = [est.rim for est in estimates if image_shape(est).kind == "disc"]
     scene = plane_portrait(
         pmap, kept, rims, list(levels), box=cfg.box,
-        grid_n=cfg.grid_n if cfg.grid_n is not None else 160,
+        grid_n=cfg.grid_n if cfg.grid_n is not None else PORTRAIT_GRID_N,
         budget=cfg.budget())
     out = cfg.out_svg or _default_out(pmap, "portrait", "svg")
     _write_svg(scene, out)

@@ -37,9 +37,7 @@ from . import rk
 
 ZERO_TOL = 1e-10
 DEGENERATE_TOL = 1e-8
-# grid sides of the declared-H check and of the det Df sign scan
-VALIDATE_N = 50
-SIGN_SCAN_N = 40
+VALIDATE_N = 50     # grid side of the declared-H check
 
 
 @dataclass(frozen=True)
@@ -328,35 +326,7 @@ def effective_hamiltonian_poly(pmap: PlanarMap) -> Poly2 | None:
     return pmap.fact("hamiltonian", compute)
 
 
-def jacobian_sign_change(pmap: PlanarMap, box: Box | None = None,
-                         ) -> tuple[tuple[float, float], tuple[float, float]] | None:
-    """Hypothesis check for det Df != 0: look for a sign change.
-
-    Samples det Df on a deterministic grid (offset half a cell so
-    symmetric zero lines are not sampled exactly) and returns a witness
-    pair (point with det > 0, point with det < 0), or None when every
-    usable sample has one sign.
-    """
-    box = box if box is not None else pmap.working_box()
-    pos = neg = None
-    for i in range(SIGN_SCAN_N):
-        x = box.xmin + (box.xmax - box.xmin) * (i + 0.5) / SIGN_SCAN_N
-        for j in range(SIGN_SCAN_N):
-            y = box.ymin + (box.ymax - box.ymin) * (j + 0.5) / SIGN_SCAN_N
-            try:
-                d = sample(pmap, (x, y)).det
-            except (DomainError, OverflowEvent):
-                continue
-            if d > 0 and pos is None:
-                pos = (x, y)
-            elif d < 0 and neg is None:
-                neg = (x, y)
-            if pos is not None and neg is not None:
-                return (pos, neg)
-    return None
-
-
-# the det Df sign proof: a first split per side, then quartering of the
+# the det Df sign check: a first split per side, then quartering of the
 # undecided boxes, at most this often and while a level keeps this many
 SIGN_PROOF_SPLIT = 8
 SIGN_PROOF_HALVINGS = 6
@@ -365,13 +335,14 @@ SIGN_PROOF_MAX_BOXES = 4096
 
 @dataclass(frozen=True)
 class SignProof:
-    """What :func:`det_sign_proof` settled about det Df on ``box``.
+    """What :func:`jacobian_sign_change` settled about det Df on ``box``.
 
     ``sign`` is +1 or -1 when det Df provably has that sign at every
     point of the box, else 0.  ``flip`` is (a point where det Df > 0, a
-    point where det Df < 0), each the centre of a box where that sign is
-    proved, when both signs occur.  Neither: undecided.  ``boxes``
-    counts the boxes evaluated, over all levels.
+    point where det Df < 0) when both signs occur, each the centre of a
+    box where that sign is proved or, where the subdivision stopped
+    undecided, sampled.  Neither: undecided.  ``boxes`` counts the boxes
+    enclosed, over all levels.
     """
     box: Box
     sign: int
@@ -379,8 +350,9 @@ class SignProof:
     boxes: int
 
 
-def det_sign_proof(pmap: PlanarMap) -> SignProof:
-    """Prove the sign of det Df on the working box, once per map.
+def jacobian_sign_change(pmap: PlanarMap, box: Box | None = None) -> SignProof:
+    """The check of the hypothesis det Df != 0 on ``box`` (the working
+    box by default), once per map and box.
 
     det Df = d/dx f1 * d/dy f2 - d/dx f2 * d/dy f1 is enclosed by
     :func:`~planarham.expr.eval_interval_jet` on a
@@ -390,10 +362,15 @@ def det_sign_proof(pmap: PlanarMap) -> SignProof:
     quartered, at most :data:`SIGN_PROOF_HALVINGS` times and only while
     the next level has at most :data:`SIGN_PROOF_MAX_BOXES` boxes.
     Stops as soon as both signs are proved (a sign change) or no box is
-    undecided (a proved sign); otherwise at the cap, undecided.
+    undecided (a proved sign).  Otherwise det Df is sampled with the
+    compiled jet at the centres of the boxes still undecided, skipping
+    points where f is undefined; when these samples and the proved
+    boxes show both signs, that is a sign change too.
     """
+    box = box if box is not None else pmap.working_box()
+
     def compute() -> SignProof:
-        box, n = pmap.working_box(), SIGN_PROOF_SPLIT
+        n = SIGN_PROOF_SPLIT
         xs, ys = np.linspace(box.xmin, box.xmax, n + 1), np.linspace(box.ymin, box.ymax, n + 1)
         i, j = (k.ravel() for k in np.indices((n, n)))
         cells = np.stack([xs[i], xs[i + 1], ys[j], ys[j + 1]])    # rows xlo, xhi, ylo, yhi
@@ -421,9 +398,19 @@ def det_sign_proof(pmap: PlanarMap) -> SignProof:
             xmid, ymid = 0.5 * (xlo + xhi), 0.5 * (ylo + yhi)      # shared: no gap
             cells = np.concatenate([[xlo, xmid, ylo, ymid], [xmid, xhi, ylo, ymid],
                                     [xlo, xmid, ymid, yhi], [xmid, xhi, ymid, yhi]], axis=1)
-        return SignProof(box, 0, None, boxes)
+        xlo, xhi, ylo, yhi = undecided
+        for x, y in zip((0.5 * (xlo + xhi)).tolist(), (0.5 * (ylo + yhi)).tolist()):
+            try:
+                _, dx1, dy1, _, dx2, dy2 = pmap.jet(x, y)
+            except JET_ERRORS:
+                continue
+            d = dx1 * dy2 - dx2 * dy1
+            if d > 0 or d < 0:                  # nan has neither sign
+                witness.setdefault(1 if d > 0 else -1, (x, y))
+        flip = (witness[1], witness[-1]) if len(witness) == 2 else None
+        return SignProof(box, 0, flip, boxes)
 
-    return pmap.fact("det-sign-proof", compute)
+    return pmap.fact(("det-sign", box), compute)
 
 
 # ===== Map-spec files ===== #

@@ -260,8 +260,11 @@ def _near_fraction(candidate, anchor: np.ndarray, tol: float) -> float:
     return float((dist < tol).mean())
 
 
+PORTRAIT_GRID_N = 160   # side of the portrait's marching-squares grid
+
+
 def plane_portrait(pmap: PlanarMap, centers, rims, levels,
-                   box: Box | None = None, grid_n: int = 160,
+                   box: Box | None = None, grid_n: int = PORTRAIT_GRID_N,
                    budget: AngleBudget | None = None) -> Scene:
     """Level sets of H over the box, annulus rims dashed.
 

@@ -32,7 +32,7 @@ from planarham.annulus import (
     region,
 )
 from planarham.expr import parse_expr
-from planarham.field import Box, PlanarMap, SignProof
+from planarham.field import PLANE_BOX, Box, PlanarMap, SignProof
 from planarham.trace import LevelUnreachable, winding_certificate
 
 TWO_PI = 2.0 * math.pi
@@ -499,8 +499,8 @@ def test_failed_post_pass_level_raises_downward_closure(name, patch_proof, reque
     # below ell_lo, and one that fails contradicts orbit nesting
     pmap = dataclasses.replace(request.getfixturevalue(name))
     if patch_proof:
-        monkeypatch.setattr(annulus_mod, "det_sign_proof",
-                            lambda pmap: SignProof(pmap.working_box(), 0, None, 0))
+        monkeypatch.setattr(annulus_mod, "jacobian_sign_change",
+                            lambda pmap, box=None: SignProof(pmap.working_box(), 0, None, 0))
     real = annulus_mod.winding_certificate
     levels = []
 
@@ -518,24 +518,23 @@ def test_failed_post_pass_level_raises_downward_closure(name, patch_proof, reque
     assert [p.h for p in info.value.probes] == levels
 
 
-def test_verdict_skips_the_sign_scan_inside_the_proved_box(example1, ex1_estimate,
-                                                          monkeypatch):
+def test_verdict_checks_its_own_box_once(example1, ex1_estimate, monkeypatch):
     pmap = dataclasses.replace(example1)        # no facts yet
-    scanned = []
+    checks = []
     real = annulus_mod.jacobian_sign_change
 
-    def scan(pmap, box=None):
-        scanned.append(box)
-        return real(pmap, box)
+    def check(pmap, box=None):
+        checks.append(real(pmap, box))
+        return checks[-1]
 
-    monkeypatch.setattr(annulus_mod, "jacobian_sign_change", scan)
-    for box in (None, Box(-3, 3, -3, 3)):
-        assert global_center_verdict(pmap, ex1_estimate, box=box).verdict == "not-global"
-    assert scanned == []
-    # a box reaching past the working window, where nothing is proved
+    monkeypatch.setattr(annulus_mod, "jacobian_sign_change", check)
+    # a box reaching past the working window gets a check of its own
     wide = Box(-21.0, 3.0, -3.0, 3.0)
-    assert global_center_verdict(pmap, ex1_estimate, box=wide).verdict == "not-global"
-    assert scanned == [wide]
+    for box in (None, pmap.working_box(), Box(-3, 3, -3, 3), wide, wide):
+        assert global_center_verdict(pmap, ex1_estimate, box=box).verdict == "not-global"
+    assert [(c.box, c.sign, c.flip) for c in checks] == [
+        (box, 1, None) for box in (PLANE_BOX, PLANE_BOX, Box(-3, 3, -3, 3), wide, wide)]
+    assert checks[0] is checks[1] and checks[3] is checks[4]
 
 
 def test_jacobian_flip_demotes(noninjective_map):
@@ -543,6 +542,18 @@ def test_jacobian_flip_demotes(noninjective_map):
                       ell_lo=0.25, ell_hi=0.25 + 1e-6,
                       probes=(Probe(0.25, "good", "injective", None),))
     v = global_center_verdict(noninjective_map, est, box=Box(-2, 2, -2, 2))
+    assert v.verdict == "inconclusive"
+    assert "jacobian-sign-change" in v.reasons
+
+
+def test_jacobian_flip_on_a_narrow_strip_demotes():
+    # det Df = x^2 - 0.01 is negative only on the strip |x| < 0.1, which
+    # the subdivision of the working box proves
+    pmap = PlanarMap(f1=parse_expr("x^3/3 - 0.01*x"), f2=parse_expr("y"))
+    est = EllEstimate(center=(math.sqrt(0.03), 0.0), h_max=1.0, tol=1e-6,
+                      ell_lo=0.25, ell_hi=0.25 + 1e-6,
+                      probes=(Probe(0.25, "good", "injective", None),))
+    v = global_center_verdict(pmap, est)
     assert v.verdict == "inconclusive"
     assert "jacobian-sign-change" in v.reasons
 

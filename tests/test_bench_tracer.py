@@ -34,8 +34,7 @@ def tracer():
 
 
 def test_traced_runs_count_every_layer(tracer, tmp_path):
-    # det Df's sign is proved for example1, but not for example2, whose
-    # verdict scans for a sign change
+    # det Df's sign is proved for example1 and left undecided for example2
     for argv in (["report", "--map", "builtin:example1"],
                  ["annulus", "--map", "builtin:example2"],
                  ["portrait", "--map", "builtin:identity", "--grid", "64"],
@@ -54,3 +53,10 @@ def test_traced_runs_count_every_layer(tracer, tmp_path):
         "trace.certificate", "trace.start", "annulus.estimate_ell",
         "annulus.region", "annulus.spotcheck", "annulus.verdict",
         "field.sign_scan", "render.portrait", "render.disc", "centers.search"}
+
+
+def test_traced_report_times_the_sign_check(tracer, tmp_path):
+    # the one det Df sign check runs on every map, a proved sign included
+    out = tmp_path / "report.out"
+    assert run_subcommand(["report", "--map", "builtin:example1", "--out", str(out)]) == 0
+    assert "field.sign_scan" in {span[0] for span in tracer.spans}

@@ -16,7 +16,7 @@ import planarham.cli as cli
 import planarham.field as field_mod
 from planarham.cli import (InputError, RunConfig, SCHEMAS, _parse_box,
                            _parse_levels, load_map, run_subcommand)
-from planarham.field import Box, load_map_spec
+from planarham.field import PLANE_BOX, Box, load_map_spec
 
 TWO_PI = 2.0 * math.pi
 
@@ -425,12 +425,12 @@ def test_schemas_pass_their_metaschema():
 
 def test_report_scans_jacobian_sign_once(tmp_path, monkeypatch):
     # map-level facts are computed once per run, not once per center
-    calls = []
+    checks = []
     real = annulus_mod.jacobian_sign_change
 
-    def counting(pmap, box=None):
-        calls.append(box)
-        return real(pmap, box)
+    def checking(pmap, box=None):
+        checks.append(real(pmap, box))
+        return checks[-1]
 
     counts = Counter()
 
@@ -442,7 +442,7 @@ def test_report_scans_jacobian_sign_once(tmp_path, monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(annulus_mod, name, wrapper)
 
-    monkeypatch.setattr(annulus_mod, "jacobian_sign_change", counting)
+    monkeypatch.setattr(annulus_mod, "jacobian_sign_change", checking)
     counted("default_h_max")
     counted("eval_grid")
     # the spot check samples a grid of its own per center: leave it out
@@ -456,14 +456,17 @@ def test_report_scans_jacobian_sign_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(annulus_mod, "injectivity_spotcheck", spotcheck_uncounted)
     out = tmp_path / "r.json"
-    # the box reaches past the working window x >= -20, where det Df's
-    # sign is proved, so the verdict scans it
+    # the box reaches past the working window x >= -20, so the verdict
+    # checks det Df's sign on it, and the ell estimate on the window
     run("report", "--map", "builtin:example3", "--box=-21,2,-2,9",
         "--out", str(out))
     doc = read_json(out)
     assert len(doc["centers"]) == 2
     assert all(c["status"] == "ok" for c in doc["centers"])
-    assert calls == [Box(-21.0, 2.0, -2.0, 9.0)]
+    distinct = list({id(c): c for c in checks}.values())
+    assert len(checks) == 4         # two centers, each estimated and judged
+    assert [(c.box, c.sign) for c in distinct] == [(PLANE_BOX, 1),
+                                                  (Box(-21.0, 2.0, -2.0, 9.0), 1)]
     # one H grid for the region, which the verdict reads too, one over
     # the working window for the ell prediction, and one along the
     # window's edges for its edge minima, f1 and f2 each: once per map

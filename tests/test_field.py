@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from planarham import field as field_mod
 from planarham.expr import DomainError, parse_expr, to_poly
 from planarham.field import (
     Box,
@@ -13,7 +14,6 @@ from planarham.field import (
     PlanarMap,
     SIGN_PROOF_MAX_BOXES,
     ValidationInconclusive,
-    det_sign_proof,
     effective_hamiltonian_poly,
     jacobian_sign_change,
     linearization_at,
@@ -218,42 +218,61 @@ def test_effective_hamiltonian_poly(example1, example2, identity_map):
 # ---- Jacobian hypothesis check ----
 
 def test_jacobian_sign_change_witnesses(noninjective_map, example1, identity_map):
-    witness = jacobian_sign_change(noninjective_map, Box(-2, 2, -2, 2))
-    assert witness is not None
-    pos, neg = witness
-    assert sample(noninjective_map, pos).det > 0
-    assert sample(noninjective_map, neg).det < 0
-    assert jacobian_sign_change(example1, Box(-2, 2, -2, 2)) is None
-    assert jacobian_sign_change(identity_map) is None
+    # f = (x^2, y): det Df = 2x, on the working box and on a small one
+    for box in (None, Box(-2, 2, -2, 2)):
+        proof = jacobian_sign_change(noninjective_map, box)
+        assert proof.sign == 0
+        pos, neg = proof.flip
+        assert pos[0] > 0 > neg[0]
+        assert sample(noninjective_map, pos).det > 0 > sample(noninjective_map, neg).det
+    assert jacobian_sign_change(example1, Box(-2, 2, -2, 2)).flip is None
+    assert jacobian_sign_change(identity_map).flip is None
 
 
 @pytest.mark.parametrize("name", ["example1", "example3", "identity_map"])
-def test_det_sign_proof_proves_a_positive_sign(name, request):
+def test_jacobian_sign_change_proves_a_positive_sign(name, request):
     pmap = request.getfixturevalue(name)
-    proof = det_sign_proof(pmap)
+    proof = jacobian_sign_change(pmap)
     assert (proof.sign, proof.flip, proof.box) == (1, None, pmap.working_box())
-    assert proof is det_sign_proof(pmap)            # once per map
+    # once per map and box; the default box is the working box
+    assert proof is jacobian_sign_change(pmap, pmap.working_box())
+    small = jacobian_sign_change(pmap, Box(-2, 2, -2, 2))
+    assert (small.sign, small.flip, small.box) == (1, None, Box(-2, 2, -2, 2))
 
 
-def test_det_sign_proof_finds_the_sign_change_of_an_even_map(noninjective_map):
-    # f = (x^2, y): det Df = 2x
-    proof = det_sign_proof(noninjective_map)
-    assert proof.sign == 0
-    pos, neg = proof.flip
-    assert pos[0] > 0 > neg[0]
-    assert sample(noninjective_map, pos).det > 0 > sample(noninjective_map, neg).det
+def test_jacobian_sign_change_witnesses_a_narrow_strip():
+    # det Df = x^2 - 0.01 is negative only on the strip |x| < 0.1
+    pmap = PlanarMap(f1=parse_expr("x^3/3 - 0.01*x"), f2=parse_expr("y"))
+    pos, neg = jacobian_sign_change(pmap).flip
+    assert abs(neg[0]) < 0.1
+    assert sample(pmap, pos).det > 0 > sample(pmap, neg).det
 
 
-def test_det_sign_proof_gives_up_at_the_cap(example2):
-    # det Df = 1, but the enclosures of its two terms overlap too widely
-    proof = det_sign_proof(example2)
+def test_jacobian_sign_change_gives_up_at_the_cap(example2):
+    # det Df = 1, but the enclosures of its two terms overlap too widely;
+    # the centres of the undecided boxes are all sampled positive
+    proof = jacobian_sign_change(example2)
     assert (proof.sign, proof.flip) == (0, None)
     assert SIGN_PROOF_MAX_BOXES < proof.boxes <= 2 * SIGN_PROOF_MAX_BOXES
 
 
-def test_det_sign_proof_undecided_where_f_is_undefined():
-    # no sign is proved on a box that reaches x < -5, where f is undefined
-    proof = det_sign_proof(PlanarMap(f1=parse_expr("sqrt(x + 5) - 2"), f2=parse_expr("y")))
+def test_jacobian_sign_change_samples_the_undecided_boxes(monkeypatch):
+    # det Df = cos x: its enclosure holds 0 on each of the first split's
+    # 5-wide boxes, which are not split further here, so the sign change
+    # shows only at their centres
+    monkeypatch.setattr(field_mod, "SIGN_PROOF_HALVINGS", 0)
+    pmap = PlanarMap(f1=parse_expr("sin(x)"), f2=parse_expr("y"))
+    proof = jacobian_sign_change(pmap)
+    assert (proof.sign, proof.boxes) == (0, 64)
+    pos, neg = proof.flip
+    assert sample(pmap, pos).det > 0 > sample(pmap, neg).det
+
+
+def test_jacobian_sign_change_undecided_where_f_is_undefined():
+    # no sign is proved on a box that reaches x < -5, where f is
+    # undefined, and the centres sampled where it is defined are positive
+    proof = jacobian_sign_change(PlanarMap(f1=parse_expr("sqrt(x + 5) - 2"),
+                                           f2=parse_expr("y")))
     assert (proof.sign, proof.flip) == (0, None)
 
 

@@ -53,6 +53,7 @@ BUILTIN_RUNS = (
     ("annulus", "json"),
     ("portrait", "svg"),
     ("report", "json", "--box=-3,3,-2,9", "--grid", "64"),
+    ("report", "json", "--box=-21,3,-3,3", "--grid", "64"),
     ("global-check", "json", "--h-max", "0.3", "--box=-4,4,-4,4"),
     ("portrait", "svg", "--box=-3,3,-2,9", "--grid", "64"),
     ("report", "json", "--max-winding", "2", "--tol", "1e-4"),
