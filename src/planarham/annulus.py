@@ -14,19 +14,21 @@ takes the first whose grid cell the center's sublevel component holds,
 labelled by its row runs (:func:`_component_runs`, which also give the
 :func:`region` mask).  Two probes either side of that guess usually give
 the bracket; a bisection finds it otherwise.  Certificates decide every
-probed level.  :func:`~planarham.field.jacobian_sign_change` is the one
-check of det Df != 0 on a box.  When it proves det Df's sign on the
-working box, the levels below ell_lo close by the covering argument: f
-is a homeomorphism of the disc inside the rim onto a round disc, so
-every lower level is a closed orbit.  Without that proof a post-pass
-re-certifies 8 of them.  A sign change on the verdict's box, proved or
-sampled from its undecided boxes, makes the verdict inconclusive.
-Everything downstream (region mask, image shape, globality verdict,
-traced rim) reads the :class:`EllEstimate`, whose rim is its GOOD
-probe's orbit at ell_lo.  Inside that rim f is injective once det Df !=
-0, so the injectivity spot check over the region is a deterministic
-grid search whose collision rule scales with Df; it can only flag a map
-outside the hypothesis, such as an even one.
+probed level.  The levels below ell_lo close by one argument, the
+covering one: where det Df has a proved sign on the closed disc D inside
+the rim, f is a homeomorphism of D's inside onto a round disc, so every
+lower level is a closed orbit.  :func:`global_center_verdict` alone
+checks that hypothesis.  It proves the sign by interval subdivision
+(:func:`~planarham.field.det_sign_on_cells`) on the working box, or else
+on :func:`disc_cover`: the cells of a fine grid inside the rim polygon,
+and a margin round it that bounds the traced orbit's distance from its
+chords.  Without that proof, or with a sign change on the verdict's box,
+the verdict is inconclusive.  Everything downstream (region mask, image
+shape, globality verdict, traced rim) reads the :class:`EllEstimate`,
+whose rim is its GOOD probe's orbit at ell_lo.  Inside that rim f is
+injective once det Df != 0, so the injectivity spot check over the
+region is a deterministic grid search whose collision rule scales with
+Df; it can only flag a map outside the hypothesis, such as an even one.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ import numpy as np
 from .brent import brent_minimum
 from .centers import CenterRecord
 from .expr import eval_grid
-from .field import JET_ERRORS, Box, PlanarMap, jacobian_sign_change
-from .trace import (AngleBudget, LevelUnreachable, WindingCertificate,
-                    center_point, winding_certificate)
+from .field import JET_ERRORS, Box, PlanarMap, det_sign_on_cells, jacobian_sign_change
+from .trace import (AngleBudget, LevelUnreachable, OrbitTrace, WindingCertificate,
+                    _lift_field, center_point, winding_certificate)
 
 # bracket width below which a level is "budget", i.e. all good up to h_max
 BUDGET = math.inf
@@ -51,13 +53,10 @@ GOOD = "good"
 BAD = "bad"
 INCONCLUSIVE = "inconclusive"
 
-# the verdict reason that voids the standing hypothesis det Df != 0
+# the verdict reasons that void the standing hypothesis det Df != 0: a
+# sign change, or no proved sign on a set holding the rim's disc
 SIGN_CHANGE = "jacobian-sign-change"
-
-# how an estimate knows that the levels below ell_lo close: det Df's
-# proved sign (the covering argument), or re-certified probes
-COVERING = "covering"
-PROBES = "probes"
+SIGN_UNPROVED = "jacobian-sign-unproved"
 
 
 class AnnulusBelowResolution(Exception):
@@ -79,19 +78,6 @@ class RegionTooCoarse(ValueError):
 class BoundaryUnevaluable(ValueError):
     """f cannot be evaluated anywhere on the working-box boundary, so there
     is no default h_max."""
-
-
-class DownwardClosureError(RuntimeError):
-    """A level below a certified one failed: integrator fluke or worse."""
-
-    def __init__(self, failing: "Probe", probes: tuple["Probe", ...]):
-        lines = [f"level below ell_lo failed its certificate: "
-                 f"h={failing.h:.9g} ({failing.reason})", "probe history:"]
-        for p in probes:
-            lines.append(f"  h={p.h:.9g}  {p.status:12s} {p.reason}")
-        super().__init__("\n".join(lines))
-        self.failing = failing
-        self.probes = probes
 
 
 @dataclass(frozen=True)
@@ -145,7 +131,6 @@ class EllEstimate:
     ell_hi: float               # BUDGET (= inf) when all levels were good
     probes: tuple[Probe, ...]
     guess: EllGuess | None = None   # None in the budget case or with no prediction
-    closure: str = PROBES           # COVERING or PROBES
 
     @property
     def budget_exceeded(self) -> bool:
@@ -316,18 +301,9 @@ def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None, tol: float
     other outcome bisects from the smallest level to just under h_max
     exactly as without a guess, at the cost of one or two more probes.
 
-    Every level below ell_lo closes.  When the working box's
-    :func:`~planarham.field.jacobian_sign_change` proves det Df's sign,
-    that follows without a probe (closure COVERING): the certified orbit
-    at ell_lo stays inside the convex box, so det Df != 0 on the closed
-    disc D it bounds, and f maps the inside of D properly onto the open
-    disc of radius sqrt(2 ell_lo).
-    A proper local homeomorphism onto a simply connected disc is a
-    homeomorphism (Plastock, Trans. AMS 200, 1974), so each lower level
-    is the preimage of a circle: a closed orbit.  Otherwise (closure
-    PROBES) a post-pass re-certifies 8 levels below ell_lo; a failure
-    there contradicts orbit nesting and raises
-    :class:`DownwardClosureError`.  Raises
+    Only probes decide: det Df is not looked at here.  That the levels
+    below ell_lo close is the covering argument, whose hypothesis
+    :func:`global_center_verdict` proves.  Raises
     :class:`AnnulusBelowResolution` when the smallest probe fails.
     """
     if tol <= 0:
@@ -351,22 +327,10 @@ def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None, tol: float
         probes.append(p)
         return p
 
-    def post_pass(ell_lo: float) -> str:
-        """COVERING when det Df's sign is proved; else PROBES, once 8
-        levels below ell_lo are re-certified."""
-        if jacobian_sign_change(pmap).sign:
-            return COVERING
-        for k in range(1, 9):
-            p = probe(ell_lo * k / 9.0)
-            if p.status != GOOD:
-                raise DownwardClosureError(p, tuple(probes))
-        return PROBES
-
     h_pre = h_max * (1.0 - 1e-9)
     top = probe(h_pre)
     if top.status == GOOD:
-        closure = post_pass(h_max)
-        return EllEstimate(cpt, h_max, tol, h_max, BUDGET, tuple(probes), closure=closure)
+        return EllEstimate(cpt, h_max, tol, h_max, BUDGET, tuple(probes))
 
     h_first = min(tol, 0.5 * h_max)
     bottom = probe(h_first)
@@ -378,8 +342,7 @@ def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None, tol: float
         lo, hi = guess.h - 0.45 * tol, guess.h + 0.45 * tol
         if (h_first < lo and hi < h_pre and probe(hi).status != GOOD
                 and probe(lo).status == GOOD):
-            closure = post_pass(lo)
-            return EllEstimate(cpt, h_max, tol, lo, hi, tuple(probes), guess, closure)
+            return EllEstimate(cpt, h_max, tol, lo, hi, tuple(probes), guess)
 
     lo, hi = h_first, h_pre
     for _ in range(200):
@@ -390,8 +353,7 @@ def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None, tol: float
             lo = mid
         else:
             hi = mid
-    closure = post_pass(lo)
-    return EllEstimate(cpt, h_max, tol, lo, hi, tuple(probes), guess, closure)
+    return EllEstimate(cpt, h_max, tol, lo, hi, tuple(probes), guess)
 
 
 @dataclass(frozen=True)
@@ -514,10 +476,12 @@ def _component_runs(mask: np.ndarray, i, j) -> tuple[np.ndarray, np.ndarray]:
 
 def _paint(shape: tuple[int, int], start: np.ndarray, end: np.ndarray) -> np.ndarray:
     """The boolean grid of ``shape`` whose set cells are the runs
-    ``(start, end)`` of :func:`_component_runs`."""
-    step = np.zeros((shape[0], shape[1] + 1), dtype=np.int8)
-    step.flat[start], step.flat[end] = 1, -1
-    return np.cumsum(step, axis=1)[:, :-1].astype(bool)
+    ``(start, end)`` of :func:`_component_runs` or :func:`_fill_runs`."""
+    length = end - start
+    cells = np.arange(length.sum()) + np.repeat(start - np.cumsum(length) + length, length)
+    grid = np.zeros(shape[0] * (shape[1] + 1), dtype=bool)
+    grid[cells] = True
+    return grid.reshape(shape[0], -1)[:, :-1]
 
 
 @dataclass(frozen=True)
@@ -528,16 +492,21 @@ class GlobalVerdict:
 
 def global_center_verdict(pmap: PlanarMap, estimate: EllEstimate,
                           box: Box | None = None) -> GlobalVerdict:
-    """Center globality from the certificate record.
+    """Center globality from the certificate record, and the one owner
+    of the hypothesis det Df != 0.
 
-    A failed certificate at a level that still has points of the
-    working domain above it means the annulus boundary is interior:
-    not-global.  All levels good up to h_max is "global" qualified
-    up-to-budget.  A sign change of det Df anywhere in the box voids
-    the standing hypothesis and demotes everything to inconclusive: the
-    ``flip`` of the box's :func:`~planarham.field.jacobian_sign_change`,
-    proved or sampled from its undecided boxes, computed once per map
-    and box for all its centers.
+    A sign change of det Df in the box, the ``flip`` of its
+    :func:`~planarham.field.jacobian_sign_change`, demotes everything to
+    inconclusive.  Let D be the closed disc inside the rim (the top
+    probe's orbit in the budget case).  Where det Df has a proved sign on
+    D, f maps D's inside properly and locally homeomorphically onto the
+    open disc of radius sqrt(2 ell_lo), hence homeomorphically (Plastock,
+    Trans. AMS 200, 1974), so every lower level is a closed orbit.  The
+    sign is proved on the working box, which holds D, or else on
+    :func:`disc_cover`; with neither the verdict is inconclusive.  Then a
+    failed certificate at a level with points of the working domain above
+    it is not-global, and all levels good up to h_max "global"
+    up-to-budget.
     """
     box = box if box is not None else pmap.working_box()
     flip = jacobian_sign_change(pmap, box).flip
@@ -549,6 +518,12 @@ def global_center_verdict(pmap: PlanarMap, estimate: EllEstimate,
         ))
     if estimate.has_inconclusive:
         return GlobalVerdict("inconclusive", estimate.inconclusive_reasons)
+    if not (jacobian_sign_change(pmap).sign or _sign_on_cover(pmap, estimate)):
+        return GlobalVerdict("inconclusive", (
+            SIGN_UNPROVED,
+            "det Df's sign is proved neither on the working box nor on the "
+            "disc inside the rim",
+        ))
     if estimate.budget_exceeded:
         return GlobalVerdict("global", ("up-to-budget",))
     first_bad = estimate.first_bad_level()
@@ -558,6 +533,82 @@ def global_center_verdict(pmap: PlanarMap, estimate: EllEstimate,
             "working domain has points above ell_lo",
         ))
     return GlobalVerdict("inconclusive", ("no evidence above ell_lo",))
+
+
+COVER_GRID_N = 800      # the grid on the working box whose cells cover D
+
+
+def _sign_on_cover(pmap: PlanarMap, estimate: EllEstimate) -> int:
+    """det Df's sign on the :func:`disc_cover` of the highest GOOD
+    probe's orbit, whose disc holds the rim's; 0 unless proved."""
+    orbit = max((p for p in estimate.probes if p.status == GOOD),
+                key=lambda p: p.h).certificate.trace
+    return pmap.fact(("det-sign-cover", orbit.points), lambda: det_sign_on_cells(
+        pmap, pmap.working_box(), COVER_GRID_N, *np.nonzero(disc_cover(pmap, orbit)))).sign
+
+
+def disc_cover(pmap: PlanarMap, orbit: OrbitTrace) -> np.ndarray:
+    """The cells of the :data:`COVER_GRID_N`-square grid on the working
+    box that cover the closed disc D inside the closed ``orbit``: those
+    whose centres lie in the polygon P of its points (:func:`_fill_runs`)
+    and those within a margin r of P's boundary pi.  Any other cell
+    meeting P meets pi, so they cover P and its r-neighbourhood.
+
+    That holds D once r bounds the orbit's distance from pi.  Each step is
+    traced as the Hermite cubic in theta that
+    :func:`~planarham.trace.integrate_orbit` tests for window exits: ends
+    a, b and slopes m_a, m_b, the theta step times Df^-1 J f there.  Less
+    the chord's own parametrisation it is the Bezier cubic with control
+    points 0, (m_a - (b - a))/3, (b - a - m_b)/3 and 0, so it stays in
+    their hull, within delta, the longest of them over the steps.  The
+    straight-line homotopy from the orbit to pi moves no point farther
+    than delta, so a point farther than delta from pi has the same
+    winding number about both: D lies in P and pi's delta-neighbourhood.
+    r is delta, but at least one cell side: that takes in the cubic's own
+    error (the step's local error) and the closing gap (RETURN_TOL), both
+    far smaller.  The margin holds the cells of the bounding boxes, grown
+    by r, of pi's pieces at most a cell long.  D stays in the working
+    box, as its orbit does.
+    """
+    box, n = pmap.working_box(), COVER_GRID_N
+    side = min(box.xmax - box.xmin, box.ymax - box.ymin) / n
+    points = np.array(orbit.points)
+    chord, step = np.diff(points, axis=0), np.diff(orbit.thetas)[:, None]
+    velocity = np.array([_lift_field(pmap.jet(x, y))[:2] for x, y in orbit.points])
+    r = max(side, np.hypot(*(step * velocity[:-1] - chord).T).max() / 3.0,
+            np.hypot(*(chord - step * velocity[1:]).T).max() / 3.0)
+    ring = np.vstack([points, points[:1]])
+    seg = np.diff(ring, axis=0)
+    count = (np.hypot(*seg.T) // side).astype(int) + 1
+    k = np.repeat(np.arange(len(seg)), count)
+    t = (np.arange(len(k)) - np.repeat(np.cumsum(count) - count, count)) / count[k]
+    a, b = (ring[k] + u[:, None] * seg[k] for u in (t, t + 1.0 / count[k]))
+    (i0, j0), (i1, j1) = (cell_index(box, n, *(edge(a, b) + d).T)
+                          for edge, d in ((np.minimum, -r), (np.maximum, r)))
+    rows = i1 - i0 + 1
+    i = (np.repeat(i0 - np.cumsum(rows) + rows, rows) + np.arange(rows.sum())) * (n + 1)
+    start, end = _fill_runs(box, n, ring)
+    return _paint((n, n), np.concatenate([i + np.repeat(j0, rows), start]),
+                  np.concatenate([i + np.repeat(j1 + 1, rows), end]))
+
+
+def _fill_runs(box: Box, n: int, ring: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row runs (as :func:`_component_runs` gives them) of the n x n
+    grid's cells on box whose centres lie in the closed polygon ``ring``,
+    by the even-odd rule: row i's scanline crosses the edges with one end
+    at or left of it and the other not, an even number, and each pair
+    [y0, y1) of crossings sorted by y runs over the centres y0 <= y < y1."""
+    xc, yc = ((lo + (np.arange(n) + 0.5) * (hi - lo) / n)
+              for lo, hi in ((box.xmin, box.xmax), (box.ymin, box.ymax)))
+    a, b = ring[:-1], ring[1:]
+    first = np.searchsorted(xc, np.minimum(a[:, 0], b[:, 0]))
+    count = np.searchsorted(xc, np.maximum(a[:, 0], b[:, 0])) - first
+    e = np.repeat(np.arange(len(a)), count)
+    i = np.arange(len(e)) - np.repeat(np.cumsum(count) - count - first, count)
+    y = a[e, 1] + (xc[i] - a[e, 0]) * (b[e, 1] - a[e, 1]) / (b[e, 0] - a[e, 0])
+    order = np.lexsort((y, i))
+    i, j = i[order], np.searchsorted(yc, y[order])
+    return i[::2] * (n + 1) + j[::2], i[1::2] * (n + 1) + j[1::2]
 
 
 def _levels_above(pmap: PlanarMap, box: Box, ell_lo: float) -> bool:

@@ -27,7 +27,7 @@ import jsonschema
 
 from . import annulus
 from .annulus import (REGION_GRID_N, AnnulusBelowResolution, AnnulusReport,
-                      BoundaryUnevaluable, DownwardClosureError, RegionTooCoarse,
+                      BoundaryUnevaluable, RegionTooCoarse,
                       build_annulus_report, image_shape)
 from .centers import SEED_GRID_N, CenterRecord, search_zeros
 from .compactify import (SCAN_N, EquatorDegenerate, classify_sectors,
@@ -35,8 +35,7 @@ from .compactify import (SCAN_N, EquatorDegenerate, classify_sectors,
                          infinite_singularities)
 from .corpus import ExtendedGateError, builtin
 from .expr import DomainError, ParseError, print_expr
-from .field import (Box, MapSpecError, OverflowEvent, PlanarMap, jacobian_sign_change,
-                    load_map_spec)
+from .field import Box, MapSpecError, OverflowEvent, PlanarMap, load_map_spec, sign_proof_boxes
 from .render import (PORTRAIT_GRID_N, DiscRefusal, disc_portrait_for_map, plane_portrait,
                      scene_to_svg)
 from .trace import AngleBudget, LevelUnreachable
@@ -168,9 +167,8 @@ _ELL = {
             "properties": {
                 "lo": {"type": "number", "minimum": 0},
                 "hi": {"oneOf": [_NUM, {"const": "budget"}]},
-                "closure": {"enum": ["covering", "probes"]},
             },
-            "required": ["lo", "hi", "closure"],
+            "required": ["lo", "hi"],
             "additionalProperties": False,
         },
     ]
@@ -394,8 +392,7 @@ def _loc_text(rec: CenterRecord) -> str:
 
 # how one center's annulus analysis can fail without failing the run
 _CENTER_FAILURES = (AnnulusBelowResolution, LevelUnreachable, RegionTooCoarse,
-                    BoundaryUnevaluable, DownwardClosureError, OverflowEvent,
-                    DomainError)
+                    BoundaryUnevaluable, OverflowEvent, DomainError)
 
 
 def _analyze_center(pmap: PlanarMap, rec: CenterRecord, cfg: RunConfig,
@@ -422,7 +419,7 @@ def _analyze_center(pmap: PlanarMap, rec: CenterRecord, cfg: RunConfig,
     image: dict = {"kind": rep.image.kind}
     if rep.image.radius is not None:
         image["radius"] = rep.image.radius
-    block.update(status="ok", ell={"lo": est.ell_lo, "hi": ell_hi, "closure": est.closure},
+    block.update(status="ok", ell={"lo": est.ell_lo, "hi": ell_hi},
                  image_shape=image,
                  certificates=[_certificate_block(c) for c in est.certificates])
     block["global"] = rep.verdict.verdict
@@ -572,7 +569,7 @@ def _assemble_report(pmap: PlanarMap, cfg: RunConfig, subcommand: str,
         center_seeds=stats.n_seeds,
         orbit_points=sum(len(c.trace.points)
                          for rep in reports for c in rep.estimate.certificates),
-        sign_proof_boxes=jacobian_sign_change(pmap).boxes if records else 0)
+        sign_proof_boxes=sign_proof_boxes(pmap))
     doc = {
         "kind": "report" if with_compactification else "annulus",
         "config": _config_echo(cfg, subcommand),

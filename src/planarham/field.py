@@ -335,10 +335,11 @@ SIGN_PROOF_MAX_BOXES = 4096
 
 @dataclass(frozen=True)
 class SignProof:
-    """What :func:`jacobian_sign_change` settled about det Df on ``box``.
+    """What :func:`det_sign_on_cells` settled about det Df on its cells
+    of a grid on ``box``.
 
     ``sign`` is +1 or -1 when det Df provably has that sign at every
-    point of the box, else 0.  ``flip`` is (a point where det Df > 0, a
+    point of the cells, else 0.  ``flip`` is (a point where det Df > 0, a
     point where det Df < 0) when both signs occur, each the centre of a
     box where that sign is proved or, where the subdivision stopped
     undecided, sampled.  Neither: undecided.  ``boxes`` counts the boxes
@@ -352,65 +353,73 @@ class SignProof:
 
 def jacobian_sign_change(pmap: PlanarMap, box: Box | None = None) -> SignProof:
     """The check of the hypothesis det Df != 0 on ``box`` (the working
-    box by default), once per map and box.
+    box by default), once per map and box: :func:`det_sign_on_cells` of
+    every cell of its :data:`SIGN_PROOF_SPLIT`-square grid."""
+    box = box if box is not None else pmap.working_box()
+    n = SIGN_PROOF_SPLIT
+    return pmap.fact(("det-sign", box), lambda: det_sign_on_cells(
+        pmap, box, n, *np.indices((n, n)).reshape(2, -1)))
 
-    det Df = d/dx f1 * d/dy f2 - d/dx f2 * d/dy f1 is enclosed by
-    :func:`~planarham.expr.eval_interval_jet` on a
-    :data:`SIGN_PROOF_SPLIT`-square split of the box.  A box whose
+
+def det_sign_on_cells(pmap: PlanarMap, box: Box, n: int, i: np.ndarray,
+                      j: np.ndarray) -> SignProof:
+    """The sign of det Df on the cells (i, j) of the n x n grid on box.
+
+    det Df = d/dx f1 * d/dy f2 - d/dx f2 * d/dy f1 is enclosed on each
+    cell by :func:`~planarham.expr.eval_interval_jet`.  A box whose
     enclosure excludes 0 has a proved sign; the undecided ones (the
     enclosure holds 0, or f is undefined somewhere in the box) are
     quartered, at most :data:`SIGN_PROOF_HALVINGS` times and only while
-    the next level has at most :data:`SIGN_PROOF_MAX_BOXES` boxes.
-    Stops as soon as both signs are proved (a sign change) or no box is
-    undecided (a proved sign).  Otherwise det Df is sampled with the
-    compiled jet at the centres of the boxes still undecided, skipping
-    points where f is undefined; when these samples and the proved
-    boxes show both signs, that is a sign change too.
+    the next level has at most :data:`SIGN_PROOF_MAX_BOXES` boxes, or 4
+    per cell.  Stops as soon as both signs are proved (a sign change) or
+    no box is undecided (a proved sign).  Otherwise det Df is sampled
+    with the compiled jet at the centres of the boxes still undecided,
+    skipping points where f is undefined; when these samples and the
+    proved boxes show both signs, that is a sign change too.
     """
-    box = box if box is not None else pmap.working_box()
-
-    def compute() -> SignProof:
-        n = SIGN_PROOF_SPLIT
-        xs, ys = np.linspace(box.xmin, box.xmax, n + 1), np.linspace(box.ymin, box.ymax, n + 1)
-        i, j = (k.ravel() for k in np.indices((n, n)))
-        cells = np.stack([xs[i], xs[i + 1], ys[j], ys[j + 1]])    # rows xlo, xhi, ylo, yhi
-        witness: dict[int, tuple[float, float]] = {}
-        boxes = 0
-        for level in range(SIGN_PROOF_HALVINGS + 1):
-            boxes += cells.shape[1]
-            (lo1, hi1, bad1), (lo2, hi2, bad2) = (eval_interval_jet(f, *cells)
-                                                  for f in (pmap.f1, pmap.f2))
-            det_lo, det_hi = interval_sub(interval_mul((lo1[1], hi1[1]), (lo2[2], hi2[2])),
-                                          interval_mul((lo2[1], hi2[1]), (lo1[2], hi1[2])))
-            signs = np.select([bad1 | bad2, det_lo > 0, det_hi < 0], [0, 1, -1], 0)
-            for sign in (1, -1):
-                if sign not in witness and (signs == sign).any():
-                    xlo, xhi, ylo, yhi = cells[:, np.argmax(signs == sign)]
-                    witness[sign] = (float(0.5 * (xlo + xhi)), float(0.5 * (ylo + yhi)))
-            if len(witness) == 2:
-                return SignProof(box, 0, (witness[1], witness[-1]), boxes)
-            undecided = cells[:, signs == 0]
-            if undecided.shape[1] == 0:
-                return SignProof(box, next(iter(witness)), None, boxes)
-            if level == SIGN_PROOF_HALVINGS or 4 * undecided.shape[1] > SIGN_PROOF_MAX_BOXES:
-                break
-            xlo, xhi, ylo, yhi = undecided
-            xmid, ymid = 0.5 * (xlo + xhi), 0.5 * (ylo + yhi)      # shared: no gap
-            cells = np.concatenate([[xlo, xmid, ylo, ymid], [xmid, xhi, ylo, ymid],
-                                    [xlo, xmid, ymid, yhi], [xmid, xhi, ymid, yhi]], axis=1)
+    xs, ys = np.linspace(box.xmin, box.xmax, n + 1), np.linspace(box.ymin, box.ymax, n + 1)
+    cells = np.stack([xs[i], xs[i + 1], ys[j], ys[j + 1]])    # rows xlo, xhi, ylo, yhi
+    cap = max(SIGN_PROOF_MAX_BOXES, 4 * len(i))
+    witness: dict[int, tuple[float, float]] = {}
+    boxes = 0
+    for level in range(SIGN_PROOF_HALVINGS + 1):
+        boxes += cells.shape[1]
+        (lo1, hi1, bad1), (lo2, hi2, bad2) = (eval_interval_jet(f, *cells)
+                                              for f in (pmap.f1, pmap.f2))
+        det_lo, det_hi = interval_sub(interval_mul((lo1[1], hi1[1]), (lo2[2], hi2[2])),
+                                      interval_mul((lo2[1], hi2[1]), (lo1[2], hi1[2])))
+        signs = np.select([bad1 | bad2, det_lo > 0, det_hi < 0], [0, 1, -1], 0)
+        for sign in (1, -1):
+            if sign not in witness and (signs == sign).any():
+                xlo, xhi, ylo, yhi = cells[:, np.argmax(signs == sign)]
+                witness[sign] = (float(0.5 * (xlo + xhi)), float(0.5 * (ylo + yhi)))
+        if len(witness) == 2:
+            return SignProof(box, 0, (witness[1], witness[-1]), boxes)
+        undecided = cells[:, signs == 0]
+        if undecided.shape[1] == 0:
+            return SignProof(box, next(iter(witness)), None, boxes)
+        if level == SIGN_PROOF_HALVINGS or 4 * undecided.shape[1] > cap:
+            break
         xlo, xhi, ylo, yhi = undecided
-        for x, y in zip((0.5 * (xlo + xhi)).tolist(), (0.5 * (ylo + yhi)).tolist()):
-            try:
-                _, dx1, dy1, _, dx2, dy2 = pmap.jet(x, y)
-            except JET_ERRORS:
-                continue
-            d = dx1 * dy2 - dx2 * dy1
-            if d > 0 or d < 0:                  # nan has neither sign
-                witness.setdefault(1 if d > 0 else -1, (x, y))
-        flip = (witness[1], witness[-1]) if len(witness) == 2 else None
-        return SignProof(box, 0, flip, boxes)
+        xmid, ymid = 0.5 * (xlo + xhi), 0.5 * (ylo + yhi)      # shared: no gap
+        cells = np.concatenate([[xlo, xmid, ylo, ymid], [xmid, xhi, ylo, ymid],
+                                [xlo, xmid, ymid, yhi], [xmid, xhi, ymid, yhi]], axis=1)
+    xlo, xhi, ylo, yhi = undecided
+    for x, y in zip((0.5 * (xlo + xhi)).tolist(), (0.5 * (ylo + yhi)).tolist()):
+        try:
+            _, dx1, dy1, _, dx2, dy2 = pmap.jet(x, y)
+        except JET_ERRORS:
+            continue
+        d = dx1 * dy2 - dx2 * dy1
+        if d > 0 or d < 0:                  # nan has neither sign
+            witness.setdefault(1 if d > 0 else -1, (x, y))
+    flip = (witness[1], witness[-1]) if len(witness) == 2 else None
+    return SignProof(box, 0, flip, boxes)
 
-    return pmap.fact(("det-sign", box), compute)
+
+def sign_proof_boxes(pmap: PlanarMap) -> int:
+    """The boxes enclosed by every det Df sign check run on the map."""
+    return sum(fact.boxes for fact in pmap._facts.values() if isinstance(fact, SignProof))
 
 
 # ===== Map-spec files ===== #

@@ -6,15 +6,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
 import planarham.annulus as annulus_mod
 from planarham.annulus import (
+    COVER_GRID_N,
+    SIGN_UNPROVED,
     AnnulusBelowResolution,
-    DownwardClosureError,
     EllEstimate,
     EllGuess,
     Probe,
@@ -23,6 +24,7 @@ from planarham.annulus import (
     cell_index,
     classify_certificate,
     default_h_max,
+    disc_cover,
     edge_minima,
     estimate_ell,
     global_center_verdict,
@@ -33,7 +35,7 @@ from planarham.annulus import (
 )
 from planarham.expr import parse_expr
 from planarham.field import PLANE_BOX, Box, PlanarMap, SignProof
-from planarham.trace import LevelUnreachable, winding_certificate
+from planarham.trace import winding_certificate
 
 TWO_PI = 2.0 * math.pi
 
@@ -97,13 +99,12 @@ def test_example3_ell_both_centers(example3):
         assert est.ell_hi - est.ell_lo <= 1e-6
 
 
-def test_example2_ell_takes_twelve_probes(example2):
+def test_example2_ell_takes_four_probes(example2):
     # the oval reaches x = +/-20 through a channel ~1e-5 wide that the H
-    # grid cannot resolve; the edge minimum at (20, -0.0024875) is ell
-    # det Df = 1, but the interval enclosures cannot prove its sign, so
-    # the 8-level post-pass runs
+    # grid cannot resolve; the edge minimum at (20, -0.0024875) is ell.
+    # The estimate never looks at det Df: top, bottom and the predicted pair
     est = estimate_ell(example2, (0.0, 0.0), h_max=1.0)
-    assert len(est.probes) == 12 and est.closure == "probes"
+    assert len(est.probes) == 4
     assert est.ell_lo <= 0.4987531172 <= est.ell_hi
     assert est.guess.h == pytest.approx(0.4987531172, abs=1e-10)
     assert abs(est.guess.point[0]) == 20.0
@@ -198,8 +199,8 @@ def test_default_h_max_is_the_boundary_minimum(a, center):
     assert truth > 1.0
     assert default_h_max(pmap) == pytest.approx(truth, rel=1e-9)
     est = estimate_ell(pmap, center)
-    # the top probe alone: det Df's proved sign closes every lower level
-    assert est.budget_exceeded and len(est.probes) == 1 and est.closure == "covering"
+    # the top probe alone
+    assert est.budget_exceeded and len(est.probes) == 1
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", "identity_map"])
@@ -249,11 +250,10 @@ def test_example1_predicted_bracket(example1):
 
 @pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
 def test_inner_example3_centers_take_four_probes(example3, k):
-    # a pinned work count: top, bottom and the two predicted levels; det
-    # Df's proved sign replaces the post-pass, and losing the predicted
-    # bracket shows here
+    # a pinned work count: top, bottom and the two predicted levels;
+    # losing the predicted bracket shows here
     est = estimate_ell(example3, (0.0, k * TWO_PI), h_max=1.0, tol=1e-6)
-    assert len(est.probes) == 4 and est.closure == "covering"
+    assert len(est.probes) == 4
     assert est.ell_lo - est.tol <= 0.5 * (1.0 - math.exp(-20.0)) ** 2 <= est.ell_hi
 
 
@@ -442,6 +442,63 @@ def test_component_runs_match_scipy_labels(n, m):
                                           labels == labels[i, j])
 
 
+# the rim disc's cover
+
+
+def _inside_polygon(ring, x, y):
+    """The even-odd point-in-polygon test along a horizontal ray."""
+    inside = False
+    for (ax, ay), (bx, by) in zip(ring[:-1], ring[1:]):
+        if (ay > y) != (by > y) and x < ax + (y - ay) * (bx - ax) / (by - ay):
+            inside = not inside
+    return inside
+
+
+@pytest.mark.parametrize("ring", [
+    [(0.13, 0.07), (0.91, 0.42), (0.28, 0.88)],                             # triangle
+    [(0.05, 0.1), (0.93, 0.17), (0.41, 0.46), (0.87, 0.81), (0.12, 0.9)],   # concave
+])
+@pytest.mark.parametrize("n", [7, 40])
+def test_fill_runs_match_point_in_polygon(ring, n):
+    box = Box(0.0, 1.0, 0.0, 1.0)
+    ring = np.array(ring + ring[:1])
+    filled = annulus_mod._paint((n, n), *annulus_mod._fill_runs(box, n, ring))
+    centres = (np.arange(n) + 0.5) / n
+    truth = np.array([[_inside_polygon(ring, x, y) for y in centres] for x in centres])
+    assert truth.any() and np.array_equal(filled, truth)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5),
+       st.floats(0.3, 12.0))
+def test_disc_cover_holds_the_exact_ellipse(a11, a22, a12, a21, radius):
+    # f = A p with det A > 0 (the orbit's lift needs det Df > 0): the
+    # orbit at level h is the ellipse |A p|^2 = 2h, whose inside and
+    # every cell it passes through must be covered
+    a = np.array([[a11, a12], [a21, a22]])
+    det = np.linalg.det(a)
+    assume(det > 0.2)
+    sigma_min = np.linalg.svd(a, compute_uv=False)[-1]
+    h = 0.5 * (radius * sigma_min) ** 2     # radius: the ellipse's longer semi-axis
+    pmap = PlanarMap(f1=parse_expr(f"{a11!r}*x + {a12!r}*y"),
+                     f2=parse_expr(f"{a21!r}*x + {a22!r}*y"), name="linear")
+    cert = winding_certificate(pmap, (0.0, 0.0), h)
+    assert cert.injective_on_orbit
+    cover = disc_cover(pmap, cert.trace)
+    box, n = pmap.working_box(), COVER_GRID_N
+    centres = box.xmin + (np.arange(n) + 0.5) * (box.xmax - box.xmin) / n
+    gx, gy = np.meshgrid(centres, centres, indexing="ij")
+    image = np.hypot(a11 * gx + a12 * gy, a21 * gx + a22 * gy)
+    assert cover[image ** 2 < 2.0 * h].all()
+    t = np.linspace(0.0, 2.0 * math.pi, 20_000)
+    on = np.linalg.solve(a, math.sqrt(2.0 * h) * np.stack([np.cos(t), np.sin(t)]))
+    assert cover[cell_index(box, n, on[0], on[1])].all()
+    # and no cell lies much farther out than the margin
+    side = (box.xmax - box.xmin) / n
+    sigma_max = np.linalg.svd(a, compute_uv=False)[0]
+    assert (image[cover] <= math.sqrt(2.0 * h) + 5.0 * side * sigma_max).all()
+
+
 # flood fill versus traced orbit
 
 
@@ -491,31 +548,41 @@ def test_global_verdicts(example1, identity_map, ex1_estimate):
     assert "up-to-budget" in v2.reasons
 
 
-@pytest.mark.parametrize("name,patch_proof", [("example2", False), ("example1", True)])
-def test_failed_post_pass_level_raises_downward_closure(name, patch_proof, request,
-                                                        monkeypatch):
-    # without a proved sign of det Df (example2's cannot be proved;
-    # example1's is made undecided) the post-pass re-certifies 8 levels
-    # below ell_lo, and one that fails contradicts orbit nesting
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_unproved_sign_makes_the_verdict_inconclusive(name, request, monkeypatch):
+    # with det Df's sign proved neither on the working box nor on the
+    # rim's disc, the covering argument has no hypothesis: no level below
+    # ell_lo is re-certified to stand in for it
     pmap = dataclasses.replace(request.getfixturevalue(name))
-    if patch_proof:
-        monkeypatch.setattr(annulus_mod, "jacobian_sign_change",
-                            lambda pmap, box=None: SignProof(pmap.working_box(), 0, None, 0))
+
+    def undecided(pmap, *args):
+        return SignProof(pmap.working_box(), 0, None, 0)
+
+    monkeypatch.setattr(annulus_mod, "jacobian_sign_change", undecided)
+    monkeypatch.setattr(annulus_mod, "det_sign_on_cells", undecided)
     real = annulus_mod.winding_certificate
     levels = []
 
-    def stalls_at_the_fifth_level(pmap, center, h, **kwargs):
+    def recording(pmap, center, h, **kwargs):
         levels.append(h)
-        if len(levels) == 5:    # after top, bottom and the predicted pair
-            raise LevelUnreachable("the lift stalls")
         return real(pmap, center, h, **kwargs)
 
-    monkeypatch.setattr(annulus_mod, "winding_certificate", stalls_at_the_fifth_level)
-    with pytest.raises(DownwardClosureError) as info:
-        estimate_ell(pmap, (0.0, 0.0), h_max=1.0, tol=1e-6)
-    failing = info.value.failing
-    assert failing.h == levels[3] / 9.0 and failing.reason == "level-unreachable"
-    assert [p.h for p in info.value.probes] == levels
+    monkeypatch.setattr(annulus_mod, "winding_certificate", recording)
+    est = estimate_ell(pmap, (0.0, 0.0), h_max=1.0, tol=1e-6)
+    bottom = min(levels)
+    assert not [h for h in levels if bottom < h < est.ell_lo]
+    verdict = global_center_verdict(pmap, est)
+    assert verdict.verdict == "inconclusive"
+    assert verdict.reasons[0] == SIGN_UNPROVED
+
+
+def test_sign_unproved_where_the_rim_meets_undefined_points():
+    # f is undefined for x < 19 and the rim at ell runs along x = 19, so
+    # det Df's sign is proved neither on the working box nor on the cover
+    pmap = PlanarMap(f1=parse_expr("sqrt(x - 19) - 0.5"), f2=parse_expr("y"))
+    est = estimate_ell(pmap, (19.25, 0.0))
+    verdict = global_center_verdict(pmap, est)
+    assert (verdict.verdict, verdict.reasons[0]) == ("inconclusive", SIGN_UNPROVED)
 
 
 def test_verdict_checks_its_own_box_once(example1, ex1_estimate, monkeypatch):
@@ -529,12 +596,15 @@ def test_verdict_checks_its_own_box_once(example1, ex1_estimate, monkeypatch):
 
     monkeypatch.setattr(annulus_mod, "jacobian_sign_change", check)
     # a box reaching past the working window gets a check of its own
+    # and the hypothesis is the working box's proved sign
     wide = Box(-21.0, 3.0, -3.0, 3.0)
     for box in (None, pmap.working_box(), Box(-3, 3, -3, 3), wide, wide):
         assert global_center_verdict(pmap, ex1_estimate, box=box).verdict == "not-global"
     assert [(c.box, c.sign, c.flip) for c in checks] == [
-        (box, 1, None) for box in (PLANE_BOX, PLANE_BOX, Box(-3, 3, -3, 3), wide, wide)]
-    assert checks[0] is checks[1] and checks[3] is checks[4]
+        (box, 1, None) for box in (PLANE_BOX, PLANE_BOX, PLANE_BOX, PLANE_BOX,
+                                   Box(-3, 3, -3, 3), PLANE_BOX, wide, PLANE_BOX,
+                                   wide, PLANE_BOX)]
+    assert all(c is checks[0] for c in checks[:4]) and checks[6] is checks[8]
 
 
 def test_jacobian_flip_demotes(noninjective_map):

@@ -175,19 +175,27 @@ def test_timings_are_work_counters(tmp_path):
     assert all(isinstance(v, int) for k, v in timings.items() if k != "unit")
 
 
-@pytest.mark.parametrize("name,closure,certificates,boxes", [
-    ("example1", "covering", 4, 64),        # det Df = e^x, proved on the first split
-    ("example2", "probes", 12, 5440),       # not provable: the post-pass runs
+@pytest.mark.parametrize("name,boxes", [
+    ("example1", 64),               # det Df = e^x, proved on the first split
+    ("example2", 5440 + 8596),      # undecided on the box, proved on the rim's disc
 ])
-def test_center_block_says_how_lower_levels_close(tmp_path, name, closure, certificates,
-                                                  boxes):
+def test_center_block_counts_the_sign_proof_boxes(tmp_path, name, boxes):
     out = tmp_path / "a.json"
     assert run("annulus", "--map", f"builtin:{name}", "--out", str(out)) == 0
     doc = read_json(out)
     (center,) = doc["centers"]
-    assert center["ell"]["closure"] == closure
-    assert len(center["certificates"]) == certificates
+    assert set(center["ell"]) == {"lo", "hi"}
+    assert len(center["certificates"]) == 4
     assert doc["timings"]["sign_proof_boxes"] == boxes
+
+
+def test_sign_proof_boxes_count_the_verdict_box_too(tmp_path):
+    # the working box's check (5,440 boxes, undecided), the verdict box's
+    # own (5,184, proved) and the rim disc's cover (8,596, proved)
+    out = tmp_path / "r.json"
+    assert run("report", "--map", "builtin:example2", "--box=-21,3,-3,3", "--grid", "64",
+               "--out", str(out)) == 0
+    assert read_json(out)["timings"]["sign_proof_boxes"] == 5440 + 5184 + 8596
 
 
 def test_domain_with_a_negative_exponent_echoes_back_as_a_spec(tmp_path):
@@ -457,16 +465,16 @@ def test_report_scans_jacobian_sign_once(tmp_path, monkeypatch):
     monkeypatch.setattr(annulus_mod, "injectivity_spotcheck", spotcheck_uncounted)
     out = tmp_path / "r.json"
     # the box reaches past the working window x >= -20, so the verdict
-    # checks det Df's sign on it, and the ell estimate on the window
+    # checks det Df's sign on it, and its hypothesis on the window
     run("report", "--map", "builtin:example3", "--box=-21,2,-2,9",
         "--out", str(out))
     doc = read_json(out)
     assert len(doc["centers"]) == 2
     assert all(c["status"] == "ok" for c in doc["centers"])
     distinct = list({id(c): c for c in checks}.values())
-    assert len(checks) == 4         # two centers, each estimated and judged
-    assert [(c.box, c.sign) for c in distinct] == [(PLANE_BOX, 1),
-                                                  (Box(-21.0, 2.0, -2.0, 9.0), 1)]
+    assert len(checks) == 4         # two centers, each judged on both boxes
+    assert [(c.box, c.sign) for c in distinct] == [(Box(-21.0, 2.0, -2.0, 9.0), 1),
+                                                  (PLANE_BOX, 1)]
     # one H grid for the region, which the verdict reads too, one over
     # the working window for the ell prediction, and one along the
     # window's edges for its edge minima, f1 and f2 each: once per map
