@@ -291,19 +291,27 @@ def predict_ell(pmap: PlanarMap, center) -> EllGuess | None:
 def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None, tol: float = 1e-6,
                  budget: AngleBudget | None = None) -> EllEstimate:
     """Bracket ell = sup of certified levels over (0, h_max]: the
-    predicted bracket, else bisection.
+    predicted pair, else bisection.
 
     Returns (ell_lo, ell_hi) with ell_hi - ell_lo <= tol, or ell_hi =
-    inf ("budget") when the level just under h_max is already GOOD.
-    Otherwise, after the smallest level is certified, the levels
-    0.45*tol above and below :func:`predict_ell`'s guess are probed; an
-    uncertified upper and a certified lower level are the bracket.  Any
-    other outcome bisects from the smallest level to just under h_max
-    exactly as without a guess, at the cost of one or two more probes.
+    inf ("budget") when the top level h_pre just under h_max is GOOD.
+    When the levels hi and lo 0.45*tol above and below
+    :func:`predict_ell`'s guess lie strictly between the smallest level
+    h_first and h_pre, they are probed first, hi first; an uncertified
+    hi and a certified lo are the bracket.  hi's probe lifts the image
+    ray at arg f(guess.point), so that just above ell the lift leaves
+    the window at the predicted contact: a BAD certificate with no orbit
+    traced.  lo's probe, the rim, keeps the default ray.  The top and
+    bottom probes are implied then: nesting makes GOOD downward-closed,
+    so h_pre is BAD with hi, and the covering argument that
+    :func:`global_center_verdict` proves closes every level below lo,
+    h_first among them.  Any other outcome probes h_pre, then h_first,
+    and bisects between them exactly as without a guess, the pair's one
+    or two probes being extra.  The guess is one of :func:`edge_minima`,
+    so predict_ell (and its H grid) runs only when one of those could
+    give such a pair.
 
-    Only probes decide: det Df is not looked at here.  That the levels
-    below ell_lo close is the covering argument, whose hypothesis
-    :func:`global_center_verdict` proves.  Raises
+    Only probes decide: det Df is not looked at here.  Raises
     :class:`AnnulusBelowResolution` when the smallest probe fails.
     """
     if tol <= 0:
@@ -316,9 +324,9 @@ def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None, tol: float
     cpt = center_point(center)
     probes: list[Probe] = []
 
-    def probe(h: float) -> Probe:
+    def probe(h: float, angle: float | None = None) -> Probe:
         try:
-            winding = winding_certificate(pmap, cpt, h, budget=budget)
+            winding = winding_certificate(pmap, cpt, h, budget=budget, angle=angle)
         except LevelUnreachable:
             p = Probe(h, INCONCLUSIVE, "level-unreachable", None)
         else:
@@ -328,21 +336,27 @@ def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None, tol: float
         return p
 
     h_pre = h_max * (1.0 - 1e-9)
+    h_first = min(tol, 0.5 * h_max)
+
+    def pair(h: float) -> tuple[float, float] | None:
+        lo, hi = h - 0.45 * tol, h + 0.45 * tol
+        return (lo, hi) if h_first < lo and hi < h_pre else None
+
+    guess = None
+    if any(pair(g.h) for g in edge_minima(pmap)):
+        guess = predict_ell(pmap, cpt)
+    if guess is not None and (levels := pair(guess.h)) is not None:
+        lo, hi = levels
+        v1, _, _, v2, _, _ = pmap.jet(*guess.point)
+        if probe(hi, math.atan2(v2, v1)).status != GOOD and probe(lo).status == GOOD:
+            return EllEstimate(cpt, h_max, tol, lo, hi, tuple(probes), guess)
+
     top = probe(h_pre)
     if top.status == GOOD:
         return EllEstimate(cpt, h_max, tol, h_max, BUDGET, tuple(probes))
-
-    h_first = min(tol, 0.5 * h_max)
     bottom = probe(h_first)
     if bottom.status != GOOD:
         raise AnnulusBelowResolution(center, h_first, bottom)
-
-    guess = predict_ell(pmap, cpt)
-    if guess is not None:
-        lo, hi = guess.h - 0.45 * tol, guess.h + 0.45 * tol
-        if (h_first < lo and hi < h_pre and probe(hi).status != GOOD
-                and probe(lo).status == GOOD):
-            return EllEstimate(cpt, h_max, tol, lo, hi, tuple(probes), guess)
 
     lo, hi = h_first, h_pre
     for _ in range(200):

@@ -684,10 +684,47 @@ _CIRCULAR_REACH = 2.0 ** 20     # beyond this |argument| sin and cos give [-1, 1
 Interval = tuple[np.ndarray, np.ndarray]
 
 
+_MAGNITUDE = np.int64(2 ** 63 - 1)             # all bits but the sign bit
+_INF_BITS = np.float64(np.inf).view(np.int64)
+_QUIET = np.int64(1 << 51)                      # a nan's quiet bit
+
+
 def _outward(lo: np.ndarray, hi: np.ndarray, ulps: int = 1) -> Interval:
-    for _ in range(ulps):
-        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
-    return lo, hi
+    """[lo, hi] widened by ``ulps`` floats at each end: one
+    ``np.nextafter`` call per bound for one float, else one
+    :func:`_ulp_step`, whose dozen integer ufuncs cost less than several
+    nextafter calls but more than one on the boxes of a sign check."""
+    if ulps == 1:
+        return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    return _ulp_step(lo, -ulps), _ulp_step(hi, ulps)
+
+
+def _ulp_step(x: np.ndarray, k: int) -> np.ndarray:
+    """x moved k floats up (down for k < 0), bit for bit as |k| calls of
+    ``np.nextafter`` towards +-inf move it, in one pass.
+
+    On the line of integer keys, a float's bit pattern less its sign
+    bit, negated when that is set, the floats keep their order, -0 and
+    +0 share the key 0 and +-inf sit at +-INF_BITS.  A step adds k to
+    the key and stops at +-inf; a key landing on 0 is -0 from below and
+    +0 from above, as nextafter steps over zero.  nan keeps its bits,
+    quietened as nextafter quietens it.
+    """
+    bits = np.asarray(x, dtype=np.float64).view(np.int64)
+    mag = bits & _MAGNITUDE
+    wild = mag.max(initial=0) > _INF_BITS - abs(k)     # nan, or inf within k floats
+    if wild:
+        nan = mag > _INF_BITS
+        mag = np.where(nan, 0, mag)
+    sign = bits >> 63                                   # -1 where the sign bit is set
+    key = (mag ^ sign) - sign + k
+    if wild:
+        key = np.clip(key, -_INF_BITS, _INF_BITS)
+    back = (key - 1 if k > 0 else key) >> 63            # -1 where it is set again
+    out = (key + back) ^ (back & _MAGNITUDE)
+    if wild:
+        out = np.where(nan, bits | _QUIET, out)
+    return out.view(np.float64)
 
 
 def _interval_add(a: Interval, b: Interval) -> Interval:

@@ -287,16 +287,20 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
 
 
 def level_start_point(pmap: PlanarMap, center: tuple[float, float],
-                      h: float) -> tuple[float, float]:
+                      h: float, angle: float | None = None) -> tuple[float, float]:
     """The point with H = h on the lift of an image ray from the center c.
 
-    The ray s -> s sqrt(2h) e^{i theta0}, theta0 = arg(Df(c) e_x), is
-    lifted from c by Newton continuation in |f| (tangent predictor, then
-    a correction onto the ray), which takes a step only when the
-    correction converges within a quarter of the predictor's length, so
-    the lift keeps to its branch, and halves it otherwise.  |f| grows
-    along the lift, so it stays in c's own component of {H < h}; it runs
-    along +x where Df(c) e_x keeps its direction, as for affine maps.
+    The ray s -> s sqrt(2h) e^{i theta0} is lifted from c by Newton
+    continuation in |f| (tangent predictor, then a correction onto the
+    ray), which takes a step only when the correction converges within a
+    quarter of the predictor's length, so the lift keeps to its branch,
+    and halves it otherwise.  |f| grows along the lift, so it stays in
+    c's own component of {H < h}.  theta0 is ``angle`` when given, else
+    arg(Df(c) e_x): then the lift runs along +x where Df(c) e_x keeps
+    its direction, as for affine maps.  Aimed at arg f(q), q the point
+    where c's sublevel component first meets the window's edge, the lift
+    at a level just above H(q) runs out of the window through q, as long
+    as f is one-to-one on that component.
     Raises :class:`LiftEscaped` when the lift leaves the working window
     below the level, :class:`LevelUnreachable` when the step underflows.
     """
@@ -313,7 +317,7 @@ def level_start_point(pmap: PlanarMap, center: tuple[float, float],
         raise LevelUnreachable(f"no lift from {center}: {err}") from None
     (dx1, dy1), (dx2, dy2) = s0.jacobian
     jet = (s0.f_value[0], dx1, dy1, s0.f_value[1], dx2, dy2)
-    theta0 = math.atan2(dx2, dx1)               # the angle of Df(c) e_x
+    theta0 = math.atan2(dx2, dx1) if angle is None else angle   # default: Df(c) e_x's
     ux, uy = math.cos(theta0), math.sin(theta0)
     x, y, rho, step = cx, cy, 0.0, radius
     while rho < radius:
@@ -345,19 +349,21 @@ def level_start_point(pmap: PlanarMap, center: tuple[float, float],
 
 def winding_certificate(pmap: PlanarMap, center: tuple[float, float], h: float,
                         budget: AngleBudget = AngleBudget(),
-                        rtol: float = RTOL, atol: float = ATOL) -> WindingCertificate:
+                        rtol: float = RTOL, atol: float = ATOL,
+                        angle: float | None = None) -> WindingCertificate:
     """Injectivity evidence for f restricted to the orbit at level h.
 
-    The orbit starts on the lift of an image ray from the center
-    (:func:`level_start_point`); a lift that leaves the window first
-    gives an :class:`Escaped` trace of its exit point alone.  The
+    The orbit starts on the lift of the image ray at ``angle`` from the
+    center (:func:`level_start_point`, whose default angle is
+    arg Df(c) e_x); a lift that leaves the window first gives an
+    :class:`Escaped` trace of its exit point alone, no orbit traced.  The
     certificate is positive exactly when the orbit closes, its image
     winds once around the origin, the closed trace polygon winds once
     around the center, and the trace invariants hold.
     """
     cpt = center_point(center)
     try:
-        start = level_start_point(pmap, cpt, h)
+        start = level_start_point(pmap, cpt, h, angle)
     except LiftEscaped as esc:
         trace = OrbitTrace(h, (esc.point,), (0.0,), (esc.theta,), Escaped(esc.side, 0.0))
         return WindingCertificate(h, esc.point, False, False, 0, None, trace)

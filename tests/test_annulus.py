@@ -12,6 +12,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 import planarham.annulus as annulus_mod
+import planarham.trace as trace_mod
 from planarham.annulus import (
     COVER_GRID_N,
     SIGN_UNPROVED,
@@ -99,12 +100,12 @@ def test_example3_ell_both_centers(example3):
         assert est.ell_hi - est.ell_lo <= 1e-6
 
 
-def test_example2_ell_takes_four_probes(example2):
+def test_example2_ell_takes_two_probes(example2):
     # the oval reaches x = +/-20 through a channel ~1e-5 wide that the H
-    # grid cannot resolve; the edge minimum at (20, -0.0024875) is ell.
-    # The estimate never looks at det Df: top, bottom and the predicted pair
+    # grid cannot resolve; the edge minimum at (+-20, -0.0024875) is ell.
+    # The estimate never looks at det Df: the predicted pair alone
     est = estimate_ell(example2, (0.0, 0.0), h_max=1.0)
-    assert len(est.probes) == 4
+    assert len(est.probes) == 2
     assert est.ell_lo <= 0.4987531172 <= est.ell_hi
     assert est.guess.h == pytest.approx(0.4987531172, abs=1e-10)
     assert abs(est.guess.point[0]) == 20.0
@@ -236,9 +237,9 @@ def test_prediction_stops_next_to_undefined_cells_on_each_side(f1, f2, center):
     assert predict_ell(pmap, center) is None
 
 
-def test_example1_predicted_bracket(example1):
+def test_example1_predicted_bracket_takes_two_probes(example1):
     est = estimate_ell(example1, (0.0, 0.0), h_max=1.0, tol=1e-6)
-    assert len(est.probes) == 4
+    assert len(est.probes) == 2
     status = {p.h: p.status for p in est.probes}
     assert status[est.ell_lo] == "good"
     assert status[est.ell_hi] != "good"
@@ -249,11 +250,11 @@ def test_example1_predicted_bracket(example1):
 
 
 @pytest.mark.parametrize("k", [-2, -1, 0, 1, 2])
-def test_inner_example3_centers_take_four_probes(example3, k):
-    # a pinned work count: top, bottom and the two predicted levels;
-    # losing the predicted bracket shows here
+def test_inner_example3_centers_take_two_probes(example3, k):
+    # a pinned work count: the two predicted levels; losing the predicted
+    # bracket shows here
     est = estimate_ell(example3, (0.0, k * TWO_PI), h_max=1.0, tol=1e-6)
-    assert len(est.probes) == 4
+    assert len(est.probes) == 2
     assert est.ell_lo - est.tol <= 0.5 * (1.0 - math.exp(-20.0)) ** 2 <= est.ell_hi
 
 
@@ -269,6 +270,70 @@ def test_missed_prediction_falls_back_to_bisection(example1, monkeypatch, offset
     assert (missed.ell_lo, missed.ell_hi) == (plain.ell_lo, plain.ell_hi)
     assert len(plain.probes) < len(missed.probes) <= len(plain.probes) + 2
     assert missed.guess == off and plain.guess is None
+
+
+def _count_steps(monkeypatch):
+    """Wrap the certificate that estimate_ell calls: a list, filled with
+    (h, DP5 steps taken) per probe."""
+    steps, probes = [0], []
+    dp5_step, certificate = trace_mod.dp5_step, annulus_mod.winding_certificate
+
+    def counting_step(*args, **kwargs):
+        steps[0] += 1
+        return dp5_step(*args, **kwargs)
+
+    def counting_certificate(pmap, center, h, **kwargs):
+        before = steps[0]
+        cert = certificate(pmap, center, h, **kwargs)
+        probes.append((h, steps[0] - before))
+        return cert
+
+    monkeypatch.setattr(trace_mod, "dp5_step", counting_step)
+    monkeypatch.setattr(annulus_mod, "winding_certificate", counting_certificate)
+    return probes
+
+
+@pytest.mark.parametrize("name,center", [("example1", (0.0, 0.0))]
+                         + [("example3", (0.0, k * TWO_PI)) for k in range(-3, 4)])
+def test_upper_probe_is_settled_by_the_lift_alone(name, center, monkeypatch, request):
+    # the lift aimed at the predicted contact leaves the window there:
+    # an escaped certificate of its exit point, and no orbit integrated
+    pmap = request.getfixturevalue(name)
+    probes = _count_steps(monkeypatch)
+    est = estimate_ell(pmap, center, h_max=1.0, tol=1e-6)
+    upper, lower = est.probes
+    assert (upper.h, lower.h) == (est.ell_hi, est.ell_lo)
+    assert upper.status == "bad" and upper.reason.startswith("escaped:")
+    assert upper.certificate.trace.outcome.kind == "escaped"
+    assert len(upper.certificate.trace.points) == 1
+    assert probes[0] == (est.ell_hi, 0)
+    assert lower.status == "good" and probes[1][1] > 0
+    # it leaves through the predicted contact's edge, next to that point
+    (exit_point,) = upper.certificate.trace.points
+    box = pmap.working_box()
+    assert not box.contains(exit_point)
+    along = 1 if est.guess.point[0] in (box.xmin, box.xmax) else 0
+    assert abs(exit_point[along] - est.guess.point[along]) < 1e-3
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                   st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       center=st.tuples(st.floats(-15.0, 15.0), st.floats(-15.0, 15.0)))
+def test_affine_maps_take_two_probes(a, center):
+    # f = A (p - c) with det A > 0: the predicted pair brackets the closed
+    # form of ell, the least H on the window's edge
+    a11, a12, a21, a22 = a
+    det = a11 * a22 - a12 * a21
+    assume(det > 0.2 and det / (a11 ** 2 + a12 ** 2 + a21 ** 2 + a22 ** 2) > 0.1)
+    mat = ((a11, a12), (a21, a22))
+    truth = _affine_window_min(mat, center)
+    assume(truth > 1e-3)
+    est = estimate_ell(_affine_map(mat, center), center, h_max=2.0 * truth + 1.0, tol=1e-6)
+    assert len(est.probes) == 2
+    assert [p.status for p in est.probes] == ["bad", "good"]
+    assert est.ell_lo <= truth * (1.0 + 1e-9) and truth * (1.0 - 1e-9) <= est.ell_hi
+    assert est.ell_hi - est.ell_lo <= est.tol
 
 
 @pytest.mark.parametrize("name,h_max", [

@@ -185,7 +185,7 @@ def test_center_block_counts_the_sign_proof_boxes(tmp_path, name, boxes):
     doc = read_json(out)
     (center,) = doc["centers"]
     assert set(center["ell"]) == {"lo", "hi"}
-    assert len(center["certificates"]) == 4
+    assert len(center["certificates"]) == 2
     assert doc["timings"]["sign_proof_boxes"] == boxes
 
 
@@ -322,6 +322,32 @@ def test_window_cut_bracket_holds_the_contact(tmp_path):
     assert lo - tol <= 0.5 * math.sin(20.0) ** 2 <= hi + tol
     assert hi - lo <= tol
     assert not any("predicted window contact" in w for w in doc["warnings"])
+
+
+@pytest.mark.parametrize("sub,ext", [("global-check", "json"), ("portrait", "svg")])
+@pytest.mark.parametrize("source", ["builtin:identity", "affine"])
+def test_budget_case_runs_skip_the_prediction(tmp_path, monkeypatch, sub, ext, source):
+    # the least edge minimum is above 1, so it is h_max and no edge
+    # minimum leaves room for a predicted pair below the top probe
+    if source == "affine":
+        source = str(tmp_path / "affine.map")
+        (tmp_path / "affine.map").write_text(
+            'f1 = "1.3*x + 0.3*y - 3.7"\nf2 = "-0.2*x + 0.8*y + 4.8"\n', encoding="utf-8")
+    probes = []
+    estimate_ell = annulus_mod.estimate_ell
+
+    def recording(*args, **kwargs):
+        est = estimate_ell(*args, **kwargs)
+        probes.append(len(est.probes))
+        return est
+
+    def unexpected(pmap, center):
+        raise AssertionError("predict_ell called")
+
+    monkeypatch.setattr(annulus_mod, "estimate_ell", recording)
+    monkeypatch.setattr(annulus_mod, "predict_ell", unexpected)
+    assert run(sub, "--map", source, "--out", str(tmp_path / f"out.{ext}")) == 0
+    assert probes == [1]
 
 
 def test_bracket_above_the_predicted_contact_warns(tmp_path, monkeypatch):

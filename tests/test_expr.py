@@ -1,6 +1,7 @@
 """Parser, printer, jets, compiled evaluation, polynomial extraction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from planarham.expr import (
     Variable,
     _codegen,
     _compile_source,
+    _outward,
+    _ulp_step,
     compile_jet_pair,
     compile_polys,
     eval_grid,
@@ -441,6 +444,73 @@ def test_interval_jet_undefined_where_zero_or_overflow_meets_a_box(text, box, un
     assert bool(bad) is undefined
     if not undefined:
         assert np.all(lo <= hi) and np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
+
+
+def _nextafter_loop(lo, hi, ulps=1):
+    """The reference widening: ``ulps`` np.nextafter steps per bound."""
+    with np.errstate(all="ignore"):
+        for _ in range(ulps):
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+    return lo, hi
+
+
+_TINY = 5e-324
+_MAX = float(np.finfo(np.float64).max)
+# zeros, subnormals round zero, +-inf, +-max and their neighbours, quiet
+# and signalling nans of both signs
+_EDGE_FLOATS = ([0.0, -0.0, _TINY, -_TINY, 3 * _TINY, -3 * _TINY, 4 * _TINY, -4 * _TINY,
+                 5 * _TINY, 2.2250738585072014e-308, math.inf, -math.inf, _MAX, -_MAX,
+                 np.nextafter(_MAX, 0.0), -np.nextafter(_MAX, 0.0), 1.0, -1.0]
+                + np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                            0xFFF0000000000003, 0x7FFFFFFFFFFFFFFF, 0xFFFFFFFFFFFFFFFF],
+                           dtype=np.uint64).view(np.float64).tolist())
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _stepped(x, k):
+    """``_ulp_step(x, k)``, which must warn of nothing, as bits."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _bits(_ulp_step(x, k))
+
+
+def _widened(lo, hi, ulps):
+    """``_outward``'s bounds as bits, under its callers' errstate."""
+    with np.errstate(all="ignore"):
+        return tuple(_bits(b) for b in _outward(lo, hi, ulps))
+
+
+@pytest.mark.parametrize("ulps", [1, 4])
+def test_outward_matches_nextafter_on_edge_floats(ulps):
+    lo, hi = np.array(_EDGE_FLOATS), np.array(_EDGE_FLOATS[::-1])
+    for got, want in zip(_widened(lo, hi, ulps), _nextafter_loop(lo, hi, ulps)):
+        np.testing.assert_array_equal(got, _bits(want))
+    for x in map(np.asarray, _EDGE_FLOATS):        # 0-d, as scalar boxes give
+        want = _nextafter_loop(x, x, ulps)
+        assert _stepped(x, -ulps) == _bits(want[0]) and _stepped(x, ulps) == _bits(want[1])
+        assert _widened(x, x, ulps) == tuple(map(_bits, want)), x
+
+
+_ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(0, 2 ** 64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))),
+    st.integers(-8, 8).map(lambda k: k * _TINY),
+    st.sampled_from(_EDGE_FLOATS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(_ANY_FLOAT, min_size=1, max_size=30), k=st.sampled_from([1, 4]))
+def test_ulp_step_is_k_nextafter_steps(xs, k):
+    # bit for bit, each way, for k = 1 and 4
+    x = np.array(xs)
+    lo, hi = _nextafter_loop(x, x, k)
+    np.testing.assert_array_equal(_stepped(x, -k), _bits(lo))
+    np.testing.assert_array_equal(_stepped(x, k), _bits(hi))
+    for got, want in zip(_widened(x, x, k), (lo, hi)):
+        np.testing.assert_array_equal(got, _bits(want))
 
 
 # ---- polynomial extraction ----

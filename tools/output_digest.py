@@ -22,12 +22,15 @@ whose programs write the same bytes print the same lines.
 script); neither is modified.
 
 ``--work`` prints, in place of the digests, each JSON invocation's work:
-its number of certificates (probes that traced an orbit, summed over the
-centers), each center's own count, its ``timings.sign_proof_boxes`` (the
+its number of certificates (summed over the centers), each analyzed
+center's probes (``probes=``), how many of its certificates traced an
+orbit (``traced=``) and how many the lift of an image ray settled alone
+by leaving the window (``lift=``), its ``timings.sign_proof_boxes`` (the
 boxes enclosed by every det Df sign check; ``-`` without the field) and
-its ``timings.orbit_points``, then the totals and the most certificates
-any one center took.  Two checkouts that do different amounts of work
-can be compared with it:
+its ``timings.orbit_points``, then the totals and the most probes any
+one center took.  The per-center counts come from wrapping
+``planarham.annulus.estimate_ell``.  Two checkouts that do different
+amounts of work can be compared with it:
 
     python3 tools/output_digest.py --work --checkout ../other-checkout > old.txt
     python3 tools/output_digest.py --work > new.txt
@@ -59,6 +62,9 @@ BUILTIN_RUNS = (
     ("report", "json", "--max-winding", "2", "--tol", "1e-4"),
     ("portrait", "svg", "--grid", "400", "--levels=0.05,0.5,2"),
     ("report", "json", "--max-winding", "1"),
+    # h_first = 0.4 leaves no room for the pair round ell = 0.5 below it:
+    # top, bottom and bisection
+    ("report", "json", "--tol", "0.4"),
 )
 # (builtin, subcommand, output extension, flags...): cheap runs on gated
 # builtins, so their echoed components are digested too
@@ -94,15 +100,24 @@ def digest(run_subcommand, argv: list[str], out: Path, workdir: Path) -> tuple[i
     return rc, h.hexdigest()
 
 
-def work(out: Path) -> tuple[list[int], int | str, int] | None:
-    """(certificates per center, sign proof boxes, orbit points) of a
-    JSON output; None without one."""
+def work(out: Path) -> tuple[int, int | str, int] | None:
+    """(certificates, sign proof boxes, orbit points) of a JSON output;
+    None without one."""
     if not out.exists():
         return None
     doc = json.loads(out.read_text(encoding="utf-8"))
-    per_center = [len(c.get("certificates", ())) for c in doc["centers"]]
+    certificates = sum(len(c.get("certificates", ())) for c in doc["centers"])
     timings = doc["timings"]
-    return per_center, timings.get("sign_proof_boxes", "-"), timings.get("orbit_points", 0)
+    return certificates, timings.get("sign_proof_boxes", "-"), timings.get("orbit_points", 0)
+
+
+def probe_counts(estimates: list) -> tuple[list[int], list[int], list[int]]:
+    """Per estimate: its probes, the certificates that traced an orbit
+    and those whose lift left the window first (one escaped point)."""
+    lifted = [[c.trace.outcome.kind == "escaped" and len(c.trace.points) == 1
+               for c in est.certificates] for est in estimates]
+    return ([len(est.probes) for est in estimates],
+            [flags.count(False) for flags in lifted], [flags.count(True) for flags in lifted])
 
 
 def main(argv: list[str]) -> int:
@@ -110,12 +125,24 @@ def main(argv: list[str]) -> int:
     root = args.checkout.resolve()
     sys.dont_write_bytecode = True          # leave the checkout as it is
     sys.path[:0] = [str(root / "perfbench"), str(root / "src")]
+    from planarham import annulus
     from planarham.cli import run_subcommand
     from workloads import WORKLOADS, argv_for, round_invocations, write_maps
 
-    totals = [0, 0, 0]      # certificates, orbit points, most per center
+    estimates: list = []            # those of the current invocation
+    estimate_ell = annulus.estimate_ell
+
+    def recording(*args_, **kwargs):
+        est = estimate_ell(*args_, **kwargs)
+        estimates.append(est)
+        return est
+
+    annulus.estimate_ell = recording
+    totals = dict.fromkeys(("certificates", "orbit_points", "probes", "traced", "lift",
+                            "most_per_center"), 0)
 
     def run_one(label: str, argv_: list[str], out: Path, workdir: Path) -> None:
+        estimates.clear()
         rc, hexd = digest(run_subcommand, argv_, out, workdir)
         if not args.work:
             print(f"{label} rc={rc} {hexd}", flush=True)
@@ -124,14 +151,17 @@ def main(argv: list[str]) -> int:
             if counts is None:
                 print(f"{label} rc={rc} <no output file>", flush=True)
                 return
-            per_center, boxes, points = counts
-            totals[0] += sum(per_center)
-            totals[1] += points
-            totals[2] = max([totals[2], *per_center])
-            print(f"{label} rc={rc} certificates={sum(per_center)} "
-                  f"per_center={','.join(map(str, per_center)) or '-'} "
-                  f"sign_proof_boxes={boxes} "
-                  f"orbit_points={points}", flush=True)
+            certificates, boxes, points = counts
+            per_center = dict(zip(("probes", "traced", "lift"), probe_counts(estimates)))
+            totals["certificates"] += certificates
+            totals["orbit_points"] += points
+            for key, v in per_center.items():
+                totals[key] += sum(v)
+            totals["most_per_center"] = max([totals["most_per_center"], *per_center["probes"]])
+            listed = " ".join(f"{key}={','.join(map(str, v)) or '-'}"
+                              for key, v in per_center.items())
+            print(f"{label} rc={rc} certificates={certificates} {listed} "
+                  f"sign_proof_boxes={boxes} orbit_points={points}", flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
@@ -152,8 +182,7 @@ def main(argv: list[str]) -> int:
             run_one(" ".join(["builtin", f"{sub}:{name}", *flags]),
                     argv_, out, workdir)
     if args.work:
-        print(f"total certificates={totals[0]} orbit_points={totals[1]} "
-              f"most_per_center={totals[2]}")
+        print("total " + " ".join(f"{key}={n}" for key, n in totals.items()))
     return 0
 
 
