@@ -693,7 +693,9 @@ _DISPATCH = {
 # ---------------------------------------------------------------------------
 # argv handling
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argv parser, built once per process: parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="planarham",
         description="centers, period annuli and injectivity certificates "

@@ -259,8 +259,9 @@ def _integrate_fate(field: ChartField, kernel, seed: tuple[float, float],
                 return "stall", 0.0
             continue
         x, y, f1x, f1y = x5, y5, k7x, k7y
+        # aim under the jump cap so that few trial steps overshoot it
         h = min(h * step_factor(enorm),
-                0.2 * r / max(math.hypot(f1x, f1y), 1e-300))
+                0.9 * 0.2 * r / max(math.hypot(f1x, f1y), 1e-300))
         if not math.isfinite(h):
             return "stall", 0.0
         dist = math.hypot(x - u0, y)
@@ -274,11 +275,13 @@ def _integrate_fate(field: ChartField, kernel, seed: tuple[float, float],
 
 
 def _seed_fate(field: ChartField, kernel, seed: tuple[float, float], u0: float, r: float) -> str:
-    outcomes = [_integrate_fate(field, kernel, seed, u0, r, direction)
-                for direction in (1.0, -1.0)]
+    outcomes = []
+    for direction in (1.0, -1.0):
+        outcomes.append(_integrate_fate(field, kernel, seed, u0, r, direction))
+        # one converging direction decides the fate: skip the other
+        if outcomes[-1][0] == "converge":
+            return "converge"
     kinds = [k for k, _ in outcomes]
-    if "converge" in kinds:
-        return "converge"
     if "overflow" in kinds:
         return "overflow"
     exits = [elev for k, elev in outcomes if k == "exit"]

@@ -349,22 +349,31 @@ _FLOW_MAX_STEPS = 400
 
 
 def _flow_polyline(pair, kernel, start: tuple[float, float],
-                   direction: float) -> list[tuple[float, float]]:
-    """Integrate the plane field one way, collecting points until escape.
+                   direction: float) -> tuple[list[tuple[float, float]], bool]:
+    """Integrate the plane field one way, collecting points until escape
+    or the orbit's first return to its start.
 
     ``pair`` is the field compiled by :func:`compile_polys` and ``kernel``
-    its DP5 step from :func:`planarham.rk.poly_kernel`.
+    its DP5 step from :func:`planarham.rk.poly_kernel`.  The return is
+    the first accepted point, within one step cap of the start, where
+    (p - start) . v0 goes from negative to >= 0 (v0 the start's
+    velocity): the orbit has crossed the start's transversal section
+    again, and the flag in the result says so.  That point is not kept:
+    the caller closes the loop at the start itself.
     """
     x, y = start
     out: list[tuple[float, float]] = []
     try:
         fx, fy = pair(x, y)
     except (OverflowError, ValueError, ZeroDivisionError):
-        return out
+        return out, False
     f1x, f1y = direction * fx, direction * fy
     speed = math.hypot(f1x, f1y)
     if speed == 0.0:
-        return out
+        return out, False
+    v0x, v0y = f1x, f1y
+    near = 0.05 * (1.0 + math.hypot(x, y))
+    behind = False
     h = 0.05 / speed
     for _ in range(_FLOW_MAX_STEPS):
         try:
@@ -382,18 +391,27 @@ def _flow_polyline(pair, kernel, start: tuple[float, float],
                 break
             continue
         x, y, f1x, f1y = x5, y5, k7x, k7y
+        ahead = (x - start[0]) * v0x + (y - start[1]) * v0y >= 0.0
+        if behind and ahead and math.hypot(x - start[0], y - start[1]) <= near:
+            return out, True
+        behind = not ahead
         speed = math.hypot(f1x, f1y)
         if speed == 0.0:
             break
-        h = min(h * step_factor(enorm), cap / speed)
+        # aim under the cap so that few trial steps overshoot it
+        h = min(h * step_factor(enorm), 0.9 * cap / speed)
         out.append((x, y))
         if math.hypot(x, y) >= _ESCAPE_RADIUS:
             break
-    return out
+    return out, False
 
 
 def disc_portrait(cf: CompactifiedField, singularities) -> Scene:
-    """Poincare-disc portrait: equator, singularity glyphs, flow fan."""
+    """Poincare-disc portrait: equator, singularity glyphs, flow fan.
+
+    Each fan start is run forward; an orbit that returns to its start is
+    drawn as one closed loop, any other is also run backward.
+    """
     pair = compile_polys(cf.p, cf.q)
     kernel = poly_kernel(cf.p, cf.q)
     layers: list[Layer] = [CircleLayer((0.0, 0.0), 1.0, role="equator")]
@@ -402,12 +420,15 @@ def disc_portrait(cf: CompactifiedField, singularities) -> Scene:
         ang = 2.0 * math.pi * k / _FAN_ANGLES + 0.2
         for radius in _FAN_RADII:
             start = (radius * math.cos(ang), radius * math.sin(ang))
-            back = _flow_polyline(pair, kernel, start, -1.0)
-            fore = _flow_polyline(pair, kernel, start, 1.0)
-            pts = [*reversed(back), start, *fore]
+            fore, closed = _flow_polyline(pair, kernel, start, 1.0)
+            if closed:
+                pts = [start, *fore, start]
+            else:
+                back, _ = _flow_polyline(pair, kernel, start, -1.0)
+                pts = [*reversed(back), start, *fore]
             proj = tuple(project_to_disc(p) for p in pts)
             if len(proj) >= 2:
-                layers.append(Polyline(proj, role="trajectory"))
+                layers.append(Polyline(proj, role="trajectory", closed=closed))
 
     for sing in singularities:
         c, s = math.cos(sing.theta), math.sin(sing.theta)

@@ -222,6 +222,37 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert run("report", "--map", "builtin:example1", "--grid", "4") == 2
 
 
+def test_cached_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    out = tmp_path / "out"
+    argvs = [
+        ("centers", "--map", "builtin:identity", "--grid", "8", "--out", str(out)),
+        ("global-check", "--map", "builtin:identity", "--h-max", "0.3", "--out", str(out)),
+        ("report", "--map", "builtin:identity", "--bogus"),        # usage error
+        ("portrait", "--map", "builtin:identity", "--levels", "0.1,0.2",
+         "--grid", "32", "--out", str(out)),
+        ("centers", "--map", "builtin:identity", "--levels=0.1"),  # portrait-only flag
+        ("disc", "--map", "builtin:identity", "--out", str(out)),
+        ("centers", "--box", "-2,2,-2,2", "--map", "builtin:identity", "--out", str(out)),
+    ]
+
+    def results():
+        got = []
+        for argv in argvs:
+            out.unlink(missing_ok=True)
+            rc = run(*argv)
+            captured = capsys.readouterr()
+            body = out.read_bytes() if out.exists() else None
+            got.append((rc, body, captured.out, captured.err))
+        return got
+
+    cached = results()
+    assert [rc for rc, *_ in cached] == [0, 0, 2, 0, 2, 0, 0]
+    assert "unrecognized arguments: --bogus" in cached[2][3]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert results() == cached
+
+
 @pytest.mark.parametrize("argv, field", [
     (("report", "--box=-inf,inf,-1,1"), "box"),
     (("report", "--box=-1e400,1e400,-1,1"), "box"),

@@ -13,12 +13,15 @@ from planarham.annulus import estimate_ell
 from planarham.centers import find_zeros
 from planarham.compactify import (classify_sectors, compactification_for_map,
                                   infinite_singularities)
-from planarham.field import Box
+from planarham.expr import Poly2, compile_polys, parse_expr
+from planarham.field import Box, PlanarMap, effective_hamiltonian_poly
+from planarham.rk import poly_kernel
 from planarham.render import (CircleLayer, DiscRefusal, PointMarker, Polyline,
                               ROLE_COLOR, Scene, TextLabel, disc_portrait,
                               disc_portrait_for_map, marching_squares,
                               plane_portrait, project_to_disc, scene_to_svg)
-from planarham.render import _MS_TABLE, _chain_segments, _edge_point
+from planarham.render import (_ESCAPE_RADIUS, _FAN_ANGLES, _FAN_RADII, _MS_TABLE,
+                              _chain_segments, _edge_point, _flow_polyline)
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +271,70 @@ def test_disc_for_map_passthrough(identity_map):
     out = disc_portrait_for_map(identity_map, cf, [])
     assert isinstance(out, Scene)
     assert out.disc
+
+
+def _disc_trajectories(pmap):
+    cf = compactification_for_map(pmap)
+    scene = disc_portrait(cf, [])
+    return [l for l in scene.layers if l.role == "trajectory"]
+
+
+def _from_disc(w):
+    """Inverse of project_to_disc: w -> w/(1 - |w|)."""
+    s = 1.0 / (1.0 - math.hypot(*w))
+    return (w[0] * s, w[1] * s)
+
+
+def _fan_starts():
+    return [(r * math.cos(2.0 * math.pi * k / _FAN_ANGLES + 0.2),
+             r * math.sin(2.0 * math.pi * k / _FAN_ANGLES + 0.2))
+            for k in range(_FAN_ANGLES) for r in _FAN_RADII]
+
+
+def test_linear_center_closes_after_one_loop():
+    # (p, q) = (-y, x): circles about the origin, one turn in time 2 pi
+    p, q = Poly2.from_dict({(0, 1): -1.0}), Poly2.from_dict({(1, 0): 1.0})
+    start = (1.0, 0.0)
+    pts, closed = _flow_polyline(compile_polys(p, q), poly_kernel(p, q), start, 1.0)
+    assert closed
+    loop = [start, *pts, start]
+    turned = sum(math.remainder(math.atan2(b[1], b[0]) - math.atan2(a[1], a[0]),
+                                2.0 * math.pi) for a, b in zip(loop, loop[1:]))
+    assert turned == pytest.approx(2.0 * math.pi, abs=1e-9)
+    assert all(abs(math.hypot(*pt) - 1.0) <= 1e-6 for pt in pts)
+
+
+def test_identity_disc_draws_each_orbit_once(identity_map):
+    trajs = _disc_trajectories(identity_map)
+    assert len(trajs) == 2 * _FAN_ANGLES
+    assert all(t.closed and t.points[0] == t.points[-1] for t in trajs)
+    assert sum(len(t.points) for t in trajs) <= 2000
+
+
+@pytest.mark.parametrize("f1, f2", [
+    ("x", "y + x^2"),
+    ("1.05*(x - 0.7)",
+     "0.95*(y + 1.3) + 0.06*(x - 0.7) - 0.12*(x - 0.7)^2 + 0.013*(x - 0.7)^3"),
+])
+def test_disc_trajectories_stay_on_their_level(f1, f2):
+    pmap = PlanarMap(f1=parse_expr(f1), f2=parse_expr(f2), domain=None)
+    hpoly = effective_hamiltonian_poly(pmap)
+    trajs = _disc_trajectories(pmap)
+    assert len(trajs) == 2 * _FAN_ANGLES
+    for traj, start in zip(trajs, _fan_starts()):
+        assert project_to_disc(start) in traj.points
+        level = hpoly.eval(*start)
+        for w in traj.points:
+            assert abs(hpoly.eval(*_from_disc(w)) - level) <= 1e-6 * (1.0 + abs(level))
+
+
+def test_example2_open_trajectories_escape_both_ways(ex2_disc_scene):
+    trajs = [l for l in ex2_disc_scene.layers if l.role == "trajectory"]
+    escaped = [t for t in trajs if not t.closed
+               and all(math.hypot(*_from_disc(t.points[i])) >= _ESCAPE_RADIUS * (1 - 1e-9)
+                       for i in (0, -1))]
+    assert escaped
+    assert all(t.points[0] != t.points[-1] for t in escaped)
 
 
 # ===== SVG ===== #

@@ -29,8 +29,10 @@ by leaving the window (``lift=``), its ``timings.sign_proof_boxes`` (the
 boxes enclosed by every det Df sign check; ``-`` without the field) and
 its ``timings.orbit_points``, then the totals and the most probes any
 one center took.  The per-center counts come from wrapping
-``planarham.annulus.estimate_ell``.  Two checkouts that do different
-amounts of work can be compared with it:
+``planarham.annulus.estimate_ell``.  For each ``disc`` SVG it prints the
+number of trajectories, how many of them are closed (first point equal
+to the last) and their total points, and adds these up in the totals.
+Two checkouts that do different amounts of work can be compared with it:
 
     python3 tools/output_digest.py --work --checkout ../other-checkout > old.txt
     python3 tools/output_digest.py --work > new.txt
@@ -45,6 +47,7 @@ import io
 import json
 import sys
 import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 BUILTINS = ("example1", "example2", "example3", "identity", "control_noninjective")
@@ -111,6 +114,17 @@ def work(out: Path) -> tuple[int, int | str, int] | None:
     return certificates, timings.get("sign_proof_boxes", "-"), timings.get("orbit_points", 0)
 
 
+def disc_work(out: Path) -> tuple[int, int, int] | None:
+    """(trajectories, closed ones, their points) of a disc SVG; None
+    without one."""
+    if not out.exists():
+        return None
+    polylines = [el.get("points").split() for el in ET.parse(out).getroot().iter()
+                 if el.tag.endswith("polyline") and el.get("class") == "trajectory"]
+    return (len(polylines), sum(pts[0] == pts[-1] for pts in polylines),
+            sum(map(len, polylines)))
+
+
 def probe_counts(estimates: list) -> tuple[list[int], list[int], list[int]]:
     """Per estimate: its probes, the certificates that traced an orbit
     and those whose lift left the window first (one escaped point)."""
@@ -139,13 +153,23 @@ def main(argv: list[str]) -> int:
 
     annulus.estimate_ell = recording
     totals = dict.fromkeys(("certificates", "orbit_points", "probes", "traced", "lift",
-                            "most_per_center"), 0)
+                            "most_per_center", "trajectories", "closed", "disc_points"), 0)
 
     def run_one(label: str, argv_: list[str], out: Path, workdir: Path) -> None:
         estimates.clear()
         rc, hexd = digest(run_subcommand, argv_, out, workdir)
         if not args.work:
             print(f"{label} rc={rc} {hexd}", flush=True)
+        elif argv_[0] == "disc":
+            counts = disc_work(out)
+            if counts is None:
+                print(f"{label} rc={rc} <no output file>", flush=True)
+                return
+            listed = dict(zip(("trajectories", "closed", "disc_points"), counts))
+            for key, n in listed.items():
+                totals[key] += n
+            print(f"{label} rc={rc} " + " ".join(f"{key}={n}" for key, n in listed.items()),
+                  flush=True)
         elif out.suffix == ".json":
             counts = work(out)
             if counts is None:
