@@ -289,7 +289,7 @@ _TIMINGS = {
         "orbit_points": {"type": "integer", "minimum": 0},
         "sign_proof_boxes": {"type": "integer", "minimum": 0},
         "equator_scan": {"type": "integer", "minimum": 0},
-        "fate_runs": {"type": "integer", "minimum": 0},
+        "valley_depths": {"type": "integer", "minimum": 0},
     },
     "required": ["unit"],
     "additionalProperties": False,
@@ -445,7 +445,7 @@ def _analyze_center(pmap: PlanarMap, rec: CenterRecord, cfg: RunConfig,
 def _compactification_block(pmap: PlanarMap, reports: list[AnnulusReport],
                             warnings: list[str],
                             ) -> tuple[dict | str, int, int, bool]:
-    """Returns (block, scan_work, fate_work, inconclusive)."""
+    """Returns (block, scan_work, valley_work, inconclusive)."""
     cf = compactification_for_map(pmap)
     if cf is None:
         return "not-applicable", 0, 0, False
@@ -455,8 +455,8 @@ def _compactification_block(pmap: PlanarMap, reports: list[AnnulusReport],
     except EquatorDegenerate as exc:
         warnings.append(f"compactification inconclusive: {exc}")
         return "not-applicable", SCAN_N, 0, True
-    sings = [classify_sectors(cf, s) for s in found]
-    fate_work = sum(len(s.evidence) for s in sings)
+    sings = [classify_sectors(pmap, cf, s) for s in found]
+    valley_work = sum(len(side) for s in sings for side in s.valley)
     if reports:
         verdict = conti_verdict(pmap, reports, sings)
         warnings.extend(f"conti: {note}" for note in verdict.notes)
@@ -477,7 +477,7 @@ def _compactification_block(pmap: PlanarMap, reports: list[AnnulusReport],
         "conti_type": conti_type,
         "routes_agree": routes_agree,
     }
-    return block, SCAN_N, fate_work, False
+    return block, SCAN_N, valley_work, False
 
 
 def _search(pmap: PlanarMap, cfg: RunConfig):
@@ -579,10 +579,10 @@ def _assemble_report(pmap: PlanarMap, cfg: RunConfig, subcommand: str,
         "timings": timings,
     }
     if with_compactification:
-        cblock, scan_work, fate_work, cflag = _compactification_block(
+        cblock, scan_work, valley_work, cflag = _compactification_block(
             pmap, reports, warnings)
         doc["compactification"] = cblock
-        timings.update(equator_scan=scan_work, fate_runs=fate_work)
+        timings.update(equator_scan=scan_work, valley_depths=valley_work)
         inconclusive = inconclusive or cflag
     return doc, inconclusive
 
@@ -665,7 +665,7 @@ def _cmd_disc(cfg: RunConfig) -> int:
     sings = []
     if cf is not None:
         try:
-            sings = [classify_sectors(cf, s)
+            sings = [classify_sectors(pmap, cf, s)
                      for s in infinite_singularities(cf)]
         except EquatorDegenerate as exc:
             print(f"compactification inconclusive: {exc}", file=sys.stderr)

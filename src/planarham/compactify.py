@@ -9,40 +9,44 @@ singular points sit on the equator v = 0 at angles where
 G(theta) = cos(theta) Q_d - sin(theta) P_d vanishes (P_d, Q_d the
 top-degree forms).  For H a sum of squares G >= 0, so roots come in
 even multiplicity and are found as touching minima.
+
+Orbits are level curves of H, so an infinite singular point has a
+nondegenerate sector exactly when H stays bounded along a curve to
+infinity in its cone, and two degenerate hyperbolic sectors when H is
+coercive in the cone on both sides of the equator (the point's direction
+and its antipode's).  Along a curve to infinity a polynomial H tends to
+a value or grows like |v|^-q with rational q >= 1/deg H (Bajbar-Stein,
+SIAM J. Optim. 25, 2015; Dumortier-Llibre-Artes, *Qualitative Theory of
+Planar Differential Systems*, ch. 3 and 5).  H is read as |f|^2 / 2
+through f: its expanded polynomial cancels far out.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+
+import numpy as np
 
 from .annulus import SIGN_CHANGE
 from .brent import brent_root
-from .expr import Poly2, compile_polys
-from .field import PlanarMap, effective_hamiltonian_poly
-from .rk import dp5_step, poly_kernel, step_factor
+from .expr import (Poly2, _interval_add, _interval_pow, compile_polys, eval_grid,
+                   eval_interval_jet)
+from .field import JET_ERRORS, PlanarMap, effective_hamiltonian_poly
+from .rk import dp5_step  # noqa: F401  (perfbench/tracer.py reads it by name)
 
 SCAN_N = 2048
 ROOT_RESIDUAL = 1e-9
 MULTIPLE_ROOT_TOL = 1e-6
 
-FAN_N = 16
+# H's valleys: the cone's half-width in u, samples per segment (odd: u0 is one)
 FAN_R = 0.05
-FATE_MAX_STEPS = 4000
-# seed fate thresholds, calibrated on the worked examples.  The
-# converge pins must sit far below any flyover's closest approach: an
-# orbit in a hyperbolic sector can pass within ~1e-3 of the singular
-# point in chart coordinates before leaving again.
-EXIT_ELEVATION_MAX = math.radians(75.0)
-CONVERGE_PIN = 1e-7
-CONVERGE_PIN_AT_BUDGET = 1e-5
-NONDEGENERATE_FRACTION = 0.05
-SWEEP_FRACTION = 0.75
-
-
-# a chart field (u', v') compiled to (u, v) -> (u', v')
-ChartField = Callable[[float, float], tuple[float, float]]
+VALLEY_N = 257
+VALLEY_DEPTHS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+VALLEY_MINIMA = 8
+CERT_HALVINGS = 24
+CERT_BOXES = 4096
 
 
 class EquatorDegenerate(Exception):
@@ -61,10 +65,6 @@ class CompactifiedField:
     equator_poly: Poly2           # g(c, s) with G(theta) = g(cos, sin)
     warnings: tuple[str, ...]
 
-    def chart(self, name: str) -> tuple[Poly2, Poly2]:
-        return {"U1": self.u1, "U2": self.u2,
-                "V1": self.v1, "V2": self.v2}[name]
-
 
 @dataclass(frozen=True)
 class InfinitySingularity:
@@ -75,7 +75,8 @@ class InfinitySingularity:
     degenerate_root: bool         # multiplicity beyond the generic double root
     classification: str = "unclassified"
     confidence: float = 0.0
-    evidence: tuple[str, ...] = ()
+    evidence: tuple[str, ...] = ()           # per side, v > 0 first
+    valley: tuple[tuple[float, ...], ...] = ()   # per side, H's bound at each floor
 
 
 def _substitute(poly: Poly2, d: int, chart: int) -> Poly2:
@@ -222,114 +223,117 @@ def infinite_singularities(cf: CompactifiedField,
     return out
 
 
-def _integrate_fate(field: ChartField, kernel, seed: tuple[float, float],
-                    u0: float, r: float, direction: float) -> tuple[str, float]:
-    """One time direction: ("exit", elevation) | ("converge"|"stall"|"overflow", 0).
+def _to_plane(chart: str, u, v):
+    """(x, y) of the chart point (u, v): (1/v, u/v) in U1, (u/v, 1/v) in U2."""
+    return (1.0 / v, u / v) if chart == "U1" else (u / v, 1.0 / v)
 
-    ``field`` is the chart field compiled by :func:`compile_polys` and
-    ``kernel`` its DP5 step from :func:`planarham.rk.poly_kernel`.
-    Convergence is only declared at a strict pin: orbits in a
-    hyperbolic sector fly past the singular point and must be allowed
-    to leave again, so a loose distance threshold would mistake the
-    passage for a separatrix.
-    """
-    x, y = seed
-    dist = math.hypot(x - u0, y)
-    try:
-        fu, fv = field(x, y)
-    except (OverflowError, ValueError):
-        return "overflow", 0.0
-    f1x, f1y = direction * fu, direction * fv
-    # steps are sized by displacement, not time: near a degenerate
-    # singular point the chart field is polynomially flat and time steps
-    # must grow without bound for anything to move
-    h = 0.01 * r / max(math.hypot(f1x, f1y), 1e-300)
-    for _ in range(FATE_MAX_STEPS):
+
+def _h_bounds(pmap: PlanarMap, chart: str, ulo, uhi, v) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds (lo, hi) of H on the plane images of the chart segments
+    [ulo, uhi] x {v}, by the interval jet of f; (0, inf) if not enclosed."""
+    (xa, ya), (xb, yb) = _to_plane(chart, ulo, v), _to_plane(chart, uhi, v)
+    box = (np.minimum(xa, xb), np.maximum(xa, xb), np.minimum(ya, yb), np.maximum(ya, yb))
+    (lo1, hi1, und1), (lo2, hi2, und2) = (eval_interval_jet(c, *box) for c in (pmap.f1, pmap.f2))
+    with np.errstate(all="ignore"):
+        lo, hi = _interval_add(_interval_pow((lo1[0], hi1[0]), 2),
+                               _interval_pow((lo2[0], hi2[0]), 2))
+    undefined = und1 | und2 | np.isnan(hi)
+    return np.where(undefined, 0.0, 0.5 * lo), np.where(undefined, math.inf, 0.5 * hi)
+
+
+def _valley_floor(pmap: PlanarMap, chart: str, us: np.ndarray, fs: np.ndarray,
+                  v: float, prev: float | None) -> float:
+    """The abscissa of the least H found at depth v among the lowest discrete
+    minima of H at the samples ``us`` (``fs`` holds f there), the zeros of a
+    component between samples (a valley narrower than their spacing) and the
+    last depth's ``prev``, each refined by :func:`brent_root` on dH/du downhill."""
+    d = 2 if chart == "U1" else 1       # u moves y in U1 and x in U2
+
+    def reading(u: float) -> tuple[tuple, float, float]:    # f's jet, H and dH/du at u
         try:
-            x5, y5, enorm, k7x, k7y = dp5_step(kernel, x, y, f1x, f1y, h,
-                                               1e-6, 1e-12, direction)
-        except (OverflowError, ValueError, ZeroDivisionError):
-            return "overflow", 0.0
-        if not (math.isfinite(x5) and math.isfinite(y5)):
-            return "overflow", 0.0
-        jump = math.hypot(x5 - x, y5 - y)
-        if enorm > 1.0 or jump > 0.2 * r:
-            h *= 0.5 if jump > 0.2 * r else step_factor(enorm)
-            if h < 1e-16 or not math.isfinite(h):
-                return "stall", 0.0
-            continue
-        x, y, f1x, f1y = x5, y5, k7x, k7y
-        # aim under the jump cap so that few trial steps overshoot it
-        h = min(h * step_factor(enorm),
-                0.9 * 0.2 * r / max(math.hypot(f1x, f1y), 1e-300))
-        if not math.isfinite(h):
-            return "stall", 0.0
-        dist = math.hypot(x - u0, y)
-        if dist >= 2.0 * r:
-            return "exit", math.atan2(abs(y), abs(x - u0))
-        if dist <= CONVERGE_PIN * r:
-            return "converge", 0.0
-    if dist <= CONVERGE_PIN_AT_BUDGET * r:
-        return "converge", 0.0
-    return "stall", 0.0
+            j = pmap.jet(*_to_plane(chart, u, v))
+        except JET_ERRORS:
+            return (math.nan,) * 6, math.inf, math.nan
+        h = 0.5 * (j[0] * j[0] + j[3] * j[3])
+        return j, h if h == h else math.inf, (j[0] * j[d] + j[3] * j[d + 3]) / v
+
+    def refine(g, a: float, b: float) -> None:
+        with contextlib.suppress(ValueError, RuntimeError):
+            cands.append(brent_root(g, a, b, xtol=1e-300, maxiter=100))
+
+    with np.errstate(all="ignore"):
+        row = np.nan_to_num(0.5 * (fs[0] * fs[0] + fs[1] * fs[1]), nan=math.inf)
+    padded = np.concatenate(([math.inf], row, [math.inf]))
+    idx = np.flatnonzero((row < math.inf) & (row <= padded[:-2]) & (row <= padded[2:]))
+    cands = [float(u) for u in us[idx[np.argsort(row[idx], kind="stable")][:VALLEY_MINIMA]]]
+    cands += [] if prev is None else [prev]
+    for c in (0, 1):
+        for i in np.flatnonzero(np.sign(fs[c, :-1]) * np.sign(fs[c, 1:]) < 0.0)[:VALLEY_MINIMA]:
+            refine(lambda u: reading(u)[0][3 * c], float(us[i]), float(us[i + 1]))
+    for a in list(cands):
+        slope = reading(a)[2]
+        k = np.searchsorted(us, a, side="right" if slope < 0.0 else "left") - (slope > 0.0)
+        b = float(us[min(max(k, 0), len(us) - 1)])
+        if slope * reading(b)[2] < 0.0:
+            refine(lambda u: reading(u)[2], a, b)
+    return min(cands, key=lambda u: reading(u)[1], default=float(us[0]))
 
 
-def _seed_fate(field: ChartField, kernel, seed: tuple[float, float], u0: float, r: float) -> str:
-    outcomes = []
-    for direction in (1.0, -1.0):
-        outcomes.append(_integrate_fate(field, kernel, seed, u0, r, direction))
-        # one converging direction decides the fate: skip the other
-        if outcomes[-1][0] == "converge":
-            return "converge"
-    kinds = [k for k, _ in outcomes]
-    if "overflow" in kinds:
-        return "overflow"
-    exits = [elev for k, elev in outcomes if k == "exit"]
-    if any(elev > EXIT_ELEVATION_MAX for elev in exits):
-        return "offaxis"
-    if len(exits) == 2:
-        return "sweep"
-    return "stall"
+def _floor_certified(pmap: PlanarMap, chart: str, us, vs, targets) -> np.ndarray:
+    """Whether H >= target on each whole segment: a sample cell whose lower bound
+    falls short is halved (at most :data:`CERT_HALVINGS` times, to
+    :data:`CERT_BOXES` boxes), one whose upper bound does refutes."""
+    ok = np.isfinite(targets)
+    seg = np.repeat(np.flatnonzero(ok), len(us) - 1)
+    ulo, uhi = np.resize(us[:-1], len(seg)), np.resize(us[1:], len(seg))
+    for _ in range(CERT_HALVINGS + 1):
+        if not len(seg) or len(seg) > CERT_BOXES:
+            break
+        lo, hi = _h_bounds(pmap, chart, ulo, uhi, vs[seg])
+        ok[seg[hi < targets[seg]]] = False
+        short = (lo < targets[seg]) & ok[seg]
+        ulo, uhi, mid = ulo[short], uhi[short], 0.5 * (ulo[short] + uhi[short])
+        seg, ulo, uhi = np.tile(seg[short], 2), np.append(ulo, mid), np.append(mid, uhi)
+    ok[seg] = False         # boxes still short when the rounds ran out
+    return ok
 
 
-def classify_sectors(cf: CompactifiedField, sing: InfinitySingularity) -> InfinitySingularity:
-    """Heuristic sector taxonomy from the fates of a fan of seeds.
+def classify_sectors(pmap: PlanarMap, cf: CompactifiedField,
+                     sing: InfinitySingularity) -> InfinitySingularity:
+    """Sector taxonomy of ``sing`` from the valleys of H = |f|^2 / 2.
 
-    Seeds on half-circles above and below the equator integrate both
-    time directions until they leave the 2r-ball.  A trajectory that
-    converges to the singular point witnesses a separatrix entering the
-    finite plane (a non-degenerate sector); trajectories that sweep in
-    and out near the equator are what two degenerate hyperbolic sectors
-    look like.  Confidence is the fraction of conclusive seeds backing
-    the verdict.
+    Per side of the equator (v > 0 first) and depth |v|, the cone
+    |u - u0| <= :data:`FAN_R` meets the plane in a segment, all sampled by
+    one :func:`eval_grid` pass per component of f.  Over the last three
+    depths a side is "bounded" when the interval upper bounds of H at the
+    floors (``valley``) grow less than 10^(1/deg H) per decade, "coercive"
+    when a certified lower bound of H on each whole segment is that much
+    above the bound a decade up, else "unsettled"; a missed valley reads high.
     """
-    chart = cf.chart(sing.chart)
-    field = compile_polys(*chart)
-    kernel = poly_kernel(*chart)
-    fates: list[str] = []
-    for side in (1.0, -1.0):
-        for k in range(FAN_N):
-            ang = math.radians(10.0 + 160.0 * k / (FAN_N - 1))
-            seed = (sing.u + FAN_R * math.cos(ang), side * FAN_R * math.sin(ang))
-            fates.append(_seed_fate(field, kernel, seed, sing.u, FAN_R))
+    growth = 10.0 ** (1.0 / (cf.degree + 1))    # deg H is the field degree + 1
+    us = sing.u + FAN_R * np.linspace(-1.0, 1.0, VALLEY_N)
+    vs = np.multiply.outer((1.0, -1.0), VALLEY_DEPTHS)
+    xs, ys = _to_plane(sing.chart, us, vs[..., None])
+    fs = np.stack([eval_grid(pmap.f1, xs, ys), eval_grid(pmap.f2, xs, ys)])
+    floors = np.empty(vs.shape)
+    for (side, k), v in np.ndenumerate(vs):
+        floors[side, k] = _valley_floor(pmap, sing.chart, us, fs[:, side, k], float(v),
+                                        float(floors[side, k - 1]) if k else None)
+    upper = _h_bounds(pmap, sing.chart, floors, floors, vs)[1]
 
-    n_conv = fates.count("converge")
-    n_sweep = fates.count("sweep")
-    n_offaxis = fates.count("offaxis")
-    n_valid = n_conv + n_sweep + n_offaxis
-    if n_valid == 0:
-        return replace(sing, classification="unclassified", confidence=0.0,
-                       evidence=tuple(fates))
-    if n_conv >= max(1, math.ceil(NONDEGENERATE_FRACTION * n_valid)):
-        conf = (n_conv + n_offaxis) / n_valid
-        return replace(sing, classification="has-nondegenerate-sector",
-                       confidence=conf, evidence=tuple(fates))
-    if n_conv == 0 and n_sweep / n_valid >= SWEEP_FRACTION:
-        return replace(sing, classification="two-degenerate-hyperbolic",
-                       confidence=n_sweep / n_valid, evidence=tuple(fates))
-    return replace(sing, classification="unclassified",
-                   confidence=max(n_sweep, n_offaxis) / n_valid,
-                   evidence=tuple(fates))
+    last = upper[:, -3:]
+    bounded = np.isfinite(last).all(1) & (last[:, 1:] <= growth * last[:, :-1]).all(1)
+    targets = growth * last[:, :-1]
+    targets[~(last[:, 1:] >= targets).all(1)] = math.nan     # not rising at the floors
+    coercive = _floor_certified(pmap, sing.chart, us, vs[:, -2:].ravel(), targets.ravel())
+    evidence = tuple("bounded" if b else "coercive" if c else "unsettled"
+                     for b, c in zip(bounded, coercive.reshape(2, 2).all(1)))
+    settled = 2 - evidence.count("unsettled")
+    return replace(sing, evidence=evidence, confidence=settled / 2,
+                   classification=("has-nondegenerate-sector" if "bounded" in evidence
+                                   else "two-degenerate-hyperbolic" if settled == 2
+                                   else "unclassified"),
+                   valley=tuple(map(tuple, upper.tolist())))
 
 
 @dataclass(frozen=True)
@@ -393,13 +397,10 @@ def conti_verdict(pmap: PlanarMap, annulus_reports, singularities) -> ContiVerdi
         annulus_type = None
         notes.append("annulus route inconclusive")
 
-    n_nondeg = sum(1 for s in singularities
-                   if s.classification == "has-nondegenerate-sector")
-    n_unclass = sum(1 for s in singularities
-                    if s.classification == "unclassified")
-    if n_nondeg > 0:
+    classes = {s.classification for s in singularities}
+    if "has-nondegenerate-sector" in classes:
         d_outcome, d_type = "fails", "B"
-    elif n_unclass > 0:
+    elif "unclassified" in classes:
         d_outcome, d_type = "undetermined", None
         notes.append("unclassified infinite singularities")
     else:
@@ -445,6 +446,4 @@ def compactification_for_map(pmap: PlanarMap) -> CompactifiedField | None:
     """Build the compactification from the map's polynomial Hamiltonian,
     or None when H is not polynomial."""
     hpoly = effective_hamiltonian_poly(pmap)
-    if hpoly is None:
-        return None
-    return build_compactification(hpoly)
+    return None if hpoly is None else build_compactification(hpoly)

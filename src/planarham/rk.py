@@ -17,8 +17,8 @@ result bit, is what a stage-by-stage step computes.
 Two kernels exist: :func:`orbit_kernel` for the lift of a map's image
 circle, stepped in the image angle with the elapsed time as a third
 coordinate (used by orbit tracing), and :func:`poly_kernel` for a
-polynomial field run in either time direction (the chart fields of the
-compactification and the disc portrait).
+polynomial field run in either time direction (the disc portrait's
+flow, its only user).
 
 The drivers call each trial step through :func:`dp5_step`, not the
 kernel directly: one call per trial step, looked up in the driver's

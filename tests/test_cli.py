@@ -301,6 +301,35 @@ def test_pinchuk_is_gated(tmp_path, monkeypatch, capsys):
                "--box", "-1,1,-1,1", "--out", str(out)) == 2
 
 
+def test_pinchuk200_report_analyzes_nothing_and_exits_3(tmp_path):
+    # the grid-seeded search misses both zeros, so no center is analyzed;
+    # both points at infinity are still classified, cheaply
+    out = tmp_path / "p.json"
+    assert run("report", "--map", "builtin:pinchuk200", "--enable-extended",
+               "--out", str(out)) == 3
+    doc = read_json(out)
+    assert doc["centers"] == []
+    compact = doc["compactification"]
+    assert compact["conti_type"] == "not-applicable"
+    assert [s["classification"] for s in compact["infinite_singularities"]] == [
+        "has-nondegenerate-sector", "unclassified"]
+    assert doc["timings"]["valley_depths"] == 20
+
+
+def test_report_on_a_quintic_triangular_map_is_type_a(tmp_path):
+    # (x, y + x^5) maps the plane onto itself: global, type A, and the
+    # sector classifier must find H's valley along y = -x^5 to agree
+    spec = tmp_path / "quintic.map"
+    spec.write_text('f1 = "x"\nf2 = "y + x^5"\n', encoding="utf-8")
+    out = tmp_path / "q.json"
+    assert run("report", "--map", str(spec), "--out", str(out)) == 0
+    doc = read_json(out)
+    assert [c["global"] for c in doc["centers"]] == ["global"]
+    compact = doc["compactification"]
+    assert compact["conti_type"] == "A"
+    assert compact["routes_agree"] is True
+
+
 def test_inconclusive_exits_3_with_report(tmp_path):
     spec = tmp_path / "flipper.map"
     spec.write_text('name = "flipper"\nf1 = "x*(1 - x)"\nf2 = "y"\n',

@@ -7,12 +7,14 @@ from types import SimpleNamespace
 
 import pytest
 
+from planarham import corpus
 from planarham.annulus import SIGN_CHANGE, GlobalVerdict
-from planarham.compactify import (CompactifiedField, EquatorDegenerate,
+from planarham.compactify import (VALLEY_DEPTHS, EquatorDegenerate,
                                   build_compactification, classify_sectors,
                                   compactification_for_map, conti_verdict,
                                   infinite_singularities)
 from planarham.expr import Poly2, parse_expr, to_poly
+from planarham.field import parse_map_spec
 
 
 def double_well_poly() -> Poly2:
@@ -30,8 +32,8 @@ def cf2(example2):
 
 
 @pytest.fixture(scope="module")
-def sings2(cf2):
-    return [classify_sectors(cf2, s) for s in infinite_singularities(cf2)]
+def sings2(example2, cf2):
+    return [classify_sectors(example2, cf2, s) for s in infinite_singularities(cf2)]
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +103,7 @@ def test_equator_invariance_coefficient_level(cf2, cf_identity):
     # v' must vanish on v = 0: every monomial carries at least one v
     for cf in (cf2, cf_identity, build_compactification(double_well_poly())):
         for name in ("U1", "U2", "V1", "V2"):
-            _, vdot = cf.chart(name)
+            _, vdot = getattr(cf, name.lower())
             assert all(j >= 1 for _, _, j in vdot.terms), name
 
 
@@ -219,38 +221,151 @@ def test_example2_sector_classification(sings2):
     along_y = by_theta[round(math.pi / 2, 6)]
     assert along_x.classification == "has-nondegenerate-sector"
     assert along_x.confidence >= 0.9
-    assert "converge" in along_x.evidence
+    # H levels at 1/2 along the x axis on both sides: |f| -> (1, 0)
+    assert along_x.evidence == ("bounded", "bounded")
+    for floors in along_x.valley:
+        assert len(floors) == len(VALLEY_DEPTHS)
+        assert floors[-1] == pytest.approx(0.5, abs=1e-9)
     assert along_y.classification == "two-degenerate-hyperbolic"
     assert along_y.confidence >= 0.9
-    assert set(along_y.evidence) == {"sweep"}
+    assert along_y.evidence == ("coercive", "coercive")
+    for floors in along_y.valley:
+        assert all(b > 10.0 * a for a, b in zip(floors, floors[1:]))
+
+
+def classify_map(pmap):
+    cf = compactification_for_map(pmap)
+    return [classify_sectors(pmap, cf, s) for s in infinite_singularities(cf)]
 
 
 def test_double_well_sectors():
-    # compact level sets: everything sweeps past the infinite point
-    cf = build_compactification(double_well_poly())
-    (s,) = infinite_singularities(cf)
-    c = classify_sectors(cf, s)
+    # compact level sets: H grows into the cone on both sides
+    pmap = parse_map_spec('f1 = "x^2 - 1"\nf2 = "y"\n', "double well", "double_well")
+    assert compactification_for_map(pmap) == build_compactification(double_well_poly())
+    (c,) = classify_map(pmap)
     assert c.classification == "two-degenerate-hyperbolic"
     assert c.confidence >= 0.9
 
 
-def test_classification_time_reversal_invariant(cf2, sings2):
-    flipped = replace(
-        cf2,
-        u1=(-cf2.u1[0], -cf2.u1[1]), u2=(-cf2.u2[0], -cf2.u2[1]),
-        v1=(-cf2.v1[0], -cf2.v1[1]), v2=(-cf2.v2[0], -cf2.v2[1]))
-    for s in infinite_singularities(cf2):
-        a = classify_sectors(cf2, s)
-        b = classify_sectors(flipped, s)
-        assert a.classification == b.classification
-        assert a.confidence == b.confidence
+def test_classification_follows_a_swap_of_the_axes(sings2):
+    # example2 with x and y swapped: the bounded valley moves to the y
+    # axis, chart U2, and the coercive point to the x axis, chart U1
+    swapped = parse_map_spec('''
+f1 = "y/sqrt(1 + y^2)"
+f2 = "(y^2 + (1 + y^2)^2*x)/sqrt(1 + y^2)"
+hamiltonian = "0.5*(1 + y^2)^3*x^2 + y^2*(1 + y^2)*x + 0.5*y^2"
+''', "swapped example2", "swapped")
+    by_theta = {round(s.theta, 6): s for s in classify_map(swapped)}
+    for s in sings2:
+        mirror = by_theta[round(math.pi / 2 - s.theta, 6)]
+        assert mirror.chart != s.chart
+        assert mirror.classification == s.classification
+        assert mirror.evidence == s.evidence
 
 
-def test_classify_deterministic(cf2):
+def test_classify_deterministic(example2, cf2):
     s = infinite_singularities(cf2)[0]
-    a = classify_sectors(cf2, s)
-    b = classify_sectors(cf2, s)
+    a = classify_sectors(example2, cf2, s)
+    b = classify_sectors(example2, cf2, s)
     assert a == b
+
+
+def _spec(f1: str, f2: str, hamiltonian: str | None = None) -> str:
+    text = f'f1 = "{f1}"\nf2 = "{f2}"\n'
+    return text + (f'hamiltonian = "{hamiltonian}"\n' if hamiltonian else "")
+
+
+# The seed fan's classifications (16 seeds a side, integrated both ways
+# in the chart field) on each map's infinite singular points, keyed by
+# round(theta, 6); the valley classifier must reproduce them.  The
+# generated maps are the benchmark's: `polynomial`'s stripscaled_a and
+# tri3_a at seeds 7 and 11, `small-maps`' triangular maps r0_m1 and
+# r0_m7 at seeds 1 and 7.
+_N, _H = "has-nondegenerate-sector", "two-degenerate-hyperbolic"
+_Y = round(math.pi / 2, 6)
+FAN_GATE = {
+    "example2": ("builtin:example2", {0.0: _N, _Y: _H}),
+    "control_noninjective": ("builtin:control_noninjective", {_Y: _H}),
+    "parabola": (_spec("x", "y + x^2"), {_Y: _H}),
+    "double_well": (_spec("x^2 - 1", "y"), {_Y: _H}),
+    "stripscaled_a_7": (_spec(
+        "0.94729*x/sqrt(1 + 0.8973583440999999*x^2)",
+        "(0.8973583440999999*x^2 + (1 + 0.8973583440999999*x^2)^2*1.00032*y)"
+        "/sqrt(1 + 0.8973583440999999*x^2)",
+        "0.5*(1 + 0.8973583440999999*x^2)^3*1.0006401024000002*y^2"
+        " + 0.8973583440999999*x^2*(1 + 0.8973583440999999*x^2)*1.00032*y"
+        " + 0.5*0.8973583440999999*x^2"), {0.0: _N, _Y: _H}),
+    "stripscaled_a_11": (_spec(
+        "1.16406*x/sqrt(1 + 1.3550356836000002*x^2)",
+        "(1.3550356836000002*x^2 + (1 + 1.3550356836000002*x^2)^2*0.97827*y)"
+        "/sqrt(1 + 1.3550356836000002*x^2)",
+        "0.5*(1 + 1.3550356836000002*x^2)^3*0.9570121929*y^2"
+        " + 1.3550356836000002*x^2*(1 + 1.3550356836000002*x^2)*0.97827*y"
+        " + 0.5*1.3550356836000002*x^2"), {0.0: _N, _Y: _H}),
+    "tri3_a_7": (_spec(
+        "1.08675*(x - -1.82695)",
+        "1.03657*(y - -1.27437) + 0.0249778*(x - -1.82695)^1"
+        " + 0.106845*(x - -1.82695)^2 + -0.0102851*(x - -1.82695)^3"), {_Y: _H}),
+    "tri3_a_11": (_spec(
+        "1.01857*(x - 1.29274)",
+        "0.956278*(y - -0.0327492) + 0.0991283*(x - 1.29274)^1"
+        " + -0.120845*(x - 1.29274)^2 + 0.0103032*(x - 1.29274)^3"), {_Y: _H}),
+    "r0_m1_1": (_spec(
+        "1.00053*(x - -0.424016)",
+        "1.01932*(y - -0.128558) + 0.059904*(x - -0.424016)^1"
+        " + -0.139676*(x - -0.424016)^2"), {_Y: _H}),
+    "r0_m7_1": (_spec(
+        "0.989573*(x - -1.45844)",
+        "1.07257*(y - 1.48706) + -0.036815*(x - -1.45844)^1"
+        " + -0.146559*(x - -1.45844)^2"), {_Y: _H}),
+    "r0_m1_7": (_spec(
+        "1.09663*(x - -0.716614)",
+        "0.985185*(y - -1.35035) + -0.0910703*(x - -0.716614)^1"
+        " + 0.116529*(x - -0.716614)^2"), {_Y: _H}),
+    "r0_m7_7": (_spec(
+        "1.06274*(x - -0.95844)",
+        "0.982218*(y - 1.48895) + 0.0745634*(x - -0.95844)^1"
+        " + 0.14881*(x - -0.95844)^2"), {_Y: _H}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAN_GATE))
+def test_valleys_agree_with_the_seed_fan(name):
+    source, want = FAN_GATE[name]
+    if source.startswith("builtin:"):
+        pmap = corpus.builtin(source.removeprefix("builtin:"))
+    else:
+        pmap = parse_map_spec(source, name, name)
+    got = {round(s.theta, 6): s for s in classify_map(pmap)}
+    assert {t: s.classification for t, s in got.items()} == want
+    # every side settled, as every seed of the fan was conclusive
+    assert all(s.confidence == 1.0 for s in got.values())
+
+
+def test_a_valley_between_two_samples_is_found():
+    # (x, y + x^5) maps the plane onto itself, so H is coercive.  Its
+    # valley follows y = -x^5: at depth 1e-5 it is about 2e-9 wide in u,
+    # between samples 3.9e-4 apart, beside a local minimum of H on a
+    # sample (H = 5e9 at x = 0).  The sign change of f2 finds it.
+    (s,) = classify_map(parse_map_spec(_spec("x", "y + x^5"), "quintic", "quintic"))
+    assert s.classification == "two-degenerate-hyperbolic"
+    assert s.evidence == ("coercive", "coercive")
+    for floors in s.valley:
+        # |x| = 10 where y + x^5 = 0 and |y| = 1e5: H = x^2 / 2
+        assert floors[3] == pytest.approx(50.0, rel=1e-6)
+
+
+def test_pinchuk200_points_at_infinity():
+    # the fan called both points "has-nondegenerate-sector" after 47 s;
+    # along the x axis the valley levels at |(0, -200)|^2 / 2 = 20000
+    pmap = corpus.builtin("pinchuk200", enable_extended=True)
+    sings = {round(s.theta, 6): s for s in classify_map(pmap)}
+    assert sorted(sings) == [0.0, _Y]
+    assert all(s.classification != "two-degenerate-hyperbolic" for s in sings.values())
+    along_x = sings[0.0]
+    assert along_x.classification == "has-nondegenerate-sector"
+    assert along_x.evidence[0] == "bounded"
+    assert along_x.valley[0][-1] == pytest.approx(20000.0, rel=1e-9)
 
 
 # ===== Conti verdict ===== #

@@ -36,7 +36,7 @@ def ex1_scene(example1):
 @pytest.fixture(scope="module")
 def ex2_disc_scene(example2):
     cf = compactification_for_map(example2)
-    sings = [classify_sectors(cf, s) for s in infinite_singularities(cf)]
+    sings = [classify_sectors(example2, cf, s) for s in infinite_singularities(cf)]
     return disc_portrait(cf, sings)
 
 

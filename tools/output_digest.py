@@ -26,13 +26,15 @@ its number of certificates (summed over the centers), each analyzed
 center's probes (``probes=``), how many of its certificates traced an
 orbit (``traced=``) and how many the lift of an image ray settled alone
 by leaving the window (``lift=``), its ``timings.sign_proof_boxes`` (the
-boxes enclosed by every det Df sign check; ``-`` without the field) and
-its ``timings.orbit_points``, then the totals and the most probes any
-one center took.  The per-center counts come from wrapping
+boxes enclosed by every det Df sign check; ``-`` without the field),
+its ``timings.orbit_points`` and its infinite singular points as
+``theta:classification`` (``sectors=``), then the totals and the most
+probes any one center took.  The per-center counts come from wrapping
 ``planarham.annulus.estimate_ell``.  For each ``disc`` SVG it prints the
 number of trajectories, how many of them are closed (first point equal
 to the last) and their total points, and adds these up in the totals.
-Two checkouts that do different amounts of work can be compared with it:
+Two checkouts that do different amounts of work, or whose report bytes
+move only in confidences, can be compared with it:
 
     python3 tools/output_digest.py --work --checkout ../other-checkout > old.txt
     python3 tools/output_digest.py --work > new.txt
@@ -103,15 +105,21 @@ def digest(run_subcommand, argv: list[str], out: Path, workdir: Path) -> tuple[i
     return rc, h.hexdigest()
 
 
-def work(out: Path) -> tuple[int, int | str, int] | None:
-    """(certificates, sign proof boxes, orbit points) of a JSON output;
-    None without one."""
+def work(out: Path) -> tuple[int, int | str, int, str] | None:
+    """(certificates, sign proof boxes, orbit points, sectors) of a JSON
+    output; None without one.  ``sectors`` lists each infinite singular
+    point's ``theta:classification``; it is ``-`` without a
+    compactification block and the block itself when that is a string."""
     if not out.exists():
         return None
     doc = json.loads(out.read_text(encoding="utf-8"))
     certificates = sum(len(c.get("certificates", ())) for c in doc["centers"])
     timings = doc["timings"]
-    return certificates, timings.get("sign_proof_boxes", "-"), timings.get("orbit_points", 0)
+    block = doc.get("compactification", "-")
+    sectors = block if isinstance(block, str) else ",".join(
+        f"{s['theta']!r}:{s['classification']}" for s in block["infinite_singularities"])
+    return (certificates, timings.get("sign_proof_boxes", "-"), timings.get("orbit_points", 0),
+            sectors)
 
 
 def disc_work(out: Path) -> tuple[int, int, int] | None:
@@ -175,7 +183,7 @@ def main(argv: list[str]) -> int:
             if counts is None:
                 print(f"{label} rc={rc} <no output file>", flush=True)
                 return
-            certificates, boxes, points = counts
+            certificates, boxes, points, sectors = counts
             per_center = dict(zip(("probes", "traced", "lift"), probe_counts(estimates)))
             totals["certificates"] += certificates
             totals["orbit_points"] += points
@@ -185,7 +193,8 @@ def main(argv: list[str]) -> int:
             listed = " ".join(f"{key}={','.join(map(str, v)) or '-'}"
                               for key, v in per_center.items())
             print(f"{label} rc={rc} certificates={certificates} {listed} "
-                  f"sign_proof_boxes={boxes} orbit_points={points}", flush=True)
+                  f"sign_proof_boxes={boxes} orbit_points={points} sectors={sectors or '-'}",
+                  flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
