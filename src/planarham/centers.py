@@ -3,8 +3,14 @@
 Newton runs on f itself, not on the Hamiltonian field: their zeros
 coincide wherever det Df is nonzero, and f needs only first derivatives.
 Completeness is never guaranteed; the result is "found n zeros from an
-N x N grid of seeds".  :func:`fiber` solves f = w for a polynomial map by
-elimination instead; it needs sympy, so only the tests call it yet.
+N x N grid of seeds".  The seeds run in lockstep on numpy arrays, one
+array evaluation of the jet per iteration.  That is exact, not an
+approximation of one Newton run per seed: the array jet gives the
+scalar jet's values bit for bit and marks where it would raise
+(:func:`~planarham.expr.compile_array_jet`), and each seed keeps its own
+iterate, best point and outcome under the one-seed rules.  :func:`fiber`
+solves f = w for a polynomial map by elimination instead; it needs
+sympy, so only the tests call it yet.
 """
 
 from __future__ import annotations
@@ -55,57 +61,96 @@ class SearchStats:
                 f"{self.n_diverged} diverged)")
 
 
-def _newton(jet, x: float, y: float, box: Box) -> tuple[float, float, float] | str:
-    """Newton for f = 0 from one seed; the abandonment reason otherwise.
+def _newton_seeds(jet, x: np.ndarray, y: np.ndarray, box: Box
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Newton for f = 0 from every seed (x[k], y[k]) at once.
 
-    Once the residual drops below ZERO_TOL the iteration keeps polishing
-    while the residual strictly improves.  That costs a couple of extra
-    steps at a simple zero but matters at a degenerate one: stopping at
-    the first sub-tolerance iterate would leave the point far enough out
-    that det Df there looks comfortably non-degenerate.
+    Each iteration evaluates the array jet once and applies, per seed
+    and in this order, the rules of one-seed Newton: a raised or
+    non-finite evaluation stops the seed; so does a residual no smaller
+    than its best; a residual within ZERO_TOL becomes its best, and an
+    exact zero stops it; a singular or non-finite det Df stops it;
+    otherwise it takes the Newton step, and stops when that leaves the
+    box by more than a box-width.  Once the residual drops below
+    ZERO_TOL a seed keeps polishing while the residual strictly
+    improves.  That costs a couple of extra steps at a simple zero but
+    matters at a degenerate one: stopping at the first sub-tolerance
+    iterate would leave the point far enough out that det Df there
+    looks comfortably non-degenerate.
+
+    A stopped seed's slot stays in the arrays, ignored, until half the
+    slots have stopped; then the arrays are halved.
+
+    Returns the rows x, y and residual of each seed's best iterate (nan
+    where it has none) and the seeds stopped by a singular det Df
+    without a best.
     """
     # allow iterates to wander one box-width outside before giving up
     margin_x = box.xmax - box.xmin
     margin_y = box.ymax - box.ymin
-    best: tuple[float, float, float] | None = None
+    best = np.full((3, len(x)), math.nan)
+    singular = np.zeros(len(x), dtype=bool)
+    seed = np.arange(len(x))                # the seed in each slot
+    live = np.ones(len(x), dtype=bool)      # the slots still iterating
     for _ in range(MAX_NEWTON_ITERS):
-        try:
-            v1, dx1, dy1, v2, dx2, dy2 = jet(x, y)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            return best if best is not None else "error"
-        res = math.hypot(v1, v2)
-        if not math.isfinite(res):
-            return best if best is not None else "error"
-        if best is not None and res >= best[2]:
-            return best
-        if res <= ZERO_TOL:
-            best = (x, y, res)
-            if res == 0.0:
-                return best
-        det = dx1 * dy2 - dx2 * dy1
-        if det == 0.0 or not math.isfinite(det):
-            return best if best is not None else "singular"
-        x -= (v1 * dy2 - v2 * dy1) / det
-        y -= (v2 * dx1 - v1 * dx2) / det
-        if (x < box.xmin - margin_x or x > box.xmax + margin_x
-                or y < box.ymin - margin_y or y > box.ymax + margin_y):
-            return best if best is not None else "diverged"
-    return best if best is not None else "diverged"
+        (v1, dx1, dy1, v2, dx2, dy2), stop = jet(x, y)
+        stop |= ~live
+        best_res = best[2, seed]
+        with np.errstate(all="ignore"):
+            res = np.hypot(v1, v2)
+            # numpy's hypot may differ from math.hypot in the last bit:
+            # take math's wherever more than "above ZERO_TOL" is read
+            exact = np.flatnonzero(live & (~np.isnan(best_res) | ~(res > 4 * ZERO_TOL)
+                                           | ~(res < 1e300)))
+            res[exact] = np.fromiter(map(math.hypot, memoryview(v1[exact]),
+                                         memoryview(v2[exact])), float, exact.size)
+            stop |= ~np.isfinite(res) | (res >= best_res)
+            hit = ~stop & (res <= ZERO_TOL)
+            best[:, seed[hit]] = x[hit], y[hit], res[hit]
+            stop |= hit & (res == 0.0)
+            det = dx1 * dy2 - dx2 * dy1
+            flat = ~stop & ((det == 0.0) | ~np.isfinite(det))
+            singular[seed[flat & np.isnan(best[2, seed])]] = True
+            stop |= flat
+            x = x - (v1 * dy2 - v2 * dy1) / det
+            y = y - (v2 * dx1 - v1 * dx2) / det
+        # not held through the next evaluation: they would raise its peak
+        del v1, dx1, dy1, v2, dx2, dy2, best_res, res, det
+        stop |= ((x < box.xmin - margin_x) | (x > box.xmax + margin_x)
+                 | (y < box.ymin - margin_y) | (y > box.ymax + margin_y))
+        live = ~stop
+        n_live = int(live.sum())
+        if not n_live:
+            break
+        # a stopped slot follows a live seed, so it raises only where one does
+        first = np.argmax(live)
+        x[stop], y[stop] = x[first], y[first]
+        # Halve the arrays once half the slots have stopped, never to another
+        # length: arrays of ever new lengths, one set per iteration,
+        # fragment the heap, and a run's peak RSS grew by 2 MB over 100
+        # rounds of small maps.
+        if 2 * n_live <= live.size:
+            keep = np.argsort(stop, kind="stable")[:live.size // 2]
+            seed, live, x, y = seed[keep], live[keep], x[keep], y[keep]
+    return best, singular
 
 
-def _cell_centres(box: Box, n: int):
-    """The centres of the n x n cells of ``box``, column by column."""
-    for i in range(n):
-        for j in range(n):
-            yield (box.xmin + (box.xmax - box.xmin) * (i + 0.5) / n,
-                   box.ymin + (box.ymax - box.ymin) * (j + 0.5) / n)
+def _cell_centres(box: Box, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The centres of the n x n cells of ``box``, column by column, as
+    the arrays of their x and y."""
+    offsets = np.arange(n) + 0.5
+    return (np.repeat(box.xmin + (box.xmax - box.xmin) * offsets / n, n),
+            np.tile(box.ymin + (box.ymax - box.ymin) * offsets / n, n))
 
 
 def search_zeros(pmap: PlanarMap, box: Box | None = None, grid_n: int = SEED_GRID_N,
                  ) -> tuple[list[CenterRecord], SearchStats]:
     """Multistart Newton over a seed grid; returns records and statistics.
 
-    Converged points are deduplicated at radius 1e-6 * diam(box) keeping
+    All seeds run together (:func:`_newton_seeds`) on the array jet,
+    whose values equal the scalar jet's bit for bit, so each seed ends
+    where one-seed Newton would.  Converged points are deduplicated at
+    radius 1e-6 * diam(box) keeping
     the representative with the smallest residual, given the eigenvalues
     +-i|det Df| of the trace-zero linearization (see
     :func:`~planarham.field.linearization_at`), and sorted
@@ -116,30 +161,31 @@ def search_zeros(pmap: PlanarMap, box: Box | None = None, grid_n: int = SEED_GRI
     if grid_n < 8:
         raise ValueError("grid_n must be at least 8")
     box = box if box is not None else pmap.working_box()
-    jet = pmap.jet
 
-    candidates: list[tuple[float, float, float]] = []
-    n_singular = n_diverged = 0
-    for x0, y0 in _cell_centres(box, grid_n):
-        hit = _newton(jet, x0, y0, box)
-        if hit == "singular":
-            n_singular += 1
-            continue
-        if isinstance(hit, str):
-            n_diverged += 1
-            continue
-        if not box.contains((hit[0], hit[1])):
-            n_diverged += 1  # converged, but to a zero outside the box
-            continue
-        candidates.append(hit)
+    best, singular = _newton_seeds(pmap.array_jet, *_cell_centres(box, grid_n), box)
+    bx, by, bres = best
+    found = ((bx >= box.xmin) & (bx <= box.xmax) & (by >= box.ymin) & (by <= box.ymax))
+    n_singular = int(singular.sum())
+    # a seed without a zero, or with one outside the box, diverged
+    n_diverged = grid_n * grid_n - n_singular - int(found.sum())
 
+    # smallest residual first, then x, then y; stable, so ties keep seed order
+    order = np.lexsort((by[found], bx[found], bres[found]))
+    candidates = best[:, np.flatnonzero(found)[order]]
+    cx, cy, _ = candidates
+    # greedy: the first candidate left is a zero, and it absorbs those
+    # within dedup_r of it
     dedup_r = 1e-6 * box.diameter()
-    candidates.sort(key=lambda c: (c[2], c[0], c[1]))
-    accepted: list[tuple[float, float, float]] = []
-    for c in candidates:
-        if all(math.hypot(c[0] - a[0], c[1] - a[1]) > dedup_r for a in accepted):
-            accepted.append(c)
+    kept = []
+    pending = np.arange(cx.size)
+    while pending.size:
+        a, rest = pending[0], pending[1:]
+        kept.append(a)
+        dist = map(math.hypot, memoryview(cx[rest] - cx[a]), memoryview(cy[rest] - cy[a]))
+        pending = rest[np.fromiter(dist, float, rest.size) > dedup_r]
+    accepted = [tuple(c) for c in candidates[:, kept].T.tolist()]
 
+    jet = pmap.jet
     iso = isochronous_hint(pmap)
     records = []
     degenerate = []
@@ -205,7 +251,8 @@ def isochronous_hint(pmap: PlanarMap) -> bool:
     is nothing to compare, and the hint is False.
     """
     dets = []
-    for x, y in _cell_centres(pmap.working_box(), ISO_N):
+    xs, ys = _cell_centres(pmap.working_box(), ISO_N)
+    for x, y in zip(xs.tolist(), ys.tolist()):
         try:
             v1, dx1, dy1, v2, dx2, dy2 = pmap.jet(x, y)
         except JET_ERRORS:

@@ -58,10 +58,6 @@ class CompactifiedField:
     degree: int
     p: Poly2
     q: Poly2
-    u1: tuple[Poly2, Poly2]       # (u', v') in chart U1
-    u2: tuple[Poly2, Poly2]
-    v1: tuple[Poly2, Poly2]       # antipodal charts
-    v2: tuple[Poly2, Poly2]
     equator_poly: Poly2           # g(c, s) with G(theta) = g(cos, sin)
     warnings: tuple[str, ...]
 
@@ -79,18 +75,8 @@ class InfinitySingularity:
     valley: tuple[tuple[float, ...], ...] = ()   # per side, H's bound at each floor
 
 
-def _substitute(poly: Poly2, d: int, chart: int) -> Poly2:
-    """v^d * poly at the chart point: monomial x^i y^j -> u^a v^(d-i-j)."""
-    terms = {}
-    for coeff, i, j in poly.terms:
-        a = j if chart == 1 else i
-        key = (a, d - i - j)
-        terms[key] = terms.get(key, 0.0) + coeff
-    return Poly2.from_dict(terms)
-
-
 def build_compactification(hpoly: Poly2) -> CompactifiedField:
-    """Chart fields and equator polynomial of the compactified pair field.
+    """Field components and equator polynomial of the compactified pair field.
 
     Rejects Hamiltonians of degree <= 1 (the field is constant).  A
     vanishing P or Q component is flagged: it means the field is
@@ -109,25 +95,14 @@ def build_compactification(hpoly: Poly2) -> CompactifiedField:
 
     u = Poly2.from_dict({(1, 0): 1.0})
     v = Poly2.from_dict({(0, 1): 1.0})
-    p1 = _substitute(p, d, chart=1)
-    q1 = _substitute(q, d, chart=1)
-    u1 = (q1 - u * p1, -(v * p1))
-    p2 = _substitute(p, d, chart=2)
-    q2 = _substitute(q, d, chart=2)
-    u2 = (p2 - u * q2, -(v * q2))
-    sign = 1.0 if (d - 1) % 2 == 0 else -1.0
-    v1 = (u1[0].scale(sign), u1[1].scale(sign))
-    v2 = (u2[0].scale(sign), u2[1].scale(sign))
-
     # top forms taken at the field degree d: a component of lower degree
     # contributes nothing
     pd = Poly2.from_dict({(i, j): c for c, i, j in p.terms if i + j == d})
     qd = Poly2.from_dict({(i, j): c for c, i, j in q.terms if i + j == d})
     # g(c, s) = c * Q_d(c, s) - s * P_d(c, s)
     g = u * qd - v * pd
-    return CompactifiedField(degree=d, p=p, q=q,
-                             u1=u1, u2=u2, v1=v1, v2=v2,
-                             equator_poly=g, warnings=tuple(warnings))
+    return CompactifiedField(degree=d, p=p, q=q, equator_poly=g,
+                             warnings=tuple(warnings))
 
 
 def _g_funcs(cf: CompactifiedField):

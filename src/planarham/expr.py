@@ -14,9 +14,13 @@ Four evaluation paths exist on purpose:
   code generator: :func:`compile_jet_pair` gives values and first
   partials of a map (falls back to the tree walk to diagnose failures),
   :func:`compile_polys` gives values only, for the polynomial fields of
-  the compactification, the disc flow and the declared-H check.  The
+  the compactification and the disc flow.  The
   generator emits a body over any input names (:func:`_emit`), which
-  :mod:`planarham.rk` inlines at each stage of its DP5 kernels,
+  :mod:`planarham.rk` inlines at each stage of its DP5 kernels.  The
+  same code runs over numpy arrays (:func:`compile_array_jet`,
+  :func:`compile_array_polys`), equal to the scalar code bit for bit
+  and with a mask where it would raise, for the Newton seed grid and
+  the declared-H check,
 * :func:`eval_grid` -- vectorised numpy walk for grids, ``nan`` where the
   evaluation leaves the real domain,
 * :func:`eval_interval_jet` -- the same walk over arrays of boxes, giving
@@ -35,11 +39,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import repeat
 
 import numpy as np
 
 OVERFLOW_LIMIT = 1e150
+# what the generated jet code raises when evaluation leaves the domain
+JET_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
 class ParseError(ValueError):
@@ -431,7 +438,7 @@ def nonfinite_constant(e: Expr) -> Expr | None:
 
 
 def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
-          inputs: tuple[str, str] = ("x", "y")
+          inputs: tuple[str, str] = ("x", "y"), array: bool = False
           ) -> tuple[list[str], list[tuple[str, str, str]]]:
     """Straight-line statements computing (value, dx, dy) of each tree.
 
@@ -451,11 +458,25 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
 
     With ``values_only`` the variables carry zero derivatives, so every
     derivative line folds away.
+
+    With ``array`` the statements run on numpy arrays (see
+    :func:`_array_function`): each division is ``_div(a, b, _m)``, each
+    integer power ``_pow(v, n, _m)``, and every call that can raise
+    passes the mask ``_m`` last.  Nothing else changes, so the value
+    numbering and the order of the operations are those of the scalar
+    code.
     """
     lines: list[str] = []
     memo: dict[int, tuple[str, str, str]] = {}       # id(node) -> operands
     numbered: dict[str, str] = {}
     x_name, y_name = inputs
+
+    def call(fn: str, *args: str) -> str:
+        return f"{fn}({', '.join(args)}{', _m' if array else ''})"
+
+    def power(v: str, n: int) -> str:
+        # parens: a bare negative literal would otherwise bind as -(v**n)
+        return call("_pow", v, str(n)) if array else f"({v})**{n}"
 
     def tmp(rhs: str) -> str:
         name = numbered.get(rhs)
@@ -496,7 +517,7 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
     def div_s(a: str, b: str) -> str:
         if a == "0.0":
             return "0.0"
-        return tmp(f"{a}/{b}")
+        return tmp(call("_div", a, b) if array else f"{a}/{b}")
 
     def rec(node: Expr) -> tuple[str, str, str]:
         hit = memo.get(id(node))
@@ -515,24 +536,24 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
             if node.op == "neg":
                 out = (neg_s(v), neg_s(dx), neg_s(dy))
             elif node.op == "exp":
-                w = tmp(f"exp({v})")
+                w = tmp(call("exp", v))
                 out = (w, mul_s(w, dx), mul_s(w, dy))
             elif node.op == "sin":
-                s = tmp(f"sin({v})")
+                s = tmp(call("sin", v))
                 if dx == "0.0" and dy == "0.0":
                     out = (s, "0.0", "0.0")
                 else:
-                    c = tmp(f"cos({v})")
+                    c = tmp(call("cos", v))
                     out = (s, mul_s(c, dx), mul_s(c, dy))
             elif node.op == "cos":
-                c = tmp(f"cos({v})")
+                c = tmp(call("cos", v))
                 if dx == "0.0" and dy == "0.0":
                     out = (c, "0.0", "0.0")
                 else:
-                    s = tmp(f"sin({v})")
+                    s = tmp(call("sin", v))
                     out = (c, neg_s(mul_s(s, dx)), neg_s(mul_s(s, dy)))
             elif node.op == "sqrt":
-                w = tmp(f"sqrt({v})")
+                w = tmp(call("sqrt", v))
                 if dx == "0.0" and dy == "0.0":
                     out = (w, "0.0", "0.0")
                 else:
@@ -549,13 +570,11 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
                 elif n == 1:
                     out = (v, dx, dy)
                 else:
-                    # parens: a bare negative literal would otherwise bind
-                    # as -(v**n)
-                    w = tmp(f"({v})**{n}")
+                    w = tmp(power(v, n))
                     if dx == "0.0" and dy == "0.0":
                         out = (w, "0.0", "0.0")
                     else:
-                        g = tmp(f"{float(n)!r}*({v})**{n - 1}" if n > 2 else f"{float(n)!r}*{v}")
+                        g = tmp(f"{float(n)!r}*{power(v, n - 1) if n > 2 else v}")
                         out = (w, mul_s(g, dx), mul_s(g, dy))
             else:
                 a, adx, ady = rec(node.left)
@@ -582,17 +601,20 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
     return lines, [rec(e) for e in exprs]
 
 
-def _codegen(exprs: tuple[Expr, ...], values_only: bool = False) -> str:
+def _codegen(exprs: tuple[Expr, ...], values_only: bool = False,
+             array: bool = False) -> str:
     """Source of ``_generated(x, y)`` returning (value, dx, dy) of each
-    tree in turn, or with ``values_only`` the tuple of values."""
-    lines, results = _emit(exprs, values_only)
+    tree in turn, or with ``values_only`` the tuple of values; with
+    ``array`` it is ``_generated(x, y, _m)``, see :func:`_emit`."""
+    lines, results = _emit(exprs, values_only, array=array)
     if values_only:
         # trailing comma: a tuple even for a single tree
         ret = ", ".join(v for v, _, _ in results) + ","
     else:
         ret = ", ".join(", ".join(triple) for triple in results)
     body = "".join(f"    {line}\n" for line in lines)
-    return f"def _generated(x, y):\n{body}    return {ret}\n"
+    params = "x, y, _m" if array else "x, y"
+    return f"def _generated({params}):\n{body}    return {ret}\n"
 
 
 def _compile_source(src: str, **names):
@@ -615,6 +637,19 @@ def compile_jet_pair(f1: Expr, f2: Expr):
     return _compile_source(_codegen((f1, f2)))
 
 
+def compile_array_jet(f1: Expr, f2: Expr):
+    """The jet of :func:`compile_jet_pair` over arrays:
+    ``(x, y) -> ((v1, dx1, dy1, v2, dx2, dy2), raised)`` for
+    one-dimensional float arrays x and y of one length.
+
+    Where ``raised`` is False every value equals, bit for bit, what the
+    scalar jet returns at that point; ``raised`` is True exactly where
+    the scalar jet raises.  See :func:`_array_function`.  Nothing is
+    cached: the map keeps it (:attr:`planarham.field.PlanarMap.array_jet`).
+    """
+    return _array_function((f1, f2))
+
+
 def located_domain_error(f1: Expr, f2: Expr, point: tuple[float, float]) -> DomainError:
     """Re-evaluate slowly to pin down which subexpression failed."""
     for tree in (f1, f2):
@@ -625,6 +660,85 @@ def located_domain_error(f1: Expr, f2: Expr, point: tuple[float, float]) -> Doma
         except OverflowError:
             continue  # the compiled and tree walks can hit errors in different order
     return DomainError("evaluation failed", f1, point)
+
+
+# ===== compiled jets over arrays ===== #
+
+
+def _each(fn, a, m: np.ndarray, *args):
+    """``fn(t, *args)`` for each element t of ``a``, taken as a Python
+    float so that ``fn`` rounds as it does in the scalar code; nan where
+    it raises, with that element set in the mask ``m``.  A scalar ``a``
+    (a subexpression free of x and y) raises everywhere or nowhere."""
+    if np.ndim(a) == 0:
+        try:
+            return fn(float(a), *args)
+        except JET_ERRORS:
+            m[:] = True
+            return math.nan
+    # a memoryview yields the elements as Python floats, without the list
+    # that tolist() builds
+    try:
+        return np.fromiter(map(fn, memoryview(a), *(repeat(v) for v in args)), float, len(a))
+    except JET_ERRORS:
+        pass
+    out = np.empty(len(a))
+    for k, t in enumerate(memoryview(a)):
+        try:
+            out[k] = fn(t, *args)
+        except JET_ERRORS:
+            out[k] = math.nan
+            m[k] = True
+    return out
+
+
+def _div(a, b, m: np.ndarray):
+    """a / b, which raises in Python exactly where b == 0."""
+    m |= b == 0.0
+    return np.divide(a, b)
+
+
+def _sqrt(a, m: np.ndarray):
+    """sqrt(a): numpy's is correctly rounded, as is :func:`math.sqrt`,
+    which raises exactly where a < 0."""
+    m |= a < 0.0
+    return np.sqrt(a)
+
+
+# numpy's exp, sin, cos and power are not correctly rounded and differ
+# from the math module's and from Python's ``**`` in the last bit on a
+# few percent of inputs, so they are mapped element by element
+_ARRAY_NAMES = {
+    "exp": partial(_each, math.exp),
+    "sin": partial(_each, math.sin),
+    "cos": partial(_each, math.cos),
+    "sqrt": _sqrt,
+    "_div": _div,
+    "_pow": lambda v, n, m: _each(pow, v, m, n),
+}
+
+
+def _array_function(exprs: tuple[Expr, ...], values_only: bool = False):
+    """The straight-line code of :func:`_codegen` over arrays:
+    ``(x, y) -> (outputs, raised)``.
+
+    ``+``, ``-`` and ``*`` are IEEE operations in numpy as in Python, and
+    never raise; division and the square root are numpy's with a mask
+    of the elements where Python raises; exp, sin, cos and ``**`` call
+    the scalar functions per element.  So every output element equals
+    the scalar code's, and ``raised`` is set exactly where the scalar
+    code raises (there the outputs hold anything).  An output free of x
+    and y is filled out to the length of x.
+    """
+    generated = _compile_source(_codegen(exprs, values_only, array=True), **_ARRAY_NAMES)
+
+    def evaluate(x: np.ndarray, y: np.ndarray):
+        raised = np.zeros(len(x), dtype=bool)
+        with np.errstate(all="ignore"):
+            out = generated(x, y, raised)
+        return tuple(v if np.ndim(v) else np.full(len(x), v) for v in out), raised
+
+    return evaluate
 
 
 # ===== numpy grid evaluation ===== #
@@ -989,6 +1103,13 @@ def compile_polys(*polys: Poly2):
     """
     return _compile_source(_codegen(tuple(p.to_expr() for p in polys),
                                     values_only=True))
+
+
+def compile_array_polys(*polys: Poly2):
+    """:func:`compile_polys` over arrays: ``(x, y) -> ((p1, ..., pn),
+    raised)``, each value equal to the scalar code's where ``raised`` is
+    False (see :func:`_array_function`)."""
+    return _array_function(tuple(p.to_expr() for p in polys), values_only=True)
 
 
 def to_poly(e: Expr) -> Poly2 | None:

@@ -1,20 +1,26 @@
 """Zero search: frozen locations on the corpus, stats, degeneracy handling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from planarham import corpus
 from planarham.centers import (
+    DEGENERATE_TOL,
+    MAX_NEWTON_ITERS,
     CenterRecord,
+    SearchStats,
+    _sorted_by_location,
     fiber,
     find_zeros,
     isochronous_hint,
     search_zeros,
 )
-from planarham.expr import parse_expr
+from planarham.expr import _codegen, _compile_source, parse_expr
 from planarham.field import Box, PlanarMap, ZERO_TOL
 
 TWO_PI = 2.0 * math.pi
@@ -196,7 +202,152 @@ def test_degenerate_zero_goes_to_stats(noninjective_map):
 
 
 def test_grid_floor():
-    from planarham import corpus
-
     with pytest.raises(ValueError):
         search_zeros(corpus.builtin("identity"), grid_n=4)
+
+
+# the lockstep search ends each seed where one-seed Newton does
+
+
+def _one_seed_newton(jet, x, y, box):
+    """The reference: Newton from one seed, the loop that the lockstep
+    search replaces, kept as it was."""
+    margin_x = box.xmax - box.xmin
+    margin_y = box.ymax - box.ymin
+    best = None
+    for _ in range(MAX_NEWTON_ITERS):
+        try:
+            v1, dx1, dy1, v2, dx2, dy2 = jet(x, y)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            return best if best is not None else "error"
+        res = math.hypot(v1, v2)
+        if not math.isfinite(res):
+            return best if best is not None else "error"
+        if best is not None and res >= best[2]:
+            return best
+        if res <= ZERO_TOL:
+            best = (x, y, res)
+            if res == 0.0:
+                return best
+        det = dx1 * dy2 - dx2 * dy1
+        if det == 0.0 or not math.isfinite(det):
+            return best if best is not None else "singular"
+        x -= (v1 * dy2 - v2 * dy1) / det
+        y -= (v2 * dx1 - v1 * dx2) / det
+        if (x < box.xmin - margin_x or x > box.xmax + margin_x
+                or y < box.ymin - margin_y or y > box.ymax + margin_y):
+            return best if best is not None else "diverged"
+    return best if best is not None else "diverged"
+
+
+def _reference_search(pmap, box, grid_n):
+    """search_zeros as it was, one seed at a time."""
+    box = box if box is not None else pmap.working_box()
+    # compiled afresh, as the array jet is: compile_jet_pair's cache takes
+    # Constant(-0.0) for Constant(0.0)
+    jet = _compile_source(_codegen((pmap.f1, pmap.f2)))
+    candidates = []
+    n_singular = n_diverged = 0
+    for i in range(grid_n):
+        for j in range(grid_n):
+            x0 = box.xmin + (box.xmax - box.xmin) * (i + 0.5) / grid_n
+            y0 = box.ymin + (box.ymax - box.ymin) * (j + 0.5) / grid_n
+            hit = _one_seed_newton(jet, x0, y0, box)
+            if hit == "singular":
+                n_singular += 1
+            elif isinstance(hit, str) or not box.contains((hit[0], hit[1])):
+                n_diverged += 1
+            else:
+                candidates.append(hit)
+    dedup_r = 1e-6 * box.diameter()
+    candidates.sort(key=lambda c: (c[2], c[0], c[1]))
+    accepted = []
+    for c in candidates:
+        if all(math.hypot(c[0] - a[0], c[1] - a[1]) > dedup_r for a in accepted):
+            accepted.append(c)
+    iso = isochronous_hint(pmap)
+    records, degenerate = [], []
+    for x, y, res in accepted:
+        _, dx1, dy1, _, dx2, dy2 = pmap.jet(x, y)
+        det = dx1 * dy2 - dx2 * dy1
+        if abs(det) <= DEGENERATE_TOL:
+            degenerate.append((x, y))
+            continue
+        records.append(CenterRecord((x, y), det, (complex(0.0, abs(det)), complex(0.0, -abs(det))),
+                                    iso, res))
+    return _sorted_by_location(records, dedup_r), SearchStats(
+        grid_n, grid_n * grid_n, len(accepted), n_singular, n_diverged, tuple(degenerate))
+
+
+def _assert_same_search(pmap, box, grid_n):
+    got = search_zeros(pmap, box, grid_n)
+    want = _reference_search(pmap, box, grid_n)
+    assert got == want
+    # and the same floats, down to the sign of a zero
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("f1, f2", [
+    ("x^3 - x", "y"),                  # a zero between two seeds' basins
+    ("x^3/3 - 0.01*x", "y"),
+    ("sqrt(x)", "y"),                  # half the seeds raise
+    ("x", "y + x^5"),
+    ("1/(1 + x^2) - 0.5", "y"),
+    ("exp(-1/x^2)", "y"),              # a flat, degenerate zero
+    ("x^9 - 3", "y^7 - x"),            # ** overflows on the way out
+    ("1/(1/x)", "y"),
+    ("sin(x*1e300)", "y - 0.2"),       # every iterate raises
+])
+def test_search_equals_one_seed_newton(f1, f2):
+    pmap = PlanarMap(f1=parse_expr(f1), f2=parse_expr(f2))
+    _assert_same_search(pmap, None, 32)
+    _assert_same_search(pmap, Box(-2.5, 3.1, -1.7, 2.2), 24)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "identity",
+                                  "control_noninjective"])
+def test_search_equals_one_seed_newton_on_the_builtins(name):
+    pmap = corpus.builtin(name)
+    _assert_same_search(pmap, None, 32)
+    _assert_same_search(pmap, Box(-3, 3, -2, 9), 64)
+
+
+_TERMS = ("x^3", "y^2", "x*y", "exp(x)", "exp(-y)", "sin(y)", "cos(x*y)",
+          "sqrt(x^2 + 1)", "sqrt(y + 1)", "1/(1 + y^2)", "x/(y - 0.3)", "sqrt(x)")
+_coeffs = st.floats(-2.0, 2.0).map(lambda v: round(v, 3))
+
+
+@st.composite
+def _component(draw):
+    # a linear part plus a smaller nonlinear term: zeros in the box are common
+    a, b, c = (draw(_coeffs) for _ in range(3))
+    d = draw(_coeffs) / 4
+    return f"{a!r}*x + {b!r}*y + {c!r} + {d!r}*{draw(st.sampled_from(_TERMS))}"
+
+
+@st.composite
+def _boxes(draw):
+    xmin, ymin = draw(st.floats(-6.0, 0.0)), draw(st.floats(-6.0, 0.0))
+    return Box(xmin, xmin + draw(st.floats(1.0, 10.0)),
+               ymin, ymin + draw(st.floats(1.0, 10.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_component(), _component(), _boxes(), st.sampled_from([8, 24, 32]))
+def test_search_equals_one_seed_newton_on_random_maps(f1, f2, box, grid_n):
+    _assert_same_search(PlanarMap(f1=parse_expr(f1), f2=parse_expr(f2)), box, grid_n)
+
+
+def test_search_memory_stays_small():
+    # a guard for the peak RSS of a run: one search on example3 peaks at
+    # 174 KB in tracemalloc (the one-seed loop it replaced: 42 KB),
+    # compiling the jets excluded; the bound is twice that
+    pmap = corpus.builtin("example3")
+    pmap.jet, pmap.array_jet
+    tracemalloc.start()
+    try:
+        search_zeros(pmap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 350_000

@@ -21,6 +21,8 @@ from planarham.expr import (
     _compile_source,
     _outward,
     _ulp_step,
+    compile_array_jet,
+    compile_array_polys,
     compile_jet_pair,
     compile_polys,
     eval_grid,
@@ -316,6 +318,86 @@ def test_compiled_polys_shapes():
     assert compile_polys(Poly2.zero(), p)(1.0, 1.0) == (0.0, -1.0)
     with pytest.raises(OverflowError):
         compile_polys(p)(1e200, 1.0)
+
+
+# ---- compiled jets over arrays equal the scalar ones bit for bit ----
+
+def _same_bits(a, b):
+    """Equal floats with the same sign of zero, or two nans."""
+    return (a == b and math.copysign(1.0, a) == math.copysign(1.0, b)) or (
+        math.isnan(a) and math.isnan(b))
+
+
+def _assert_array_matches_scalar(scalar, array, xs, ys):
+    """``array`` on (xs, ys) marks exactly the points where ``scalar``
+    raises, and elsewhere equals it in every output, bit for bit."""
+    outputs, raised = array(np.array(xs, dtype=float), np.array(ys, dtype=float))
+    for k, p in enumerate(zip(xs, ys)):
+        try:
+            want = scalar(*p)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            assert raised[k], p
+            continue
+        assert not raised[k], p
+        got = [float(v[k]) for v in outputs]
+        assert all(map(_same_bits, got, want)), (p, got, want)
+
+
+def _scalar_jet(f1, f2):
+    # compiled afresh: compile_jet_pair's cache takes Constant(-0.0) for
+    # Constant(0.0), as they compare equal
+    return _compile_source(_codegen((f1, f2)))
+
+
+# magnitudes at which exp, powers and products overflow or leave the domain
+_array_coords = st.lists(st.one_of(
+    st.floats(min_value=-3, max_value=3, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 200.0, -750.0, 1e10, 1e80, -1e160, 1e300])),
+    min_size=1, max_size=12)
+
+
+@given(eval_trees, eval_trees, _array_coords, _array_coords)
+@_lenient
+def test_array_jet_equals_scalar_jet(f1, f2, xs, ys):
+    n = min(len(xs), len(ys))
+    _assert_array_matches_scalar(_scalar_jet(f1, f2), compile_array_jet(f1, f2),
+                                 xs[:n], ys[:n])
+
+
+@pytest.mark.parametrize("text, point", [
+    ("exp(-1/x^2)", (0.0, 0.5)),       # 1/0 raises; the array's exp(-inf) is 0
+    ("1/(1/x)", (0.0, 0.5)),           # 1/0 raises; the array's 1/inf is 0
+    ("x^4", (1e100, 0.5)),             # ** overflows
+    ("sqrt(x)", (-1.0, 0.5)),
+    ("sin(x*1e300)", (1e10, 0.5)),     # the product overflows silently, sin raises
+    ("exp(x)*y", (710.0, 0.5)),
+    ("x + 2^1100", (1.0, 0.5)),        # raises everywhere: free of x and y
+])
+def test_array_jet_masks_exactly_where_the_scalar_jet_raises(text, point):
+    f1, f2 = parse_expr(text), parse_expr("x*y + 1")
+    scalar = _scalar_jet(f1, f2)
+    with pytest.raises((ValueError, ZeroDivisionError, OverflowError)):
+        scalar(*point)
+    xs, ys = [point[0], 0.25, -0.75, 2.0], [point[1], 0.5, 1.5, -2.0]
+    _assert_array_matches_scalar(scalar, compile_array_jet(f1, f2), xs, ys)
+    _, raised = compile_array_jet(f1, f2)(np.array(xs), np.array(ys))
+    assert raised[0]
+
+
+def test_array_jet_fills_out_constant_outputs():
+    (v1, dx1, dy1, v2, dx2, dy2), raised = compile_array_jet(
+        parse_expr("2"), parse_expr("x"))(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+    assert v1.tolist() == [2.0, 2.0] and dx1.tolist() == [0.0, 0.0]
+    assert v2.tolist() == [1.0, 2.0] and dx2.tolist() == [1.0, 1.0]
+    assert raised.tolist() == [False, False]
+
+
+@given(_polys, _polys, st.lists(_poly_points, min_size=1, max_size=8))
+@_lenient
+def test_array_polys_equal_compiled_polys(p, q, points):
+    xs, ys = zip(*points)
+    _assert_array_matches_scalar(compile_polys(p, q), compile_array_polys(p, q),
+                                 list(xs) + [1e200], list(ys) + [-1e200])
 
 
 # ---- finite-difference oracle on the corpus expressions ----

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from planarham import corpus
 from planarham import field as field_mod
-from planarham.expr import DomainError, parse_expr, to_poly
+from planarham.expr import DomainError, compile_polys, parse_expr, to_poly
 from planarham.field import (
+    VALIDATE_N,
     Box,
     OverflowEvent,
     PLANE_BOX,
@@ -18,6 +20,7 @@ from planarham.field import (
     jacobian_sign_change,
     linearization_at,
     load_map_spec,
+    parse_map_spec,
     sample,
     validate_hamiltonian,
     MapSpecError,
@@ -206,6 +209,95 @@ def test_validate_on_a_domain_away_from_the_origin():
     result = validate_hamiltonian(pmap)
     assert result.ok and result.n_skipped == 0
     assert 10.0 <= result.worst_point[0] <= 20.0
+
+
+def _validate_by_sample(pmap):
+    """The reference: validate_hamiltonian as the loop over sample() it
+    was, kept as it was."""
+    box = pmap.working_box()
+    if box.xmin < 3.0 and box.xmax > -3.0 and box.ymin < 3.0 and box.ymax > -3.0:
+        box = box.intersect(Box(-3.0, 3.0, -3.0, 3.0))
+    h_at = compile_polys(pmap.declared_hamiltonian)
+    worst_res = -1.0
+    worst_pt = (math.nan, math.nan)
+    skipped = checked = 0
+    for i in range(VALIDATE_N):
+        x = box.xmin + (box.xmax - box.xmin) * i / (VALIDATE_N - 1)
+        for j in range(VALIDATE_N):
+            y = box.ymin + (box.ymax - box.ymin) * j / (VALIDATE_N - 1)
+            try:
+                s = sample(pmap, (x, y))
+            except (DomainError, OverflowEvent):
+                skipped += 1
+                continue
+            checked += 1
+            res = abs(h_at(x, y)[0] - s.hamiltonian) / (1.0 + abs(s.hamiltonian))
+            if res > worst_res:
+                worst_res = res
+                worst_pt = (x, y)
+    total = VALIDATE_N * VALIDATE_N
+    if skipped > 0.2 * total:
+        raise ValidationInconclusive(
+            f"{skipped}/{total} grid points skipped on domain errors")
+    return field_mod.HamiltonianValidation(worst_res <= 1e-8, worst_pt, worst_res,
+                                           checked, skipped)
+
+
+# the polynomial workload's strip-scaled map at seed 7, round 0
+_STRIPSCALED_A = """
+f1 = "0.94729*x/sqrt(1 + 0.8973583440999999*x^2)"
+f2 = "(0.8973583440999999*x^2 + (1 + 0.8973583440999999*x^2)^2*1.00032*y)/sqrt(1 + 0.8973583440999999*x^2)"
+hamiltonian = "0.5*(1 + 0.8973583440999999*x^2)^3*1.0006401024000002*y^2 + 0.8973583440999999*x^2*(1 + 0.8973583440999999*x^2)*1.00032*y + 0.5*0.8973583440999999*x^2"
+"""
+
+
+def _declaring(f1, f2, hamiltonian, domain=None):
+    return PlanarMap(f1=parse_expr(f1), f2=parse_expr(f2), domain=domain,
+                     declared_hamiltonian=to_poly(parse_expr(hamiltonian)))
+
+
+def _edge_map():
+    # sqrt fails on columns 0 and 1; exp(119*y) passes 1e150 on rows 48
+    # and 49, and exp(240*y) raises on row 49; column 49 gives f1 = nan
+    # (0 * inf), which sample skips, and rows 44 to 49 give f2 = nan,
+    # which sample passes over (Python's max skips a nan after the first
+    # value), so H there is nan and never the worst
+    return _declaring("sqrt(x + 2.8) + exp(119*y) + 1e-300*exp(240*y)"
+                      " + (y - y)*(exp(80*x)*exp(80*x)*exp(80*x))",
+                      "x + y + (x - x)*(exp(100*y)*exp(100*y)*exp(100*y))",
+                      "0.5*x^2 + 0.5*y^2")
+
+
+_VALIDATION_MAPS = {
+    "example2": lambda: corpus.builtin("example2"),
+    "stripscaled_a": lambda: parse_map_spec(_STRIPSCALED_A, "stripscaled_a", "stripscaled_a"),
+    "domain-failing and overflowing": _edge_map,
+    "mismatch": lambda: _declaring("x", "y", "x^2 + y^2"),
+    "inconclusive": lambda: _declaring("sqrt(x - 10)", "y", "0.5*x^2"),
+    "far box": lambda: _declaring("x - 15", "y - 15", "0.5*(x - 15)^2 + 0.5*(y - 15)^2",
+                                  Box(10.0, 20.0, 10.0, 20.0)),
+    "H overflows": lambda: _declaring("x", "y", "0.5*x^4", Box(1e100, 2e100, 0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(_VALIDATION_MAPS))
+def test_validate_equals_the_loop_over_sample(name):
+    pmap = _VALIDATION_MAPS[name]()
+    try:
+        want = _validate_by_sample(pmap)
+    except (ValidationInconclusive, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            validate_hamiltonian(pmap)
+        return
+    assert validate_hamiltonian(pmap) == want
+
+
+def test_validate_skips_where_sample_raises():
+    result = validate_hamiltonian(_edge_map())
+    # columns 0, 1 and 49 and rows 48 and 49, each point once
+    assert result.n_skipped == 3 * 50 + 2 * 47
+    assert result.n_checked == VALIDATE_N * VALIDATE_N - result.n_skipped
+    assert not result.ok and math.isfinite(result.worst_residual)
 
 
 def test_effective_hamiltonian_poly(example1, example2, identity_map):

@@ -33,7 +33,10 @@ probes any one center took.  The per-center counts come from wrapping
 ``planarham.annulus.estimate_ell``.  For each ``disc`` SVG it prints the
 number of trajectories, how many of them are closed (first point equal
 to the last) and their total points, and adds these up in the totals.
-Two checkouts that do different amounts of work, or whose report bytes
+Every invocation's line, portraits included, ends with the
+``SearchStats.summary()`` of each zero search it ran (``search=``, ``-``
+for none), from wrapping ``planarham.cli.search_zeros``, so that the
+seed outcomes can be compared too.  Two checkouts that do different amounts of work, or whose report bytes
 move only in confidences, can be compared with it:
 
     python3 tools/output_digest.py --work --checkout ../other-checkout > old.txt
@@ -147,7 +150,7 @@ def main(argv: list[str]) -> int:
     root = args.checkout.resolve()
     sys.dont_write_bytecode = True          # leave the checkout as it is
     sys.path[:0] = [str(root / "perfbench"), str(root / "src")]
-    from planarham import annulus
+    from planarham import annulus, cli
     from planarham.cli import run_subcommand
     from workloads import WORKLOADS, argv_for, round_invocations, write_maps
 
@@ -160,28 +163,39 @@ def main(argv: list[str]) -> int:
         return est
 
     annulus.estimate_ell = recording
+    searches: list = []             # the SearchStats of the current invocation
+    search_zeros = cli.search_zeros
+
+    def searching(*args_, **kwargs):
+        records, stats = search_zeros(*args_, **kwargs)
+        searches.append(stats)
+        return records, stats
+
+    cli.search_zeros = searching
     totals = dict.fromkeys(("certificates", "orbit_points", "probes", "traced", "lift",
                             "most_per_center", "trajectories", "closed", "disc_points"), 0)
 
     def run_one(label: str, argv_: list[str], out: Path, workdir: Path) -> None:
         estimates.clear()
+        searches.clear()
         rc, hexd = digest(run_subcommand, argv_, out, workdir)
+        search = "search=" + ("; ".join(s.summary() for s in searches) or "-")
         if not args.work:
             print(f"{label} rc={rc} {hexd}", flush=True)
         elif argv_[0] == "disc":
             counts = disc_work(out)
             if counts is None:
-                print(f"{label} rc={rc} <no output file>", flush=True)
+                print(f"{label} rc={rc} <no output file> {search}", flush=True)
                 return
             listed = dict(zip(("trajectories", "closed", "disc_points"), counts))
             for key, n in listed.items():
                 totals[key] += n
-            print(f"{label} rc={rc} " + " ".join(f"{key}={n}" for key, n in listed.items()),
-                  flush=True)
+            print(f"{label} rc={rc} " + " ".join(f"{key}={n}" for key, n in listed.items())
+                  + f" {search}", flush=True)
         elif out.suffix == ".json":
             counts = work(out)
             if counts is None:
-                print(f"{label} rc={rc} <no output file>", flush=True)
+                print(f"{label} rc={rc} <no output file> {search}", flush=True)
                 return
             certificates, boxes, points, sectors = counts
             per_center = dict(zip(("probes", "traced", "lift"), probe_counts(estimates)))
@@ -193,8 +207,10 @@ def main(argv: list[str]) -> int:
             listed = " ".join(f"{key}={','.join(map(str, v)) or '-'}"
                               for key, v in per_center.items())
             print(f"{label} rc={rc} certificates={certificates} {listed} "
-                  f"sign_proof_boxes={boxes} orbit_points={points} sectors={sectors or '-'}",
-                  flush=True)
+                  f"sign_proof_boxes={boxes} orbit_points={points} sectors={sectors or '-'} "
+                  f"{search}", flush=True)
+        else:
+            print(f"{label} rc={rc} {search}", flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
