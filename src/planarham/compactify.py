@@ -1,20 +1,20 @@
 """Poincare compactification of polynomial Hamiltonian pair fields.
 
-For polynomial H the field (P, Q) = (-H_y, H_x) extends to the sphere.
-Chart U1 covers the x > 0 hemisphere via x = 1/v, y = u/v and carries
-the rescaled field u' = v^d (Q - u P), v' = -v^(d+1) P; chart U2 covers
-y > 0 via x = u/v, y = 1/v with u' = v^d (P - u Q), v' = -v^(d+1) Q.
-The antipodal charts differ by the factor (-1)^(d-1).  Infinite
-singular points sit on the equator v = 0 at angles where
-G(theta) = cos(theta) Q_d - sin(theta) P_d vanishes (P_d, Q_d the
-top-degree forms).  For H a sum of squares G >= 0, so roots come in
-even multiplicity and are found as touching minima.
+For polynomial H of degree m the field (-H_y, H_x) extends to the
+sphere, and its infinite singular points sit on the equator at the
+angles where G(theta) = g(cos theta, sin theta) vanishes.  By Euler's
+identity g = c Q_d - s P_d, with P_d, Q_d the top-degree forms of the
+field, is m H_m, so g is read straight off H's top-degree terms.  For H
+a sum of squares G >= 0, so roots come in even multiplicity and are
+found as touching minima.
 
 Orbits are level curves of H, so an infinite singular point has a
 nondegenerate sector exactly when H stays bounded along a curve to
 infinity in its cone, and two degenerate hyperbolic sectors when H is
 coercive in the cone on both sides of the equator (the point's direction
-and its antipode's).  Along a curve to infinity a polynomial H tends to
+and its antipode's).  A point in direction theta is read in chart U1
+(x = 1/v, y = u/v) when |cos theta| >= |sin theta|, else in U2
+(x = u/v, y = 1/v).  Along a curve to infinity a polynomial H tends to
 a value or grows like |v|^-q with rational q >= 1/deg H (Bajbar-Stein,
 SIAM J. Optim. 25, 2015; Dumortier-Llibre-Artes, *Qualitative Theory of
 Planar Differential Systems*, ch. 3 and 5).  H is read as |f|^2 / 2
@@ -38,7 +38,6 @@ from .rk import dp5_step  # noqa: F401  (perfbench/tracer.py reads it by name)
 
 SCAN_N = 2048
 ROOT_RESIDUAL = 1e-9
-MULTIPLE_ROOT_TOL = 1e-6
 
 # H's valleys: the cone's half-width in u, samples per segment (odd: u0 is one)
 FAN_R = 0.05
@@ -55,9 +54,7 @@ class EquatorDegenerate(Exception):
 
 @dataclass(frozen=True)
 class CompactifiedField:
-    degree: int
-    p: Poly2
-    q: Poly2
+    degree: int                   # the field's: deg H - 1
     equator_poly: Poly2           # g(c, s) with G(theta) = g(cos, sin)
     warnings: tuple[str, ...]
 
@@ -67,8 +64,6 @@ class InfinitySingularity:
     theta: float                  # direction angle in [0, pi)
     chart: str                    # "U1" or "U2"
     u: float                      # chart abscissa; the point is (u, 0)
-    residual: float               # |G(theta)|
-    degenerate_root: bool         # multiplicity beyond the generic double root
     classification: str = "unclassified"
     confidence: float = 0.0
     evidence: tuple[str, ...] = ()           # per side, v > 0 first
@@ -76,42 +71,30 @@ class InfinitySingularity:
 
 
 def build_compactification(hpoly: Poly2) -> CompactifiedField:
-    """Field components and equator polynomial of the compactified pair field.
+    """The equator polynomial g = m H_m of H of degree m: each term
+    c x^i y^j of H_m gives g the coefficient ``c * i + c * j``, the float
+    sum that c Q_d - s P_d computes from the field (-H_y, H_x).
 
-    Rejects Hamiltonians of degree <= 1 (the field is constant).  A
-    vanishing P or Q component is flagged: it means the field is
-    singular along a curve, which the det Df != 0 pipeline never feeds
-    us.
+    Rejects H of degree <= 1 (the field is constant).  Flags a vanishing
+    field component (every term of H free of y, or every one free of x):
+    the field is then singular along a curve, which the det Df != 0
+    pipeline never feeds us.
     """
-    p = -hpoly.dy()
-    q = hpoly.dx()
-    d = max(p.degree(), q.degree())
-    if d < 1:
+    m = hpoly.degree()
+    if m <= 1:
         raise ValueError("field degree below 1: nothing to compactify")
     warnings = []
-    if p.is_zero() or q.is_zero():
+    if all(j == 0 for _, _, j in hpoly.terms) or all(i == 0 for _, i, _ in hpoly.terms):
         warnings.append("a field component vanishes identically; "
                         "the field is singular along a curve")
-
-    u = Poly2.from_dict({(1, 0): 1.0})
-    v = Poly2.from_dict({(0, 1): 1.0})
-    # top forms taken at the field degree d: a component of lower degree
-    # contributes nothing
-    pd = Poly2.from_dict({(i, j): c for c, i, j in p.terms if i + j == d})
-    qd = Poly2.from_dict({(i, j): c for c, i, j in q.terms if i + j == d})
-    # g(c, s) = c * Q_d(c, s) - s * P_d(c, s)
-    g = u * qd - v * pd
-    return CompactifiedField(degree=d, p=p, q=q, equator_poly=g,
-                             warnings=tuple(warnings))
+    g = Poly2.from_dict({(i, j): c * i + c * j for c, i, j in hpoly.terms if i + j == m})
+    return CompactifiedField(degree=m - 1, equator_poly=g, warnings=tuple(warnings))
 
 
 def _g_funcs(cf: CompactifiedField):
     g = cf.equator_poly
-    gx, gy = g.dx(), g.dy()
-    gxx, gxy, gyy = gx.dx(), gx.dy(), gy.dy()
     g0_at = compile_polys(g)
-    g1_at = compile_polys(gx, gy)
-    g2_at = compile_polys(gxx, gxy, gyy, gx, gy)
+    g1_at = compile_polys(g.dx(), g.dy())
 
     def G(t: float) -> float:
         return g0_at(math.cos(t), math.sin(t))[0]
@@ -121,13 +104,7 @@ def _g_funcs(cf: CompactifiedField):
         vx, vy = g1_at(c, s)
         return -s * vx + c * vy
 
-    def G2(t: float) -> float:
-        c, s = math.cos(t), math.sin(t)
-        vxx, vxy, vyy, vx, vy = g2_at(c, s)
-        return (s * s * vxx - 2 * s * c * vxy + c * c * vyy
-                - c * vx - s * vy)
-
-    return G, G1, G2
+    return G, G1
 
 
 def _chart_for(theta: float) -> tuple[str, float]:
@@ -147,7 +124,7 @@ def infinite_singularities(cf: CompactifiedField,
     polishes each bracket.  Raises
     :class:`EquatorDegenerate` when G vanishes identically.
     """
-    G, G1, G2 = _g_funcs(cf)
+    G, G1 = _g_funcs(cf)
     step = math.pi / scan_n
     thetas = [k * step for k in range(scan_n)]
     vals = [G(t) for t in thetas]
@@ -185,17 +162,7 @@ def infinite_singularities(cf: CompactifiedField,
             if G1(lo) < 0.0 < G1(hi):
                 push(brent_root(G1, lo, hi, xtol=1e-15, maxiter=200))
 
-    out = []
-    for t in sorted(roots):
-        chart, uu = _chart_for(t)
-        # multiplicity above two needs G' and G'' both to vanish; a
-        # simple root can have an incidental inflection (G'' = 0)
-        degenerate = (abs(G1(t)) <= MULTIPLE_ROOT_TOL * scale
-                      and abs(G2(t)) <= MULTIPLE_ROOT_TOL * scale)
-        out.append(InfinitySingularity(
-            theta=t, chart=chart, u=uu, residual=abs(G(t)),
-            degenerate_root=degenerate))
-    return out
+    return [InfinitySingularity(t, *_chart_for(t)) for t in sorted(roots)]
 
 
 def _to_plane(chart: str, u, v):

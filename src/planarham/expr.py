@@ -13,14 +13,13 @@ Four evaluation paths exist on purpose:
 * generated straight-line code for the hot loops, in two modes of one
   code generator: :func:`compile_jet_pair` gives values and first
   partials of a map (falls back to the tree walk to diagnose failures),
-  :func:`compile_polys` gives values only, for the polynomial fields of
-  the compactification and the disc flow.  The
-  generator emits a body over any input names (:func:`_emit`), which
-  :mod:`planarham.rk` inlines at each stage of its DP5 kernels.  The
-  same code runs over numpy arrays (:func:`compile_array_jet`,
-  :func:`compile_array_polys`), equal to the scalar code bit for bit
-  and with a mask where it would raise, for the Newton seed grid and
-  the declared-H check,
+  :func:`compile_polys` gives values only, for the equator scan of the
+  compactification.  The generator emits a body over any input names
+  (:func:`_emit`), which :mod:`planarham.rk` inlines at each stage of
+  its DP5 kernels.  The same code runs over numpy arrays
+  (:func:`compile_array_jet`, :func:`compile_array_polys`), equal to
+  the scalar code bit for bit and with a mask where it would raise, for
+  the Newton seed grid and the declared-H check,
 * :func:`eval_grid` -- vectorised numpy walk for grids, ``nan`` where the
   evaluation leaves the real domain,
 * :func:`eval_interval_jet` -- the same walk over arrays of boxes, giving
@@ -626,15 +625,37 @@ def _compile_source(src: str, **names):
     return namespace["_generated"]
 
 
+def _zero_signs(*trees: Expr) -> tuple[bool, ...]:
+    """Whether each zero constant of the trees, in a fixed walk order, is
+    -0.0: what structural equality (``0.0 == -0.0``) misses."""
+    out, stack = [], list(trees)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Constant) and node.value == 0.0:
+            out.append(math.copysign(1.0, node.value) < 0.0)
+        stack += ((node.child,) if isinstance(node, Unary) else
+                  (node.left, node.right) if isinstance(node, Binary) else ())
+    return tuple(out)
+
+
 @lru_cache(maxsize=256)
+def _compile_jet_pair(f1: Expr, f2: Expr, zero_signs: tuple[bool, ...]):
+    return _compile_source(_codegen((f1, f2)))
+
+
 def compile_jet_pair(f1: Expr, f2: Expr):
     """Compiled ``(x, y) -> (v1, dx1, dy1, v2, dx2, dy2)``.
 
     The generated code raises the raw arithmetic exceptions
     (``ValueError``/``ZeroDivisionError``/``OverflowError``); callers that
     need a located :class:`DomainError` should re-run :func:`eval_jet`.
+    Cached on the trees and the signs of their zero constants: ``0.0*y``
+    and ``-0.0*y`` compile apart.
     """
-    return _compile_source(_codegen((f1, f2)))
+    return _compile_jet_pair(f1, f2, _zero_signs(f1, f2))
+
+
+compile_jet_pair.cache_info = _compile_jet_pair.cache_info
 
 
 def compile_array_jet(f1: Expr, f2: Expr):
@@ -1015,9 +1036,6 @@ class Poly2:
 
     def as_dict(self) -> dict[tuple[int, int], float]:
         return {(i, j): c for c, i, j in self.terms}
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""

@@ -193,7 +193,7 @@ def sample(pmap: PlanarMap, p: tuple[float, float]) -> FieldSample:
 
     Raises :class:`~planarham.expr.DomainError` (locating the offending
     subexpression) when evaluation leaves the real domain, and
-    :class:`OverflowEvent` when any magnitude passes 1e150.
+    :class:`OverflowEvent` when any magnitude passes 1e150 or is nan.
     """
     x, y = p
     try:
@@ -201,8 +201,9 @@ def sample(pmap: PlanarMap, p: tuple[float, float]) -> FieldSample:
     except JET_ERRORS as exc:
         raise located_jet_failure(pmap.f1, pmap.f2, p, exc) from None
     worst = max(abs(v1), abs(dx1), abs(dy1), abs(v2), abs(dx2), abs(dy2))
-    if not math.isfinite(worst) or worst > OVERFLOW_LIMIT:
-        raise OverflowEvent(p, worst)
+    # max passes over a nan unless it comes first; the sum does not
+    if not worst <= OVERFLOW_LIMIT or math.isnan(v1 + dx1 + dy1 + v2 + dx2 + dy2):
+        raise OverflowEvent(p, worst if worst > OVERFLOW_LIMIT else math.nan)
     h = 0.5 * (v1 * v1 + v2 * v2)
     return FieldSample(
         point=(x, y),
@@ -284,9 +285,8 @@ def validate_hamiltonian(pmap: PlanarMap) -> HamiltonianValidation:
     (declared,), h_raised = compile_array_polys(pmap.declared_hamiltonian)(xs, ys)
     v1, v2 = jet[0], jet[3]
     with np.errstate(all="ignore"):
-        # sample's overflow guard: Python's max of the six magnitudes is
-        # nan exactly when |v1| is, and otherwise passes over a nan
-        skip = raised | np.isnan(v1) | (np.abs(jet) > OVERFLOW_LIMIT).any(axis=0)
+        # sample's overflow guard: every magnitude finite and at most the limit
+        skip = raised | ~(np.abs(jet) <= OVERFLOW_LIMIT).all(axis=0)
         h = 0.5 * (v1 * v1 + v2 * v2)
         res = np.abs(declared - h) / (1.0 + np.abs(h))
     if (h_raised & ~skip).any():

@@ -4,8 +4,9 @@ Scenes are plain layer lists (polylines, markers, circles, labels) over
 either a plane viewport or the unit disc.  Closed orbits come from the
 tracer; level-set pieces the tracer cannot reach (unbounded components,
 levels above every center's bracket) come from a marching-squares pass.
-The disc portrait projects the plane by z -> z/(1 + |z|), which keeps
-the inverse simple; the equator is the unit circle.
+The disc portrait runs the Hamiltonian field, read off the jet of f,
+and projects the plane by z -> z/(1 + |z|), which keeps the inverse
+simple; the equator is the unit circle.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compactify import CompactifiedField
-from .expr import compile_polys, eval_grid
+from .expr import JET_ERRORS, eval_grid
 from .field import Box, PlanarMap
-from .rk import dp5_step, poly_kernel, step_factor
+from .rk import dp5_step, flow_kernel, step_factor
 from .trace import (AngleBudget, LevelUnreachable, center_point, integrate_orbit,
                     level_start_point)
 
@@ -348,26 +349,27 @@ _ESCAPE_RADIUS = 60.0
 _FLOW_MAX_STEPS = 400
 
 
-def _flow_polyline(pair, kernel, start: tuple[float, float],
+def _flow_polyline(jet, kernel, start: tuple[float, float],
                    direction: float) -> tuple[list[tuple[float, float]], bool]:
-    """Integrate the plane field one way, collecting points until escape
-    or the orbit's first return to its start.
+    """Integrate the Hamiltonian field one way, collecting points until
+    escape or the orbit's first return to its start.
 
-    ``pair`` is the field compiled by :func:`compile_polys` and ``kernel``
-    its DP5 step from :func:`planarham.rk.poly_kernel`.  The return is
-    the first accepted point, within one step cap of the start, where
-    (p - start) . v0 goes from negative to >= 0 (v0 the start's
-    velocity): the orbit has crossed the start's transversal section
-    again, and the flag in the result says so.  That point is not kept:
-    the caller closes the loop at the start itself.
+    ``jet`` is the map's compiled jet (:attr:`PlanarMap.jet`) and
+    ``kernel`` the field's DP5 step from :func:`planarham.rk.flow_kernel`.
+    The return is the first accepted point, within one step cap of the
+    start, where (p - start) . v0 goes from negative to >= 0 (v0 the
+    start's velocity): the orbit has crossed the start's transversal
+    section again, and the flag in the result says so.  That point is
+    not kept: the caller closes the loop at the start itself.
     """
     x, y = start
     out: list[tuple[float, float]] = []
     try:
-        fx, fy = pair(x, y)
-    except (OverflowError, ValueError, ZeroDivisionError):
+        v1, dx1, dy1, v2, dx2, dy2 = jet(x, y)
+    except JET_ERRORS:
         return out, False
-    f1x, f1y = direction * fx, direction * fy
+    f1x = direction * -(v1 * dy1 + v2 * dy2)
+    f1y = direction * (v1 * dx1 + v2 * dx2)
     speed = math.hypot(f1x, f1y)
     if speed == 0.0:
         return out, False
@@ -379,7 +381,7 @@ def _flow_polyline(pair, kernel, start: tuple[float, float],
         try:
             x5, y5, enorm, k7x, k7y = dp5_step(kernel, x, y, f1x, f1y, h,
                                                1e-6, 1e-9, direction)
-        except (OverflowError, ValueError, ZeroDivisionError):
+        except JET_ERRORS:
             break
         if not (math.isfinite(x5) and math.isfinite(y5)):
             break
@@ -406,25 +408,26 @@ def _flow_polyline(pair, kernel, start: tuple[float, float],
     return out, False
 
 
-def disc_portrait(cf: CompactifiedField, singularities) -> Scene:
+def disc_portrait(pmap: PlanarMap, singularities) -> Scene:
     """Poincare-disc portrait: equator, singularity glyphs, flow fan.
 
     Each fan start is run forward; an orbit that returns to its start is
-    drawn as one closed loop, any other is also run backward.
+    drawn as one closed loop, any other is also run backward.  The flow
+    stops where f is undefined.
     """
-    pair = compile_polys(cf.p, cf.q)
-    kernel = poly_kernel(cf.p, cf.q)
+    jet = pmap.jet
+    kernel = flow_kernel(pmap.f1, pmap.f2)
     layers: list[Layer] = [CircleLayer((0.0, 0.0), 1.0, role="equator")]
 
     for k in range(_FAN_ANGLES):
         ang = 2.0 * math.pi * k / _FAN_ANGLES + 0.2
         for radius in _FAN_RADII:
             start = (radius * math.cos(ang), radius * math.sin(ang))
-            fore, closed = _flow_polyline(pair, kernel, start, 1.0)
+            fore, closed = _flow_polyline(jet, kernel, start, 1.0)
             if closed:
                 pts = [start, *fore, start]
             else:
-                back, _ = _flow_polyline(pair, kernel, start, -1.0)
+                back, _ = _flow_polyline(jet, kernel, start, -1.0)
                 pts = [*reversed(back), start, *fore]
             proj = tuple(project_to_disc(p) for p in pts)
             if len(proj) >= 2:
@@ -449,7 +452,7 @@ def disc_portrait_for_map(pmap: PlanarMap, cf: CompactifiedField | None,
         return DiscRefusal(
             "Hamiltonian is not polynomial: the field does not extend to "
             "the Poincare disc by the degree-rescaling construction")
-    return disc_portrait(cf, singularities)
+    return disc_portrait(pmap, singularities)
 
 
 # ===== SVG emission ===== #

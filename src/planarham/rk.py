@@ -14,11 +14,12 @@ than the arithmetic.  The stage and error expressions keep the operand
 order of the textbook loop, so every float operation, and with it every
 result bit, is what a stage-by-stage step computes.
 
-Two kernels exist: :func:`orbit_kernel` for the lift of a map's image
-circle, stepped in the image angle with the elapsed time as a third
-coordinate (used by orbit tracing), and :func:`poly_kernel` for a
-polynomial field run in either time direction (the disc portrait's
-flow, its only user).
+Two kernels exist, both generated from the jet of a map f:
+:func:`orbit_kernel` for the lift of f's image circle, stepped in the
+image angle with the elapsed time as a third coordinate (used by orbit
+tracing), and :func:`flow_kernel` for the Hamiltonian field of
+H = |f|^2 / 2 run in either time direction (the disc portrait's flow,
+its only user).
 
 The drivers call each trial step through :func:`dp5_step`, not the
 kernel directly: one call per trial step, looked up in the driver's
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .expr import Expr, Poly2, _compile_source, _emit
+from .expr import Expr, _compile_source, _emit
 
 # Butcher tableau, Dormand & Prince RK5(4)7M
 A21 = 1 / 5
@@ -149,19 +150,21 @@ def orbit_kernel(f1: Expr, f2: Expr, errors: tuple[type[BaseException], ...],
     return _compile_source(src, _ERRORS=errors, _locate=locate)
 
 
-def poly_kernel(p: Poly2, q: Poly2):
-    """The DP5 step of the polynomial field (p, q) scaled by a direction.
+def flow_kernel(f1: Expr, f2: Expr):
+    """The DP5 step of the Hamiltonian field (-H_y, H_x) of
+    H = |f|^2 / 2, read off the jet of f = (f1, f2), scaled by a
+    direction.
 
     ``kernel(x, y, k1x, k1y, h, rtol, atol, direction)`` steps the field
-    ``direction * (p, q)`` and returns ``(x5, y5, enorm, k7x, k7y)``.
-    Evaluation errors (``**`` overflowing) come through raw.  Nothing is
-    cached: compile where the field is used and keep the kernel for the
-    run.
+    ``direction * (-(v1 dy1 + v2 dy2), v1 dx1 + v2 dx2)`` and returns
+    ``(x5, y5, enorm, k7x, k7y)``.  Evaluation errors come through raw.
+    Nothing is cached: compile where the field is used and keep the
+    kernel for the run.
     """
-    body, ((pv, _, _), (qv, _, _)) = _emit((p.to_expr(), q.to_expr()), values_only=True,
-                                           inputs=("sx", "sy"))
+    body, ((v1, dx1, dy1), (v2, dx2, dy2)) = _emit((f1, f2), inputs=("sx", "sy"))
     src = _kernel_source("xy", ", direction", body,
-                         {"x": f"direction * {pv}", "y": f"direction * {qv}"},
+                         {"x": f"direction * -({v1} * {dy1} + {v2} * {dy2})",
+                          "y": f"direction * ({v1} * {dx1} + {v2} * {dx2})"},
                          guard=False, returns="")
     return _compile_source(src)
 

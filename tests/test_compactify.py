@@ -5,6 +5,8 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planarham import corpus
 from planarham.annulus import SIGN_CHANGE, GlobalVerdict
@@ -45,10 +47,6 @@ def cf_identity(identity_map):
 
 def test_example2_field_components_frozen(cf2):
     assert cf2.degree == 7
-    assert cf2.p.as_dict() == {(0, 1): -1.0, (2, 0): -1.0, (2, 1): -3.0,
-                               (4, 0): -1.0, (4, 1): -3.0, (6, 1): -1.0}
-    assert cf2.q.as_dict() == {(1, 0): 1.0, (1, 1): 2.0, (1, 2): 3.0,
-                               (3, 1): 4.0, (3, 2): 6.0, (5, 2): 3.0}
     assert cf2.warnings == ()
 
 
@@ -94,6 +92,47 @@ def test_vanishing_component_flagged():
     assert build_compactification(cubic_poly()).warnings == ()
 
 
+def _pair_field_equator(hpoly: Poly2):
+    """The reference: degree, warnings and equator polynomial of the pair
+    field (P, Q) = (-H_y, H_x), g = u Q_d - v P_d with the top forms
+    taken at the field degree d."""
+    p, q = -hpoly.dy(), hpoly.dx()
+    d = max(p.degree(), q.degree())
+    if d < 1:
+        raise ValueError("field degree below 1")
+    warnings = ("a field component vanishes identically; the field is singular "
+                "along a curve",) if not (p.terms and q.terms) else ()
+    u = Poly2.from_dict({(1, 0): 1.0})
+    v = Poly2.from_dict({(0, 1): 1.0})
+    pd = Poly2.from_dict({(i, j): c for c, i, j in p.terms if i + j == d})
+    qd = Poly2.from_dict({(i, j): c for c, i, j in q.terms if i + j == d})
+    return d, warnings, u * qd - v * pd
+
+
+_h_polys = st.dictionaries(
+    st.tuples(st.integers(0, 12), st.integers(0, 12)).filter(lambda ij: sum(ij) <= 12),
+    st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+              st.integers(-9, 9).map(float)),
+    max_size=12).map(Poly2.from_dict)
+
+
+@given(_h_polys)
+@settings(max_examples=500, deadline=None)
+def test_equator_poly_equals_the_pair_field_construction(hpoly):
+    try:
+        d, warnings, g = _pair_field_equator(hpoly)
+    except ValueError:
+        assert hpoly.degree() <= 1
+        with pytest.raises(ValueError):
+            build_compactification(hpoly)
+        return
+    cf = build_compactification(hpoly)
+    assert cf.degree == d
+    assert cf.warnings == warnings
+    assert [(repr(c), i, j) for c, i, j in cf.equator_poly.terms] == \
+        [(repr(c), i, j) for c, i, j in g.terms]
+
+
 # ===== equator roots ===== #
 
 
@@ -105,12 +144,9 @@ def test_example2_equator_roots(cf2):
     assert a.theta == 0.0
     assert a.chart == "U1"
     assert a.u == 0.0
-    assert not a.degenerate_root        # plain double root of G
     assert abs(b.theta - math.pi / 2) <= 1e-9
     assert b.chart == "U2"
     assert abs(b.u) <= 1e-12
-    assert b.degenerate_root            # order-six root of G
-    assert all(s.residual <= 1e-9 for s in sings)
 
 
 def test_scan_density_insensitive(cf2):
@@ -132,7 +168,6 @@ def test_sign_change_root():
     # the abscissa is -1 in both charts
     assert s.chart in ("U1", "U2")
     assert s.u == pytest.approx(-1.0, abs=1e-12)
-    assert not s.degenerate_root
 
 
 def test_double_well_equator_root():
@@ -141,7 +176,8 @@ def test_double_well_equator_root():
     sings = infinite_singularities(cf)
     assert len(sings) == 1
     assert abs(sings[0].theta - math.pi / 2) <= 1e-9
-    assert sings[0].degenerate_root     # order-four root
+    assert sings[0].chart == "U2"
+    assert abs(sings[0].u) <= 1e-12
 
 
 def test_equator_degenerate_raises(cf_identity):
@@ -345,8 +381,7 @@ def test_conti_route_disagreement_flagged(identity_map):
 
 def _dummy_singularity():
     from planarham.compactify import InfinitySingularity
-    return InfinitySingularity(theta=0.0, chart="U1", u=0.0, residual=0.0,
-                               degenerate_root=False)
+    return InfinitySingularity(theta=0.0, chart="U1", u=0.0)
 
 
 def test_conti_undetermined_falls_back(identity_map):

@@ -257,6 +257,18 @@ def test_codegen_emits_each_right_hand_side_once():
         assert jet(*p) == (j1.value, j1.dx, j1.dy, j2.value, j2.dx, j2.dy)
 
 
+@pytest.mark.parametrize("order", [("0.0*y", "-0.0*y"), ("-0.0*y", "0.0*y")])
+def test_jet_cache_tells_signed_zeros_apart(order):
+    # Constant(-0.0) == Constant(0.0), but the two compile to different code
+    y = parse_expr("y")
+    for text in order:
+        f1 = parse_expr(text)
+        want = _compile_source(_codegen((f1, y)))(1.0, 2.0)
+        got = compile_jet_pair(f1, y)(1.0, 2.0)
+        assert repr(got) == repr(want)
+        assert repr(got[0]) == ("-0.0" if text.startswith("-") else "0.0")
+
+
 def test_codegen_never_hashes_a_node(example3, monkeypatch):
     # the frozen dataclasses hash recursively, so a memo keyed by the
     # nodes themselves costs a walk of the subtree per lookup
@@ -343,12 +355,6 @@ def _assert_array_matches_scalar(scalar, array, xs, ys):
         assert all(map(_same_bits, got, want)), (p, got, want)
 
 
-def _scalar_jet(f1, f2):
-    # compiled afresh: compile_jet_pair's cache takes Constant(-0.0) for
-    # Constant(0.0), as they compare equal
-    return _compile_source(_codegen((f1, f2)))
-
-
 # magnitudes at which exp, powers and products overflow or leave the domain
 _array_coords = st.lists(st.one_of(
     st.floats(min_value=-3, max_value=3, allow_nan=False),
@@ -360,7 +366,7 @@ _array_coords = st.lists(st.one_of(
 @_lenient
 def test_array_jet_equals_scalar_jet(f1, f2, xs, ys):
     n = min(len(xs), len(ys))
-    _assert_array_matches_scalar(_scalar_jet(f1, f2), compile_array_jet(f1, f2),
+    _assert_array_matches_scalar(compile_jet_pair(f1, f2), compile_array_jet(f1, f2),
                                  xs[:n], ys[:n])
 
 
@@ -375,7 +381,7 @@ def test_array_jet_equals_scalar_jet(f1, f2, xs, ys):
 ])
 def test_array_jet_masks_exactly_where_the_scalar_jet_raises(text, point):
     f1, f2 = parse_expr(text), parse_expr("x*y + 1")
-    scalar = _scalar_jet(f1, f2)
+    scalar = compile_jet_pair(f1, f2)
     with pytest.raises((ValueError, ZeroDivisionError, OverflowError)):
         scalar(*point)
     xs, ys = [point[0], 0.25, -0.75, 2.0], [point[1], 0.5, 1.5, -2.0]

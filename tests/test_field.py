@@ -213,7 +213,8 @@ def test_validate_on_a_domain_away_from_the_origin():
 
 def _validate_by_sample(pmap):
     """The reference: validate_hamiltonian as the loop over sample() it
-    was, kept as it was."""
+    was, skipping where sample raises (a magnitude past 1e150, or a nan
+    anywhere in the jet)."""
     box = pmap.working_box()
     if box.xmin < 3.0 and box.xmax > -3.0 and box.ymin < 3.0 and box.ymax > -3.0:
         box = box.intersect(Box(-3.0, 3.0, -3.0, 3.0))
@@ -259,9 +260,7 @@ def _declaring(f1, f2, hamiltonian, domain=None):
 def _edge_map():
     # sqrt fails on columns 0 and 1; exp(119*y) passes 1e150 on rows 48
     # and 49, and exp(240*y) raises on row 49; column 49 gives f1 = nan
-    # (0 * inf), which sample skips, and rows 44 to 49 give f2 = nan,
-    # which sample passes over (Python's max skips a nan after the first
-    # value), so H there is nan and never the worst
+    # (0 * inf) and rows 44 to 49 give f2 = nan, which sample skips too
     return _declaring("sqrt(x + 2.8) + exp(119*y) + 1e-300*exp(240*y)"
                       " + (y - y)*(exp(80*x)*exp(80*x)*exp(80*x))",
                       "x + y + (x - x)*(exp(100*y)*exp(100*y)*exp(100*y))",
@@ -294,10 +293,24 @@ def test_validate_equals_the_loop_over_sample(name):
 
 def test_validate_skips_where_sample_raises():
     result = validate_hamiltonian(_edge_map())
-    # columns 0, 1 and 49 and rows 48 and 49, each point once
-    assert result.n_skipped == 3 * 50 + 2 * 47
+    # columns 0, 1 and 49 and rows 44 to 49, each point once
+    assert result.n_skipped == 3 * 50 + 6 * 47
     assert result.n_checked == VALIDATE_N * VALIDATE_N - result.n_skipped
     assert not result.ok and math.isfinite(result.worst_residual)
+
+
+def test_sample_rejects_a_nan_past_the_first_jet_value():
+    # f2 = y + 0 * inf is nan while |f1| is finite
+    pmap = PlanarMap(f1=parse_expr("x"), f2=parse_expr("y + (x - x)*(y*1e200*1e200)"))
+    with pytest.raises(OverflowEvent):
+        sample(pmap, (1.0, 2.0))
+
+
+def test_declared_hamiltonian_not_validated_over_nans():
+    spec = ('f1 = "x"\nf2 = "y + (x - x)*(y*1e200*1e200)"\n'
+            'hamiltonian = "7*x^4 + 3"\n')
+    with pytest.raises(MapSpecError, match="2500/2500"):
+        parse_map_spec(spec, "nan map", "nan_map")
 
 
 def test_effective_hamiltonian_poly(example1, example2, identity_map):

@@ -13,9 +13,9 @@ from planarham.annulus import estimate_ell
 from planarham.centers import find_zeros
 from planarham.compactify import (classify_sectors, compactification_for_map,
                                   infinite_singularities)
-from planarham.expr import Poly2, compile_polys, parse_expr
+from planarham.expr import parse_expr
 from planarham.field import Box, PlanarMap, effective_hamiltonian_poly
-from planarham.rk import poly_kernel
+from planarham.rk import flow_kernel
 from planarham.render import (CircleLayer, DiscRefusal, PointMarker, Polyline,
                               ROLE_COLOR, Scene, TextLabel, disc_portrait,
                               disc_portrait_for_map, marching_squares,
@@ -37,7 +37,7 @@ def ex1_scene(example1):
 def ex2_disc_scene(example2):
     cf = compactification_for_map(example2)
     sings = [classify_sectors(example2, cf, s) for s in infinite_singularities(cf)]
-    return disc_portrait(cf, sings)
+    return disc_portrait(example2, sings)
 
 
 # ===== marching squares ===== #
@@ -274,8 +274,7 @@ def test_disc_for_map_passthrough(identity_map):
 
 
 def _disc_trajectories(pmap):
-    cf = compactification_for_map(pmap)
-    scene = disc_portrait(cf, [])
+    scene = disc_portrait(pmap, [])
     return [l for l in scene.layers if l.role == "trajectory"]
 
 
@@ -292,10 +291,11 @@ def _fan_starts():
 
 
 def test_linear_center_closes_after_one_loop():
-    # (p, q) = (-y, x): circles about the origin, one turn in time 2 pi
-    p, q = Poly2.from_dict({(0, 1): -1.0}), Poly2.from_dict({(1, 0): 1.0})
+    # f = (x, y) has the field (-y, x): circles about the origin, one
+    # turn in time 2 pi
+    pmap = PlanarMap(f1=parse_expr("x"), f2=parse_expr("y"))
     start = (1.0, 0.0)
-    pts, closed = _flow_polyline(compile_polys(p, q), poly_kernel(p, q), start, 1.0)
+    pts, closed = _flow_polyline(pmap.jet, flow_kernel(pmap.f1, pmap.f2), start, 1.0)
     assert closed
     loop = [start, *pts, start]
     turned = sum(math.remainder(math.atan2(b[1], b[0]) - math.atan2(a[1], a[0]),

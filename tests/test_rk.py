@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from planarham import rk
 from planarham import trace as trace_mod
-from planarham.expr import DomainError, Poly2, compile_polys, parse_expr
+from planarham.expr import DomainError, Poly2, compile_jet_pair, parse_expr
 from planarham.field import JET_ERRORS, PlanarMap, located_jet_failure
 from planarham.trace import AngleBudget, Closed, integrate_orbit
 
@@ -56,7 +56,7 @@ def _same(a, b):
     return a == b or (math.isnan(a) and math.isnan(b))
 
 
-# ---- polynomial fields ----
+# ---- the Hamiltonian field of a polynomial map ----
 
 _coeffs = st.one_of(st.floats(min_value=-20, max_value=20, allow_nan=False),
                     st.sampled_from([1.0, -1.0, 0.5]))
@@ -69,15 +69,16 @@ _steps = st.one_of(st.floats(min_value=1e-8, max_value=0.5), st.sampled_from([1e
 
 @given(_polys, _polys, _coord, _coord, _steps, st.sampled_from([1.0, -1.0]))
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_poly_kernel_equals_reference_step(p, q, x, y, h, direction):
-    field = compile_polys(p, q)
+def test_flow_kernel_equals_reference_step(p1, p2, x, y, h, direction):
+    f1, f2 = p1.to_expr(), p2.to_expr()
+    jet = compile_jet_pair(f1, f2)
 
     def rhs(u, v):
-        fu, fv = field(u, v)
-        return direction * fu, direction * fv
+        v1, dx1, dy1, v2, dx2, dy2 = jet(u, v)
+        return direction * -(v1 * dy1 + v2 * dy2), direction * (v1 * dx1 + v2 * dx2)
 
     k1 = rhs(x, y)
-    kernel = rk.poly_kernel(p, q)
+    kernel = rk.flow_kernel(f1, f2)
     try:
         want = reference_step(rhs, (x, y), k1, h, 1e-6, 1e-12)
     except OverflowError:
