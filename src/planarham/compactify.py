@@ -31,8 +31,7 @@ import numpy as np
 
 from .annulus import SIGN_CHANGE
 from .brent import brent_root
-from .expr import (Poly2, _interval_add, _interval_pow, compile_polys, eval_grid,
-                   eval_interval_jet)
+from .expr import Poly2, _interval_add, _interval_pow, compile_polys, eval_grid
 from .field import JET_ERRORS, PlanarMap, effective_hamiltonian_poly
 from .rk import dp5_step  # noqa: F401  (perfbench/tracer.py reads it by name)
 
@@ -172,14 +171,15 @@ def _to_plane(chart: str, u, v):
 
 def _h_bounds(pmap: PlanarMap, chart: str, ulo, uhi, v) -> tuple[np.ndarray, np.ndarray]:
     """Bounds (lo, hi) of H on the plane images of the chart segments
-    [ulo, uhi] x {v}, by the interval jet of f; (0, inf) if not enclosed."""
+    [ulo, uhi] x {v}, from the map's compiled enclosures of f1 and f2
+    (:attr:`~planarham.field.PlanarMap.interval_values`); (0, inf) where
+    f is not enclosed."""
     (xa, ya), (xb, yb) = _to_plane(chart, ulo, v), _to_plane(chart, uhi, v)
     box = (np.minimum(xa, xb), np.maximum(xa, xb), np.minimum(ya, yb), np.maximum(ya, yb))
-    (lo1, hi1, und1), (lo2, hi2, und2) = (eval_interval_jet(c, *box) for c in (pmap.f1, pmap.f2))
+    (lo1, lo2), (hi1, hi2), und = pmap.interval_values(*box)
     with np.errstate(all="ignore"):
-        lo, hi = _interval_add(_interval_pow((lo1[0], hi1[0]), 2),
-                               _interval_pow((lo2[0], hi2[0]), 2))
-    undefined = und1 | und2 | np.isnan(hi)
+        lo, hi = _interval_add(_interval_pow((lo1, hi1), 2), _interval_pow((lo2, hi2), 2))
+    undefined = und | np.isnan(hi)
     return np.where(undefined, 0.0, 0.5 * lo), np.where(undefined, math.inf, 0.5 * hi)
 
 

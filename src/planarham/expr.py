@@ -6,7 +6,7 @@ The expression language is deliberately small: constants, the variables
 integer exponent, so every expression is smooth wherever it is defined
 and the forward-mode jet rules below stay total.
 
-Four evaluation paths exist on purpose:
+Three evaluation paths exist on purpose:
 
 * :func:`eval_jet` -- reference tree walk, raises :class:`DomainError`
   naming the offending subexpression,
@@ -19,11 +19,12 @@ Four evaluation paths exist on purpose:
   its DP5 kernels.  The same code runs over numpy arrays
   (:func:`compile_array_jet`, :func:`compile_array_polys`), equal to
   the scalar code bit for bit and with a mask where it would raise, for
-  the Newton seed grid and the declared-H check,
+  the Newton seed grid and the declared-H check, and over arrays of
+  boxes with interval operands (:func:`compile_interval_jet`), giving
+  outward-rounded enclosures of the values and partials for the det Df
+  sign proof and the bounds of H at infinity,
 * :func:`eval_grid` -- vectorised numpy walk for grids, ``nan`` where the
-  evaluation leaves the real domain,
-* :func:`eval_interval_jet` -- the same walk over arrays of boxes, giving
-  outward-rounded enclosures of the value and both partials.
+  evaluation leaves the real domain.
 
 :meth:`Poly2.eval` remains for numpy arrays and as the reference that
 :func:`compile_polys` matches float for float.
@@ -293,14 +294,15 @@ def _prec(e: Expr) -> int:
         return _PREC_POW
     if isinstance(e, Unary):
         return _PREC_NEG if e.op == "neg" else _PREC_ATOM
-    if isinstance(e, Constant) and e.value < 0:
+    if isinstance(e, Constant) and math.copysign(1.0, e.value) < 0:
         return _PREC_NEG
     return _PREC_ATOM
 
 
 def _fmt_const(v: float) -> str:
     if float(v).is_integer() and abs(v) < 1e16:
-        return str(int(v))
+        # int() drops the sign of -0.0, which the jet keeps
+        return "-0" if math.copysign(1.0, v) < 0 and v == 0 else str(int(v))
     return repr(float(v))
 
 
@@ -915,95 +917,116 @@ def _interval_circular(fn, a: Interval, peak: float) -> Interval:
             np.where(whole | _crosses(a, peak), 1.0, hi))
 
 
-def eval_interval_jet(e: Expr, xlo, xhi, ylo, yhi
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Enclosures of the value and first partials of ``e`` over the boxes
-    ``[xlo, xhi] x [ylo, yhi]`` (arrays of one shape).
+def _pair(a) -> Interval:
+    """The bounds of an operand of the generated code: an interval, or a
+    float (a literal, or a subexpression free of x and y) as a point of
+    numpy floats, whose ``**`` overflows to inf where Python's raises."""
+    if isinstance(a, _Interval):
+        return a
+    a = np.float64(a)
+    return a, a
 
-    Returns ``(lo, hi, undefined)``: ``lo`` and ``hi`` stack the lower
-    and upper bounds of the value, d/dx and d/dy along a new first axis,
-    so that at every point of a box where ``e`` is defined, the
-    value and partials that :func:`eval_jet` computes lie in
-    ``[lo[k], hi[k]]``.  The forward-mode rules are those of
-    :func:`eval_jet`, each operation rounded outward.  ``undefined``
-    marks the boxes where sqrt or a divisor meets an interval containing
-    0, or some intermediate bound is not finite; their bounds mean
-    nothing.  (Moore-Kearfott-Cloud, *Introduction to Interval
-    Analysis*, SIAM 2009.)
+
+def _finite(a, m: np.ndarray) -> Interval:
+    """The bounds of ``a``, with ``m`` set where one is not finite: +, -,
+    * and integer powers carry such a bound on to the outputs, the calls
+    that take the mask can lose it."""
+    lo, hi = _pair(a)
+    m |= np.logical_not(np.isfinite(lo) & np.isfinite(hi))
+    return lo, hi
+
+
+class _Interval(tuple):
+    """An interval (lo, hi) of arrays as an operand of the generated jet
+    code: ``+``, ``-`` and ``*``, with an interval or a float, call the
+    helpers of interval arithmetic, each rounded outward; unary ``-`` is
+    exact."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Interval(_interval_add(self, _pair(other)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _Interval(interval_sub(self, _pair(other)))
+
+    def __rsub__(self, other):
+        return _Interval(interval_sub(_pair(other), self))
+
+    def __mul__(self, other):
+        return _Interval(interval_mul(self, _pair(other)))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return _Interval((-self[1], -self[0]))
+
+
+def _interval_exp(a, m: np.ndarray) -> _Interval:
+    lo, hi = _finite(a, m)
+    lo, hi = _outward(np.exp(lo), np.exp(hi), _ULPS)
+    return _Interval((np.maximum(lo, 0.0), hi))
+
+
+def _interval_sqrt(a, m: np.ndarray) -> _Interval:
+    lo, hi = _pair(a)
+    m |= np.logical_not(lo > 0.0)           # at 0 the derivative blows up
+    return _Interval(_outward(np.sqrt(np.maximum(lo, 0.0)), np.sqrt(np.maximum(hi, 0.0))))
+
+
+def _interval_quotient(a, b, m: np.ndarray) -> _Interval:
+    a, b = _finite(a, m), _finite(b, m)
+    m |= np.logical_not((b[0] > 0.0) | (b[1] < 0.0))
+    return _Interval(_interval_div(a, b))
+
+
+_INTERVAL_NAMES = {
+    "exp": _interval_exp,
+    "sin": lambda a, m: _Interval(_interval_circular(np.sin, _finite(a, m), 0.5 * math.pi)),
+    "cos": lambda a, m: _Interval(_interval_circular(np.cos, _finite(a, m), 0.0)),
+    "sqrt": _interval_sqrt,
+    "_div": _interval_quotient,
+    "_pow": lambda v, n, m: _Interval(_interval_pow(_pair(v), n)),
+}
+
+
+def compile_interval_jet(f1: Expr, f2: Expr, values_only: bool = False):
+    """The jet of :func:`compile_array_jet` over boxes:
+    ``(xlo, xhi, ylo, yhi) -> (lo, hi, undefined)`` for bounds of
+    one shape (broadcast together).
+
+    ``lo`` and ``hi`` stack the lower and upper bounds of v1, dx1, dy1,
+    v2, dx2, dy2 (with ``values_only``, of v1 and v2) along a new first
+    axis, so that at every point of a box where the compiled jet does not
+    raise and ``undefined`` is clear, its values lie in ``[lo[k],
+    hi[k]]``.  The generated array code runs with every operand an
+    interval (Moore-Kearfott-Cloud, *Introduction to Interval Analysis*,
+    SIAM 2009), each operation rounded outward; only ``+``, ``-`` and
+    ``*`` between two floats (within a subexpression free of x and y, or
+    of constant partials) round to nearest, as in the scalar jet.
+    ``undefined`` marks the boxes where sqrt or a divisor meets an
+    interval holding 0, or a bound that reaches a call or an output is
+    not finite; their bounds mean nothing.  Nothing is cached: the map
+    keeps it (:attr:`planarham.field.PlanarMap.interval_jet`).
     """
-    xlo, xhi, ylo, yhi = np.broadcast_arrays(*(np.asarray(v, dtype=float)
-                                               for v in (xlo, xhi, ylo, yhi)))
-    zero = np.zeros(xlo.shape)
-    one = np.ones(xlo.shape)
-    undefined = np.zeros(xlo.shape, dtype=bool)
+    generated = _compile_source(_codegen((f1, f2), values_only, array=True),
+                                **_INTERVAL_NAMES)
 
-    def rec(node: Expr) -> tuple[Interval, Interval, Interval]:
-        nonlocal undefined
-        out = step(node)
-        for lo, hi in out:
-            undefined = undefined | ~np.isfinite(lo) | ~np.isfinite(hi)
-        return out
+    def evaluate(xlo, xhi, ylo, yhi):
+        xlo, xhi, ylo, yhi = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                                   for v in (xlo, xhi, ylo, yhi)))
+        undefined = np.zeros(xlo.shape, dtype=bool)
+        with np.errstate(all="ignore"):
+            out = generated(_Interval((xlo, xhi)), _Interval((ylo, yhi)), undefined)
+            lo, hi = np.empty((2, len(out)) + xlo.shape)
+            for k, v in enumerate(out):
+                lo[k], hi[k] = _pair(v)          # a float fills out the box's shape
+            undefined |= ~(np.isfinite(lo) & np.isfinite(hi)).all(axis=0)
+        return lo, hi, undefined
 
-    def step(node: Expr) -> tuple[Interval, Interval, Interval]:
-        nonlocal undefined
-        if isinstance(node, Constant):
-            c = np.full(xlo.shape, node.value)
-            return (c, c), (zero, zero), (zero, zero)
-        if isinstance(node, Variable):
-            if node.name == "x":
-                return (xlo, xhi), (one, one), (zero, zero)
-            return (ylo, yhi), (zero, zero), (one, one)
-        if isinstance(node, Unary):
-            v, dx, dy = rec(node.child)
-            if node.op == "neg":
-                return tuple((-hi, -lo) for lo, hi in (v, dx, dy))
-            if node.op == "exp":
-                lo, hi = _outward(np.exp(v[0]), np.exp(v[1]), _ULPS)
-                w = (np.maximum(lo, 0.0), hi)
-                return w, interval_mul(w, dx), interval_mul(w, dy)
-            if node.op in ("sin", "cos"):
-                s = _interval_circular(np.sin, v, 0.5 * math.pi)
-                c = _interval_circular(np.cos, v, 0.0)
-                if node.op == "sin":
-                    return s, interval_mul(c, dx), interval_mul(c, dy)
-                ms = (-s[1], -s[0])
-                return c, interval_mul(ms, dx), interval_mul(ms, dy)
-            if node.op == "sqrt":
-                undefined = undefined | ~(v[0] > 0)
-                w = _outward(np.sqrt(np.maximum(v[0], 0.0)), np.sqrt(np.maximum(v[1], 0.0)))
-                tw = (2.0 * w[0], 2.0 * w[1])          # exact
-                return w, _interval_div(dx, tw), _interval_div(dy, tw)
-        if isinstance(node, Binary):
-            if node.op == "powi":
-                n = powi_exponent(node)
-                v, dx, dy = rec(node.left)
-                if n == 0:
-                    return (one, one), (zero, zero), (zero, zero)
-                if n == 1:
-                    return v, dx, dy
-                g = _interval_pow(v, n - 1) if n > 2 else v
-                g = _outward(n * g[0], n * g[1])
-                return _interval_pow(v, n), interval_mul(g, dx), interval_mul(g, dy)
-            a, adx, ady = rec(node.left)
-            b, bdx, bdy = rec(node.right)
-            if node.op == "add":
-                return _interval_add(a, b), _interval_add(adx, bdx), _interval_add(ady, bdy)
-            if node.op == "sub":
-                return interval_sub(a, b), interval_sub(adx, bdx), interval_sub(ady, bdy)
-            if node.op == "mul":
-                return (interval_mul(a, b),
-                        _interval_add(interval_mul(a, bdx), interval_mul(b, adx)),
-                        _interval_add(interval_mul(a, bdy), interval_mul(b, ady)))
-            if node.op == "div":
-                undefined = undefined | ~((b[0] > 0) | (b[1] < 0))
-                w = _interval_div(a, b)
-                return (w, _interval_div(interval_sub(adx, interval_mul(w, bdx)), b),
-                        _interval_div(interval_sub(ady, interval_mul(w, bdy)), b))
-        raise TypeError(f"not an expression node: {node!r}")
-
-    with np.errstate(all="ignore"):
-        (vlo, vhi), (dxlo, dxhi), (dylo, dyhi) = rec(e)
-    return np.stack([vlo, dxlo, dylo]), np.stack([vhi, dxhi, dyhi]), undefined
+    return evaluate
 
 
 # ===== Polynomials ===== #

@@ -25,8 +25,8 @@ from .expr import (
     Poly2,
     compile_array_jet,
     compile_array_polys,
+    compile_interval_jet,
     compile_jet_pair,
-    eval_interval_jet,
     interval_mul,
     interval_sub,
     located_domain_error,
@@ -114,6 +114,22 @@ class PlanarMap:
         :func:`~planarham.expr.compile_array_jet` gives it; compiled on
         first use."""
         return compile_array_jet(self.f1, self.f2)
+
+    @cached_property
+    def interval_jet(self):
+        """Enclosures of f's jet over arrays of boxes, as
+        :func:`~planarham.expr.compile_interval_jet` gives them, for the
+        det Df sign proof; compiled on first use, so that every sign
+        check of the map shares it."""
+        return compile_interval_jet(self.f1, self.f2)
+
+    @cached_property
+    def interval_values(self):
+        """Enclosures of f1 and f2 alone over arrays of boxes
+        (:func:`~planarham.expr.compile_interval_jet` with
+        ``values_only``), for the bounds of H at infinity; compiled on
+        first use."""
+        return compile_interval_jet(self.f1, self.f2, values_only=True)
 
     @cached_property
     def orbit_kernel(self):
@@ -375,16 +391,19 @@ def det_sign_on_cells(pmap: PlanarMap, box: Box, n: int, i: np.ndarray,
     """The sign of det Df on the cells (i, j) of the n x n grid on box.
 
     det Df = d/dx f1 * d/dy f2 - d/dx f2 * d/dy f1 is enclosed on each
-    cell by :func:`~planarham.expr.eval_interval_jet`.  A box whose
+    cell from the map's compiled enclosures of f's jet
+    (:attr:`PlanarMap.interval_jet`).  A box whose
     enclosure excludes 0 has a proved sign; the undecided ones (the
     enclosure holds 0, or f is undefined somewhere in the box) are
     quartered, at most :data:`SIGN_PROOF_HALVINGS` times and only while
     the next level has at most :data:`SIGN_PROOF_MAX_BOXES` boxes, or 4
     per cell.  Stops as soon as both signs are proved (a sign change) or
     no box is undecided (a proved sign).  Otherwise det Df is sampled
-    with the compiled jet at the centres of the boxes still undecided,
-    skipping points where f is undefined; when these samples and the
-    proved boxes show both signs, that is a sign change too.
+    with the array jet (:attr:`PlanarMap.array_jet`, equal to the scalar
+    jet) at the centres of the boxes still undecided, skipping points
+    where f is undefined; when these samples and the proved boxes show
+    both signs, that is a sign change too, witnessed by the first
+    centre of each sign.
     """
     xs, ys = np.linspace(box.xmin, box.xmax, n + 1), np.linspace(box.ymin, box.ymax, n + 1)
     cells = np.stack([xs[i], xs[i + 1], ys[j], ys[j + 1]])    # rows xlo, xhi, ylo, yhi
@@ -393,11 +412,10 @@ def det_sign_on_cells(pmap: PlanarMap, box: Box, n: int, i: np.ndarray,
     boxes = 0
     for level in range(SIGN_PROOF_HALVINGS + 1):
         boxes += cells.shape[1]
-        (lo1, hi1, bad1), (lo2, hi2, bad2) = (eval_interval_jet(f, *cells)
-                                              for f in (pmap.f1, pmap.f2))
-        det_lo, det_hi = interval_sub(interval_mul((lo1[1], hi1[1]), (lo2[2], hi2[2])),
-                                      interval_mul((lo2[1], hi2[1]), (lo1[2], hi1[2])))
-        signs = np.select([bad1 | bad2, det_lo > 0, det_hi < 0], [0, 1, -1], 0)
+        lo, hi, bad = pmap.interval_jet(*cells)     # rows v1, dx1, dy1, v2, dx2, dy2
+        det_lo, det_hi = interval_sub(interval_mul((lo[1], hi[1]), (lo[5], hi[5])),
+                                      interval_mul((lo[4], hi[4]), (lo[2], hi[2])))
+        signs = np.select([bad, det_lo > 0, det_hi < 0], [0, 1, -1], 0)
         for sign in (1, -1):
             if sign not in witness and (signs == sign).any():
                 xlo, xhi, ylo, yhi = cells[:, np.argmax(signs == sign)]
@@ -414,14 +432,15 @@ def det_sign_on_cells(pmap: PlanarMap, box: Box, n: int, i: np.ndarray,
         cells = np.concatenate([[xlo, xmid, ylo, ymid], [xmid, xhi, ylo, ymid],
                                 [xlo, xmid, ymid, yhi], [xmid, xhi, ymid, yhi]], axis=1)
     xlo, xhi, ylo, yhi = undecided
-    for x, y in zip((0.5 * (xlo + xhi)).tolist(), (0.5 * (ylo + yhi)).tolist()):
-        try:
-            _, dx1, dy1, _, dx2, dy2 = pmap.jet(x, y)
-        except JET_ERRORS:
-            continue
+    xc, yc = 0.5 * (xlo + xhi), 0.5 * (ylo + yhi)
+    (_, dx1, dy1, _, dx2, dy2), raised = pmap.array_jet(xc, yc)
+    with np.errstate(all="ignore"):
         d = dx1 * dy2 - dx2 * dy1
-        if d > 0 or d < 0:                  # nan has neither sign
-            witness.setdefault(1 if d > 0 else -1, (x, y))
+    for sign, seen in ((1, d > 0), (-1, d < 0)):            # nan has neither sign
+        seen &= ~raised
+        if sign not in witness and seen.any():
+            k = np.argmax(seen)
+            witness[sign] = (float(xc[k]), float(yc[k]))
     flip = (witness[1], witness[-1]) if len(witness) == 2 else None
     return SignProof(box, 0, flip, boxes)
 

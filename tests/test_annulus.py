@@ -316,9 +316,16 @@ def test_upper_probe_is_settled_by_the_lift_alone(name, center, monkeypatch, req
     assert abs(exit_point[along] - est.guess.point[along]) < 1e-3
 
 
+def _det_at_least_zero(a):
+    """The matrix (a11, a12, a21, a22) with its second row negated when its
+    determinant is negative, so that the filter below seldom rejects."""
+    a11, a12, a21, a22 = a
+    return (a11, a12, -a21, -a22) if a11 * a22 - a12 * a21 < 0 else a
+
+
 @settings(max_examples=25, deadline=None)
 @given(a=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
-                   st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                   st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(_det_at_least_zero),
        center=st.tuples(st.floats(-15.0, 15.0), st.floats(-15.0, 15.0)))
 def test_affine_maps_take_two_probes(a, center):
     # f = A (p - c) with det A > 0: the predicted pair brackets the closed

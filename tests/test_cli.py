@@ -13,6 +13,7 @@ import pytest
 
 import planarham.annulus as annulus_mod
 import planarham.cli as cli
+import planarham.compactify as compactify_mod
 import planarham.field as field_mod
 from planarham.cli import (InputError, RunConfig, SCHEMAS, _parse_box,
                            _parse_levels, load_map, run_subcommand)
@@ -90,6 +91,31 @@ def test_report_example1(tmp_path):
         assert cert["closed"] and cert["winding"] == 1
         assert cert["h"] <= center["ell"]["lo"] + 1e-12
     assert any(not c["injective"] for c in center["certificates"])
+
+
+def test_report_example2_compiles_each_interval_function_once(tmp_path, monkeypatch):
+    # the sign proof and every bound of H at infinity share the map's two
+    # compiled enclosures; a compile per call would cost 0.5-1.6 ms each
+    compiles, calls = Counter(), Counter()
+    compile_interval_jet = field_mod.compile_interval_jet
+    h_bounds, det_sign = compactify_mod._h_bounds, field_mod.det_sign_on_cells
+
+    def counted(f1, f2, values_only=False):
+        compiles[values_only] += 1
+        return compile_interval_jet(f1, f2, values_only)
+
+    def tally(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(field_mod, "compile_interval_jet", counted)
+    monkeypatch.setattr(compactify_mod, "_h_bounds", tally("h", h_bounds))
+    monkeypatch.setattr(field_mod, "det_sign_on_cells", tally("det", det_sign))
+    assert run("report", "--map", "builtin:example2", "--out", str(tmp_path / "r.json")) == 0
+    assert compiles == {False: 1, True: 1}
+    assert calls["det"] >= 1 and calls["h"] > 1
 
 
 def test_report_example2_compactification(tmp_path):

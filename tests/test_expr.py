@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,12 +22,13 @@ from planarham.expr import (
     _compile_source,
     _outward,
     _ulp_step,
+    _zero_signs,
     compile_array_jet,
     compile_array_polys,
+    compile_interval_jet,
     compile_jet_pair,
     compile_polys,
     eval_grid,
-    eval_interval_jet,
     eval_jet,
     parse_expr,
     powi,
@@ -34,6 +36,8 @@ from planarham.expr import (
     to_poly,
 )
 from planarham.field import PLANE_BOX
+
+from interval_reference import eval_interval_jet
 
 X = Variable("x")
 Y = Variable("y")
@@ -169,6 +173,19 @@ def test_integral_constants_print_as_integers():
     assert print_expr(Constant(2.0)) == "2"
     assert print_expr(Constant(-2.0)) == "-2"
     assert print_expr(Constant(0.5)) == "0.5"
+
+
+@pytest.mark.parametrize("text,printed", [
+    ("-0.0*y", "-0*y"), ("x*-0.0", "x*(-0)"), ("(-0.0)^2 + x", "(-0)^2 + x")])
+def test_negative_zero_prints_its_sign(text, printed):
+    # the map echo re-parses to the same tree, zero signs and jet
+    e = parse_expr(text)
+    assert print_expr(e) == printed
+    echo = parse_expr(print_expr(e))
+    assert echo == e and _zero_signs(echo) == _zero_signs(e) == (True,)
+    y = parse_expr("y")
+    assert repr(compile_jet_pair(echo, y)(1.0, 2.0)) == repr(compile_jet_pair(e, y)(1.0, 2.0))
+    assert repr(compile_jet_pair(echo, y)(1.0, 2.0)[0]) == ("-0.0" if "*" in text else "1.0")
 
 
 # ---- jets ----
@@ -454,6 +471,13 @@ def test_eval_grid_nan_outside_domain():
 
 # ---- interval jets ----
 
+def _enclose(e, *box):
+    """The compiled enclosures of ``e``'s value and partials over the
+    boxes: ``e`` as f1 of a map whose f2 is 0."""
+    lo, hi, undefined = compile_interval_jet(e, Constant(0.0))(*box)
+    return lo[:3], hi[:3], undefined
+
+
 _OP_EXPRS = (
     "exp(x - 0.5*y)", "sin(x*y)", "cos(x - y)", "sqrt(x^2 + y^2 + 0.25)", "sqrt(x + 10)",
     "(x + y)/(x^2 + 1)", "y/(x - 1)", "(x - y)^4", "(x*y - 1)^3", "-(x*y) + -y^2",
@@ -477,7 +501,7 @@ def test_interval_jet_encloses_point_jets(label, e, window):
     rx, ry = ((hi - lo) * 10.0 ** rng.uniform(-6, 0, n) for lo, hi in ((x0, x1), (y0, y1)))
     xlo, xhi = np.maximum(cx - rx, x0), np.minimum(cx + rx, x1)
     ylo, yhi = np.maximum(cy - ry, y0), np.minimum(cy + ry, y1)
-    lo, hi, undefined = eval_interval_jet(e, xlo, xhi, ylo, yhi)
+    lo, hi, undefined = _enclose(e, xlo, xhi, ylo, yhi)
     assert lo.shape == hi.shape == (3, n) and undefined.shape == (n,)
     checked = 0
     for k in np.flatnonzero(~undefined):
@@ -506,13 +530,13 @@ def test_interval_jet_encloses_point_jets(label, e, window):
     ("cos(x)", -3.0, 40.0, -1.0),                   # wider than a turn
 ])
 def test_interval_circular_functions_reach_their_extrema(text, a, b, bound):
-    lo, hi, undefined = eval_interval_jet(parse_expr(text), a, b, 0.0, 0.0)
+    lo, hi, undefined = _enclose(parse_expr(text), a, b, 0.0, 0.0)
     assert not undefined
     assert (hi[0] if bound > 0 else lo[0]) == bound
 
 
 def test_interval_circular_functions_stay_tight_between_extrema():
-    lo, hi, _ = eval_interval_jet(parse_expr("sin(x)"), 0.1, 0.2, 0.0, 0.0)
+    lo, hi, _ = _enclose(parse_expr("sin(x)"), 0.1, 0.2, 0.0, 0.0)
     assert math.sin(0.1) - 1e-15 <= lo[0] <= math.sin(0.1)
     assert math.sin(0.2) <= hi[0] <= math.sin(0.2) + 1e-15
 
@@ -526,12 +550,135 @@ def test_interval_circular_functions_stay_tight_between_extrema():
     ("1/x", (1.0, 2.0), False),
     ("y/x", (-2.0, -1.0), False),
     ("exp(x)", (700.0, 800.0), True),               # overflows
+    ("x^3/3", (-1.0, 1.0), False),                  # a literal divisor
+    ("x/(3 - 3)", (1.0, 2.0), True),                # a literal divisor of 0
+    ("y/sqrt(x - 1)", (2.0, 3.0), False),
+    ("y/sqrt(x - 1)", (0.5, 3.0), True),
+    ("exp(-exp(x))", (700.0, 800.0), True),         # the overflow reaches exp as -inf
+    ("1/exp(x)", (700.0, 800.0), True),
 ])
 def test_interval_jet_undefined_where_zero_or_overflow_meets_a_box(text, box, undefined):
-    lo, hi, bad = eval_interval_jet(parse_expr(text), *box, 1.0, 1.0)
+    lo, hi, bad = _enclose(parse_expr(text), *box, 1.0, 1.0)
     assert bool(bad) is undefined
     if not undefined:
         assert np.all(lo <= hi) and np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))
+
+
+_boxes = st.lists(st.tuples(
+    st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+    st.floats(-6.0, 0.0).map(lambda k: 10.0 ** k), st.floats(-6.0, 0.0).map(lambda k: 10.0 ** k)),
+    min_size=1, max_size=6)
+
+
+@given(eval_trees, eval_trees, _boxes, st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8))
+@_lenient
+def test_compiled_enclosures_are_sound_and_undefined_only_where_the_reference_is(
+        f1, f2, boxes, fractions):
+    cx, cy, rx, ry = map(np.array, zip(*boxes))
+    box = (cx - rx, cx + rx, cy - ry, cy + ry)
+    lo, hi, undefined = compile_interval_jet(f1, f2)(*box)
+    assert lo.shape == hi.shape == (6, len(boxes)) and undefined.shape == (len(boxes),)
+    (_, _, bad1), (_, _, bad2) = (eval_interval_jet(f, *box) for f in (f1, f2))
+    assert not (undefined & ~(bad1 | bad2)).any()
+    jet = compile_jet_pair(f1, f2)
+    s, t = fractions[::2], fractions[1::2]
+    for k in np.flatnonzero(~undefined):
+        xlo, xhi, ylo, yhi = (float(b[k]) for b in box)
+        points = [(xlo, ylo), (xhi, yhi), (xlo, yhi), (xhi, ylo)] + [
+            (min(xlo + a * (xhi - xlo), xhi), min(ylo + b * (yhi - ylo), yhi))
+            for a, b in zip(s, t)]
+        for p in points:
+            try:
+                values = jet(*p)
+            except (ValueError, ZeroDivisionError, OverflowError):
+                continue
+            for i, v in enumerate(values):
+                assert lo[i, k] <= v <= hi[i, k], (p, i, v, lo[i, k], hi[i, k])
+
+
+def _exact_jet(e, x, y):
+    """Value and partials of a tree without transcendental calls, in
+    exact rational arithmetic; None where a divisor is 0."""
+    if isinstance(e, Constant):
+        return Fraction(e.value), 0, 0
+    if isinstance(e, Variable):
+        return (x, 1, 0) if e.name == "x" else (y, 0, 1)
+    if isinstance(e, Unary):
+        v = _exact_jet(e.child, x, y)
+        return v and tuple(-t for t in v)
+    a = _exact_jet(e.left, x, y)
+    if e.op == "powi":
+        n = int(e.right.value)
+        return a and (a[0] ** n, *(n * a[0] ** (n - 1) * d if n else 0 for d in a[1:]))
+    b = _exact_jet(e.right, x, y)
+    if a is None or b is None or (e.op == "div" and b[0] == 0):
+        return None
+    if e.op in ("add", "sub"):
+        sign = 1 if e.op == "add" else -1
+        return tuple(s + sign * t for s, t in zip(a, b))
+    if e.op == "mul":
+        return a[0] * b[0], a[0] * b[1] + b[0] * a[1], a[0] * b[2] + b[0] * a[2]
+    w = a[0] / b[0]
+    return w, (a[1] - w * b[1]) / b[0], (a[2] - w * b[2]) / b[0]
+
+
+# halves of small integers: a product of a few is exact in floats, so a
+# subexpression free of x and y means one real number
+_rational_trees = st.recursive(
+    st.one_of(st.integers(-8, 8).map(lambda k: Constant(k / 2)), st.sampled_from([X, Y])),
+    lambda kids: st.one_of(
+        st.builds(_mk_unary, st.just("neg"), kids),
+        st.builds(Binary, st.sampled_from(["add", "sub", "mul", "div"]), kids, kids),
+        st.builds(powi, kids, st.integers(min_value=0, max_value=4))),
+    max_leaves=12)
+
+
+@given(_rational_trees, _rational_trees, _boxes, st.lists(st.floats(0.0, 1.0), min_size=2,
+                                                        max_size=8))
+@example(Binary("mul", X, Y), Y, [(0.5, 0.5, 0.1, 0.1)], [0.0, 0.0])    # 0.4*0.4 rounds up
+@_lenient
+def test_compiled_enclosures_hold_the_exact_jet(f1, f2, boxes, fractions):
+    # the real jet, not only the rounded one: each operation rounds outward
+    cx, cy, rx, ry = map(np.array, zip(*boxes))
+    box = (cx - rx, cx + rx, cy - ry, cy + ry)
+    lo, hi, undefined = compile_interval_jet(f1, f2)(*box)
+    for k in np.flatnonzero(~undefined):
+        xlo, xhi, ylo, yhi = (float(b[k]) for b in box)
+        for a, b in zip(fractions[::2], fractions[1::2]):
+            p = (Fraction(min(xlo + a * (xhi - xlo), xhi)),
+                 Fraction(min(ylo + b * (yhi - ylo), yhi)))
+            for first, f in ((0, f1), (3, f2)):
+                for i, v in enumerate(_exact_jet(f, *p) or (), first):
+                    assert lo[i, k] <= v <= hi[i, k], (p, i, float(v), lo[i, k], hi[i, k])
+
+
+@given(eval_trees, eval_trees, _boxes)
+@_lenient
+def test_value_enclosures_equal_the_full_jets_value_rows(f1, f2, boxes):
+    cx, cy, rx, ry = map(np.array, zip(*boxes))
+    box = (cx - rx, cx + rx, cy - ry, cy + ry)
+    lo, hi, undefined = compile_interval_jet(f1, f2)(*box)
+    vlo, vhi, vundefined = compile_interval_jet(f1, f2, values_only=True)(*box)
+    np.testing.assert_array_equal(_bits(vlo), _bits(lo[[0, 3]]))
+    np.testing.assert_array_equal(_bits(vhi), _bits(hi[[0, 3]]))
+    assert not (vundefined & ~undefined).any()
+
+
+@pytest.mark.parametrize("text", ["exp(-exp(x))", "sin(exp(x))", "1/exp(x)"])
+def test_value_enclosures_undefined_where_an_overflow_reaches_a_call(text):
+    # exp(x) overflows on the box, and the call that receives it would
+    # give a finite enclosure
+    _, _, undefined = compile_interval_jet(parse_expr(text), Y, values_only=True)(
+        700.0, 800.0, 0.0, 1.0)
+    assert undefined
+
+
+def test_interval_jet_fills_out_constant_outputs():
+    lo, hi, undefined = compile_interval_jet(parse_expr("2"), parse_expr("x"))(
+        np.array([1.0, 2.0]), np.array([1.5, 3.0]), np.zeros(2), np.ones(2))
+    assert lo.shape == (6, 2) and lo[0].tolist() == hi[0].tolist() == [2.0, 2.0]
+    assert lo[1].tolist() == hi[1].tolist() == [0.0, 0.0]
+    assert lo[3, 0] <= 1.0 and hi[3, 1] >= 3.0 and not undefined.any()
 
 
 def _nextafter_loop(lo, hi, ulps=1):

@@ -380,6 +380,29 @@ def test_jacobian_sign_change_samples_the_undecided_boxes(monkeypatch):
     assert sample(pmap, pos).det > 0 > sample(pmap, neg).det
 
 
+def test_sampled_witnesses_are_the_first_defined_centre_of_each_sign(monkeypatch):
+    # the 64 boxes of sin(x) stay undecided; a stand-in array jet gives
+    # det Df = dx1 at their centres: the point it raises at and the nan
+    # and 0 carry no sign, so the witnesses are centres 4 and 5
+    monkeypatch.setattr(field_mod, "SIGN_PROOF_HALVINGS", 0)
+    pmap = PlanarMap(f1=parse_expr("sin(x)"), f2=parse_expr("y"))
+    dets = np.array([-3.0, math.nan, 0.0, 2.0, 7.0, -1.0, 5.0, -6.0] * 8)
+    centres = []
+
+    def array_jet(xs, ys):
+        centres.extend(zip(xs.tolist(), ys.tolist()))
+        zero, one = np.zeros(len(xs)), np.ones(len(xs))
+        raised = np.arange(len(xs)) % 8 == 0
+        raised[3] = True
+        return (zero, dets[:len(xs)], zero, zero, zero, one), raised
+
+    pmap.__dict__["array_jet"] = array_jet
+    proof = jacobian_sign_change(pmap)
+    assert len(centres) == 64
+    assert (proof.sign, proof.flip) == (0, (centres[4], centres[5]))
+    assert all(type(v) is float for v in proof.flip[0] + proof.flip[1])
+
+
 def test_jacobian_sign_change_undecided_where_f_is_undefined():
     # no sign is proved on a box that reaches x < -5, where f is
     # undefined, and the centres sampled where it is defined are positive
