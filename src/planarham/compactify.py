@@ -26,12 +26,14 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
 from .annulus import SIGN_CHANGE
 from .brent import brent_root
-from .expr import Poly2, _interval_add, _interval_pow, compile_polys, eval_grid
+from .expr import (Poly2, _interval_add, _interval_pow, compile_array_polys, compile_polys,
+                   eval_grid)
 from .field import JET_ERRORS, PlanarMap, effective_hamiltonian_poly
 from .rk import dp5_step  # noqa: F401  (perfbench/tracer.py reads it by name)
 
@@ -48,7 +50,8 @@ CERT_BOXES = 4096
 
 
 class EquatorDegenerate(Exception):
-    """G vanishes identically: the whole equator is singular."""
+    """The equator scan cannot decide: G vanishes identically (the whole
+    equator is singular), or g overflows."""
 
 
 @dataclass(frozen=True)
@@ -90,10 +93,9 @@ def build_compactification(hpoly: Poly2) -> CompactifiedField:
     return CompactifiedField(degree=m - 1, equator_poly=g, warnings=tuple(warnings))
 
 
-def _g_funcs(cf: CompactifiedField):
-    g = cf.equator_poly
+def _g_funcs(g: Poly2, gx: Poly2, gy: Poly2):
     g0_at = compile_polys(g)
-    g1_at = compile_polys(g.dx(), g.dy())
+    g1_at = compile_polys(gx, gy)
 
     def G(t: float) -> float:
         return g0_at(math.cos(t), math.sin(t))[0]
@@ -113,31 +115,59 @@ def _chart_for(theta: float) -> tuple[str, float]:
     return "U2", c / s
 
 
+@cache
+def _scan_angles(scan_n: int) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
+    """The scan's angles ``k * (pi / scan_n)``, and math.cos and math.sin
+    of each (numpy's may round apart)."""
+    step = math.pi / scan_n
+    thetas = tuple(k * step for k in range(scan_n))
+    tables = np.array([[math.cos(t) for t in thetas], [math.sin(t) for t in thetas]])
+    tables.setflags(write=False)
+    return thetas, tables[0], tables[1]
+
+
 def infinite_singularities(cf: CompactifiedField,
                            scan_n: int = SCAN_N) -> list[InfinitySingularity]:
     """Roots of G on [0, pi): scan, bracket, polish.
 
-    Odd-multiplicity roots show up as sign changes; even ones (the
-    generic case for sum-of-squares Hamiltonians, where G >= 0) as
-    touching minima, located by a sign change of G'; :func:`brent_root`
-    polishes each bracket.  Raises
-    :class:`EquatorDegenerate` when G vanishes identically.
+    G is sampled at the angles k pi / ``scan_n`` in one array pass, and
+    masks over the samples (wrapped at k = -1 and k = ``scan_n`` by
+    G(theta + pi) = (-1)^(d+1) G(theta)) flag where a root may sit.
+    Odd-multiplicity roots show up as zero samples or sign changes; even
+    ones (the generic case for sum-of-squares Hamiltonians, where
+    G >= 0) as touching minima, located by a sign change of G'.  The
+    flagged samples are visited in order, and :func:`brent_root`
+    polishes each bracket on the scalar G or G'.  Raises
+    :class:`EquatorDegenerate` when G vanishes identically, or when g,
+    one of its partials or a sample of G is not finite.
     """
-    G, G1 = _g_funcs(cf)
+    g = cf.equator_poly
+    partials = (g.dx(), g.dy())
+    if not all(math.isfinite(c) for p in (g, *partials) for c, _, _ in p.terms):
+        raise EquatorDegenerate("equator polynomial has a non-finite coefficient")
     step = math.pi / scan_n
-    thetas = [k * step for k in range(scan_n)]
-    vals = [G(t) for t in thetas]
-    scale = max(1.0, max(abs(x) for x in vals))
-    if all(abs(x) <= 1e-12 * scale for x in vals):
+    thetas, cos_t, sin_t = _scan_angles(scan_n)
+    (vals,), _ = compile_array_polys(g)(cos_t, sin_t)     # |cos|, |sin| <= 1: ** never raises
+    if not np.isfinite(vals).all():
+        raise EquatorDegenerate("equator polynomial overflows on the scan")
+    scale = max(1.0, float(np.abs(vals).max()))
+    if (np.abs(vals) <= 1e-12 * scale).all():
         raise EquatorDegenerate("equator polynomial vanishes identically")
 
     # G(theta + pi) = (-1)^(d+1) G(theta); wrap sample lookups accordingly
     wrap_sign = 1.0 if (cf.degree + 1) % 2 == 0 else -1.0
-
-    def val(k: int) -> float:
-        q, r = divmod(k, scan_n)
-        return vals[r] * (wrap_sign ** q)
-
+    before = np.concatenate(([vals[-1] * wrap_sign], vals[:-1]))
+    after = np.concatenate((vals[1:], [vals[0] * wrap_sign]))
+    zero = vals == 0.0
+    with np.errstate(over="ignore"):        # an overflowing product keeps its sign
+        change = vals * after < 0.0
+    # a touching minimum inside (a - step, b + step), a and b as below
+    touch = ((np.abs(vals) <= 1e-3 * scale) & (vals <= np.abs(before))
+             & (vals <= np.abs(after)))
+    flagged = np.flatnonzero(zero | change | touch).tolist()
+    if not flagged:
+        return []
+    G, G1 = _g_funcs(g, *partials)
     roots: list[float] = []
 
     def push(t: float) -> None:
@@ -148,15 +178,13 @@ def infinite_singularities(cf: CompactifiedField,
         if abs(G(t)) <= ROOT_RESIDUAL * scale:
             roots.append(t)
 
-    for k in range(scan_n):
+    for k in flagged:
         a, b = thetas[k], thetas[k] + step
-        va, vb = val(k), val(k + 1)
-        if va == 0.0:
+        if zero[k]:
             push(a)
-        elif va * vb < 0.0:
+        elif change[k]:
             push(brent_root(G, a, b, xtol=1e-15, maxiter=200))
-        # touching minimum inside (a - step, b + step)
-        if abs(va) <= 1e-3 * scale and va <= abs(val(k - 1)) and va <= abs(vb):
+        if touch[k]:
             lo, hi = a - step, a + step
             if G1(lo) < 0.0 < G1(hi):
                 push(brent_root(G1, lo, hi, xtol=1e-15, maxiter=200))

@@ -599,7 +599,9 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
         memo[id(node)] = out
         return out
 
-    return lines, [rec(e) for e in exprs]
+    results = [rec(e) for e in exprs]
+    del rec     # it calls itself: bound, it keeps this scratch state in a reference cycle
+    return lines, results
 
 
 def _codegen(exprs: tuple[Expr, ...], values_only: bool = False,
@@ -624,7 +626,9 @@ def _compile_source(src: str, **names):
     namespace = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt,
                  **names}
     exec(compile(src, "<planarham-codegen>", "exec"), namespace)
-    return namespace["_generated"]
+    # popped: a function held by its own globals is a reference cycle,
+    # which only the cyclic garbage collector would free
+    return namespace.pop("_generated")
 
 
 def _zero_signs(*trees: Expr) -> tuple[bool, ...]:
@@ -805,6 +809,7 @@ def eval_grid(e: Expr, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
     with np.errstate(all="ignore"):
         out = rec(e)
+    del rec     # it calls itself: bound, it keeps xs and ys (whole grids) in a reference cycle
     return np.asarray(out, dtype=float)
 
 

@@ -131,105 +131,134 @@ _MS_TABLE: dict[int, tuple[tuple[int, int], ...]] = {
 }
 
 
-def _edge_point(edge: int, x0: float, y0: float, x1: float, y1: float,
-                vals: tuple[float, float, float, float],
-                level: float) -> tuple[float, float]:
-    v0, v1, v2, v3 = vals
-    if edge == 0:
-        t = (level - v0) / (v1 - v0)
-        return (x0 + t * (x1 - x0), y0)
-    if edge == 1:
-        t = (level - v1) / (v2 - v1)
-        return (x1, y0 + t * (y1 - y0))
-    if edge == 2:
-        t = (level - v2) / (v3 - v2)
-        return (x1 - t * (x1 - x0), y1)
-    t = (level - v3) / (v0 - v3)
-    return (x0, y1 - t * (y1 - y0))
+# the pairs as one table: rows 0..15 by case, padded with (0, 0) to two
+# pairs; rows 16 and 17 a saddle whose center is on the side of v0 and v2
+# (case 5 above, case 10 below) or not
+_MS_EDGES = np.array([(*_MS_TABLE.get(case, ()), (0, 0), (0, 0))[:2] for case in range(16)]
+                     + [((3, 0), (1, 2)), ((0, 1), (2, 3))])
+# corner k of cell (i, j) is node (i + _CORNER_DI[k], j + _CORNER_DJ[k]);
+# edge e runs from corner e to corner e + 1 (mod 4)
+_CORNER_DI = np.array([0, 1, 1, 0])
+_CORNER_DJ = np.array([0, 0, 1, 1])
+_CASE_BITS = np.array([1, 2, 4, 8])
 
 
 def marching_squares(hgrid: np.ndarray, xs: np.ndarray, ys: np.ndarray,
                      level: float) -> list[tuple[tuple[float, float], ...]]:
     """Contour polylines of hgrid == level, segments chained by endpoint.
 
-    ``hgrid[i, j]`` is the value at ``(xs[i], ys[j])``.  One numpy pass
-    finds the crossed cells with four finite corners; their segments come
-    in row-major (i, then j) order, which fixes the chains and SVG bytes.
+    ``hgrid[i, j]`` is the value at ``(xs[i], ys[j])``.  The segments
+    come from :func:`_segments`, in row-major (i, then j) order, a
+    saddle's two in turn, which fixes the chains and SVG bytes.  One no
+    longer than the endpoint quantum (by :func:`math.hypot`) is dropped;
+    :func:`_chain_ends` joins the others.
     """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    quantum = 1e-9 * max(float(xs[-1] - xs[0]), float(ys[-1] - ys[0]), 1.0)
+    px, py = _segments(np.asarray(hgrid, dtype=float), xs, ys, level)
+    # degenerate stubs appear when the contour grazes a grid node; they
+    # are shorter than the endpoint quantum and would survive as isolated
+    # two-point chains.  math.hypot per segment: numpy's may round apart
+    length = np.fromiter(map(math.hypot, (px[:, 1] - px[:, 0]).tolist(),
+                             (py[:, 1] - py[:, 0]).tolist()), float, len(px))
+    keep = length > quantum
+    px, py = px[keep].ravel(), py[keep].ravel()
+    # np.rint and round() both round half to even; the keys stay floats,
+    # which compare as the exact integers round() gives, past 2**63 too
+    with np.errstate(all="ignore"):
+        chains = _chain_ends(np.rint(px / quantum), np.rint(py / quantum))
+    points = list(zip(px.tolist(), py.tolist()))
+    return [tuple(map(points.__getitem__, chain)) for chain in chains]
+
+
+def _segments(h: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+              level: float) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y of each contour segment's two ends, one row a segment.
+
+    Array passes find the crossed cells with four finite corners, resolve
+    each saddle by the left-to-right sum of its corners against
+    ``4 * level``, and put the crossing of an edge from corner value va to
+    vb at the fraction ``t = (level - va) / (vb - va)`` of its length.
+    """
+    ny = h.shape[1]
+    # the cells by their lower-left node p = i * ny + j, one per node but
+    # the last row and column: those with one to three corners on or
+    # above the level (p % ny == ny - 1 wraps across a row)
+    nodes = h.ravel()
+    up = (nodes >= level).view(np.uint8)
+    above = up[:-ny - 1] + up[ny:-1] + up[ny + 1:] + up[1:-ny]
+    cell = np.flatnonzero((above != 0) & (above != 4))
+    cell = cell[cell % ny != ny - 1]
     # a corner exactly on the level would put crossings at grid nodes and
     # break segment chaining; nudge such values by an invisible amount
-    eps = 1e-12 * max(1.0, abs(level))
-    h = np.where(hgrid == level, level + eps, hgrid)
-    xs, ys = [float(v) for v in xs], [float(v) for v in ys]
-    quantum = 1e-9 * max(xs[-1] - xs[0], ys[-1] - ys[0], 1.0)
-    up = (h > level).view(np.uint8)
-    ok = np.isfinite(h)
-    cases = (up[:-1, :-1] | up[1:, :-1] << 1 | up[1:, 1:] << 2
-             | up[:-1, 1:] << 3)
-    active = ((cases != 0) & (cases != 15) & ok[:-1, :-1] & ok[1:, :-1]
-              & ok[1:, 1:] & ok[:-1, 1:])
-    segments: list[tuple[tuple[float, float], tuple[float, float]]] = []
-    for (i, j), case in zip(np.argwhere(active).tolist(),
-                            cases[active].tolist()):
-        vals = (float(h[i, j]), float(h[i + 1, j]),
-                float(h[i + 1, j + 1]), float(h[i, j + 1]))
-        x0, y0, x1, y1 = xs[i], ys[j], xs[i + 1], ys[j + 1]
-        if case in (5, 10):
-            center_above = sum(vals) > 4.0 * level
-            if (case == 5) == center_above:
-                pairs = ((3, 0), (1, 2))
-            else:
-                pairs = ((0, 1), (2, 3))
-        else:
-            pairs = _MS_TABLE[case]
-        for ea, eb in pairs:
-            pa = _edge_point(ea, x0, y0, x1, y1, vals, level)
-            pb = _edge_point(eb, x0, y0, x1, y1, vals, level)
-            # degenerate stubs appear when the contour grazes a grid
-            # node; they are shorter than the endpoint quantum and
-            # would survive as isolated two-point chains
-            if math.hypot(pb[0] - pa[0], pb[1] - pa[1]) > quantum:
-                segments.append((pa, pb))
-    return _chain_segments(segments, quantum)
+    corners = nodes[cell[:, None] + _CORNER_DI * ny + _CORNER_DJ]
+    corners = np.where(corners == level, level + 1e-12 * max(1.0, abs(level)), corners)
+    finite = np.isfinite(corners).all(axis=1)
+    ii, jj = np.divmod(cell[finite], ny)
+    corners = corners[finite]
+    case = (corners > level) @ _CASE_BITS
+    with np.errstate(all="ignore"):
+        center_above = ((corners[:, 0] + corners[:, 1]) + corners[:, 2]
+                        + corners[:, 3]) > 4.0 * level
+        saddle = (case == 5) | (case == 10)
+        row = np.where(saddle, np.where((case == 5) == center_above, 16, 17), case)
+        # one segment per cell and two per saddle, each as its two ends
+        slots = np.stack((np.ones_like(saddle), saddle), axis=1)
+        owner = np.repeat(np.nonzero(slots)[0], 2)
+        edge = _MS_EDGES[row][slots].ravel()
+        i, j = ii[owner], jj[owner]
+        va = corners[owner, edge]
+        t = (level - va) / (corners[owner, (edge + 1) & 3] - va)
+        step = np.where(edge < 2, t, -t)        # edges 2 and 3 run backwards
+        cx, cy = xs[i + _CORNER_DI[edge]], ys[j + _CORNER_DJ[edge]]
+        along_x = (edge & 1) == 0
+        px = np.where(along_x, cx + step * (xs[i + 1] - xs[i]), cx)
+        py = np.where(along_x, cy, cy + step * (ys[j + 1] - ys[j]))
+    return px.reshape(-1, 2), py.reshape(-1, 2)
 
 
-def _chain_segments(segments, quantum: float):
-    """Merge segments into polylines by matching quantized endpoints."""
-    def key(p: tuple[float, float]) -> tuple[int, int]:
-        return (round(p[0] / quantum), round(p[1] / quantum))
+def _chain_ends(kx: np.ndarray, ky: np.ndarray) -> list[list[int]]:
+    """Segments joined into chains by endpoint key, as lists of ends.
 
-    by_end: dict[tuple[int, int], list[int]] = {}
-    for idx, (a, b) in enumerate(segments):
-        by_end.setdefault(key(a), []).append(idx)
-        by_end.setdefault(key(b), []).append(idx)
+    Segment s has ends 2s and 2s + 1, the latter its tail; two ends meet
+    when their keys (kx, ky) are equal.  Each chain starts at the first
+    segment not yet used, grows from its tail, then from its head, each
+    time onto the first unused segment, in index order, with an end at
+    the tip's key (a segment with both ends there counts once per end).
+    """
+    order = np.lexsort((ky, kx))            # stable: by end within a key
+    sx, sy = kx[order], ky[order]
+    fresh = np.ones(len(order), dtype=bool)
+    fresh[1:] = (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(fresh) - 1
+    starts = np.flatnonzero(fresh).tolist()
+    group, members = group.tolist(), order.tolist()
+    # per key: where its members start, and its first member not known used
+    first, stop = starts, [*starts[1:], len(members)]
+    used = [False] * (len(members) // 2)
 
-    used = [False] * len(segments)
-    chains: list[tuple[tuple[float, float], ...]] = []
-    for start in range(len(segments)):
-        if used[start]:
-            continue
-        used[start] = True
-        a, b = segments[start]
-        chain = [a, b]
-        # grow forward from the tail, then backward from the head
-        for flip in (False, True):
-            while True:
-                tip = chain[0] if flip else chain[-1]
-                nxt = None
-                for idx in by_end.get(key(tip), ()):
-                    if not used[idx]:
-                        nxt = idx
-                        break
-                if nxt is None:
-                    break
-                used[nxt] = True
-                pa, pb = segments[nxt]
-                other = pb if key(pa) == key(tip) else pa
-                if flip:
-                    chain.insert(0, other)
-                else:
-                    chain.append(other)
-        chains.append(tuple(chain))
+    def grow(tip: int) -> list[int]:
+        out = []
+        while True:
+            g = group[tip]
+            k, end = first[g], stop[g]
+            while k < end and used[members[k] >> 1]:
+                k += 1
+            first[g] = k
+            if k == end:
+                return out
+            s = members[k] >> 1
+            used[s] = True
+            tip = 2 * s + (group[2 * s] == g)       # the segment's other end
+            out.append(tip)
+
+    chains = []
+    for s in range(len(used)):
+        if not used[s]:
+            used[s] = True
+            tail = grow(2 * s + 1)
+            chains.append([*reversed(grow(2 * s)), 2 * s, 2 * s + 1, *tail])
     return chains
 
 

@@ -782,6 +782,34 @@ def test_overflowing_center_fails_as_that_center(tmp_path):
     assert any(w.startswith("center (0, 0):") for w in doc["warnings"])
 
 
+# H's coefficients are finite, but g = m H_m overflows (1e154 x^2), or
+# its partial in x does (7.07e153 x^3, read on the touching-root branch)
+OVERFLOWING_EQUATOR = ["1e154*x^2 + y", "7.07e153*x^3 + y"]
+
+
+@pytest.mark.parametrize("f1", OVERFLOWING_EQUATOR)
+def test_report_on_an_overflowing_equator_is_inconclusive(tmp_path, f1):
+    spec = tmp_path / "m.map"
+    spec.write_text(f'f1 = "{f1}"\nf2 = "x"\n', encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert run("report", "--map", str(spec), "--out", str(out)) == 3
+    doc = read_json(out)
+    jsonschema.validate(doc, SCHEMAS["report"])
+    assert doc["compactification"] == "not-applicable"
+    assert ("compactification inconclusive: equator polynomial has a "
+            "non-finite coefficient") in doc["warnings"]
+
+
+@pytest.mark.parametrize("f1", OVERFLOWING_EQUATOR)
+def test_disc_on_an_overflowing_equator_is_inconclusive(tmp_path, capsys, f1):
+    spec = tmp_path / "m.map"
+    spec.write_text(f'f1 = "{f1}"\nf2 = "x"\n', encoding="utf-8")
+    out = tmp_path / "d.svg"
+    assert run("disc", "--map", str(spec), "--out", str(out)) == 3
+    assert "compactification inconclusive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_without_a_center_is_inconclusive(tmp_path):
     # f = (x^2, y): the only zero is degenerate, so no center is analyzed
     out = tmp_path / "r.json"

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from planarham import corpus
 from planarham.annulus import SIGN_CHANGE, GlobalVerdict
-from planarham.compactify import (VALLEY_DEPTHS, EquatorDegenerate,
-                                  build_compactification, classify_sectors,
-                                  compactification_for_map, conti_verdict,
+from planarham.brent import brent_root
+from planarham.compactify import (ROOT_RESIDUAL, SCAN_N, VALLEY_DEPTHS, EquatorDegenerate,
+                                  InfinitySingularity, _chart_for, build_compactification,
+                                  classify_sectors, compactification_for_map, conti_verdict,
                                   infinite_singularities)
-from planarham.expr import Poly2, parse_expr, to_poly
+from planarham.expr import Poly2, compile_polys, parse_expr, to_poly
 from planarham.field import parse_map_spec
 
 
@@ -186,6 +187,112 @@ def test_equator_degenerate_raises(cf_identity):
         infinite_singularities(broken)
 
 
+@pytest.mark.parametrize("terms", [{(2, 0): math.inf, (0, 2): 1.0},
+                                   {(6, 0): 1.5e308, (0, 2): 1.0}])
+def test_an_overflowing_equator_polynomial_is_inconclusive(cf_identity, terms):
+    # an infinite coefficient of g, then one of its partial in x (6 * 1.5e308)
+    broken = replace(cf_identity, equator_poly=Poly2.from_dict(terms))
+    with pytest.raises(EquatorDegenerate, match="non-finite coefficient"):
+        infinite_singularities(broken)
+
+
+def _scalar_infinite_singularities(cf, scan_n=SCAN_N):
+    """The scalar scan that the array pass of infinite_singularities
+    replaced, kept as its reference: G sampled one angle at a time, each
+    sample's brackets tried in a Python loop."""
+    g = cf.equator_poly
+    g0_at = compile_polys(g)
+    g1_at = compile_polys(g.dx(), g.dy())
+
+    def G(t):
+        return g0_at(math.cos(t), math.sin(t))[0]
+
+    def G1(t):
+        c, s = math.cos(t), math.sin(t)
+        vx, vy = g1_at(c, s)
+        return -s * vx + c * vy
+
+    step = math.pi / scan_n
+    thetas = [k * step for k in range(scan_n)]
+    vals = [G(t) for t in thetas]
+    scale = max(1.0, max(abs(x) for x in vals))
+    if all(abs(x) <= 1e-12 * scale for x in vals):
+        raise EquatorDegenerate("equator polynomial vanishes identically")
+    wrap_sign = 1.0 if (cf.degree + 1) % 2 == 0 else -1.0
+
+    def val(k):
+        q, r = divmod(k, scan_n)
+        return vals[r] * (wrap_sign ** q)
+
+    roots = []
+
+    def push(t):
+        t = t % math.pi
+        for r in roots:
+            if abs(t - r) <= 1e-8 or abs(abs(t - r) - math.pi) <= 1e-8:
+                return
+        if abs(G(t)) <= ROOT_RESIDUAL * scale:
+            roots.append(t)
+
+    for k in range(scan_n):
+        a, b = thetas[k], thetas[k] + step
+        va, vb = val(k), val(k + 1)
+        if va == 0.0:
+            push(a)
+        elif va * vb < 0.0:
+            push(brent_root(G, a, b, xtol=1e-15, maxiter=200))
+        if abs(va) <= 1e-3 * scale and va <= abs(val(k - 1)) and va <= abs(vb):
+            lo, hi = a - step, a + step
+            if G1(lo) < 0.0 < G1(hi):
+                push(brent_root(G1, lo, hi, xtol=1e-15, maxiter=200))
+
+    return [InfinitySingularity(t, *_chart_for(t)) for t in sorted(roots)]
+
+
+def _scan_outcome(scan, cf, scan_n=SCAN_N):
+    # ValueError: a sign change at the wrap that G itself does not show
+    # at pi, where brent_root refuses the bracket (both scans do)
+    try:
+        return repr(scan(cf, scan_n))
+    except (EquatorDegenerate, ValueError) as exc:
+        return f"{type(exc).__name__}({exc})"
+
+
+def _homogeneous(draw, degree):
+    """A form of the given degree with small integer or float coefficients."""
+    coeffs = st.one_of(st.integers(-3, 3).map(float), st.floats(-4.0, 4.0))
+    return Poly2.from_dict({(i, degree - i): draw(coeffs) for i in range(degree + 1)})
+
+
+@st.composite
+def equator_hamiltonians(draw):
+    """Top forms H_m of degree 2..12: generic, squares (touching roots),
+    with a factor x*y (roots at the sample angles 0 and pi/2), and scaled
+    down to the degenerate test's threshold or up."""
+    x, y = Poly2.from_dict({(1, 0): 1.0}), Poly2.from_dict({(0, 1): 1.0})
+    kind = draw(st.sampled_from(["generic", "square", "xy", "xy-square"]))
+    m = draw(st.integers(2, 12))
+    if kind == "generic":
+        h = _homogeneous(draw, m)
+    elif kind == "square":
+        h = _homogeneous(draw, max(1, m // 2)).pow_int(2)
+    elif kind == "xy":
+        h = x * y * _homogeneous(draw, m - 2)
+    else:
+        h = x * y * _homogeneous(draw, max(1, m // 2 - 1)).pow_int(2)
+    return h.scale(draw(st.sampled_from([1.0, 1e-13, 3e-12, 1e6])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(equator_hamiltonians(), st.sampled_from([SCAN_N, 512, 333]))
+def test_array_scan_equals_the_scalar_scan(hpoly, scan_n):
+    if hpoly.degree() < 2:
+        return
+    cf = build_compactification(hpoly)
+    assert (_scan_outcome(infinite_singularities, cf, scan_n)
+            == _scan_outcome(_scalar_infinite_singularities, cf, scan_n))
+
+
 # ===== sector classification ===== #
 
 
@@ -314,6 +421,18 @@ def test_valleys_agree_with_the_seed_fan(name):
     assert {t: s.classification for t, s in got.items()} == want
     # every side settled, as every seed of the fan was conclusive
     assert all(s.confidence == 1.0 for s in got.values())
+
+
+@pytest.mark.parametrize("name", sorted(FAN_GATE))
+def test_array_scan_equals_the_scalar_scan_on_the_gate_maps(name):
+    source, _ = FAN_GATE[name]
+    if source.startswith("builtin:"):
+        pmap = corpus.builtin(source.removeprefix("builtin:"))
+    else:
+        pmap = parse_map_spec(source, name, name)
+    cf = compactification_for_map(pmap)
+    assert (_scan_outcome(infinite_singularities, cf)
+            == _scan_outcome(_scalar_infinite_singularities, cf))
 
 
 def test_a_valley_between_two_samples_is_found():

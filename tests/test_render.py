@@ -1,6 +1,7 @@
 """Scenes and SVG output: portraits stay in bounds and parse as XML."""
 
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
@@ -9,19 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planarham import corpus
 from planarham.annulus import estimate_ell
 from planarham.centers import find_zeros
 from planarham.compactify import (classify_sectors, compactification_for_map,
                                   infinite_singularities)
-from planarham.expr import parse_expr
+from planarham.expr import eval_grid, parse_expr
 from planarham.field import Box, PlanarMap, effective_hamiltonian_poly
 from planarham.rk import flow_kernel
-from planarham.render import (CircleLayer, DiscRefusal, PointMarker, Polyline,
-                              ROLE_COLOR, Scene, TextLabel, disc_portrait,
+from planarham.render import (PORTRAIT_GRID_N, CircleLayer, DiscRefusal, PointMarker,
+                              Polyline, ROLE_COLOR, Scene, TextLabel, disc_portrait,
                               disc_portrait_for_map, marching_squares,
                               plane_portrait, project_to_disc, scene_to_svg)
 from planarham.render import (_ESCAPE_RADIUS, _FAN_ANGLES, _FAN_RADII, _MS_TABLE,
-                              _chain_segments, _edge_point, _flow_polyline)
+                              _flow_polyline)
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +79,66 @@ def test_marching_squares_empty_when_level_missed():
     ys = np.linspace(-1.0, 1.0, 11)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     assert marching_squares(0.5 * (gx ** 2 + gy ** 2), xs, ys, 10.0) == []
+
+
+# the scalar marching squares that render.marching_squares replaced, kept
+# as the reference its array passes must equal float for float
+
+def _edge_point(edge: int, x0: float, y0: float, x1: float, y1: float,
+                vals: tuple[float, float, float, float],
+                level: float) -> tuple[float, float]:
+    v0, v1, v2, v3 = vals
+    if edge == 0:
+        t = (level - v0) / (v1 - v0)
+        return (x0 + t * (x1 - x0), y0)
+    if edge == 1:
+        t = (level - v1) / (v2 - v1)
+        return (x1, y0 + t * (y1 - y0))
+    if edge == 2:
+        t = (level - v2) / (v3 - v2)
+        return (x1 - t * (x1 - x0), y1)
+    t = (level - v3) / (v0 - v3)
+    return (x0, y1 - t * (y1 - y0))
+
+
+def _chain_segments(segments, quantum: float):
+    """Merge segments into polylines by matching quantized endpoints."""
+    def key(p: tuple[float, float]) -> tuple[int, int]:
+        return (round(p[0] / quantum), round(p[1] / quantum))
+
+    by_end: dict[tuple[int, int], list[int]] = {}
+    for idx, (a, b) in enumerate(segments):
+        by_end.setdefault(key(a), []).append(idx)
+        by_end.setdefault(key(b), []).append(idx)
+
+    used = [False] * len(segments)
+    chains: list[tuple[tuple[float, float], ...]] = []
+    for start in range(len(segments)):
+        if used[start]:
+            continue
+        used[start] = True
+        a, b = segments[start]
+        chain = [a, b]
+        # grow forward from the tail, then backward from the head
+        for flip in (False, True):
+            while True:
+                tip = chain[0] if flip else chain[-1]
+                nxt = None
+                for idx in by_end.get(key(tip), ()):
+                    if not used[idx]:
+                        nxt = idx
+                        break
+                if nxt is None:
+                    break
+                used[nxt] = True
+                pa, pb = segments[nxt]
+                other = pb if key(pa) == key(tip) else pa
+                if flip:
+                    chain.insert(0, other)
+                else:
+                    chain.append(other)
+        chains.append(tuple(chain))
+    return chains
 
 
 def reference_marching_squares(hgrid, xs, ys, level):
@@ -153,6 +215,63 @@ def test_marching_squares_matches_all_cells_scan(grid):
     h, xs, ys, level = grid
     assert (marching_squares(h, xs, ys, level)
             == reference_marching_squares(h, xs, ys, level))
+
+
+# one map of each small-maps family, in the benchmark's parameter ranges:
+# affine with diag in [0.6, 1.6], off-diagonal in [-0.4, 0.4]; triangular
+# (alpha u, beta v + q(u)) with deg q = 2
+PORTRAIT_GRID_MAPS = {
+    "affine": ("1.31*x + -0.27*y + 4.1", "0.35*x + 0.72*y + -2.6"),
+    "triangular2": ("1.04*(x - 0.81)",
+                    "0.93*(y - -1.37) + 0.061*(x - 0.81)^1 + -0.127*(x - 0.81)^2"),
+}
+
+
+def _portrait_grid(name):
+    """H on the grid plane_portrait contours: 161 x 161 nodes over the
+    working box."""
+    if name in PORTRAIT_GRID_MAPS:
+        f1, f2 = PORTRAIT_GRID_MAPS[name]
+        pmap = PlanarMap(f1=parse_expr(f1), f2=parse_expr(f2))
+    else:
+        pmap = corpus.builtin(name)
+    box = pmap.working_box()
+    xs = np.linspace(box.xmin, box.xmax, PORTRAIT_GRID_N + 1)
+    ys = np.linspace(box.ymin, box.ymax, PORTRAIT_GRID_N + 1)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    with np.errstate(all="ignore"):
+        h = 0.5 * (eval_grid(pmap.f1, gx, gy) ** 2 + eval_grid(pmap.f2, gx, gy) ** 2)
+    return h, xs, ys
+
+
+@pytest.mark.parametrize("name", [*sorted(PORTRAIT_GRID_MAPS), "example1", "example2",
+                                  "example3", "identity", "control_noninjective"])
+def test_marching_squares_matches_all_cells_scan_on_portrait_grids(name):
+    h, xs, ys = _portrait_grid(name)
+    finite = h[np.isfinite(h)]
+    # short and long contours, and a level that some nodes sit on exactly
+    levels = [*np.quantile(finite, [0.001, 0.05, 0.3, 0.7]).tolist(), float(finite[17])]
+    for level in levels:
+        got = marching_squares(h, xs, ys, level)
+        assert got, level
+        assert repr(got) == repr(reference_marching_squares(h, xs, ys, level)), level
+
+
+def test_marching_squares_memory_stays_small():
+    # a guard for the peak RSS of a portrait: one level of the affine map's
+    # grid (170 points) peaks at 136 KB in tracemalloc, where the scalar
+    # scan took 371 KB (its nudged copy of the grid alone is 207 KB); the
+    # bound is twice that
+    h, xs, ys = _portrait_grid("affine")
+    level = float(np.quantile(h, 0.05))
+    marching_squares(h, xs, ys, level)
+    tracemalloc.start()
+    try:
+        marching_squares(h, xs, ys, level)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 272_000
 
 
 # ===== plane portraits ===== #

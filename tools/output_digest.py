@@ -32,7 +32,9 @@ its ``timings.orbit_points`` and its infinite singular points as
 probes any one center took.  The per-center counts come from wrapping
 ``planarham.annulus.estimate_ell``.  For each ``disc`` SVG it prints the
 number of trajectories, how many of them are closed (first point equal
-to the last) and their total points, and adds these up in the totals.
+to the last) and their total points, and for each ``portrait`` SVG the
+number of ``level`` polylines and their total points, and adds these up
+in the totals.
 Every invocation's line, portraits included, ends with the
 ``SearchStats.summary()`` of each zero search it ran (``search=``, ``-``
 for none), from wrapping ``planarham.cli.search_zeros``, so that the
@@ -125,15 +127,20 @@ def work(out: Path) -> tuple[int, int | str, int, str] | None:
             sectors)
 
 
-def disc_work(out: Path) -> tuple[int, int, int] | None:
-    """(trajectories, closed ones, their points) of a disc SVG; None
-    without one."""
+def svg_work(out: Path, disc: bool) -> dict[str, int] | None:
+    """The polylines of a disc SVG (trajectories, closed ones, their
+    points) or of a portrait SVG (levels, their points); None without
+    one."""
     if not out.exists():
         return None
+    role = "trajectory" if disc else "level"
     polylines = [el.get("points").split() for el in ET.parse(out).getroot().iter()
-                 if el.tag.endswith("polyline") and el.get("class") == "trajectory"]
-    return (len(polylines), sum(pts[0] == pts[-1] for pts in polylines),
-            sum(map(len, polylines)))
+                 if el.tag.endswith("polyline") and el.get("class") == role]
+    points = sum(map(len, polylines))
+    if disc:
+        return {"trajectories": len(polylines),
+                "closed": sum(pts[0] == pts[-1] for pts in polylines), "disc_points": points}
+    return {"levels": len(polylines), "level_points": points}
 
 
 def probe_counts(estimates: list) -> tuple[list[int], list[int], list[int]]:
@@ -173,7 +180,8 @@ def main(argv: list[str]) -> int:
 
     cli.search_zeros = searching
     totals = dict.fromkeys(("certificates", "orbit_points", "probes", "traced", "lift",
-                            "most_per_center", "trajectories", "closed", "disc_points"), 0)
+                            "most_per_center", "trajectories", "closed", "disc_points",
+                            "levels", "level_points"), 0)
 
     def run_one(label: str, argv_: list[str], out: Path, workdir: Path) -> None:
         estimates.clear()
@@ -182,17 +190,16 @@ def main(argv: list[str]) -> int:
         search = "search=" + ("; ".join(s.summary() for s in searches) or "-")
         if not args.work:
             print(f"{label} rc={rc} {hexd}", flush=True)
-        elif argv_[0] == "disc":
-            counts = disc_work(out)
-            if counts is None:
+        elif argv_[0] in ("disc", "portrait"):
+            listed = svg_work(out, argv_[0] == "disc")
+            if listed is None:
                 print(f"{label} rc={rc} <no output file> {search}", flush=True)
                 return
-            listed = dict(zip(("trajectories", "closed", "disc_points"), counts))
             for key, n in listed.items():
                 totals[key] += n
             print(f"{label} rc={rc} " + " ".join(f"{key}={n}" for key, n in listed.items())
                   + f" {search}", flush=True)
-        elif out.suffix == ".json":
+        else:
             counts = work(out)
             if counts is None:
                 print(f"{label} rc={rc} <no output file> {search}", flush=True)
@@ -209,8 +216,6 @@ def main(argv: list[str]) -> int:
             print(f"{label} rc={rc} certificates={certificates} {listed} "
                   f"sign_proof_boxes={boxes} orbit_points={points} sectors={sectors or '-'} "
                   f"{search}", flush=True)
-        else:
-            print(f"{label} rc={rc} {search}", flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
