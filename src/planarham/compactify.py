@@ -183,7 +183,11 @@ def infinite_singularities(cf: CompactifiedField,
         if zero[k]:
             push(a)
         elif change[k]:
-            push(brent_root(G, a, b, xtol=1e-15, maxiter=200))
+            # the last sample's successor wraps to +-G(0), a sign G itself
+            # need not show at b, a rounding of pi: then the root is at b
+            ga, gb = G(a), G(b)
+            push(brent_root(G, a, b, xtol=1e-15, maxiter=200)
+                 if min(ga, gb) <= 0.0 <= max(ga, gb) else b)
         if touch[k]:
             lo, hi = a - step, a + step
             if G1(lo) < 0.0 < G1(hi):

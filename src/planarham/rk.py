@@ -137,7 +137,7 @@ def orbit_kernel(f1: Expr, f2: Expr, errors: tuple[type[BaseException], ...],
     evaluation raises one of ``errors``, or meets det Df = 0, raises
     ``locate(sx, sy, exc)`` instead, at the stage point.
     """
-    body, ((v1, dx1, dy1), (v2, dx2, dy2)) = _emit((f1, f2), inputs=("sx", "sy"))
+    body, ((v1, dx1, dy1), (v2, dx2, dy2)), consts = _emit((f1, f2), inputs=("sx", "sy"))
     # operands are names or float literals, which bind tighter than `*`
     body.append(f"idet = 1.0 / ({dx1} * {dy2} - {dx2} * {dy1})")
     # the time is T in the source: the body's temporaries are t0, t1, ...
@@ -147,7 +147,7 @@ def orbit_kernel(f1: Expr, f2: Expr, errors: tuple[type[BaseException], ...],
                           "T": "idet"},
                          guard=True,
                          returns=f", ({v1}, {dx1}, {dy1}, {v2}, {dx2}, {dy2})")
-    return _compile_source(src, _ERRORS=errors, _locate=locate)
+    return _compile_source((src, consts), _ERRORS=errors, _locate=locate)
 
 
 def flow_kernel(f1: Expr, f2: Expr):
@@ -158,15 +158,16 @@ def flow_kernel(f1: Expr, f2: Expr):
     ``kernel(x, y, k1x, k1y, h, rtol, atol, direction)`` steps the field
     ``direction * (-(v1 dy1 + v2 dy2), v1 dx1 + v2 dx2)`` and returns
     ``(x5, y5, enorm, k7x, k7y)``.  Evaluation errors come through raw.
-    Nothing is cached: compile where the field is used and keep the
-    kernel for the run.
+    Its code is compiled once per source text, so a second call on the
+    same field, or on one differing only in its coefficients, only
+    binds the constants.
     """
-    body, ((v1, dx1, dy1), (v2, dx2, dy2)) = _emit((f1, f2), inputs=("sx", "sy"))
+    body, ((v1, dx1, dy1), (v2, dx2, dy2)), consts = _emit((f1, f2), inputs=("sx", "sy"))
     src = _kernel_source("xy", ", direction", body,
                          {"x": f"direction * -({v1} * {dy1} + {v2} * {dy2})",
                           "y": f"direction * ({v1} * {dx1} + {v2} * {dx2})"},
                          guard=False, returns="")
-    return _compile_source(src)
+    return _compile_source((src, consts))
 
 
 def dp5_step(kernel, *args):

@@ -20,7 +20,7 @@ from planarham.centers import (
     isochronous_hint,
     search_zeros,
 )
-from planarham.expr import _codegen, _compile_source, parse_expr
+from planarham.expr import compile_jet_pair, parse_expr
 from planarham.field import Box, PlanarMap, ZERO_TOL
 
 TWO_PI = 2.0 * math.pi
@@ -243,9 +243,7 @@ def _one_seed_newton(jet, x, y, box):
 def _reference_search(pmap, box, grid_n):
     """search_zeros as it was, one seed at a time."""
     box = box if box is not None else pmap.working_box()
-    # compiled afresh, as the array jet is: compile_jet_pair's cache takes
-    # Constant(-0.0) for Constant(0.0)
-    jet = _compile_source(_codegen((pmap.f1, pmap.f2)))
+    jet = compile_jet_pair(pmap.f1, pmap.f2)
     candidates = []
     n_singular = n_diverged = 0
     for i in range(grid_n):

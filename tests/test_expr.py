@@ -1,6 +1,9 @@
 """Parser, printer, jets, compiled evaluation, polynomial extraction."""
 
+import gc
+import inspect
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -9,8 +12,10 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from planarham import rk
 from planarham.corpus import BUILTIN_NAMES, builtin
 from planarham.expr import (
+    JET_ERRORS,
     Binary,
     Constant,
     DomainError,
@@ -22,7 +27,6 @@ from planarham.expr import (
     _compile_source,
     _outward,
     _ulp_step,
-    _zero_signs,
     compile_array_jet,
     compile_array_polys,
     compile_interval_jet,
@@ -30,6 +34,7 @@ from planarham.expr import (
     compile_polys,
     eval_grid,
     eval_jet,
+    nonfinite_constant,
     parse_expr,
     powi,
     print_expr,
@@ -178,11 +183,13 @@ def test_integral_constants_print_as_integers():
 @pytest.mark.parametrize("text,printed", [
     ("-0.0*y", "-0*y"), ("x*-0.0", "x*(-0)"), ("(-0.0)^2 + x", "(-0)^2 + x")])
 def test_negative_zero_prints_its_sign(text, printed):
-    # the map echo re-parses to the same tree, zero signs and jet
+    # the map echo re-parses to the same tree, code, constants and jet
     e = parse_expr(text)
     assert print_expr(e) == printed
     echo = parse_expr(print_expr(e))
-    assert echo == e and _zero_signs(echo) == _zero_signs(e) == (True,)
+    (src, consts), (echo_src, echo_consts) = _codegen((e,)), _codegen((echo,))
+    assert echo == e and echo_src == src
+    assert list(map(repr, echo_consts.values())) == list(map(repr, consts.values())) == ["-0.0"]
     y = parse_expr("y")
     assert repr(compile_jet_pair(echo, y)(1.0, 2.0)) == repr(compile_jet_pair(e, y)(1.0, 2.0))
     assert repr(compile_jet_pair(echo, y)(1.0, 2.0)[0]) == ("-0.0" if "*" in text else "1.0")
@@ -265,9 +272,10 @@ def test_compiled_matches_reference(f1, f2, p):
 def test_codegen_emits_each_right_hand_side_once():
     f1 = parse_expr("exp(x)*cos(y) - 1")
     f2 = parse_expr("exp(x)*sin(y)")
-    src = _codegen((f1, f2))
+    src, consts = _codegen((f1, f2))
     assert src.count("sin(") == 1 and src.count("cos(") == 1
     assert src.count("exp(") == 1
+    assert consts == {}     # f1's 1 folds like a partial's, so it stays a literal
     jet = compile_jet_pair(f1, f2)
     for p in [(0.3, -1.2), (-2.0, 5.0), (1.5, 0.0)]:
         j1, j2 = eval_jet(f1, p), eval_jet(f2, p)
@@ -421,6 +429,121 @@ def test_array_polys_equal_compiled_polys(p, q, points):
     xs, ys = zip(*points)
     _assert_array_matches_scalar(compile_polys(p, q), compile_array_polys(p, q),
                                  list(xs) + [1e200], list(ys) + [-1e200])
+
+
+# ---- constants are bound by name, so a family of maps compiles once ----
+
+_FAMILY = [("2.5*x + 3*y^2 - 0.5", "exp(0.7*x)*sin(1.3*y)/(2 + x^2)"),
+           ("-4*x + 0.001*y^2 - 7", "exp(2*x)*sin(-0.2*y)/(0.25 + x^2)")]
+_POLY_FAMILY = [({(0, 0): -0.5, (1, 1): 2.5, (0, 3): 3.0}, {(2, 0): 0.7, (0, 1): -1.3}),
+                ({(0, 0): 4.0, (1, 1): -0.01, (0, 3): 1e5}, {(2, 0): -2.0, (0, 1): 0.3})]
+_ROUTES = {
+    "jet pair": compile_jet_pair,
+    "array jet": compile_array_jet,
+    "interval jet": compile_interval_jet,
+    "orbit kernel": lambda f1, f2: rk.orbit_kernel(f1, f2, JET_ERRORS, lambda *args: None),
+    "flow kernel": rk.flow_kernel,
+    "polys": compile_polys,
+    "array polys": compile_array_polys,
+}
+
+
+def _generated_code(fn):
+    """The code of the generated function that ``fn`` is or wraps."""
+    return inspect.getclosurevars(fn).nonlocals.get("generated", fn).__code__
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_maps_differing_only_in_coefficients_share_code(route):
+    if "polys" in route:
+        family = [tuple(map(Poly2.from_dict, pair)) for pair in _POLY_FAMILY]
+    else:
+        family = [tuple(map(parse_expr, pair)) for pair in _FAMILY]
+    first = _ROUTES[route](*family[0])
+    misses = compile_jet_pair.cache_info().misses
+    second = _ROUTES[route](*family[1])
+    assert compile_jet_pair.cache_info().misses == misses
+    assert first is not second and _generated_code(first) is _generated_code(second)
+
+
+def test_zero_and_one_coefficients_fold_without_a_name():
+    f1, f2 = parse_expr("0.0*y + 1.0*x"), parse_expr("1*y - 0*x^2")
+    for values_only in (False, True):
+        for array in (False, True):
+            src, consts = _codegen((f1, f2), values_only, array)
+            assert "_c" not in src and consts == {}
+    assert compile_jet_pair(f1, f2)(2.0, 3.0) == (2.0, 1.0, 0.0, 3.0, 0.0, 1.0)
+
+
+_edge_trees = _trees(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, 0.1, 1e300])
+                     .map(Constant))
+_CONST_NAME = re.compile(r"\b_c\d+\b")
+
+
+def _literal_jet(f1, f2):
+    """The jet compiled from its source with each named constant spelled
+    out as a literal."""
+    src, consts = _codegen((f1, f2))
+    return _compile_source((_CONST_NAME.sub(lambda m: f"({consts[m.group()]!r})", src), {}))
+
+
+def _constants(e):
+    """The reprs of the constants that the code of e reads (a powi
+    exponent is spelled into the code)."""
+    if isinstance(e, Constant):
+        return {repr(e.value)}
+    if isinstance(e, Unary):
+        return _constants(e.child)
+    if isinstance(e, Binary):
+        return _constants(e.left) | (set() if e.op == "powi" else _constants(e.right))
+    return set()
+
+
+def _outcome(fn, p):
+    try:
+        return tuple(map(repr, fn(*p)))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc).__name__
+
+
+@given(_edge_trees, _edge_trees, _array_coords, _array_coords)
+@example(parse_expr("2.0*3.0*x"), parse_expr("sqrt(2.0)*y"), [1.5, -0.0], [-2.0, 1e300])
+@example(parse_expr("(-0.5)^3*x + y"), parse_expr("-0.0*x - 0.0"), [0.5, -1.0], [-0.0, 3.0])
+@_lenient
+def test_lifted_constants_keep_every_bit(f1, f2, xs, ys):
+    n = min(len(xs), len(ys))
+    xs, ys = xs[:n], ys[:n]
+    _, consts = _codegen((f1, f2))
+    assert sorted(map(repr, consts.values())) == sorted(
+        (_constants(f1) | _constants(f2)) - {"0.0", "1.0"})
+    jet = compile_jet_pair(f1, f2)
+    literal = _literal_jet(f1, f2)
+    for p in zip(xs, ys):
+        got = _outcome(jet, p)
+        assert got == _outcome(literal, p)
+        try:
+            j1, j2 = eval_jet(f1, p), eval_jet(f2, p)
+        except (DomainError, OverflowError):
+            continue
+        want = (j1.value, j1.dx, j1.dy, j2.value, j2.dx, j2.dy)
+        if isinstance(got, str) or not all(map(math.isfinite, want)):
+            continue
+        # equal up to the sign of a zero: the code folds 0.0*y to 0.0,
+        # where the tree walk's product keeps the sign of y
+        assert [repr(float(g) + 0.0) for g in got] == [repr(w + 0.0) for w in want]
+    _assert_array_matches_scalar(jet, compile_array_jet(f1, f2), xs, ys)
+
+
+def test_eval_jet_and_nonfinite_constant_leave_no_reference_cycles():
+    e = parse_expr("exp(x)*sin(y) + 1e200*1e200*x")
+    gc.collect()
+    gc.disable()
+    try:
+        eval_jet(e, (0.5, 0.25))
+        assert nonfinite_constant(e) == parse_expr("1e200*1e200")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---- finite-difference oracle on the corpus expressions ----
