@@ -184,8 +184,8 @@ def edge_minima(pmap: PlanarMap) -> tuple[EllGuess, ...]:
     """Every local minimum of H along the working box's edges, least first.
 
     Each edge is sampled at 513 points, the four edges by one
-    :func:`eval_grid` pass per component of f, H being inf where f is
-    undefined.  A finite sample no greater than its neighbours, and below
+    :func:`eval_grid` pass, H being inf where f is undefined.  A finite
+    sample no greater than its neighbours, and below
     the one before it so that a plateau counts once, is refined by
     :func:`_edge_minimum` between those neighbours: a minimum narrower
     than the samples' spacing is found too.  A candidate's H is the
@@ -205,7 +205,7 @@ def edge_minima(pmap: PlanarMap) -> tuple[EllGuess, ...]:
         xs, ys = (np.concatenate([a[i] + s * (b[i] - a[i]) for a, b in edges])
                   for i in (0, 1))
         with np.errstate(all="ignore"):
-            f1, f2 = eval_grid(pmap.f1, xs, ys), eval_grid(pmap.f2, xs, ys)
+            f1, f2 = eval_grid(pmap.grid, xs, ys)
             ham = 0.5 * (f1 * f1 + f2 * f2)
         ham[np.isnan(ham)] = math.inf
         for (a, b), row in zip(edges, ham.reshape(len(edges), n + 1)):
@@ -650,8 +650,7 @@ def _h_grid(pmap: PlanarMap, box: Box, grid_n: int) -> np.ndarray:
         ys = box.ymin + (np.arange(grid_n) + 0.5) * (box.ymax - box.ymin) / grid_n
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         with np.errstate(all="ignore"):
-            f1 = eval_grid(pmap.f1, gx, gy)
-            f2 = eval_grid(pmap.f2, gx, gy)
+            f1, f2 = eval_grid(pmap.grid, gx, gy)
             ham = 0.5 * (f1 * f1 + f2 * f2)
         ham.flags.writeable = False
         return ham
@@ -708,7 +707,7 @@ def injectivity_spotcheck(pmap: PlanarMap, sampler: RegionSampler,
             xs = bx0 + (bx1 - bx0) * (np.arange(m) + 0.5) / m
             ys = by0 + (by1 - by0) * (np.arange(m) + 0.5) / m
             gx, gy = np.meshgrid(xs, ys)        # row j holds y = ys[j]
-            f1, f2 = eval_grid(pmap.f1, gx, gy), eval_grid(pmap.f2, gx, gy)
+            f1, f2 = eval_grid(pmap.grid, gx, gy)
             inside = (mask[cell_index(sampler.box, sampler.grid_n, gx, gy)]
                       & (0.5 * (f1 * f1 + f2 * f2) < sampler.ell_lo))
             count = int(inside.sum())

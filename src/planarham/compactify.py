@@ -278,17 +278,17 @@ def classify_sectors(pmap: PlanarMap, cf: CompactifiedField,
 
     Per side of the equator (v > 0 first) and depth |v|, the cone
     |u - u0| <= :data:`FAN_R` meets the plane in a segment, all sampled by
-    one :func:`eval_grid` pass per component of f.  Over the last three
-    depths a side is "bounded" when the interval upper bounds of H at the
-    floors (``valley``) grow less than 10^(1/deg H) per decade, "coercive"
-    when a certified lower bound of H on each whole segment is that much
-    above the bound a decade up, else "unsettled"; a missed valley reads high.
+    one :func:`eval_grid` pass.  Over the last three depths a side is
+    "bounded" when the interval upper bounds of H at the floors
+    (``valley``) grow less than 10^(1/deg H) per decade, "coercive" when a
+    certified lower bound of H on each whole segment is that much above
+    the bound a decade up, else "unsettled"; a missed valley reads high.
     """
     growth = 10.0 ** (1.0 / (cf.degree + 1))    # deg H is the field degree + 1
     us = sing.u + FAN_R * np.linspace(-1.0, 1.0, VALLEY_N)
     vs = np.multiply.outer((1.0, -1.0), VALLEY_DEPTHS)
     xs, ys = _to_plane(sing.chart, us, vs[..., None])
-    fs = np.stack([eval_grid(pmap.f1, xs, ys), eval_grid(pmap.f2, xs, ys)])
+    fs = np.stack(eval_grid(pmap.grid, xs, ys))
     floors = np.empty(vs.shape)
     for (side, k), v in np.ndenumerate(vs):
         floors[side, k] = _valley_floor(pmap, sing.chart, us, fs[:, side, k], float(v),

@@ -6,25 +6,23 @@ The expression language is deliberately small: constants, the variables
 integer exponent, so every expression is smooth wherever it is defined
 and the forward-mode jet rules below stay total.
 
-Three evaluation paths exist on purpose:
+Two evaluation paths exist on purpose:
 
 * :func:`eval_jet` -- reference tree walk, raises :class:`DomainError`
   naming the offending subexpression,
-* generated straight-line code for the hot loops, in two modes of one
-  code generator: :func:`compile_jet_pair` gives values and first
+* straight-line code from one generator (:func:`_emit`), run in one
+  namespace per use: :func:`compile_jet_pair` gives values and first
   partials of a map (falls back to the tree walk to diagnose failures),
-  :func:`compile_polys` gives values only, for the equator scan of the
-  compactification.  The generator emits a body over any input names
-  (:func:`_emit`), which :mod:`planarham.rk` inlines at each stage of
-  its DP5 kernels.  The same code runs over numpy arrays
-  (:func:`compile_array_jet`, :func:`compile_array_polys`), equal to
-  the scalar code bit for bit and with a mask where it would raise, for
-  the Newton seed grid and the declared-H check, and over arrays of
-  boxes with interval operands (:func:`compile_interval_jet`), giving
-  outward-rounded enclosures of the values and partials for the det Df
-  sign proof and the bounds of H at infinity,
-* :func:`eval_grid` -- vectorised numpy walk for grids, ``nan`` where the
-  evaluation leaves the real domain.
+  :func:`compile_polys` values only, for the equator scan, and
+  :mod:`planarham.rk` inlines the body at each stage of its DP5
+  kernels.  Over numpy arrays (:func:`compile_array_jet`,
+  :func:`compile_array_polys`) it equals the scalar code bit for bit,
+  with a mask where that raises, for the Newton seed grid and the
+  declared-H check; over grids (:func:`compile_grid`, run by
+  :func:`eval_grid`) it calls numpy's functions, ``nan`` where f leaves
+  the real domain; over arrays of boxes (:func:`compile_interval_jet`)
+  it gives outward-rounded enclosures of the values and partials for
+  the det Df sign proof and the bounds of H at infinity.
 
 :meth:`Poly2.eval` remains for numpy arrays and as the reference that
 :func:`compile_polys` matches float for float.
@@ -451,9 +449,10 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
     The statements read the variables from the names ``inputs`` and
     assign temporaries ``t0, t1, ...``, each once.  Returns the
     unindented statements, per tree the three operands that hold its
-    value and partials, and the constants read by name: each but 0.0
-    and 1.0, which fold, is ``_c0, _c1, ...``, one per ``repr`` (-0.0
-    has its own), so maps differing only in coefficients share a source.
+    value and partials, and the constants read by name: each, 0.0 and
+    1.0 too, is ``_c0, _c1, ...``, one per ``repr`` (-0.0 has its own),
+    so maps differing only in coefficients share a source, and ``0/x``
+    raises at 0 and ``x + 0`` is +0.0 at -0.0, as in the tree walk.
 
     A node object reached twice is emitted once (memoised by identity,
     without hashing the tree), and so is each distinct right-hand side
@@ -477,8 +476,7 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
     lines: list[str] = []
     memo: dict[int, tuple[str, str, str]] = {}       # id(node) -> operands
     numbered: dict[str, str] = {}
-    names: dict[str, str] = {"0.0": "0.0", "1.0": "1.0"}     # repr -> operand
-    consts: dict[str, float] = {}
+    names: dict[str, str] = {}      # repr -> operand
     x_name, y_name = inputs
 
     def call(fn: str, *args: str) -> str:
@@ -533,11 +531,7 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
         if hit is not None:
             return hit
         if isinstance(node, Constant):
-            text = repr(float(node.value))
-            if text not in names:
-                names[text] = f"_c{len(consts)}"
-                consts[names[text]] = float(node.value)
-            out = (names[text], "0.0", "0.0")
+            out = (names.setdefault(repr(float(node.value)), f"_c{len(names)}"), "0.0", "0.0")
         elif isinstance(node, Variable):
             name = x_name if node.name == "x" else y_name
             if values_only:
@@ -613,24 +607,38 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
 
     results = [rec(e) for e in exprs]
     del rec     # it calls itself: bound, it keeps this scratch state in a reference cycle
-    return lines, results, consts
+    return lines, results, {name: float(text) for text, name in names.items()}
 
 
 def _codegen(exprs: tuple[Expr, ...], values_only: bool = False,
              array: bool = False) -> tuple[str, dict[str, float]]:
     """Source of ``_generated(x, y)`` returning (value, dx, dy) of each
     tree in turn, or with ``values_only`` the tuple of values; with
-    ``array`` it is ``_generated(x, y, _m)``, see :func:`_emit`.  Returned
-    with the constants it reads, as :func:`_compile_source` takes them."""
+    ``array`` it is ``_generated(x, y, _m)`` (:func:`_emit`), deleting each
+    temporary after its last read.  Returned with its constants."""
     lines, results, consts = _emit(exprs, values_only, array=array)
     if values_only:
         # trailing comma: a tuple even for a single tree
         ret = ", ".join(v for v, _, _ in results) + ","
     else:
         ret = ", ".join(", ".join(triple) for triple in results)
+    if array:
+        lines = _freeing(lines, ret)
     body = "".join(f"    {line}\n" for line in lines)
     params = "x, y, _m" if array else "x, y"
     return f"def _generated({params}):\n{body}    return {ret}\n", consts
+
+
+def _freeing(lines: list[str], returned: str) -> list[str]:
+    """``lines`` with a ``del`` of each temporary but those ``returned``
+    after the line that reads it last, in the order of their numbers."""
+    temporaries = re.compile(r"\bt\d+\b").findall
+    seen, out = set(temporaries(returned)), []
+    for line in reversed(lines):
+        last = sorted(set(temporaries(line)) - seen, key=lambda t: int(t[1:]))
+        seen.update(last)
+        out += [f"del {', '.join(last)}", line] if last else [line]
+    return out[::-1]
 
 
 @lru_cache(maxsize=256)
@@ -656,11 +664,11 @@ def compile_jet_pair(f1: Expr, f2: Expr):
     """Compiled ``(x, y) -> (v1, dx1, dy1, v2, dx2, dy2)``.
 
     The generated code raises the raw arithmetic exceptions
-    (``ValueError``/``ZeroDivisionError``/``OverflowError``); callers that
-    need a located :class:`DomainError` should re-run :func:`eval_jet`.
+    (``ValueError``/``ZeroDivisionError``/``OverflowError``), at constants
+    too (``0/x`` at 0); callers that need a located :class:`DomainError`,
+    naming the failing node, re-run :func:`eval_jet`.
     ``cache_info`` reports the cache of compiled sources that every
-    generated function shares.
-    """
+    generated function shares."""
     return _compile_source(_codegen((f1, f2)))
 
 
@@ -771,49 +779,36 @@ def _array_function(exprs: tuple[Expr, ...], values_only: bool = False):
     return evaluate
 
 
-# ===== numpy grid evaluation ===== #
+# ===== grids ===== #
+
+# numpy's functions, nan off the domain; a float's ``**`` runs as an array's does
+_GRID_NAMES = {
+    "exp": lambda a, m: np.exp(a),
+    "sin": lambda a, m: np.sin(a),
+    "cos": lambda a, m: np.cos(a),
+    "sqrt": lambda a, m: np.where(a < 0, np.nan, np.sqrt(np.maximum(a, 0.0))),
+    "_div": lambda a, b, m: np.where(b == 0, np.nan, a / np.where(b == 0, 1.0, b)),
+    "_pow": lambda v, n, m: np.asarray(v, float) ** n,
+}
 
 
-def eval_grid(e: Expr, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorised values on arrays; ``nan`` where evaluation leaves the domain."""
+def compile_grid(f1: Expr, f2: Expr):
+    """f1 and f2 as generated code over numpy grids, for :func:`eval_grid`;
+    the map keeps it (:attr:`planarham.field.PlanarMap.grid`)."""
+    return _compile_source(_codegen((f1, f2), True, array=True), **_GRID_NAMES)
 
-    def rec(node: Expr):
-        if isinstance(node, Constant):
-            return np.full(np.broadcast(xs, ys).shape, node.value)
-        if isinstance(node, Variable):
-            arr = xs if node.name == "x" else ys
-            return np.broadcast_to(arr, np.broadcast(xs, ys).shape).astype(float)
-        if isinstance(node, Unary):
-            v = rec(node.child)
-            if node.op == "neg":
-                return -v
-            if node.op == "exp":
-                return np.exp(v)
-            if node.op == "sin":
-                return np.sin(v)
-            if node.op == "cos":
-                return np.cos(v)
-            if node.op == "sqrt":
-                return np.where(v < 0, np.nan, np.sqrt(np.maximum(v, 0.0)))
-        if isinstance(node, Binary):
-            if node.op == "powi":
-                return rec(node.left) ** powi_exponent(node)
-            a, b = rec(node.left), rec(node.right)
-            if node.op == "add":
-                return a + b
-            if node.op == "sub":
-                return a - b
-            if node.op == "mul":
-                return a * b
-            if node.op == "div":
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return np.where(b == 0, np.nan, a / np.where(b == 0, 1.0, b))
-        raise TypeError(f"not an expression node: {node!r}")
 
+def eval_grid(grid, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """f1 and f2 as new arrays of the broadcast shape of xs and ys, by the
+    code ``grid`` of :func:`compile_grid`; ``nan`` where f is undefined."""
+    shape = np.broadcast_shapes(np.shape(xs), np.shape(ys))
+    # copied only where broadcast, so that every call runs on contiguous arrays
+    x, y = (np.ascontiguousarray(np.broadcast_to(a, shape), dtype=float) for a in (xs, ys))
     with np.errstate(all="ignore"):
-        out = rec(e)
-    del rec     # it calls itself: bound, it keeps xs and ys (whole grids) in a reference cycle
-    return np.asarray(out, dtype=float)
+        out = grid(x, y, None)
+    f1, f2 = (v if np.ndim(v) and v is not x and v is not y
+              else np.array(np.broadcast_to(v, shape)) for v in out)
+    return f1, (f2.copy() if f2 is f1 else f2)
 
 
 # ===== interval jets over boxes ===== #

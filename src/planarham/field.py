@@ -25,6 +25,7 @@ from .expr import (
     Poly2,
     compile_array_jet,
     compile_array_polys,
+    compile_grid,
     compile_interval_jet,
     compile_jet_pair,
     interval_mul,
@@ -114,6 +115,11 @@ class PlanarMap:
         :func:`~planarham.expr.compile_array_jet` gives it; compiled on
         first use."""
         return compile_array_jet(self.f1, self.f2)
+
+    @cached_property
+    def grid(self):
+        """f1 and f2 over grids (:func:`~planarham.expr.compile_grid`)."""
+        return compile_grid(self.f1, self.f2)
 
     @cached_property
     def interval_jet(self):

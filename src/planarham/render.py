@@ -315,8 +315,7 @@ def plane_portrait(pmap: PlanarMap, centers, rims, levels,
     ys = np.linspace(box.ymin, box.ymax, grid_n + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     with np.errstate(all="ignore"):
-        f1 = eval_grid(pmap.f1, gx, gy)
-        f2 = eval_grid(pmap.f2, gx, gy)
+        f1, f2 = eval_grid(pmap.grid, gx, gy)
         hgrid = 0.5 * (f1 * f1 + f2 * f2)
 
     layers: list[Layer] = []

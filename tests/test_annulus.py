@@ -777,7 +777,7 @@ def test_spotcheck_clean_on_nonsingular_affine_maps(theta, phi, log_s, cx, cy):
 
 def test_spotcheck_evaluates_each_point_once(example1, ex1_estimate, monkeypatch):
     # f1 and f2 are evaluated together on each grid the check tries, by
-    # eval_grid only: no grid twice, and no scalar jet call at all
+    # one eval_grid call: no grid twice, and no scalar jet call at all
     pmap = dataclasses.replace(example1)
     jet_calls = []
     jet = example1.jet
@@ -792,18 +792,17 @@ def test_spotcheck_evaluates_each_point_once(example1, ex1_estimate, monkeypatch
     grids = []
     real = annulus_mod.eval_grid
 
-    def recording_grid(e, xs, ys):
-        grids.append((e, xs.tobytes() + ys.tobytes()))
-        return real(e, xs, ys)
+    def recording_grid(grid, xs, ys):
+        assert grid is pmap.grid
+        grids.append(xs.tobytes() + ys.tobytes())
+        return real(grid, xs, ys)
 
     monkeypatch.setattr(annulus_mod, "eval_grid", recording_grid)
     jet_calls.clear()
     report = injectivity_spotcheck(pmap, sampler, n=2000)
     assert report.clean and report.n_sampled == 2000
     assert jet_calls == []
-    assert [e for e, _ in grids] == [pmap.f1, pmap.f2] * (len(grids) // 2)
-    assert len({g for _, g in grids}) == len(grids) // 2 >= 1
-    assert all(grids[k][1] == grids[k + 1][1] for k in range(0, len(grids), 2))
+    assert len(set(grids)) == len(grids) >= 1
 
 
 def test_spotcheck_sample_floor(example1, ex1_region):

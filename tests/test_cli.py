@@ -589,8 +589,8 @@ def test_report_scans_jacobian_sign_once(tmp_path, monkeypatch):
                                                   (PLANE_BOX, 1)]
     # one H grid for the region, which the verdict reads too, one over
     # the working window for the ell prediction, and one along the
-    # window's edges for its edge minima, f1 and f2 each: once per map
-    assert counts == {"default_h_max": 1, "eval_grid": 6}
+    # window's edges for its edge minima, f1 and f2 together: once per map
+    assert counts == {"default_h_max": 1, "eval_grid": 3}
 
 
 def test_report_traces_each_level_once(tmp_path, monkeypatch):
@@ -677,6 +677,19 @@ def test_map_file_with_declared_hamiltonian(tmp_path):
     assert doc["map"]["name"] == "ex2clone"
     assert doc["map"]["domain"] is None
     assert doc["map"]["declared_hamiltonian"] is not None
+
+
+def test_no_center_where_f_is_undefined(tmp_path):
+    # 0/y is undefined on y = 0, so (0, 0) is no zero of f, though every
+    # other point of the line x = 0 is
+    spec = tmp_path / "hole.map"
+    spec.write_text('f1 = "x + 0/y"\nf2 = "y"\n', encoding="utf-8")
+    out = tmp_path / "c.json"
+    assert run("centers", "--map", str(spec), "--out", str(out)) == 0
+    doc = read_json(out)
+    assert doc["centers"] == []
+    assert doc["warnings"] == ["the zero search found no nondegenerate zero of f "
+                               "in the search box"]
 
 
 def test_declared_hamiltonian_on_a_domain_away_from_the_origin(tmp_path):

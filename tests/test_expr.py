@@ -4,6 +4,7 @@ import gc
 import inspect
 import math
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from planarham.expr import (
     _ulp_step,
     compile_array_jet,
     compile_array_polys,
+    compile_grid,
     compile_interval_jet,
     compile_jet_pair,
     compile_polys,
@@ -42,6 +44,7 @@ from planarham.expr import (
 )
 from planarham.field import PLANE_BOX
 
+from grid_reference import eval_grid_reference
 from interval_reference import eval_interval_jet
 
 X = Variable("x")
@@ -275,7 +278,7 @@ def test_codegen_emits_each_right_hand_side_once():
     src, consts = _codegen((f1, f2))
     assert src.count("sin(") == 1 and src.count("cos(") == 1
     assert src.count("exp(") == 1
-    assert consts == {}     # f1's 1 folds like a partial's, so it stays a literal
+    assert consts == {"_c0": 1.0}     # f1's 1 is read by name like every constant
     jet = compile_jet_pair(f1, f2)
     for p in [(0.3, -1.2), (-2.0, 5.0), (1.5, 0.0)]:
         j1, j2 = eval_jet(f1, p), eval_jet(f2, p)
@@ -445,6 +448,7 @@ _ROUTES = {
     "flow kernel": rk.flow_kernel,
     "polys": compile_polys,
     "array polys": compile_array_polys,
+    "grid": compile_grid,
 }
 
 
@@ -466,13 +470,35 @@ def test_maps_differing_only_in_coefficients_share_code(route):
     assert first is not second and _generated_code(first) is _generated_code(second)
 
 
-def test_zero_and_one_coefficients_fold_without_a_name():
+def test_zero_and_one_coefficients_are_named_and_keep_ieee_results():
     f1, f2 = parse_expr("0.0*y + 1.0*x"), parse_expr("1*y - 0*x^2")
     for values_only in (False, True):
         for array in (False, True):
             src, consts = _codegen((f1, f2), values_only, array)
-            assert "_c" not in src and consts == {}
+            assert consts == {"_c0": 0.0, "_c1": 1.0}
+            assert "_c0*y" in src and "_c1*x" in src
     assert compile_jet_pair(f1, f2)(2.0, 3.0) == (2.0, 1.0, 0.0, 3.0, 0.0, 1.0)
+    # x + 0 and 0 - y at -0.0 and 0.0 are +0.0, where x and -y would be -0.0
+    jet = compile_jet_pair(parse_expr("x + 0"), parse_expr("0 - y"))
+    assert repr(jet(-0.0, 0.0)[::3]) == "(0.0, 0.0)"
+    # 0*exp(x) is 0*inf where exp overflows, and 0/x is undefined at 0
+    v1, v2 = eval_grid(compile_grid(parse_expr("0*exp(x)"), parse_expr("0/x")),
+                       np.array([800.0, 0.0, 1.0]), np.zeros(3))
+    assert repr(v1.tolist()) == "[nan, 0.0, 0.0]" and repr(v2.tolist()) == "[0.0, nan, 0.0]"
+
+
+def test_zero_over_x_is_undefined_at_zero_on_every_route():
+    f1, f2 = parse_expr("0/x"), Y
+    with pytest.raises(DomainError, match="division by zero"):
+        eval_jet(f1, (0.0, 1.0))
+    with pytest.raises(ZeroDivisionError):
+        compile_jet_pair(f1, f2)(0.0, 1.0)
+    assert compile_jet_pair(f1, f2)(2.0, 1.0)[0] == 0.0
+    _, raised = compile_array_jet(f1, f2)(np.array([0.0, -0.0, 2.0]), np.ones(3))
+    assert raised.tolist() == [True, True, False]
+    _, _, undefined = compile_interval_jet(f1, f2)(
+        np.array([0.0, -0.5, 1.0]), np.array([0.0, 0.5, 2.0]), 1.0, 1.0)
+    assert undefined.tolist() == [True, True, False]
 
 
 _edge_trees = _trees(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, 0.1, 1e300])
@@ -514,8 +540,7 @@ def test_lifted_constants_keep_every_bit(f1, f2, xs, ys):
     n = min(len(xs), len(ys))
     xs, ys = xs[:n], ys[:n]
     _, consts = _codegen((f1, f2))
-    assert sorted(map(repr, consts.values())) == sorted(
-        (_constants(f1) | _constants(f2)) - {"0.0", "1.0"})
+    assert sorted(map(repr, consts.values())) == sorted(_constants(f1) | _constants(f2))
     jet = compile_jet_pair(f1, f2)
     literal = _literal_jet(f1, f2)
     for p in zip(xs, ys):
@@ -528,8 +553,9 @@ def test_lifted_constants_keep_every_bit(f1, f2, xs, ys):
         want = (j1.value, j1.dx, j1.dy, j2.value, j2.dx, j2.dy)
         if isinstance(got, str) or not all(map(math.isfinite, want)):
             continue
-        # equal up to the sign of a zero: the code folds 0.0*y to 0.0,
-        # where the tree walk's product keeps the sign of y
+        # equal up to the sign of a zero: the code folds a product with
+        # a zero partial, y*0.0, to 0.0, where the tree walk's keeps the
+        # sign of y
         assert [repr(float(g) + 0.0) for g in got] == [repr(w + 0.0) for w in want]
     _assert_array_matches_scalar(jet, compile_array_jet(f1, f2), xs, ys)
 
@@ -577,19 +603,107 @@ def test_derivatives_match_finite_differences(text):
 # ---- grid evaluation ----
 
 def test_eval_grid_matches_pointwise():
-    e = parse_expr("exp(x)*cos(y) - 1")
+    f1, f2 = parse_expr("exp(x)*cos(y) - 1"), parse_expr("exp(x)*sin(y)")
     xs, ys = np.meshgrid(np.linspace(-2, 2, 7), np.linspace(-2, 2, 7))
-    grid = eval_grid(e, xs, ys)
-    for i in range(7):
-        for j in range(7):
-            assert abs(grid[i, j] - eval_value(e, xs[i, j], ys[i, j])) <= 1e-12
+    grids = eval_grid(compile_grid(f1, f2), xs, ys)
+    for e, grid in zip((f1, f2), grids):
+        for i in range(7):
+            for j in range(7):
+                assert abs(grid[i, j] - eval_value(e, xs[i, j], ys[i, j])) <= 1e-12
 
 
 def test_eval_grid_nan_outside_domain():
-    grid = eval_grid(parse_expr("sqrt(x)"), np.array([-1.0, 0.0, 4.0]), np.zeros(3))
-    assert math.isnan(grid[0]) and grid[1] == 0.0 and grid[2] == 2.0
-    grid = eval_grid(parse_expr("1/x"), np.array([0.0, 2.0]), np.zeros(2))
-    assert math.isnan(grid[0]) and grid[1] == 0.5
+    grid = compile_grid(parse_expr("sqrt(x)"), parse_expr("1/x"))
+    roots, inverses = eval_grid(grid, np.array([-1.0, 0.0, 4.0]), np.zeros(3))
+    assert math.isnan(roots[0]) and roots[1] == 0.0 and roots[2] == 2.0
+    assert inverses[0] == -1.0 and math.isnan(inverses[1]) and inverses[2] == 0.25
+
+
+@pytest.mark.parametrize("layout", ["broadcast", "meshgrid"])
+def test_grid_outputs_are_new_writable_arrays_of_the_broadcast_shape(layout):
+    xs, ys = np.linspace(-1.0, 1.0, 3)[:, None], np.linspace(0.0, 2.0, 4)
+    if layout == "meshgrid":        # the inputs themselves are read, not copies
+        xs, ys = np.meshgrid(xs[:, 0], ys, indexing="ij")
+    for f1, f2 in [("x", "2"), ("y", "y"), ("x*y", "x*y")]:
+        out = eval_grid(compile_grid(parse_expr(f1), parse_expr(f2)), xs, ys)
+        for v in out:
+            assert v.shape == (3, 4) and v.dtype == float and v.flags.writeable
+            assert not np.shares_memory(v, xs) and not np.shares_memory(v, ys)
+        assert not np.shares_memory(*out)
+    first, second = eval_grid(compile_grid(X, Constant(2.0)), xs, ys)
+    assert (first == np.broadcast_to(xs, (3, 4))).all() and (second == 2.0).all()
+
+
+_grid_coords = st.lists(st.one_of(
+    st.floats(min_value=-3, max_value=3),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -1.0, 710.0, -750.0, 1e300])),
+    min_size=1, max_size=6)
+
+
+def _grid_layout(xs, ys, layout):
+    """Coordinates in the layout of a caller of eval_grid: 1-D edge
+    samples, a meshgrid, or the chart segments of ``classify_sectors``
+    (one abscissa per side and depth, against a row of samples)."""
+    xs, ys = np.array(xs), np.array(ys)
+    if layout == "1-D":
+        n = min(len(xs), len(ys))
+        return xs[:n], ys[:n]
+    if layout == "meshgrid":
+        return np.meshgrid(xs, ys, indexing="ij")
+    depths = np.stack([xs, xs[::-1]])[..., None]                 # (2, depths, 1)
+    segments = np.tile(ys, (2, len(xs), 1))                      # (2, depths, n)
+    return (depths, segments) if layout == "U1" else (segments, depths)
+
+
+def _grid_bits(a):
+    """The bits of the floats of ``a``, every nan as numpy's ``nan``: where
+    two nans meet in + or -, which one's sign wins depends on the numpy
+    loop, and within one array on the element's position in it."""
+    return np.where(np.isnan(a), np.nan, a).view(np.int64)
+
+
+@given(_edge_trees, _edge_trees, _grid_coords, _grid_coords,
+       st.sampled_from(["1-D", "meshgrid", "U1", "U2"]))
+@example(parse_expr("0*exp(x) + 0/y"), parse_expr("x - 0 + (1e300*1e300 - 1e300*1e300)"),
+         [-0.0, 800.0, math.nan], [0.0, -0.0, math.inf], "meshgrid")
+@example(parse_expr("sqrt(0.1 - 1)^3*x"), parse_expr("(0.1*0.1)^4/exp(0.1)"),
+         [2.0], [-0.0, 1.0], "U1")
+@_lenient
+def test_grid_code_equals_the_reference_bit_for_bit(f1, f2, xs, ys, layout):
+    xs, ys = _grid_layout(xs, ys, layout)
+    shape = np.broadcast_shapes(xs.shape, ys.shape)
+    got = eval_grid(compile_grid(f1, f2), xs, ys)
+    for e, grid in zip((f1, f2), got):
+        want = eval_grid_reference(e, xs, ys)
+        assert grid.shape == want.shape == shape and grid.flags.writeable
+        assert not np.shares_memory(grid, xs) and not np.shares_memory(grid, ys)
+        assert np.array_equal(_grid_bits(grid), _grid_bits(want)), (e, grid, want)
+
+
+def test_grid_code_frees_each_temporary_after_its_last_read():
+    # 20 chained subexpressions each leave grid-sized temporaries, which
+    # the code frees in order as it goes: the peak is a few grids, where
+    # keeping every temporary to the end takes some 60
+    chain = "x"
+    for k in range(20):
+        chain = f"sin({chain} + {0.1 * (k + 1)!r}*y)"
+    f1, f2 = parse_expr(chain), parse_expr("exp(x)*y")
+    src, _ = _codegen((f1, f2), values_only=True, array=True)
+    frees = [line.split(None, 1)[1].split(", ") for line in src.splitlines()
+             if line.lstrip().startswith("del ")]
+    assert len(frees) >= 20
+    assert all(names == sorted(names, key=lambda t: int(t[1:])) for names in frees)
+    grid = compile_grid(f1, f2)
+    xs, ys = np.linspace(-1.0, 1.0, 400), np.linspace(-2.0, 2.0, 400)[:, None]
+    one_grid = 400 * 400 * 8
+    eval_grid(grid, xs, ys)
+    tracemalloc.start()
+    try:
+        eval_grid(grid, xs, ys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * one_grid
 
 
 # ---- interval jets ----

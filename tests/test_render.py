@@ -240,7 +240,8 @@ def _portrait_grid(name):
     ys = np.linspace(box.ymin, box.ymax, PORTRAIT_GRID_N + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     with np.errstate(all="ignore"):
-        h = 0.5 * (eval_grid(pmap.f1, gx, gy) ** 2 + eval_grid(pmap.f2, gx, gy) ** 2)
+        f1, f2 = eval_grid(pmap.grid, gx, gy)
+        h = 0.5 * (f1 ** 2 + f2 ** 2)
     return h, xs, ys
 
 
