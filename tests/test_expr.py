@@ -682,8 +682,8 @@ def test_grid_code_equals_the_reference_bit_for_bit(f1, f2, xs, ys, layout):
 
 def test_grid_code_frees_each_temporary_after_its_last_read():
     # 20 chained subexpressions each leave grid-sized temporaries, which
-    # the code frees in order as it goes: the peak is a few grids, where
-    # keeping every temporary to the end takes some 60
+    # the code frees in order as it goes: the peak is about 5 grids, where
+    # keeping every temporary to the end takes 64
     chain = "x"
     for k in range(20):
         chain = f"sin({chain} + {0.1 * (k + 1)!r}*y)"
