@@ -5,7 +5,11 @@ global-check, portrait, disc) and `report` runs everything.  All
 analysis output lands in files; stdout carries one-line summaries only.
 Exit codes separate wrong input (2) from numerical inconclusiveness (3,
 report still written with the reasons) and a report that fails its own
-schema (4, an internal bug guard).
+schema (4, an internal bug guard).  Every JSON report is checked against
+its kind's schema in ``SCHEMAS`` before it is written, by a small checker
+of the keywords those schemas use; a report that breaks the schema or
+holds a value JSON cannot carry (nan, inf) exits 4 with the failing path
+named and no file written.
 
 Reports must be byte-identical across reruns with the same flags, so
 the timings block holds deterministic work counters, not wall-clock
@@ -17,13 +21,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
+import reprlib
 import sys
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 from typing import Sequence
-
-import jsonschema
 
 from . import annulus
 from .annulus import (REGION_GRID_N, AnnulusBelowResolution, AnnulusReport,
@@ -329,6 +333,103 @@ SCHEMAS = {
 }
 
 
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "null": type(None)}
+
+
+def _is_type(value, name: str) -> bool:
+    """JSON Schema's type test: a bool is neither a number nor an integer,
+    and a float with no fractional part is an integer."""
+    if name in _JSON_TYPES:
+        return isinstance(value, _JSON_TYPES[name])
+    if isinstance(value, bool) or not isinstance(value, numbers.Number):
+        return False
+    return name == "number" or name == "integer" and (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer())
+
+
+def _of_type(value, types: str | list[str]) -> bool:
+    """Whether ``value`` has the type, or one of the types, of a ``type``."""
+    return any(_is_type(value, t) for t in ([types] if isinstance(types, str) else types))
+
+
+def _same(a, b) -> bool:
+    """JSON Schema's equality of scalars: true is not 1, but 1 is 1.0."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    return a == b
+
+
+def _schema_error(schema: dict, value, path: str) -> str | None:
+    """The first way ``value`` at ``path`` breaks ``schema``, or None.
+
+    Checks the keywords ``SCHEMAS`` use, as JSON Schema reads them: type,
+    properties, required, additionalProperties (false only), items,
+    minItems, maxItems, minimum, maximum, enum and const (of scalars) and
+    oneOf.  The keywords of objects, arrays and numbers skip other values.
+    """
+    where = path or "report"
+    if "type" in schema and not _of_type(value, schema["type"]):
+        types = schema["type"]
+        return (f"{where}: {reprlib.repr(value)} is not of type "
+                f"{types if isinstance(types, str) else ' or '.join(types)}")
+    if "const" in schema and not _same(value, schema["const"]):
+        return f"{where}: {reprlib.repr(value)} is not {schema['const']!r}"
+    if "enum" in schema and not any(_same(value, v) for v in schema["enum"]):
+        return f"{where}: {reprlib.repr(value)} is not one of {schema['enum']!r}"
+    if "oneOf" in schema:
+        errors = [_schema_error(s, value, path) for s in schema["oneOf"]]
+        valid = errors.count(None)
+        if valid == 0:
+            # name the failure inside the one branch of the value's type
+            typed = [e for s, e in zip(schema["oneOf"], errors)
+                     if "type" in s and _of_type(value, s["type"])]
+            if len(typed) == 1:
+                return typed[0]
+        if valid != 1:
+            return f"{where}: {reprlib.repr(value)} matches {valid} of its oneOf schemas, not 1"
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                return f"{where}: {key!r} is a required property"
+        props = schema.get("properties", {})
+        for key, item in value.items():
+            if key in props:
+                error = _schema_error(props[key], item, f"{path}.{key}" if path else key)
+                if error is not None:
+                    return error
+            elif schema.get("additionalProperties") is False:
+                return f"{where}: {key!r} is not an allowed property"
+    elif isinstance(value, list):
+        lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        if not lo <= len(value) <= hi:
+            return f"{where}: {len(value)} items, not {lo} to {hi}"
+        for i, item in enumerate(value if "items" in schema else ()):
+            error = _schema_error(schema["items"], item, f"{path}[{i}]")
+            if error is not None:
+                return error
+    elif _is_type(value, "number"):
+        if "minimum" in schema and value < schema["minimum"]:
+            return f"{where}: {value!r} is less than the minimum {schema['minimum']!r}"
+        if "maximum" in schema and value > schema["maximum"]:
+            return f"{where}: {value!r} is greater than the maximum {schema['maximum']!r}"
+    return None
+
+
+def _nonfinite_path(value, path: str) -> str | None:
+    """The path of the first nan or inf in ``value``, or None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        found = _nonfinite_path(item, f"{path}[{key}]" if isinstance(key, int)
+                                else f"{path}.{key}" if path else key)
+        if found is not None:
+            return found
+    return None
+
+
 # ---------------------------------------------------------------------------
 # report assembly
 
@@ -499,28 +600,21 @@ def _timings(**counts: int) -> dict:
     return out
 
 
-@cache
-def _validator(kind: str):
-    """The validator of one report kind, built on first use.
-
-    The schemas are constants; the test suite checks them against their
-    metaschema, so that check is not repeated for every report.
-    """
-    schema = SCHEMAS[kind]
-    return jsonschema.validators.validator_for(schema)(schema)
-
-
 def _write_json(doc: dict, path: str) -> None:
-    """Validate against the published schema, then write; bug guard."""
-    try:
-        # the error jsonschema.validate would raise
-        error = jsonschema.exceptions.best_match(
-            _validator(doc["kind"]).iter_errors(doc))
-        if error is not None:
-            raise error
-        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    except (jsonschema.ValidationError, ValueError) as exc:
-        raise SchemaFailure(f"report failed schema validation: {exc}") from exc
+    """Write ``doc`` as JSON to ``path`` if it passes its schema; bug guard.
+
+    ``doc`` is checked against ``SCHEMAS[doc["kind"]]`` and must hold only
+    values JSON can carry (no nan or inf).  Otherwise ``SchemaFailure``
+    names the failing path, and nothing is written.
+    """
+    error = _schema_error(SCHEMAS[doc["kind"]], doc, "")
+    if error is None:
+        try:
+            text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        except (TypeError, ValueError) as exc:
+            error = f"{_nonfinite_path(doc, '') or 'report'}: {exc}"
+    if error is not None:
+        raise SchemaFailure(f"report failed schema validation: {error}")
     Path(path).write_text(text, encoding="utf-8")
 
 

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import copy
 import json
 import math
 import os
@@ -9,7 +10,10 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import planarham.annulus as annulus_mod
 import planarham.cli as cli
@@ -496,28 +500,13 @@ def test_unevaluable_window_boundary_fails_the_center(tmp_path, capsys):
                    for w in read_json(out)["warnings"]), sub
 
 
-def test_program_does_not_import_sympy(tmp_path):
-    # fiber elimination imports sympy on demand; a run must not load it,
-    # which costs about a third more peak memory
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    out = tmp_path / "r.json"
-    code = ("import sys\n"
-            "import planarham.cli as cli\n"
-            f"rc = cli.run_subcommand(['report', '--map', 'builtin:identity', "
-            f"'--out', {str(out)!r}])\n"
-            "assert rc == 0, rc\n"
-            "assert 'sympy' not in sys.modules\n")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_program_does_not_import_scipy(tmp_path):
-    # every call pays for its imports; scipy would more than double them
+def test_program_does_not_import_test_only_modules(tmp_path):
+    # sympy (fiber elimination), scipy and jsonschema (the reference
+    # validator) serve the tests only; every call would pay for their
+    # imports, and sympy alone adds about a third to peak memory
     src = os.path.dirname(os.path.dirname(cli.__file__))
     runs = [[]]
-    for sub, ext in (("report", "json"), ("global-check", "json"),
+    for sub, ext in (("report", "json"), ("centers", "json"), ("global-check", "json"),
                      ("portrait", "svg"), ("disc", "svg")):
         # example2 has a polynomial H: its report scans the equator and
         # classifies sectors, and runs the spot check
@@ -526,21 +515,190 @@ def test_program_does_not_import_scipy(tmp_path):
             "import planarham.cli as cli\n"
             f"for argv in {runs!r}:\n"
             "    if argv:\n"
-            "        cli.run_subcommand(argv)\n"
-            "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "        assert cli.run_subcommand(argv) == 0, argv\n"
+            "    loaded = sorted(m for m in sys.modules\n"
+            "                    if m.split('.')[0] in ('sympy', 'scipy', 'jsonschema'))\n"
             "    assert not loaded, (argv, loaded[:3])\n")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert all((tmp_path / name).exists() for name in
-               ("report.json", "global-check.json", "portrait.svg", "disc.svg"))
+               ("report.json", "centers.json", "global-check.json", "portrait.svg", "disc.svg"))
 
 
 def test_schemas_pass_their_metaschema():
     # reports are validated without this check, so it lives here
     for schema in SCHEMAS.values():
         jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+# --- the report checker against jsonschema ---------------------------------
+
+# what cli._schema_error implements; a schema keyword outside this set
+# would go unchecked
+CHECKED_KEYWORDS = {"type", "properties", "required", "additionalProperties", "items",
+                    "minItems", "maxItems", "minimum", "maximum", "enum", "const", "oneOf"}
+JSON_TYPES = ("null", "boolean", "integer", "number", "string", "array", "object")
+
+
+def _subschemas(schema):
+    """``schema`` and every schema nested in it."""
+    yield schema
+    nested = [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]
+    if "items" in schema:
+        nested.append(schema["items"])
+    for sub in nested:
+        yield from _subschemas(sub)
+
+
+def test_schemas_use_only_checked_keywords():
+    for kind, schema in SCHEMAS.items():
+        subs = list(_subschemas(schema))
+        assert any("minimum" in sub for sub in subs), kind    # the walk goes deep
+        for sub in subs:
+            assert set(sub) <= CHECKED_KEYWORDS, (kind, set(sub) - CHECKED_KEYWORDS)
+            types = sub.get("type", [])
+            assert set([types] if isinstance(types, str) else types) <= set(JSON_TYPES)
+            assert sub.get("additionalProperties", False) is False
+            assert isinstance(sub.get("items", {}), dict)
+            for v in [*sub.get("enum", ()), *([sub["const"]] if "const" in sub else ())]:
+                assert v is None or isinstance(v, (bool, int, float, str)), (kind, v)
+
+
+def _agrees(schema, value) -> bool:
+    """Whether the checker's verdict on ``value`` is jsonschema's."""
+    oracle = jsonschema.validators.validator_for(schema)(schema)
+    return (cli._schema_error(schema, value, "") is None) == oracle.is_valid(value)
+
+
+@pytest.mark.parametrize("schema, value, valid", [
+    ({"type": "integer"}, True, False),         # bool is not an integer
+    ({"type": "number"}, False, False),         # nor a number
+    ({"type": "integer"}, 1.0, True),           # an integral float is one
+    ({"type": "integer"}, 1.5, False),
+    ({"type": "integer"}, math.inf, False),
+    ({"type": "number", "minimum": 0}, math.nan, True),   # json.dumps rejects nan
+    ({"type": ["number", "null"]}, None, True),
+    ({"const": 1}, True, False),                # true is not 1
+    ({"const": 1}, 1.0, True),                  # but 1 is 1.0
+    ({"enum": [0, "a"]}, False, False),
+    ({"minimum": 0, "maxItems": 0, "required": ["a"]}, "x", True),  # keywords of other types
+    ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 2, False),   # both branches
+    ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 2.5, True),
+    ({"oneOf": [{"type": "null"}, {"const": "a"}]}, "b", False),        # neither
+    ({"type": "array", "items": {"type": "number"}, "minItems": 2}, [1.0], False),
+    ({"type": "array", "maxItems": 1}, [1, 2], False),
+    ({"properties": {"a": {"type": "string"}}, "additionalProperties": False},
+     {"a": "x", "b": 1}, False),
+    ({"properties": {"a": {"type": "string"}}}, {"a": "x", "b": 1}, True),
+])
+def test_checker_reads_keywords_as_json_schema(schema, value, valid):
+    oracle = jsonschema.validators.validator_for(schema)(schema)
+    assert oracle.is_valid(value) == valid
+    assert (cli._schema_error(schema, value, "") is None) == valid
+
+
+_SCALARS = st.sampled_from([None, True, False, 0, 1, 2, -1, 0.0, 1.0, 0.5, -0.5, "a", "b"])
+_KEYS = st.sampled_from("abc")
+_TYPES = st.sampled_from(JSON_TYPES)
+_LEAF_KEYWORDS = {
+    "type": _TYPES | st.lists(_TYPES, min_size=1, max_size=3, unique=True),
+    "minimum": st.sampled_from([0, 0.5, 1]),
+    "maximum": st.sampled_from([0, 1, 1.5]),
+    "minItems": st.integers(0, 2),
+    "maxItems": st.integers(0, 3),
+    "enum": st.lists(_SCALARS, min_size=1, max_size=3),
+    "const": _SCALARS,
+    "required": st.lists(_KEYS, max_size=2, unique=True),
+    "additionalProperties": st.just(False),
+}
+_SUBSET_SCHEMAS = st.recursive(
+    st.fixed_dictionaries({}, optional=_LEAF_KEYWORDS),
+    lambda inner: st.fixed_dictionaries({}, optional={
+        **_LEAF_KEYWORDS,
+        "properties": st.dictionaries(_KEYS, inner, max_size=2),
+        "items": inner,
+        "oneOf": st.lists(inner, min_size=1, max_size=3),
+    }),
+    max_leaves=5)
+_JSON_VALUES = st.recursive(
+    _SCALARS | st.sampled_from([1.5, math.nan, math.inf]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_SUBSET_SCHEMAS, _JSON_VALUES)
+def test_checker_agrees_with_jsonschema_on_random_schemas(schema, value):
+    assert _agrees(schema, value), cli._schema_error(schema, value, "")
+
+
+@pytest.fixture(scope="module")
+def real_reports(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("reports")
+    docs = []
+    for argv in (["report", "--map", "builtin:example2"],
+                 ["report", "--map", "builtin:example1", "--grid", "8"],   # a failed center
+                 ["global-check", "--map", "builtin:example3", "--box=-3,3,-2,9",
+                  "--grid", "64"],
+                 ["annulus", "--map", "builtin:identity"],     # ell hi is "budget"
+                 ["centers", "--map", "builtin:example3"]):
+        out = tmp / f"{len(docs)}.json"
+        assert run(*argv, "--out", str(out)) in (0, 3)
+        docs.append(read_json(out))
+    return docs
+
+
+# wrong types, out-of-range values, other consts and enum values, wrong lengths
+_REPLACEMENTS = (None, True, False, 0, 1, -1, 2, 1.0, 0.5, -0.5, 2.5, math.nan, -math.inf,
+                 "x", "budget", "not-applicable", "work-items", "report", "centers", "ok",
+                 "global", "disc", "A", [], [0.5], [0.5, 1.0], [0.5] * 4, [0.5] * 5, {},
+                 {"kind": "disc"}, {"lo": 0.5, "hi": "budget"})
+
+
+def _mutate(holder: list, path: tuple, data) -> None:
+    """Apply one drawn mutation to the node at ``holder[path]``."""
+    *head, key = path
+    parent = holder
+    for k in head:
+        parent = parent[k]
+    node = parent[key]
+    op = data.draw(st.sampled_from(("replace", "retype", "drop", "extra", "grow", "shrink")))
+    if op == "replace":
+        parent[key] = copy.deepcopy(data.draw(st.sampled_from(_REPLACEMENTS)))
+    elif op == "retype" and isinstance(node, (int, float)) and math.isfinite(node):
+        # bool for a number, 1.0 for an integer, out of range below and above
+        parent[key] = data.draw(st.sampled_from(
+            [bool(node), int(node), float(node), -abs(node) - 1, node + 2]))
+    elif op == "drop" and isinstance(node, dict) and node:
+        del node[data.draw(st.sampled_from(sorted(node)))]
+    elif op == "extra" and isinstance(node, dict):
+        node["extra"] = 0
+    elif op == "grow" and isinstance(node, list):
+        node.append(copy.deepcopy(node[-1]) if node else 0.5)
+    elif op == "shrink" and isinstance(node, list) and node:
+        del node[data.draw(st.integers(0, len(node) - 1))]
+
+
+def _paths(value, path=(0,)):
+    yield path
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, item in children:
+        yield from _paths(item, (*path, key))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_checker_agrees_with_jsonschema_on_mutated_reports(real_reports, data):
+    original = data.draw(st.sampled_from(real_reports))
+    holder = [copy.deepcopy(original)]
+    for _ in range(data.draw(st.integers(0, 3))):
+        _mutate(holder, data.draw(st.sampled_from(list(_paths(holder[0])))), data)
+    (doc,) = holder
+    assert _agrees(SCHEMAS[original["kind"]], doc), cli._schema_error(
+        SCHEMAS[original["kind"]], doc, "")
 
 
 def test_report_scans_jacobian_sign_once(tmp_path, monkeypatch):
@@ -656,7 +814,28 @@ def test_schema_guard_exits_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_center_core", broken_core)
     out = tmp_path / "x.json"
     assert run("centers", "--map", "builtin:identity", "--out", str(out)) == 4
-    assert "schema" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "schema" in err
+    assert "centers[0]: 'det_df' is a required property" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad, named", [
+    (math.nan, "centers[0].det_df: Out of range float"),
+    (-math.inf, "centers[0].det_df: Out of range float"),
+    # a number to JSON Schema that json cannot write
+    (np.float32(0.5), "report: Object of type float32 is not JSON serializable"),
+])
+def test_report_value_json_cannot_carry_exits_4(tmp_path, monkeypatch, capsys, bad, named):
+    center_core = cli._center_core
+
+    def bad_core(rec):
+        return {**center_core(rec), "det_df": bad}
+
+    monkeypatch.setattr(cli, "_center_core", bad_core)
+    out = tmp_path / "x.json"
+    assert run("report", "--map", "builtin:identity", "--out", str(out)) == 4
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 

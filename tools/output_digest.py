@@ -17,6 +17,11 @@ exit code, stdout and stderr, with the work directory's path replaced
 by a fixed marker.  Two checkouts
 whose programs write the same bytes print the same lines.
 
+Every JSON output is also checked against its kind's schema in
+``planarham.cli.SCHEMAS`` with jsonschema, the reference validator, when
+jsonschema can be imported.  A mismatch is named on standard error and
+the exit status is 1; the printed lines do not change.
+
 ``--checkout`` picks the source tree whose ``src/`` and
 ``perfbench/workloads.py`` are imported (default: the one holding this
 script); neither is modified.
@@ -179,6 +184,26 @@ def main(argv: list[str]) -> int:
         return records, stats
 
     cli.search_zeros = searching
+    try:
+        import jsonschema
+    except ImportError:
+        jsonschema = None
+        print("jsonschema cannot be imported: JSON outputs are not checked against "
+              "their schemas", file=sys.stderr)
+    mismatches: list[str] = []
+
+    def check_schema(label: str, out: Path) -> None:
+        """Check a JSON output against its schema with jsonschema."""
+        if jsonschema is None or out.suffix != ".json" or not out.exists():
+            return
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        schema = cli.SCHEMAS[doc["kind"]]
+        error = jsonschema.exceptions.best_match(
+            jsonschema.validators.validator_for(schema)(schema).iter_errors(doc))
+        if error is not None:
+            mismatches.append(label)
+            print(f"{label}: {error.json_path}: {error.message}", file=sys.stderr)
+
     totals = dict.fromkeys(("certificates", "orbit_points", "probes", "traced", "lift",
                             "most_per_center", "trajectories", "closed", "disc_points",
                             "levels", "level_points"), 0)
@@ -187,6 +212,7 @@ def main(argv: list[str]) -> int:
         estimates.clear()
         searches.clear()
         rc, hexd = digest(run_subcommand, argv_, out, workdir)
+        check_schema(label, out)
         search = "search=" + ("; ".join(s.summary() for s in searches) or "-")
         if not args.work:
             print(f"{label} rc={rc} {hexd}", flush=True)
@@ -237,6 +263,9 @@ def main(argv: list[str]) -> int:
                     argv_, out, workdir)
     if args.work:
         print("total " + " ".join(f"{key}={n}" for key, n in totals.items()))
+    if mismatches:
+        print(f"{len(mismatches)} JSON output(s) failed their schema", file=sys.stderr)
+        return 1
     return 0
 
 
