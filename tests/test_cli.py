@@ -500,10 +500,9 @@ def test_unevaluable_window_boundary_fails_the_center(tmp_path, capsys):
                    for w in read_json(out)["warnings"]), sub
 
 
-def test_program_does_not_import_test_only_modules(tmp_path):
-    # sympy (fiber elimination), scipy and jsonschema (the reference
-    # validator) serve the tests only; every call would pay for their
-    # imports, and sympy alone adds about a third to peak memory
+def _assert_program_does_not_import(tmp_path, module):
+    """Import the program, then run five subcommands on example2 in one
+    subprocess; ``module`` must not be loaded after any step."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     runs = [[]]
     for sub, ext in (("report", "json"), ("centers", "json"), ("global-check", "json"),
@@ -517,7 +516,7 @@ def test_program_does_not_import_test_only_modules(tmp_path):
             "    if argv:\n"
             "        assert cli.run_subcommand(argv) == 0, argv\n"
             "    loaded = sorted(m for m in sys.modules\n"
-            "                    if m.split('.')[0] in ('sympy', 'scipy', 'jsonschema'))\n"
+            f"                    if m.split('.')[0] == {module!r})\n"
             "    assert not loaded, (argv, loaded[:3])\n")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -525,6 +524,23 @@ def test_program_does_not_import_test_only_modules(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert all((tmp_path / name).exists() for name in
                ("report.json", "centers.json", "global-check.json", "portrait.svg", "disc.svg"))
+
+
+def test_program_does_not_import_sympy(tmp_path):
+    # fiber elimination imports sympy on demand; a run must not load it,
+    # which costs about a third more peak memory
+    _assert_program_does_not_import(tmp_path, "sympy")
+
+
+def test_program_does_not_import_scipy(tmp_path):
+    # every call pays for its imports; scipy would more than double them
+    _assert_program_does_not_import(tmp_path, "scipy")
+
+
+def test_program_does_not_import_jsonschema(tmp_path):
+    # reports are checked by cli._schema_error; jsonschema is the tests'
+    # reference validator only
+    _assert_program_does_not_import(tmp_path, "jsonschema")
 
 
 def test_schemas_pass_their_metaschema():
