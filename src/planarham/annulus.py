@@ -25,10 +25,7 @@ and a margin round it that bounds the traced orbit's distance from its
 chords.  Without that proof, or with a sign change on the verdict's box,
 the verdict is inconclusive.  Everything downstream (region mask, image
 shape, globality verdict, traced rim) reads the :class:`EllEstimate`,
-whose rim is its GOOD probe's orbit at ell_lo.  Inside that rim f is
-injective once det Df != 0, so the injectivity spot check over the
-region is a deterministic grid search whose collision rule scales with
-Df; it can only flag a map outside the hypothesis, such as an even one.
+whose rim is its GOOD probe's orbit at ell_lo.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ from .trace import (AngleBudget, LevelUnreachable, OrbitTrace, WindingCertificat
 
 # bracket width below which a level is "budget", i.e. all good up to h_max
 BUDGET = math.inf
-SPOTCHECK_N = 2000          # spot-check sample points per center report
 
 GOOD = "good"
 BAD = "bad"
@@ -403,20 +399,10 @@ class RegionSampler:
         self.grid_n = grid_n
         self.ell_lo = ell_lo
         self._component = component
-        self._dx = (box.xmax - box.xmin) / grid_n
-        self._dy = (box.ymax - box.ymin) / grid_n
 
     @property
     def mask(self) -> np.ndarray:
         return self._component.copy()
-
-    def component_bbox(self) -> tuple[float, float, float, float]:
-        """(xmin, xmax, ymin, ymax) spanned by the component's cell centers."""
-        idx = np.argwhere(self._component)
-        xs = self.box.xmin + (idx[:, 0] + 0.5) * self._dx
-        ys = self.box.ymin + (idx[:, 1] + 0.5) * self._dy
-        return (float(xs.min()), float(xs.max()),
-                float(ys.min()), float(ys.max()))
 
     def _touches_component(self, i: int, j: int) -> bool:
         return bool(self._component[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2].any())
@@ -626,8 +612,9 @@ def _fill_runs(box: Box, n: int, ring: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _levels_above(pmap: PlanarMap, box: Box, ell_lo: float) -> bool:
-    """Whether H exceeds ell_lo somewhere on the box's H grid, the one
-    :func:`region` or :func:`predict_ell` has already evaluated."""
+    """Whether H exceeds ell_lo somewhere on the box's H grid.  Only a
+    failed certificate asks; on the working box the grid is the one
+    :func:`predict_ell` reads, computed once per map and box."""
     ham = _h_grid(pmap, box, REGION_GRID_N)
     return bool(np.any(np.isfinite(ham) & (ham > ell_lo)))
 
@@ -658,100 +645,8 @@ def _h_grid(pmap: PlanarMap, box: Box, grid_n: int) -> np.ndarray:
     return pmap.fact(("h-grid", box, grid_n), compute)
 
 
-@dataclass(frozen=True)
-class Collision:
-    p: tuple[float, float]
-    q: tuple[float, float]
-    image_distance: float
-
-
-@dataclass(frozen=True)
-class SpotcheckReport:
-    n_sampled: int
-    collisions: tuple[Collision, ...]
-    truncated: bool
-
-    @property
-    def clean(self) -> bool:
-        return not self.collisions
-
-
-_MAX_COLLISIONS = 50
-
-
-def injectivity_spotcheck(pmap: PlanarMap, sampler: RegionSampler,
-                          n: int = 10_000) -> SpotcheckReport:
-    """Search the region for grid points with nearly equal images.
-
-    f is evaluated once, by :func:`eval_grid`, on a symmetric m x m grid
-    over the component's bounding box, so mirror-image collisions of an
-    even map are actually hit.  m starts at ceil(sqrt(n)) and grows with
-    the inside fraction just measured until n points are inside, but to
-    at most 4 times its start; ``n_sampled`` says how many were found.
-    A point is inside when its cell is in the component and its H is
-    below ell_lo; the first n in row-major order are kept.  Two of them
-    at least two grid steps apart collide when their images are closer
-    than half the smaller grid step times sigma, the smaller singular
-    value of Df at either point, read off ``np.gradient`` of the image
-    grid.  For an affine f that gradient is exact and |A(p - q)| >=
-    sigma |p - q|, so a nonsingular affine map never collides.  An empty
-    report means "no collision found", not "injective".
-    """
-    if n < 100:
-        raise ValueError("need at least 100 sample points")
-    bx0, bx1, by0, by1 = sampler.component_bbox()
-    mask = sampler.mask
-    m0 = m = math.isqrt(n - 1) + 1
-    with np.errstate(all="ignore"):
-        while True:
-            xs = bx0 + (bx1 - bx0) * (np.arange(m) + 0.5) / m
-            ys = by0 + (by1 - by0) * (np.arange(m) + 0.5) / m
-            gx, gy = np.meshgrid(xs, ys)        # row j holds y = ys[j]
-            f1, f2 = eval_grid(pmap.grid, gx, gy)
-            inside = (mask[cell_index(sampler.box, sampler.grid_n, gx, gy)]
-                      & (0.5 * (f1 * f1 + f2 * f2) < sampler.ell_lo))
-            count = int(inside.sum())
-            if count >= n or m == 4 * m0:
-                break
-            m = min(4 * m0, math.ceil(m * math.sqrt(n / count)) + 1) if count else 4 * m0
-        hx, hy = (bx1 - bx0) / m, (by1 - by0) / m
-        # Df = [[a, b], [c, d]] and its smaller singular value
-        (a, b), (c, d) = (np.gradient(g, hy, hx)[::-1] for g in (f1, f2))
-        sigma = np.abs(a * d - b * c) / (0.5 * (np.hypot(a + d, b - c)
-                                                + np.hypot(a - d, b + c)))
-    j, i = (k[:n] for k in np.nonzero(inside))      # row-major: y outer, x inner
-    images = np.column_stack([f1[j, i], f2[j, i]])
-    reach = 0.5 * min(hx, hy) * sigma[j, i]
-    reach[~np.isfinite(reach)] = 0.0                # Df unknown: no collision
-    p, q, dist = _colliding_pairs(images, reach, i, j)
-    collisions = tuple(Collision((float(xs[i[u]]), float(ys[j[u]])),
-                                 (float(xs[i[v]]), float(ys[j[v]])), float(dd))
-                       for u, v, dd in zip(p[:_MAX_COLLISIONS], q, dist))
-    return SpotcheckReport(len(i), collisions, len(p) > _MAX_COLLISIONS)
-
-
-def _colliding_pairs(images: np.ndarray, reach: np.ndarray, i: np.ndarray,
-                     j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(p, q, dist)``, ordered by p, then q: the pairs q < p of points
-    at least two grid steps apart whose images are closer than both
-    reaches.  Each pair is found once, from the point that sorts first
-    along the images' wider axis, within its reach along both axes."""
-    axis = int(np.ptp(images[:, 1]) > np.ptp(images[:, 0]))
-    order = np.argsort(images[:, axis], kind="stable")
-    u, v, r = images[order, axis], images[order, 1 - axis], reach[order]
-    after = np.arange(1, len(u) + 1)
-    count = np.maximum(np.searchsorted(u, u + r, side="right") - after, 0)
-    a = np.repeat(np.arange(len(u)), count)
-    b = np.arange(len(a)) - np.repeat(np.cumsum(count) - count - after, count)
-    near = abs(v[a] - v[b]) < r[a]              # as |v[a] - v[b]| <= dist
-    a, b = order[a[near]], order[b[near]]
-    p, q = np.maximum(a, b), np.minimum(a, b)
-    dist = np.hypot(*(images[p] - images[q]).T)
-    hit = ((np.maximum(abs(i[p] - i[q]), abs(j[p] - j[q])) >= 2)
-           & (dist < np.minimum(reach[p], reach[q])))
-    p, q, dist = p[hit], q[hit], dist[hit]
-    k = np.lexsort((q, p))
-    return p[k], q[k], dist[k]
+# nothing calls it: perfbench/tracer.py reads the name when it installs
+injectivity_spotcheck = None
 
 
 @dataclass(frozen=True)
@@ -759,18 +654,14 @@ class AnnulusReport:
     estimate: EllEstimate
     image: ImageShape
     verdict: GlobalVerdict
-    spotcheck: SpotcheckReport
 
 
 def build_annulus_report(pmap: PlanarMap, center: CenterRecord,
                          h_max: float | None = None, tol: float = 1e-6,
-                         grid_n: int = REGION_GRID_N, box: Box | None = None,
+                         box: Box | None = None,
                          budget: AngleBudget | None = None) -> AnnulusReport:
-    """Full annulus pipeline for one center: ell, image shape, region,
-    spot check and verdict."""
+    """Full annulus pipeline for one center: ell, image shape and the
+    verdict, whose proof of det Df's sign guards injectivity."""
     est = estimate_ell(pmap, center, h_max=h_max, tol=tol, budget=budget)
-    shape = image_shape(est)
-    sampler = region(pmap, center, est.ell_lo, grid_n=grid_n, box=box)
-    spot = injectivity_spotcheck(pmap, sampler, n=SPOTCHECK_N)
-    return AnnulusReport(estimate=est, image=shape,
-                         verdict=global_center_verdict(pmap, est, box=box), spotcheck=spot)
+    return AnnulusReport(estimate=est, image=image_shape(est),
+                         verdict=global_center_verdict(pmap, est, box=box))

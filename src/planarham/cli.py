@@ -30,8 +30,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import annulus
-from .annulus import (REGION_GRID_N, AnnulusBelowResolution, AnnulusReport,
-                      BoundaryUnevaluable, RegionTooCoarse,
+from .annulus import (AnnulusBelowResolution, AnnulusReport, BoundaryUnevaluable,
                       build_annulus_report, image_shape)
 from .centers import SEED_GRID_N, CenterRecord, search_zeros
 from .compactify import (SCAN_N, EquatorDegenerate, classify_sectors,
@@ -64,9 +63,10 @@ class SchemaFailure(RuntimeError):
 class RunConfig:
     """One run's knobs; everything downstream reads only this.
 
-    ``grid_n=None`` keeps each stage's own default (``SEED_GRID_N``,
-    ``REGION_GRID_N``, ``PORTRAIT_GRID_N``).  A run draws no random
-    numbers, so a fixed config pins the whole run.
+    ``grid_n`` sets the zero search's seed grid and the portrait's grid;
+    ``None`` keeps each one's default (``SEED_GRID_N``,
+    ``PORTRAIT_GRID_N``).  ``report`` builds no region grid.  A run draws
+    no random numbers, so a fixed config pins the whole run.
     """
 
     map_source: str
@@ -492,8 +492,8 @@ def _loc_text(rec: CenterRecord) -> str:
 
 
 # how one center's annulus analysis can fail without failing the run
-_CENTER_FAILURES = (AnnulusBelowResolution, LevelUnreachable, RegionTooCoarse,
-                    BoundaryUnevaluable, OverflowEvent, DomainError)
+_CENTER_FAILURES = (AnnulusBelowResolution, LevelUnreachable, BoundaryUnevaluable,
+                    OverflowEvent, DomainError)
 
 
 def _analyze_center(pmap: PlanarMap, rec: CenterRecord, cfg: RunConfig,
@@ -502,10 +502,8 @@ def _analyze_center(pmap: PlanarMap, rec: CenterRecord, cfg: RunConfig,
     """One center's block; returns (block, report or None, inconclusive)."""
     block = _center_core(rec)
     try:
-        rep = build_annulus_report(
-            pmap, rec, h_max=cfg.h_max, tol=cfg.tol,
-            grid_n=cfg.grid_n if cfg.grid_n is not None else REGION_GRID_N,
-            box=cfg.box, budget=cfg.budget())
+        rep = build_annulus_report(pmap, rec, h_max=cfg.h_max, tol=cfg.tol,
+                                   box=cfg.box, budget=cfg.budget())
     except _CENTER_FAILURES as exc:
         below = isinstance(exc, AnnulusBelowResolution)
         text = str(exc) if below else f"analysis failed: {exc}"
@@ -532,10 +530,6 @@ def _analyze_center(pmap: PlanarMap, rec: CenterRecord, cfg: RunConfig,
             f"{est.ell_hi:.9g}] lies above the predicted window contact "
             f"h={guess.h:.9g} at ({gx:.6g}, {gy:.6g}); the prediction or the "
             f"orbits' window test is off")
-    if not rep.spotcheck.clean:
-        warnings.append(
-            f"center {_loc_text(rec)}: injectivity spot check found "
-            f"{len(rep.spotcheck.collisions)} collision(s)")
     inconclusive = rep.verdict.verdict == "inconclusive"
     if inconclusive:
         reasons = "; ".join(rep.verdict.reasons)
@@ -811,7 +805,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--box", default=None, metavar="XMIN,XMAX,YMIN,YMAX",
                        help="working window (default: the map's domain)")
         p.add_argument("--grid", type=int, default=None, dest="grid_n",
-                       help="grid resolution (default: per-stage)")
+                       help="seed grid of the zero search, and the portrait's "
+                            "grid (default: per-stage)")
         p.add_argument("--h-max", type=float, default=None, dest="h_max",
                        help="energy ceiling for the level search")
         p.add_argument("--tol", type=float, default=1e-6,

@@ -1,7 +1,6 @@
-"""Annulus bracket, region oracle, image shape, globality, spotcheck."""
+"""Annulus bracket, region oracle, image shape, globality."""
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
-from scipy.spatial import cKDTree
 
 import planarham.annulus as annulus_mod
 import planarham.trace as trace_mod
@@ -30,7 +28,6 @@ from planarham.annulus import (
     estimate_ell,
     global_center_verdict,
     image_shape,
-    injectivity_spotcheck,
     predict_ell,
     region,
 )
@@ -709,144 +706,6 @@ def test_inconclusive_probes_demote(example1):
     assert "stiff" in v.reasons
 
 
-# spotcheck
-
-
-def test_spotcheck_clean_on_example1(example1, ex1_region):
-    report = injectivity_spotcheck(example1, ex1_region, n=10_000)
-    assert report.clean
-    assert report.n_sampled == 10_000
-
-
-def test_spotcheck_clean_on_example3(example3):
-    sampler = region(example3, (0.0, 0.0), 0.4999, grid_n=200,
-                     box=Box(-3, 3, -3, 3))
-    report = injectivity_spotcheck(example3, sampler, n=10_000)
-    assert report.clean
-
-
-def test_spotcheck_catches_even_map(noninjective_map):
-    # (x^2, y) region straddling x = 0: mirror points share an image
-    sampler = region(noninjective_map, (0.0, 0.0), 2.0, grid_n=100,
-                     box=Box(-2, 2, -2, 2))
-    report = injectivity_spotcheck(noninjective_map, sampler, n=10_000)
-    assert not report.clean
-    c = report.collisions[0]
-    assert c.image_distance <= 1e-6
-    assert abs(c.p[0] + c.q[0]) <= 1e-9    # mirrored in x
-    assert abs(c.p[1] - c.q[1]) <= 1e-9    # same y
-
-
-def test_spotcheck_catches_fold_off_grid_symmetry():
-    # ((x - 0.37)^2, y) folds along x = 0.37; on this grid the component's
-    # cell centres are not symmetric about the fold, so no two sample
-    # points mirror each other exactly, yet images closer than the local
-    # grid scale of Df still give the fold away
-    pmap = PlanarMap(f1=parse_expr("(x - 0.37)^2"), f2=parse_expr("y"),
-                     domain=Box(-2, 2, -2, 2), name="fold")
-    sampler = region(pmap, (0.37, 0.0), 2.0, grid_n=100, box=Box(-2, 2, -2, 2))
-    report = injectivity_spotcheck(pmap, sampler, n=2000)
-    assert not report.clean
-    bx0, bx1, _, _ = sampler.component_bbox()
-    for c in report.collisions:
-        assert (c.p[0] - 0.37) * (c.q[0] - 0.37) < 0     # either side of the fold
-        # mirrored within one step of the first, 45 x 45, grid
-        assert abs(c.p[0] + c.q[0] - 0.74) <= (bx1 - bx0) / 45
-        assert c.p[1] == c.q[1]
-
-
-_angle = st.floats(0.0, 2.0 * math.pi)
-
-
-@settings(max_examples=40, deadline=None)
-@given(_angle, _angle, st.floats(-7.0, 0.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
-def test_spotcheck_clean_on_nonsingular_affine_maps(theta, phi, log_s, cx, cy):
-    # f = R(theta) diag(1, s) R(phi) (p - c): its grid gradient is exact,
-    # so images of points two steps apart stay sigma_min * 2 steps apart
-    def rot(a):
-        return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-
-    a = rot(theta) @ np.diag([1.0, 10.0 ** log_s]) @ rot(phi)
-    b = -a @ np.array([cx, cy])
-    f1, f2 = (f"{float(r[0])!r}*x + {float(r[1])!r}*y + {float(c)!r}"
-              for r, c in zip(a, b))
-    pmap = PlanarMap(f1=parse_expr(f1), f2=parse_expr(f2), name="affine")
-    report = injectivity_spotcheck(pmap, region(pmap, (cx, cy), 0.1), n=2000)
-    assert report.clean and report.n_sampled > 0
-
-
-def test_spotcheck_evaluates_each_point_once(example1, ex1_estimate, monkeypatch):
-    # f1 and f2 are evaluated together on each grid the check tries, by
-    # one eval_grid call: no grid twice, and no scalar jet call at all
-    pmap = dataclasses.replace(example1)
-    jet_calls = []
-    jet = example1.jet
-
-    def recording_jet(x, y):
-        jet_calls.append((x, y))
-        return jet(x, y)
-
-    pmap.__dict__["jet"] = recording_jet        # the map's cached jet
-    sampler = region(pmap, (0.0, 0.0), ex1_estimate.ell_lo, grid_n=200,
-                     box=Box(-3, 3, -3, 3))
-    grids = []
-    real = annulus_mod.eval_grid
-
-    def recording_grid(grid, xs, ys):
-        assert grid is pmap.grid
-        grids.append(xs.tobytes() + ys.tobytes())
-        return real(grid, xs, ys)
-
-    monkeypatch.setattr(annulus_mod, "eval_grid", recording_grid)
-    jet_calls.clear()
-    report = injectivity_spotcheck(pmap, sampler, n=2000)
-    assert report.clean and report.n_sampled == 2000
-    assert jet_calls == []
-    assert len(set(grids)) == len(grids) >= 1
-
-
-def test_spotcheck_sample_floor(example1, ex1_region):
-    with pytest.raises(ValueError):
-        injectivity_spotcheck(example1, ex1_region, n=50)
-
-
-def _kd_tree_pairs(images, reach, i, j):
-    """The collision search done with a k-d tree ball query per point."""
-    near = cKDTree(images).query_ball_point(images, reach, return_sorted=True)
-    p = np.repeat(np.arange(len(near)), [len(q) for q in near])
-    q = np.fromiter(itertools.chain.from_iterable(near), int, len(p))
-    dist = np.hypot(*(images[p] - images[q]).T)
-    hit = ((q < p) & (np.maximum(abs(i[p] - i[q]), abs(j[p] - j[q])) >= 2)
-           & (dist < np.minimum(reach[p], reach[q])))
-    return p[hit], q[hit], dist[hit]
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_colliding_pairs_match_kd_tree_search(seed):
-    rng = np.random.default_rng(seed)
-    count = int(rng.integers(100, 2500))
-    images = rng.normal(size=(count, 2)) * rng.uniform(0.05, 3.0, size=2)
-    if seed % 3 == 0:
-        images = np.round(images, 1)            # tied coordinates
-    reach = rng.uniform(0.0, 0.3, count) * (rng.random(count) < 0.8)   # a fifth at 0
-    i, j = rng.integers(0, 50, count), rng.integers(0, 50, count)
-    ours = annulus_mod._colliding_pairs(images, reach, i, j)
-    theirs = _kd_tree_pairs(images, reach, i, j)
-    assert len(theirs[0]) > 0
-    for a, b in zip(ours, theirs):
-        np.testing.assert_array_equal(a, b)
-
-
-def test_spotcheck_collisions_match_kd_tree_search(noninjective_map, monkeypatch):
-    # more than the 50 reported collisions, so the truncation is compared too
-    sampler = region(noninjective_map, (0.0, 0.0), 2.0, grid_n=100,
-                     box=Box(-2, 2, -2, 2))
-    ours = injectivity_spotcheck(noninjective_map, sampler, n=10_000)
-    monkeypatch.setattr(annulus_mod, "_colliding_pairs", _kd_tree_pairs)
-    assert ours.truncated
-    assert ours == injectivity_spotcheck(noninjective_map, sampler, n=10_000)
-
-
 # orchestrated report
 
 
@@ -855,12 +714,11 @@ def test_build_annulus_report_example1(example1):
 
     center = find_zeros(example1, Box(-4, 4, -4, 4), grid_n=16)[0]
     report = build_annulus_report(example1, center, h_max=1.0, tol=1e-6,
-                                  grid_n=200, box=Box(-3, 3, -3, 3))
+                                  box=Box(-3, 3, -3, 3))
     assert abs(report.estimate.ell_lo - 0.5) <= 1e-5
     assert report.image.kind == "disc"
     assert report.verdict.verdict == "not-global"
     assert report.estimate.certificates
-    assert report.spotcheck.clean
     x0, y0 = report.estimate.rim[0]
     x1, y1 = report.estimate.rim[-1]
     assert math.hypot(x1 - x0, y1 - y0) <= 1e-6

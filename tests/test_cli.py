@@ -466,19 +466,6 @@ def test_predicted_bracket_does_not_warn(tmp_path):
     assert not any("predicted" in w for w in read_json(out)["warnings"])
 
 
-def test_coarse_region_grid_fails_the_center(tmp_path):
-    # an 8x8 region grid cannot put example1's center cell below ell
-    out = tmp_path / "r.json"
-    assert run("report", "--map", "builtin:example1", "--grid", "8",
-               "--out", str(out)) == 3
-    doc = read_json(out)
-    (center,) = doc["centers"]
-    assert center["status"] == "failed"
-    assert center["global"] == "inconclusive"
-    assert any(w.startswith("center (") and "grid too coarse" in w
-               for w in doc["warnings"])
-
-
 def test_unevaluable_window_boundary_fails_the_center(tmp_path, capsys):
     # f is undefined outside the disc of radius 10, so on the whole edge of
     # the default window: there is no default h_max, and each center fails
@@ -508,7 +495,7 @@ def _assert_program_does_not_import(tmp_path, module):
     for sub, ext in (("report", "json"), ("centers", "json"), ("global-check", "json"),
                      ("portrait", "svg"), ("disc", "svg")):
         # example2 has a polynomial H: its report scans the equator and
-        # classifies sectors, and runs the spot check
+        # classifies sectors
         runs.append([sub, "--map", "builtin:example2", "--out", str(tmp_path / f"{sub}.{ext}")])
     code = ("import sys\n"
             "import planarham.cli as cli\n"
@@ -739,16 +726,6 @@ def test_report_scans_jacobian_sign_once(tmp_path, monkeypatch):
     monkeypatch.setattr(annulus_mod, "jacobian_sign_change", checking)
     counted("default_h_max")
     counted("eval_grid")
-    # the spot check samples a grid of its own per center: leave it out
-    real_spotcheck = annulus_mod.injectivity_spotcheck
-
-    def spotcheck_uncounted(*args, **kwargs):
-        before = counts["eval_grid"]
-        report = real_spotcheck(*args, **kwargs)
-        counts["eval_grid"] = before
-        return report
-
-    monkeypatch.setattr(annulus_mod, "injectivity_spotcheck", spotcheck_uncounted)
     out = tmp_path / "r.json"
     # the box reaches past the working window x >= -20, so the verdict
     # checks det Df's sign on it, and its hypothesis on the window
@@ -761,9 +738,10 @@ def test_report_scans_jacobian_sign_once(tmp_path, monkeypatch):
     assert len(checks) == 4         # two centers, each judged on both boxes
     assert [(c.box, c.sign) for c in distinct] == [(Box(-21.0, 2.0, -2.0, 9.0), 1),
                                                   (PLANE_BOX, 1)]
-    # one H grid for the region, which the verdict reads too, one over
-    # the working window for the ell prediction, and one along the
-    # window's edges for its edge minima, f1 and f2 together: once per map
+    # one H grid on the box, which the verdict reads for the failed
+    # certificates of both centers, one over the working window for the
+    # ell prediction, and one along the window's edges for its edge
+    # minima, f1 and f2 together: once per map and box
     assert counts == {"default_h_max": 1, "eval_grid": 3}
 
 
@@ -792,11 +770,47 @@ def test_portrait_builds_no_region_spotcheck_or_verdict(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("portrait needs only the ell estimate")
 
-    for name in ("region", "injectivity_spotcheck", "global_center_verdict"):
+    for name in ("region", "global_center_verdict"):
         monkeypatch.setattr(annulus_mod, name, refuse)
     assert run(*argv, str(patched)) == 0
     assert 'class="boundary"' in plain.read_text(encoding="utf-8")
     assert patched.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("sub", ["report", "annulus", "global-check"])
+@pytest.mark.parametrize("name", ["example1", "example3"])
+def test_reports_build_no_region(tmp_path, monkeypatch, capsys, sub, name):
+    # the verdict's det Df sign proof guards injectivity: no stage
+    # flood-fills the region, and the outputs do not depend on it
+    out = tmp_path / "out.json"
+    argv = (sub, "--map", f"builtin:{name}", "--out", str(out))
+    capsys.readouterr()
+    code = run(*argv)
+    plain, printed = out.read_bytes(), capsys.readouterr()
+    out.unlink()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a report needs no region")
+
+    monkeypatch.setattr(annulus_mod, "region", refuse)
+    assert run(*argv) == code
+    assert out.read_bytes() == plain
+    assert capsys.readouterr() == printed
+
+
+def test_even_map_is_inconclusive_by_the_sign_check(tmp_path):
+    # f = (x^2 - 1, y) folds along x = 0, where det Df = 2x changes sign:
+    # the verdict says so, and no grid search for collisions warns
+    spec = tmp_path / "even.map"
+    spec.write_text('f1 = "x^2 - 1"\nf2 = "y"\n', encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert run("report", "--map", str(spec), "--out", str(out)) == 3
+    doc = read_json(out)
+    (right,) = [c for c in doc["centers"] if c["location"] == [1.0, 0.0]]
+    assert right["global"] == "inconclusive"
+    assert any(w.startswith("center (1, 0): inconclusive: jacobian-sign-change")
+               for w in doc["warnings"])
+    assert not any("spot check" in w for w in doc["warnings"])
 
 
 def test_declared_hamiltonian_validated_once(tmp_path, monkeypatch):
@@ -911,16 +925,6 @@ def test_unvalidatable_declared_hamiltonian_exits_2(tmp_path, capsys):
     assert err.startswith("error:")
     assert "declared hamiltonian" in err and "2500/2500" in err
     assert not out.exists()
-
-
-def test_example3_report_has_no_spot_check_collision(tmp_path):
-    # images of points near x = -12 are ~1e-6 apart because |Df| ~ e^x
-    # is; the collision rule scales with Df, so this is no collision
-    out = tmp_path / "e3.json"
-    assert run("report", "--map", "builtin:example3", "--out", str(out)) == 0
-    doc = read_json(out)
-    assert len(doc["centers"]) == 7
-    assert not any("injectivity spot check found" in w for w in doc["warnings"])
 
 
 def test_map_file_errors_exit_2(tmp_path, capsys):
