@@ -640,9 +640,13 @@ def test_checker_agrees_with_jsonschema_on_random_schemas(schema, value):
 @pytest.fixture(scope="module")
 def real_reports(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("reports")
+    # f is undefined outside the disc of radius 10: its center fails
+    disc = tmp / "disc.map"
+    disc.write_text('f1 = "x*sqrt(100 - x^2 - y^2)/10"\n'
+                    'f2 = "y*sqrt(100 - x^2 - y^2)/10"\n', encoding="utf-8")
     docs = []
     for argv in (["report", "--map", "builtin:example2"],
-                 ["report", "--map", "builtin:example1", "--grid", "8"],   # a failed center
+                 ["report", "--map", str(disc)],           # a failed center
                  ["global-check", "--map", "builtin:example3", "--box=-3,3,-2,9",
                   "--grid", "64"],
                  ["annulus", "--map", "builtin:identity"],     # ell hi is "budget"
@@ -650,6 +654,8 @@ def real_reports(tmp_path_factory):
         out = tmp / f"{len(docs)}.json"
         assert run(*argv, "--out", str(out)) in (0, 3)
         docs.append(read_json(out))
+    # the null ell and image shape and the note of a failed center
+    assert any(c["status"] == "failed" for c in docs[1]["centers"])
     return docs
 
 
@@ -785,15 +791,16 @@ def test_reports_build_no_region(tmp_path, monkeypatch, capsys, sub, name):
     out = tmp_path / "out.json"
     argv = (sub, "--map", f"builtin:{name}", "--out", str(out))
     capsys.readouterr()
-    code = run(*argv)
+    assert run(*argv) == 0
     plain, printed = out.read_bytes(), capsys.readouterr()
+    assert len(read_json(out)["centers"]) == {"example1": 1, "example3": 7}[name]
     out.unlink()
 
     def refuse(*args, **kwargs):
         raise AssertionError("a report needs no region")
 
     monkeypatch.setattr(annulus_mod, "region", refuse)
-    assert run(*argv) == code
+    assert run(*argv) == 0
     assert out.read_bytes() == plain
     assert capsys.readouterr() == printed
 
