@@ -49,6 +49,9 @@ EXIT_INCONCLUSIVE = 3
 EXIT_SCHEMA = 4
 
 SUBCOMMANDS = ("centers", "annulus", "global-check", "portrait", "disc", "report")
+# --grid's ceiling: the seed and portrait grids hold grid^2 points, about
+# 200 MB at this size
+MAX_GRID_N = 1024
 
 
 class InputError(ValueError):
@@ -63,10 +66,11 @@ class SchemaFailure(RuntimeError):
 class RunConfig:
     """One run's knobs; everything downstream reads only this.
 
-    ``grid_n`` sets the zero search's seed grid and the portrait's grid;
-    ``None`` keeps each one's default (``SEED_GRID_N``,
-    ``PORTRAIT_GRID_N``).  ``report`` builds no region grid.  A run draws
-    no random numbers, so a fixed config pins the whole run.
+    ``grid_n`` sets the zero search's seed grid and the portrait's grid,
+    from 8 to :data:`MAX_GRID_N`; ``None`` keeps each one's default
+    (``SEED_GRID_N``, ``PORTRAIT_GRID_N``).  ``report`` builds no region
+    grid.  A run draws no random numbers, so a fixed config pins the
+    whole run.
     """
 
     map_source: str
@@ -85,6 +89,8 @@ class RunConfig:
             raise InputError("tol must be finite and positive")
         if self.grid_n is not None and self.grid_n < 8:
             raise InputError("grid must be at least 8")
+        if self.grid_n is not None and self.grid_n > MAX_GRID_N:
+            raise InputError(f"grid must be at most {MAX_GRID_N}")
         if self.h_max is not None and not 0 < self.h_max < math.inf:
             raise InputError("h-max must be finite and positive")
         if self.max_winding < 1:

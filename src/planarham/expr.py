@@ -6,23 +6,21 @@ The expression language is deliberately small: constants, the variables
 integer exponent, so every expression is smooth wherever it is defined
 and the forward-mode jet rules below stay total.
 
-Two evaluation paths exist on purpose:
-
-* :func:`eval_jet` -- reference tree walk, raises :class:`DomainError`
-  naming the offending subexpression,
-* straight-line code from one generator (:func:`_emit`), run in one
-  namespace per use: :func:`compile_jet_pair` gives values and first
-  partials of a map (falls back to the tree walk to diagnose failures),
-  :func:`compile_polys` values only, for the equator scan, and
-  :mod:`planarham.rk` inlines the body at each stage of its DP5
-  kernels.  Over numpy arrays (:func:`compile_array_jet`,
-  :func:`compile_array_polys`) it equals the scalar code bit for bit,
-  with a mask where that raises, for the Newton seed grid and the
-  declared-H check; over grids (:func:`compile_grid`, run by
-  :func:`eval_grid`) it calls numpy's functions, ``nan`` where f leaves
-  the real domain; over arrays of boxes (:func:`compile_interval_jet`)
-  it gives outward-rounded enclosures of the values and partials for
-  the det Df sign proof and the bounds of H at infinity.
+Every evaluation runs straight-line code from one generator
+(:func:`_emit`), in one namespace per use: :func:`compile_jet_pair`
+gives values and first partials of a map, :func:`compile_polys` values
+only, for the equator scan, and :mod:`planarham.rk` inlines the body at
+each stage of its DP5 kernels.  Over numpy arrays
+(:func:`compile_array_jet`, :func:`compile_array_polys`) the code equals
+the scalar code bit for bit, with a mask where that raises, for the
+Newton seed grid and the declared-H check; run on floats with counting
+functions (:func:`located_domain_error`) it names the subexpression
+where the scalar code raised, as a :class:`DomainError`; over grids
+(:func:`compile_grid`, run by :func:`eval_grid`) it calls numpy's
+functions, ``nan`` where f leaves the real domain; over arrays of boxes
+(:func:`compile_interval_jet`) it gives outward-rounded enclosures of
+the values and partials for the det Df sign proof and the bounds of H
+at infinity.
 
 :meth:`Poly2.eval` remains for numpy arrays and as the reference that
 :func:`compile_polys` matches float for float.
@@ -36,6 +34,7 @@ constants by name and so serves every map of one shape.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -59,12 +58,14 @@ class ParseError(ValueError):
 class DomainError(ArithmeticError):
     """Real evaluation failed (sqrt of a negative, division by zero, ...).
 
-    Carries the offending subexpression and the evaluation point so that
-    callers can report exactly what left the domain.
+    Carries the offending subexpression, None for a failure of no single
+    one (det Df = 0), and the evaluation point so that callers can report
+    exactly what left the domain.
     """
 
-    def __init__(self, message: str, subexpr: "Expr", point: tuple[float, float]):
-        super().__init__(f"{message} in '{print_expr(subexpr)}' at {point}")
+    def __init__(self, message: str, subexpr: "Expr | None", point: tuple[float, float]):
+        where = "" if subexpr is None else f" in '{print_expr(subexpr)}'"
+        super().__init__(f"{message}{where} at {point}")
         self.subexpr = subexpr
         self.point = point
 
@@ -117,15 +118,6 @@ def powi_exponent(node: Binary) -> int:
             and float(node.right.value).is_integer()):
         raise ValueError(f"malformed powi exponent: {node.right!r}")
     return int(node.right.value)
-
-
-@dataclass(frozen=True)
-class Jet1:
-    """Value and first partials of a scalar at a point."""
-
-    value: float
-    dx: float
-    dy: float
 
 
 # ===== Parser ===== #
@@ -336,87 +328,18 @@ def print_expr(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-# ===== Reference jet evaluation ===== #
-
-
-def eval_jet(e: Expr, point: tuple[float, float]) -> Jet1:
-    """Value and exact first partials at ``point`` by forward-mode rules.
-
-    Raises :class:`DomainError` identifying the subexpression that first
-    left the real domain.  No finite differences anywhere.
-    """
-    x, y = point
-
-    def rec(node: Expr) -> tuple[float, float, float]:
-        if isinstance(node, Constant):
-            return node.value, 0.0, 0.0
-        if isinstance(node, Variable):
-            return (x, 1.0, 0.0) if node.name == "x" else (y, 0.0, 1.0)
-        if isinstance(node, Unary):
-            v, dx, dy = rec(node.child)
-            if node.op == "neg":
-                return -v, -dx, -dy
-            if node.op == "exp":
-                try:
-                    w = math.exp(v)
-                except OverflowError:
-                    raise DomainError("exp overflow", node, point) from None
-                return w, w * dx, w * dy
-            if node.op in ("sin", "cos"):
-                # upstream arithmetic can overflow to inf silently; the
-                # circular functions are where that surfaces as a bare
-                # ValueError, so flag it as the domain failure it is
-                if not math.isfinite(v):
-                    raise DomainError(f"{node.op} of a non-finite value",
-                                      node, point)
-                s, c = math.sin(v), math.cos(v)
-                if node.op == "sin":
-                    return s, c * dx, c * dy
-                return c, -s * dx, -s * dy
-            if node.op == "sqrt":
-                if v < 0:
-                    raise DomainError("sqrt of a negative value", node, point)
-                w = math.sqrt(v)
-                if w == 0.0 and (dx != 0.0 or dy != 0.0):
-                    raise DomainError("sqrt derivative singular at zero", node, point)
-                ddx = dx / (2.0 * w) if dx != 0.0 else 0.0
-                ddy = dy / (2.0 * w) if dy != 0.0 else 0.0
-                return w, ddx, ddy
-        if isinstance(node, Binary):
-            if node.op == "powi":
-                n = powi_exponent(node)
-                v, dx, dy = rec(node.left)
-                if n == 0:
-                    return 1.0, 0.0, 0.0
-                w = v ** n
-                g = n * v ** (n - 1)
-                return w, g * dx, g * dy
-            a, adx, ady = rec(node.left)
-            b, bdx, bdy = rec(node.right)
-            if node.op == "add":
-                return a + b, adx + bdx, ady + bdy
-            if node.op == "sub":
-                return a - b, adx - bdx, ady - bdy
-            if node.op == "mul":
-                return a * b, a * bdx + b * adx, a * bdy + b * ady
-            if node.op == "div":
-                if b == 0.0:
-                    raise DomainError("division by zero", node, point)
-                w = a / b
-                return w, (adx - w * bdx) / b, (ady - w * bdy) / b
-        raise TypeError(f"not an expression node: {node!r}")
-
-    try:
-        v, dx, dy = rec(e)
-    finally:
-        del rec     # it calls itself: bound, it keeps the point in a reference cycle
-    return Jet1(v, dx, dy)
+# ===== Constant subexpressions ===== #
 
 
 def nonfinite_constant(e: Expr) -> Expr | None:
     """The innermost subexpression free of x and y that does not evaluate
-    to a finite number (``1e200*1e200``), or None.  It has one value at
-    every point, so one evaluation decides it."""
+    to a finite number (``1e200*1e200``), or None.
+
+    Such a subexpression has one value at every point, so one run of the
+    array code of the composite ones (:func:`_array_function`, values
+    only) decides them all: it is nan where the scalar code raises.  A
+    literal is finite (the parser rejects others), so a tree without a
+    composite one compiles nothing."""
     free: list[Expr] = []       # innermost first; varies() visits every kid
 
     def varies(node: Expr) -> bool:
@@ -424,25 +347,24 @@ def nonfinite_constant(e: Expr) -> Expr | None:
                 (node.left, node.right) if isinstance(node, Binary) else ())
         if any([varies(k) for k in kids]) or isinstance(node, Variable):
             return True
-        free.append(node)
+        if kids:
+            free.append(node)
         return False
 
     varies(e)
     del varies  # it calls itself: bound, it keeps the node list in a reference cycle
-    for node in free:
-        try:
-            if not math.isfinite(eval_jet(node, (0.0, 0.0)).value):
-                return node
-        except (DomainError, OverflowError):
-            return node
-    return None
+    if not free:
+        return None
+    values, _ = _array_function(tuple(free), values_only=True)(np.zeros(1), np.zeros(1))
+    return next((node for node, v in zip(free, values) if not math.isfinite(v[0])), None)
 
 
 # ===== Compiled jets ===== #
 
 
 def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
-          inputs: tuple[str, str] = ("x", "y"), array: bool = False
+          inputs: tuple[str, str] = ("x", "y"), array: bool = False,
+          sites: list[tuple[Expr, str]] | None = None,
           ) -> tuple[list[str], list[tuple[str, str, str]], dict[str, float]]:
     """Straight-line statements computing (value, dx, dy) of each tree.
 
@@ -452,7 +374,8 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
     value and partials, and the constants read by name: each, 0.0 and
     1.0 too, is ``_c0, _c1, ...``, one per ``repr`` (-0.0 has its own),
     so maps differing only in coefficients share a source, and ``0/x``
-    raises at 0 and ``x + 0`` is +0.0 at -0.0, as in the tree walk.
+    raises at 0 and ``x + 0`` is +0.0 at -0.0, as the tree's arithmetic
+    gives.
 
     A node object reached twice is emitted once (memoised by identity,
     without hashing the tree), and so is each distinct right-hand side
@@ -472,6 +395,12 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
     passes the mask ``_m`` last.  Nothing else changes, so the value
     numbering and the order of the operations are those of the scalar
     code.
+
+    ``sites``, when given, gets one entry per call that can raise (exp,
+    sin, cos, sqrt, a division or an integer power: one at most per
+    statement), in the order the statements make them: the node and the
+    :class:`DomainError` message that its failure means there.  Recording
+    them changes no statement.
     """
     lines: list[str] = []
     memo: dict[int, tuple[str, str, str]] = {}       # id(node) -> operands
@@ -485,12 +414,14 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
     def power(v: str, n: int) -> str:
         return call("_pow", v, str(n)) if array else f"{v}**{n}"
 
-    def tmp(rhs: str) -> str:
+    def tmp(rhs: str, site: tuple[Expr, str] | None = None) -> str:
         name = numbered.get(rhs)
         if name is None:
             name = f"t{len(numbered)}"
             numbered[rhs] = name
             lines.append(f"{name} = {rhs}")
+            if site is not None and sites is not None:
+                sites.append(site)
         return name
 
     def add_s(a: str, b: str) -> str:
@@ -521,10 +452,10 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
             return a
         return tmp(f"{a}*{b}")
 
-    def div_s(a: str, b: str) -> str:
+    def div_s(a: str, b: str, site: tuple[Expr, str]) -> str:
         if a == "0.0":
             return "0.0"
-        return tmp(call("_div", a, b) if array else f"{a}/{b}")
+        return tmp(call("_div", a, b) if array else f"{a}/{b}", site)
 
     def rec(node: Expr) -> tuple[str, str, str]:
         hit = memo.get(id(node))
@@ -543,29 +474,27 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
             if node.op == "neg":
                 out = (neg_s(v), neg_s(dx), neg_s(dy))
             elif node.op == "exp":
-                w = tmp(call("exp", v))
+                w = tmp(call("exp", v), (node, "exp overflow"))
                 out = (w, mul_s(w, dx), mul_s(w, dy))
-            elif node.op == "sin":
-                s = tmp(call("sin", v))
+            elif node.op in ("sin", "cos"):
+                site = (node, f"{node.op} of a non-finite value")
+                w = tmp(call(node.op, v), site)
                 if dx == "0.0" and dy == "0.0":
-                    out = (s, "0.0", "0.0")
+                    out = (w, "0.0", "0.0")
+                elif node.op == "sin":
+                    c = tmp(call("cos", v), site)
+                    out = (w, mul_s(c, dx), mul_s(c, dy))
                 else:
-                    c = tmp(call("cos", v))
-                    out = (s, mul_s(c, dx), mul_s(c, dy))
-            elif node.op == "cos":
-                c = tmp(call("cos", v))
-                if dx == "0.0" and dy == "0.0":
-                    out = (c, "0.0", "0.0")
-                else:
-                    s = tmp(call("sin", v))
-                    out = (c, neg_s(mul_s(s, dx)), neg_s(mul_s(s, dy)))
+                    s = tmp(call("sin", v), site)
+                    out = (w, neg_s(mul_s(s, dx)), neg_s(mul_s(s, dy)))
             elif node.op == "sqrt":
-                w = tmp(call("sqrt", v))
+                w = tmp(call("sqrt", v), (node, "sqrt of a negative value"))
                 if dx == "0.0" and dy == "0.0":
                     out = (w, "0.0", "0.0")
                 else:
                     tw = tmp(f"2.0*{w}")
-                    out = (w, div_s(dx, tw), div_s(dy, tw))
+                    site = (node, "sqrt derivative singular at zero")
+                    out = (w, div_s(dx, tw, site), div_s(dy, tw, site))
             else:
                 raise TypeError(node.op)
         elif isinstance(node, Binary):
@@ -577,11 +506,13 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
                 elif n == 1:
                     out = (v, dx, dy)
                 else:
-                    w = tmp(power(v, n))
+                    site = (node, "power overflow")
+                    w = tmp(power(v, n), site)
                     if dx == "0.0" and dy == "0.0":
                         out = (w, "0.0", "0.0")
                     else:
-                        g = tmp(f"{float(n)!r}*{power(v, n - 1) if n > 2 else v}")
+                        g = tmp(f"{float(n)!r}*{power(v, n - 1) if n > 2 else v}",
+                                site if n > 2 else None)
                         out = (w, mul_s(g, dx), mul_s(g, dy))
             else:
                 a, adx, ady = rec(node.left)
@@ -594,10 +525,11 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
                     out = (mul_s(a, b), add_s(mul_s(a, bdx), mul_s(b, adx)),
                            add_s(mul_s(a, bdy), mul_s(b, ady)))
                 elif node.op == "div":
-                    w = div_s(a, b)
+                    site = (node, "division by zero")
+                    w = div_s(a, b, site)
                     out = (w,
-                           div_s(sub_s(adx, mul_s(w, bdx)), b),
-                           div_s(sub_s(ady, mul_s(w, bdy)), b))
+                           div_s(sub_s(adx, mul_s(w, bdx)), b, site),
+                           div_s(sub_s(ady, mul_s(w, bdy)), b, site))
                 else:
                     raise TypeError(node.op)
         else:
@@ -611,12 +543,14 @@ def _emit(exprs: tuple[Expr, ...], values_only: bool = False,
 
 
 def _codegen(exprs: tuple[Expr, ...], values_only: bool = False,
-             array: bool = False) -> tuple[str, dict[str, float]]:
+             array: bool = False, sites: list[tuple[Expr, str]] | None = None,
+             ) -> tuple[str, dict[str, float]]:
     """Source of ``_generated(x, y)`` returning (value, dx, dy) of each
     tree in turn, or with ``values_only`` the tuple of values; with
-    ``array`` it is ``_generated(x, y, _m)`` (:func:`_emit`), deleting each
-    temporary after its last read.  Returned with its constants."""
-    lines, results, consts = _emit(exprs, values_only, array=array)
+    ``array`` it is ``_generated(x, y, _m)`` (:func:`_emit`, which also
+    fills ``sites``), deleting each temporary after its last read.
+    Returned with its constants."""
+    lines, results, consts = _emit(exprs, values_only, array=array, sites=sites)
     if values_only:
         # trailing comma: a tuple even for a single tree
         ret = ", ".join(v for v, _, _ in results) + ","
@@ -666,7 +600,7 @@ def compile_jet_pair(f1: Expr, f2: Expr):
     The generated code raises the raw arithmetic exceptions
     (``ValueError``/``ZeroDivisionError``/``OverflowError``), at constants
     too (``0/x`` at 0); callers that need a located :class:`DomainError`,
-    naming the failing node, re-run :func:`eval_jet`.
+    naming the failing node, ask :func:`located_domain_error`.
     ``cache_info`` reports the cache of compiled sources that every
     generated function shares."""
     return _compile_source(_codegen((f1, f2)))
@@ -688,16 +622,39 @@ def compile_array_jet(f1: Expr, f2: Expr):
     return _array_function((f1, f2))
 
 
-def located_domain_error(f1: Expr, f2: Expr, point: tuple[float, float]) -> DomainError:
-    """Re-evaluate slowly to pin down which subexpression failed."""
-    for tree in (f1, f2):
-        try:
-            eval_jet(tree, point)
-        except DomainError as err:
-            return err
-        except OverflowError:
-            continue  # the compiled and tree walks can hit errors in different order
-    return DomainError("evaluation failed", f1, point)
+def located_domain_error(f1: Expr, f2: Expr, point: tuple[float, float]
+                         ) -> DomainError | None:
+    """The :class:`DomainError` of the first call in the jet of (f1, f2)
+    that raises at ``point``, or None where none does.
+
+    Runs the array code of :func:`compile_array_jet` (the same code
+    object) on the floats of ``point``, with the scalar functions of the
+    jet, each of which counts its call in the list passed as the mask:
+    so the calls fail where, and in the order that, the scalar jet's
+    fail, and the count picks the site of the failing one (:func:`_emit`).
+    """
+    sites: list[tuple[Expr, str]] = []
+    generated = _compile_source(_codegen((f1, f2), array=True, sites=sites), **_LOCATING_NAMES)
+    calls: list[None] = []
+    try:
+        generated(*point, calls)
+    except JET_ERRORS:
+        node, message = sites[len(calls) - 1]
+        return DomainError(message, node, point)
+    return None
+
+
+def _counted(fn):
+    """``fn`` with the list passed last, as the mask, counting its calls."""
+    def counted(*args):
+        args[-1].append(None)
+        return fn(*args[:-1])
+    return counted
+
+
+_LOCATING_NAMES = {"exp": _counted(math.exp), "sin": _counted(math.sin),
+                   "cos": _counted(math.cos), "sqrt": _counted(math.sqrt),
+                   "_div": _counted(operator.truediv), "_pow": _counted(pow)}
 
 
 # ===== compiled jets over arrays ===== #
@@ -1156,33 +1113,54 @@ def compile_array_polys(*polys: Poly2):
     return _array_function(tuple(p.to_expr() for p in polys), values_only=True)
 
 
+# to_poly expands no tree whose degree bound passes this; pinchuk200's f2
+# has degree 25, and two components of degree 32 load in a fifth of a second
+MAX_POLY_DEGREE = 32
+
+
+def poly_degree_bound(e: Expr) -> int | None:
+    """An upper bound of the total degree of the polynomial form of
+    ``e``, read off the tree without expanding it, or None for a tree
+    with a division or a transcendental call.  A power counts at least
+    its exponent, as many products as its expansion takes, even on a
+    constant."""
+    if isinstance(e, Constant):
+        return 0
+    if isinstance(e, Variable):
+        return 1
+    if isinstance(e, Unary):
+        return poly_degree_bound(e.child) if e.op == "neg" else None
+    if isinstance(e, Binary):
+        if e.op == "div" or (a := poly_degree_bound(e.left)) is None:
+            return None
+        if e.op == "powi":
+            return max(a, 1) * powi_exponent(e)
+        if (b := poly_degree_bound(e.right)) is None:
+            return None
+        return a + b if e.op == "mul" else max(a, b)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
 def to_poly(e: Expr) -> Poly2 | None:
     """Exact polynomial form, or ``None`` for trees that are not
     structurally polynomial (division and the transcendental unaries make
-    it fail; no symbolic simplification is attempted)."""
+    it fail; no symbolic simplification is attempted) and for those whose
+    :func:`poly_degree_bound` passes :data:`MAX_POLY_DEGREE`; neither is
+    expanded."""
+    bound = poly_degree_bound(e)
+    return None if bound is None or bound > MAX_POLY_DEGREE else _expand(e)
+
+
+def _expand(e: Expr) -> Poly2:
+    """The polynomial form of a tree of constants, x, y, neg, add, sub,
+    mul and powi."""
     if isinstance(e, Constant):
         return Poly2.const(e.value)
     if isinstance(e, Variable):
         return Poly2.from_dict({(1, 0) if e.name == "x" else (0, 1): 1.0})
     if isinstance(e, Unary):
-        if e.op != "neg":
-            return None
-        inner = to_poly(e.child)
-        return None if inner is None else -inner
-    if isinstance(e, Binary):
-        if e.op == "div":
-            return None
-        if e.op == "powi":
-            base = to_poly(e.left)
-            return None if base is None else base.pow_int(powi_exponent(e))
-        a = to_poly(e.left)
-        b = to_poly(e.right)
-        if a is None or b is None:
-            return None
-        if e.op == "add":
-            return a + b
-        if e.op == "sub":
-            return a - b
-        if e.op == "mul":
-            return a * b
-    raise TypeError(f"not an expression node: {e!r}")
+        return -_expand(e.child)
+    if e.op == "powi":
+        return _expand(e.left).pow_int(powi_exponent(e))
+    a, b = _expand(e.left), _expand(e.right)
+    return a + b if e.op == "add" else a - b if e.op == "sub" else a * b

@@ -21,6 +21,7 @@ from .expr import (
     DomainError,
     Expr,
     JET_ERRORS,
+    MAX_POLY_DEGREE,
     OVERFLOW_LIMIT,
     Poly2,
     compile_array_jet,
@@ -33,6 +34,7 @@ from .expr import (
     located_domain_error,
     nonfinite_constant,
     parse_expr,
+    poly_degree_bound,
     print_expr,
     to_poly,
 )
@@ -140,8 +142,9 @@ class PlanarMap:
     @cached_property
     def orbit_kernel(self):
         """The DP5 step of the lift of the image circle, in the image angle
-        (:func:`planarham.rk.orbit_kernel`), raising located errors;
-        compiled on first use."""
+        (:func:`planarham.rk.orbit_kernel`), raising the errors of
+        :func:`located_jet_failure` at the failing stage point, det Df = 0
+        there included; compiled on first use."""
         f1, f2 = self.f1, self.f2   # the kernel must not hold the map itself
 
         def locate(x: float, y: float, exc: BaseException):
@@ -184,14 +187,17 @@ class OverflowEvent(ArithmeticError):
 def located_jet_failure(f1: Expr, f2: Expr, p: tuple[float, float],
                         exc: BaseException) -> DomainError | OverflowEvent:
     """The located error for a raw failure of the compiled jet of
-    (f1, f2) at ``p``.
+    (f1, f2) at ``p``, or of the division by its det Df after it.
 
-    Overflow becomes an :class:`OverflowEvent`; anything else is
-    re-evaluated slowly to name the offending subexpression.
+    Overflow becomes an :class:`OverflowEvent`; anything else is the
+    :class:`~planarham.expr.DomainError` of
+    :func:`~planarham.expr.located_domain_error`, which names the
+    offending subexpression.  Where the jet itself evaluates, the
+    division by det Df failed: det Df = 0 at ``p``.
     """
     if isinstance(exc, OverflowError):
         return OverflowEvent(p, math.inf)
-    return located_domain_error(f1, f2, p)
+    return located_domain_error(f1, f2, p) or DomainError("det Df = 0", None, p)
 
 
 @dataclass(frozen=True)
@@ -491,6 +497,9 @@ def parse_map_spec(text: str, source: str, default_name: str) -> PlanarMap:
     structurally polynomial and match (f1^2+f2^2)/2 numerically, checked
     here).  Every subexpression free of x and y must evaluate to a finite
     number, and so must every coefficient of a polynomial f1, f2 or H.
+    A polynomial f1, f2 or declared H whose
+    :func:`~planarham.expr.poly_degree_bound` passes
+    :data:`~planarham.expr.MAX_POLY_DEGREE` is refused unexpanded.
     Lines starting with # and blank lines are ignored.
     """
     fields: dict[str, str] = {}
@@ -516,6 +525,9 @@ def parse_map_spec(text: str, source: str, default_name: str) -> PlanarMap:
         if (bad := nonfinite_constant(e)) is not None:
             raise MapSpecError(f"{source}: {key}: '{print_expr(bad)}' "
                                "does not evaluate to a finite number")
+        if (degree := poly_degree_bound(e)) is not None and degree > MAX_POLY_DEGREE:
+            raise MapSpecError(f"{source}: {key}: a polynomial of degree up to {degree}, "
+                               f"past the bound {MAX_POLY_DEGREE}")
     polys = {key: to_poly(e) for key, e in exprs.items()}
     declared = polys.get("hamiltonian")
     if "hamiltonian" in exprs and declared is None:

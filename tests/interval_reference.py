@@ -30,9 +30,9 @@ def eval_interval_jet(e, xlo, xhi, ylo, yhi
     Returns ``(lo, hi, undefined)``: ``lo`` and ``hi`` stack the lower
     and upper bounds of the value, d/dx and d/dy along a new first axis,
     so that at every point of a box where ``e`` is defined, the
-    value and partials that ``eval_jet`` computes lie in
-    ``[lo[k], hi[k]]``.  The forward-mode rules are those of
-    ``eval_jet``, each operation rounded outward.  ``undefined``
+    value and partials that ``jet_reference.eval_jet`` computes lie in
+    ``[lo[k], hi[k]]``.  The forward-mode rules are those of that
+    walk, each operation rounded outward.  ``undefined``
     marks the boxes where sqrt or a divisor meets an interval containing
     0, or some intermediate bound is not finite; their bounds mean
     nothing.  (Moore-Kearfott-Cloud, *Introduction to Interval

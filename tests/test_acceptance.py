@@ -18,6 +18,7 @@ import pytest
 
 from dataclasses import replace
 
+from jet_reference import eval_jet
 from orbit_checks import angular_speed_check
 from planarham import corpus
 from planarham.annulus import estimate_ell, region
@@ -25,7 +26,7 @@ from planarham.centers import find_zeros
 from planarham.cli import run_subcommand
 from planarham.corpus import (PINCHUK_SEARCH_BOX, PINCHUK_ZEROS,
                               pinchuk_curve, pinchuk_fiber)
-from planarham.expr import compile_jet_pair, eval_jet, parse_expr, print_expr
+from planarham.expr import compile_jet_pair, parse_expr, print_expr
 from planarham.field import Box, linearization_at, sample
 from planarham.trace import (AngleBudget, integrate_orbit, level_start_point,
                              winding_certificate)

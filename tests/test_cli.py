@@ -21,6 +21,7 @@ import planarham.compactify as compactify_mod
 import planarham.field as field_mod
 from planarham.cli import (InputError, RunConfig, SCHEMAS, _parse_box,
                            _parse_levels, load_map, run_subcommand)
+from planarham.expr import MAX_POLY_DEGREE
 from planarham.field import PLANE_BOX, Box, load_map_spec
 
 TWO_PI = 2.0 * math.pi
@@ -312,6 +313,29 @@ def test_empty_or_non_finite_domain_exits_2(tmp_path, capsys, domain):
     assert run("centers", "--map", str(spec), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "domain" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["centers", "portrait"])
+@pytest.mark.parametrize("grid", [cli.MAX_GRID_N + 1, 20000, 10 ** 9])
+def test_grid_past_the_cap_exits_2_without_output(tmp_path, capsys, subcommand, grid):
+    # rejected before any grid is built
+    out = tmp_path / "out"
+    assert run(subcommand, "--map", "builtin:example1", "--grid", str(grid),
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: grid must be at most {cli.MAX_GRID_N}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("f1", ["x + 1^1000000000", "(x + y + 1)^160"])
+def test_map_past_the_degree_bound_exits_2_without_output(tmp_path, capsys, f1):
+    spec = tmp_path / "big.map"
+    spec.write_text(f'f1 = "{f1}"\nf2 = "y"\n', encoding="utf-8")
+    out = tmp_path / "c.json"
+    assert run("centers", "--map", str(spec), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: big.map: f1: a polynomial of degree up to ")
+    assert err.endswith(f", past the bound {MAX_POLY_DEGREE}\n")
     assert not out.exists()
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from planarham import expr as expr_module
 from planarham import rk
 from planarham.corpus import BUILTIN_NAMES, builtin
 from planarham.expr import (
@@ -35,7 +36,7 @@ from planarham.expr import (
     compile_jet_pair,
     compile_polys,
     eval_grid,
-    eval_jet,
+    located_domain_error,
     nonfinite_constant,
     parse_expr,
     powi,
@@ -46,6 +47,7 @@ from planarham.field import PLANE_BOX
 
 from grid_reference import eval_grid_reference
 from interval_reference import eval_interval_jet
+from jet_reference import eval_jet, walk_located_error, walk_nonfinite_constant
 
 X = Variable("x")
 Y = Variable("y")
@@ -567,9 +569,101 @@ def test_eval_jet_and_nonfinite_constant_leave_no_reference_cycles():
     try:
         eval_jet(e, (0.5, 0.25))
         assert nonfinite_constant(e) == parse_expr("1e200*1e200")
+        err = located_domain_error(e, parse_expr("sqrt(x - y)"), (0.5, 0.75))
+        assert str(err) == "sqrt of a negative value in 'sqrt(x - y)' at (0.5, 0.75)"
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---- located domain errors ----
+
+def _kids(e):
+    return ((e.child,) if isinstance(e, Unary) else
+            (e.left, e.right) if isinstance(e, Binary) else ())
+
+
+def _jet_raises(e, p) -> bool:
+    try:
+        compile_jet_pair(e, e)(*p)
+    except JET_ERRORS:
+        return True
+    return False
+
+
+def _compiled_op_raises(node, p) -> bool:
+    """Whether the compiled jet fails at ``node``'s own operation at p:
+    the jet of the subtree raises there, those of its children do not
+    (the subtree's code folds as it does inside any tree)."""
+    return _jet_raises(node, p) and not any(_jet_raises(k, p) for k in _kids(node))
+
+
+def _walk_op_raises(node, p) -> bool:
+    """Whether the reference walk fails at ``node``'s own operation at p."""
+    try:
+        eval_jet(node, p)
+    except DomainError as err:
+        return err.subexpr == node
+    except OverflowError:
+        pass
+    return False
+
+
+_locating_points = st.tuples(*[st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5]),
+    st.floats(min_value=-3, max_value=3, allow_nan=False))] * 2)
+
+
+# eval_trees, a third of them put under a call that can fail, so that
+# the jet raises at about a third of the draws
+_locating_trees = st.one_of(
+    eval_trees, st.builds(Unary, st.sampled_from(["sqrt", "sin", "cos"]), eval_trees),
+    st.builds(Binary, st.just("div"), eval_trees, eval_trees))
+
+
+@given(_locating_trees, _locating_trees, _locating_points)
+@example(parse_expr("sqrt(x*y) + sqrt(x - 1)"), Y, (0.0, 0.0))
+@example(parse_expr("sin(x*1e300*1e300 - x*1e300*1e300)"), parse_expr("1/y"), (1.0, 0.0))
+@settings(max_examples=2000, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+def test_located_error_is_the_first_failing_call(f1, f2, p):
+    try:
+        compile_jet_pair(f1, f2)(*p)
+    except (ValueError, ZeroDivisionError):
+        pass
+    except OverflowError:
+        assume(False)
+    else:
+        assume(False)
+    got = located_domain_error(f1, f2, p)
+    # a node whose own compiled operation raises at p, always
+    assert got is not None and got.point == p
+    assert _compiled_op_raises(got.subexpr, p)
+    # the walk's error, where the walk fails first where the code does.
+    # The two part where the walk raises on a nan (math.sin(nan) is nan)
+    # and where the code divides a zero partial by a zero sqrt (sqrt(x*y)
+    # at the origin); there the located node comes first in the code.
+    walk = walk_located_error(f1, f2, p)
+    if walk is not None and _compiled_op_raises(walk.subexpr, p) and _walk_op_raises(
+            got.subexpr, p):
+        assert str(got) == str(walk) and got.subexpr == walk.subexpr
+
+
+@given(expr_trees)
+@example(parse_expr("exp(x)*sin(y) + 1e200*1e200*x"))
+@example(parse_expr("x + sin(1e300*1e300 - 1) + 1/(2 - 2)"))
+@_lenient
+def test_nonfinite_constant_equals_the_walk(e):
+    assert nonfinite_constant(e) == walk_nonfinite_constant(e)
+
+
+def test_nonfinite_constant_compiles_nothing_without_a_composite_constant(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled")
+
+    monkeypatch.setattr(expr_module, "_compile_source", refuse)
+    for text in ("x*y + 2", "exp(3*x) - sin(-0.5*y)", "1e300"):
+        assert nonfinite_constant(parse_expr(text)) is None
 
 
 # ---- finite-difference oracle on the corpus expressions ----

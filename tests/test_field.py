@@ -1,13 +1,18 @@
 """Hamiltonian structure: samples, linearization, declared-H validation."""
 
 import math
+import re
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from planarham import corpus
+from planarham import corpus, rk
 from planarham import field as field_mod
-from planarham.expr import DomainError, compile_polys, parse_expr, to_poly
+from planarham.expr import (MAX_POLY_DEGREE, Constant, DomainError, Poly2, Unary, Variable,
+                            compile_polys, parse_expr, to_poly)
 from planarham.field import (
     VALIDATE_N,
     Box,
@@ -25,6 +30,14 @@ from planarham.field import (
     validate_hamiltonian,
     MapSpecError,
 )
+from planarham.trace import DomainFailure, integrate_orbit
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+try:
+    from workloads import WORKLOADS, round_invocations
+finally:
+    sys.path.remove(str(ROOT / "perfbench"))
 
 
 # ---- sampling ----
@@ -118,6 +131,107 @@ def test_domain_error_is_located():
     with pytest.raises(DomainError) as exc:
         sample(pmap, (-1.0, 0.0))
     assert "sqrt" in str(exc.value)
+
+
+# ---- located errors, one per kind of failing call ----
+
+# f1, f2, a point where f's jet raises, the message and the node named
+_SITES = [
+    ("sqrt(x)", "y", (-1.0, 0.5), "sqrt of a negative value", "sqrt(x)"),
+    ("sqrt(x)", "y", (0.0, 0.5), "sqrt derivative singular at zero", "sqrt(x)"),
+    # both partials of x*x are 0.0 at the origin, where 0.0/0.0 raises
+    ("sqrt(x*x)", "y", (0.0, 0.0), "sqrt derivative singular at zero", "sqrt(x*x)"),
+    ("x", "y/(x - 1)", (1.0, 2.0), "division by zero", "y/(x - 1)"),
+    ("sin(x*1e300)", "y", (1e10, 0.0), "sin of a non-finite value", "sin(x*1e+300)"),
+]
+
+
+def _site_map(f1, f2, domain=None):
+    return PlanarMap(f1=parse_expr(f1), f2=parse_expr(f2), domain=domain)
+
+
+def _assert_located(err, message, node, p):
+    assert type(err) is DomainError
+    assert str(err) == f"{message} in '{node}' at {p}"
+    assert err.subexpr == parse_expr(node) and err.point == p
+
+
+def _kernel_at(pmap, p):
+    """A zero step of the orbit kernel from p: every stage point is p."""
+    return rk.dp5_step(pmap.orbit_kernel, *p, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-9, 1e-12)
+
+
+@pytest.mark.parametrize("f1,f2,p,message,node", _SITES)
+def test_sample_locates_each_failing_call(f1, f2, p, message, node):
+    with pytest.raises(DomainError) as exc:
+        sample(_site_map(f1, f2), p)
+    _assert_located(exc.value, message, node, p)
+
+
+@pytest.mark.parametrize("f1,f2,p,message,node", _SITES)
+def test_orbit_kernel_locates_each_failing_call(f1, f2, p, message, node):
+    with pytest.raises(DomainError) as exc:
+        _kernel_at(_site_map(f1, f2), p)
+    _assert_located(exc.value, message, node, p)
+
+
+def test_exp_overflow_stays_an_overflow_event():
+    pmap, p = _site_map("exp(x) - 1", "y"), (1000.0, 0.0)
+    for run in (sample, _kernel_at):
+        with pytest.raises(OverflowEvent) as exc:
+            run(pmap, p)
+        assert exc.value.point == p and str(exc.value) == f"overflow (|value| ~ inf) at {p}"
+
+
+def test_orbit_kernel_names_det_df_zero(example2):
+    # f evaluates here, but dx1 is 0.0, so the kernel's 1/det Df raises
+    p = (-4.138411701814718e16, 44660414511404.68)
+    s = sample(example2, p)
+    assert s.jacobian[0][0] == 0.0 and s.det == 0.0
+    with pytest.raises(DomainError) as exc:
+        _kernel_at(example2, p)
+    assert str(exc.value) == f"det Df = 0 at {p}"
+    assert exc.value.subexpr is None and exc.value.point == p
+
+
+# f = (x, y + 0*g) (H = |(x, y)|^2 / 2) from (1, 0), with g failing
+# beyond the orbit's reach of the circle: the orbit stops at the edge
+_ORBIT_SITES = [
+    ("x", "y + 0*sqrt(x - 0.5)", None, "sqrt of a negative value", "sqrt(x - 0.5)"),
+    # exp(-1/x^2) is 0.0 for |x| < 0.0366
+    ("x", "y + 0*sqrt(exp(-1/(x*x)))", None, "sqrt derivative singular at zero",
+     "sqrt(exp(-1/(x*x)))"),
+    # (x*1e-160)^2 is 0.0 for |x| < 0.0158
+    ("x", "y + 0/((x*1e-160)*(x*1e-160))", None, "division by zero",
+     "0/(x*1e-160*(x*1e-160))"),
+    # an ellipse 1e8 wide from (-1e8, 0): (x + 1e8)*1e300 is inf beyond 0.8e8
+    ("x*1e-8", "y + 0*sin((x + 1e8)*1e300)", Box(-1e9, 1e9, -1e9, 1e9),
+     "sin of a non-finite value", "sin((x + 100000000)*1e+300)"),
+]
+
+
+@pytest.mark.parametrize("f1,f2,domain,message,node", _ORBIT_SITES)
+def test_domain_failure_names_each_failing_call(f1, f2, domain, message, node):
+    pmap = _site_map(f1, f2, domain)
+    start = (-1e8, 0.0) if domain is not None else (1.0, 0.0)
+    outcome = integrate_orbit(pmap, start, center=(0.0, 0.0)).outcome
+    assert isinstance(outcome, DomainFailure)
+    head, _, at = outcome.message.rpartition(" at ")
+    assert head == f"{message} in '{node}'"
+    # a stage point past the edge, where f's jet fails as named
+    p = tuple(map(float, at.strip("()").split(", ")))
+    assert p != outcome.point
+    with pytest.raises(DomainError) as exc:
+        sample(pmap, p)
+    _assert_located(exc.value, message, node, p)
+
+
+def test_domain_failure_on_exp_overflow_is_an_overflow():
+    # exp(x + 709) overflows beyond x = 0.7827, on the circle of radius 0.9
+    pmap = _site_map("x", "y + 0*exp(x + 709)")
+    outcome = integrate_orbit(pmap, (0.0, -0.9), center=(0.0, 0.0)).outcome
+    assert isinstance(outcome, DomainFailure)
+    assert outcome.message.startswith("overflow (|value| ~ inf) at (0.78")
 
 
 # ---- linearization ----
@@ -488,6 +602,65 @@ def test_load_map_spec_errors(tmp_path, content, fragment):
     spec.write_text(content)
     with pytest.raises(MapSpecError, match=fragment):
         load_map_spec(spec)
+
+
+@pytest.mark.parametrize("key,text,degree", [
+    ("f1", "x + 1^1000000", 1000000),
+    ("f1", "(x + y + 1)^160", 160),
+    ("f2", "y + 1^1000000000", 1000000000),
+    ("hamiltonian", "0.5*(x^2 + y^2)^17", 34),
+])
+def test_map_spec_past_the_degree_bound_is_refused_unexpanded(key, text, degree):
+    fields = {"f1": "x", "f2": "y", key: text}
+    spec = "".join(f'{k} = "{v}"\n' for k, v in fields.items())
+    t0 = time.perf_counter()
+    with pytest.raises(MapSpecError) as exc:
+        parse_map_spec(spec, "big", "big")
+    assert time.perf_counter() - t0 < 0.5
+    assert str(exc.value) == (f"big: {key}: a polynomial of degree up to {degree}, "
+                              f"past the bound {MAX_POLY_DEGREE}")
+
+
+def _expand_unbounded(e):
+    """The polynomial form of a tree, expanded without a degree bound."""
+    if isinstance(e, Constant):
+        return Poly2.const(e.value)
+    if isinstance(e, Variable):
+        return Poly2.from_dict({(1, 0) if e.name == "x" else (0, 1): 1.0})
+    if isinstance(e, Unary):
+        inner = _expand_unbounded(e.child) if e.op == "neg" else None
+        return None if inner is None else -inner
+    if e.op == "div":
+        return None
+    a = _expand_unbounded(e.left)
+    if e.op == "powi":
+        return None if a is None else a.pow_int(int(e.right.value))
+    b = _expand_unbounded(e.right)
+    if a is None or b is None:
+        return None
+    return a + b if e.op == "add" else a - b if e.op == "sub" else a * b
+
+
+_SPEC_LINE = re.compile(r'^(f1|f2|hamiltonian) = "(.*)"$', re.MULTILINE)
+
+
+def test_builtin_and_workload_maps_expand_as_without_the_bound():
+    specs = [corpus._SPECS[name] for name in corpus.BUILTIN_NAMES]
+    specs += [inv.map.spec for workload in WORKLOADS for seed in (1, 2, 3)
+              for round_index in range(3)
+              for inv in round_invocations(workload, seed, round_index) if inv.map.spec]
+    degrees = set()
+    for spec in specs:
+        pmap = parse_map_spec(spec, "spec", "spec")
+        for key, text in _SPEC_LINE.findall(spec):
+            e = parse_expr(text)
+            want = _expand_unbounded(e)
+            assert to_poly(e) == want
+            got = {"f1": to_poly(pmap.f1), "f2": to_poly(pmap.f2),
+                   "hamiltonian": pmap.declared_hamiltonian}[key]
+            assert got == want
+            degrees.add(want.degree() if want is not None else None)
+    assert max(d for d in degrees if d is not None) == 25      # pinchuk200's f2
 
 
 def test_corpus_maps_validate(example2):
