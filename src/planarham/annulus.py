@@ -1,8 +1,8 @@
 """Period annulus estimation and the disc-or-plane verdict for one center.
 
 The annulus around a center is probed level by level: a level h is GOOD
-when the traced orbit closes with winding one and the invariant checks
-hold (an injectivity certificate for f restricted to that orbit).
+when the traced orbit closes with winding one and keeps to its level
+(an injectivity certificate for f restricted to that orbit).
 Nesting of orbits makes GOOD downward-closed in h, so a bracket of one
 uncertified and one certified level holds the supremum ell of certified
 levels.  While det Df != 0, the only critical points of H are the zeros
@@ -40,7 +40,7 @@ from .centers import CenterRecord
 from .expr import eval_grid
 from .field import JET_ERRORS, Box, PlanarMap, det_sign_on_cells, jacobian_sign_change
 from .trace import (AngleBudget, LevelUnreachable, OrbitTrace, WindingCertificate,
-                    _lift_field, center_point, winding_certificate)
+                    center_point, winding_certificate)
 
 # bracket width below which a level is "budget", i.e. all good up to h_max
 BUDGET = math.inf
@@ -103,7 +103,8 @@ def classify_certificate(cert: WindingCertificate) -> tuple[str, str]:
         return BAD, "winding-budget"
     if out.kind == "domain_error":
         return INCONCLUSIVE, "domain-error"
-    # closed but failed certification
+    # closed but failed certification: off its level, or round the
+    # center the wrong way
     if cert.winding != 1:
         return BAD, f"winding={cert.winding}"
     return INCONCLUSIVE, "invariant-violation"
@@ -574,7 +575,9 @@ def disc_cover(pmap: PlanarMap, orbit: OrbitTrace) -> np.ndarray:
     side = min(box.xmax - box.xmin, box.ymax - box.ymin) / n
     points = np.array(orbit.points)
     chord, step = np.diff(points, axis=0), np.diff(orbit.thetas)[:, None]
-    velocity = np.array([_lift_field(pmap.jet(x, y))[:2] for x, y in orbit.points])
+    (v1, dx1, dy1, v2, dx2, dy2), _ = pmap.array_jet(*points.T.copy())
+    idet = 1.0 / (dx1 * dy2 - dx2 * dy1)    # the orbit has det Df of one sign
+    velocity = np.stack([-(v1 * dy1 + v2 * dy2) * idet, (v1 * dx1 + v2 * dx2) * idet], axis=1)
     r = max(side, np.hypot(*(step * velocity[:-1] - chord).T).max() / 3.0,
             np.hypot(*(chord - step * velocity[1:]).T).max() / 3.0)
     ring = np.vstack([points, points[:1]])

@@ -246,20 +246,16 @@ def isochronous_hint(pmap: PlanarMap) -> bool:
 
     A constant non-zero Jacobian determinant makes every center of the
     field isochronous with period 2*pi/|det|.  det Df is sampled at the
-    cell centres of an ISO_N x ISO_N grid on the box, skipping points
-    where it cannot be evaluated; with fewer than two samples left there
-    is nothing to compare, and the hint is False.
+    cell centres of an ISO_N x ISO_N grid on the box by one call of the
+    array jet, skipping points where it cannot be evaluated; with fewer
+    than two samples left there is nothing to compare, and the hint is
+    False.
     """
-    dets = []
     xs, ys = _cell_centres(pmap.working_box(), ISO_N)
-    for x, y in zip(xs.tolist(), ys.tolist()):
-        try:
-            v1, dx1, dy1, v2, dx2, dy2 = pmap.jet(x, y)
-        except JET_ERRORS:
-            continue
+    (_, dx1, dy1, _, dx2, dy2), raised = pmap.array_jet(xs, ys)
+    with np.errstate(all="ignore"):
         det = dx1 * dy2 - dx2 * dy1
-        if math.isfinite(det):
-            dets.append(det)
+    dets = det[~raised & np.isfinite(det)].tolist()     # a list: sum adds in grid order
     if len(dets) < 2:
         return False
     mean = sum(dets) / len(dets)

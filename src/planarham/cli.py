@@ -66,6 +66,9 @@ class SchemaFailure(RuntimeError):
 class RunConfig:
     """One run's knobs; everything downstream reads only this.
 
+    ``box`` sets only the boxes of the zero search, of the verdict's
+    det Df sign check and levels above ell_lo, and of the portrait.
+    Orbits, edge minima and ell use the map's domain or [-20, 20]^2.
     ``grid_n`` sets the zero search's seed grid and the portrait's grid,
     from 8 to :data:`MAX_GRID_N`; ``None`` keeps each one's default
     (``SEED_GRID_N``, ``PORTRAIT_GRID_N``).  ``report`` builds no region
@@ -559,7 +562,7 @@ def _compactification_block(pmap: PlanarMap, reports: list[AnnulusReport],
     sings = [classify_sectors(pmap, cf, s) for s in found]
     valley_work = sum(len(side) for s in sings for side in s.valley)
     if reports:
-        verdict = conti_verdict(pmap, reports, sings)
+        verdict = conti_verdict(reports, sings)
         warnings.extend(f"conti: {note}" for note in verdict.notes)
         conti_type = verdict.conti_type
         routes_agree = verdict.routes_agree
@@ -809,7 +812,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="PATH|builtin:NAME",
                        help="map spec file, or one of the built-in examples")
         p.add_argument("--box", default=None, metavar="XMIN,XMAX,YMIN,YMAX",
-                       help="working window (default: the map's domain)")
+                       help="box of the zero search, of the verdict's det Df sign "
+                            "check and of the portrait (default: the map's "
+                            "domain); orbits and ell always use the map's domain")
         p.add_argument("--grid", type=int, default=None, dest="grid_n",
                        help="seed grid of the zero search, and the portrait's "
                             "grid (default: per-stage)")

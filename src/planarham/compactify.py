@@ -311,52 +311,29 @@ def classify_sectors(pmap: PlanarMap, cf: CompactifiedField,
 
 
 @dataclass(frozen=True)
-class CriterionEntry:
-    name: str
-    statement: str
-    outcome: str                 # "holds" | "fails" | "undetermined"
-    source: str
-
-
-@dataclass(frozen=True)
 class ContiVerdict:
     conti_type: str              # "A" | "B" | "not-applicable" | "undetermined"
-    criteria: tuple[CriterionEntry, ...]
     routes_agree: bool
     notes: tuple[str, ...]
 
 
-def conti_verdict(pmap: PlanarMap, annulus_reports, singularities) -> ContiVerdict:
+def conti_verdict(annulus_reports, singularities) -> ContiVerdict:
     """Type A/B from the singularity route, cross-checked with annuli.
 
-    The deciding criterion is (d): no infinite singular points, or all
-    of them formed by two degenerate hyperbolic sectors.  The annulus
-    route (global center <=> type A) must agree; an observed
-    disagreement is flagged, not resolved.  Non-polynomial H, or a sign
-    change of det Df that voided the annulus verdicts, makes the whole
-    classification inapplicable; with neither route decided the type is
-    "undetermined".
+    For polynomial H these are equivalent: (a) f is injective with image
+    the plane or an open disc about the origin; (b) the center is of
+    type A; (c) it is not of type B (types C and D cannot occur for pair
+    fields); (d) there are no infinite singular points, or all are
+    formed by two degenerate hyperbolic sectors.  The sector classifier
+    decides (d); the annulus verdicts, (a), must agree, and a
+    disagreement is flagged, not resolved.  A sign change of det Df that
+    voided those verdicts makes the classification inapplicable; with
+    neither route decided the type is "undetermined".  The caller
+    checks that H is polynomial and that some center was analyzed.
     """
-    if effective_hamiltonian_poly(pmap) is None:
-        return ContiVerdict(
-            conti_type="not-applicable",
-            criteria=(CriterionEntry(
-                "hypothesis", "H is a polynomial", "fails",
-                "hamiltonian validation"),),
-            routes_agree=True,
-            notes=("Hamiltonian is not polynomial; the type classification "
-                   "does not apply",))
-    if not annulus_reports:
-        raise ValueError("need at least one center's annulus report")
     if any(SIGN_CHANGE in r.verdict.reasons for r in annulus_reports):
-        return ContiVerdict(
-            conti_type="not-applicable",
-            criteria=(CriterionEntry(
-                "hypothesis", "det Df does not change sign", "fails",
-                "annulus global_center_verdict"),),
-            routes_agree=True,
-            notes=("det Df changes sign; the type classification does not "
-                   "apply",))
+        return ContiVerdict("not-applicable", True, (
+            "det Df changes sign; the type classification does not apply",))
 
     notes: list[str] = []
     verdicts = {r.verdict.verdict for r in annulus_reports}
@@ -372,48 +349,20 @@ def conti_verdict(pmap: PlanarMap, annulus_reports, singularities) -> ContiVerdi
         notes.append("annulus route inconclusive")
 
     classes = {s.classification for s in singularities}
-    if "has-nondegenerate-sector" in classes:
-        d_outcome, d_type = "fails", "B"
-    elif "unclassified" in classes:
-        d_outcome, d_type = "undetermined", None
+    d_type = ("B" if "has-nondegenerate-sector" in classes
+              else None if "unclassified" in classes else "A")
+    conti = d_type or annulus_type or "undetermined"
+    if d_type is None:
         notes.append("unclassified infinite singularities")
-    else:
-        d_outcome, d_type = "holds", "A"
+        notes.append("type taken from the annulus route; sector classification incomplete"
+                     if annulus_type else "both routes undetermined")
 
-    if d_type is not None:
-        conti = d_type
-    elif annulus_type is not None:
-        conti = annulus_type
-        notes.append("type taken from the annulus route; sector "
-                     "classification incomplete")
-    else:
-        conti = "undetermined"
-        notes.append("both routes undetermined")
-
-    routes_agree = True
-    if d_type is not None and annulus_type is not None:
-        routes_agree = d_type == annulus_type
-        if not routes_agree:
-            notes.append("numerical inconsistency: singularity route says "
-                         f"type {d_type}, annulus route says type "
-                         f"{annulus_type}; inspect the portrait")
-
-    ab_outcome = ({"A": "holds", "B": "fails"}[annulus_type]
-                  if annulus_type is not None else "undetermined")
-    criteria = (
-        CriterionEntry("a", "f injective with image the plane or an open "
-                            "disc about the origin", ab_outcome,
-                       "annulus global_center_verdict"),
-        CriterionEntry("b", "the center is of type A", ab_outcome,
-                       "equivalent to (a)"),
-        CriterionEntry("c", "the center is not of type B", ab_outcome,
-                       "types C and D cannot occur for pair fields"),
-        CriterionEntry("d", "no infinite singular points, or all formed by "
-                            "two degenerate hyperbolic sectors", d_outcome,
-                       "compactified-field sector classifier"),
-    )
-    return ContiVerdict(conti_type=conti, criteria=criteria,
-                        routes_agree=routes_agree, notes=tuple(notes))
+    routes_agree = d_type is None or annulus_type is None or d_type == annulus_type
+    if not routes_agree:
+        notes.append("numerical inconsistency: singularity route says "
+                     f"type {d_type}, annulus route says type "
+                     f"{annulus_type}; inspect the portrait")
+    return ContiVerdict(conti_type=conti, routes_agree=routes_agree, notes=tuple(notes))
 
 
 def compactification_for_map(pmap: PlanarMap) -> CompactifiedField | None:

@@ -5,7 +5,8 @@ Along an orbit of the Hamiltonian field, f runs round the circle
 dp/dtheta = Df^-1 J f of that circle and closes exactly at a whole turn
 of theta.  Orbits are stepped in theta, each accepted point corrected
 by Newton steps onto f(p) = sqrt(2h) e^{i theta}; start points lift an
-image ray from the center.
+image ray from the center.  Where det Df < 0, theta still advances and
+the orbit runs back in time, clockwise.
 
 Each trial step is one call of the map's generated orbit kernel
 (:func:`planarham.rk.orbit_kernel`) through :func:`~planarham.rk.dp5_step`,
@@ -79,6 +80,8 @@ class OrbitTrace:
     times: tuple[float, ...]
     thetas: tuple[float, ...]
     outcome: Outcome
+    level_error: float = 0.0     # the largest |H - h| over the stored points
+    sign: int = 1                # det Df's at the start: the time's direction
 
     def closed(self) -> bool:
         return isinstance(self.outcome, Closed)
@@ -146,12 +149,13 @@ def _correct(jet_at, x: float, y: float, jet, w: tuple[float, float], tol: float
     return x, y, jet, False
 
 
-def _lift_field(jet) -> tuple[float, float, float] | None:
+def _lift_field(jet, sign: int) -> tuple[float, float, float] | None:
     """(dx, dy, dt) / dtheta from a jet of f, as the kernel spells it;
-    None where det Df <= 0, where the lift would run back in time."""
+    None where det Df lacks the orbit's sign ``sign``, where the lift
+    would turn round in time."""
     v1, dx1, dy1, v2, dx2, dy2 = jet
     det = dx1 * dy2 - dx2 * dy1
-    if not det > 0.0:
+    if not sign * det > 0.0:
         return None
     idet = 1.0 / det
     return -(v1 * dy1 + v2 * dy2) * idet, (v1 * dx1 + v2 * dx2) * idet, idet
@@ -189,14 +193,15 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
 
     Steps theta from its value theta0 at the start, by at most
     ``max_dtheta``, landing a step on each whole turn theta0 + 2*pi*k:
-    the orbit is :class:`Closed` with winding k (and period t) when that
+    the orbit is :class:`Closed` with winding k (and period |t|) when that
     point lies within RETURN_TOL * (1 + |start - center|) of the start,
     :class:`BudgetExhausted` when not by ``budget.max_winding`` turns.
     It is :class:`Escaped` at an accepted point outside the working
     window, or inside a step where a coordinate extremum of the step's
     cubic Hermite interpolant (ends and theta-derivatives) lies outside
-    and stays outside once corrected onto the level.  A point with
-    det Df <= 0 ends it as a :class:`DomainFailure` there.
+    and stays outside once corrected onto the level.  t runs with the
+    sign of det Df at the start; a point where det Df lacks that sign
+    ends the orbit as a :class:`DomainFailure` there.
 
     A trial step whose evaluation fails is retried with a fifth of the
     step; below STEP_UNDERFLOW the orbit has run off the domain, a
@@ -210,17 +215,19 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
         raise ValueError("start point is a zero of the map")
     theta0 = math.atan2(s0.f_value[1], s0.f_value[0])
     (dx1, dy1), (dx2, dy2) = s0.jacobian
-    rate = _lift_field((s0.f_value[0], dx1, dy1, s0.f_value[1], dx2, dy2))
-    points, times, thetas = [start], [0.0], [theta0]
+    sign = 1 if s0.det > 0.0 else -1
+    rate = _lift_field((s0.f_value[0], dx1, dy1, s0.f_value[1], dx2, dy2), sign)
+    points, times, thetas, level_error = [start], [0.0], [theta0], 0.0
 
     def finish(outcome: Outcome) -> OrbitTrace:
-        return OrbitTrace(s0.hamiltonian, tuple(points), tuple(times), tuple(thetas), outcome)
+        return OrbitTrace(s0.hamiltonian, tuple(points), tuple(times), tuple(thetas), outcome,
+                          level_error, sign)
 
     def on_level(theta: float) -> tuple[float, float]:     # f there: sqrt(2h) e^{i theta}
         return (radius * math.cos(theta), radius * math.sin(theta))
 
     if rate is None:
-        return finish(DomainFailure(start, f"det Df <= 0 at the start {start}"))
+        return finish(DomainFailure(start, f"det Df = 0 at the start {start}"))
     kx, ky, kt = rate
     jet_at = _jet_at(pmap)
     kernel = pmap.orbit_kernel
@@ -253,19 +260,20 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
             if h < STEP_UNDERFLOW:
                 return finish(BudgetExhausted(stiff=True))
             continue
-        rate = _lift_field(jet)
+        rate = _lift_field(jet, sign)
         if rate is None:
-            return finish(DomainFailure((xn, yn), f"det Df <= 0 on the orbit at {(xn, yn)}"))
+            return finish(DomainFailure((xn, yn), f"det Df changes sign at {(xn, yn)}"))
 
         mx0, my0, mx1, my1 = step * kx, step * ky, step * rate[0], step * rate[1]
         for s in sorted(_exits(x, xn, mx0, mx1, xmin, xmax) + _exits(y, yn, my0, my1, ymin, ymax)):
             p = (_hermite(x, xn, mx0, mx1, s), _hermite(y, yn, my0, my1, s))
             try:
-                p = _correct(jet_at, *p, jet_at(*p), on_level(theta0 + phi + s * step), tol)[:2]
+                px, py, pjet, _ = _correct(jet_at, *p, jet_at(*p),
+                                           on_level(theta0 + phi + s * step), tol)
             except _EVAL_ERRORS as err:
                 return finish(DomainFailure(points[-1], str(err)))
-            if not box.contains(p):     # the orbit ends here, its time interpolated
-                (xn, yn), t5, phi_new = p, t + s * (t5 - t), phi + s * step
+            if not box.contains((px, py)):  # the orbit ends here, its time interpolated
+                xn, yn, jet, t5, phi_new = px, py, pjet, t + s * (t5 - t), phi + s * step
                 break
 
         x, y, t, phi = xn, yn, t5, phi_new
@@ -273,11 +281,12 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
         points.append((x, y))
         times.append(t)
         thetas.append(theta0 + phi)
+        level_error = max(level_error, abs(0.5 * (jet[0] ** 2 + jet[3] ** 2) - s0.hamiltonian))
         if not (xmin <= x <= xmax and ymin <= y <= ymax):
-            return finish(Escaped(side=box.exit_side((x, y)), time=t))
+            return finish(Escaped(side=box.exit_side((x, y)), time=abs(t)))
         if land:
             if math.dist((x, y), start) <= return_tol:
-                return finish(Closed(period=t, winding=turn))
+                return finish(Closed(period=abs(t), winding=turn))
             if turn >= budget.max_winding:
                 return finish(BudgetExhausted(stiff=False))
             turn += 1
@@ -359,7 +368,8 @@ def winding_certificate(pmap: PlanarMap, center: tuple[float, float], h: float,
     :class:`Escaped` trace of its exit point alone, no orbit traced.  The
     certificate is positive exactly when the orbit closes, its image
     winds once around the origin, the closed trace polygon winds once
-    around the center, and the trace invariants hold.
+    around the center (clockwise where det Df < 0), and every stored
+    point lies within 1e-8 (1 + h) of the level.
     """
     cpt = center_point(center)
     try:
@@ -372,17 +382,18 @@ def winding_certificate(pmap: PlanarMap, center: tuple[float, float], h: float,
     closed = isinstance(trace.outcome, Closed)
     winding = trace.outcome.winding if closed else 0
     period = trace.outcome.period if closed else None
-    injective = (closed and winding == 1 and _winds_once(trace.points, cpt)
-                 and _invariants_hold(pmap, trace))
+    injective = (closed and winding == 1 and _winds_once(trace.points, cpt, trace.sign)
+                 and trace.level_error <= 1e-8 * (1.0 + abs(trace.h)))
     return WindingCertificate(h=h, start=start, closed=closed,
                               injective_on_orbit=injective, winding=winding,
                               period=period, trace=trace)
 
 
-def _winds_once(points, center: tuple[float, float]) -> bool:
+def _winds_once(points, center: tuple[float, float], sign: int = 1) -> bool:
     """Whether the closed polygon through ``points`` winds once round
-    ``center``, counterclockwise: the signed crossings of the half-line
-    from the center in +x, which is exact for any edge length."""
+    ``center`` in the direction ``sign`` (+1 counterclockwise): the
+    signed crossings of the half-line from the center in +x, which is
+    exact for any edge length."""
     cx, cy = center
     wn = 0
     for (ax, ay), (bx, by) in zip(points, points[1:] + points[:1]):
@@ -391,15 +402,4 @@ def _winds_once(points, center: tuple[float, float]) -> bool:
             wn += 1
         elif by <= cy < ay and side < 0.0:
             wn -= 1
-    return wn == 1
-
-
-def _invariants_hold(pmap: PlanarMap, trace: OrbitTrace) -> bool:
-    """Energy stays pinned and theta is monotone over the stored points."""
-    tol = 1e-8 * (1.0 + abs(trace.h))
-    for (x, y) in trace.points[:: max(1, len(trace.points) // 256)]:
-        v1, _, _, v2, _, _ = pmap.jet(x, y)
-        if abs(0.5 * (v1 * v1 + v2 * v2) - trace.h) > tol:
-            return False
-    return all(b > a for a, b in zip(trace.thetas, trace.thetas[1:]))
-
+    return wn == sign

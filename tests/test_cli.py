@@ -365,6 +365,7 @@ def test_pinchuk200_report_analyzes_nothing_and_exits_3(tmp_path):
     assert doc["centers"] == []
     compact = doc["compactification"]
     assert compact["conti_type"] == "not-applicable"
+    assert "conti: skipped, no analyzed center" in doc["warnings"]
     assert [s["classification"] for s in compact["infinite_singularities"]] == [
         "has-nondegenerate-sector", "unclassified"]
     assert doc["timings"]["valley_depths"] == 20
@@ -385,6 +386,8 @@ def test_report_on_a_quintic_triangular_map_is_type_a(tmp_path):
 
 
 def test_inconclusive_exits_3_with_report(tmp_path):
+    # det Df = 1 - 2x changes sign between the centers; (1, 0), where
+    # det Df < 0, has its annulus bracketed as (0, 0) does
     spec = tmp_path / "flipper.map"
     spec.write_text('name = "flipper"\nf1 = "x*(1 - x)"\nf2 = "y"\n',
                     encoding="utf-8")
@@ -394,11 +397,50 @@ def test_inconclusive_exits_3_with_report(tmp_path):
     doc = read_json(out)
     jsonschema.validate(doc, SCHEMAS["report"])
     statuses = {tuple(c["location"]): c["status"] for c in doc["centers"]}
-    assert statuses[(0.0, 0.0)] == "ok"
-    assert statuses[(1.0, 0.0)] == "below-resolution"
+    assert statuses == {(0.0, 0.0): "ok", (1.0, 0.0): "ok"}
     assert all(c["global"] == "inconclusive" for c in doc["centers"])
     assert any("jacobian-sign-change" in w for w in doc["warnings"])
-    assert any("below resolution" in w for w in doc["warnings"])
+    assert not any("below resolution" in w for w in doc["warnings"])
+
+
+# maps with det Df < 0 on the plane: f reverses orientation
+REVERSING = {"flip": ("x", "-y"),
+             "affine": ("0.9*x + 0.2*y - 1", "0.3*x - 1.1*y + 2")}
+
+
+@pytest.mark.parametrize("name", sorted(REVERSING))
+def test_orientation_reversing_injective_map_is_global(tmp_path, name):
+    spec = tmp_path / "m.map"
+    f1, f2 = REVERSING[name]
+    spec.write_text(f'f1 = "{f1}"\nf2 = "{f2}"\n', encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert run("report", "--map", str(spec), "--out", str(out)) == 0
+    doc = read_json(out)
+    jsonschema.validate(doc, SCHEMAS["report"])
+    (center,) = doc["centers"]
+    assert center["status"] == "ok" and center["global"] == "global"
+    assert center["ell"]["hi"] == "budget"
+    assert doc["compactification"]["conti_type"] == "A"
+
+
+def test_negated_example2_is_analyzed_as_example2(tmp_path):
+    # (f1, -f2) has example2's H bit for bit and det Df of the other sign
+    spec = tmp_path / "m.map"
+    spec.write_text('f1 = "x/sqrt(1 + x^2)"\n'
+                    'f2 = "-(x^2 + (1 + x^2)^2*y)/sqrt(1 + x^2)"\n'
+                    'hamiltonian = "0.5*(1 + x^2)^3*y^2 + x^2*(1 + x^2)*y + 0.5*x^2"\n',
+                    encoding="utf-8")
+    docs = []
+    for source in (str(spec), "builtin:example2"):
+        out = tmp_path / "r.json"
+        assert run("report", "--map", source, "--out", str(out)) == 0
+        docs.append(read_json(out))
+    (negated,), (original,) = (doc["centers"] for doc in docs)
+    assert negated["global"] == "not-global"
+    assert negated["ell"] == original["ell"]
+    assert negated["ell"]["lo"] == pytest.approx(0.49875267, abs=1e-8)
+    assert negated["image_shape"] == original["image_shape"]
+    assert docs[0]["compactification"] == docs[1]["compactification"]
 
 
 def test_conti_type_not_applicable_when_det_df_changes_sign(tmp_path):
@@ -842,6 +884,12 @@ def test_even_map_is_inconclusive_by_the_sign_check(tmp_path):
     assert any(w.startswith("center (1, 0): inconclusive: jacobian-sign-change")
                for w in doc["warnings"])
     assert not any("spot check" in w for w in doc["warnings"])
+    # the mirror image (-1, 0), where det Df < 0, gets the same bracket
+    assert [c["status"] for c in doc["centers"]] == ["ok", "ok"]
+    left, right = doc["centers"]
+    assert left["location"] == [-1.0, 0.0] and left["ell"] == right["ell"]
+    assert right["ell"]["lo"] == pytest.approx(0.49999978, abs=1e-8)
+    assert right["ell"]["hi"] == pytest.approx(0.50000052, abs=1e-8)
 
 
 def test_declared_hamiltonian_validated_once(tmp_path, monkeypatch):

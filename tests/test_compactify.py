@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from planarham import corpus
 from planarham.annulus import SIGN_CHANGE, GlobalVerdict
 from planarham.brent import brent_root
-from planarham.compactify import (ROOT_RESIDUAL, SCAN_N, VALLEY_DEPTHS, EquatorDegenerate,
-                                  InfinitySingularity, _chart_for, build_compactification,
+from planarham.compactify import (ROOT_RESIDUAL, SCAN_N, VALLEY_DEPTHS, ContiVerdict,
+                                  EquatorDegenerate, InfinitySingularity, _chart_for, build_compactification,
                                   classify_sectors, compactification_for_map, conti_verdict,
                                   infinite_singularities)
 from planarham.expr import Poly2, compile_polys, parse_expr, to_poly
@@ -480,32 +480,21 @@ def report_with(verdict: str) -> SimpleNamespace:
     return SimpleNamespace(verdict=GlobalVerdict(verdict, ()))
 
 
-def test_conti_example2(example2, sings2):
-    v = conti_verdict(example2, [report_with("not-global")], sings2)
-    assert v.conti_type == "B"
-    assert v.routes_agree
-    outcomes = {c.name: c.outcome for c in v.criteria}
-    assert outcomes == {"a": "fails", "b": "fails", "c": "fails",
-                        "d": "fails"}
+def test_conti_example2(sings2):
+    # both routes say B: (d) fails on the nondegenerate sector, and the
+    # annulus route's not-global fails (a)
+    v = conti_verdict([report_with("not-global")], sings2)
+    assert v == ContiVerdict("B", True, ())
 
 
-def test_conti_identity(identity_map):
-    v = conti_verdict(identity_map, [report_with("global")], [])
-    assert v.conti_type == "A"
-    assert v.routes_agree
-    outcomes = {c.name: c.outcome for c in v.criteria}
-    assert outcomes == {"a": "holds", "b": "holds", "c": "holds",
-                        "d": "holds"}
+def test_conti_identity():
+    # no infinite singular points: (d) holds, as (a) does by the annulus route
+    v = conti_verdict([report_with("global")], [])
+    assert v == ContiVerdict("A", True, ())
 
 
-def test_conti_not_applicable(example1):
-    v = conti_verdict(example1, [], [])
-    assert v.conti_type == "not-applicable"
-    assert v.routes_agree
-
-
-def test_conti_route_disagreement_flagged(identity_map):
-    v = conti_verdict(identity_map, [report_with("not-global")], [])
+def test_conti_route_disagreement_flagged():
+    v = conti_verdict([report_with("not-global")], [])
     assert not v.routes_agree
     assert any("inconsistency" in n for n in v.notes)
 
@@ -515,29 +504,22 @@ def _dummy_singularity():
     return InfinitySingularity(theta=0.0, chart="U1", u=0.0)
 
 
-def test_conti_undetermined_falls_back(identity_map):
+def test_conti_undetermined_falls_back():
     unclassified = _dummy_singularity()   # classification "unclassified"
-    v = conti_verdict(identity_map, [report_with("global")], [unclassified])
+    v = conti_verdict([report_with("global")], [unclassified])
     assert v.conti_type == "A"
     assert any("incomplete" in n for n in v.notes)
-    v2 = conti_verdict(identity_map, [report_with("inconclusive")],
-                       [unclassified])
+    v2 = conti_verdict([report_with("inconclusive")], [unclassified])
     # no route decided: no type is stated
     assert v2.conti_type == "undetermined"
     assert any("undetermined" in n for n in v2.notes)
 
 
-def test_conti_not_applicable_on_jacobian_sign_change(identity_map):
+def test_conti_not_applicable_on_jacobian_sign_change():
     # a sign change of det Df voids the hypothesis of both routes, even
     # when the singularity route alone would say type A
     voided = SimpleNamespace(verdict=GlobalVerdict(
         "inconclusive", (SIGN_CHANGE, "det Df > 0 at p but < 0 at q")))
-    v = conti_verdict(identity_map, [voided, report_with("global")], [])
-    assert v.conti_type == "not-applicable"
-    assert v.routes_agree
-    assert [c.outcome for c in v.criteria] == ["fails"]
-
-
-def test_conti_requires_reports(identity_map):
-    with pytest.raises(ValueError):
-        conti_verdict(identity_map, [], [])
+    v = conti_verdict([voided, report_with("global")], [])
+    assert v == ContiVerdict("not-applicable", True, (
+        "det Df changes sign; the type classification does not apply",))

@@ -7,7 +7,7 @@ import pytest
 
 from orbit_checks import angular_speed_check
 from planarham import trace as trace_mod
-from planarham.annulus import BAD, classify_certificate
+from planarham.annulus import BAD, INCONCLUSIVE, classify_certificate
 from planarham.expr import parse_expr
 from planarham.field import Box, PlanarMap, sample
 from planarham.trace import (
@@ -364,6 +364,43 @@ def test_winds_once_round_the_given_point_only():
     assert trace_mod._winds_once(square, (1.0, 0.0))
     assert not trace_mod._winds_once(square, (-1.0, 0.0))
     assert not trace_mod._winds_once(square[::-1], (1.0, 0.0))
+
+
+def test_one_off_level_point_voids_the_certificate(monkeypatch):
+    # the orbit's second stored point is moved off the level after its
+    # correction; among over a thousand points, every one is checked
+    c, s = math.cos(0.3), math.sin(0.3)
+    pmap = PlanarMap(f1=parse_expr(f"{c!r}*x - {s!r}*y"),
+                     f2=parse_expr(f"({s!r}*x + {c!r}*y)/100"), name="anisotropic")
+    start = level_start_point(pmap, (0.0, 0.0), 0.01)
+    monkeypatch.setattr(trace_mod, "level_start_point", lambda *args: start)
+    correct, calls = trace_mod._correct, []
+
+    def off_level_once(jet_at, x, y, jet, w, tol):
+        calls.append(None)
+        x, y, jet, converged = correct(jet_at, x, y, jet, w, tol)
+        if len(calls) == 1:     # the correction of the orbit's first step
+            return x + 1e-6, y, jet_at(x + 1e-6, y), False
+        return x, y, jet, converged
+
+    monkeypatch.setattr(trace_mod, "_correct", off_level_once)
+    cert = winding_certificate(pmap, (0.0, 0.0), 0.01, rtol=1e-14, atol=1e-17)
+    assert cert.closed and cert.winding == 1 and len(cert.trace.points) > 1024
+    assert not cert.injective_on_orbit
+    assert classify_certificate(cert) == (INCONCLUSIVE, "invariant-violation")
+    assert cert.trace.level_error > 1e-8 * (1.0 + cert.h)
+
+
+def test_orientation_reversing_orbit_runs_back_in_time():
+    # f = (x, -y): det Df = -1, so theta advances while t falls, and the
+    # orbit winds clockwise; the period is |t|
+    pmap = PlanarMap(f1=parse_expr("x"), f2=parse_expr("-y"), name="flip")
+    cert = winding_certificate(pmap, (0.0, 0.0), 0.5)
+    assert cert.trace.sign == -1 and cert.trace.times[-1] < 0.0
+    assert cert.closed and cert.injective_on_orbit
+    assert abs(cert.period - TWO_PI) <= 1e-8
+    assert not trace_mod._winds_once(cert.trace.points, (0.0, 0.0))
+    assert trace_mod._winds_once(cert.trace.points, (0.0, 0.0), -1)
 
 
 @pytest.mark.parametrize("h", [1e-4, 1e-2])

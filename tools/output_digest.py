@@ -10,8 +10,10 @@ seeds and rounds, then the runs of ``BUILTIN_RUNS`` (``report``,
 ``centers``, ``disc``, ``annulus``, ``portrait``, and ``report``,
 ``global-check`` and ``portrait`` with a window, grid, level list, level
 ceiling, angle budget or tolerance of their own) on every builtin map
-that needs no extended gate, and the ``EXTENDED_RUNS`` on the gated
-ones, all in one process through ``planarham.cli.run_subcommand``.
+that needs no extended gate, the ``EXTENDED_RUNS`` on the gated ones,
+and ``report`` on the ``SPEC_MAPS``, spec files written into the work
+directory whose det Df < 0 (f reverses orientation), all in one process
+through ``planarham.cli.run_subcommand``.
 Each line is the invocation's label and a SHA-256 over its output file,
 exit code, stdout and stderr, with the work directory's path replaced
 by a fixed marker.  Two checkouts
@@ -85,6 +87,12 @@ BUILTIN_RUNS = (
 # builtins, so their echoed components are digested too
 EXTENDED_RUNS = (
     ("pinchuk200", "centers", "json", "--enable-extended", "--grid", "8", "--box=-1,1,-1,1"),
+)
+# (name, f1, f2): injective maps with det Df < 0 on the plane, each
+# reported from a spec file in the work directory
+SPEC_MAPS = (
+    ("flip", "x", "-y"),
+    ("affine-reversing", "0.9*x + 0.2*y - 1", "0.3*x - 1.1*y + 2"),
 )
 
 
@@ -261,6 +269,11 @@ def main(argv: list[str]) -> int:
             argv_ = [sub, "--map", f"builtin:{name}", *flags, "--out", str(out)]
             run_one(" ".join(["builtin", f"{sub}:{name}", *flags]),
                     argv_, out, workdir)
+        for name, f1, f2 in SPEC_MAPS:
+            spec, out = workdir / f"{name}.map", workdir / "out.json"
+            spec.write_text(f'name = "{name}"\nf1 = "{f1}"\nf2 = "{f2}"\n', encoding="utf-8")
+            run_one(f"spec report:{name}", ["report", "--map", str(spec), "--out", str(out)],
+                    out, workdir)
     if args.work:
         print("total " + " ".join(f"{key}={n}" for key, n in totals.items()))
     if mismatches:
