@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from planarham import corpus
 from planarham.annulus import SIGN_CHANGE, GlobalVerdict
 from planarham.brent import brent_root
+from planarham.cli import _compactification_block
 from planarham.compactify import (ROOT_RESIDUAL, SCAN_N, VALLEY_DEPTHS, ContiVerdict,
                                   EquatorDegenerate, InfinitySingularity, _chart_for, build_compactification,
                                   classify_sectors, compactification_for_map, conti_verdict,
@@ -491,6 +492,22 @@ def test_conti_identity():
     # no infinite singular points: (d) holds, as (a) does by the annulus route
     v = conti_verdict([report_with("global")], [])
     assert v == ContiVerdict("A", True, ())
+
+
+def test_conti_not_applicable(example1):
+    # H is not polynomial: the report skips the compactification
+    warnings: list[str] = []
+    assert _compactification_block(example1, [], warnings) == ("not-applicable", 0, 0, False)
+    assert warnings == []
+
+
+def test_conti_requires_reports(identity_map):
+    # with no analyzed center there is no annulus route to cross-check
+    warnings: list[str] = []
+    block, _, _, inconclusive = _compactification_block(identity_map, [], warnings)
+    assert not inconclusive
+    assert (block["conti_type"], block["routes_agree"]) == ("not-applicable", True)
+    assert "conti: skipped, no analyzed center" in warnings
 
 
 def test_conti_route_disagreement_flagged():
