@@ -19,23 +19,23 @@ covering one: where det Df has a proved sign on the closed disc D inside
 the rim, f is a homeomorphism of D's inside onto a round disc, so every
 lower level is a closed orbit.  :func:`global_center_verdict` alone
 checks that hypothesis.  It proves the sign by interval subdivision
-(:func:`~planarham.field.det_sign_on_cells`) on the working box, or else
-on :func:`disc_cover`: the cells of a fine grid inside the rim polygon,
-and a margin round it that bounds the traced orbit's distance from its
-chords.  Without that proof, or with a sign change on the verdict's box,
-the verdict is inconclusive.  Everything downstream (region mask, image
-shape, globality verdict, traced rim) reads the :class:`EllEstimate`,
-whose rim is its GOOD probe's orbit at ell_lo.
+(:func:`~planarham.field.det_sign_on_cells`) on the working box, where
+every orbit runs, or else on :func:`disc_cover`: the cells of a fine
+grid inside the rim polygon, and a margin round it that bounds the
+traced orbit's distance from its chords.  Without that proof, or with a
+sign change on the working box, the verdict is inconclusive.  The rest
+(region mask, image shape, verdict) reads the :class:`EllEstimate`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .brent import brent_minimum
+from .brent import brent_root
 from .centers import CenterRecord
 from .expr import eval_grid
 from .field import JET_ERRORS, Box, PlanarMap, det_sign_on_cells, jacobian_sign_change
@@ -56,15 +56,16 @@ SIGN_UNPROVED = "jacobian-sign-unproved"
 
 
 class AnnulusBelowResolution(Exception):
-    """Even the smallest probed level failed its certificate."""
+    """Even the smallest probed level failed its certificate; ``probes``
+    are every probe the estimate made, that one last."""
 
-    def __init__(self, center, h: float, probe: "Probe"):
+    def __init__(self, center, h: float, probes: tuple["Probe", ...]):
         super().__init__(
             f"annulus below resolution: level h={h:.3g} around "
-            f"{center_point(center)} already fails ({probe.reason})")
+            f"{center_point(center)} already fails ({probes[-1].reason})")
         self.center = center
         self.h = h
-        self.probe = probe
+        self.probes = probes
 
 
 class RegionTooCoarse(ValueError):
@@ -182,15 +183,14 @@ def edge_minima(pmap: PlanarMap) -> tuple[EllGuess, ...]:
 
     Each edge is sampled at 513 points, the four edges by one
     :func:`eval_grid` pass, H being inf where f is undefined.  A finite
-    sample no greater than its neighbours, and below
-    the one before it so that a plateau counts once, is refined by
+    sample no greater than its neighbours, and below the one before it
+    so that a plateau counts once, is refined on H's slope by
     :func:`_edge_minimum` between those neighbours: a minimum narrower
     than the samples' spacing is found too.  A candidate's H is the
-    compiled jet's, as the refinement's is.  Corners are edge ends, so a
-    corner minimum is listed.  While det Df != 0 these are the only
-    levels at which a center's sublevel component can first meet the
-    edge (Goresky-MacPherson, *Stratified Morse Theory*, 1988).  Computed
-    once per map.
+    compiled jet's.  Corners are edge ends, so a corner minimum is
+    listed.  While det Df != 0 these are the only levels at which a
+    center's sublevel component can first meet the edge
+    (Goresky-MacPherson, *Stratified Morse Theory*, 1988).  Once per map.
     """
     def compute() -> tuple[EllGuess, ...]:
         box, n, found = pmap.working_box(), 512, []
@@ -233,15 +233,26 @@ def _h_on(jet, a: tuple[float, float], b: tuple[float, float], s: float) -> floa
 
 
 def _edge_minimum(jet, a: tuple[float, float], b: tuple[float, float]):
-    """``(h, point)``: the least H on the segment from a to b found by
-    :func:`~planarham.brent.brent_minimum`, Brent's bounded minimiser,
-    or at either end."""
-    best, _ = brent_minimum(lambda s: _h_on(jet, a, b, s), 0.0, 1.0, xatol=1e-10)
-    return min(((_h_on(jet, a, b, s), _lerp(a, b, s)) for s in (best, 0.0, 1.0)),
-               key=lambda c: c[0])
+    """``(h, point)``: the least H on the segment from a to b, at an end
+    or where :func:`~planarham.brent.brent_root` finds H's slope dH/ds =
+    v1 (grad f1 . (b - a)) + v2 (grad f2 . (b - a)) zero between them,
+    if it does (the slope changes sign and is never nan)."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+
+    def slope(s: float) -> float:
+        try:
+            v1, dx1, dy1, v2, dx2, dy2 = jet(*_lerp(a, b, s))
+        except JET_ERRORS:
+            return math.nan
+        return v1 * (dx1 * dx + dy1 * dy) + v2 * (dx2 * dx + dy2 * dy)
+
+    stops = [0.0, 1.0]
+    with contextlib.suppress(ValueError, RuntimeError):
+        stops.append(brent_root(slope, 0.0, 1.0))
+    return min(((_h_on(jet, a, b, s), _lerp(a, b, s)) for s in stops), key=lambda c: c[0])
 
 
-REGION_GRID_N = 200     # the region's H grid, which predict_ell and the verdict share
+REGION_GRID_N = 200     # the region's H grid, which predict_ell shares
 
 
 def predict_ell(pmap: PlanarMap, center) -> EllGuess | None:
@@ -314,7 +325,7 @@ def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None, tol: float
     if tol <= 0:
         raise ValueError("tol must be positive")
     if h_max is None:
-        h_max = pmap.fact("default-h-max", lambda: default_h_max(pmap))
+        h_max = default_h_max(pmap)
     if h_max <= 0:
         raise ValueError("h_max must be positive")
     budget = budget if budget is not None else AngleBudget()
@@ -353,7 +364,7 @@ def estimate_ell(pmap: PlanarMap, center, h_max: float | None = None, tol: float
         return EllEstimate(cpt, h_max, tol, h_max, BUDGET, tuple(probes))
     bottom = probe(h_first)
     if bottom.status != GOOD:
-        raise AnnulusBelowResolution(center, h_first, bottom)
+        raise AnnulusBelowResolution(center, h_first, tuple(probes))
 
     lo, hi = h_first, h_pre
     for _ in range(200):
@@ -491,12 +502,11 @@ class GlobalVerdict:
     reasons: tuple[str, ...]
 
 
-def global_center_verdict(pmap: PlanarMap, estimate: EllEstimate,
-                          box: Box | None = None) -> GlobalVerdict:
+def global_center_verdict(pmap: PlanarMap, estimate: EllEstimate) -> GlobalVerdict:
     """Center globality from the certificate record, and the one owner
     of the hypothesis det Df != 0.
 
-    A sign change of det Df in the box, the ``flip`` of its
+    A sign change of det Df on the working box, the ``flip`` of its
     :func:`~planarham.field.jacobian_sign_change`, demotes everything to
     inconclusive.  Let D be the closed disc inside the rim (the top
     probe's orbit in the budget case).  Where det Df has a proved sign on
@@ -504,22 +514,23 @@ def global_center_verdict(pmap: PlanarMap, estimate: EllEstimate,
     open disc of radius sqrt(2 ell_lo), hence homeomorphically (Plastock,
     Trans. AMS 200, 1974), so every lower level is a closed orbit.  The
     sign is proved on the working box, which holds D, or else on
-    :func:`disc_cover`; with neither the verdict is inconclusive.  Then a
-    failed certificate at a level with points of the working domain above
-    it is not-global, and all levels good up to h_max "global"
-    up-to-budget.
+    :func:`disc_cover`; with neither the verdict is inconclusive.  All
+    levels good up to h_max are "global" up-to-budget, else the center
+    is not-global: with no probe inconclusive, :func:`estimate_ell` then
+    holds a BAD top or hi probe, so ``first_bad_level()`` is not None.
+    Its orbit runs above ell_lo in the working box, or its lift left the
+    box, which it does only at H >= ell_lo once the sign is proved.
     """
-    box = box if box is not None else pmap.working_box()
-    flip = jacobian_sign_change(pmap, box).flip
-    if flip is not None:
-        pos, neg = flip
+    proof = jacobian_sign_change(pmap)
+    if proof.flip is not None:
+        pos, neg = proof.flip
         return GlobalVerdict("inconclusive", (
             SIGN_CHANGE,
             f"det Df > 0 at {pos} but < 0 at {neg}",
         ))
     if estimate.has_inconclusive:
         return GlobalVerdict("inconclusive", estimate.inconclusive_reasons)
-    if not (jacobian_sign_change(pmap).sign or _sign_on_cover(pmap, estimate)):
+    if not (proof.sign or _sign_on_cover(pmap, estimate)):
         return GlobalVerdict("inconclusive", (
             SIGN_UNPROVED,
             "det Df's sign is proved neither on the working box nor on the "
@@ -527,13 +538,10 @@ def global_center_verdict(pmap: PlanarMap, estimate: EllEstimate,
         ))
     if estimate.budget_exceeded:
         return GlobalVerdict("global", ("up-to-budget",))
-    first_bad = estimate.first_bad_level()
-    if first_bad is not None and _levels_above(pmap, box, estimate.ell_lo):
-        return GlobalVerdict("not-global", (
-            f"certificate fails at h={first_bad:.6g}",
-            "working domain has points above ell_lo",
-        ))
-    return GlobalVerdict("inconclusive", ("no evidence above ell_lo",))
+    return GlobalVerdict("not-global", (
+        f"certificate fails at h={estimate.first_bad_level():.6g}",
+        "working domain has points above ell_lo",
+    ))
 
 
 COVER_GRID_N = 800      # the grid on the working box whose cells cover D
@@ -614,14 +622,6 @@ def _fill_runs(box: Box, n: int, ring: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return i[::2] * (n + 1) + j[::2], i[1::2] * (n + 1) + j[1::2]
 
 
-def _levels_above(pmap: PlanarMap, box: Box, ell_lo: float) -> bool:
-    """Whether H exceeds ell_lo somewhere on the box's H grid.  Only a
-    failed certificate asks; on the working box the grid is the one
-    :func:`predict_ell` reads, computed once per map and box."""
-    ham = _h_grid(pmap, box, REGION_GRID_N)
-    return bool(np.any(np.isfinite(ham) & (ham > ell_lo)))
-
-
 def cell_index(box: Box, grid_n: int, x, y):
     """The (i, j) cells of the grid_n x grid_n grid of box that hold the
     points (x, y), clamped to the grid at both ends; scalars or arrays."""
@@ -661,10 +661,9 @@ class AnnulusReport:
 
 def build_annulus_report(pmap: PlanarMap, center: CenterRecord,
                          h_max: float | None = None, tol: float = 1e-6,
-                         box: Box | None = None,
                          budget: AngleBudget | None = None) -> AnnulusReport:
     """Full annulus pipeline for one center: ell, image shape and the
     verdict, whose proof of det Df's sign guards injectivity."""
     est = estimate_ell(pmap, center, h_max=h_max, tol=tol, budget=budget)
     return AnnulusReport(estimate=est, image=image_shape(est),
-                         verdict=global_center_verdict(pmap, est, box=box))
+                         verdict=global_center_verdict(pmap, est))

@@ -1,9 +1,7 @@
-"""Brent's root finder and bounded minimiser (Brent 1973, ch. 4 and 5).
+"""Brent's root finder (Brent 1973, ch. 4).
 
-Each takes the floating-point steps of its scipy counterpart, so both
-return the same floats: :func:`brent_root` those of
-``scipy.optimize.brentq``, :func:`brent_minimum` those of
-``minimize_scalar(method="bounded")``.
+:func:`brent_root` takes the floating-point steps of
+``scipy.optimize.brentq``, so it returns the same floats.
 """
 
 import contextlib
@@ -58,51 +56,3 @@ def brent_root(f, a: float, b: float, xtol: float = 2e-12, maxiter: int = 100) -
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = call(xcur)
     raise RuntimeError(f"no root found in {maxiter} iterations; the last iterate is {xcur}")
-
-
-def brent_minimum(f, a: float, b: float, xatol: float = 1e-5,
-                  maxiter: int = 500) -> tuple[float, float]:
-    """``(x, f(x))``: a local minimum of f on [a, b] to within about
-    xatol, or the best point after ``maxiter`` evaluations of f."""
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    xf = nfc = fulc = a + golden_mean * (b - a)
-    fx = fnfc = ffulc = f(xf)
-    rat = e = 0.0
-    for _ in range(max(maxiter - 1, 1)):        # one evaluation per pass
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if not abs(xf - xm) > tol2 - 0.5 * (b - a):
-            break
-        golden = True
-        if abs(e) > tol1:                       # try a parabola through three points
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm - xf >= 0 else -tol1
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = golden_mean * e
-        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        if fu <= fx:
-            a, b = (xf, b) if x >= xf else (a, xf)
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
-        else:
-            a, b = (x, b) if x < xf else (a, x)
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-    return xf, fx

@@ -45,6 +45,10 @@ class CenterRecord:
     residual: float
 
 
+class BoxOutsideDomain(ValueError):
+    """The zero search's box and the map's domain share no open set."""
+
+
 @dataclass(frozen=True)
 class SearchStats:
     grid_n: int
@@ -147,20 +151,26 @@ def search_zeros(pmap: PlanarMap, box: Box | None = None, grid_n: int = SEED_GRI
                  ) -> tuple[list[CenterRecord], SearchStats]:
     """Multistart Newton over a seed grid; returns records and statistics.
 
-    All seeds run together (:func:`_newton_seeds`) on the array jet,
-    whose values equal the scalar jet's bit for bit, so each seed ends
-    where one-seed Newton would.  Converged points are deduplicated at
-    radius 1e-6 * diam(box) keeping
-    the representative with the smallest residual, given the eigenvalues
-    +-i|det Df| of the trace-zero linearization (see
+    A map with a domain is searched on ``box`` clipped to it; raises
+    :class:`BoxOutsideDomain` where they do not overlap.  All seeds run
+    together (:func:`_newton_seeds`) on the array jet, whose values equal
+    the scalar jet's bit for bit, so each seed ends where one-seed Newton
+    would.  Converged points are deduplicated at radius 1e-6 * diam(box)
+    keeping the representative with the smallest residual, given the
+    eigenvalues +-i|det Df| of the trace-zero linearization (see
     :func:`~planarham.field.linearization_at`), and sorted
-    lexicographically.  Zeros
-    with |det Df| below the degeneracy threshold are excluded from the
-    center list and surface only in the stats.
+    lexicographically.  Zeros with |det Df| below the degeneracy
+    threshold are excluded from the center list and surface only in the
+    stats.
     """
     if grid_n < 8:
         raise ValueError("grid_n must be at least 8")
     box = box if box is not None else pmap.working_box()
+    if pmap.domain is not None:
+        try:
+            box = box.intersect(pmap.domain)
+        except ValueError:
+            raise BoxOutsideDomain(f"box {box} misses the map's domain {pmap.domain}") from None
 
     best, singular = _newton_seeds(pmap.array_jet, *_cell_centres(box, grid_n), box)
     bx, by, bres = best

@@ -32,7 +32,7 @@ from typing import Sequence
 from . import annulus
 from .annulus import (AnnulusBelowResolution, AnnulusReport, BoundaryUnevaluable,
                       build_annulus_report, image_shape)
-from .centers import SEED_GRID_N, CenterRecord, search_zeros
+from .centers import SEED_GRID_N, BoxOutsideDomain, CenterRecord, search_zeros
 from .compactify import (SCAN_N, EquatorDegenerate, classify_sectors,
                          compactification_for_map, conti_verdict,
                          infinite_singularities)
@@ -66,9 +66,9 @@ class SchemaFailure(RuntimeError):
 class RunConfig:
     """One run's knobs; everything downstream reads only this.
 
-    ``box`` sets only the boxes of the zero search, of the verdict's
-    det Df sign check and levels above ell_lo, and of the portrait.
-    Orbits, edge minima and ell use the map's domain or [-20, 20]^2.
+    ``box`` sets only the boxes of the zero search, clipped to the map's
+    domain, and of the portrait.  Orbits, edge minima, ell and the det Df
+    sign check use the map's domain or [-20, 20]^2.
     ``grid_n`` sets the zero search's seed grid and the portrait's grid,
     from 8 to :data:`MAX_GRID_N`; ``None`` keeps each one's default
     (``SEED_GRID_N``, ``PORTRAIT_GRID_N``).  ``report`` builds no region
@@ -512,7 +512,7 @@ def _analyze_center(pmap: PlanarMap, rec: CenterRecord, cfg: RunConfig,
     block = _center_core(rec)
     try:
         rep = build_annulus_report(pmap, rec, h_max=cfg.h_max, tol=cfg.tol,
-                                   box=cfg.box, budget=cfg.budget())
+                                   budget=cfg.budget())
     except _CENTER_FAILURES as exc:
         below = isinstance(exc, AnnulusBelowResolution)
         text = str(exc) if below else f"analysis failed: {exc}"
@@ -812,9 +812,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="PATH|builtin:NAME",
                        help="map spec file, or one of the built-in examples")
         p.add_argument("--box", default=None, metavar="XMIN,XMAX,YMIN,YMAX",
-                       help="box of the zero search, of the verdict's det Df sign "
-                            "check and of the portrait (default: the map's "
-                            "domain); orbits and ell always use the map's domain")
+                       help="box of the zero search, clipped to the map's domain, "
+                            "and of the portrait (default: the map's domain)")
         p.add_argument("--grid", type=int, default=None, dest="grid_n",
                        help="seed grid of the zero search, and the portrait's "
                             "grid (default: per-stage)")
@@ -886,7 +885,7 @@ def run_subcommand(argv: Sequence[str]) -> int:
     try:
         cfg = _config_from_args(ns)
         return _DISPATCH[ns.subcommand](cfg)
-    except InputError as exc:
+    except (InputError, BoxOutsideDomain) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SchemaFailure as exc:

@@ -372,8 +372,7 @@ SIGN_PROOF_MAX_BOXES = 4096
 
 @dataclass(frozen=True)
 class SignProof:
-    """What :func:`det_sign_on_cells` settled about det Df on its cells
-    of a grid on ``box``.
+    """What :func:`det_sign_on_cells` settled about det Df on its cells.
 
     ``sign`` is +1 or -1 when det Df provably has that sign at every
     point of the cells, else 0.  ``flip`` is (a point where det Df > 0, a
@@ -382,20 +381,18 @@ class SignProof:
     undecided, sampled.  Neither: undecided.  ``boxes`` counts the boxes
     enclosed, over all levels.
     """
-    box: Box
     sign: int
     flip: tuple[tuple[float, float], tuple[float, float]] | None
     boxes: int
 
 
-def jacobian_sign_change(pmap: PlanarMap, box: Box | None = None) -> SignProof:
-    """The check of the hypothesis det Df != 0 on ``box`` (the working
-    box by default), once per map and box: :func:`det_sign_on_cells` of
-    every cell of its :data:`SIGN_PROOF_SPLIT`-square grid."""
-    box = box if box is not None else pmap.working_box()
+def jacobian_sign_change(pmap: PlanarMap) -> SignProof:
+    """The check of the hypothesis det Df != 0 on the working box, once
+    per map: :func:`det_sign_on_cells` of every cell of its
+    :data:`SIGN_PROOF_SPLIT`-square grid."""
     n = SIGN_PROOF_SPLIT
-    return pmap.fact(("det-sign", box), lambda: det_sign_on_cells(
-        pmap, box, n, *np.indices((n, n)).reshape(2, -1)))
+    return pmap.fact("det-sign", lambda: det_sign_on_cells(
+        pmap, pmap.working_box(), n, *np.indices((n, n)).reshape(2, -1)))
 
 
 def det_sign_on_cells(pmap: PlanarMap, box: Box, n: int, i: np.ndarray,
@@ -433,10 +430,10 @@ def det_sign_on_cells(pmap: PlanarMap, box: Box, n: int, i: np.ndarray,
                 xlo, xhi, ylo, yhi = cells[:, np.argmax(signs == sign)]
                 witness[sign] = (float(0.5 * (xlo + xhi)), float(0.5 * (ylo + yhi)))
         if len(witness) == 2:
-            return SignProof(box, 0, (witness[1], witness[-1]), boxes)
+            return SignProof(0, (witness[1], witness[-1]), boxes)
         undecided = cells[:, signs == 0]
         if undecided.shape[1] == 0:
-            return SignProof(box, next(iter(witness)), None, boxes)
+            return SignProof(next(iter(witness)), None, boxes)
         if level == SIGN_PROOF_HALVINGS or 4 * undecided.shape[1] > cap:
             break
         xlo, xhi, ylo, yhi = undecided
@@ -454,7 +451,7 @@ def det_sign_on_cells(pmap: PlanarMap, box: Box, n: int, i: np.ndarray,
             k = np.argmax(seen)
             witness[sign] = (float(xc[k]), float(yc[k]))
     flip = (witness[1], witness[-1]) if len(witness) == 2 else None
-    return SignProof(box, 0, flip, boxes)
+    return SignProof(0, flip, boxes)
 
 
 def sign_proof_boxes(pmap: PlanarMap) -> int:

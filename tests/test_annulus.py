@@ -1,6 +1,7 @@
 """Annulus bracket, region oracle, image shape, globality."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from planarham.annulus import (
     predict_ell,
     region,
 )
+from planarham.cli import run_subcommand
 from planarham.expr import parse_expr
 from planarham.field import PLANE_BOX, Box, PlanarMap, SignProof
 from planarham.trace import winding_certificate
@@ -126,9 +128,11 @@ def test_identity_budget(identity_map):
 
 
 def test_below_resolution(example1):
-    # with tol beyond ell the very first probe sits on an unbounded level
-    with pytest.raises(AnnulusBelowResolution):
+    # with tol beyond ell the very first probe sits on an unbounded level;
+    # the exception keeps every probe made, the failed bottom one last
+    with pytest.raises(AnnulusBelowResolution) as info:
         estimate_ell(example1, (0.0, 0.0), h_max=1.0, tol=0.7)
+    assert [(p.h, p.status) for p in info.value.probes] == [(1.0 - 1e-9, "bad"), (0.5, "bad")]
 
 
 def test_estimate_ell_validates_inputs(example1):
@@ -625,7 +629,7 @@ def test_unproved_sign_makes_the_verdict_inconclusive(name, request, monkeypatch
     pmap = dataclasses.replace(request.getfixturevalue(name))
 
     def undecided(pmap, *args):
-        return SignProof(pmap.working_box(), 0, None, 0)
+        return SignProof(0, None, 0)
 
     monkeypatch.setattr(annulus_mod, "jacobian_sign_change", undecided)
     monkeypatch.setattr(annulus_mod, "det_sign_on_cells", undecided)
@@ -654,33 +658,34 @@ def test_sign_unproved_where_the_rim_meets_undefined_points():
     assert (verdict.verdict, verdict.reasons[0]) == ("inconclusive", SIGN_UNPROVED)
 
 
-def test_verdict_checks_its_own_box_once(example1, ex1_estimate, monkeypatch):
-    pmap = dataclasses.replace(example1)        # no facts yet
+def test_verdict_checks_its_own_box_once(tmp_path, monkeypatch):
+    # whatever --box is, det Df's sign is proved on the working box
+    # alone: one SignProof per map, of 64 boxes (det Df = e^x)
     checks = []
     real = annulus_mod.jacobian_sign_change
 
-    def check(pmap, box=None):
-        checks.append(real(pmap, box))
-        return checks[-1]
+    def check(*args, **kwargs):
+        checks.append((args, kwargs, real(*args, **kwargs)))
+        return checks[-1][2]
 
     monkeypatch.setattr(annulus_mod, "jacobian_sign_change", check)
-    # a box reaching past the working window gets a check of its own
-    # and the hypothesis is the working box's proved sign
-    wide = Box(-21.0, 3.0, -3.0, 3.0)
-    for box in (None, pmap.working_box(), Box(-3, 3, -3, 3), wide, wide):
-        assert global_center_verdict(pmap, ex1_estimate, box=box).verdict == "not-global"
-    assert [(c.box, c.sign, c.flip) for c in checks] == [
-        (box, 1, None) for box in (PLANE_BOX, PLANE_BOX, PLANE_BOX, PLANE_BOX,
-                                   Box(-3, 3, -3, 3), PLANE_BOX, wide, PLANE_BOX,
-                                   wide, PLANE_BOX)]
-    assert all(c is checks[0] for c in checks[:4]) and checks[6] is checks[8]
+    out = tmp_path / "r.json"
+    for box in ((), ("--box=-3,3,-3,3",), ("--box=-21,3,-3,3",)):
+        checks.clear()
+        assert run_subcommand(["report", "--map", "builtin:example1", *box,
+                               "--out", str(out)]) == 0
+        assert len({id(proof) for *_, proof in checks}) == 1
+        assert json.loads(out.read_text())["timings"]["sign_proof_boxes"] == 64
+        args, kwargs, proof = checks[0]
+        assert (len(args), kwargs, proof.sign, proof.flip) == (1, {}, 1, None)
+        assert args[0].working_box() == PLANE_BOX
 
 
 def test_jacobian_flip_demotes(noninjective_map):
     est = EllEstimate(center=(0.0, 0.0), h_max=1.0, tol=1e-6,
                       ell_lo=0.25, ell_hi=0.25 + 1e-6,
                       probes=(Probe(0.25, "good", "injective", None),))
-    v = global_center_verdict(noninjective_map, est, box=Box(-2, 2, -2, 2))
+    v = global_center_verdict(noninjective_map, est)
     assert v.verdict == "inconclusive"
     assert "jacobian-sign-change" in v.reasons
 
@@ -713,8 +718,7 @@ def test_build_annulus_report_example1(example1):
     from planarham.centers import find_zeros
 
     center = find_zeros(example1, Box(-4, 4, -4, 4), grid_n=16)[0]
-    report = build_annulus_report(example1, center, h_max=1.0, tol=1e-6,
-                                  box=Box(-3, 3, -3, 3))
+    report = build_annulus_report(example1, center, h_max=1.0, tol=1e-6)
     assert abs(report.estimate.ell_lo - 0.5) <= 1e-5
     assert report.image.kind == "disc"
     assert report.verdict.verdict == "not-global"

@@ -1,4 +1,4 @@
-"""Brent's root finder and bounded minimiser against scipy's, bit for bit."""
+"""Brent's root finder against scipy's, bit for bit."""
 
 import math
 import struct
@@ -6,9 +6,9 @@ import struct
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
-from planarham.brent import brent_minimum, brent_root
+from planarham.brent import brent_root
 
 coefficient = st.floats(-10.0, 10.0, allow_nan=False)
 point = st.floats(-3.0, 3.0, allow_nan=False)
@@ -69,15 +69,3 @@ def test_brent_root_raises_on_nan_and_on_no_sign_change():
             except ValueError:
                 continue
             raise AssertionError(f"{solve.__name__} accepted a bad bracket")
-
-
-@settings(max_examples=400, deadline=None)
-@given(functions(), st.sampled_from([1, 2, 5, 500]))
-def test_brent_minimum_is_bounded_minimize_scalar(fn, maxiter):
-    f, _ = fn
-    x, fx = brent_minimum(f, 0.0, 1.0, xatol=1e-10, maxiter=maxiter)
-    with np.errstate(all="ignore"):         # scipy's steps run on np.float64
-        res = minimize_scalar(f, bounds=(0.0, 1.0), method="bounded",
-                              options={"xatol": 1e-10, "maxiter": maxiter})
-    assert (_bits(x), _bits(fx)) == (_bits(res.x), _bits(res.fun))
-    assert _bits(f(x)) == _bits(fx)

@@ -220,13 +220,13 @@ def test_center_block_counts_the_sign_proof_boxes(tmp_path, name, boxes):
     assert doc["timings"]["sign_proof_boxes"] == boxes
 
 
-def test_sign_proof_boxes_count_the_verdict_box_too(tmp_path):
-    # the working box's check (5,440 boxes, undecided), the verdict box's
-    # own (5,184, proved) and the rim disc's cover (8,596, proved)
+def test_sign_proof_boxes_ignore_the_box(tmp_path):
+    # --box sets no sign check of its own: the working box's check (5,440
+    # boxes, undecided) and the rim disc's cover (8,596, proved)
     out = tmp_path / "r.json"
     assert run("report", "--map", "builtin:example2", "--box=-21,3,-3,3", "--grid", "64",
                "--out", str(out)) == 0
-    assert read_json(out)["timings"]["sign_proof_boxes"] == 5440 + 5184 + 8596
+    assert read_json(out)["timings"]["sign_proof_boxes"] == 5440 + 8596
 
 
 def test_domain_with_a_negative_exponent_echoes_back_as_a_spec(tmp_path):
@@ -313,6 +313,31 @@ def test_empty_or_non_finite_domain_exits_2(tmp_path, capsys, domain):
     assert run("centers", "--map", str(spec), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "domain" in err
+    assert not out.exists()
+
+
+SHIFTED_ON_A_BOX = 'f1 = "x - 2"\nf2 = "y"\ndomain = "box(-1, 1, -1, 1)"\n'
+
+
+def test_zero_search_keeps_to_the_domain(tmp_path):
+    # f's only zero (2, 0) lies outside its domain: the box is clipped to
+    # the domain, so no center is reported
+    spec = tmp_path / "s.map"
+    spec.write_text(SHIFTED_ON_A_BOX, encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert run("report", "--map", str(spec), "--box=-3,3,-3,3", "--out", str(out)) == 3
+    doc = read_json(out)
+    assert doc["centers"] == []
+    assert "the zero search found no nondegenerate zero of f in the search box" in doc["warnings"]
+
+
+def test_box_missing_the_domain_exits_2(tmp_path, capsys):
+    spec = tmp_path / "s.map"
+    spec.write_text(SHIFTED_ON_A_BOX, encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert run("report", "--map", str(spec), "--box=1.5,3,-1,1", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "misses the map's domain" in err
     assert not out.exists()
 
 
@@ -781,9 +806,9 @@ def test_report_scans_jacobian_sign_once(tmp_path, monkeypatch):
     checks = []
     real = annulus_mod.jacobian_sign_change
 
-    def checking(pmap, box=None):
-        checks.append(real(pmap, box))
-        return checks[-1]
+    def checking(pmap):
+        checks.append((pmap.working_box(), real(pmap)))
+        return checks[-1][1]
 
     counts = Counter()
 
@@ -796,25 +821,22 @@ def test_report_scans_jacobian_sign_once(tmp_path, monkeypatch):
         monkeypatch.setattr(annulus_mod, name, wrapper)
 
     monkeypatch.setattr(annulus_mod, "jacobian_sign_change", checking)
-    counted("default_h_max")
     counted("eval_grid")
     out = tmp_path / "r.json"
-    # the box reaches past the working window x >= -20, so the verdict
-    # checks det Df's sign on it, and its hypothesis on the window
+    # the box reaches past the working window x >= -20, but the verdict
+    # checks det Df's sign on the window alone
     run("report", "--map", "builtin:example3", "--box=-21,2,-2,9",
         "--out", str(out))
     doc = read_json(out)
     assert len(doc["centers"]) == 2
     assert all(c["status"] == "ok" for c in doc["centers"])
-    distinct = list({id(c): c for c in checks}.values())
-    assert len(checks) == 4         # two centers, each judged on both boxes
-    assert [(c.box, c.sign) for c in distinct] == [(Box(-21.0, 2.0, -2.0, 9.0), 1),
-                                                  (PLANE_BOX, 1)]
-    # one H grid on the box, which the verdict reads for the failed
-    # certificates of both centers, one over the working window for the
-    # ell prediction, and one along the window's edges for its edge
-    # minima, f1 and f2 together: once per map and box
-    assert counts == {"default_h_max": 1, "eval_grid": 3}
+    distinct = list({id(c[1]): c for c in checks}.values())
+    assert len(checks) == 2         # two centers, each judged once
+    assert [(box, c.sign) for box, c in distinct] == [(PLANE_BOX, 1)]
+    # one H grid over the working window for the ell prediction, and
+    # one along the window's edges for its edge minima, f1 and f2
+    # together: once per map
+    assert counts == {"eval_grid": 2}
 
 
 def test_report_traces_each_level_once(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Hamiltonian structure: samples, linearization, declared-H validation."""
 
+import dataclasses
 import math
 import re
 import sys
@@ -437,33 +438,35 @@ def test_effective_hamiltonian_poly(example1, example2, identity_map):
 # ---- Jacobian hypothesis check ----
 
 def test_jacobian_sign_change_witnesses(noninjective_map, example1, identity_map):
-    proof = jacobian_sign_change(noninjective_map, Box(-2, 2, -2, 2))
+    small = Box(-2, 2, -2, 2)
+    pmap = dataclasses.replace(noninjective_map, domain=small)
+    proof = jacobian_sign_change(pmap)
     assert proof.sign == 0
     pos, neg = proof.flip
-    assert sample(noninjective_map, pos).det > 0 > sample(noninjective_map, neg).det
-    assert jacobian_sign_change(example1, Box(-2, 2, -2, 2)).flip is None
+    assert sample(pmap, pos).det > 0 > sample(pmap, neg).det
+    assert jacobian_sign_change(dataclasses.replace(example1, domain=small)).flip is None
     assert jacobian_sign_change(identity_map).flip is None
 
 
 def test_jacobian_sign_change_finds_the_sign_change_of_an_even_map(noninjective_map):
-    # f = (x^2, y): det Df = 2x, on the working box and on a small one
-    for box in (None, Box(-2, 2, -2, 2)):
-        proof = jacobian_sign_change(noninjective_map, box)
+    # f = (x^2, y): det Df = 2x, on the plane's working box and on a small domain
+    for domain in (None, Box(-2, 2, -2, 2)):
+        pmap = dataclasses.replace(noninjective_map, domain=domain)
+        proof = jacobian_sign_change(pmap)
         assert proof.sign == 0
         pos, neg = proof.flip
         assert pos[0] > 0 > neg[0]
-        assert sample(noninjective_map, pos).det > 0 > sample(noninjective_map, neg).det
+        assert sample(pmap, pos).det > 0 > sample(pmap, neg).det
 
 
 @pytest.mark.parametrize("name", ["example1", "example3", "identity_map"])
 def test_jacobian_sign_change_proves_a_positive_sign(name, request):
     pmap = request.getfixturevalue(name)
     proof = jacobian_sign_change(pmap)
-    assert (proof.sign, proof.flip, proof.box) == (1, None, pmap.working_box())
-    # once per map and box; the default box is the working box
-    assert proof is jacobian_sign_change(pmap, pmap.working_box())
-    small = jacobian_sign_change(pmap, Box(-2, 2, -2, 2))
-    assert (small.sign, small.flip, small.box) == (1, None, Box(-2, 2, -2, 2))
+    assert (proof.sign, proof.flip) == (1, None)
+    assert proof is jacobian_sign_change(pmap)          # once per map
+    small = jacobian_sign_change(dataclasses.replace(pmap, domain=Box(-2, 2, -2, 2)))
+    assert (small.sign, small.flip) == (1, None)
 
 
 def test_jacobian_sign_change_witnesses_a_narrow_strip():

@@ -12,8 +12,9 @@ seeds and rounds, then the runs of ``BUILTIN_RUNS`` (``report``,
 ceiling, angle budget or tolerance of their own) on every builtin map
 that needs no extended gate, the ``EXTENDED_RUNS`` on the gated ones,
 and ``report`` on the ``SPEC_MAPS``, spec files written into the work
-directory whose det Df < 0 (f reverses orientation), all in one process
-through ``planarham.cli.run_subcommand``.
+directory: two whose det Df < 0 (f reverses orientation) and one whose
+only center is below resolution, all in one process through
+``planarham.cli.run_subcommand``.
 Each line is the invocation's label and a SHA-256 over its output file,
 exit code, stdout and stderr, with the work directory's path replaced
 by a fixed marker.  Two checkouts
@@ -37,16 +38,18 @@ boxes enclosed by every det Df sign check; ``-`` without the field),
 its ``timings.orbit_points`` and its infinite singular points as
 ``theta:classification`` (``sectors=``), then the totals and the most
 probes any one center took.  The per-center counts come from wrapping
-``planarham.annulus.estimate_ell``.  For each ``disc`` SVG it prints the
-number of trajectories, how many of them are closed (first point equal
-to the last) and their total points, and for each ``portrait`` SVG the
-number of ``level`` polylines and their total points, and adds these up
-in the totals.
+``planarham.annulus.estimate_ell``; a center whose estimate raises
+``AnnulusBelowResolution`` counts the probes the exception keeps.  For
+each ``disc`` SVG it prints the number of trajectories, how many of
+them are closed (first point equal to the last) and their total points,
+and for each ``portrait`` SVG the number of ``level`` polylines and
+their total points, and adds these up in the totals.
 Every invocation's line, portraits included, ends with the
 ``SearchStats.summary()`` of each zero search it ran (``search=``, ``-``
 for none), from wrapping ``planarham.cli.search_zeros``, so that the
-seed outcomes can be compared too.  Two checkouts that do different amounts of work, or whose report bytes
-move only in confidences, can be compared with it:
+seed outcomes can be compared too.  Two checkouts that do different
+amounts of work, or whose report bytes move only in confidences, can be
+compared with it:
 
     python3 tools/output_digest.py --work --checkout ../other-checkout > old.txt
     python3 tools/output_digest.py --work > new.txt
@@ -88,11 +91,13 @@ BUILTIN_RUNS = (
 EXTENDED_RUNS = (
     ("pinchuk200", "centers", "json", "--enable-extended", "--grid", "8", "--box=-1,1,-1,1"),
 )
-# (name, f1, f2): injective maps with det Df < 0 on the plane, each
-# reported from a spec file in the work directory
+# (name, f1, f2): maps each reported from a spec file in the work
+# directory: injective ones with det Df < 0 on the plane, and one so
+# steep that its only center's smallest probed level already fails
 SPEC_MAPS = (
     ("flip", "x", "-y"),
     ("affine-reversing", "0.9*x + 0.2*y - 1", "0.3*x - 1.1*y + 2"),
+    ("steep", "1e152*x", "y"),
 )
 
 
@@ -157,10 +162,12 @@ def svg_work(out: Path, disc: bool) -> dict[str, int] | None:
 
 
 def probe_counts(estimates: list) -> tuple[list[int], list[int], list[int]]:
-    """Per estimate: its probes, the certificates that traced an orbit
-    and those whose lift left the window first (one escaped point)."""
-    lifted = [[c.trace.outcome.kind == "escaped" and len(c.trace.points) == 1
-               for c in est.certificates] for est in estimates]
+    """Per estimate (or the ``AnnulusBelowResolution`` that ended it): its
+    probes, the certificates that traced an orbit and those whose lift
+    left the window first (one escaped point)."""
+    lifted = [[p.certificate.trace.outcome.kind == "escaped"
+               and len(p.certificate.trace.points) == 1
+               for p in est.probes if p.certificate is not None] for est in estimates]
     return ([len(est.probes) for est in estimates],
             [flags.count(False) for flags in lifted], [flags.count(True) for flags in lifted])
 
@@ -178,7 +185,12 @@ def main(argv: list[str]) -> int:
     estimate_ell = annulus.estimate_ell
 
     def recording(*args_, **kwargs):
-        est = estimate_ell(*args_, **kwargs)
+        try:
+            est = estimate_ell(*args_, **kwargs)
+        except annulus.AnnulusBelowResolution as exc:
+            if hasattr(exc, "probes"):      # older checkouts keep only the last
+                estimates.append(exc)
+            raise
         estimates.append(est)
         return est
 
