@@ -11,7 +11,7 @@ window edge: at a local minimum of H along an edge, or a corner.  The
 map's :func:`edge_minima` list those once (their least, clipped, is
 :func:`default_h_max`); :func:`predict_ell` walks them least first and
 takes the first whose grid cell the center's sublevel component holds,
-labelled by its row runs (:func:`_component_runs`, which also give the
+labelled once per level by :func:`_run_labels` (whose runs also give the
 :func:`region` mask).  Two probes either side of that guess usually give
 the bracket; a bisection finds it otherwise.  Certificates decide every
 probed level.  The levels below ell_lo close by one argument, the
@@ -262,13 +262,13 @@ def predict_ell(pmap: PlanarMap, center) -> EllGuess | None:
     While det Df != 0 the only critical points of H are the zeros of f,
     so the center's sublevel component grows without merging until it
     first meets the box edge, at one of the edge minima.  Those are
-    walked least first.  At each, the 4-connected component of the
-    center's cell in {H <= level} of the working box's H grid is labelled
-    by its :func:`_component_runs`, the level being the larger of the
+    walked least first.  At each, the level is the larger of the
     candidate's h and the H of the grid cell holding its point; the
-    first candidate whose cell is in the component is the guess.
-    ``None`` when the component reaches a cell next to an undefined one
-    first, or no candidate's cell.
+    4-connected components of {H <= level} of the working box's H grid
+    are labelled once per map and level (:func:`_run_labels`), and the
+    first candidate whose cell shares the center cell's label is the
+    guess.  ``None`` when that component holds a cell next to an
+    undefined one first, or no candidate's cell.
     """
     box = pmap.working_box()
     cpt = center_point(center)
@@ -280,18 +280,23 @@ def predict_ell(pmap: PlanarMap, center) -> EllGuess | None:
     h0 = ham[ci, cj]
     if math.isnan(h0):
         return None
-    undefined = np.pad(np.isnan(ham), 1)        # with their 4-neighbours:
-    near_undefined = (undefined[1:-1, 1:-1] | undefined[:-2, 1:-1] | undefined[2:, 1:-1]
-                      | undefined[1:-1, :-2] | undefined[1:-1, 2:])
+
+    def labelled(level: float) -> tuple[np.ndarray, set]:
+        undefined = np.pad(np.isnan(ham), 1)    # with their 4-neighbours:
+        near_undefined = (undefined[1:-1, 1:-1] | undefined[:-2, 1:-1] | undefined[2:, 1:-1]
+                          | undefined[1:-1, :-2] | undefined[1:-1, 2:])
+        labels = _paint(ham.shape, *_run_labels(ham <= level))
+        return labels, set(labels[near_undefined].tolist())
+
     for guess in edge_minima(pmap):
         i, j = cell_index(box, n, *guess.point)
         level = max(guess.h, ham[i, j])         # guess.h where the cell is undefined
         if level < h0:
             continue
-        comp = _paint(ham.shape, *_component_runs(ham <= level, ci, cj))
-        if (comp & near_undefined).any():
+        labels, tainted = pmap.fact(("sublevel-labels", level), lambda: labelled(level))
+        if labels[ci, cj] in tainted:
             return None
-        if comp[i, j]:
+        if labels[i, j] == labels[ci, cj]:
             return guess
     return None
 
@@ -461,11 +466,18 @@ def region(pmap: PlanarMap, center, ell_lo: float, grid_n: int = REGION_GRID_N,
 
 
 def _component_runs(mask: np.ndarray, i, j) -> tuple[np.ndarray, np.ndarray]:
-    """``(start, end)``: the row runs ``start <= row * (m + 1) + column <
-    end`` of the 4-connected component of the set cell (i, j) in the
-    n x m boolean grid ``mask``.  Runs in neighbouring rows that share a
-    column are linked, and labelled by min-label propagation with
-    pointer jumping."""
+    """The :func:`_run_labels` runs of the component of the set cell (i, j)."""
+    start, end, label = _run_labels(mask)
+    seed = label[np.searchsorted(start, i * (mask.shape[1] + 1) + j, side="right") - 1]
+    return start[label == seed], end[label == seed]
+
+
+def _run_labels(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(start, end, label)``: the row runs ``start <= row * (m + 1) +
+    column < end`` of the set cells of the n x m boolean grid ``mask``
+    and each run's 4-connected component's label, from 1.  Runs in
+    neighbouring rows that share a column are linked, and labelled by
+    min-label propagation with pointer jumping."""
     w = mask.shape[1] + 1
     edges = np.diff(mask, prepend=False, append=False, axis=1)
     start, end = np.flatnonzero(edges).reshape(-1, 2).T
@@ -482,17 +494,16 @@ def _component_runs(mask: np.ndarray, i, j) -> tuple[np.ndarray, np.ndarray]:
         while not np.array_equal(label[label], label):
             label = label[label]
         la, lb = label[a], label[b]
-    seed = label[np.searchsorted(start, i * w + j, side="right") - 1]
-    return start[label == seed], end[label == seed]
+    return start, end, label + 1
 
 
-def _paint(shape: tuple[int, int], start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """The boolean grid of ``shape`` whose set cells are the runs
-    ``(start, end)`` of :func:`_component_runs` or :func:`_fill_runs`."""
+def _paint(shape: tuple[int, int], start: np.ndarray, end: np.ndarray, values=True):
+    """The grid of ``shape`` holding ``values`` (one, or one per run) on the
+    runs ``(start, end)`` of :func:`_run_labels` or :func:`_fill_runs`."""
     length = end - start
     cells = np.arange(length.sum()) + np.repeat(start - np.cumsum(length) + length, length)
-    grid = np.zeros(shape[0] * (shape[1] + 1), dtype=bool)
-    grid[cells] = True
+    grid = np.zeros(shape[0] * (shape[1] + 1), dtype=np.asarray(values).dtype)
+    grid[cells] = np.repeat(np.broadcast_to(values, length.shape), length)
     return grid.reshape(shape[0], -1)[:, :-1]
 
 
@@ -604,7 +615,7 @@ def disc_cover(pmap: PlanarMap, orbit: OrbitTrace) -> np.ndarray:
 
 
 def _fill_runs(box: Box, n: int, ring: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The row runs (as :func:`_component_runs` gives them) of the n x n
+    """The row runs (as :func:`_run_labels` gives them) of the n x n
     grid's cells on box whose centres lie in the closed polygon ``ring``,
     by the even-odd rule: row i's scanline crosses the edges with one end
     at or left of it and the other not, an even number, and each pair

@@ -19,7 +19,8 @@ Two kernels exist, both generated from the jet of a map f:
 image angle with the elapsed time as a third coordinate (used by orbit
 tracing), and :func:`flow_kernel` for the Hamiltonian field of
 H = |f|^2 / 2 run in either time direction (the disc portrait's flow,
-its only user).
+its only user).  The flow's error norm covers x and y, the orbit
+kernel's only t: the tracer corrects (x, y) onto the level and bounds it.
 
 The drivers call each trial step through :func:`dp5_step`, not the
 kernel directly: one call per trial step, looked up in the driver's
@@ -71,18 +72,18 @@ def _spell(template: str, c: str) -> str:
     return template.format(c=c, **_LITERALS)
 
 
-def _kernel_source(state: str, params: str, body: list[str], field: dict[str, str],
-                   guard: bool, returns: str) -> str:
+def _kernel_source(state: str, normed: str, params: str, body: list[str],
+                   field: dict[str, str], guard: bool, returns: str) -> str:
     """Source of ``_generated(*state, *k1, h, rtol, atol{params})``.
 
-    ``state`` names the coordinates, ``"xy"`` or ``"xyT"``; ``body``
-    evaluates the field at the stage point ``(sx, sy)``, so a third
-    coordinate is a quadrature whose rate does not depend on it.
-    ``field`` spells each coordinate's rate in terms of the body's
-    operands.  With ``guard`` a failing body raises
-    ``_locate(sx, sy, exc)`` for the raw error ``exc`` in ``_ERRORS``.
-    The function returns the fifth-order state, the scaled RMS error
-    norm, the field there (k7) and ``returns``.
+    ``state`` names the coordinates, ``"xy"`` or ``"xyT"``, and ``normed``
+    those in the error norm; ``body`` evaluates the field at the stage point
+    ``(sx, sy)``, so a third coordinate is a quadrature whose rate does not
+    depend on it.  ``field`` spells each coordinate's rate in terms of the
+    body's operands.  With ``guard`` a failing body raises
+    ``_locate(sx, sy, exc)`` for the raw error ``exc`` in ``_ERRORS``.  The
+    function returns the fifth-order state, the scaled RMS error norm over
+    ``normed``, the field there (k7) and ``returns``.
     """
     ks = ", ".join(f"k1{c}" for c in state)
     out = [f"def _generated({', '.join(state)}, {ks}, h, rtol, atol{params}):"]
@@ -106,13 +107,13 @@ def _kernel_source(state: str, params: str, body: list[str], field: dict[str, st
     out.append("    sy = y5")
     stage(7)
     # the scaled RMS error; `b if b > a else a` is max(a, b), NaNs included
-    for c in state:
+    for c in normed:
         out.append(f"    e{c} = {_spell(_ERROR, c)}")
         out.append(f"    a{c} = abs({c})")
         out.append(f"    b{c} = abs({c}5)")
         out.append(f"    r{c} = e{c} / (atol + rtol * (b{c} if b{c} > a{c} else a{c}))")
-    squares = " + ".join(f"r{c} * r{c}" for c in state)
-    out.append(f"    enorm = sqrt(({squares}) / {len(state)})")
+    squares = " + ".join(f"r{c} * r{c}" for c in normed)
+    out.append(f"    enorm = sqrt(({squares}) / {len(normed)})")
     fifth = ", ".join(f"{c}5" for c in state)
     k7 = ", ".join(f"k7{c}" for c in state)
     out.append(f"    return {fifth}, enorm, {k7}{returns}")
@@ -131,8 +132,8 @@ def orbit_kernel(f1: Expr, f2: Expr, errors: tuple[type[BaseException], ...],
 
     ``kernel(x, y, t, k1x, k1y, k1t, h, rtol, atol)`` returns
     ``(x5, y5, t5, enorm, k7x, k7y, k7t, jet)``: the fifth-order state,
-    the scaled error norm over all three coordinates (a step is
-    acceptable when it is <= 1), the field there and the jet
+    the scaled error norm of t alone (the tracer's correction bounds x
+    and y's), the field there and the jet
     ``(v1, dx1, dy1, v2, dx2, dy2)`` of f there.  A stage whose
     evaluation raises one of ``errors``, or meets det Df = 0, raises
     ``locate(sx, sy, exc)`` instead, at the stage point.
@@ -141,7 +142,7 @@ def orbit_kernel(f1: Expr, f2: Expr, errors: tuple[type[BaseException], ...],
     # operands are names or float literals, which bind tighter than `*`
     body.append(f"idet = 1.0 / ({dx1} * {dy2} - {dx2} * {dy1})")
     # the time is T in the source: the body's temporaries are t0, t1, ...
-    src = _kernel_source("xyT", "", body,
+    src = _kernel_source("xyT", "T", "", body,
                          {"x": f"-({v1} * {dy1} + {v2} * {dy2}) * idet",
                           "y": f"({v1} * {dx1} + {v2} * {dx2}) * idet",
                           "T": "idet"},
@@ -163,7 +164,7 @@ def flow_kernel(f1: Expr, f2: Expr):
     binds the constants.
     """
     body, ((v1, dx1, dy1), (v2, dx2, dy2)), consts = _emit((f1, f2), inputs=("sx", "sy"))
-    src = _kernel_source("xy", ", direction", body,
+    src = _kernel_source("xy", "xy", ", direction", body,
                          {"x": f"direction * -({v1} * {dy1} + {v2} * {dy2})",
                           "y": f"direction * ({v1} * {dx1} + {v2} * {dx2})"},
                          guard=False, returns="")

@@ -4,9 +4,10 @@ Along an orbit of the Hamiltonian field, f runs round the circle
 |w| = sqrt(2h) at angular speed det Df, so the orbit is the lift
 dp/dtheta = Df^-1 J f of that circle and closes exactly at a whole turn
 of theta.  Orbits are stepped in theta, each accepted point corrected
-by Newton steps onto f(p) = sqrt(2h) e^{i theta}; start points lift an
-image ray from the center.  Where det Df < 0, theta still advances and
-the orbit runs back in time, clockwise.
+by Newton steps onto f(p) = sqrt(2h) e^{i theta}, which bounds the error
+in (x, y) (predictor-corrector continuation, Allgower-Georg ch. 6);
+start points lift an image ray from the center.  Where det Df < 0,
+theta still advances and the orbit runs back in time, clockwise.
 
 Each trial step is one call of the map's generated orbit kernel
 (:func:`planarham.rk.orbit_kernel`) through :func:`~planarham.rk.dp5_step`,
@@ -30,6 +31,7 @@ ATOL = 1e-12
 # coverage requirement while letting an orbit close in ~75 steps
 MAX_DTHETA = 0.085
 CORRECT_TOL = 1e-13
+CHORD_FRACTION = 1e-3   # of a step's chord: the most its correction may move it
 STEP_UNDERFLOW = 1e-14
 RETURN_TOL = 1e-7
 TWO_PI = 2 * math.pi
@@ -203,11 +205,15 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
     sign of det Df at the start; a point where det Df lacks that sign
     ends the orbit as a :class:`DomainFailure` there.
 
-    A trial step whose evaluation fails is retried with a fifth of the
-    step; below STEP_UNDERFLOW the orbit has run off the domain, a
-    :class:`DomainFailure` at the last accepted point whose message
-    names the failing subexpression and point.  Underflow from the error
-    norm is ``BudgetExhausted(stiff=True)``.
+    A trial step is corrected when the kernel's error norm of t, which
+    the correction does not reset, is <= 1, and accepted when the
+    correction moved its end by at most CHORD_FRACTION of its chord,
+    which unlike rtol |p| has no floor where Df^-1 magnifies CORRECT_TOL;
+    the larger ratio sets the next step.  A failing evaluation is retried
+    with a fifth of the step; below STEP_UNDERFLOW the orbit has run off
+    the domain, a :class:`DomainFailure` at the last accepted point whose
+    message names the failing subexpression and point.  Underflow from
+    either bound is ``BudgetExhausted(stiff=True)``.
     """
     s0 = sample(pmap, start)
     radius = math.hypot(*s0.f_value)
@@ -248,6 +254,8 @@ def integrate_orbit(pmap: PlanarMap, start: tuple[float, float],
                 enorm = math.inf
             if enorm <= 1.0:
                 xn, yn, jet, _ = _correct(jet_at, x5, y5, jet, on_level(theta0 + phi_new), tol)
+                chord = CHORD_FRACTION * math.hypot(x5 - x, y5 - y)
+                enorm = max(enorm, math.hypot(xn - x5, yn - y5) / chord if chord else math.inf)
         except _EVAL_ERRORS as err:
             # one stage overshooting the domain edge is not yet a failure,
             # so retry smaller; underflow here means the orbit ran off it

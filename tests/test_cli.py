@@ -208,7 +208,7 @@ def test_timings_are_work_counters(tmp_path):
 
 @pytest.mark.parametrize("name,boxes", [
     ("example1", 64),               # det Df = e^x, proved on the first split
-    ("example2", 5440 + 8596),      # undecided on the box, proved on the rim's disc
+    ("example2", 5440 + 11106),     # undecided on the box, proved on the rim's disc
 ])
 def test_center_block_counts_the_sign_proof_boxes(tmp_path, name, boxes):
     out = tmp_path / "a.json"
@@ -222,11 +222,11 @@ def test_center_block_counts_the_sign_proof_boxes(tmp_path, name, boxes):
 
 def test_sign_proof_boxes_ignore_the_box(tmp_path):
     # --box sets no sign check of its own: the working box's check (5,440
-    # boxes, undecided) and the rim disc's cover (8,596, proved)
+    # boxes, undecided) and the rim disc's cover (11,106, proved)
     out = tmp_path / "r.json"
     assert run("report", "--map", "builtin:example2", "--box=-21,3,-3,3", "--grid", "64",
                "--out", str(out)) == 0
-    assert read_json(out)["timings"]["sign_proof_boxes"] == 5440 + 8596
+    assert read_json(out)["timings"]["sign_proof_boxes"] == 5440 + 11106
 
 
 def test_domain_with_a_negative_exponent_echoes_back_as_a_spec(tmp_path):
@@ -446,6 +446,19 @@ def test_orientation_reversing_injective_map_is_global(tmp_path, name):
     assert center["status"] == "ok" and center["global"] == "global"
     assert center["ell"]["hi"] == "budget"
     assert doc["compactification"]["conti_type"] == "A"
+
+
+def test_domain_gap_verdict_rests_on_the_unproved_sign(tmp_path):
+    # f2's jet raises for |x| < 7.5e-5, a strip that orbit steps can stride
+    # over; the unproved sign of det Df keeps the verdict inconclusive
+    spec = tmp_path / "gap.map"
+    spec.write_text('f1 = "x - 1"\nf2 = "y + 0*sin(1e300*(1/(x*x)))"\n', encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert run("report", "--map", str(spec), "--out", str(out)) == 3
+    doc = read_json(out)
+    (center,) = doc["centers"]
+    assert center["global"] == "inconclusive"
+    assert any("inconclusive: jacobian-sign-unproved" in w for w in doc["warnings"])
 
 
 def test_negated_example2_is_analyzed_as_example2(tmp_path):

@@ -31,11 +31,14 @@ def _weighted(weights, ks, c):
     return acc
 
 
-def reference_step(rhs, state, k1, h, rtol, atol):
+def reference_step(rhs, state, k1, h, rtol, atol, normed=None):
     """One DP5 step of an autonomous field of (x, y), with a call per
     stage; ``state`` may carry further coordinates whose rates ``rhs``
-    returns but does not read.  Returns (state5, enorm, k7)."""
+    returns but does not read.  The RMS error norm runs over the
+    coordinates ``normed`` (indices, default all).  Returns (state5,
+    enorm, k7)."""
     n = len(state)
+    normed = range(n) if normed is None else normed
     ks = [k1]
     for row in A:
         if len(row) == 1:   # the second stage is h * a21 * k1, not h * (a21 * k1)
@@ -44,12 +47,12 @@ def reference_step(rhs, state, k1, h, rtol, atol):
             ks.append(rhs(*(state[c] + h * _weighted(row, ks, c) for c in range(2))))
     state5 = tuple(state[c] + h * _weighted(B, ks, c) for c in range(n))
     ks.append(rhs(*state5[:2]))
-    squares = 0.0
-    for c in range(n):
+    squares = None
+    for c in normed:
         e = h * _weighted(E, ks, c)
         r = e / (atol + rtol * max(abs(state[c]), abs(state5[c])))
-        squares = r * r if c == 0 else squares + r * r
-    return state5, math.sqrt(squares / n), ks[-1]
+        squares = r * r if squares is None else squares + r * r
+    return state5, math.sqrt(squares / len(normed)), ks[-1]
 
 
 def _same(a, b):
@@ -108,12 +111,14 @@ def _located_rhs(pmap):
 @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
 @pytest.mark.parametrize("h", [1e-4, 0.01, 0.3])
 def test_orbit_kernel_equals_reference_step(name, h, request):
+    # the error norm is the elapsed time's alone: the tracer bounds the
+    # (x, y) error by its correction onto the level
     pmap = request.getfixturevalue(name)
     rhs = _located_rhs(pmap)
     for x, y, t in [(0.5, 0.0, 0.0), (-0.7, 1.3, 2.5), (1.1, -2.4, 0.1), (0.05, 0.2, 7.0)]:
         k1 = rhs(x, y)
         try:
-            want = reference_step(rhs, (x, y, t), k1, h, 1e-9, 1e-12)
+            want = reference_step(rhs, (x, y, t), k1, h, 1e-9, 1e-12, normed=(2,))
         except ArithmeticError as err:   # a stage left the domain or overflowed
             with pytest.raises(type(err)) as got:
                 rk.dp5_step(pmap.orbit_kernel, x, y, t, *k1, h, 1e-9, 1e-12)

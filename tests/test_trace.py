@@ -1,5 +1,6 @@
 """Orbit integration, closure, winding certificates, angular speed."""
 
+import functools
 import math
 
 import numpy as np
@@ -222,8 +223,10 @@ def test_domain_failure_outcome():
     {"rtol": 0.0, "atol": 1e-300},   # error norm can never be met
     {"rtol": 1e-300, "atol": 0.0},   # nor its relative part alone
 ])
-def test_underflow_without_evaluation_error_is_stiff(identity_map, kwargs):
-    trace = integrate_orbit(identity_map, (1.0, 0.0), center=(0.0, 0.0), **kwargs)
+def test_underflow_without_evaluation_error_is_stiff(example1, kwargs):
+    # the norm bounds t alone, whose rate 1/det Df = e^-x varies on
+    # example1's orbits (the identity's t would be integrated exactly)
+    trace = integrate_orbit(example1, (0.5, 0.0), center=(0.0, 0.0), **kwargs)
     assert trace.outcome == BudgetExhausted(stiff=True)
 
 
@@ -369,6 +372,7 @@ def test_winds_once_round_the_given_point_only():
 def test_one_off_level_point_voids_the_certificate(monkeypatch):
     # the orbit's second stored point is moved off the level after its
     # correction; among over a thousand points, every one is checked
+    # (steps of at most 2 pi / 1100 make that many)
     c, s = math.cos(0.3), math.sin(0.3)
     pmap = PlanarMap(f1=parse_expr(f"{c!r}*x - {s!r}*y"),
                      f2=parse_expr(f"({s!r}*x + {c!r}*y)/100"), name="anisotropic")
@@ -384,11 +388,23 @@ def test_one_off_level_point_voids_the_certificate(monkeypatch):
         return x, y, jet, converged
 
     monkeypatch.setattr(trace_mod, "_correct", off_level_once)
-    cert = winding_certificate(pmap, (0.0, 0.0), 0.01, rtol=1e-14, atol=1e-17)
+    monkeypatch.setattr(trace_mod, "integrate_orbit", functools.partial(
+        integrate_orbit, max_dtheta=TWO_PI / 1100))
+    cert = winding_certificate(pmap, (0.0, 0.0), 0.01)
     assert cert.closed and cert.winding == 1 and len(cert.trace.points) > 1024
     assert not cert.injective_on_orbit
     assert classify_certificate(cert) == (INCONCLUSIVE, "invariant-violation")
     assert cert.trace.level_error > 1e-8 * (1.0 + cert.h)
+
+
+@pytest.mark.parametrize("h,rel", [(0.1, 1e-8), (0.3, 1e-8), (0.45, 1e-8),
+                                   (0.49999954793884643, 1e-6)])
+def test_example1_period(example1, h, rel):
+    # on example1's orbits e^x = 1 + r cos(theta) with r^2 = 2h, and
+    # det Df = e^x, so T = integral of d(theta) / e^x = 2 pi / sqrt(1 - 2h):
+    # the error norm's one coordinate, t, must still come out right
+    period = winding_certificate(example1, (0.0, 0.0), h).period
+    assert period == pytest.approx(TWO_PI / math.sqrt(1.0 - 2.0 * h), rel=rel)
 
 
 def test_orientation_reversing_orbit_runs_back_in_time():

@@ -12,8 +12,9 @@ seeds and rounds, then the runs of ``BUILTIN_RUNS`` (``report``,
 ceiling, angle budget or tolerance of their own) on every builtin map
 that needs no extended gate, the ``EXTENDED_RUNS`` on the gated ones,
 and ``report`` on the ``SPEC_MAPS``, spec files written into the work
-directory: two whose det Df < 0 (f reverses orientation) and one whose
-only center is below resolution, all in one process through
+directory: two whose det Df < 0 (f reverses orientation), one whose
+only center is below resolution and one undefined on a strip that its
+orbits cross, all in one process through
 ``planarham.cli.run_subcommand``.
 Each line is the invocation's label and a SHA-256 over its output file,
 exit code, stdout and stderr, with the work directory's path replaced
@@ -29,15 +30,19 @@ the exit status is 1; the printed lines do not change.
 ``perfbench/workloads.py`` are imported (default: the one holding this
 script); neither is modified.
 
-``--work`` prints, in place of the digests, each JSON invocation's work:
-its number of certificates (summed over the centers), each analyzed
+``--work`` prints, in place of the digests, each invocation's trial
+orbit steps (``steps=``, counted by wrapping ``planarham.trace.dp5_step``),
+then each JSON invocation's work and verdicts: its number of
+certificates (summed over the centers), each analyzed
 center's probes (``probes=``), how many of its certificates traced an
 orbit (``traced=``) and how many the lift of an image ray settled alone
 by leaving the window (``lift=``), its ``timings.sign_proof_boxes`` (the
 boxes enclosed by every det Df sign check; ``-`` without the field),
-its ``timings.orbit_points`` and its infinite singular points as
-``theta:classification`` (``sectors=``), then the totals and the most
-probes any one center took.  The per-center counts come from wrapping
+its ``timings.orbit_points``, each center's ``global`` value and ``ell``
+bracket as ``global[lo:hi]`` (``verdicts=``; ``-`` for a missing one)
+and its infinite singular points as ``theta:classification``
+(``sectors=``), then the totals and the most probes any one center
+took.  The per-center counts come from wrapping
 ``planarham.annulus.estimate_ell``; a center whose estimate raises
 ``AnnulusBelowResolution`` counts the probes the exception keeps.  For
 each ``disc`` SVG it prints the number of trajectories, how many of
@@ -49,7 +54,8 @@ Every invocation's line, portraits included, ends with the
 for none), from wrapping ``planarham.cli.search_zeros``, so that the
 seed outcomes can be compared too.  Two checkouts that do different
 amounts of work, or whose report bytes move only in confidences, can be
-compared with it:
+compared with it; where only the work moves, the exit codes and
+``verdicts=`` stay put while ``steps=`` and the point counts differ:
 
     python3 tools/output_digest.py --work --checkout ../other-checkout > old.txt
     python3 tools/output_digest.py --work > new.txt
@@ -92,12 +98,14 @@ EXTENDED_RUNS = (
     ("pinchuk200", "centers", "json", "--enable-extended", "--grid", "8", "--box=-1,1,-1,1"),
 )
 # (name, f1, f2): maps each reported from a spec file in the work
-# directory: injective ones with det Df < 0 on the plane, and one so
-# steep that its only center's smallest probed level already fails
+# directory: injective ones with det Df < 0 on the plane, one so steep
+# that its only center's smallest probed level already fails, and one
+# undefined on the strip |x| < 7.5e-5 that its orbits cross
 SPEC_MAPS = (
     ("flip", "x", "-y"),
     ("affine-reversing", "0.9*x + 0.2*y - 1", "0.3*x - 1.1*y + 2"),
     ("steep", "1e152*x", "y"),
+    ("domain-gap", "x - 1", "y + 0*sin(1e300*(1/(x*x)))"),
 )
 
 
@@ -108,7 +116,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     p.add_argument("--seeds", type=int, nargs="+", default=[7, 11])
     p.add_argument("--rounds", type=int, nargs="+", default=[0, 1])
     p.add_argument("--work", action="store_true",
-                   help="print certificate and orbit-point counts, not digests")
+                   help="print work counts and verdicts, not digests")
     return p.parse_args(argv)
 
 
@@ -128,10 +136,11 @@ def digest(run_subcommand, argv: list[str], out: Path, workdir: Path) -> tuple[i
     return rc, h.hexdigest()
 
 
-def work(out: Path) -> tuple[int, int | str, int, str] | None:
-    """(certificates, sign proof boxes, orbit points, sectors) of a JSON
-    output; None without one.  ``sectors`` lists each infinite singular
-    point's ``theta:classification``; it is ``-`` without a
+def work(out: Path) -> tuple[int, int | str, int, str, str] | None:
+    """(certificates, sign proof boxes, orbit points, verdicts, sectors)
+    of a JSON output; None without one.  ``verdicts`` lists each
+    center's ``global[lo:hi]``.  ``sectors`` lists each infinite
+    singular point's ``theta:classification``; it is ``-`` without a
     compactification block and the block itself when that is a string."""
     if not out.exists():
         return None
@@ -141,8 +150,15 @@ def work(out: Path) -> tuple[int, int | str, int, str] | None:
     block = doc.get("compactification", "-")
     sectors = block if isinstance(block, str) else ",".join(
         f"{s['theta']!r}:{s['classification']}" for s in block["infinite_singularities"])
+    verdicts = ",".join(verdict(c) for c in doc["centers"])
     return (certificates, timings.get("sign_proof_boxes", "-"), timings.get("orbit_points", 0),
-            sectors)
+            verdicts, sectors)
+
+
+def verdict(center: dict) -> str:
+    """A center's ``global[lo:hi]``, ``-`` for what it lacks."""
+    ell = center.get("ell") or {}
+    return f"{center.get('global', '-')}[{ell.get('lo', '-')}:{ell.get('hi', '-')}]"
 
 
 def svg_work(out: Path, disc: bool) -> dict[str, int] | None:
@@ -177,7 +193,7 @@ def main(argv: list[str]) -> int:
     root = args.checkout.resolve()
     sys.dont_write_bytecode = True          # leave the checkout as it is
     sys.path[:0] = [str(root / "perfbench"), str(root / "src")]
-    from planarham import annulus, cli
+    from planarham import annulus, cli, trace
     from planarham.cli import run_subcommand
     from workloads import WORKLOADS, argv_for, round_invocations, write_maps
 
@@ -204,6 +220,14 @@ def main(argv: list[str]) -> int:
         return records, stats
 
     cli.search_zeros = searching
+    steps = [0]                     # the trial orbit steps of the current invocation
+    dp5_step = trace.dp5_step
+
+    def stepping(*args_):
+        steps[0] += 1
+        return dp5_step(*args_)
+
+    trace.dp5_step = stepping
     try:
         import jsonschema
     except ImportError:
@@ -224,33 +248,36 @@ def main(argv: list[str]) -> int:
             mismatches.append(label)
             print(f"{label}: {error.json_path}: {error.message}", file=sys.stderr)
 
-    totals = dict.fromkeys(("certificates", "orbit_points", "probes", "traced", "lift",
+    totals = dict.fromkeys(("steps", "certificates", "orbit_points", "probes", "traced", "lift",
                             "most_per_center", "trajectories", "closed", "disc_points",
                             "levels", "level_points"), 0)
 
     def run_one(label: str, argv_: list[str], out: Path, workdir: Path) -> None:
         estimates.clear()
         searches.clear()
+        steps[0] = 0
         rc, hexd = digest(run_subcommand, argv_, out, workdir)
         check_schema(label, out)
         search = "search=" + ("; ".join(s.summary() for s in searches) or "-")
+        totals["steps"] += steps[0]
+        head = f"{label} rc={rc} steps={steps[0]}"
         if not args.work:
             print(f"{label} rc={rc} {hexd}", flush=True)
         elif argv_[0] in ("disc", "portrait"):
             listed = svg_work(out, argv_[0] == "disc")
             if listed is None:
-                print(f"{label} rc={rc} <no output file> {search}", flush=True)
+                print(f"{head} <no output file> {search}", flush=True)
                 return
             for key, n in listed.items():
                 totals[key] += n
-            print(f"{label} rc={rc} " + " ".join(f"{key}={n}" for key, n in listed.items())
+            print(f"{head} " + " ".join(f"{key}={n}" for key, n in listed.items())
                   + f" {search}", flush=True)
         else:
             counts = work(out)
             if counts is None:
-                print(f"{label} rc={rc} <no output file> {search}", flush=True)
+                print(f"{head} <no output file> {search}", flush=True)
                 return
-            certificates, boxes, points, sectors = counts
+            certificates, boxes, points, verdicts, sectors = counts
             per_center = dict(zip(("probes", "traced", "lift"), probe_counts(estimates)))
             totals["certificates"] += certificates
             totals["orbit_points"] += points
@@ -259,9 +286,9 @@ def main(argv: list[str]) -> int:
             totals["most_per_center"] = max([totals["most_per_center"], *per_center["probes"]])
             listed = " ".join(f"{key}={','.join(map(str, v)) or '-'}"
                               for key, v in per_center.items())
-            print(f"{label} rc={rc} certificates={certificates} {listed} "
-                  f"sign_proof_boxes={boxes} orbit_points={points} sectors={sectors or '-'} "
-                  f"{search}", flush=True)
+            print(f"{head} certificates={certificates} {listed} "
+                  f"sign_proof_boxes={boxes} orbit_points={points} "
+                  f"verdicts={verdicts or '-'} sectors={sectors or '-'} {search}", flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
